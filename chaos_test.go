@@ -15,8 +15,8 @@ import (
 // (Ulam Theorem 4, edit distance Theorem 9) and the [20] HSS baseline —
 // under randomized fault schedules and asserts the paper's recovery claim:
 // because every machine round is a pure function of (seed, round, machine,
-// inputs), crash replay and shuffle retransmission reconstruct the
-// fault-free execution exactly. Distances, chains, and every deterministic
+// inputs), crash replay reconstructs the fault-free execution exactly.
+// Distances, chains, and every deterministic
 // model counter must be bit-identical to the fault-free run; only the
 // Failures/Retries bookkeeping may differ.
 //
@@ -80,9 +80,7 @@ func chaosPlan(rng *rand.Rand) *fault.Plan {
 	return &fault.Plan{
 		Seed:       rng.Int63(),
 		Crash:      0.005 + 0.025*rng.Float64(),
-		CrashAfter: 0.005 + 0.015*rng.Float64(),
-		Drop:       0.005 + 0.025*rng.Float64(),
-		Dup:        0.005 + 0.025*rng.Float64(),
+		CrashAfter: 0.015 + 0.065*rng.Float64(),
 		Straggle:   0.01 * rng.Float64(),
 		Delay:      100_000, // 100µs: visible in traces, cheap in tests
 	}

@@ -58,7 +58,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed (must match the baseline's when comparing)")
 	eps := flag.Float64("eps", 0.5, "approximation slack epsilon")
 	tol := flag.Float64("tol", 0, "wall-time warning factor (>1 enables advisory wall-time comparison)")
-	maxRetries := flag.Int("max-retries", 0, "fault-recovery budget per machine-round/message (0 = default)")
 	transport := flag.String("transport", "local", "shuffle transport: local (in-process) or tcp (real worker processes)")
 	workers := flag.Int("workers", 2, "worker processes for -transport tcp")
 	telemetry := flag.Bool("telemetry", false, "ship worker trace events during -transport tcp runs (counters must be unaffected)")
@@ -66,7 +65,7 @@ func main() {
 	profilerate := flag.Int("profilerate", 0, "CPU profile sampling rate in Hz (0 = runtime default of 100); driver-side phases like partition run for microseconds and need a high rate (e.g. 10000) to accrue samples")
 	checkpointDir := flag.String("checkpoint-dir", "", "snapshot every case's rounds into this checkpoint store; the deterministic counters must still match a plain baseline, and the advisory checkpointSaves/checkpointBytes fields record the durability cost")
 	version := flag.Bool("version", false, "print version information and exit")
-	faultPlan := fault.BindFlags(flag.CommandLine)
+	faultFlags := fault.BindFlags(flag.CommandLine)
 	transportOpts := tnet.BindFlags(flag.CommandLine)
 	chaosPlan := netchaos.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -84,9 +83,10 @@ func main() {
 	if terr != nil {
 		die(terr)
 	}
-	cfg := harness.BenchConfig{Seed: *seed, Eps: *eps, Faults: faultPlan(), MaxRetries: *maxRetries,
+	cfg := harness.BenchConfig{Seed: *seed, Eps: *eps,
 		Transport: *transport, Workers: *workers, Telemetry: *telemetry,
 		TransportOpts: topts, NetChaos: chaosPlan(), CheckpointDir: *checkpointDir}
+	cfg.Faults, cfg.MaxRetries = faultFlags()
 	if *telemetry && *transport != "tcp" {
 		fmt.Fprintln(os.Stderr, "mpcbench: -telemetry requires -transport tcp")
 		os.Exit(2)

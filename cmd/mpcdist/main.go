@@ -56,7 +56,6 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-round statistics")
 	verify := flag.Bool("verify", false, "also compute the exact distance and report the factor")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the MPC rounds to this file")
-	maxRetries := flag.Int("max-retries", 0, "fault-recovery budget per machine-round/message (0 = default)")
 	transportName := flag.String("transport", "local", "shuffle transport: local (in-process) or tcp (real worker processes)")
 	workers := flag.Int("workers", 2, "worker processes for -transport tcp")
 	statusAddr := flag.String("status", "", "serve a live JSON session snapshot at this address (host:port; -transport tcp only)")
@@ -65,7 +64,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 1, "persist checkpoints every N rounds (with -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "fast-forward rounds already checkpointed for this job spec in -checkpoint-dir")
 	version := flag.Bool("version", false, "print version information and exit")
-	faultPlan := fault.BindFlags(flag.CommandLine)
+	faultFlags := fault.BindFlags(flag.CommandLine)
 	transportOpts := transport.BindFlags(flag.CommandLine)
 	chaosPlan := netchaos.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -133,7 +132,8 @@ func main() {
 	a := input(*aStr, *aFile)
 	b := input(*bStr, *bFile)
 	var ops stats.Ops
-	p := core.Params{X: *x, Eps: *eps, Seed: *seed, Faults: faultPlan(), MaxRetries: *maxRetries}
+	p := core.Params{X: *x, Eps: *eps, Seed: *seed}
+	p.Faults, p.MaxRetries = faultFlags()
 	if p.Faults != nil {
 		switch *algo {
 		case "mpc", "hss", "ulam-mpc":

@@ -98,14 +98,13 @@ func main() {
 	shedQueue := flag.Int("shed-queue", 256, "shed with 429 once this many requests queue for the pool (0 = off)")
 	shedWait := flag.Duration("shed-wait", 0, "shed with 429 after queueing this long for a pool slot (0 = off)")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After value on 429 responses")
-	maxRetries := flag.Int("max-retries", 0, "MPC fault-recovery budget per machine-round/message (0 = default)")
 	transportName := flag.String("transport", "local", "MPC execution transport: local (in-process) or tcp (worker cluster)")
 	workers := flag.Int("workers", 3, "worker processes for -transport tcp")
 	statusAddr := flag.String("status", "", "serve live transport.Status JSON at this address (host:port; -transport tcp only)")
 	checkpointDir := flag.String("checkpoint-dir", "", "durable checkpoint store for batch MPC queries (empty = off)")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "persist checkpoints every N completed rounds")
 	version := flag.Bool("version", false, "print version and exit")
-	faultPlan := fault.BindFlags(flag.CommandLine)
+	faultFlags := fault.BindFlags(flag.CommandLine)
 	transportOpts := transport.BindFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -194,6 +193,7 @@ func main() {
 		log.Printf("mpcserve: status endpoint at http://%s/status", statusSrv.Addr)
 	}
 
+	faults, maxRetries := faultFlags()
 	srv = server.New(server.Config{
 		PoolSize:        *pool,
 		CacheSize:       *cache,
@@ -205,14 +205,14 @@ func main() {
 		ShedQueue:       *shedQueue,
 		ShedWait:        *shedWait,
 		RetryAfter:      *retryAfter,
-		Faults:          faultPlan(),
-		MaxRetries:      *maxRetries,
+		Faults:          faults,
+		MaxRetries:      maxRetries,
 		Dist:            distRunner,
 		Checkpoint:      ckptStore,
 		CheckpointEvery: *checkpointEvery,
 	})
-	if p := faultPlan(); p != nil {
-		log.Printf("mpcserve: fault injection active: %s", p)
+	if faults != nil {
+		log.Printf("mpcserve: fault injection active: %s", faults)
 	}
 
 	httpSrv := &http.Server{

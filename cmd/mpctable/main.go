@@ -42,9 +42,8 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	small := flag.Bool("small", false, "use smaller sizes (faster)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of all MPC rounds to this file")
-	maxRetries := flag.Int("max-retries", 0, "fault-recovery budget per machine-round/message (0 = default)")
 	version := flag.Bool("version", false, "print version and exit")
-	faultPlan := fault.BindFlags(flag.CommandLine)
+	faultFlags := fault.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *version {
@@ -58,7 +57,8 @@ func main() {
 	flightDump = traceio.ArmFlight("mpctable")
 	defer flightDump()
 
-	base := core.Params{Eps: *eps, Seed: *seed, Faults: faultPlan(), MaxRetries: *maxRetries}
+	base := core.Params{Eps: *eps, Seed: *seed}
+	base.Faults, base.MaxRetries = faultFlags()
 	if base.Faults != nil {
 		fmt.Fprintf(os.Stderr, "mpctable: fault injection active: %s (model counters are unaffected; recovery is exact)\n", base.Faults)
 	}

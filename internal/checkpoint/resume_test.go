@@ -65,7 +65,7 @@ func resumeCases() []resumeCase {
 }
 
 func testFaults() *fault.Plan {
-	return &fault.Plan{Seed: 99, Crash: 0.02, CrashAfter: 0.01, Drop: 0.02, Dup: 0.02}
+	return &fault.Plan{Seed: 99, Crash: 0.02, CrashAfter: 0.05}
 }
 
 // normalize zeroes the wall-clock fields so two executions compare on

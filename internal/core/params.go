@@ -52,10 +52,9 @@ type Params struct {
 	Solver PairSolver
 	// Faults, when non-nil and active, injects the plan's deterministic
 	// fault schedule into every cluster round (crashes recovered by exact
-	// replay, message loss/duplication recovered in the shuffle, straggler
-	// delays); see internal/fault. Nil means fault-free.
+	// replay, straggler delays); see internal/fault. Nil means fault-free.
 	Faults *fault.Plan
-	// MaxRetries is the per-machine-round / per-message recovery budget
+	// MaxRetries is the per-machine-round replay budget
 	// (0 = mpc.DefaultMaxRetries).
 	MaxRetries int
 	// Algo names the pipeline for profiler labels and the flight recorder

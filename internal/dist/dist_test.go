@@ -59,9 +59,7 @@ func parityJobs() []Job {
 func withFaults(j Job) Job {
 	j.FaultSeed = 99
 	j.FaultCrash = 0.02
-	j.FaultCrashAfter = 0.01
-	j.FaultDrop = 0.02
-	j.FaultDup = 0.02
+	j.FaultCrashAfter = 0.05
 	j.FaultStraggle = 0.01
 	j.FaultDelayNs = 100_000
 	return j

@@ -51,8 +51,6 @@ type Job struct {
 	FaultSeed       int64
 	FaultCrash      float64
 	FaultCrashAfter float64
-	FaultDrop       float64
-	FaultDup        float64
 	FaultStraggle   float64
 	FaultDelayNs    int64
 
@@ -112,8 +110,6 @@ func (j Job) plan() *fault.Plan {
 		Seed:       j.FaultSeed,
 		Crash:      j.FaultCrash,
 		CrashAfter: j.FaultCrashAfter,
-		Drop:       j.FaultDrop,
-		Dup:        j.FaultDup,
 		Straggle:   j.FaultStraggle,
 		Delay:      time.Duration(j.FaultDelayNs),
 	}
@@ -141,8 +137,6 @@ func FromParams(algo string, p core.Params) Job {
 		j.FaultSeed = f.Seed
 		j.FaultCrash = f.Crash
 		j.FaultCrashAfter = f.CrashAfter
-		j.FaultDrop = f.Drop
-		j.FaultDup = f.Dup
 		j.FaultStraggle = f.Straggle
 		j.FaultDelayNs = int64(f.Delay)
 	}

@@ -7,12 +7,13 @@
 // recovery lives in internal/mpc.
 //
 // A Plan is a fault schedule: given a schedule seed and per-event rates,
-// it decides crashes, message loss/duplication, and straggler delays as
-// pure functions of their coordinates (round, machine/sender, attempt,
-// sequence) via SplitMix64 mixing — the same mixing the simulator uses for
-// its random streams. Two runs with the same Plan see byte-identical fault
-// schedules regardless of goroutine scheduling, so any failure a chaos run
-// uncovers replays from its seed alone.
+// it decides machine crashes and straggler delays as pure functions of
+// their coordinates (round, machine, attempt) via SplitMix64 mixing — the
+// same mixing the simulator uses for its random streams. Two runs with the
+// same Plan see byte-identical fault schedules regardless of goroutine
+// scheduling, so any failure a chaos run uncovers replays from its seed
+// alone. Message loss is not simulated here: internal/netchaos injects it
+// on a real wire, where the transport recovers it.
 package fault
 
 import (
@@ -36,12 +37,6 @@ type Plan struct {
 	// CrashAfter is the probability a machine crashes after executing but
 	// before its output ships (the attempt's messages are lost).
 	CrashAfter float64
-	// Drop is the probability one message transmission is lost in the
-	// shuffle (per delivery attempt; the simulator retransmits).
-	Drop float64
-	// Dup is the probability a delivered message arrives twice (the
-	// receiver deduplicates by message ID).
-	Dup float64
 	// Straggle is the probability a machine's execution is delayed by
 	// Delay this attempt.
 	Straggle float64
@@ -54,8 +49,6 @@ type Plan struct {
 const (
 	kindCrash      uint64 = 0x6372617368000000 // "crash\0\0\0"
 	kindCrashAfter uint64 = 0x61667465722d6372 // "after-cr"
-	kindDrop       uint64 = 0x64726f7000000000 // "drop\0\0\0\0"
-	kindDup        uint64 = 0x6475700000000000 // "dup\0\0\0\0\0"
 	kindStraggle   uint64 = 0x7374726167676c65 // "straggle"
 )
 
@@ -105,7 +98,7 @@ func Uniform(seed int64, kind uint64, a, b, c int) float64 {
 // inactive; the simulator's fast path is taken exactly when Active is
 // false, so a fault-free run has zero behavioral drift.
 func (p *Plan) Active() bool {
-	return p != nil && (p.Crash > 0 || p.CrashAfter > 0 || p.Drop > 0 || p.Dup > 0 || p.Straggle > 0)
+	return p != nil && (p.Crash > 0 || p.CrashAfter > 0 || p.Straggle > 0)
 }
 
 // CrashBefore reports whether the machine crashes before executing the
@@ -126,27 +119,6 @@ func (p *Plan) CrashAfterExec(round, machine, attempt int) bool {
 	return p.decide(kindCrashAfter, p.CrashAfter, round, machine, attempt)
 }
 
-// DropMsg reports whether transmission attempt `attempt` of the sender's
-// seq-th message of the round is lost.
-func (p *Plan) DropMsg(round, from, seq, attempt int) bool {
-	if p == nil {
-		return false
-	}
-	// Fold seq and attempt into one coordinate with disjoint mixing.
-	h := int(mix64(uint64(seq)<<20 ^ uint64(attempt)))
-	return p.decide(kindDrop, p.Drop, round, from, h)
-}
-
-// DupMsg reports whether a successfully delivered transmission is
-// duplicated in flight.
-func (p *Plan) DupMsg(round, from, seq, attempt int) bool {
-	if p == nil {
-		return false
-	}
-	h := int(mix64(uint64(seq)<<20 ^ uint64(attempt)))
-	return p.decide(kindDup, p.Dup, round, from, h)
-}
-
 // StraggleDelay returns the injected execution delay for the attempt, 0
 // for none.
 func (p *Plan) StraggleDelay(round, machine, attempt int) time.Duration {
@@ -165,8 +137,8 @@ func (p *Plan) String() string {
 	if p == nil {
 		return "fault.Plan(nil)"
 	}
-	return fmt.Sprintf("fault.Plan{seed=%d crash=%g crashAfter=%g drop=%g dup=%g straggle=%g delay=%s}",
-		p.Seed, p.Crash, p.CrashAfter, p.Drop, p.Dup, p.Straggle, p.Delay)
+	return fmt.Sprintf("fault.Plan{seed=%d crash=%g crashAfter=%g straggle=%g delay=%s}",
+		p.Seed, p.Crash, p.CrashAfter, p.Straggle, p.Delay)
 }
 
 // CrashError reports a machine whose round could not complete within the
@@ -183,40 +155,23 @@ func (e *CrashError) Error() string {
 		e.Machine, e.Attempts, e.Round, e.Name)
 }
 
-// DropError reports a message that could not be delivered within the
-// retry budget: every transmission attempt was dropped.
-type DropError struct {
-	Round    int
-	Name     string
-	From, To int
-	Seq      int // the sender's message sequence number within the round
-	Attempts int
-}
-
-func (e *DropError) Error() string {
-	return fmt.Sprintf("fault: message %d->%d (seq %d) dropped on all %d attempts of round %d (%q); retry budget exhausted",
-		e.From, e.To, e.Seq, e.Attempts, e.Round, e.Name)
-}
-
-// BindFlags registers the standard fault-injection flags on fs (the shared
-// vocabulary of mpcdist, mpctable, mpcbench, and mpcserve) and returns a
-// closure that assembles the Plan after fs.Parse. The closure returns nil
-// when every rate is zero, preserving the simulator's fault-free fast
-// path.
-func BindFlags(fs *flag.FlagSet) func() *Plan {
+// BindFlags registers the standard fault-injection flags and -max-retries
+// on fs (the shared vocabulary of mpcdist, mpctable, mpcbench, and
+// mpcserve) and returns a closure that assembles the Plan and the retry
+// budget after fs.Parse. The plan is nil when every rate is zero, so
+// nothing is injected; a budget of 0 selects the simulator's default.
+func BindFlags(fs *flag.FlagSet) func() (*Plan, int) {
 	seed := fs.Int64("fault-seed", 1, "fault-schedule seed (schedules are deterministic and replayable)")
 	crash := fs.Float64("fault-crash", 0, "probability a machine crashes before executing a round attempt")
 	crashAfter := fs.Float64("fault-crash-after", 0, "probability a machine crashes after executing, losing its output")
-	drop := fs.Float64("fault-drop", 0, "probability a message transmission is lost in the shuffle")
-	dup := fs.Float64("fault-dup", 0, "probability a delivered message is duplicated in flight")
 	straggle := fs.Float64("fault-straggle", 0, "probability a machine execution is delayed")
 	delay := fs.Duration("fault-delay", 2*time.Millisecond, "injected straggler delay")
-	return func() *Plan {
-		p := &Plan{Seed: *seed, Crash: *crash, CrashAfter: *crashAfter,
-			Drop: *drop, Dup: *dup, Straggle: *straggle, Delay: *delay}
+	retries := fs.Int("max-retries", 0, "fault-recovery budget: replays per machine-round before the round fails (0 = default)")
+	return func() (*Plan, int) {
+		p := &Plan{Seed: *seed, Crash: *crash, CrashAfter: *crashAfter, Straggle: *straggle, Delay: *delay}
 		if !p.Active() {
-			return nil
+			return nil, *retries
 		}
-		return p
+		return p, *retries
 	}
 }

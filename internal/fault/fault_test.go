@@ -10,15 +10,13 @@ import (
 // TestFaultDecisionsDeterministic checks every decision is a pure function of
 // its coordinates: repeated evaluation agrees, and equal plans agree.
 func TestFaultDecisionsDeterministic(t *testing.T) {
-	p := &Plan{Seed: 42, Crash: 0.3, CrashAfter: 0.3, Drop: 0.3, Dup: 0.3, Straggle: 0.3}
-	q := &Plan{Seed: 42, Crash: 0.3, CrashAfter: 0.3, Drop: 0.3, Dup: 0.3, Straggle: 0.3}
+	p := &Plan{Seed: 42, Crash: 0.3, CrashAfter: 0.3, Straggle: 0.3}
+	q := &Plan{Seed: 42, Crash: 0.3, CrashAfter: 0.3, Straggle: 0.3}
 	for round := 0; round < 4; round++ {
 		for m := 0; m < 16; m++ {
 			for a := 0; a < 3; a++ {
 				if p.CrashBefore(round, m, a) != q.CrashBefore(round, m, a) ||
 					p.CrashAfterExec(round, m, a) != q.CrashAfterExec(round, m, a) ||
-					p.DropMsg(round, m, a, 0) != q.DropMsg(round, m, a, 0) ||
-					p.DupMsg(round, m, a, 0) != q.DupMsg(round, m, a, 0) ||
 					p.StraggleDelay(round, m, a) != q.StraggleDelay(round, m, a) {
 					t.Fatalf("equal plans disagree at (%d,%d,%d)", round, m, a)
 				}
@@ -30,19 +28,19 @@ func TestFaultDecisionsDeterministic(t *testing.T) {
 // TestFaultDecisionRates checks the Bernoulli decisions land near their rate
 // over many coordinates, and that the per-kind streams are not identical.
 func TestFaultDecisionRates(t *testing.T) {
-	p := &Plan{Seed: 7, Crash: 0.25, Drop: 0.25}
+	p := &Plan{Seed: 7, Crash: 0.25, CrashAfter: 0.25}
 	const trials = 20000
-	crashes, drops, agree := 0, 0, 0
+	crashes, afters, agree := 0, 0, 0
 	for i := 0; i < trials; i++ {
 		c := p.CrashBefore(0, i, 0)
-		d := p.DropMsg(0, i, 0, 0)
+		a := p.CrashAfterExec(0, i, 0)
 		if c {
 			crashes++
 		}
-		if d {
-			drops++
+		if a {
+			afters++
 		}
-		if c == d {
+		if c == a {
 			agree++
 		}
 	}
@@ -53,10 +51,10 @@ func TestFaultDecisionRates(t *testing.T) {
 		}
 	}
 	check("crash", crashes)
-	check("drop", drops)
+	check("crash-after", afters)
 	// Independent 0.25-streams agree with prob 0.625; identical streams 1.0.
 	if float64(agree)/trials > 0.7 {
-		t.Errorf("crash and drop streams agree on %.3f of coordinates; kind salts not separating them",
+		t.Errorf("crash and crash-after streams agree on %.3f of coordinates; kind salts not separating them",
 			float64(agree)/trials)
 	}
 }
@@ -79,8 +77,7 @@ func TestFaultSeedChangesSchedule(t *testing.T) {
 // TestFaultNilAndInactive checks nil-safety and the Active gate.
 func TestFaultNilAndInactive(t *testing.T) {
 	var p *Plan
-	if p.Active() || p.CrashBefore(0, 0, 0) || p.CrashAfterExec(0, 0, 0) ||
-		p.DropMsg(0, 0, 0, 0) || p.DupMsg(0, 0, 0, 0) || p.StraggleDelay(0, 0, 0) != 0 {
+	if p.Active() || p.CrashBefore(0, 0, 0) || p.CrashAfterExec(0, 0, 0) || p.StraggleDelay(0, 0, 0) != 0 {
 		t.Error("nil plan injected something")
 	}
 	if p.String() != "fault.Plan(nil)" {
@@ -121,7 +118,7 @@ func TestFaultStraggleDelayDefault(t *testing.T) {
 	}
 }
 
-// TestFaultErrorsNameCoordinates checks the typed errors render their
+// TestFaultErrorsNameCoordinates checks the typed error renders its
 // coordinates (tests depend on errors.As; operators on the text).
 func TestFaultErrorsNameCoordinates(t *testing.T) {
 	ce := &CrashError{Round: 2, Name: "chain", Machine: 7, Attempts: 4}
@@ -130,33 +127,31 @@ func TestFaultErrorsNameCoordinates(t *testing.T) {
 			t.Errorf("CrashError %q missing %q", ce.Error(), want)
 		}
 	}
-	de := &DropError{Round: 1, Name: "shuffle", From: 3, To: 9, Seq: 5, Attempts: 2}
-	for _, want := range []string{"3->9", "seq 5", "round 1", "2 attempts"} {
-		if !strings.Contains(de.Error(), want) {
-			t.Errorf("DropError %q missing %q", de.Error(), want)
-		}
-	}
 }
 
-// TestFaultBindFlags checks the shared flag vocabulary parses into a Plan and
-// that all-zero rates yield nil (the fault-free fast path).
+// TestFaultBindFlags checks the shared flag vocabulary parses into a Plan
+// and a retry budget, and that all-zero rates yield nil (the fault-free
+// fast path).
 func TestFaultBindFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	plan := BindFlags(fs)
-	if err := fs.Parse([]string{"-fault-seed", "11", "-fault-crash", "0.1", "-fault-delay", "5ms"}); err != nil {
+	flags := BindFlags(fs)
+	if err := fs.Parse([]string{"-fault-seed", "11", "-fault-crash", "0.1", "-fault-delay", "5ms", "-max-retries", "7"}); err != nil {
 		t.Fatal(err)
 	}
-	p := plan()
+	p, retries := flags()
 	if p == nil || p.Seed != 11 || p.Crash != 0.1 || p.Delay != 5*time.Millisecond {
 		t.Fatalf("parsed plan = %+v", p)
 	}
+	if retries != 7 {
+		t.Fatalf("parsed retry budget = %d, want 7", retries)
+	}
 
 	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
-	plan2 := BindFlags(fs2)
+	flags2 := BindFlags(fs2)
 	if err := fs2.Parse([]string{"-fault-seed", "11"}); err != nil {
 		t.Fatal(err)
 	}
-	if p2 := plan2(); p2 != nil {
-		t.Fatalf("all-zero rates should yield nil plan, got %+v", p2)
+	if p2, retries2 := flags2(); p2 != nil || retries2 != 0 {
+		t.Fatalf("all-zero rates should yield nil plan and default budget, got %+v, %d", p2, retries2)
 	}
 }

@@ -56,33 +56,78 @@ func AssignMachines(ids []int, weights []int, parties int) [][]int {
 	return assign
 }
 
-// remoteSpan reconstructs a trace span for a machine that executed on
-// another party, rebasing the remote party's monotonic offsets onto this
-// party's round clock. Wall-clock fidelity is approximate (the clocks are
-// different); counts and volumes are exact.
-func remoteSpan(name string, phase trace.Phase, round int, r transport.Record, base time.Time, inWords int) trace.MachineSpan {
-	outWords, fanout := 0, 0
-	seen := make(map[int]struct{}, 8)
-	for _, m := range r.Msgs {
-		outWords += m.Data.(Payload).Words()
-		if _, ok := seen[m.To]; !ok {
-			seen[m.To] = struct{}{}
-			fanout++
-		}
+// replayRemote fires the observer events of machines that executed on
+// other parties; in-process machines already fired theirs while running.
+// The replayed timestamps are the remote party's offsets rebased onto this
+// party's round clock — advisory, like all wall-clock quantities.
+func (re *roundExec) replayRemote(merged []transport.Record) {
+	if re.obs == nil {
+		return
 	}
+	for _, r := range merged {
+		if !r.Remote || !r.Started {
+			continue
+		}
+		re.obs.MachineStart(re.round, r.Machine, re.inWords[r.Machine])
+		for _, m := range r.Msgs {
+			re.obs.Message(re.round, r.Machine, m.To, m.Data.(Payload).Words())
+		}
+		re.obs.MachineEnd(re.remoteSpan(r))
+	}
+}
+
+// remoteSpan reconstructs the trace span of a machine that executed on
+// another party. Wall-clock fidelity is approximate (the clocks are
+// different); counts and volumes are exact.
+func (re *roundExec) remoteSpan(r transport.Record) trace.MachineSpan {
+	outWords, fanout := outboxSummary(r.Msgs)
 	return trace.MachineSpan{
-		Round:     round,
-		Name:      name,
-		Phase:     phase,
+		Round:     re.round,
+		Name:      re.name,
+		Phase:     re.phase,
 		Machine:   r.Machine,
-		Start:     base.Add(time.Duration(r.StartNs)),
-		End:       base.Add(time.Duration(r.EndNs)),
+		Start:     re.base.Add(time.Duration(r.StartNs)),
+		End:       re.base.Add(time.Duration(r.EndNs)),
 		QueueWait: time.Duration(r.QueueNs),
 		Ops:       r.Ops,
-		InWords:   inWords,
+		InWords:   re.inWords[r.Machine],
 		OutWords:  outWords,
 		Sends:     len(r.Msgs),
 		Fanout:    fanout,
 		Remote:    true,
+	}
+}
+
+// attribute adds the round's work to the per-party rows by the
+// deterministic assignment. It is a pure function of the assignment and
+// the merged records, both identical on every party, so the rows agree
+// everywhere.
+func (re *roundExec) attribute(merged []transport.Record) {
+	parties := len(re.assign)
+	if parties <= 1 {
+		return
+	}
+	c := re.c
+	for p := len(c.workers); p < parties; p++ {
+		c.workers = append(c.workers, WorkerStats{Party: p})
+	}
+	party := make(map[int]int, len(merged))
+	for p, ids := range re.assign {
+		for _, id := range ids {
+			party[id] = p
+		}
+	}
+	for _, r := range merged {
+		p, ok := party[r.Machine]
+		if !ok {
+			continue
+		}
+		ws := &c.workers[p]
+		ws.MachineRounds++
+		ws.Ops += r.Ops
+		ws.QueueWait += time.Duration(r.QueueNs)
+		ws.Failures += r.Failures
+		ws.Retries += r.Retries
+		ws.CommWords += int64(outboxWords(r.Msgs))
 	}
 }

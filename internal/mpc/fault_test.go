@@ -73,33 +73,6 @@ func TestFaultCrashRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultDropDupExactlyOnce checks the shuffle's at-least-once
-// retransmission plus receiver-side dedup delivers every message exactly
-// once, in fault-free order.
-func TestFaultDropDupExactlyOnce(t *testing.T) {
-	ref := NewCluster(Config{Seed: 9})
-	want := routeRounds(t, ref)
-
-	c := NewCluster(Config{
-		Seed:       9,
-		Faults:     &fault.Plan{Seed: 8, Drop: 0.4, Dup: 0.4},
-		MaxRetries: 30,
-	})
-	got := routeRounds(t, c)
-
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("drop/dup outputs differ:\n got: %v\nwant: %v", got, want)
-	}
-	rep, refRep := c.Report(), ref.Report()
-	if rep.Failures == 0 {
-		t.Fatal("plan injected nothing; the test is vacuous")
-	}
-	if rep.CommWords != refRep.CommWords {
-		t.Errorf("CommWords %d != fault-free %d: retransmissions or duplicates leaked into the model counters",
-			rep.CommWords, refRep.CommWords)
-	}
-}
-
 // TestFaultCrashExhaustionTypedError checks MaxRetries exhaustion surfaces
 // a typed *fault.CrashError naming the round and machine, deterministically
 // picking the lowest crashed machine id.
@@ -121,27 +94,6 @@ func TestFaultCrashExhaustionTypedError(t *testing.T) {
 	// The failed round is not appended to history, matching cancellation.
 	if rep := c.Report(); rep.NumRounds != 0 {
 		t.Errorf("failed round entered history: %+v", rep)
-	}
-}
-
-// TestFaultDropExhaustionTypedError checks an undeliverable message
-// surfaces a typed *fault.DropError naming the endpoints.
-func TestFaultDropExhaustionTypedError(t *testing.T) {
-	c := NewCluster(Config{
-		Seed:       9,
-		Faults:     &fault.Plan{Seed: 1, Drop: 1}, // every transmission lost
-		MaxRetries: 2,
-	})
-	in := map[int][]Payload{0: {Int(7)}}
-	_, err := c.Run("lossy", trace.PhaseCandidates, in, func(x *Ctx, in []Payload) {
-		x.Send(1, Int(7))
-	})
-	var de *fault.DropError
-	if !errors.As(err, &de) {
-		t.Fatalf("want *fault.DropError, got %v", err)
-	}
-	if de.Round != 0 || de.From != 0 || de.To != 1 || de.Seq != 0 || de.Attempts != 3 {
-		t.Errorf("DropError = %+v", de)
 	}
 }
 
@@ -197,7 +149,7 @@ func TestFaultEventsReachObservers(t *testing.T) {
 	c := NewCluster(Config{
 		Seed:       9,
 		Observer:   col,
-		Faults:     &fault.Plan{Seed: 3, Crash: 0.4, Drop: 0.3, Dup: 0.3},
+		Faults:     &fault.Plan{Seed: 3, Crash: 0.4, CrashAfter: 0.6},
 		MaxRetries: 30,
 	})
 	routeRounds(t, c)
@@ -221,7 +173,7 @@ func TestFaultEventsReachObservers(t *testing.T) {
 	}
 	for _, e := range col.Faults {
 		switch e.Kind {
-		case trace.FaultCrashBefore, trace.FaultCrashAfter, trace.FaultMsgDrop, trace.FaultMsgDup, trace.FaultStraggle:
+		case trace.FaultCrashBefore, trace.FaultCrashAfter, trace.FaultStraggle:
 		default:
 			t.Errorf("unknown fault kind %q", e.Kind)
 		}

@@ -45,12 +45,6 @@ type Payload interface {
 	Words() int
 }
 
-// Message is a payload addressed to a machine for the next round.
-type Message struct {
-	To   int
-	Data Payload
-}
-
 // Config parameterizes a Cluster.
 type Config struct {
 	// MachineWords is the per-machine memory cap S in words. Zero means
@@ -75,18 +69,16 @@ type Config struct {
 	// a nil Observer costs one nil check per event site.
 	Observer trace.Observer
 	// Faults, when non-nil and active, injects the plan's deterministic
-	// fault schedule into every round: machine crashes (recovered by exact
-	// replay — machine execution is a pure function of (seed, round,
-	// machine, inputs)), message loss/duplication in the shuffle
-	// (recovered by retransmission + receiver-side dedup on per-(round,
-	// sender, sequence) message IDs), and straggler delays. A nil or
-	// inactive plan takes the fault-free fast path with zero behavioral
-	// drift.
+	// fault schedule into every round: machine crashes before or after
+	// execution (recovered by exact replay — machine execution is a pure
+	// function of (seed, round, machine, inputs)) and straggler delays.
+	// Message loss belongs to a real wire: internal/netchaos injects it on
+	// tcp runs and the transport recovers it. A nil or inactive plan
+	// injects nothing, with zero behavioral drift.
 	Faults *fault.Plan
-	// MaxRetries bounds recovery per machine-round and per message: after
-	// the initial attempt, up to MaxRetries replays/retransmissions are
-	// made before Run fails with *fault.CrashError or *fault.DropError.
-	// Zero means DefaultMaxRetries.
+	// MaxRetries bounds recovery per machine-round: after the initial
+	// attempt, up to MaxRetries replays are made before Run fails with
+	// *fault.CrashError. Zero means DefaultMaxRetries.
 	MaxRetries int
 	// Algo names the pipeline this cluster executes ("ulam-mpc",
 	// "edit-mpc", ...). It is advisory observability metadata: it becomes
@@ -137,13 +129,12 @@ type RoundStats struct {
 	// Skew summarizes the per-machine execution-time distribution:
 	// max/mean/p99 and the straggler ratio max/mean.
 	Skew trace.SkewStats
-	// Failures counts faults injected during the round (crashes, message
-	// drops/duplications, straggler delays); Retries counts the recovery
-	// actions taken (machine replays, message retransmissions). Both are 0
-	// without an active fault plan. Faults never perturb the deterministic
-	// counters above: only the successful attempt's ops and logical shuffle
-	// volume are counted, so a recovered run's stats are bit-identical to
-	// the fault-free run's.
+	// Failures counts faults injected during the round (crashes and
+	// straggler delays); Retries counts the machine replays that recovered
+	// them. Both are 0 without an active fault plan. Faults never perturb
+	// the deterministic counters above: only the successful attempt's ops
+	// and outbox are counted, so a recovered run's stats are bit-identical
+	// to the fault-free run's.
 	Failures int
 	Retries  int
 }
@@ -289,7 +280,7 @@ type Ctx struct {
 	phase   trace.Phase
 	obs     trace.Observer
 	ops     stats.Ops
-	out     []Message
+	out     []transport.Msg
 	rng     *rand.Rand
 
 	inWords    int
@@ -306,7 +297,7 @@ func (x *Ctx) Ops(n int64) { x.ops.Add(n) }
 
 // Send emits a message for delivery at the start of the next round.
 func (x *Ctx) Send(to int, data Payload) {
-	x.out = append(x.out, Message{To: to, Data: data})
+	x.out = append(x.out, transport.Msg{To: to, Data: data})
 	if x.obs != nil {
 		x.obs.Message(x.Round, x.Machine, to, data.Words())
 	}
@@ -406,38 +397,10 @@ func PayloadWords(in []Payload) int {
 	return w
 }
 
-// span assembles the machine's trace span after execution; outbox volume
-// and fan-out are computed from the machine's own outbox, so this is safe
-// inside the machine goroutine.
+// span assembles the machine's trace span after execution from the
+// machine's own outbox, so this is safe inside the machine goroutine.
 func (x *Ctx) span(name string) trace.MachineSpan {
-	outWords, fanout := 0, 0
-	if len(x.out) <= 32 {
-		// Typical outboxes are a handful of messages; a quadratic scan
-		// avoids a per-machine map allocation, which dominated the
-		// observer's cost on trivial rounds.
-		for i, m := range x.out {
-			outWords += m.Data.Words()
-			dup := false
-			for j := 0; j < i; j++ {
-				if x.out[j].To == m.To {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				fanout++
-			}
-		}
-	} else {
-		seen := make(map[int]struct{}, 32)
-		for _, m := range x.out {
-			outWords += m.Data.Words()
-			if _, ok := seen[m.To]; !ok {
-				seen[m.To] = struct{}{}
-				fanout++
-			}
-		}
-	}
+	outWords, fanout := outboxSummary(x.out)
 	return trace.MachineSpan{
 		Round:     x.Round,
 		Name:      name,
@@ -454,6 +417,40 @@ func (x *Ctx) span(name string) trace.MachineSpan {
 	}
 }
 
+// outboxWords is an outbox's volume in words.
+func outboxWords(msgs []transport.Msg) int {
+	w := 0
+	for _, m := range msgs {
+		w += m.Data.(Payload).Words()
+	}
+	return w
+}
+
+// outboxSummary returns what a machine span reports of an outbox: its
+// volume in words and its fan-out, the number of distinct destinations.
+func outboxSummary(msgs []transport.Msg) (words, fanout int) {
+	if len(msgs) > 32 {
+		seen := make(map[int]struct{}, 32)
+		for _, m := range msgs {
+			seen[m.To] = struct{}{}
+		}
+		return outboxWords(msgs), len(seen)
+	}
+	// Typical outboxes are a handful of messages; a quadratic scan avoids
+	// a per-machine map allocation, which dominated the observer's cost on
+	// trivial rounds.
+	for i, m := range msgs {
+		fanout++
+		for _, prev := range msgs[:i] {
+			if prev.To == m.To {
+				fanout--
+				break
+			}
+		}
+	}
+	return outboxWords(msgs), fanout
+}
+
 // Run executes one synchronous round: every machine with input runs fn
 // concurrently, and the emitted messages are grouped by destination into
 // the next round's inputs (returned sorted by machine id for determinism).
@@ -463,12 +460,13 @@ func (x *Ctx) span(name string) trace.MachineSpan {
 // With an active Config.Faults plan, injected crashes are recovered by
 // replaying the machine (up to Config.MaxRetries extra attempts; replay is
 // exact because execution is a pure function of (seed, round, machine,
-// inputs)) and injected message drops/duplications are recovered by
-// retransmission plus receiver-side dedup on (round, sender, sequence)
-// message IDs. Exhausting the budget returns *fault.CrashError or
-// *fault.DropError. Recovery never perturbs the deterministic counters:
-// the returned inputs and the round's TotalOps/CommWords are bit-identical
-// to a fault-free run.
+// inputs)), and exhausting the budget returns *fault.CrashError. Recovery
+// never perturbs the deterministic counters: the returned inputs and the
+// round's TotalOps/CommWords are bit-identical to a fault-free run.
+//
+// A round runs as six steps: resume, admit, execute, account, shuffle and
+// persist. Only a round that completes enters the history; a failed one
+// still closes on the Observer with its error.
 //
 // phase names the paper phase the round implements; it is validated before
 // anything else happens, so a round can never reach the Observer — or the
@@ -477,108 +475,75 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 	if err := trace.CheckPhase(phase); err != nil {
 		return nil, fmt.Errorf("mpc: round %q: %w", name, err)
 	}
-	round := len(c.rounds)
-	st := RoundStats{Name: name, Phase: phase, Machines: len(inputs)}
-	obs := c.obs
-	ctx := c.cfg.Ctx
-	if ctx == nil {
-		ctx = context.Background()
+	re := c.newRound(name, phase, inputs, fn)
+	snap, err := re.resume()
+	if err != nil {
+		return nil, re.fail(err)
 	}
-	if obs != nil {
-		obs.RoundStart(trace.RoundInfo{Round: round, Name: name, Phase: phase, Machines: len(inputs)})
+	if snap != nil {
+		return snap.Next, nil
 	}
-	// fail closes the round for observers on pre-flight and post-run
-	// errors, so a violation is visible on a trace, not only in the error.
-	// Retry-budget exhaustion additionally fires the flight recorder's
-	// auto-dump: the retained window is the post-mortem for it.
-	fail := func(err error) error {
-		triggerFlightOnExhaustion(err)
-		if obs != nil {
-			sum := summary(round, &st)
-			sum.Err = err.Error()
-			obs.RoundEnd(sum)
-		}
-		return err
+	if err := re.admit(); err != nil {
+		return nil, re.fail(err)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, fail(fmt.Errorf("mpc: round %q cancelled: %w", name, err))
+	merged, err := re.execute()
+	if err != nil {
+		return nil, re.fail(err)
 	}
-	if ck := c.cfg.Checkpointer; ck != nil {
-		snap, err := ck.Resume(round, name, phase)
-		if err != nil {
-			return nil, fail(fmt.Errorf("mpc: round %q: %w", name, err))
-		}
-		if snap != nil {
-			// Fast-forward: the round completed in a previous run. Restore
-			// its stats verbatim and hand back the saved post-shuffle
-			// outputs without executing machines or touching the transport
-			// — resumed rounds never reach the exchange barrier, so every
-			// party of a distributed resume skips them in lockstep and the
-			// exchange sequence numbers stay aligned.
-			st = snap.Stats
-			c.rounds = append(c.rounds, st)
-			if obs != nil {
-				trace.EmitCheckpoint(obs, trace.CheckpointEvent{Round: round, Name: name,
-					Phase: phase, Kind: trace.CheckpointResume, Step: snap.Step, At: time.Now()})
-				obs.RoundEnd(summary(round, &st))
-			}
-			return snap.Next, nil
-		}
+	if err := re.account(merged); err != nil {
+		return nil, re.fail(err)
 	}
-	if c.cfg.MaxMachines > 0 && len(inputs) > c.cfg.MaxMachines {
-		return nil, fail(&MemoryError{Round: name, Words: len(inputs), Limit: c.cfg.MaxMachines, Kind: "machines"})
+	next, err := re.shuffle(merged)
+	if err != nil {
+		return nil, re.fail(err)
 	}
+	if err := re.persist(next); err != nil {
+		return nil, err
+	}
+	return next, nil
+}
 
-	ids := make([]int, 0, len(inputs))
-	for id := range inputs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+// roundExec is one round of a cluster. Its fields up to labeled are fixed
+// when the round opens; the steps of Run fill in the rest in order. Its run
+// method executes any subset of the round's machines: Run uses it for this
+// party's share, and the transport reuses it to re-execute a lost peer's
+// machines mid-round (exact replay: execution is a pure function of (seed,
+// round, machine, inputs)).
+type roundExec struct {
+	c          *Cluster
+	ctx        context.Context
+	obs        trace.Observer
+	round      int
+	name       string
+	phase      trace.Phase
+	inputs     map[int][]Payload
+	fn         MachineFunc
+	plan       *fault.Plan
+	maxRetries int
+	labels     pprof.LabelSet // {algo, phase, round} profiler labels
+	labeled    bool
 
-	// Pre-check input residency.
-	inWords := make([]int, len(ids))
-	for k, id := range ids {
-		w := PayloadWords(inputs[id])
-		inWords[k] = w
-		if w > st.MaxInWords {
-			st.MaxInWords = w
-		}
-		if c.cfg.MachineWords > 0 && w > c.cfg.MachineWords {
-			return nil, fail(&MemoryError{Round: name, Machine: id, Words: w, Limit: c.cfg.MachineWords, Kind: "input"})
-		}
-	}
+	st         RoundStats
+	inWords    map[int]int // admit: resident input words per machine
+	assign     [][]int     // admit: assign[p] lists the machines party p executes
+	mine       []int       // admit: this party's share of assign
+	base       time.Time   // execute: the zero of the round clock
+	start, end time.Time   // account: the execution window, zero if no machine ran
+}
 
-	plan := c.cfg.Faults
-	active := plan.Active()
-	maxRetries := c.cfg.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = DefaultMaxRetries
-	}
-
-	// Partition the round across the transport's parties by input weight.
-	// Every party computes the same partition from the same sorted ids —
-	// no coordination needed — and executes only its own share; the
-	// exchange below restores the full round for everyone.
-	tr := c.cfg.Transport
-	parties, self := 1, 0
-	if tr != nil {
-		parties, self = tr.Parties()
-	}
-	assign := [][]int{ids}
-	myIDs := ids
-	if parties > 1 {
-		assign = AssignMachines(ids, inWords, parties)
-		myIDs = assign[self]
-	}
-
-	inWordsByID := make(map[int]int, len(ids))
-	for k, id := range ids {
-		inWordsByID[id] = inWords[k]
-	}
+// newRound opens the cluster's next round and announces it to the
+// observer.
+func (c *Cluster) newRound(name string, phase trace.Phase, inputs map[int][]Payload, fn MachineFunc) *roundExec {
 	re := &roundExec{
-		c: c, ctx: ctx, round: round, name: name, phase: phase, obs: obs,
-		inputs: inputs, inWords: inWordsByID, fn: fn, base: time.Now(),
-		plan: plan, active: active, maxRetries: maxRetries,
+		c: c, ctx: c.cfg.Ctx, obs: c.obs, round: len(c.rounds), name: name, phase: phase,
+		inputs: inputs, fn: fn, plan: c.cfg.Faults, maxRetries: c.cfg.MaxRetries,
+		st: RoundStats{Name: name, Phase: phase, Machines: len(inputs)},
+	}
+	if re.ctx == nil {
+		re.ctx = context.Background()
+	}
+	if re.maxRetries <= 0 {
+		re.maxRetries = DefaultMaxRetries
 	}
 	if trace.PhaseLabelsEnabled() {
 		// One label set per round; every machine goroutine of the round
@@ -586,293 +551,239 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 		// profiles attribute samples to {algo, phase, round}.
 		re.labels, re.labeled = trace.PhaseLabels(c.cfg.Algo, phase, name), true
 	}
+	if re.obs != nil {
+		re.obs.RoundStart(trace.RoundInfo{Round: re.round, Name: name, Phase: phase, Machines: len(inputs)})
+	}
+	return re
+}
 
-	local, err := re.run(myIDs)
+// resume fast-forwards a round that completed in a previous run: it
+// restores the round's stats verbatim and returns the saved snapshot,
+// whose Next holds the post-shuffle outputs. Resumed rounds never execute
+// machines or reach the exchange barrier, so every party of a distributed
+// resume skips them in lockstep and the exchange sequence numbers stay
+// aligned. A nil snapshot means the round runs live.
+func (re *roundExec) resume() (*RoundSnapshot, error) {
+	if err := re.ctx.Err(); err != nil {
+		return nil, fmt.Errorf("mpc: round %q cancelled: %w", re.name, err)
+	}
+	ck := re.c.cfg.Checkpointer
+	if ck == nil {
+		return nil, nil
+	}
+	snap, err := ck.Resume(re.round, re.name, re.phase)
 	if err != nil {
-		return nil, fail(err)
+		return nil, fmt.Errorf("mpc: round %q: %w", re.name, err)
 	}
-	merged := local
-	if tr != nil {
-		meta := transport.RoundMeta{Round: round, Name: name, Phase: string(phase)}
-		merged, err = tr.Exchange(meta, assign, local, re.run)
-		if err != nil {
-			return nil, fail(fmt.Errorf("mpc: round %q: %w", name, err))
-		}
+	if snap == nil {
+		return nil, nil
 	}
+	re.st = snap.Stats
+	re.c.rounds = append(re.c.rounds, re.st)
+	if re.obs != nil {
+		trace.EmitCheckpoint(re.obs, trace.CheckpointEvent{Round: re.round, Name: re.name,
+			Phase: re.phase, Kind: trace.CheckpointResume, Step: snap.Step, At: time.Now()})
+		re.obs.RoundEnd(re.summary(nil))
+	}
+	return snap, nil
+}
 
-	// Replay observer events for machines that executed on other parties;
-	// in-process machines already fired theirs from inside roundExec. The
-	// replayed timestamps are the remote party's offsets rebased onto this
-	// party's round clock — advisory, like all wall-clock quantities.
-	if obs != nil {
-		for _, r := range merged {
-			if !r.Remote || !r.Started {
-				continue
-			}
-			obs.MachineStart(round, r.Machine, inWordsByID[r.Machine])
-			for _, m := range r.Msgs {
-				obs.Message(round, r.Machine, m.To, m.Data.(Payload).Words())
-			}
-			obs.MachineEnd(remoteSpan(name, phase, round, r, re.base, inWordsByID[r.Machine]))
+// admit enforces the machine-count cap and the per-machine input cap, then
+// partitions the round across the transport's parties by input weight.
+// Every party computes the same partition from the same sorted ids, with no
+// coordination, and executes only its own share; the exchange restores the
+// full round for everyone.
+func (re *roundExec) admit() error {
+	cfg := re.c.cfg
+	if cfg.MaxMachines > 0 && len(re.inputs) > cfg.MaxMachines {
+		return &MemoryError{Round: re.name, Words: len(re.inputs), Limit: cfg.MaxMachines, Kind: "machines"}
+	}
+	ids := make([]int, 0, len(re.inputs))
+	for id := range re.inputs {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	weights := make([]int, len(ids))
+	re.inWords = make(map[int]int, len(ids))
+	for k, id := range ids {
+		w := PayloadWords(re.inputs[id])
+		weights[k], re.inWords[id] = w, w
+		re.st.MaxInWords = max(re.st.MaxInWords, w)
+		if cfg.MachineWords > 0 && w > cfg.MachineWords {
+			return &MemoryError{Round: re.name, Machine: id, Words: w, Limit: cfg.MachineWords, Kind: "input"}
 		}
 	}
+	re.assign, re.mine = [][]int{ids}, ids
+	if cfg.Transport != nil {
+		if parties, self := cfg.Transport.Parties(); parties > 1 {
+			re.assign = AssignMachines(ids, weights, parties)
+			re.mine = re.assign[self]
+		}
+	}
+	return nil
+}
 
-	for _, r := range merged {
-		st.Failures += r.Failures
-		st.Retries += r.Retries
+// execute runs this party's machines, then all-gathers the round's records
+// through the transport; the result is sorted by machine id.
+func (re *roundExec) execute() ([]transport.Record, error) {
+	re.base = time.Now()
+	local, err := re.run(re.mine)
+	tr := re.c.cfg.Transport
+	if err != nil || tr == nil {
+		return local, err
 	}
+	meta := transport.RoundMeta{Round: re.round, Name: re.name, Phase: string(re.phase)}
+	merged, err := tr.Exchange(meta, re.assign, local, re.run)
+	if err != nil {
+		return nil, fmt.Errorf("mpc: round %q: %w", re.name, err)
+	}
+	return merged, nil
+}
 
-	// Attribute the round's work to parties by the deterministic
-	// assignment. Pure function of (assign, merged), both identical on
-	// every party, so the rows agree everywhere.
-	if parties > 1 {
-		if len(c.workers) < parties {
-			nw := make([]WorkerStats, parties)
-			copy(nw, c.workers)
-			for p := range nw {
-				nw[p].Party = p
-			}
-			c.workers = nw
-		}
-		byID := make(map[int]transport.Record, len(merged))
-		for _, r := range merged {
-			byID[r.Machine] = r
-		}
-		for p, idsP := range assign {
-			ws := &c.workers[p]
-			for _, id := range idsP {
-				r, ok := byID[id]
-				if !ok {
-					continue
-				}
-				ws.MachineRounds++
-				ws.Ops += r.Ops
-				ws.QueueWait += time.Duration(r.QueueNs)
-				ws.Failures += r.Failures
-				ws.Retries += r.Retries
-				for _, m := range r.Msgs {
-					ws.CommWords += int64(m.Data.(Payload).Words())
-				}
-			}
-		}
-	}
-
-	// Execution window and skew over the machines that actually ran.
-	var firstNs, lastNs int64
-	started := false
-	var durs []time.Duration
-	for _, r := range merged {
-		if !r.Started {
-			continue // cancelled before execution
-		}
-		if !started || r.StartNs < firstNs {
-			firstNs = r.StartNs
-		}
-		if r.EndNs > lastNs {
-			lastNs = r.EndNs
-		}
-		started = true
-		st.QueueWait += time.Duration(r.QueueNs)
-		durs = append(durs, time.Duration(r.EndNs-r.StartNs))
-	}
-	if started {
-		st.Elapsed = time.Duration(lastNs - firstNs)
-	}
-	st.Skew = trace.Summarize(durs)
-
-	if err := ctx.Err(); err != nil {
-		return nil, fail(fmt.Errorf("mpc: round %q cancelled: %w", name, err))
+// account replays the observer events of machines that ran on other
+// parties, attributes the round to parties, and measures its execution
+// window and skew. It then fails the round if it was cancelled or a
+// machine exhausted its retry budget.
+func (re *roundExec) account(merged []transport.Record) error {
+	re.replayRemote(merged)
+	re.attribute(merged)
+	re.measure(merged)
+	if err := re.ctx.Err(); err != nil {
+		return fmt.Errorf("mpc: round %q cancelled: %w", re.name, err)
 	}
 	for _, r := range merged {
 		if r.Crashed {
-			// Retry budget exhausted on a machine: the round cannot
-			// complete. merged is sorted by machine id, so the reported
-			// machine is deterministic — and identical on every party.
-			return nil, fail(&fault.CrashError{Round: round, Name: name, Machine: r.Machine, Attempts: r.CrashAttempts})
+			// merged is sorted by machine id, so the reported machine is
+			// deterministic — and identical on every party.
+			return &fault.CrashError{Round: re.round, Name: re.name, Machine: r.Machine, Attempts: r.CrashAttempts}
 		}
 	}
+	return nil
+}
 
-	// Message IDs are (round, sender, sequence); with an active fault plan
-	// the shuffle retransmits dropped messages and the receiver collapses
-	// duplicates (and redundant retransmissions) by ID, keeping the first
-	// copy. Senders are walked in sorted-id order and outboxes in sequence
-	// order, so delivery order — and therefore every downstream machine's
-	// input — is bit-identical to the fault-free path. All decisions are
-	// pure functions of the plan and the merged records, so every party of
-	// a distributed run computes the identical shuffle.
-	type msgID struct{ from, seq int }
-	var seen map[int]map[msgID]bool
-	if active {
-		seen = make(map[int]map[msgID]bool)
-	}
-	deliver := func(next map[int][]Payload, to, from, seq int, data Payload) {
-		id := msgID{from, seq}
-		dst := seen[to]
-		if dst == nil {
-			dst = make(map[msgID]bool)
-			seen[to] = dst
+// measure sums the round's fault counters and measures its execution
+// window and skew over the machines that actually ran.
+func (re *roundExec) measure(merged []transport.Record) {
+	st := &re.st
+	var first, last int64
+	var durs []time.Duration
+	for _, r := range merged {
+		st.Failures += r.Failures
+		st.Retries += r.Retries
+		if !r.Started {
+			continue // cancelled, or crashed before every execution
 		}
-		if dst[id] {
-			return // duplicate detected by message ID
+		if len(durs) == 0 || r.StartNs < first {
+			first = r.StartNs
 		}
-		dst[id] = true
-		next[to] = append(next[to], data)
+		last = max(last, r.EndNs)
+		st.QueueWait += time.Duration(r.QueueNs)
+		durs = append(durs, time.Duration(r.EndNs-r.StartNs))
 	}
+	if len(durs) > 0 {
+		st.Elapsed = time.Duration(last - first)
+		re.start, re.end = re.base.Add(time.Duration(first)), re.base.Add(time.Duration(last))
+	}
+	st.Skew = trace.Summarize(durs)
+}
 
+// shuffle counts the round's model quantities, enforces the per-machine
+// output cap, and groups the messages by destination into the next round's
+// inputs. Records arrive sorted by machine id and outboxes in emission
+// order, so every party builds identical inputs in an identical order.
+func (re *roundExec) shuffle(merged []transport.Record) (map[int][]Payload, error) {
+	st, limit := &re.st, re.c.cfg.MachineWords
 	next := make(map[int][]Payload)
-	var firstErr error
+	var err error
 	for _, r := range merged {
 		st.TotalOps += r.Ops
-		if r.Ops > st.MaxMachineOps {
-			st.MaxMachineOps = r.Ops
-		}
-		w := 0
-		for _, m := range r.Msgs {
-			w += m.Data.(Payload).Words()
-		}
-		// CommWords is the logical shuffle volume — retransmissions and
-		// duplicates are host-level recovery, not model communication — so
-		// the deterministic counters match the fault-free run exactly.
+		st.MaxMachineOps = max(st.MaxMachineOps, r.Ops)
+		w := outboxWords(r.Msgs)
 		st.CommWords += int64(w)
-		if w > st.MaxOutWords {
-			st.MaxOutWords = w
+		st.MaxOutWords = max(st.MaxOutWords, w)
+		if limit > 0 && w > limit && err == nil {
+			err = &MemoryError{Round: re.name, Machine: r.Machine, Words: w, Limit: limit, Kind: "output"}
 		}
-		if c.cfg.MachineWords > 0 && w > c.cfg.MachineWords && firstErr == nil {
-			firstErr = &MemoryError{Round: name, Machine: r.Machine, Words: w, Limit: c.cfg.MachineWords, Kind: "output"}
-		}
-		if !active {
-			for _, m := range r.Msgs {
-				next[m.To] = append(next[m.To], m.Data.(Payload))
-			}
-			continue
-		}
-		for seq, m := range r.Msgs {
-			delivered := false
-			for attempt := 0; ; attempt++ {
-				if plan.DropMsg(round, r.Machine, seq, attempt) {
-					st.Failures++
-					if obs != nil {
-						obs.Fault(trace.FaultEvent{Round: round, Name: name, Phase: phase, Machine: r.Machine,
-							Kind: trace.FaultMsgDrop, Attempt: attempt, Seq: seq, To: m.To, At: time.Now()})
-					}
-					if attempt >= maxRetries {
-						if firstErr == nil {
-							firstErr = &fault.DropError{Round: round, Name: name,
-								From: r.Machine, To: m.To, Seq: seq, Attempts: attempt + 1}
-						}
-						break
-					}
-					st.Retries++
-					if obs != nil {
-						obs.Retry(trace.RetryEvent{Round: round, Name: name, Phase: phase, Machine: r.Machine,
-							Kind: trace.FaultMsgDrop, Attempt: attempt + 1, Seq: seq, At: time.Now()})
-					}
-					continue
-				}
-				delivered = true
-				if plan.DupMsg(round, r.Machine, seq, attempt) {
-					st.Failures++
-					if obs != nil {
-						obs.Fault(trace.FaultEvent{Round: round, Name: name, Phase: phase, Machine: r.Machine,
-							Kind: trace.FaultMsgDup, Attempt: attempt, Seq: seq, To: m.To, At: time.Now()})
-					}
-					// The duplicate goes through the same delivery path and
-					// is caught by the receiver's ID dedup.
-					deliver(next, m.To, r.Machine, seq, m.Data.(Payload))
-				}
-				break
-			}
-			if delivered {
-				deliver(next, m.To, r.Machine, seq, m.Data.(Payload))
-			}
+		for _, m := range r.Msgs {
+			next[m.To] = append(next[m.To], m.Data.(Payload))
 		}
 	}
-	c.rounds = append(c.rounds, st)
-	if obs != nil {
-		sum := summary(round, &st)
-		if started {
-			sum.Start, sum.End = re.base.Add(time.Duration(firstNs)), re.base.Add(time.Duration(lastNs))
-		}
-		if firstErr != nil {
-			sum.Err = firstErr.Error()
-		}
-		obs.RoundEnd(sum)
-	}
-	if firstErr != nil {
-		triggerFlightOnExhaustion(firstErr)
-		return nil, firstErr
-	}
-	if ck := c.cfg.Checkpointer; ck != nil {
-		snap := &RoundSnapshot{Round: round, Name: name, Phase: phase, Stats: st, Next: next}
-		if err := ck.Save(snap); err != nil {
-			// The observer already saw the round close successfully; the
-			// save failure is the job's error, not the round's.
-			return nil, fmt.Errorf("mpc: round %q: checkpoint save: %w", name, err)
-		}
-		if obs != nil {
-			trace.EmitCheckpoint(obs, trace.CheckpointEvent{Round: round, Name: name,
-				Phase: phase, Kind: trace.CheckpointSave, Step: snap.Step, At: time.Now()})
-		}
-	}
-	return next, nil
+	return next, err
 }
 
-// triggerFlightOnExhaustion fires the flight recorder's auto-dump when a
-// round failed because a machine or message exhausted its recovery budget
-// — the failures the recorder's retained window exists to explain. Other
-// errors (memory violations, cancellation) are deterministic and
-// reproducible, so they don't warrant a dump.
-func triggerFlightOnExhaustion(err error) {
+// persist records the completed round: it enters the history, closes on
+// the observer, and is handed to the checkpointer.
+func (re *roundExec) persist(next map[int][]Payload) error {
+	re.c.rounds = append(re.c.rounds, re.st)
+	if re.obs != nil {
+		re.obs.RoundEnd(re.summary(nil))
+	}
+	ck := re.c.cfg.Checkpointer
+	if ck == nil {
+		return nil
+	}
+	snap := &RoundSnapshot{Round: re.round, Name: re.name, Phase: re.phase, Stats: re.st, Next: next}
+	if err := ck.Save(snap); err != nil {
+		// The observer already saw the round close successfully; the save
+		// failure is the job's error, not the round's.
+		return fmt.Errorf("mpc: round %q: checkpoint save: %w", re.name, err)
+	}
+	if re.obs != nil {
+		trace.EmitCheckpoint(re.obs, trace.CheckpointEvent{Round: re.round, Name: re.name,
+			Phase: re.phase, Kind: trace.CheckpointSave, Step: snap.Step, At: time.Now()})
+	}
+	return nil
+}
+
+// fail closes a failed round on the observer, so the failure is visible on
+// a trace and not only in the error. A machine that exhausted its retry
+// budget also fires the flight recorder's auto-dump: the retained window is
+// its post-mortem. Other errors (memory violations, cancellation) are
+// deterministic and reproducible, so they don't warrant a dump.
+func (re *roundExec) fail(err error) error {
 	var ce *fault.CrashError
-	var de *fault.DropError
-	if errors.As(err, &ce) || errors.As(err, &de) {
+	if errors.As(err, &ce) {
 		trace.FlightTrigger("mpc: " + err.Error())
 	}
+	if re.obs != nil {
+		re.obs.RoundEnd(re.summary(err))
+	}
+	return err
 }
 
-// roundExec binds one round's immutable context — inputs, seed streams,
-// fault plan, observer — into a closure that can execute any subset of the
-// round's machines. Cluster.Run uses it for this party's share; the
-// transport reuses it to re-execute a lost peer's machines mid-round
-// (exact replay: execution is a pure function of (seed, round, machine,
-// inputs)).
-type roundExec struct {
-	c          *Cluster
-	ctx        context.Context
-	round      int
-	name       string
-	phase      trace.Phase
-	obs        trace.Observer
-	inputs     map[int][]Payload
-	inWords    map[int]int
-	fn         MachineFunc
-	base       time.Time
-	plan       *fault.Plan
-	active     bool
-	maxRetries int
-	labels     pprof.LabelSet // {algo, phase, round} profiler labels
-	labeled    bool
+// summary is the round's closing event; a non-nil err marks it failed.
+func (re *roundExec) summary(err error) trace.RoundSummary {
+	st := &re.st
+	sum := trace.RoundSummary{
+		Round:     re.round,
+		Name:      st.Name,
+		Phase:     st.Phase,
+		Machines:  st.Machines,
+		Start:     re.start,
+		End:       re.end,
+		Elapsed:   st.Elapsed,
+		QueueWait: st.QueueWait,
+		TotalOps:  st.TotalOps,
+		CommWords: st.CommWords,
+		Failures:  st.Failures,
+		Retries:   st.Retries,
+		Skew:      st.Skew,
+	}
+	if err != nil {
+		sum.Err = err.Error()
+	}
+	return sum
 }
 
 // run executes the given machines concurrently (bounded by the cluster's
 // parallelism) and returns their execution records in id order.
 func (re *roundExec) run(ids []int) ([]transport.Record, error) {
-	c, ctx, obs := re.c, re.ctx, re.obs
-	round, name, phase := re.round, re.name, re.phase
-	plan, active, maxRetries := re.plan, re.active, re.maxRetries
-
-	ctxs := make([]*Ctx, len(ids))
-	// Per-machine fault bookkeeping, written by the machine's goroutine and
-	// read after wg.Wait (the Wait establishes the happens-before edge).
-	crashed := make([]*fault.CrashError, len(ids))
-	machFails := make([]int, len(ids))
-	machRetries := make([]int, len(ids))
+	recs := make([]transport.Record, len(ids))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, c.cfg.Parallelism)
+	sem := make(chan struct{}, re.c.cfg.Parallelism)
 	for k, id := range ids {
-		ctxs[k] = &Ctx{Machine: id, Round: round, cluster: c, phase: phase, obs: obs, inWords: re.inWords[id]}
 		wg.Add(1)
-		go func(k, id int, in []Payload) {
+		go func(k, id int) {
 			defer wg.Done()
 			if re.labeled {
 				// The labels live for the goroutine's lifetime; no unset
@@ -883,139 +794,123 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 			spawned := time.Now()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			var queueWait time.Duration
-			for attempt := 0; ; attempt++ {
-				// Cancellation is re-checked per attempt so a context
-				// arriving mid-replay stops within one retry.
-				if ctx.Err() != nil {
-					return
-				}
-				// A fresh Ctx per attempt: replay is exact because the
-				// machine's random streams and inputs depend only on
-				// (seed, round, machine), never on the attempt.
-				x := &Ctx{Machine: id, Round: round, cluster: c, phase: phase, obs: obs, inWords: re.inWords[id]}
-				ctxs[k] = x
-				if active && plan.CrashBefore(round, id, attempt) {
-					machFails[k]++
-					if obs != nil {
-						obs.Fault(trace.FaultEvent{Round: round, Name: name, Phase: phase, Machine: id,
-							Kind: trace.FaultCrashBefore, Attempt: attempt, Seq: -1, To: -1, At: time.Now()})
-					}
-					if attempt >= maxRetries {
-						crashed[k] = &fault.CrashError{Round: round, Name: name, Machine: id, Attempts: attempt + 1}
-						return
-					}
-					machRetries[k]++
-					if obs != nil {
-						obs.Retry(trace.RetryEvent{Round: round, Name: name, Phase: phase, Machine: id,
-							Kind: trace.FaultCrashBefore, Attempt: attempt + 1, Seq: -1, At: time.Now()})
-					}
-					continue
-				}
-				// The round clock starts here — after slot acquisition — so
-				// Elapsed measures machine execution, not semaphore queueing.
-				x.start = time.Now()
-				if attempt == 0 {
-					queueWait = x.start.Sub(spawned)
-				}
-				x.queueWait = queueWait
-				if obs != nil {
-					obs.MachineStart(x.Round, x.Machine, x.inWords)
-				}
-				if active {
-					if d := plan.StraggleDelay(round, id, attempt); d > 0 {
-						machFails[k]++
-						if obs != nil {
-							obs.Fault(trace.FaultEvent{Round: round, Name: name, Phase: phase, Machine: id,
-								Kind: trace.FaultStraggle, Attempt: attempt, Seq: -1, To: -1, At: time.Now()})
-						}
-						// The injected delay happens inside the span, so it
-						// shows up in Elapsed and the skew stats; it aborts
-						// early on cancellation.
-						select {
-						case <-ctx.Done():
-							x.end = time.Now()
-							if obs != nil {
-								obs.MachineEnd(x.span(name))
-							}
-							return
-						case <-time.After(d):
-						}
-					}
-				}
-				re.fn(x, in)
-				x.end = time.Now()
-				if obs != nil {
-					obs.MachineEnd(x.span(name))
-				}
-				if active && plan.CrashAfterExec(round, id, attempt) {
-					// The machine's output is lost before shipping; replay.
-					machFails[k]++
-					if obs != nil {
-						obs.Fault(trace.FaultEvent{Round: round, Name: name, Phase: phase, Machine: id,
-							Kind: trace.FaultCrashAfter, Attempt: attempt, Seq: -1, To: -1, At: time.Now()})
-					}
-					if attempt >= maxRetries {
-						crashed[k] = &fault.CrashError{Round: round, Name: name, Machine: id, Attempts: attempt + 1}
-						return
-					}
-					machRetries[k]++
-					if obs != nil {
-						obs.Retry(trace.RetryEvent{Round: round, Name: name, Phase: phase, Machine: id,
-							Kind: trace.FaultCrashAfter, Attempt: attempt + 1, Seq: -1, At: time.Now()})
-					}
-					continue
-				}
-				return
-			}
-		}(k, id, re.inputs[id])
+			// Each goroutine writes only its own record; wg.Wait is the
+			// happens-before edge for the reads after it.
+			recs[k] = re.machine(id, spawned)
+		}(k, id)
 	}
 	wg.Wait()
-
-	recs := make([]transport.Record, len(ids))
-	for k, x := range ctxs {
-		r := transport.Record{
-			Machine:  x.Machine,
-			Ops:      x.ops.Count(),
-			Failures: machFails[k],
-			Retries:  machRetries[k],
-		}
-		if !x.start.IsZero() {
-			r.Started = true
-			r.StartNs = x.start.Sub(re.base).Nanoseconds()
-			r.EndNs = x.end.Sub(re.base).Nanoseconds()
-			r.QueueNs = int64(x.queueWait)
-		}
-		if ce := crashed[k]; ce != nil {
-			// The machine exhausted its replay budget; its output (if any
-			// attempt produced one) is lost, so only the crash marker
-			// ships — every party fails the round on it identically.
-			r.Crashed = true
-			r.CrashAttempts = ce.Attempts
-		} else if len(x.out) > 0 {
-			r.Msgs = make([]transport.Msg, len(x.out))
-			for i, m := range x.out {
-				r.Msgs[i] = transport.Msg{To: m.To, Data: m.Data}
-			}
-		}
-		recs[k] = r
-	}
 	return recs, nil
 }
 
-// summary converts the round's stats into the observer's closing event.
-func summary(round int, st *RoundStats) trace.RoundSummary {
-	return trace.RoundSummary{
-		Round:     round,
-		Name:      st.Name,
-		Phase:     st.Phase,
-		Machines:  st.Machines,
-		Elapsed:   st.Elapsed,
-		QueueWait: st.QueueWait,
-		TotalOps:  st.TotalOps,
-		CommWords: st.CommWords,
-		Failures:  st.Failures,
-		Retries:   st.Retries,
-		Skew:      st.Skew,
+// machine runs one machine's attempts until one completes, the retry
+// budget runs out, or the round is cancelled. The returned record carries
+// the fault counters of every attempt and the execution of the last one.
+func (re *roundExec) machine(id int, spawned time.Time) transport.Record {
+	r := transport.Record{Machine: id}
+	x := re.newCtx(id)
+	var queueWait time.Duration
+	// Cancellation is re-checked per attempt so a context arriving
+	// mid-replay stops within one retry.
+	for attempt := 0; re.ctx.Err() == nil; attempt++ {
+		if attempt > 0 {
+			// A fresh Ctx per replay: replay is exact because the machine's
+			// random streams and inputs depend only on (seed, round,
+			// machine), never on the attempt.
+			x = re.newCtx(id)
+		}
+		if re.plan.CrashBefore(re.round, id, attempt) {
+			if re.crash(&r, trace.FaultCrashBefore, attempt) {
+				continue
+			}
+			break
+		}
+		// The round clock starts here — after slot acquisition — so Elapsed
+		// measures machine execution, not semaphore queueing.
+		x.start = time.Now()
+		if attempt == 0 {
+			queueWait = x.start.Sub(spawned)
+		}
+		x.queueWait = queueWait
+		if !re.exec(x, &r, attempt) {
+			break // cancelled during an injected straggle
+		}
+		// A crash after execution loses the attempt's output before it
+		// ships; replay.
+		if re.plan.CrashAfterExec(re.round, id, attempt) && re.crash(&r, trace.FaultCrashAfter, attempt) {
+			continue
+		}
+		break
+	}
+	r.Ops = x.ops.Count()
+	if !x.start.IsZero() {
+		r.Started = true
+		r.StartNs = x.start.Sub(re.base).Nanoseconds()
+		r.EndNs = x.end.Sub(re.base).Nanoseconds()
+		r.QueueNs = int64(x.queueWait)
+	}
+	if !r.Crashed {
+		// A machine that exhausted its budget ships only the crash marker,
+		// and every party fails the round on it identically.
+		r.Msgs = x.out
+	}
+	return r
+}
+
+func (re *roundExec) newCtx(id int) *Ctx {
+	return &Ctx{Machine: id, Round: re.round, cluster: re.c, phase: re.phase, obs: re.obs, inWords: re.inWords[id]}
+}
+
+// exec runs one attempt inside its trace span. An injected straggle delays
+// the attempt inside the span, so it shows in Elapsed and the skew stats.
+// exec reports false when the round is cancelled during that delay, in
+// which case fn never runs.
+func (re *roundExec) exec(x *Ctx, r *transport.Record, attempt int) bool {
+	if re.obs != nil {
+		re.obs.MachineStart(x.Round, x.Machine, x.inWords)
+	}
+	live := true
+	if d := re.plan.StraggleDelay(re.round, x.Machine, attempt); d > 0 {
+		r.Failures++
+		re.fault(trace.FaultStraggle, x.Machine, attempt)
+		select {
+		case <-re.ctx.Done():
+			live = false
+		case <-time.After(d):
+		}
+	}
+	if live {
+		re.fn(x, re.inputs[x.Machine])
+	}
+	x.end = time.Now()
+	if re.obs != nil {
+		re.obs.MachineEnd(x.span(re.name))
+	}
+	return live
+}
+
+// crash counts an injected crash of the machine's attempt and reports
+// whether to replay it. With the retry budget spent it marks the record
+// crashed instead.
+func (re *roundExec) crash(r *transport.Record, kind trace.FaultKind, attempt int) bool {
+	r.Failures++
+	re.fault(kind, r.Machine, attempt)
+	if attempt >= re.maxRetries {
+		r.Crashed, r.CrashAttempts = true, attempt+1
+		return false
+	}
+	r.Retries++
+	if re.obs != nil {
+		re.obs.Retry(trace.RetryEvent{Round: re.round, Name: re.name, Phase: re.phase,
+			Machine: r.Machine, Kind: kind, Attempt: attempt + 1, At: time.Now()})
+	}
+	return true
+}
+
+// fault reports one injected fault to the observer.
+func (re *roundExec) fault(kind trace.FaultKind, machine, attempt int) {
+	if re.obs != nil {
+		re.obs.Fault(trace.FaultEvent{Round: re.round, Name: re.name, Phase: re.phase,
+			Machine: machine, Kind: kind, Attempt: attempt, At: time.Now()})
 	}
 }

@@ -73,6 +73,11 @@ func TestOutputMemoryViolation(t *testing.T) {
 	if !errors.As(err, &me) || me.Kind != "output" {
 		t.Fatalf("want output MemoryError, got %v", err)
 	}
+	// The failed round is not appended to history, matching crash
+	// exhaustion and cancellation.
+	if rep := c.Report(); rep.NumRounds != 0 {
+		t.Errorf("failed round entered history: %+v", rep)
+	}
 }
 
 func TestMachineCountViolation(t *testing.T) {

@@ -1,11 +1,13 @@
 // Package netchaos is the link-level counterpart of internal/fault: a
 // deterministic, seeded fault injector wrapped around net.Conn. Where
-// fault.Plan schedules *logical* failures (machine crashes, shuffle
-// message loss) that the simulator recovers from, a netchaos.Plan
-// schedules *wire* failures — latency, jitter, bandwidth caps, silent
-// drops, bit corruption, one-way partitions, and mid-stream resets — that
-// the transport layer must absorb (CRC rejection, connection recycling,
-// worker rejoin) without ever changing a deterministic counter.
+// fault.Plan schedules *logical* failures (machine crashes, stragglers)
+// that the simulator recovers from, a netchaos.Plan schedules *wire*
+// failures — latency, jitter, bandwidth caps, silent drops, bit
+// corruption, one-way partitions, and mid-stream resets — that the
+// transport layer must absorb (CRC rejection, connection recycling,
+// worker rejoin) without ever changing a deterministic counter. It is the
+// repository's one way to lose a message: Drop loses shuffle traffic on
+// the wire, and the transport's recovery is what a lossy run exercises.
 //
 // Every decision is a pure function of (plan seed, failure kind,
 // connection index, operation index) via the same SplitMix64 Bernoulli

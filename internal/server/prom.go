@@ -139,7 +139,7 @@ func writePrometheus(w io.Writer, snap Snapshot) error {
 		{"mpcserve_mpc_comm_words_total", "Total simulated communication volume (words).", func(a *AlgoStats) float64 { return float64(a.TotalComm) }},
 		{"mpcserve_mpc_critical_ops_total", "Total critical-path operations.", func(a *AlgoStats) float64 { return float64(a.TotalCritical) }},
 		{"mpcserve_mpc_failures_total", "Injected faults observed across simulations.", func(a *AlgoStats) float64 { return float64(a.TotalFailures) }},
-		{"mpcserve_mpc_retries_total", "Fault-recovery actions (replays, retransmissions) across simulations.", func(a *AlgoStats) float64 { return float64(a.TotalRetries) }},
+		{"mpcserve_mpc_retries_total", "Machine replays that recovered injected faults across simulations.", func(a *AlgoStats) float64 { return float64(a.TotalRetries) }},
 	}
 	for _, c := range mpcCounters {
 		p.header(c.name, c.help, "counter")

@@ -237,7 +237,7 @@ func TestServerFaultInjection(t *testing.T) {
 	}
 
 	_, faulty := robustServer(t, Config{
-		Faults:     &fault.Plan{Seed: 11, Crash: 0.05, Drop: 0.05, Dup: 0.05},
+		Faults:     &fault.Plan{Seed: 11, Crash: 0.05, CrashAfter: 0.1},
 		MaxRetries: 20,
 	})
 	a := decodeAnswer(t, post(t, faulty.URL+"/v1/distance", q))

@@ -100,8 +100,8 @@ type Config struct {
 	// recovered retries surface in Answer.Retries and the
 	// mpcserve_mpc_retries counters.
 	Faults *fault.Plan
-	// MaxRetries is the per-machine-round/per-message recovery budget for
-	// MPC queries (0 = mpc.DefaultMaxRetries).
+	// MaxRetries is the per-machine-round replay budget for MPC queries
+	// (0 = mpc.DefaultMaxRetries).
 	MaxRetries int
 	// Dist, when non-nil, routes MPC queries (edit-mpc, edit-hss,
 	// ulam-mpc; not ?trace=1) to a distributed worker cluster instead of

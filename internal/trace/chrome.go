@@ -93,28 +93,19 @@ func (c *Chrome) Fault(e FaultEvent) {
 		"kind":    string(e.Kind),
 		"attempt": e.Attempt,
 	}
-	if e.Seq >= 0 {
-		args["seq"] = e.Seq
-	}
-	if e.To >= 0 {
-		args["to"] = e.To
-	}
 	c.mu.Lock()
 	c.instants = append(c.instants, chromeInstant{
 		pid: c.pid, name: EventFault, cat: "fault", machine: e.Machine, at: e.At, args: args})
 	c.mu.Unlock()
 }
 
-// Retry records a recovery action (machine replay or message
-// retransmission) as an instant event on the machine's track.
+// Retry records a recovery action (a machine replay) as an instant event on
+// the machine's track.
 func (c *Chrome) Retry(e RetryEvent) {
 	args := map[string]any{
 		"round":   e.Round,
 		"kind":    string(e.Kind),
 		"attempt": e.Attempt,
-	}
-	if e.Seq >= 0 {
-		args["seq"] = e.Seq
 	}
 	c.mu.Lock()
 	c.instants = append(c.instants, chromeInstant{

@@ -180,8 +180,7 @@ func (f *FlightRecorder) Fault(e FaultEvent) {
 	f.seen++
 	f.faults.add(flightItem[TeleFault]{party: f.party, v: TeleFault{
 		Round: e.Round, Machine: e.Machine, Name: e.Name, Phase: string(e.Phase),
-		Kind: string(e.Kind), Attempt: e.Attempt, Seq: e.Seq, To: e.To,
-		AtNs: nsOf(e.At),
+		Kind: string(e.Kind), Attempt: e.Attempt, AtNs: nsOf(e.At),
 	}})
 	f.mu.Unlock()
 }
@@ -192,8 +191,7 @@ func (f *FlightRecorder) Retry(e RetryEvent) {
 	f.seen++
 	f.faults.add(flightItem[TeleFault]{party: f.party, v: TeleFault{
 		Round: e.Round, Machine: e.Machine, Name: e.Name, Phase: string(e.Phase),
-		Kind: string(e.Kind), Attempt: e.Attempt, Seq: e.Seq, To: -1, Retry: true,
-		AtNs: nsOf(e.At),
+		Kind: string(e.Kind), Attempt: e.Attempt, Retry: true, AtNs: nsOf(e.At),
 	}})
 	f.mu.Unlock()
 }

@@ -74,8 +74,6 @@ type TeleFault struct {
 	Phase   string
 	Kind    string
 	Attempt int
-	Seq     int
-	To      int
 	Retry   bool
 	AtNs    int64
 }
@@ -136,15 +134,13 @@ func (c *Collector) DrainTelemetry() (Telemetry, bool) {
 	for _, f := range c.Faults {
 		t.Faults = append(t.Faults, TeleFault{
 			Round: f.Round, Machine: f.Machine, Name: f.Name, Phase: string(f.Phase),
-			Kind: string(f.Kind), Attempt: f.Attempt, Seq: f.Seq, To: f.To,
-			AtNs: nsOf(f.At),
+			Kind: string(f.Kind), Attempt: f.Attempt, AtNs: nsOf(f.At),
 		})
 	}
 	for _, r := range c.Retries {
 		t.Faults = append(t.Faults, TeleFault{
 			Round: r.Round, Machine: r.Machine, Name: r.Name, Phase: string(r.Phase),
-			Kind: string(r.Kind), Attempt: r.Attempt, Seq: r.Seq, To: -1, Retry: true,
-			AtNs: nsOf(r.At),
+			Kind: string(r.Kind), Attempt: r.Attempt, Retry: true, AtNs: nsOf(r.At),
 		})
 	}
 	for _, e := range c.Transports {
@@ -333,20 +329,13 @@ func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
 			if f.Retry {
 				name = EventRetry
 			}
-			args := map[string]any{
-				"round":   f.Round,
-				"kind":    f.Kind,
-				"attempt": f.Attempt,
-			}
-			if f.Seq >= 0 {
-				args["seq"] = f.Seq
-			}
-			if !f.Retry && f.To >= 0 {
-				args["to"] = f.To
-			}
 			events = append(events, chromeEvent{
 				Name: name, Cat: "fault", Ph: "i", Pid: pid, Tid: f.Machine + 1,
-				Ts: us(f.AtNs, off), Args: args,
+				Ts: us(f.AtNs, off), Args: map[string]any{
+					"round":   f.Round,
+					"kind":    f.Kind,
+					"attempt": f.Attempt,
+				},
 			})
 		}
 		for _, e := range p.Events {

@@ -51,7 +51,7 @@ func syntheticCluster() []trace.Telemetry {
 		Spans: []trace.TeleSpan{span(0, 1, base-5_000_000+1_100_000, 500_000, 20)},
 		Faults: []trace.TeleFault{{
 			Round: 0, Machine: 1, Name: "candidates", Phase: string(trace.PhaseCandidates),
-			Kind: "drop", Attempt: 1, Seq: 3, To: 2, AtNs: base - 5_000_000 + 1_300_000,
+			Kind: "crash-after", Attempt: 1, AtNs: base - 5_000_000 + 1_300_000,
 		}},
 	}
 	// Worker 2 runs 7ms ahead; OffsetNs is negative. Its two batches (two
@@ -186,7 +186,7 @@ func TestDrainTelemetry(t *testing.T) {
 	c.MachineEnd(trace.MachineSpan{Round: 0, Machine: 1, Name: "r", Start: now, End: now.Add(time.Millisecond), Ops: 5})
 	c.MachineEnd(trace.MachineSpan{Round: 0, Machine: 2, Name: "r", Remote: true, Ops: 7})
 	c.RoundEnd(trace.RoundSummary{Round: 0, Name: "r", Machines: 2, TotalOps: 12})
-	c.Fault(trace.FaultEvent{Round: 0, Machine: 1, Kind: "drop", Seq: 2, To: 3, At: now})
+	c.Fault(trace.FaultEvent{Round: 0, Machine: 1, Kind: "crash-after", At: now})
 	c.Retry(trace.RetryEvent{Round: 0, Machine: 1, Kind: "crash", Attempt: 2, At: now})
 	c.Transport(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1, Seq: 1, Bytes: 64, At: now})
 

@@ -77,10 +77,9 @@ type RoundSummary struct {
 	QueueWait time.Duration
 	TotalOps  int64
 	CommWords int64
-	// Failures counts injected faults observed during the round (crashes,
-	// dropped/duplicated messages, straggler delays); Retries counts the
-	// recovery actions (machine re-executions, message retransmissions).
-	// Both are 0 on a fault-free cluster.
+	// Failures counts injected faults observed during the round (crashes
+	// and straggler delays); Retries counts the machine re-executions that
+	// recovered them. Both are 0 on a fault-free cluster.
 	Failures int
 	Retries  int
 	// Skew summarizes the distribution of per-machine execution times.
@@ -94,8 +93,6 @@ type FaultKind string
 const (
 	FaultCrashBefore FaultKind = "crash-before" // machine lost before executing
 	FaultCrashAfter  FaultKind = "crash-after"  // machine lost after executing, output dropped
-	FaultMsgDrop     FaultKind = "msg-drop"     // message transmission lost in the shuffle
-	FaultMsgDup      FaultKind = "msg-dup"      // message duplicated in flight (receiver dedupes)
 	FaultStraggle    FaultKind = "straggle"     // machine execution delayed
 )
 
@@ -106,24 +103,20 @@ const (
 	EventRetry = "retry"
 )
 
-// FaultEvent reports one injected fault. Machine is the crashed/delayed
-// machine, or the sender for message faults; Seq and To are the message
-// coordinates for message faults and -1 otherwise.
+// FaultEvent reports one injected fault on the crashed or delayed machine.
 type FaultEvent struct {
 	Round   int
 	Name    string // round name
 	Phase   Phase
 	Machine int
 	Kind    FaultKind
-	Attempt int // the attempt the fault hit (0 = first execution/transmission)
-	Seq     int // sender's message sequence number (msg faults), -1 otherwise
-	To      int // destination machine (msg faults), -1 otherwise
+	Attempt int // the attempt the fault hit (0 = first execution)
 	At      time.Time
 }
 
 // RetryEvent reports one recovery action: a machine about to be replayed
-// or a message about to be retransmitted after the fault described by
-// Kind. Attempt is the upcoming attempt's index.
+// after the fault described by Kind. Attempt is the upcoming attempt's
+// index.
 type RetryEvent struct {
 	Round   int
 	Name    string
@@ -131,7 +124,6 @@ type RetryEvent struct {
 	Machine int
 	Kind    FaultKind // the fault being recovered from
 	Attempt int       // the attempt about to run (>= 1)
-	Seq     int       // message sequence for retransmissions, -1 otherwise
 	At      time.Time
 }
 
@@ -146,7 +138,7 @@ type Observer interface {
 	// Message reports one emitted message (from -> to, words) during a round.
 	Message(round, from, to, words int)
 	// Fault reports one injected fault; Retry reports the recovery action
-	// replaying a machine or retransmitting a message.
+	// replaying a machine.
 	Fault(e FaultEvent)
 	Retry(e RetryEvent)
 	RoundEnd(r RoundSummary)
