@@ -169,9 +169,14 @@ func TestDegradedFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// The exact kernel gets ~100ms, far from enough. Its deadline must stay
+	// ahead of request decoding, or the kernel keeps the whole request
+	// deadline; and machines it already started run to completion (~260ms
+	// each here, seconds under -race on a loaded host) before the fallback
+	// may start.
 	_, ts := robustServer(t, Config{
-		RequestTimeout: 300 * time.Millisecond,
-		DegradeReserve: 299 * time.Millisecond, // exact kernel gets ~1ms
+		RequestTimeout: 10 * time.Second,
+		DegradeReserve: 9900 * time.Millisecond,
 	})
 	q := Query{Algo: "ulam-mpc", ASeq: aSeq, BSeq: bSeq, X: 0.3, Seed: 4}
 	for i := 0; i < 2; i++ {

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -131,8 +132,7 @@ const (
 // Event kinds on the coordinator's internal event channel.
 const (
 	evFrame  = iota // an inbound frame (f valid)
-	evDeath         // the slot's connection failed (state already updated)
-	evGrace         // the slot's rejoin grace expired
+	evDeath         // the slot's connection failed or its grace expired (state already updated; only wakes await)
 	evRejoin        // the slot resumed on a fresh connection
 )
 
@@ -174,8 +174,8 @@ type Coordinator struct {
 
 	// mu guards everything below. The driver goroutine (StartJob /
 	// Exchange / Results) is the main writer of seq/cur; connection
-	// failures and rejoins mutate peers/state/gen from pump and accept
-	// goroutines, so every access takes the lock.
+	// failures, rejoins and expired graces mutate peers/state/gen from
+	// pump, accept and timer goroutines, so every access takes the lock.
 	mu      sync.Mutex
 	st      Stats
 	peers   []*peer
@@ -351,12 +351,6 @@ func (c *Coordinator) curSeq() int {
 	return c.seq
 }
 
-func (c *Coordinator) stateOf(w int) peerState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.state[w]
-}
-
 func (c *Coordinator) genOf(w int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -387,12 +381,7 @@ func (c *Coordinator) connFailed(w int, p *peer, cause error) {
 	overTol := c.retired[w].corrupt > int64(c.opts.CorruptTolerance)
 	if c.opts.RejoinGrace > 0 && !overTol {
 		c.state[w] = peerSuspect
-		t := time.AfterFunc(c.opts.RejoinGrace, func() {
-			select {
-			case c.events <- peerEvent{w: w, gen: gen, kind: evGrace}:
-			case <-c.done:
-			}
-		})
+		t := time.AfterFunc(c.opts.RejoinGrace, func() { c.markDeadFromSuspect(w, gen) })
 		c.timers = append(c.timers, t)
 		c.mu.Unlock()
 		p.close()
@@ -415,19 +404,22 @@ func (c *Coordinator) connFailed(w int, p *peer, cause error) {
 	c.event(trace.TransportEvent{Kind: trace.TransportPeerLost, Party: w + 1, Seq: c.curSeq()})
 }
 
-// markDeadFromSuspect finalizes an expired grace window. Returns false if
-// the slot rejoined (or died otherwise) in the meantime.
-func (c *Coordinator) markDeadFromSuspect(w, gen int) bool {
+// markDeadFromSuspect finalizes an expired grace window, unless the slot
+// rejoined (or died otherwise) in the meantime, and wakes await.
+func (c *Coordinator) markDeadFromSuspect(w, gen int) {
 	c.mu.Lock()
 	if c.closing || c.gen[w] != gen || c.state[w] != peerSuspect {
 		c.mu.Unlock()
-		return false
+		return
 	}
 	c.state[w] = peerDead
 	c.st.PeersLost++
 	c.mu.Unlock()
 	c.event(trace.TransportEvent{Kind: trace.TransportPeerLost, Party: w + 1, Seq: c.curSeq()})
-	return true
+	select {
+	case c.events <- peerEvent{w: w, gen: gen, kind: evDeath}:
+	case <-c.done:
+	}
 }
 
 // acceptLoop serves session-resume redials for the life of the session
@@ -499,13 +491,14 @@ func (c *Coordinator) rejoin(conn net.Conn) {
 	c.retired[w].reconnects++
 	mergedSeq, mergedBody := c.lastMergedSeq, c.lastMergedBody
 	jobAct, lastJob := c.jobAct, c.lastJob
+	parties := len(c.peers) + 1
 	c.mu.Unlock()
 	if old != p {
 		old.close()
 	}
 	err = p.write(fWelcome, encodeWelcome(welcome{
 		Version:   ProtocolVersion,
-		Parties:   c.partiesLocked(),
+		Parties:   parties,
 		Self:      h.Party,
 		ClockNs:   time.Now().UnixNano(),
 		Telemetry: c.opts.Telemetry || trace.FlightEnabled(),
@@ -534,12 +527,6 @@ func (c *Coordinator) rejoin(conn net.Conn) {
 	}
 }
 
-func (c *Coordinator) partiesLocked() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.peers) + 1
-}
-
 // StartJob broadcasts an opaque job spec to every live worker. The body
 // carries a job sequence number so a rejoin resync can re-deliver it
 // without a worker ever running the same job twice. Workers suspect or
@@ -550,27 +537,37 @@ func (c *Coordinator) StartJob(job []byte) error {
 	body := encodeJobStart(c.jobSeq, job)
 	c.lastJob = body
 	c.jobAct = true
-	peers := append([]*peer(nil), c.peers...)
-	states := append([]peerState(nil), c.state...)
 	c.mu.Unlock()
-	for w := range peers {
+	c.sendAll(fJobStart, body)
+	return nil
+}
+
+// sendAll writes one frame to every live worker. Callers store it for the
+// rejoin resync first, so a suspect is caught up when it resumes. A write
+// that failed because the slot swapped connections meanwhile is retried
+// on the new one (workers drop duplicates by sequence number).
+func (c *Coordinator) sendAll(t frameType, body []byte) {
+	peers, states := c.slots()
+	for w, p := range peers {
 		if states[w] != peerUp {
-			continue // a suspect gets the job from the rejoin resync
+			continue
 		}
-		if err := peers[w].write(fJobStart, body); err != nil {
-			// The slot may have swapped connections between the snapshot
-			// and the write; retry once on the current one before treating
-			// the failure as a connection loss.
-			if cur, st := c.peerAt(w); cur != peers[w] && st == peerUp {
-				if err2 := cur.write(fJobStart, body); err2 != nil {
-					c.connFailed(w, cur, err2)
-				}
-				continue
+		if err := p.write(t, body); err != nil {
+			if cur, st := c.peerAt(w); cur != p && st == peerUp {
+				p, err = cur, cur.write(t, body)
 			}
-			c.connFailed(w, peers[w], err)
+			if err != nil {
+				c.connFailed(w, p, err)
+			}
 		}
 	}
-	return nil
+}
+
+// slots snapshots every worker slot's connection and liveness.
+func (c *Coordinator) slots() ([]*peer, []peerState) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]*peer(nil), c.peers...), append([]peerState(nil), c.state...)
 }
 
 // Exchange implements Transport: gather every party's records for the
@@ -579,275 +576,219 @@ func (c *Coordinator) StartJob(job []byte) error {
 // live worker (or replaying them locally when none remains), then
 // broadcast the merged, machine-sorted round — the round barrier.
 func (c *Coordinator) Exchange(meta RoundMeta, assign [][]int, local []Record, exec ExecFunc) ([]Record, error) {
+	x := c.openExchange(meta, assign, local, exec)
+	if err := c.await(x); err != nil {
+		return nil, err
+	}
+	out := x.mergedRound()
+	if err := c.broadcast(x.seq, meta, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// exchange is the coordinator's side of one round barrier.
+type exchange struct {
+	c    *Coordinator
+	seq  int
+	meta RoundMeta
+	exec ExecFunc
+	// merged keeps the first record of each machine. Records made here
+	// have Remote false and decoded ones Remote true, as the driver needs.
+	merged map[int]Record
+	// owed[w] maps each machine worker w was asked to execute and has not
+	// delivered to whether the ask was an fAssign frame, which is re-sent
+	// if the connection it rode dies. needBarrier[w] reports that w's
+	// mandatory (possibly empty) records frame is still due.
+	owed        []map[int]bool
+	needBarrier []bool
+	// pending parks machines whose owner died while every other worker
+	// was suspect, until a suspect rejoins or dies.
+	pending []int
+}
+
+// openExchange starts the session's next exchange. Every worker, dead or
+// alive, owes its records frame and its machines: await hands the debt of
+// a dead one to lost.
+func (c *Coordinator) openExchange(meta RoundMeta, assign [][]int, local []Record, exec ExecFunc) *exchange {
 	c.mu.Lock()
 	c.seq++
-	seq := c.seq
 	c.cur = meta
-	workers := len(c.peers)
-	states := append([]peerState(nil), c.state...)
+	x := &exchange{c: c, seq: c.seq, meta: meta, exec: exec, merged: make(map[int]Record, 2*len(local)),
+		owed: make([]map[int]bool, len(c.peers)), needBarrier: make([]bool, len(c.peers))}
 	c.mu.Unlock()
-
-	merged := make(map[int]Record, len(local)*2)
-	mine := make(map[int]bool, len(local))
 	for _, r := range local {
-		merged[r.Machine] = r
-		mine[r.Machine] = true
+		x.merged[r.Machine] = r
 	}
-
-	// owed[w] tracks machine ids worker w has been asked to execute and
-	// has not delivered; needBarrier[w] tracks its mandatory (possibly
-	// empty) initial records frame; extra[w] marks the owed ids that were
-	// delivered via fAssign (and so must be re-sent if the connection the
-	// frame rode died). pending parks ids whose owner died while every
-	// surviving worker was suspect — they are reassigned when a suspect
-	// resolves (rejoin or grace expiry).
-	owed := make([]map[int]bool, workers)
-	extra := make([]map[int]bool, workers)
-	needBarrier := make([]bool, workers)
-	var pending []int
-	var orphans []int
-	for w := 0; w < workers; w++ {
-		owed[w] = make(map[int]bool)
-		extra[w] = make(map[int]bool)
-		var ids []int
+	for w := range x.owed {
+		x.owed[w] = make(map[int]bool)
+		x.needBarrier[w] = true
 		if w+1 < len(assign) {
-			ids = assign[w+1]
-		}
-		if states[w] != peerDead {
-			needBarrier[w] = true
-			for _, id := range ids {
-				owed[w][id] = true
+			for _, id := range assign[w+1] {
+				x.owed[w][id] = false
 			}
-		} else {
-			orphans = append(orphans, ids...)
 		}
 	}
+	return x
+}
 
-	// collect pulls the un-delivered ids off a dead worker.
-	collect := func(w int) []int {
-		ids := make([]int, 0, len(owed[w]))
-		for id := range owed[w] {
+func (x *exchange) want() frameType { return fRecords }
+
+// deliver merges worker w's records frame.
+func (x *exchange) deliver(w int, body []byte) error {
+	seq, meta, recs, err := decodeRecords(x.c.codec, body)
+	if err != nil {
+		return fmt.Errorf("transport: worker %d records: %w", w+1, err)
+	}
+	if seq < x.seq {
+		return nil // a rejoining worker re-sent an already-merged round
+	}
+	if seq != x.seq || meta != x.meta {
+		trace.FlightTrigger("transport: exchange divergence")
+		return &DivergenceError{Seq: seq, WantSeq: x.seq, Want: x.meta, Got: meta}
+	}
+	x.needBarrier[w] = false
+	for _, r := range recs {
+		delete(x.owed[w], r.Machine)
+		if _, dup := x.merged[r.Machine]; !dup {
+			x.merged[r.Machine] = r
+		}
+	}
+	return nil
+}
+
+// lost takes back what the dead workers still owe and reassigns it,
+// together with any parked machines.
+func (x *exchange) lost(ws []int) error {
+	ids := x.pending
+	x.pending = nil
+	for _, w := range ws {
+		for id := range x.owed[w] {
 			ids = append(ids, id)
 		}
-		owed[w] = make(map[int]bool)
-		extra[w] = make(map[int]bool)
-		needBarrier[w] = false
-		return ids
+		clear(x.owed[w])
+		x.needBarrier[w] = false
 	}
-	takePending := func() []int {
-		ids := pending
-		pending = nil
-		return ids
-	}
-	firstUp := func() int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for w, s := range c.state {
-			if s == peerUp {
-				return w
-			}
-		}
-		return -1
-	}
-	anySuspect := func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		for _, s := range c.state {
-			if s == peerSuspect {
-				return true
-			}
-		}
-		return false
-	}
+	return x.reassign(ids)
+}
 
-	// reassign routes lost machines to the lowest-index live worker,
-	// cascading if that worker dies on send. With no worker up but some
-	// suspect, the ids are parked for the suspect's resolution; with
-	// nobody left at all they are replayed locally (exact, by
-	// determinism).
-	var reassign func(ids []int) error
-	reassign = func(ids []int) error {
-		for len(ids) > 0 {
-			sort.Ints(ids)
-			w := firstUp()
-			if w < 0 {
-				if anySuspect() {
-					pending = append(pending, ids...)
-					return nil
-				}
-				recs, err := exec(ids)
-				if err != nil {
-					return err
-				}
-				for _, r := range recs {
-					merged[r.Machine] = r
-					mine[r.Machine] = true
-				}
-				c.mu.Lock()
-				c.st.Reassigns++
-				c.mu.Unlock()
-				c.event(trace.TransportEvent{Kind: trace.TransportReassign, Party: 0, Seq: seq, IDs: len(ids)})
-				return nil
-			}
-			p, _ := c.peerAt(w)
-			if err := p.write(fAssign, encodeAssign(seq, ids)); err != nil {
-				c.connFailed(w, p, err)
-				if c.stateOf(w) == peerDead {
-					ids = append(ids, collect(w)...)
-				}
+// rejoined re-sends the reassignments that may have died with worker w's
+// old connection, then routes any parked machines. The worker re-executes
+// deterministically and the merge keeps the first record, so a frame that
+// did arrive costs nothing.
+func (x *exchange) rejoined(w int) error {
+	var ids []int
+	for id, assigned := range x.owed[w] {
+		if assigned {
+			ids = append(ids, id)
+		}
+	}
+	if p, st := x.c.peerAt(w); len(ids) > 0 && st == peerUp {
+		sort.Ints(ids)
+		if err := p.write(fAssign, encodeAssign(x.seq, ids)); err != nil {
+			x.c.connFailed(w, p, err)
+		}
+	}
+	ids, x.pending = x.pending, nil
+	return x.reassign(ids)
+}
+
+// reassign routes machines to the lowest-index live worker, passing over
+// one whose connection fails on send (await collects that worker's own
+// debt once it is dead). With no worker up but some suspect, the machines
+// are parked for the suspect's resolution; with nobody left at all the
+// coordinator replays them itself (exact, by determinism).
+func (x *exchange) reassign(ids []int) error {
+	if len(ids) == 0 {
+		return nil
+	}
+	sort.Ints(ids)
+	for {
+		w, suspect := x.c.firstUp()
+		switch {
+		case w >= 0:
+			p, _ := x.c.peerAt(w)
+			if err := p.write(fAssign, encodeAssign(x.seq, ids)); err != nil {
+				x.c.connFailed(w, p, err)
 				continue
 			}
 			for _, id := range ids {
-				owed[w][id] = true
-				extra[w][id] = true
+				x.owed[w][id] = true
 			}
-			c.mu.Lock()
-			c.st.Reassigns++
-			c.mu.Unlock()
-			c.event(trace.TransportEvent{Kind: trace.TransportReassign, Party: w + 1, Seq: seq, IDs: len(ids)})
+		case suspect:
+			x.pending = append(x.pending, ids...)
 			return nil
+		default:
+			recs, err := x.exec(ids)
+			if err != nil {
+				return err
+			}
+			for _, r := range recs {
+				x.merged[r.Machine] = r
+			}
 		}
+		x.c.mu.Lock()
+		x.c.st.Reassigns++
+		x.c.mu.Unlock()
+		// w+1 is the receiving party: 0, the coordinator, for a replay.
+		x.c.event(trace.TransportEvent{Kind: trace.TransportReassign, Party: w + 1, Seq: x.seq, IDs: len(ids)})
 		return nil
 	}
-	if err := reassign(orphans); err != nil {
-		return nil, err
-	}
+}
 
-	done := func() bool {
-		if len(pending) > 0 {
+// done reports whether no worker owes anything and no machine is parked.
+func (x *exchange) done() bool {
+	if len(x.pending) > 0 {
+		return false
+	}
+	for w := range x.owed {
+		if x.needBarrier[w] || len(x.owed[w]) > 0 {
 			return false
 		}
-		for w := 0; w < workers; w++ {
-			if c.stateOf(w) != peerDead && (needBarrier[w] || len(owed[w]) > 0) {
-				return false
-			}
-		}
-		return true
 	}
-	for !done() {
-		var ev peerEvent
-		select {
-		case ev = <-c.events:
-		case <-c.done:
-			return nil, errors.New("transport: coordinator closed")
-		}
-		switch ev.kind {
-		case evDeath:
-			if c.genOf(ev.w) != ev.gen || c.stateOf(ev.w) != peerDead {
-				// Held suspect for rejoin, or already superseded by one.
-				continue
-			}
-			if err := reassign(append(collect(ev.w), takePending()...)); err != nil {
-				return nil, err
-			}
-		case evGrace:
-			if !c.markDeadFromSuspect(ev.w, ev.gen) {
-				continue
-			}
-			if err := reassign(append(collect(ev.w), takePending()...)); err != nil {
-				return nil, err
-			}
-		case evRejoin:
-			if c.genOf(ev.w) != ev.gen {
-				continue
-			}
-			// Re-deliver reassignment frames that may have died with the
-			// old connection. The worker re-executes deterministically and
-			// the merge dedups, so a frame that DID arrive costs nothing.
-			var ids []int
-			for id := range owed[ev.w] {
-				if extra[ev.w][id] {
-					ids = append(ids, id)
-				}
-			}
-			if len(ids) > 0 {
-				sort.Ints(ids)
-				if p, st := c.peerAt(ev.w); st == peerUp {
-					if err := p.write(fAssign, encodeAssign(seq, ids)); err != nil {
-						c.connFailed(ev.w, p, err)
-					}
-				}
-			}
-			if err := reassign(takePending()); err != nil {
-				return nil, err
-			}
-		case evFrame:
-			switch ev.f.typ {
-			case fRecords:
-				rseq, rmeta, recs, err := decodeRecords(c.codec, ev.f.body)
-				if err != nil {
-					return nil, fmt.Errorf("transport: worker %d records: %w", ev.w+1, err)
-				}
-				if rseq < seq {
-					continue // a rejoining worker re-sent an already-merged round
-				}
-				if rseq != seq || rmeta != meta {
-					trace.FlightTrigger("transport: exchange divergence")
-					return nil, &DivergenceError{Seq: rseq, WantSeq: seq, Want: meta, Got: rmeta}
-				}
-				needBarrier[ev.w] = false
-				for _, r := range recs {
-					delete(owed[ev.w], r.Machine)
-					delete(extra[ev.w], r.Machine)
-					if _, dup := merged[r.Machine]; !dup {
-						merged[r.Machine] = r
-					}
-				}
-			case fResult:
-				continue // duplicate re-send from a prior job's recovery
-			case fTelemetry:
-				c.addTelemetry(ev.f.body)
-			case fError:
-				return nil, fmt.Errorf("transport: worker %d: %s", ev.w+1, ev.f.body)
-			default:
-				return nil, fmt.Errorf("transport: unexpected %s frame from worker %d during exchange", ev.f.typ, ev.w+1)
-			}
-		}
-	}
+	return true
+}
 
-	ids := make([]int, 0, len(merged))
-	for id := range merged {
-		ids = append(ids, id)
+// mergedRound returns the merged records sorted by machine id.
+func (x *exchange) mergedRound() []Record {
+	out := make([]Record, 0, len(x.merged))
+	for _, r := range x.merged {
+		out = append(out, r)
 	}
-	sort.Ints(ids)
-	out := make([]Record, len(ids))
-	for i, id := range ids {
-		r := merged[id]
-		r.Remote = !mine[id]
-		out[i] = r
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Machine < out[j].Machine })
+	return out
+}
 
+// broadcast sends the merged round to every worker. It is stored first: a
+// worker that rejoins from here on is resynced from it, so the round can
+// be lost on the wire but never lost for good.
+func (c *Coordinator) broadcast(seq int, meta RoundMeta, out []Record) error {
 	body, err := encodeRecords(c.codec, seq, meta, out)
 	if err != nil {
-		return nil, err
-	}
-	// Store the barrier before any broadcast write: a worker that rejoins
-	// from here on is resynced from this snapshot, so the merged round can
-	// be lost on the wire but never lost for good.
-	c.mu.Lock()
-	c.lastMergedSeq = seq
-	c.lastMergedBody = body
-	peers := append([]*peer(nil), c.peers...)
-	states = append([]peerState(nil), c.state...)
-	c.mu.Unlock()
-	for w := range peers {
-		if states[w] != peerUp {
-			continue // a suspect is caught up by the rejoin resync
-		}
-		if err := peers[w].write(fMerged, body); err != nil {
-			if cur, st := c.peerAt(w); cur != peers[w] && st == peerUp {
-				// Slot swapped mid-broadcast; the rejoin resync already
-				// delivered this barrier (lastMergedSeq was stored first).
-				continue
-			}
-			c.connFailed(w, peers[w], err)
-		}
+		return err
 	}
 	c.mu.Lock()
+	c.lastMergedSeq, c.lastMergedBody = seq, body
 	c.st.Exchanges++
 	c.mu.Unlock()
+	c.sendAll(fMerged, body)
 	c.event(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1, Seq: seq, IDs: len(out)})
-	return out, nil
+	return nil
+}
+
+// firstUp returns the lowest-index live worker, or -1 and whether some
+// slot is suspect and so may yet rejoin.
+func (c *Coordinator) firstUp() (int, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	suspect := false
+	for w, s := range c.state {
+		if s == peerUp {
+			return w, false
+		}
+		suspect = suspect || s == peerSuspect
+	}
+	return -1, suspect
 }
 
 // Results gathers the end-of-job result frame from every worker not
@@ -856,71 +797,127 @@ func (c *Coordinator) Exchange(meta RoundMeta, assign [][]int, local []Record, e
 // waited on: they either rejoin and re-send, or their grace expires.
 func (c *Coordinator) Results() ([][]byte, error) {
 	c.mu.Lock()
-	jobSeq := c.jobSeq
-	workers := len(c.peers)
-	states := append([]peerState(nil), c.state...)
+	r := &results{jobSeq: c.jobSeq, out: make([][]byte, len(c.peers)), settled: make([]bool, len(c.peers))}
 	c.mu.Unlock()
-	out := make([][]byte, workers)
-	counted := make([]bool, workers)
-	waiting := 0
-	for w, s := range states {
-		if s != peerDead {
-			counted[w] = true
-			waiting++
-		}
-	}
-	for waiting > 0 {
-		var ev peerEvent
-		select {
-		case ev = <-c.events:
-		case <-c.done:
-			return nil, errors.New("transport: coordinator closed")
-		}
-		switch ev.kind {
-		case evDeath:
-			if c.genOf(ev.w) == ev.gen && c.stateOf(ev.w) == peerDead && counted[ev.w] {
-				counted[ev.w] = false
-				waiting--
-			}
-		case evGrace:
-			if c.markDeadFromSuspect(ev.w, ev.gen) && counted[ev.w] {
-				counted[ev.w] = false
-				waiting--
-			}
-		case evRejoin:
-			// Nothing to resync here: the worker re-sends its own result.
-		case evFrame:
-			switch ev.f.typ {
-			case fResult:
-				rjseq, res, err := decodeResult(ev.f.body)
-				if err != nil {
-					return nil, fmt.Errorf("transport: worker %d result: %w", ev.w+1, err)
-				}
-				if rjseq != jobSeq {
-					continue // stale re-send from an earlier job
-				}
-				if out[ev.w] == nil {
-					out[ev.w] = res
-					if counted[ev.w] {
-						counted[ev.w] = false
-						waiting--
-					}
-				}
-			case fRecords:
-				continue // stale barrier re-send from a rejoining worker
-			case fTelemetry:
-				c.addTelemetry(ev.f.body)
-			case fError:
-				return nil, fmt.Errorf("transport: worker %d: %s", ev.w+1, ev.f.body)
-			default:
-				return nil, fmt.Errorf("transport: unexpected %s frame from worker %d awaiting results", ev.f.typ, ev.w+1)
-			}
-		}
+	if err := c.await(r); err != nil {
+		return nil, err
 	}
 	c.mu.Lock()
 	c.jobAct = false
 	c.mu.Unlock()
-	return out, nil
+	return r.out, nil
+}
+
+// results is the coordinator's side of one job's result gathering.
+type results struct {
+	jobSeq  uint64
+	out     [][]byte
+	settled []bool // settled[w]: worker w sent its result or died
+}
+
+func (r *results) want() frameType { return fResult }
+
+// deliver keeps worker w's first result of this job; one of an earlier
+// job is a stale re-send.
+func (r *results) deliver(w int, body []byte) error {
+	jobSeq, res, err := decodeResult(body)
+	if err != nil {
+		return fmt.Errorf("transport: worker %d result: %w", w+1, err)
+	}
+	if jobSeq == r.jobSeq && r.out[w] == nil {
+		r.out[w], r.settled[w] = res, true
+	}
+	return nil
+}
+
+func (r *results) lost(ws []int) error {
+	for _, w := range ws {
+		r.settled[w] = true
+	}
+	return nil
+}
+
+// rejoined has nothing to resync: the worker re-sends its own result.
+func (r *results) rejoined(int) error { return nil }
+
+func (r *results) done() bool { return !slices.Contains(r.settled, false) }
+
+// barrier is one wait of the coordinator on its workers, run by await: a
+// round's exchange or a job's results.
+type barrier interface {
+	// want is the frame type the barrier gathers; deliver takes one such
+	// frame from worker w.
+	want() frameType
+	deliver(w int, body []byte) error
+	// lost hands over workers that died; rejoined, a worker that resumed
+	// its slot on a fresh connection.
+	lost(ws []int) error
+	rejoined(w int) error
+	// done reports whether there is nothing left to wait for.
+	done() bool
+}
+
+// await runs the coordinator's event loop until b is done. Before each
+// check of done it hands b every slot newly found dead, however it died,
+// so a death event only wakes the loop and one still queued cannot let b
+// finish without the dead worker's share. Events of a retired connection
+// generation are stale. The other barrier's frame type is a stale re-send
+// from a recovered worker: a round already merged, or an earlier result.
+func (c *Coordinator) await(b barrier) error {
+	n, _ := c.Parties()
+	gone := make([]bool, n-1)
+	for {
+		var dead []int
+		_, states := c.slots()
+		for w, s := range states {
+			if s == peerDead && !gone[w] {
+				gone[w] = true
+				dead = append(dead, w)
+			}
+		}
+		if len(dead) > 0 {
+			if err := b.lost(dead); err != nil {
+				return err
+			}
+		}
+		if b.done() {
+			return nil
+		}
+		var ev peerEvent
+		select {
+		case ev = <-c.events:
+		case <-c.done:
+			return errors.New("transport: coordinator closed")
+		}
+		var err error
+		switch ev.kind {
+		case evRejoin:
+			if c.genOf(ev.w) == ev.gen {
+				err = b.rejoined(ev.w)
+			}
+		case evFrame:
+			err = c.route(b, ev.w, ev.f)
+		}
+		if err != nil {
+			return err
+		}
+	}
+}
+
+// route hands one inbound frame from worker w to b, or deals with it here.
+func (c *Coordinator) route(b barrier, w int, f frame) error {
+	switch f.typ {
+	case b.want():
+		return b.deliver(w, f.body)
+	case fRecords, fResult:
+		return nil // a stale re-send
+	case fTelemetry:
+		c.addTelemetry(f.body)
+		return nil
+	case fError:
+		return fmt.Errorf("transport: worker %d: %s", w+1, f.body)
+	}
+	return fmt.Errorf("transport: unexpected %s frame from worker %d awaiting %s", f.typ, w+1, b.want())
 }
 
 // Alive reports how many workers are currently connected. Safe to call
@@ -1038,13 +1035,10 @@ func (c *Coordinator) Status() Status {
 // Shutdown ends the session in order: every live worker is told there are
 // no more jobs, then the connections close.
 func (c *Coordinator) Shutdown() {
-	c.mu.Lock()
-	peers := append([]*peer(nil), c.peers...)
-	states := append([]peerState(nil), c.state...)
-	c.mu.Unlock()
-	for w := range peers {
+	peers, states := c.slots()
+	for w, p := range peers {
 		if states[w] == peerUp {
-			peers[w].write(fShutdown, nil)
+			p.write(fShutdown, nil)
 		}
 	}
 	c.Close()
