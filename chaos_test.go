@@ -175,22 +175,24 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 
 // TestChaosTraceArtifact writes a Chrome trace of one representative
 // faulted Ulam run when CHAOS_TRACE_OUT is set (the CI artifact), and
-// sanity-checks that fault events reach the exporter either way.
+// sanity-checks that fault events reach the event log either way.
 func TestChaosTraceArtifact(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos suite runs full pipelines; skipped in -short")
 	}
 	rng := rand.New(rand.NewSource(chaosBaseSeed(t)))
 	plan := chaosPlan(rng)
-	chrome := trace.NewChrome()
+	log := trace.NewLog()
+	log.Keep()
 	alg := chaosInputs()[0]
-	res, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan, MaxRetries: 12, Observer: chrome})
+	res, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan, MaxRetries: 12, Observer: log})
 	if err != nil {
 		t.Fatalf("traced chaos run (%s): %v", plan, err)
 	}
-	if res.Report.Failures > 0 && chrome.Events() == 0 {
-		t.Fatalf("report counted %d failures but the trace recorded no events", res.Report.Failures)
+	if res.Report.Failures > 0 && log.Stats().Faults == 0 {
+		t.Fatalf("report counted %d failures but the log recorded no fault events", res.Report.Failures)
 	}
+	ct := log.Trace()
 	out := os.Getenv("CHAOS_TRACE_OUT")
 	if out == "" {
 		return
@@ -200,9 +202,9 @@ func TestChaosTraceArtifact(t *testing.T) {
 		t.Fatalf("CHAOS_TRACE_OUT: %v", err)
 	}
 	defer f.Close()
-	if _, err := chrome.WriteTo(f); err != nil {
+	if _, err := ct.WriteTo(f); err != nil {
 		t.Fatalf("writing %s: %v", out, err)
 	}
 	t.Logf("chaos: wrote fault-event trace (%d events, failures=%d retries=%d) to %s",
-		chrome.Events(), res.Report.Failures, res.Report.Retries, out)
+		ct.Events(), res.Report.Failures, res.Report.Retries, out)
 }

@@ -145,14 +145,12 @@ func main() {
 	if *traceOut != "" {
 		switch *algo {
 		case "mpc", "hss", "ulam-mpc":
-			if *transportName == "tcp" {
-				// Distributed runs ship telemetry from every worker and write
-				// one merged multi-process trace (see runMPC); an in-process
-				// Chrome observer would only see the coordinator's view.
-			} else {
-				chromeTrace = trace.NewChrome()
+			if *transportName != "tcp" {
+				// The process log keeps every event from here on; die and
+				// the normal exit write its trace. Distributed runs write
+				// the session's cluster trace instead (see runMPC).
 				tracePath = *traceOut
-				p.Observer = chromeTrace
+				trace.Flight().Keep()
 			}
 		default:
 			die("-trace requires an MPC algorithm (mpc, hss, ulam-mpc), not %q", *algo)
@@ -356,12 +354,9 @@ func runMPC(algo string, p core.Params, s, t []byte, pa, qa []int, transportName
 	return res, err
 }
 
-// chromeTrace and tracePath are set when -trace targets an MPC run; die
-// flushes the trace before exiting so a failed round is still viewable.
-var (
-	chromeTrace *trace.Chrome
-	tracePath   string
-)
+// tracePath is set when -trace targets a local MPC run; die flushes the
+// trace before exiting so a failed round is still viewable.
+var tracePath string
 
 // flightDump is ArmFlight's finalizer; die runs it so os.Exit cannot
 // skip the exit dump a caller asked for via MPCDIST_FLIGHT_OUT.
@@ -393,18 +388,18 @@ func die(format string, args ...any) {
 	os.Exit(1)
 }
 
-// flushTrace writes the collected Chrome trace once; it clears the
-// exporter first so a write failure inside die cannot recurse. traceio
-// surfaces create/write/sync/close failures and removes a partial file,
-// so a flush error always exits nonzero instead of leaving a truncated
-// trace that Perfetto would render as an empty timeline.
+// flushTrace writes the requested trace once; it clears the path first so
+// a write failure inside die cannot recurse. traceio surfaces
+// create/write/sync/close failures and removes a partial file, so a flush
+// error always exits nonzero instead of leaving a truncated trace that
+// Perfetto would render as an empty timeline.
 func flushTrace() {
-	chrome, path := chromeTrace, tracePath
-	chromeTrace = nil
-	if chrome == nil {
+	path := tracePath
+	tracePath = ""
+	if path == "" {
 		return
 	}
-	if err := traceio.WriteFile(path, chrome); err != nil {
+	if err := traceio.WriteFile(path, trace.Flight().Trace()); err != nil {
 		die("%v", err)
 	}
 	fmt.Fprintf(os.Stderr, "mpcdist: wrote trace to %s (open in Perfetto or chrome://tracing)\n", path)

@@ -62,10 +62,10 @@ func main() {
 	if base.Faults != nil {
 		fmt.Fprintf(os.Stderr, "mpctable: fault injection active: %s (model counters are unaffected; recovery is exact)\n", base.Faults)
 	}
-	var chrome *trace.Chrome
 	if *traceOut != "" {
-		chrome = trace.NewChrome()
-		base.Observer = chrome
+		// From here on the process log keeps every event of every cluster;
+		// the trace file renders them after the sweep.
+		trace.Flight().Keep()
 	}
 
 	switch {
@@ -87,11 +87,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	if chrome != nil {
+	if *traceOut != "" {
 		// traceio surfaces create/write/sync/close failures and removes a
 		// partial file; a flush error exits nonzero rather than leaving a
 		// truncated trace behind.
-		if err := traceio.WriteFile(*traceOut, chrome); err != nil {
+		if err := traceio.WriteFile(*traceOut, trace.Flight().Trace()); err != nil {
 			fail(err)
 		}
 		fmt.Fprintf(os.Stderr, "mpctable: wrote trace to %s (open in Perfetto or chrome://tracing)\n", *traceOut)

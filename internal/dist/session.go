@@ -23,8 +23,8 @@ import (
 type SessionOptions struct {
 	// Workers is the number of worker processes to spawn (>= 1).
 	Workers int
-	// Observer receives the coordinator's driver events plus transport
-	// events if it implements trace.TransportObserver. May be nil.
+	// Observer receives the coordinator's driver and transport events.
+	// May be nil.
 	Observer trace.Observer
 	// Ctx cancels the coordinator's driver between rounds. May be nil.
 	Ctx context.Context
@@ -47,10 +47,11 @@ type SessionOptions struct {
 	// Strictly a wire-level perturbation: deterministic counters and
 	// results are bit-identical under any plan.
 	NetChaos *netchaos.Plan
-	// Telemetry asks every party to buffer its trace events and ship them
-	// to the coordinator at round barriers; the merged stream is available
-	// from ClusterTrace after runs. Out-of-band: results and deterministic
-	// counters are bit-identical with or without it.
+	// Telemetry requests a trace: the process log keeps every event from
+	// the session's start, every party ships its events to the coordinator
+	// at round barriers, and ClusterTrace renders them after runs.
+	// Out-of-band: results and deterministic counters are bit-identical
+	// with or without it.
 	Telemetry bool
 	// Checkpoint, when non-nil, snapshots every completed round of each job
 	// into the store, keyed by the job's SpecDigest. Workers receive the
@@ -78,14 +79,9 @@ type Session struct {
 	cmds []*exec.Cmd
 	opts SessionOptions
 
-	// obs is the driver observer Run attaches: the caller's Observer,
-	// multiplexed with the session's own collector when telemetry is on.
-	obs trace.Observer
-	// tel buffers the coordinator's own trace events (party 0's lane of
-	// the merged trace); batches accumulates drained telemetry from every
-	// party across jobs, consumed by ClusterTrace.
-	tel     *trace.Collector
-	batches []trace.Telemetry
+	// traceFrom is the process log's position when a Telemetry session
+	// started: ClusterTrace renders the events logged since.
+	traceFrom uint64
 
 	// ckMu guards saver separately from mu: Status endpoints read it while
 	// Run holds mu for the whole job.
@@ -131,21 +127,17 @@ func NewSession(opts SessionOptions) (*Session, error) {
 		}
 		s.cmds = append(s.cmds, cmd)
 	}
-	s.obs = opts.Observer
 	if opts.Telemetry {
-		s.tel = &trace.Collector{}
-		s.obs = trace.Multi(opts.Observer, s.tel)
+		// Before the coordinator exists: its welcome asks workers to ship
+		// whenever the process log records.
+		s.traceFrom = trace.Flight().Keep()
 	}
 	topts := opts.Transport
-	topts.Telemetry = opts.Telemetry
 	if opts.NetChaos.Active() {
 		topts.WrapConn = netchaos.New(opts.NetChaos).Wrap
 	}
-	// trace.Multi forwards transport events to every member implementing
-	// TransportObserver, so this assertion holds for the combined observer
-	// whenever any member wants them.
-	if to, ok := s.obs.(trace.TransportObserver); ok && to != nil {
-		topts.OnEvent = to.Transport
+	if opts.Observer != nil {
+		topts.OnEvent = opts.Observer.Transport
 	}
 	co, err := transport.NewCoordinator(ln, opts.Workers, topts)
 	if err != nil {
@@ -202,7 +194,7 @@ func (s *Session) Run(job Job) (core.Result, error) {
 	host := core.Params{
 		Parallelism: s.opts.Parallelism,
 		Ctx:         s.opts.Ctx,
-		Observer:    s.obs,
+		Observer:    s.opts.Observer,
 		Transport:   s.co,
 	}
 	if saver != nil {
@@ -223,7 +215,6 @@ func (s *Session) Run(job Job) (core.Result, error) {
 		return res, rerr
 	}
 	digests, gerr := s.co.Results()
-	s.batches = append(s.batches, s.co.DrainTelemetry()...)
 	s.fillWireBytes(&res, base)
 	if gerr != nil {
 		return res, gerr
@@ -307,39 +298,28 @@ func (s *Session) CheckpointStatus() *checkpoint.Status {
 	return &st
 }
 
-// ClusterTrace merges everything the session has observed so far — the
-// coordinator's own trace events, the telemetry workers shipped at round
-// barriers, and a synthetic per-peer counter snapshot — into one
-// multi-process Perfetto trace. Requires SessionOptions.Telemetry; call
-// after Run (and before Close, which tears the peers down).
+// ClusterTrace renders what the process log holds since the session
+// started (the coordinator's own events, the telemetry workers shipped at
+// round barriers, the transport's events) and a synthetic per-peer counter
+// snapshot as one multi-process Perfetto trace. Requires
+// SessionOptions.Telemetry; call after Run (and before Close, which tears
+// the peers down).
 func (s *Session) ClusterTrace() (*trace.ClusterTrace, error) {
-	if s.tel == nil {
+	if !s.opts.Telemetry {
 		return nil, fmt.Errorf("dist: session started without Telemetry")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.batches = append(s.batches, s.co.DrainTelemetry()...)
-	if t, ok := s.tel.DrainTelemetry(); ok {
-		t.Party, t.OffsetNs = 0, 0
-		s.batches = append(s.batches, t)
-	}
 	// One synthetic peer-stats instant per worker closes the transport
 	// lane with final wire counters and heartbeat RTT p99.
 	now := time.Now().UnixNano()
 	var ps trace.Telemetry
 	for _, p := range s.co.PeerStats() {
-		ps.Events = append(ps.Events, trace.TeleTransport{
-			Kind:  trace.TransportPeerStats,
-			Party: p.Party,
-			Bytes: p.BytesIn + p.BytesOut,
-			RTTNs: int64(p.RTTP99),
-			AtNs:  now,
-		})
+		ps.Events = append(ps.Events, trace.Event{Kind: trace.KindTransport,
+			Detail: trace.TransportPeerStats, Peer: int32(p.Party),
+			Words: p.BytesIn + p.BytesOut, QueueNs: int64(p.RTTP99), StartNs: now})
 	}
-	if len(ps.Events) > 0 {
-		s.batches = append(s.batches, ps)
-	}
-	return trace.BuildClusterTrace(s.batches), nil
+	return trace.BuildClusterTrace(append(trace.Flight().Since(s.traceFrom), ps)), nil
 }
 
 // Close shuts the session down in order: tell workers there are no more

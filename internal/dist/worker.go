@@ -136,15 +136,16 @@ func Serve(w *transport.Worker) error {
 	if _, self := w.Parties(); self > 0 {
 		trace.Flight().SetParty(self)
 	}
-	// When the coordinator's welcome asked for telemetry — which it also
-	// does whenever its flight recorder is on — every job's driver
-	// observes into a collector, and the transport drains it at each
-	// round barrier (plus job end) into fTelemetry frames. The observer
-	// changes nothing deterministic — it only records.
-	var col *trace.Collector
+	// When the coordinator's welcome asked for telemetry — which it does
+	// whenever its event log records, the default — the transport drains
+	// this process's log at each round barrier (plus job end) into
+	// fTelemetry frames. The first drain, here, arms the log: from now on
+	// it keeps every event until a drain has shipped it, and records even
+	// with the flight recorder switched off.
 	if w.TelemetryEnabled() {
-		col = &trace.Collector{}
-		w.SetTelemetrySource(col.DrainTelemetry)
+		log := trace.Flight()
+		log.Drain()
+		w.SetTelemetrySource(log.Drain)
 	}
 	for {
 		jb, err := w.NextJob()
@@ -162,9 +163,6 @@ func Serve(w *transport.Worker) error {
 			Parallelism: runtime.GOMAXPROCS(0),
 			Ctx:         context.Background(),
 			Transport:   w,
-		}
-		if col != nil {
-			host.Observer = col
 		}
 		if len(job.Resume) > 0 {
 			// The coordinator resumed from a checkpoint: replay the shipped

@@ -69,9 +69,6 @@ func (re *roundExec) replayRemote(merged []transport.Record) {
 			continue
 		}
 		re.obs.MachineStart(re.round, r.Machine, re.inWords[r.Machine])
-		for _, m := range r.Msgs {
-			re.obs.Message(re.round, r.Machine, m.To, m.Data.(Payload).Words())
-		}
 		re.obs.MachineEnd(re.remoteSpan(r))
 	}
 }

@@ -145,7 +145,7 @@ func TestFaultCancellationMidReplayNoLeaks(t *testing.T) {
 // TestFaultEventsReachObservers checks fault and retry events flow to
 // observers and that the round summary's counters match the report.
 func TestFaultEventsReachObservers(t *testing.T) {
-	col := &trace.Collector{}
+	col := &recorder{}
 	c := NewCluster(Config{
 		Seed:       9,
 		Observer:   col,
@@ -157,21 +157,21 @@ func TestFaultEventsReachObservers(t *testing.T) {
 	if rep.Failures == 0 {
 		t.Fatal("plan injected nothing; the test is vacuous")
 	}
-	if len(col.Faults) != rep.Failures {
-		t.Errorf("collector saw %d fault events, report counted %d", len(col.Faults), rep.Failures)
+	if len(col.faults) != rep.Failures {
+		t.Errorf("collector saw %d fault events, report counted %d", len(col.faults), rep.Failures)
 	}
-	if len(col.Retries) != rep.Retries {
-		t.Errorf("collector saw %d retry events, report counted %d", len(col.Retries), rep.Retries)
+	if len(col.retries) != rep.Retries {
+		t.Errorf("collector saw %d retry events, report counted %d", len(col.retries), rep.Retries)
 	}
 	var sumF, sumR int
-	for _, s := range col.Summaries {
+	for _, s := range col.summaries {
 		sumF += s.Failures
 		sumR += s.Retries
 	}
 	if sumF != rep.Failures || sumR != rep.Retries {
 		t.Errorf("round summaries carry failures=%d retries=%d, report %d/%d", sumF, sumR, rep.Failures, rep.Retries)
 	}
-	for _, e := range col.Faults {
+	for _, e := range col.faults {
 		switch e.Kind {
 		case trace.FaultCrashBefore, trace.FaultCrashAfter, trace.FaultStraggle:
 		default:

@@ -17,8 +17,9 @@
 //
 // Observability: an optional trace.Observer on Config receives round and
 // per-machine execution events (spans exclude semaphore queueing), which
-// the built-in observers turn into Chrome trace-event timelines and skew
-// summaries. With no observer registered the hooks are single nil checks.
+// trace.Log records for Chrome trace-event timelines, telemetry and the
+// flight recorder. With no observer registered the hooks are single nil
+// checks.
 package mpc
 
 import (
@@ -216,17 +217,17 @@ func (r Report) String() string {
 // construct with NewCluster.
 type Cluster struct {
 	cfg     Config
-	obs     trace.Observer // cfg.Observer with the flight recorder composed in
+	obs     trace.Observer // cfg.Observer with the process log composed in
 	rounds  []RoundStats
 	workers []WorkerStats
 }
 
-// NewCluster returns a cluster with the given configuration. The
-// process-global flight recorder (trace.Flight) is composed into the
-// effective observer here — once, at construction — so every cluster in
-// the process feeds the recorder by default; trace.SetFlightEnabled /
-// MPCDIST_FLIGHT=off opt out. The recorder is out-of-band: it never
-// changes a deterministic counter or the cfg the caller sees via Config().
+// NewCluster returns a cluster with the given configuration. The process
+// event log (trace.Flight) is composed into the effective observer here —
+// once, at construction — so every cluster in the process feeds the flight
+// recorder by default; trace.SetFlightEnabled / MPCDIST_FLIGHT=off opt out
+// unless a trace was requested. The log is out-of-band: it never changes a
+// deterministic counter or the cfg the caller sees via Config().
 func NewCluster(cfg Config) *Cluster {
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
@@ -278,7 +279,6 @@ type Ctx struct {
 
 	cluster *Cluster
 	phase   trace.Phase
-	obs     trace.Observer
 	ops     stats.Ops
 	out     []transport.Msg
 	rng     *rand.Rand
@@ -298,9 +298,6 @@ func (x *Ctx) Ops(n int64) { x.ops.Add(n) }
 // Send emits a message for delivery at the start of the next round.
 func (x *Ctx) Send(to int, data Payload) {
 	x.out = append(x.out, transport.Msg{To: to, Data: data})
-	if x.obs != nil {
-		x.obs.Message(x.Round, x.Machine, to, data.Words())
-	}
 }
 
 // mix64 is the SplitMix64 finalizer, shared with internal/fault and the
@@ -581,7 +578,7 @@ func (re *roundExec) resume() (*RoundSnapshot, error) {
 	re.st = snap.Stats
 	re.c.rounds = append(re.c.rounds, re.st)
 	if re.obs != nil {
-		trace.EmitCheckpoint(re.obs, trace.CheckpointEvent{Round: re.round, Name: re.name,
+		re.obs.Checkpoint(trace.CheckpointEvent{Round: re.round, Name: re.name,
 			Phase: re.phase, Kind: trace.CheckpointResume, Step: snap.Step, At: time.Now()})
 		re.obs.RoundEnd(re.summary(nil))
 	}
@@ -729,7 +726,7 @@ func (re *roundExec) persist(next map[int][]Payload) error {
 		return fmt.Errorf("mpc: round %q: checkpoint save: %w", re.name, err)
 	}
 	if re.obs != nil {
-		trace.EmitCheckpoint(re.obs, trace.CheckpointEvent{Round: re.round, Name: re.name,
+		re.obs.Checkpoint(trace.CheckpointEvent{Round: re.round, Name: re.name,
 			Phase: re.phase, Kind: trace.CheckpointSave, Step: snap.Step, At: time.Now()})
 	}
 	return nil
@@ -858,7 +855,7 @@ func (re *roundExec) machine(id int, spawned time.Time) transport.Record {
 }
 
 func (re *roundExec) newCtx(id int) *Ctx {
-	return &Ctx{Machine: id, Round: re.round, cluster: re.c, phase: re.phase, obs: re.obs, inWords: re.inWords[id]}
+	return &Ctx{Machine: id, Round: re.round, cluster: re.c, phase: re.phase, inWords: re.inWords[id]}
 }
 
 // exec runs one attempt inside its trace span. An injected straggle delays

@@ -6,11 +6,54 @@ import (
 	"hash/fnv"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"mpcdist/internal/trace"
 )
+
+// recorder is an Observer that keeps the simulator's events verbatim, so
+// tests can assert on the event stream.
+type recorder struct {
+	trace.Base
+	mu        sync.Mutex
+	starts    []trace.RoundInfo
+	spans     []trace.MachineSpan
+	faults    []trace.FaultEvent
+	retries   []trace.RetryEvent
+	summaries []trace.RoundSummary
+}
+
+func (r *recorder) RoundStart(e trace.RoundInfo) {
+	r.mu.Lock()
+	r.starts = append(r.starts, e)
+	r.mu.Unlock()
+}
+
+func (r *recorder) MachineEnd(e trace.MachineSpan) {
+	r.mu.Lock()
+	r.spans = append(r.spans, e)
+	r.mu.Unlock()
+}
+
+func (r *recorder) Fault(e trace.FaultEvent) {
+	r.mu.Lock()
+	r.faults = append(r.faults, e)
+	r.mu.Unlock()
+}
+
+func (r *recorder) Retry(e trace.RetryEvent) {
+	r.mu.Lock()
+	r.retries = append(r.retries, e)
+	r.mu.Unlock()
+}
+
+func (r *recorder) RoundEnd(e trace.RoundSummary) {
+	r.mu.Lock()
+	r.summaries = append(r.summaries, e)
+	r.mu.Unlock()
+}
 
 func TestRunSingleRoundRouting(t *testing.T) {
 	c := NewCluster(Config{MachineWords: 100})
@@ -328,7 +371,7 @@ func TestElapsedExcludesQueueWait(t *testing.T) {
 }
 
 func TestObserverEventStream(t *testing.T) {
-	col := &trace.Collector{}
+	col := &recorder{}
 	c := NewCluster(Config{Observer: col, MachineWords: 100})
 	in := map[int][]Payload{0: {Ints{1, 2, 3}}, 1: {Ints{4, 5}}}
 	mid, err := c.Run("stage1", trace.PhaseCandidates, in, func(x *Ctx, in []Payload) {
@@ -343,13 +386,16 @@ func TestObserverEventStream(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if len(col.Starts) != 2 || col.Starts[0].Name != "stage1" || col.Starts[1].Round != 1 {
-		t.Fatalf("round starts = %+v", col.Starts)
+	if len(col.starts) != 2 || col.starts[0].Name != "stage1" || col.starts[1].Round != 1 {
+		t.Fatalf("round starts = %+v", col.starts)
 	}
-	if len(col.Spans) != 4 {
-		t.Fatalf("spans = %d, want 4 (2 machines x 2 rounds)", len(col.Spans))
+	if len(col.spans) != 4 {
+		t.Fatalf("spans = %d, want 4 (2 machines x 2 rounds)", len(col.spans))
 	}
-	for _, s := range col.Spans {
+	sends, outWords := 0, 0
+	for _, s := range col.spans {
+		sends += s.Sends
+		outWords += s.OutWords
 		if s.End.Before(s.Start) || s.Start.IsZero() {
 			t.Errorf("span %d/%d has bad window %v..%v", s.Round, s.Machine, s.Start, s.End)
 		}
@@ -357,13 +403,13 @@ func TestObserverEventStream(t *testing.T) {
 			t.Errorf("round-0 span %+v", s)
 		}
 	}
-	if col.Messages != 4 || col.MsgWords != 4 {
-		t.Errorf("messages = %d words = %d, want 4/4", col.Messages, col.MsgWords)
+	if sends != 4 || outWords != 4 {
+		t.Errorf("spans carry %d sends of %d words, want 4/4", sends, outWords)
 	}
-	if len(col.Summaries) != 2 || col.Summaries[0].Err != "" {
-		t.Fatalf("summaries = %+v", col.Summaries)
+	if len(col.summaries) != 2 || col.summaries[0].Err != "" {
+		t.Fatalf("summaries = %+v", col.summaries)
 	}
-	s0 := col.Summaries[0]
+	s0 := col.summaries[0]
 	if s0.TotalOps != 14 || s0.CommWords != 4 || s0.Machines != 2 {
 		t.Errorf("summary 0 = %+v", s0)
 	}
@@ -375,23 +421,23 @@ func TestObserverEventStream(t *testing.T) {
 func TestMemoryErrorsSurfaceThroughObserver(t *testing.T) {
 	// Input violation: rejected pre-flight, observer still sees the round
 	// open and close with the error.
-	colIn := &trace.Collector{}
+	colIn := &recorder{}
 	c := NewCluster(Config{MachineWords: 3, Observer: colIn})
 	_, err := c.Run("in", trace.PhaseCandidates, map[int][]Payload{0: {Ints{1, 2, 3}}}, func(x *Ctx, in []Payload) {})
 	var me *MemoryError
 	if !errors.As(err, &me) || me.Kind != "input" {
 		t.Fatalf("want input MemoryError, got %v", err)
 	}
-	if len(colIn.Summaries) != 1 || !strings.Contains(colIn.Summaries[0].Err, "input") {
-		t.Fatalf("input violation not observed: %+v", colIn.Summaries)
+	if len(colIn.summaries) != 1 || !strings.Contains(colIn.summaries[0].Err, "input") {
+		t.Fatalf("input violation not observed: %+v", colIn.summaries)
 	}
-	if len(colIn.Spans) != 0 {
-		t.Fatalf("no machine should have run, got %d spans", len(colIn.Spans))
+	if len(colIn.spans) != 0 {
+		t.Fatalf("no machine should have run, got %d spans", len(colIn.spans))
 	}
 
 	// Output violation: detected after execution; spans exist and the
 	// closing summary carries the error.
-	colOut := &trace.Collector{}
+	colOut := &recorder{}
 	c = NewCluster(Config{MachineWords: 4, Observer: colOut})
 	_, err = c.Run("out", trace.PhaseCandidates, map[int][]Payload{0: {Int(1)}}, func(x *Ctx, in []Payload) {
 		x.Send(1, Ints{1, 2, 3, 4, 5})
@@ -399,22 +445,22 @@ func TestMemoryErrorsSurfaceThroughObserver(t *testing.T) {
 	if !errors.As(err, &me) || me.Kind != "output" {
 		t.Fatalf("want output MemoryError, got %v", err)
 	}
-	if len(colOut.Summaries) != 1 || !strings.Contains(colOut.Summaries[0].Err, "output") {
-		t.Fatalf("output violation not observed: %+v", colOut.Summaries)
+	if len(colOut.summaries) != 1 || !strings.Contains(colOut.summaries[0].Err, "output") {
+		t.Fatalf("output violation not observed: %+v", colOut.summaries)
 	}
-	if len(colOut.Spans) != 1 {
-		t.Fatalf("machine ran, want its span observed: %d", len(colOut.Spans))
+	if len(colOut.spans) != 1 {
+		t.Fatalf("machine ran, want its span observed: %d", len(colOut.spans))
 	}
 
 	// Machine-count violation for completeness.
-	colM := &trace.Collector{}
+	colM := &recorder{}
 	c = NewCluster(Config{MaxMachines: 1, Observer: colM})
 	_, err = c.Run("m", trace.PhaseCandidates, map[int][]Payload{0: {Int(0)}, 1: {Int(1)}}, func(x *Ctx, in []Payload) {})
 	if !errors.As(err, &me) || me.Kind != "machines" {
 		t.Fatalf("want machines MemoryError, got %v", err)
 	}
-	if len(colM.Summaries) != 1 || !strings.Contains(colM.Summaries[0].Err, "machines") {
-		t.Fatalf("machines violation not observed: %+v", colM.Summaries)
+	if len(colM.summaries) != 1 || !strings.Contains(colM.summaries[0].Err, "machines") {
+		t.Fatalf("machines violation not observed: %+v", colM.summaries)
 	}
 }
 

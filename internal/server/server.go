@@ -273,8 +273,9 @@ func (s *Server) validate(q Query) (algoSpec, mpcdist.MPCParams, error) {
 }
 
 // answer resolves one query: validation, cache lookup, pooled compute.
-// With wantTrace a Chrome trace observer is attached to the MPC run and
-// the cache is bypassed both ways (a traced answer is never representative
+// With wantTrace the MPC run gets an event log of its own (concurrent
+// requests share the process log), the answer embeds its trace, and the
+// cache is bypassed both ways (a traced answer is never representative
 // of, or reusable as, the plain one). resumable marks batch-originated
 // queries, the ones the checkpoint seam persists and auto-resumes.
 func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool) (Answer, error) {
@@ -287,10 +288,11 @@ func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool)
 		s.metrics.ObserveBadInput()
 		return Answer{}, badRequestf("trace=1 requires an MPC algorithm, %q runs sequentially", q.Algo)
 	}
-	var chrome *trace.Chrome
+	var tl *trace.Log
 	if wantTrace {
-		chrome = trace.NewChrome()
-		params.Observer = chrome
+		tl = trace.NewLog()
+		tl.Keep()
+		params.Observer = tl
 	}
 	if spec.MPC {
 		params.Faults = s.cfg.Faults
@@ -341,8 +343,8 @@ func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool)
 		return Answer{}, runErr
 	}
 	a.ElapsedMs = float64(elapsed.Nanoseconds()) / 1e6
-	if chrome != nil {
-		raw, jerr := chrome.JSON()
+	if tl != nil {
+		raw, jerr := tl.Trace().JSON()
 		if jerr != nil {
 			s.logQuery(ctx, q, nil, elapsed, jerr)
 			return Answer{}, jerr

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"mpcdist/internal/mpc"
@@ -14,13 +12,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// runWorkload drives a small deterministic two-round simulation through a
-// Chrome exporter: Parallelism 1 serializes machine execution so the event
-// stream (and, after timestamp normalization, the exported JSON) is
-// byte-stable across runs.
-func runWorkload(t *testing.T, ch *trace.Chrome) {
+// runWorkload drives a small deterministic two-round simulation into a
+// log: Parallelism 1 serializes machine execution so the event stream is
+// the same on every run.
+func runWorkload(t *testing.T, l *trace.Log) {
 	t.Helper()
-	c := mpc.NewCluster(mpc.Config{Seed: 7, Parallelism: 1, MachineWords: 100, Observer: ch})
+	c := mpc.NewCluster(mpc.Config{Seed: 7, Parallelism: 1, MachineWords: 100, Observer: l})
 	in := map[int][]mpc.Payload{
 		0: {mpc.Ints{1, 2, 3}},
 		1: {mpc.Ints{4, 5}},
@@ -44,63 +41,13 @@ func runWorkload(t *testing.T, ch *trace.Chrome) {
 	}
 }
 
-// normalize zeroes every wall-clock field of a trace file so two runs of
-// the same deterministic workload compare equal.
-func normalize(t *testing.T, raw []byte) []byte {
-	t.Helper()
-	var file struct {
-		TraceEvents     []map[string]any `json:"traceEvents"`
-		DisplayTimeUnit string           `json:"displayTimeUnit"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	for _, ev := range file.TraceEvents {
-		delete(ev, "ts")
-		delete(ev, "dur")
-		if args, ok := ev["args"].(map[string]any); ok {
-			delete(args, "queueWaitUs")
-			delete(args, "straggler")
-		}
-	}
-	out, err := json.MarshalIndent(file, "", " ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(out, '\n')
-}
-
-func TestChromeGolden(t *testing.T) {
-	ch := trace.NewChrome()
-	runWorkload(t, ch)
-	raw, err := ch.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := normalize(t, raw)
-
-	golden := filepath.Join("testdata", "chrome_golden.json")
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/trace/ -update` to regenerate)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("normalized trace differs from golden (run with -update to regenerate)\ngot:\n%s\nwant:\n%s", got, want)
-	}
-}
-
+// TestChromeStructure checks a local run's trace: the one renderer draws
+// it as a cluster of one party, with a rounds track and one track per
+// machine, and every arg of both old formats.
 func TestChromeStructure(t *testing.T) {
-	ch := trace.NewChrome()
-	runWorkload(t, ch)
-	raw, err := ch.JSON()
+	l := trace.NewLog()
+	runWorkload(t, l)
+	raw, err := l.Trace().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,23 +71,31 @@ func TestChromeStructure(t *testing.T) {
 	spansPerTid := map[int]int{}
 	roundSpans := 0
 	threadNames := map[int]string{}
+	procNames := map[int]string{}
 	for _, ev := range file.TraceEvents {
 		switch ev.Ph {
 		case "X":
 			if ev.Tid == 0 {
 				roundSpans++
-				if ev.Args["machines"] == nil || ev.Args["commWords"] == nil {
-					t.Errorf("round span %q missing args: %+v", ev.Name, ev.Args)
+				for _, k := range []string{"machines", "commWords", "totalOps", "queueWaitUs", "straggler", "party"} {
+					if ev.Args[k] == nil {
+						t.Errorf("round span %q missing arg %q: %+v", ev.Name, k, ev.Args)
+					}
 				}
 			} else {
 				spansPerTid[ev.Tid]++
-				if ev.Args["ops"] == nil || ev.Args["round"] == nil {
-					t.Errorf("machine span %q missing args: %+v", ev.Name, ev.Args)
+				for _, k := range []string{"ops", "round", "queueWaitUs", "party"} {
+					if ev.Args[k] == nil {
+						t.Errorf("machine span %q missing arg %q: %+v", ev.Name, k, ev.Args)
+					}
 				}
 			}
 		case "M":
-			if ev.Name == "thread_name" {
+			switch ev.Name {
+			case "thread_name":
 				threadNames[ev.Tid], _ = ev.Args["name"].(string)
+			case "process_name":
+				procNames[ev.Pid], _ = ev.Args["name"].(string)
 			}
 		}
 	}
@@ -155,41 +110,19 @@ func TestChromeStructure(t *testing.T) {
 	if threadNames[0] != "rounds" || threadNames[1] != "machine 0" || threadNames[3] != "machine 2" {
 		t.Errorf("thread names = %v", threadNames)
 	}
-}
-
-func TestChromeMultipleRunsGetDistinctPids(t *testing.T) {
-	ch := trace.NewChrome()
-	runWorkload(t, ch) // cluster 1: rounds 0, 1
-	runWorkload(t, ch) // cluster 2: rounds 0, 1 again -> new pid
-	raw, err := ch.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var file struct {
-		TraceEvents []struct {
-			Pid int `json:"pid"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(raw, &file); err != nil {
-		t.Fatal(err)
-	}
-	pids := map[int]bool{}
-	for _, ev := range file.TraceEvents {
-		pids[ev.Pid] = true
-	}
-	if len(pids) != 2 {
-		t.Errorf("pids = %v, want two distinct cluster runs", pids)
+	if len(procNames) != 1 || procNames[0] != "coordinator (party 0)" {
+		t.Errorf("process lanes = %v, want one party", procNames)
 	}
 }
 
 func TestChromeFailedRoundVisible(t *testing.T) {
-	ch := trace.NewChrome()
-	c := mpc.NewCluster(mpc.Config{MachineWords: 2, Observer: ch})
+	l := trace.NewLog()
+	c := mpc.NewCluster(mpc.Config{MachineWords: 2, Observer: l})
 	_, err := c.Run("boom", trace.PhaseCandidates, map[int][]mpc.Payload{0: {mpc.Ints{1, 2, 3}}}, func(x *mpc.Ctx, in []mpc.Payload) {})
 	if err == nil {
 		t.Fatal("want memory violation")
 	}
-	raw, jerr := ch.JSON()
+	raw, jerr := l.Trace().JSON()
 	if jerr != nil {
 		t.Fatal(jerr)
 	}

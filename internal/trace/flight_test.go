@@ -6,94 +6,178 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // endRound feeds one completed round with the given elapsed time.
-func endRound(f *FlightRecorder, i int, elapsed time.Duration) {
+func endRound(l *Log, i int, elapsed time.Duration) {
 	start := time.Unix(1, 0)
-	f.RoundStart(RoundInfo{Round: i, Name: fmt.Sprintf("r%d", i), Phase: PhaseCandidates, Machines: 2})
-	f.RoundEnd(RoundSummary{
+	l.RoundStart(RoundInfo{Round: i, Name: fmt.Sprintf("r%d", i), Phase: PhaseCandidates, Machines: 2})
+	l.RoundEnd(RoundSummary{
 		Round: i, Name: fmt.Sprintf("r%d", i), Phase: PhaseCandidates, Machines: 2,
 		Start: start, End: start.Add(elapsed), Elapsed: elapsed,
 		TotalOps: int64(i), CommWords: 1,
 	})
 }
 
+// retained reports how many events l holds.
+func retained(l *Log) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
+}
+
+// TestLogBudget pins the always-on log's memory: a full ring costs no more
+// than the span and round rings it replaced (4096 × 120 B + 256 × 128 B).
+func TestLogBudget(t *testing.T) {
+	if got := LogCapacity * int(unsafe.Sizeof(Event{})); got > 524_288 {
+		t.Errorf("LogCapacity × sizeof(Event) = %d × %d = %d B, budget 524288 B",
+			LogCapacity, unsafe.Sizeof(Event{}), got)
+	}
+}
+
+// TestLogRingRules is the table of the ring's overwrite rules.
+func TestLogRingRules(t *testing.T) {
+	const over = LogCapacity + 100
+	for _, tc := range []struct {
+		name string
+		prep func(*Log)
+		// drainAt drains after this many rounds (0 = never).
+		drainAt  int
+		wantKept int
+		// wantOldest is the oldest retained round.
+		wantOldest int
+	}{
+		{"undrained bounded log overwrites its oldest", func(*Log) {}, 0, LogCapacity, over - LogCapacity},
+		{"drained log never loses an undrained event", func(l *Log) { l.Drain() }, 0, over, 0},
+		{"drained log overwrites only drained events", func(l *Log) { l.Drain() }, 50, over - 50, 50},
+		{"unbounded log keeps everything", func(l *Log) { l.Keep() }, 0, over, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLog()
+			tc.prep(l)
+			for i := 0; i < over; i++ {
+				l.RoundEnd(RoundSummary{Round: i})
+				if i+1 == tc.drainAt {
+					l.Drain()
+				}
+			}
+			if got := retained(l); got != tc.wantKept {
+				t.Errorf("retained %d events, want %d", got, tc.wantKept)
+			}
+			if got := l.Since(0)[0].Events[0].Round; int(got) != tc.wantOldest {
+				t.Errorf("oldest retained round %d, want %d", got, tc.wantOldest)
+			}
+		})
+	}
+}
+
+// TestLogDrainedEveryBarrierStaysBounded is the regression test for the
+// worker telemetry leak: a worker's log, drained at every round barrier
+// over many times its capacity in rounds, ships every event exactly once
+// and never holds more than its capacity.
+func TestLogDrainedEveryBarrierStaysBounded(t *testing.T) {
+	l := NewLog()
+	l.SetParty(2)
+	l.Drain()
+	shipped := 0
+	for r := 0; r < 10*LogCapacity; r++ {
+		l.RoundStart(RoundInfo{Round: r})
+		l.MachineEnd(MachineSpan{Round: r, Machine: 0})
+		l.MachineEnd(MachineSpan{Round: r, Machine: 1, Remote: true})
+		l.RoundEnd(RoundSummary{Round: r})
+		tel, _ := l.Drain()
+		shipped += len(tel.Events)
+		if n := retained(l); n > LogCapacity {
+			t.Fatalf("round %d: log holds %d events, capacity %d", r, n, LogCapacity)
+		}
+		l.mu.Lock()
+		size := len(l.buf)
+		l.mu.Unlock()
+		if size > LogCapacity {
+			t.Fatalf("round %d: ring grew to %d slots, capacity %d", r, size, LogCapacity)
+		}
+	}
+	if want := 2 * 10 * LogCapacity; shipped != want {
+		t.Errorf("shipped %d events, want %d (one span and one round per round)", shipped, want)
+	}
+}
+
 func TestFlightRingOverwritesOldest(t *testing.T) {
-	f := NewFlightRecorder()
-	total := flightRoundCap + 10
+	l := NewLog()
+	total := LogCapacity + 10
 	for i := 0; i < total; i++ {
-		endRound(f, i, time.Millisecond)
+		endRound(l, i, time.Millisecond)
 	}
-	st := f.Stats()
-	if st.Rounds != flightRoundCap {
-		t.Fatalf("retained rounds = %d, want cap %d", st.Rounds, flightRoundCap)
+	st := l.Stats()
+	if st.Rounds != LogCapacity {
+		t.Fatalf("retained rounds = %d, want cap %d", st.Rounds, LogCapacity)
 	}
-	if st.Events != uint64(2*total) { // RoundStart + RoundEnd each count
-		t.Errorf("events = %d, want %d", st.Events, 2*total)
+	if st.Events != uint64(total) {
+		t.Errorf("events = %d, want %d", st.Events, total)
 	}
-	tel := f.Telemetry()
+	tel := l.Since(0)
 	if len(tel) != 1 {
 		t.Fatalf("telemetry batches = %d, want 1", len(tel))
 	}
-	rounds := tel[0].Rounds
-	if len(rounds) != flightRoundCap {
-		t.Fatalf("telemetry rounds = %d, want %d", len(rounds), flightRoundCap)
+	rounds := tel[0].Events
+	if len(rounds) != LogCapacity {
+		t.Fatalf("telemetry rounds = %d, want %d", len(rounds), LogCapacity)
 	}
 	// Oldest-first, and the oldest retained is the (total-cap)-th round.
-	if rounds[0].Round != total-flightRoundCap {
-		t.Errorf("oldest retained round = %d, want %d", rounds[0].Round, total-flightRoundCap)
+	if int(rounds[0].Round) != total-LogCapacity {
+		t.Errorf("oldest retained round = %d, want %d", rounds[0].Round, total-LogCapacity)
 	}
-	if last := rounds[len(rounds)-1].Round; last != total-1 {
+	if last := rounds[len(rounds)-1].Round; int(last) != total-1 {
 		t.Errorf("newest retained round = %d, want %d", last, total-1)
 	}
 }
 
 func TestFlightQuantiles(t *testing.T) {
-	f := NewFlightRecorder()
-	if q := f.Quantiles(); q.Window != 0 || q.P99Ms != 0 {
+	l := NewLog()
+	if q := l.Stats().Latency; q.Window != 0 || q.P99Ms != 0 {
 		t.Fatalf("empty quantiles = %+v", q)
 	}
 	// 100 rounds at 1..100ms: nearest-rank p50=50ms, p95=95ms, p99=99ms.
 	for i := 1; i <= 100; i++ {
-		endRound(f, i, time.Duration(i)*time.Millisecond)
+		endRound(l, i, time.Duration(i)*time.Millisecond)
 	}
-	q := f.Quantiles()
+	q := l.Stats().Latency
 	if q.Window != 100 || q.P50Ms != 50 || q.P95Ms != 95 || q.P99Ms != 99 {
 		t.Errorf("quantiles = %+v, want window=100 p50=50 p95=95 p99=99", q)
 	}
 	// The window is rolling: flood it with 1ms rounds and the old tail
 	// must stop influencing the quantiles.
-	for i := 0; i < flightLatWindow; i++ {
-		endRound(f, 1000+i, time.Millisecond)
+	for i := 0; i < latencyWindow; i++ {
+		endRound(l, 1000+i, time.Millisecond)
 	}
-	if q := f.Quantiles(); q.P99Ms != 1 {
-		t.Errorf("after flooding window, p99 = %v, want 1ms", q.P99Ms)
+	if q := l.Stats().Latency; q.P99Ms != 1 || q.Window != latencyWindow {
+		t.Errorf("after flooding window, quantiles = %+v, want p99 1ms over %d rounds", q, latencyWindow)
 	}
 }
 
 func TestFlightIngestGroupsByParty(t *testing.T) {
-	f := NewFlightRecorder()
-	endRound(f, 0, time.Millisecond)
-	f.Ingest(Telemetry{Party: 2, OffsetNs: 7,
-		Rounds: []TeleRound{{Round: 0, Name: "r0", Phase: "candidates", StartNs: 5, EndNs: 9}},
-		Spans:  []TeleSpan{{Round: 0, Machine: 1, Name: "r0", Phase: "candidates", StartNs: 5, EndNs: 8}},
-	})
-	tel := f.Telemetry()
+	l := NewLog()
+	endRound(l, 0, time.Millisecond)
+	l.Ingest(Telemetry{Party: 2, OffsetNs: 7, Events: []Event{
+		{Kind: KindRound, Round: 0, Name: "r0", Phase: PhaseCandidates, StartNs: 5, EndNs: 9},
+		{Kind: KindSpan, Round: 0, Machine: 1, Name: "r0", Phase: PhaseCandidates, StartNs: 5, EndNs: 8},
+	}})
+	tel := l.Since(0)
 	if len(tel) != 2 {
 		t.Fatalf("telemetry batches = %d, want 2 (local + party 2)", len(tel))
 	}
 	if tel[0].Party != 0 || tel[1].Party != 2 {
 		t.Errorf("batch parties = %d, %d, want 0, 2", tel[0].Party, tel[1].Party)
 	}
-	if tel[1].OffsetNs != 7 {
-		t.Errorf("party 2 offset = %d, want 7 (preserved from ingest)", tel[1].OffsetNs)
+	if e := tel[1].Events[0]; e.StartNs != 12 || e.EndNs != 16 {
+		t.Errorf("party 2 round at [%d, %d], want [12, 16] (rebased by its offset at ingest)", e.StartNs, e.EndNs)
 	}
-	if st := f.Stats(); st.Parties != 2 {
+	if st := l.Stats(); st.Parties != 2 {
 		t.Errorf("stats parties = %d, want 2", st.Parties)
 	}
 	// Remote round latencies must not enter the local quantile window.
-	if q := f.Quantiles(); q.Window != 1 {
+	if q := l.Stats().Latency; q.Window != 1 {
 		t.Errorf("quantile window = %d, want 1 (local rounds only)", q.Window)
 	}
 }
@@ -125,22 +209,23 @@ func decodeDump(t *testing.T, ct *ClusterTrace) chromeDump {
 }
 
 func TestFlightDumpValidChromeTrace(t *testing.T) {
-	f := NewFlightRecorder()
+	l := NewLog()
 	for i := 0; i < 5; i++ {
-		endRound(f, i, time.Millisecond)
+		endRound(l, i, time.Millisecond)
 	}
-	f.Transport(TransportEvent{Kind: TransportExchange, Party: 1, Seq: 3, Bytes: 100, At: time.Unix(2, 0)})
-	f.Ingest(Telemetry{Party: 1, Rounds: []TeleRound{{Round: 4, Name: "r4", Phase: "candidates", StartNs: 5, EndNs: 9}}})
+	l.Transport(TransportEvent{Kind: TransportExchange, Party: 1, Seq: 3, Bytes: 100, At: time.Unix(2, 0)})
+	l.Checkpoint(CheckpointEvent{Round: 4, Name: "r4", Kind: CheckpointSave, Step: 4, At: time.Unix(2, 0)})
+	l.Ingest(Telemetry{Party: 1, Events: []Event{{Kind: KindRound, Round: 4, Name: "r4", Phase: PhaseCandidates, StartNs: 5, EndNs: 9}}})
 	// A round started but not ended: the dump must render it as an
 	// instant, never as a negative-duration span.
-	f.RoundStart(RoundInfo{Round: 5, Name: "open", Phase: PhaseGraph, Machines: 1})
+	l.RoundStart(RoundInfo{Round: 5, Name: "open", Phase: PhaseGraph, Machines: 1})
 
-	d := decodeDump(t, f.Dump())
+	d := decodeDump(t, l.Dump())
 	if len(d.TraceEvents) == 0 {
 		t.Fatal("empty dump")
 	}
 	named := map[int]bool{}
-	var sawQuantiles, sawOpen bool
+	var sawQuantiles, sawOpen, sawCheckpoint bool
 	for _, ev := range d.TraceEvents {
 		if ev.Ph == "M" && ev.Name == "process_name" {
 			named[ev.Pid] = true
@@ -153,14 +238,16 @@ func TestFlightDumpValidChromeTrace(t *testing.T) {
 		if !named[ev.Pid] {
 			t.Errorf("event %q on unnamed process lane %d", ev.Name, ev.Pid)
 		}
-		if ev.Name == "round-latency" {
+		switch {
+		case ev.Name == "round-latency":
 			sawQuantiles = true
 			if ev.Args["window"] == nil || ev.Args["p99Ms"] == nil {
 				t.Errorf("round-latency args = %v, want window/p50Ms/p95Ms/p99Ms", ev.Args)
 			}
-		}
-		if ev.Name == "open" && ev.Ph == "i" {
+		case ev.Name == "open" && ev.Ph == "i":
 			sawOpen = true
+		case ev.Name == "checkpoint" && ev.Pid == 0 && ev.Tid == 0:
+			sawCheckpoint = ev.Args["step"] == 4.0 && ev.Args["kind"] == CheckpointSave
 		}
 	}
 	if !sawQuantiles {
@@ -169,20 +256,23 @@ func TestFlightDumpValidChromeTrace(t *testing.T) {
 	if !sawOpen {
 		t.Error("dump missing the open round as an instant event")
 	}
+	if !sawCheckpoint {
+		t.Error("dump missing the checkpoint instant on the rounds track")
+	}
 }
 
 func TestFlightTriggerDebounce(t *testing.T) {
-	f := NewFlightRecorder()
+	l := NewLog()
 	var mu sync.Mutex
 	var reasons []string
-	f.SetAutoDump(func(reason string) {
+	l.SetAutoDump(func(reason string) {
 		mu.Lock()
 		reasons = append(reasons, reason)
 		mu.Unlock()
 	})
-	f.Trigger("first")
-	f.Trigger("storm-1")
-	f.Trigger("storm-2")
+	l.Trigger("first")
+	l.Trigger("storm-1")
+	l.Trigger("storm-2")
 	mu.Lock()
 	got := append([]string(nil), reasons...)
 	mu.Unlock()
@@ -190,40 +280,43 @@ func TestFlightTriggerDebounce(t *testing.T) {
 		t.Errorf("debounced triggers = %v, want [first]", got)
 	}
 	// A peer loss is an automatic trigger (debounced with the others).
-	f2 := NewFlightRecorder()
+	l2 := NewLog()
 	var n int
-	f2.SetAutoDump(func(string) { n++ })
-	f2.Transport(TransportEvent{Kind: TransportPeerLost, Party: 1, At: time.Unix(3, 0)})
+	l2.SetAutoDump(func(string) { n++ })
+	l2.Transport(TransportEvent{Kind: TransportPeerLost, Party: 1, At: time.Unix(3, 0)})
 	if n != 1 {
 		t.Errorf("peer-lost triggered %d dumps, want 1", n)
 	}
-	// Disarmed recorder: Trigger is a no-op, not a panic.
-	f3 := NewFlightRecorder()
-	f3.Trigger("nobody listening")
+	// Disarmed log: Trigger is a no-op, not a panic.
+	NewLog().Trigger("nobody listening")
 }
 
 func TestFlightReset(t *testing.T) {
-	f := NewFlightRecorder()
-	endRound(f, 0, time.Millisecond)
-	f.Ingest(Telemetry{Party: 1, Spans: []TeleSpan{{Round: 0, StartNs: 1, EndNs: 2}}})
-	f.Reset()
-	st := f.Stats()
+	l := NewLog()
+	endRound(l, 0, time.Millisecond)
+	l.Ingest(Telemetry{Party: 1, Events: []Event{{Kind: KindSpan, StartNs: 1, EndNs: 2}}})
+	l.Keep()
+	l.Reset()
+	st := l.Stats()
 	if st.Events != 0 || st.Rounds != 0 || st.Spans != 0 || st.Parties != 1 {
 		t.Errorf("after reset: %+v", st)
 	}
-	if q := f.Quantiles(); q.Window != 0 {
+	if q := l.Stats().Latency; q.Window != 0 {
 		t.Errorf("after reset, quantile window = %d", q.Window)
+	}
+	if l.requested() {
+		t.Error("after reset, the log still keeps every event")
 	}
 }
 
 func TestFlightRemoteSpansSkipped(t *testing.T) {
-	f := NewFlightRecorder()
-	f.MachineEnd(MachineSpan{Round: 0, Machine: 1, Remote: true, Start: time.Unix(1, 0), End: time.Unix(2, 0)})
-	if st := f.Stats(); st.Spans != 0 {
+	l := NewLog()
+	l.MachineEnd(MachineSpan{Round: 0, Machine: 1, Remote: true, Start: time.Unix(1, 0), End: time.Unix(2, 0)})
+	if st := l.Stats(); st.Spans != 0 {
 		t.Errorf("remote span retained: %+v", st)
 	}
-	f.MachineEnd(MachineSpan{Round: 0, Machine: 1, Start: time.Unix(1, 0), End: time.Unix(2, 0)})
-	if st := f.Stats(); st.Spans != 1 {
+	l.MachineEnd(MachineSpan{Round: 0, Machine: 1, Start: time.Unix(1, 0), End: time.Unix(2, 0)})
+	if st := l.Stats(); st.Spans != 1 {
 		t.Errorf("local span not retained: %+v", st)
 	}
 }
@@ -231,10 +324,12 @@ func TestFlightRemoteSpansSkipped(t *testing.T) {
 func TestWithFlight(t *testing.T) {
 	prev := FlightEnabled()
 	defer SetFlightEnabled(prev)
+	defer Flight().Reset()
+	Flight().Reset()
 
 	SetFlightEnabled(true)
-	if got := WithFlight(nil); got != Flight() {
-		t.Errorf("WithFlight(nil) = %T, want the global recorder", got)
+	if got := WithFlight(nil); got != Observer(Flight()) {
+		t.Errorf("WithFlight(nil) = %T, want the process log", got)
 	}
 	base := Base{}
 	if _, ok := WithFlight(base).(multi); !ok {
@@ -251,9 +346,18 @@ func TestWithFlight(t *testing.T) {
 	// The gated helpers are no-ops while disabled.
 	before := Flight().Stats().Events
 	FlightTransport(TransportEvent{Kind: TransportExchange, At: time.Unix(1, 0)})
-	FlightIngest(Telemetry{Party: 9})
+	FlightIngest(Telemetry{Party: 9, Events: []Event{{Kind: KindSpan}}})
 	if after := Flight().Stats().Events; after != before {
-		t.Errorf("disabled helpers recorded %d events", after-before)
+		t.Errorf("disabled helpers logged %d events", after-before)
+	}
+	// A requested trace makes the log record with the recorder off.
+	Flight().Keep()
+	if !Recording() || WithFlight(nil) != Observer(Flight()) {
+		t.Error("a kept process log does not record with the flight recorder off")
+	}
+	FlightTransport(TransportEvent{Kind: TransportExchange, At: time.Unix(1, 0)})
+	if after := Flight().Stats().Events; after != before+1 {
+		t.Errorf("kept log logged %d transport events, want 1", after-before)
 	}
 }
 
@@ -269,30 +373,32 @@ func TestFlightEnvOff(t *testing.T) {
 }
 
 // TestFlightConcurrency hammers every entry point at once; run under
-// -race this is the recorder's thread-safety proof.
+// -race this is the log's thread-safety proof.
 func TestFlightConcurrency(t *testing.T) {
-	f := NewFlightRecorder()
+	l := NewLog()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				switch i % 5 {
+				switch i % 6 {
 				case 0:
-					endRound(f, i, time.Millisecond)
+					endRound(l, i, time.Millisecond)
 				case 1:
-					f.MachineEnd(MachineSpan{Round: i, Machine: g, Start: time.Unix(1, 0), End: time.Unix(2, 0)})
+					l.MachineEnd(MachineSpan{Round: i, Machine: g, Start: time.Unix(1, 0), End: time.Unix(2, 0)})
 				case 2:
-					f.Fault(FaultEvent{Round: i, Machine: g, At: time.Unix(1, 0)})
+					l.Fault(FaultEvent{Round: i, Machine: g, At: time.Unix(1, 0)})
 				case 3:
-					f.Ingest(Telemetry{Party: g + 1, Spans: []TeleSpan{{Round: i, StartNs: 1, EndNs: 2}}})
+					l.Ingest(Telemetry{Party: g + 1, Events: []Event{{Kind: KindSpan, Round: int32(i), StartNs: 1, EndNs: 2}}})
 				case 4:
-					f.Transport(TransportEvent{Kind: TransportExchange, Seq: i, At: time.Unix(1, 0)})
+					l.Transport(TransportEvent{Kind: TransportExchange, Seq: i, At: time.Unix(1, 0)})
+				case 5:
+					l.Drain()
 				}
 				if i%50 == 0 {
-					_ = f.Stats()
-					_ = f.Quantiles()
+					_ = l.Stats()
+					_ = l.Stats().Latency
 				}
 			}
 		}(g)
@@ -302,12 +408,12 @@ func TestFlightConcurrency(t *testing.T) {
 	go func() {
 		defer wgDump.Done()
 		for i := 0; i < 10; i++ {
-			_ = f.Dump()
+			_ = l.Dump()
 		}
 	}()
 	wg.Wait()
 	wgDump.Wait()
-	if st := f.Stats(); st.Events == 0 {
-		t.Error("no events recorded")
+	if st := l.Stats(); st.Events == 0 {
+		t.Error("no events logged")
 	}
 }

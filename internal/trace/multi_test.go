@@ -27,8 +27,8 @@ func (r *recorder) RoundStart(ri trace.RoundInfo) { r.record(fmt.Sprintf("start%
 func (r *recorder) MachineEnd(s trace.MachineSpan) {
 	r.record(fmt.Sprintf("end%d.%d", s.Round, s.Machine))
 }
-func (r *recorder) Message(round, from, to, words int) {
-	r.record(fmt.Sprintf("msg%d.%d>%d", round, from, to))
+func (r *recorder) Fault(e trace.FaultEvent) {
+	r.record(fmt.Sprintf("fault%d.%d", e.Round, e.Machine))
 }
 func (r *recorder) RoundEnd(rs trace.RoundSummary) { r.record(fmt.Sprintf("finish%d", rs.Round)) }
 
@@ -55,13 +55,13 @@ func TestMultiPreservesOrder(t *testing.T) {
 	m := trace.Multi(a, nil, b)
 
 	m.RoundStart(trace.RoundInfo{Round: 0, Phase: trace.PhaseCandidates})
-	m.Message(0, 1, 2, 8)
+	m.Fault(trace.FaultEvent{Round: 0, Machine: 1})
 	m.MachineEnd(trace.MachineSpan{Round: 0, Machine: 1})
 	m.RoundEnd(trace.RoundSummary{Round: 0})
 
 	want := []string{
 		"a:start0", "b:start0",
-		"a:msg0.1>2", "b:msg0.1>2",
+		"a:fault0.1", "b:fault0.1",
 		"a:end0.1", "b:end0.1",
 		"a:finish0", "b:finish0",
 	}
@@ -75,8 +75,8 @@ func TestMultiPreservesOrder(t *testing.T) {
 	}
 }
 
-// transportRecorder is a recorder that additionally implements
-// trace.TransportObserver.
+// transportRecorder is a recorder that also records transport and
+// checkpoint events.
 type transportRecorder struct {
 	recorder
 }
@@ -85,11 +85,13 @@ func (r *transportRecorder) Transport(e trace.TransportEvent) {
 	r.record(fmt.Sprintf("transport:%s.%d", e.Kind, e.Party))
 }
 
-// TestMultiForwardsTransportEvents is the regression test for the
-// transport-event fan-out: a Multi must forward Transport() to every member
-// that implements TransportObserver and silently skip members that do not.
-// Before the fan-out existed, wrapping a TransportObserver in a Multi
-// silently dropped its transport events.
+func (r *transportRecorder) Checkpoint(e trace.CheckpointEvent) {
+	r.record(fmt.Sprintf("checkpoint:%s.%d", e.Kind, e.Step))
+}
+
+// TestMultiForwardsTransportEvents checks that a Multi forwards Transport
+// and Checkpoint to every member, in order, like every other event; a
+// member that embeds Base ignores them.
 func TestMultiForwardsTransportEvents(t *testing.T) {
 	var mu sync.Mutex
 	var log []string
@@ -98,21 +100,19 @@ func TestMultiForwardsTransportEvents(t *testing.T) {
 	b := &transportRecorder{recorder{tag: "b", mu: &mu, log: &log}}
 	m := trace.Multi(plain, a, b)
 
-	to, ok := m.(trace.TransportObserver)
-	if !ok {
-		t.Fatal("Multi of TransportObservers does not implement TransportObserver")
-	}
-	to.Transport(trace.TransportEvent{Kind: trace.TransportReassign, Party: 2})
-	to.Transport(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1})
+	m.Transport(trace.TransportEvent{Kind: trace.TransportReassign, Party: 2})
+	m.Transport(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1})
+	m.Checkpoint(trace.CheckpointEvent{Kind: trace.CheckpointSave, Step: 3})
 
 	want := []string{
 		"a:transport:reassign.2", "b:transport:reassign.2",
 		"a:transport:exchange.-1", "b:transport:exchange.-1",
+		"a:checkpoint:save.3", "b:checkpoint:save.3",
 	}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(log) != len(want) {
-		t.Fatalf("log = %v, want %v (plain member must not receive transport events)", log, want)
+		t.Fatalf("log = %v, want %v (plain member must ignore transport and checkpoint events)", log, want)
 	}
 	for i := range want {
 		if log[i] != want[i] {
@@ -121,7 +121,7 @@ func TestMultiForwardsTransportEvents(t *testing.T) {
 	}
 }
 
-// TestMultiConcurrentFanOut exercises concurrent MachineEnd/Message fan-out
+// TestMultiConcurrentFanOut exercises concurrent MachineEnd/Fault fan-out
 // through a Multi from many goroutines; run with -race it proves the
 // fan-out path adds no shared mutable state of its own.
 func TestMultiConcurrentFanOut(t *testing.T) {
@@ -140,7 +140,7 @@ func TestMultiConcurrentFanOut(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < events; i++ {
 				m.MachineEnd(trace.MachineSpan{Round: 0, Machine: g, Phase: trace.PhaseGraph})
-				m.Message(0, g, (g+1)%goroutines, i)
+				m.Fault(trace.FaultEvent{Round: 0, Machine: g, Attempt: i})
 			}
 		}(g)
 	}

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -81,122 +80,4 @@ func Quantiles(times []time.Duration) DurationQuantiles {
 		return sorted[r-1]
 	}
 	return DurationQuantiles{P50: rank(50), P95: rank(95), P99: rank(99)}
-}
-
-// SkewAnalyzer is an Observer that accumulates per-round machine spans and
-// recomputes skew statistics independently of the simulator's own
-// RoundStats — useful when only an Observer can be attached, and as a
-// cross-check in tests.
-type SkewAnalyzer struct {
-	Base
-	mu     sync.Mutex
-	open   map[int][]time.Duration // round -> machine times
-	rounds []RoundSkew
-}
-
-// RoundSkew is one analyzed round. Failures/Retries mirror the round
-// summary's fault counters: injected straggler delays inflate the skew
-// stats, and these counts attribute that inflation to the injector.
-type RoundSkew struct {
-	Round    int
-	Name     string
-	Machines int
-	Skew     SkewStats
-	Failures int
-	Retries  int
-}
-
-// NewSkewAnalyzer returns an empty analyzer.
-func NewSkewAnalyzer() *SkewAnalyzer {
-	return &SkewAnalyzer{open: make(map[int][]time.Duration)}
-}
-
-// MachineEnd records the span's execution time.
-func (a *SkewAnalyzer) MachineEnd(s MachineSpan) {
-	a.mu.Lock()
-	a.open[s.Round] = append(a.open[s.Round], s.Duration())
-	a.mu.Unlock()
-}
-
-// RoundEnd closes the round and computes its skew summary.
-func (a *SkewAnalyzer) RoundEnd(r RoundSummary) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.rounds = append(a.rounds, RoundSkew{
-		Round:    r.Round,
-		Name:     r.Name,
-		Machines: r.Machines,
-		Skew:     Summarize(a.open[r.Round]),
-		Failures: r.Failures,
-		Retries:  r.Retries,
-	})
-	delete(a.open, r.Round)
-}
-
-// Rounds returns the analyzed rounds in completion order.
-func (a *SkewAnalyzer) Rounds() []RoundSkew {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]RoundSkew(nil), a.rounds...)
-}
-
-// Collector is an Observer that records every event verbatim — the
-// simplest way to assert on the simulator's event stream in tests.
-type Collector struct {
-	mu         sync.Mutex
-	Starts     []RoundInfo
-	Spans      []MachineSpan
-	Messages   int
-	MsgWords   int64
-	Faults     []FaultEvent
-	Retries    []RetryEvent
-	Summaries  []RoundSummary
-	Transports []TransportEvent
-}
-
-func (c *Collector) RoundStart(r RoundInfo) {
-	c.mu.Lock()
-	c.Starts = append(c.Starts, r)
-	c.mu.Unlock()
-}
-
-func (c *Collector) MachineStart(round, machine, inWords int) {}
-
-func (c *Collector) MachineEnd(s MachineSpan) {
-	c.mu.Lock()
-	c.Spans = append(c.Spans, s)
-	c.mu.Unlock()
-}
-
-func (c *Collector) Message(round, from, to, words int) {
-	c.mu.Lock()
-	c.Messages++
-	c.MsgWords += int64(words)
-	c.mu.Unlock()
-}
-
-func (c *Collector) Fault(e FaultEvent) {
-	c.mu.Lock()
-	c.Faults = append(c.Faults, e)
-	c.mu.Unlock()
-}
-
-func (c *Collector) Retry(e RetryEvent) {
-	c.mu.Lock()
-	c.Retries = append(c.Retries, e)
-	c.mu.Unlock()
-}
-
-func (c *Collector) RoundEnd(r RoundSummary) {
-	c.mu.Lock()
-	c.Summaries = append(c.Summaries, r)
-	c.mu.Unlock()
-}
-
-// Transport implements TransportObserver, buffering transport-level events
-// alongside the simulator's own.
-func (c *Collector) Transport(e TransportEvent) {
-	c.mu.Lock()
-	c.Transports = append(c.Transports, e)
-	c.mu.Unlock()
 }

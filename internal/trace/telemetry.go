@@ -8,92 +8,59 @@ import (
 	"time"
 )
 
-// Telemetry is the wire form of one party's buffered trace events: the
-// payload a worker ships to the coordinator at round barriers and on job
-// completion. Every field is exported and every timestamp is an int64
-// nanosecond value so the struct travels through internal/transport's
-// reflection codec unchanged (time.Time does not).
-//
-// Timestamps are in the *producing party's* clock. OffsetNs is the
-// party's estimate of (coordinator clock - local clock), computed at
-// handshake time from the hello/welcome round trip (NTP-style midpoint);
-// adding it to any timestamp rebases the event onto the coordinator's
-// timeline. The coordinator's own telemetry has OffsetNs == 0.
-//
-// Telemetry is strictly out-of-band: nothing in it feeds a deterministic
-// model counter, and a run's results are bit-identical whether or not it
-// is collected or shipped.
-type Telemetry struct {
-	Party    int
-	OffsetNs int64
-	Spans    []TeleSpan
-	Rounds   []TeleRound
-	Faults   []TeleFault
-	Events   []TeleTransport
-}
+// EventKind says which observer event an Event records.
+type EventKind uint8
 
-// TeleSpan is a MachineSpan flattened for the wire.
-type TeleSpan struct {
-	Round    int
-	Machine  int
-	Name     string
-	Phase    string
-	StartNs  int64
-	EndNs    int64
-	QueueNs  int64
-	Ops      int64
-	InWords  int
-	OutWords int
-	Sends    int
-	Fanout   int
-}
+const (
+	KindSpan       EventKind = iota + 1 // a machine's execution (MachineSpan)
+	KindRound                           // a round's summary (RoundSummary)
+	KindFault                           // an injected fault (FaultEvent)
+	KindRetry                           // a machine replay (RetryEvent)
+	KindTransport                       // a transport occurrence (TransportEvent)
+	KindCheckpoint                      // a durability action (CheckpointEvent)
+)
 
-// TeleRound is a RoundSummary flattened for the wire. StartNs/EndNs are 0
-// when no machine ran (pre-flight failure).
-type TeleRound struct {
-	Round     int
+// Event is one record of the event log. It is flat — every field
+// exported, every time an int64 of Unix nanoseconds with 0 for "none" —
+// so batches of events travel through internal/transport's reflection
+// codec unchanged (time.Time does not). The fields each kind uses:
+//
+//	KindSpan         Round Machine Name Phase StartNs EndNs QueueNs Ops
+//	                 InWords OutWords Sends Fanout
+//	KindRound        Round Name Phase StartNs EndNs QueueNs Ops Words
+//	                 Machines Failures Retries Straggler; Detail = error
+//	KindFault/Retry  Round Machine Name Phase StartNs; Seq = attempt,
+//	                 Detail = fault kind
+//	KindTransport    Peer Seq Machines StartNs; Words = bytes on the
+//	                 wire, QueueNs = heartbeat RTT p99 (peer-stats only),
+//	                 Detail = transport kind
+//	KindCheckpoint   Round Name Phase StartNs; Seq = step, Detail = kind
+//
+// StartNs is the instant's time for the kinds without a duration.
+type Event struct {
 	Name      string
-	Phase     string
-	Machines  int
+	Phase     Phase
+	Detail    string
 	StartNs   int64
 	EndNs     int64
-	QueueNs   int64
-	TotalOps  int64
-	CommWords int64
-	Failures  int
-	Retries   int
-	Err       string
+	QueueNs   int64 // slot wait: a machine's own, a round's sum
+	Ops       int64 // a machine's ops, a round's total
+	Words     int64 // a round's communication words, a transport event's wire bytes
+	Straggler float64
+	Party     int32 // the party whose process logged the event (0 = the coordinator)
+	Round     int32
+	Machine   int32
+	Peer      int32 // the remote party of a transport event (0 = the coordinator, -1 = none)
+	Seq       int32
+	InWords   int32
+	OutWords  int32
+	Sends     int32
+	Fanout    int32
+	Machines  int32
+	Failures  int32
+	Retries   int32
+	Kind      EventKind
 }
-
-// TeleFault is a FaultEvent or RetryEvent flattened for the wire; Retry
-// distinguishes the two (a retry's Kind is the fault being recovered).
-type TeleFault struct {
-	Round   int
-	Machine int
-	Name    string
-	Phase   string
-	Kind    string
-	Attempt int
-	Retry   bool
-	AtNs    int64
-}
-
-// TeleTransport is a TransportEvent flattened for the wire, plus the
-// synthetic "peer-stats" events the coordinator emits at job end (RTTNs
-// carries the heartbeat RTT p99 for those).
-type TeleTransport struct {
-	Kind  string
-	Party int
-	Seq   int
-	IDs   int
-	Bytes int64
-	RTTNs int64
-	AtNs  int64
-}
-
-// TransportPeerStats is the Kind of the synthetic per-peer counter events
-// synthesized into the transport lane of a merged cluster trace.
-const TransportPeerStats = "peer-stats"
 
 func nsOf(t time.Time) int64 {
 	if t.IsZero() {
@@ -102,77 +69,72 @@ func nsOf(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// DrainTelemetry moves the collector's buffered events into a wire
-// Telemetry and clears them, so successive drains ship disjoint batches.
-// Spans marked Remote are skipped (they are another party's work, replayed
-// locally; that party ships them itself). The second result is false when
-// there was nothing to ship. Party and OffsetNs are left zero — the
-// transport stamps them at send time.
-func (c *Collector) DrainTelemetry() (Telemetry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var t Telemetry
-	for _, s := range c.Spans {
-		if s.Remote {
-			continue
-		}
-		t.Spans = append(t.Spans, TeleSpan{
-			Round: s.Round, Machine: s.Machine, Name: s.Name, Phase: string(s.Phase),
-			StartNs: nsOf(s.Start), EndNs: nsOf(s.End), QueueNs: int64(s.QueueWait),
-			Ops: s.Ops, InWords: s.InWords, OutWords: s.OutWords,
-			Sends: s.Sends, Fanout: s.Fanout,
-		})
-	}
-	for _, r := range c.Summaries {
-		t.Rounds = append(t.Rounds, TeleRound{
-			Round: r.Round, Name: r.Name, Phase: string(r.Phase), Machines: r.Machines,
-			StartNs: nsOf(r.Start), EndNs: nsOf(r.End), QueueNs: int64(r.QueueWait),
-			TotalOps: r.TotalOps, CommWords: r.CommWords,
-			Failures: r.Failures, Retries: r.Retries, Err: r.Err,
-		})
-	}
-	for _, f := range c.Faults {
-		t.Faults = append(t.Faults, TeleFault{
-			Round: f.Round, Machine: f.Machine, Name: f.Name, Phase: string(f.Phase),
-			Kind: string(f.Kind), Attempt: f.Attempt, AtNs: nsOf(f.At),
-		})
-	}
-	for _, r := range c.Retries {
-		t.Faults = append(t.Faults, TeleFault{
-			Round: r.Round, Machine: r.Machine, Name: r.Name, Phase: string(r.Phase),
-			Kind: string(r.Kind), Attempt: r.Attempt, Retry: true, AtNs: nsOf(r.At),
-		})
-	}
-	for _, e := range c.Transports {
-		t.Events = append(t.Events, TeleTransport{
-			Kind: e.Kind, Party: e.Party, Seq: e.Seq, IDs: e.IDs, Bytes: e.Bytes,
-			AtNs: nsOf(e.At),
-		})
-	}
-	c.Spans, c.Summaries, c.Faults, c.Retries, c.Transports = nil, nil, nil, nil, nil
-	empty := len(t.Spans) == 0 && len(t.Rounds) == 0 && len(t.Faults) == 0 && len(t.Events) == 0
-	return t, !empty
+func spanEvent(s MachineSpan) Event {
+	return Event{Kind: KindSpan, Round: int32(s.Round), Machine: int32(s.Machine), Name: s.Name,
+		Phase: s.Phase, StartNs: nsOf(s.Start), EndNs: nsOf(s.End), QueueNs: int64(s.QueueWait),
+		Ops: s.Ops, InWords: int32(s.InWords), OutWords: int32(s.OutWords),
+		Sends: int32(s.Sends), Fanout: int32(s.Fanout)}
+}
+
+func roundEvent(r RoundSummary) Event {
+	return Event{Kind: KindRound, Round: int32(r.Round), Name: r.Name, Phase: r.Phase,
+		Machines: int32(r.Machines), StartNs: nsOf(r.Start), EndNs: nsOf(r.End),
+		QueueNs: int64(r.QueueWait), Ops: r.TotalOps, Words: r.CommWords,
+		Failures: int32(r.Failures), Retries: int32(r.Retries), Straggler: r.Skew.Straggler,
+		Detail: r.Err}
+}
+
+// faultEvent records a fault, or (kind KindRetry) a RetryEvent, whose
+// fields are the same.
+func faultEvent(kind EventKind, e FaultEvent) Event {
+	return Event{Kind: kind, Round: int32(e.Round), Name: e.Name, Phase: e.Phase,
+		Machine: int32(e.Machine), Detail: string(e.Kind), Seq: int32(e.Attempt), StartNs: nsOf(e.At)}
+}
+
+func transportEvent(e TransportEvent) Event {
+	return Event{Kind: KindTransport, Detail: e.Kind, Peer: int32(e.Party), Seq: int32(e.Seq),
+		Machines: int32(e.IDs), Words: e.Bytes, StartNs: nsOf(e.At)}
+}
+
+func checkpointEvent(e CheckpointEvent) Event {
+	return Event{Kind: KindCheckpoint, Round: int32(e.Round), Name: e.Name, Phase: e.Phase,
+		Detail: e.Kind, Seq: int32(e.Step), StartNs: nsOf(e.At)}
+}
+
+// Telemetry is a batch of one party's events: what a worker ships to the
+// coordinator at round barriers and on job completion, and what a Log
+// hands the renderer, one batch per party.
+//
+// Timestamps are in the producing party's clock. OffsetNs is the party's
+// estimate of (coordinator clock - local clock), computed at handshake
+// time from the hello/welcome round trip (NTP-style midpoint); adding it
+// to any timestamp rebases the event onto the coordinator's timeline.
+// A Log rebases batches as it ingests them, so the batches it returns
+// have OffsetNs == 0.
+//
+// Telemetry is strictly out-of-band: nothing in it feeds a deterministic
+// model counter, and a run's results are bit-identical whether or not it
+// is collected or shipped.
+type Telemetry struct {
+	Party    int
+	OffsetNs int64
+	Events   []Event
 }
 
 // MergeTelemetry coalesces batches by party: a worker that flushed at
-// several round barriers produced several Telemetry values, which merge
-// into one per party (slices append in arrival order; the first batch's
-// OffsetNs wins — the offset is a per-handshake constant). The result is
-// sorted by party.
+// several round barriers produced several batches, which merge into one
+// per party in arrival order (the first batch's OffsetNs wins — the
+// offset is a per-handshake constant). The result is sorted by party.
 func MergeTelemetry(batches []Telemetry) []Telemetry {
 	byParty := map[int]*Telemetry{}
 	var order []int
 	for _, b := range batches {
 		m, ok := byParty[b.Party]
 		if !ok {
-			cp := Telemetry{Party: b.Party, OffsetNs: b.OffsetNs}
-			byParty[b.Party] = &cp
-			m = &cp
+			m = &Telemetry{Party: b.Party, OffsetNs: b.OffsetNs}
+			byParty[b.Party] = m
 			order = append(order, b.Party)
 		}
-		m.Spans = append(m.Spans, b.Spans...)
-		m.Rounds = append(m.Rounds, b.Rounds...)
-		m.Faults = append(m.Faults, b.Faults...)
 		m.Events = append(m.Events, b.Events...)
 	}
 	sort.Ints(order)
@@ -183,19 +145,43 @@ func MergeTelemetry(batches []Telemetry) []Telemetry {
 	return out
 }
 
-// ClusterTrace is a merged multi-process Chrome trace assembled from the
-// telemetry of every party in a distributed run. Build it with
-// BuildClusterTrace; it renders like Chrome (JSON / WriteTo).
+// ClusterTrace is a Chrome trace-event file (the format Perfetto and
+// chrome://tracing load) rendered from per-party telemetry by
+// BuildClusterTrace. Every trace the repo writes has this one format.
 type ClusterTrace struct {
 	file chromeFile
 }
 
-// BuildClusterTrace merges per-party telemetry into one Chrome trace-event
+// chromeEvent is one trace event in Chrome's JSON schema. Cat carries the
+// round's paper phase as the event category, so Perfetto's category filter
+// isolates one phase across every machine track.
+type chromeEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat,omitempty"`
+	Ph   string         `json:"ph"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Ts   float64        `json:"ts"`            // microseconds since trace epoch
+	Dur  float64        `json:"dur,omitempty"` // microseconds
+	Args map[string]any `json:"args,omitempty"`
+}
+
+type chromeFile struct {
+	TraceEvents     []chromeEvent `json:"traceEvents"`
+	DisplayTimeUnit string        `json:"displayTimeUnit"`
+}
+
+// roundsTrack is the tid of a party's round track; machine m renders on
+// tid m+1 so machine ids (which start at 0) never collide with it.
+const roundsTrack = 0
+
+// BuildClusterTrace renders per-party telemetry as one Chrome trace-event
 // file: one process lane per party (pid = party index; party 0 is the
-// coordinator), with the familiar per-process layout — tid 0 is the rounds
-// track, machine m is tid m+1, faults and retries are instants — plus one
-// extra "transport" process lane holding the coordinator's wire-level
-// events on one track per peer.
+// coordinator, and a local run is a cluster of that one party). Within a
+// lane, tid 0 is the rounds track (round spans and checkpoint instants)
+// and machine m is tid m+1 (machine spans, fault and retry instants). One
+// extra "transport" lane holds the wire-level events on one track per
+// peer link, plus a session track for events not tied to a peer.
 //
 // Every timestamp is rebased onto the coordinator's clock via the party's
 // OffsetNs before the common epoch (the earliest rebased event) is
@@ -208,40 +194,16 @@ func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
 	// Epoch: the earliest rebased timestamp across every party.
 	var epoch int64
 	seenAny := false
-	observe := func(ns, off int64) {
-		if ns == 0 {
-			return
-		}
-		if v := ns + off; !seenAny || v < epoch {
-			epoch, seenAny = v, true
-		}
-	}
 	maxParty := 0
 	for _, p := range parties {
-		if p.Party > maxParty {
-			maxParty = p.Party
-		}
-		for _, s := range p.Spans {
-			observe(s.StartNs, p.OffsetNs)
-		}
-		for _, r := range p.Rounds {
-			observe(r.StartNs, p.OffsetNs)
-		}
-		for _, f := range p.Faults {
-			observe(f.AtNs, p.OffsetNs)
-		}
+		maxParty = max(maxParty, p.Party)
 		for _, e := range p.Events {
-			observe(e.AtNs, p.OffsetNs)
+			if v := e.StartNs + p.OffsetNs; e.StartNs != 0 && (!seenAny || v < epoch) {
+				epoch, seenAny = v, true
+			}
 		}
 	}
 	transportPid := maxParty + 1
-
-	us := func(ns, off int64) float64 {
-		if ns == 0 {
-			return 0
-		}
-		return float64(ns+off-epoch) / 1e3
-	}
 
 	type track struct{ pid, tid int }
 	seen := map[track]bool{}
@@ -266,108 +228,62 @@ func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
 		events = append(events, chromeEvent{Name: "process_name", Ph: "M", Pid: pid,
 			Args: map[string]any{"name": name}})
 	}
-	partyName := func(p int) string {
-		if p == 0 {
-			return "coordinator (party 0)"
-		}
-		return "worker (party " + strconv.Itoa(p) + ")"
-	}
 
 	for _, p := range parties {
 		pid, off := p.Party, p.OffsetNs
-		proc(pid, partyName(p.Party))
-		for _, r := range p.Rounds {
-			meta(pid, roundsTrack, "rounds")
-			args := map[string]any{
-				"round":     r.Round,
-				"phase":     r.Phase,
-				"machines":  r.Machines,
-				"totalOps":  r.TotalOps,
-				"commWords": r.CommWords,
-				"party":     p.Party,
+		us := func(ns int64) float64 {
+			if ns == 0 {
+				return 0
 			}
-			if r.Failures > 0 {
-				args["failures"] = r.Failures
-			}
-			if r.Retries > 0 {
-				args["retries"] = r.Retries
-			}
-			if r.Err != "" {
-				args["error"] = r.Err
-			}
-			ev := chromeEvent{Name: r.Name, Cat: r.Phase, Ph: "X", Pid: pid, Tid: roundsTrack,
-				Ts: us(r.StartNs, off), Dur: float64(r.EndNs-r.StartNs) / 1e3, Args: args}
-			if r.StartNs == 0 || r.EndNs < r.StartNs {
-				// No machine ran (pre-flight failure), or the round is still
-				// open (a flight-recorder dump taken mid-round): an instant
-				// keeps it visible without a negative duration.
-				ev.Ph, ev.Dur = "i", 0
-			}
-			events = append(events, ev)
+			return float64(ns+off-epoch) / 1e3
 		}
-		for _, s := range p.Spans {
-			meta(pid, s.Machine+1, "machine "+strconv.Itoa(s.Machine))
-			events = append(events, chromeEvent{
-				Name: s.Name, Cat: s.Phase, Ph: "X", Pid: pid, Tid: s.Machine + 1,
-				Ts: us(s.StartNs, off), Dur: float64(s.EndNs-s.StartNs) / 1e3,
-				Args: map[string]any{
-					"round":       s.Round,
-					"phase":       s.Phase,
-					"ops":         s.Ops,
-					"inWords":     s.InWords,
-					"outWords":    s.OutWords,
-					"sends":       s.Sends,
-					"fanout":      s.Fanout,
-					"queueWaitUs": s.QueueNs / 1e3,
-					"party":       p.Party,
-				},
-			})
-		}
-		for _, f := range p.Faults {
-			meta(pid, f.Machine+1, "machine "+strconv.Itoa(f.Machine))
-			name := EventFault
-			if f.Retry {
-				name = EventRetry
-			}
-			events = append(events, chromeEvent{
-				Name: name, Cat: "fault", Ph: "i", Pid: pid, Tid: f.Machine + 1,
-				Ts: us(f.AtNs, off), Args: map[string]any{
-					"round":   f.Round,
-					"kind":    f.Kind,
-					"attempt": f.Attempt,
-				},
-			})
+		if pid == 0 {
+			proc(pid, "coordinator (party 0)")
+		} else {
+			proc(pid, "worker (party "+strconv.Itoa(pid)+")")
 		}
 		for _, e := range p.Events {
-			// Transport events render on the dedicated transport lane: one
-			// track per remote peer, plus a session track for events not
-			// tied to a peer.
-			tid := 0
-			tname := "session"
-			if e.Party > 0 {
-				tid = e.Party
-				tname = "peer " + strconv.Itoa(e.Party)
+			ev := chromeEvent{Name: e.Name, Cat: string(e.Phase), Ph: "i", Pid: pid,
+				Tid: int(e.Machine) + 1, Ts: us(e.StartNs)}
+			switch e.Kind {
+			case KindRound:
+				ev.Tid, ev.Args = roundsTrack, roundArgs(e, pid)
+				if e.StartNs != 0 && e.EndNs >= e.StartNs {
+					ev.Ph, ev.Dur = "X", float64(e.EndNs-e.StartNs)/1e3
+				}
+				// Otherwise no machine ran (pre-flight failure), or the
+				// round is still open (a flight dump taken mid-round): an
+				// instant keeps it visible without a negative duration.
+			case KindSpan:
+				ev.Ph, ev.Dur = "X", float64(e.EndNs-e.StartNs)/1e3
+				ev.Args = map[string]any{
+					"round":       e.Round,
+					"phase":       string(e.Phase),
+					"ops":         e.Ops,
+					"inWords":     e.InWords,
+					"outWords":    e.OutWords,
+					"sends":       e.Sends,
+					"fanout":      e.Fanout,
+					"queueWaitUs": e.QueueNs / 1e3,
+					"party":       pid,
+				}
+			case KindFault, KindRetry:
+				ev.Name, ev.Cat = EventFault, "fault"
+				if e.Kind == KindRetry {
+					ev.Name = EventRetry
+				}
+				ev.Args = map[string]any{"round": e.Round, "kind": e.Detail, "attempt": e.Seq}
+			case KindCheckpoint:
+				ev.Tid, ev.Name, ev.Cat = roundsTrack, "checkpoint", "checkpoint"
+				ev.Args = map[string]any{"round": e.Round, "kind": e.Detail, "step": e.Seq}
+			case KindTransport:
+				ev = transportChromeEvent(e, pid, transportPid, us(e.StartNs))
+				proc(transportPid, "transport")
+			default:
+				continue
 			}
-			proc(transportPid, "transport")
-			meta(transportPid, tid, tname)
-			args := map[string]any{
-				"kind":  e.Kind,
-				"party": e.Party,
-				"bytes": e.Bytes,
-			}
-			if e.Seq > 0 {
-				args["seq"] = e.Seq
-			}
-			if e.IDs > 0 {
-				args["machines"] = e.IDs
-			}
-			if e.RTTNs > 0 {
-				args["rttP99Us"] = e.RTTNs / 1e3
-			}
-			events = append(events, chromeEvent{
-				Name: e.Kind, Cat: "transport", Ph: "i", Pid: transportPid, Tid: tid,
-				Ts: us(e.AtNs, off), Args: args,
-			})
+			meta(ev.Pid, ev.Tid, trackName(ev, transportPid))
+			events = append(events, ev)
 		}
 	}
 
@@ -376,6 +292,7 @@ func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
 		if a.Pid != b.Pid {
 			return a.Pid < b.Pid
 		}
+		// Metadata first within a process.
 		am, bm := a.Ph == "M", b.Ph == "M"
 		if am != bm {
 			return am
@@ -391,13 +308,74 @@ func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
 	return &ClusterTrace{file: chromeFile{TraceEvents: events, DisplayTimeUnit: "ms"}}
 }
 
-// Events reports how many events the merged trace holds, metadata included.
+// roundArgs are a round span's args. Fault counters and the error appear
+// only when set, so fault-free traces carry none of them.
+func roundArgs(e Event, party int) map[string]any {
+	args := map[string]any{
+		"round":       e.Round,
+		"phase":       string(e.Phase),
+		"machines":    e.Machines,
+		"totalOps":    e.Ops,
+		"commWords":   e.Words,
+		"queueWaitUs": e.QueueNs / 1e3,
+		"straggler":   e.Straggler,
+		"party":       party,
+	}
+	if e.Failures > 0 {
+		args["failures"] = e.Failures
+	}
+	if e.Retries > 0 {
+		args["retries"] = e.Retries
+	}
+	if e.Detail != "" {
+		args["error"] = e.Detail
+	}
+	return args
+}
+
+// transportChromeEvent renders a transport event on the transport lane.
+// The coordinator's events go on their peer's track (the session track
+// when no peer is involved); a worker's own events go on its link's
+// track, since its only peer is the coordinator.
+func transportChromeEvent(e Event, party, pid int, ts float64) chromeEvent {
+	tid := max(int(e.Peer), 0)
+	if party != 0 {
+		tid = party
+	}
+	args := map[string]any{"kind": e.Detail, "party": e.Peer, "bytes": e.Words}
+	if e.Seq > 0 {
+		args["seq"] = e.Seq
+	}
+	if e.Machines > 0 {
+		args["machines"] = e.Machines
+	}
+	if e.QueueNs > 0 {
+		args["rttP99Us"] = e.QueueNs / 1e3
+	}
+	return chromeEvent{Name: e.Detail, Cat: "transport", Ph: "i", Pid: pid, Tid: tid, Ts: ts, Args: args}
+}
+
+// trackName names the track an event renders on.
+func trackName(ev chromeEvent, transportPid int) string {
+	switch {
+	case ev.Pid == transportPid && ev.Tid == 0:
+		return "session"
+	case ev.Pid == transportPid:
+		return "peer " + strconv.Itoa(ev.Tid)
+	case ev.Tid == roundsTrack:
+		return "rounds"
+	}
+	return "machine " + strconv.Itoa(ev.Tid-1)
+}
+
+// Events reports how many events the trace holds, metadata included.
 func (t *ClusterTrace) Events() int { return len(t.file.TraceEvents) }
 
-// JSON renders the merged trace as a Chrome trace-event file.
+// JSON renders the trace as a Chrome trace-event file.
 func (t *ClusterTrace) JSON() ([]byte, error) { return json.Marshal(t.file) }
 
-// WriteTo writes the merged trace to w (indented, like Chrome.WriteTo).
+// WriteTo writes the trace to w, indented, since the files are meant to
+// be opened and occasionally read by humans.
 func (t *ClusterTrace) WriteTo(w io.Writer) (int64, error) {
 	buf, err := json.MarshalIndent(t.file, "", " ")
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -18,56 +19,58 @@ import (
 // timestamp is a fixed literal, so the merged trace is byte-stable.
 func syntheticCluster() []trace.Telemetry {
 	const base = int64(1_700_000_000_000_000_000) // coordinator clock
-	span := func(round, machine int, start, dur int64, ops int64) trace.TeleSpan {
-		return trace.TeleSpan{
-			Round: round, Machine: machine, Name: "candidates", Phase: string(trace.PhaseCandidates),
-			StartNs: start, EndNs: start + dur, Ops: ops, OutWords: 8, Sends: 2, Fanout: 2,
+	span := func(round, machine int, start, dur int64, ops int64) trace.Event {
+		return trace.Event{
+			Kind: trace.KindSpan, Round: int32(round), Machine: int32(machine), Name: "candidates",
+			Phase: trace.PhaseCandidates, StartNs: start, EndNs: start + dur, Ops: ops,
+			OutWords: 8, Sends: 2, Fanout: 2,
 		}
 	}
-	rnd := func(round int, start, dur int64, machines int) trace.TeleRound {
-		return trace.TeleRound{
-			Round: round, Name: "candidates", Phase: string(trace.PhaseCandidates),
-			Machines: machines, StartNs: start, EndNs: start + dur,
-			TotalOps: 100, CommWords: 32,
-		}
+	transport := func(kind string, peer, seq, machines int, bytes, at int64) trace.Event {
+		return trace.Event{Kind: trace.KindTransport, Detail: kind, Peer: int32(peer), Seq: int32(seq),
+			Machines: int32(machines), Words: bytes, StartNs: at}
 	}
 
 	coord := trace.Telemetry{
 		Party: 0, OffsetNs: 0,
-		Spans:  []trace.TeleSpan{span(0, 0, base+1_000_000, 400_000, 10)},
-		Rounds: []trace.TeleRound{rnd(0, base+900_000, 2_600_000, 4)},
-		Events: []trace.TeleTransport{
-			{Kind: trace.TransportHandshake, Party: -1, AtNs: base},
-			{Kind: trace.TransportExchange, Party: -1, Seq: 1, Bytes: 4096, AtNs: base + 3_600_000},
-			{Kind: trace.TransportPeerLost, Party: 3, Seq: 1, AtNs: base + 2_000_000},
-			{Kind: trace.TransportReassign, Party: 3, Seq: 1, IDs: 1, Bytes: 2048, AtNs: base + 2_100_000},
-			{Kind: trace.TransportPeerStats, Party: 1, Bytes: 9000, RTTNs: 300_000, AtNs: base + 4_000_000},
+		Events: []trace.Event{
+			span(0, 0, base+1_000_000, 400_000, 10),
+			{Kind: trace.KindRound, Round: 0, Name: "candidates", Phase: trace.PhaseCandidates,
+				Machines: 4, StartNs: base + 900_000, EndNs: base + 3_500_000, Ops: 100, Words: 32},
+			transport(trace.TransportHandshake, -1, 0, 0, 0, base),
+			transport(trace.TransportExchange, -1, 1, 0, 4096, base+3_600_000),
+			transport(trace.TransportPeerLost, 3, 1, 0, 0, base+2_000_000),
+			transport(trace.TransportReassign, 3, 1, 1, 2048, base+2_100_000),
 		},
 	}
+	// The session's closing peer-stats instant carries the RTT p99.
+	stats := transport(trace.TransportPeerStats, 1, 0, 0, 9000, base+4_000_000)
+	stats.QueueNs = 300_000
+	coord.Events = append(coord.Events, stats)
 	// Worker 1's clock runs 5ms behind the coordinator: its raw stamps are
 	// small, and OffsetNs = +5ms rebases them.
 	w1 := trace.Telemetry{
 		Party: 1, OffsetNs: 5_000_000,
-		Spans: []trace.TeleSpan{span(0, 1, base-5_000_000+1_100_000, 500_000, 20)},
-		Faults: []trace.TeleFault{{
-			Round: 0, Machine: 1, Name: "candidates", Phase: string(trace.PhaseCandidates),
-			Kind: "crash-after", Attempt: 1, AtNs: base - 5_000_000 + 1_300_000,
-		}},
+		Events: []trace.Event{
+			span(0, 1, base-5_000_000+1_100_000, 500_000, 20),
+			{Kind: trace.KindFault, Round: 0, Machine: 1, Name: "candidates", Phase: trace.PhaseCandidates,
+				Detail: "crash-after", Seq: 1, StartNs: base - 5_000_000 + 1_300_000},
+		},
 	}
 	// Worker 2 runs 7ms ahead; OffsetNs is negative. Its two batches (two
 	// round barriers) must merge into one lane.
 	w2a := trace.Telemetry{
 		Party: 2, OffsetNs: -7_000_000,
-		Spans: []trace.TeleSpan{span(0, 2, base+7_000_000+1_050_000, 450_000, 30)},
+		Events: []trace.Event{span(0, 2, base+7_000_000+1_050_000, 450_000, 30)},
 	}
 	w2b := trace.Telemetry{
 		Party: 2, OffsetNs: -7_000_000,
-		Spans: []trace.TeleSpan{span(1, 2, base+7_000_000+5_000_000, 300_000, 15)},
+		Events: []trace.Event{span(1, 2, base+7_000_000+5_000_000, 300_000, 15)},
 	}
 	// Worker 3 died mid-round: only its pre-death span arrived.
 	w3 := trace.Telemetry{
 		Party: 3, OffsetNs: 2_000_000,
-		Spans: []trace.TeleSpan{span(0, 3, base-2_000_000+1_200_000, 300_000, 5)},
+		Events: []trace.Event{span(0, 3, base-2_000_000+1_200_000, 300_000, 5)},
 	}
 	return []trace.Telemetry{coord, w1, w2a, w2b, w3}
 }
@@ -176,55 +179,63 @@ func TestClusterTraceStructure(t *testing.T) {
 	}
 }
 
-// TestDrainTelemetry checks the collector-to-wire conversion: remote spans
-// are skipped (their owning party ships them itself), retries are tagged,
-// and draining empties the collector so successive drains ship disjoint
-// batches.
+// TestDrainTelemetry checks the log-to-wire path of a worker: remote
+// spans are skipped (their owning party ships them itself), retries are
+// tagged, and successive drains ship disjoint batches.
 func TestDrainTelemetry(t *testing.T) {
 	now := time.Now()
-	c := &trace.Collector{}
-	c.MachineEnd(trace.MachineSpan{Round: 0, Machine: 1, Name: "r", Start: now, End: now.Add(time.Millisecond), Ops: 5})
-	c.MachineEnd(trace.MachineSpan{Round: 0, Machine: 2, Name: "r", Remote: true, Ops: 7})
-	c.RoundEnd(trace.RoundSummary{Round: 0, Name: "r", Machines: 2, TotalOps: 12})
-	c.Fault(trace.FaultEvent{Round: 0, Machine: 1, Kind: "crash-after", At: now})
-	c.Retry(trace.RetryEvent{Round: 0, Machine: 1, Kind: "crash", Attempt: 2, At: now})
-	c.Transport(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1, Seq: 1, Bytes: 64, At: now})
+	l := trace.NewLog()
+	l.MachineEnd(trace.MachineSpan{Round: 0, Machine: 1, Name: "r", Start: now, End: now.Add(time.Millisecond), Ops: 5})
+	l.MachineEnd(trace.MachineSpan{Round: 0, Machine: 2, Name: "r", Remote: true, Ops: 7})
+	l.RoundEnd(trace.RoundSummary{Round: 0, Name: "r", Machines: 2, TotalOps: 12})
+	l.Fault(trace.FaultEvent{Round: 0, Machine: 1, Kind: "crash-after", At: now})
+	l.Retry(trace.RetryEvent{Round: 0, Machine: 1, Kind: "crash", Attempt: 2, At: now})
+	l.Transport(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1, Seq: 1, Bytes: 64, At: now})
 
-	tel, ok := c.DrainTelemetry()
+	tel, ok := l.Drain()
 	if !ok {
 		t.Fatal("drain reported empty")
 	}
-	if len(tel.Spans) != 1 || tel.Spans[0].Machine != 1 {
-		t.Errorf("spans = %+v, want only the local machine-1 span (remote skipped)", tel.Spans)
+	var kinds []trace.EventKind
+	for _, e := range tel.Events {
+		kinds = append(kinds, e.Kind)
 	}
-	if len(tel.Rounds) != 1 || tel.Rounds[0].TotalOps != 12 {
-		t.Errorf("rounds = %+v", tel.Rounds)
+	want := []trace.EventKind{trace.KindSpan, trace.KindRound, trace.KindFault, trace.KindRetry, trace.KindTransport}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("drained kinds %v, want %v (remote span skipped)", kinds, want)
 	}
-	if len(tel.Faults) != 2 {
-		t.Fatalf("faults = %+v, want fault + retry", tel.Faults)
+	if e := tel.Events[0]; e.Machine != 1 || e.Ops != 5 {
+		t.Errorf("span = %+v, want the local machine-1 span", e)
 	}
-	if tel.Faults[0].Retry || !tel.Faults[1].Retry {
-		t.Errorf("retry tagging wrong: %+v", tel.Faults)
+	if e := tel.Events[1]; e.Ops != 12 {
+		t.Errorf("round = %+v", e)
 	}
-	if len(tel.Events) != 1 || tel.Events[0].Kind != trace.TransportExchange {
-		t.Errorf("events = %+v", tel.Events)
+	if e := tel.Events[3]; e.Seq != 2 || e.Detail != "crash" {
+		t.Errorf("retry = %+v, want attempt 2 of kind crash", e)
 	}
-	if _, ok := c.DrainTelemetry(); ok {
+	if e := tel.Events[4]; e.Detail != trace.TransportExchange || e.Words != 64 {
+		t.Errorf("transport = %+v", e)
+	}
+	if _, ok := l.Drain(); ok {
 		t.Error("second drain not empty")
+	}
+	l.RoundEnd(trace.RoundSummary{Round: 1})
+	if tel, _ := l.Drain(); len(tel.Events) != 1 || tel.Events[0].Round != 1 {
+		t.Errorf("third drain = %+v, want only round 1", tel.Events)
 	}
 }
 
 func TestMergeTelemetry(t *testing.T) {
 	got := trace.MergeTelemetry([]trace.Telemetry{
-		{Party: 2, OffsetNs: 9, Spans: []trace.TeleSpan{{Round: 0}}},
-		{Party: 1, OffsetNs: 4, Rounds: []trace.TeleRound{{Round: 0}}},
-		{Party: 2, OffsetNs: 9, Spans: []trace.TeleSpan{{Round: 1}}},
+		{Party: 2, OffsetNs: 9, Events: []trace.Event{{Kind: trace.KindSpan, Round: 0}}},
+		{Party: 1, OffsetNs: 4, Events: []trace.Event{{Kind: trace.KindRound, Round: 0}}},
+		{Party: 2, OffsetNs: 9, Events: []trace.Event{{Kind: trace.KindSpan, Round: 1}}},
 	})
 	if len(got) != 2 || got[0].Party != 1 || got[1].Party != 2 {
 		t.Fatalf("merged = %+v, want parties [1 2]", got)
 	}
-	if len(got[1].Spans) != 2 || got[1].Spans[0].Round != 0 || got[1].Spans[1].Round != 1 {
-		t.Errorf("party 2 batches not merged in order: %+v", got[1].Spans)
+	if len(got[1].Events) != 2 || got[1].Events[0].Round != 0 || got[1].Events[1].Round != 1 {
+		t.Errorf("party 2 batches not merged in order: %+v", got[1].Events)
 	}
 	if got[1].OffsetNs != 9 {
 		t.Errorf("OffsetNs = %d, want 9", got[1].OffsetNs)

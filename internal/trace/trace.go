@@ -1,8 +1,10 @@
 // Package trace defines the observability layer of the MPC simulator: an
-// Observer interface that internal/mpc invokes from Cluster.Run, plus the
-// built-in observers — a Chrome trace-event (Perfetto-compatible) exporter
-// that renders a simulation as a timeline with one track per simulated
-// machine, and a skew analyzer quantifying straggler effects.
+// Observer interface that internal/mpc invokes from Cluster.Run, and one
+// event log per process that every view of a run reads — the Chrome
+// trace-event (Perfetto-compatible) export with one track per simulated
+// machine, telemetry shipping between the parties of a distributed run,
+// the always-on flight recorder's dumps and live stats, and the rolling
+// round-latency quantiles.
 //
 // The quantities observed here are exactly the ones the paper's Table 1 is
 // stated in, resolved to per-machine granularity: a MachineSpan carries the
@@ -12,9 +14,9 @@
 // becomes visible per round instead of only as an end-of-run aggregate.
 //
 // Observers may be invoked concurrently from the goroutines simulating
-// machines; implementations must be safe for concurrent use. The built-in
-// observers lock internally. A nil Observer on mpc.Config costs one nil
-// check per event site (benchmarked in internal/mpc).
+// machines; implementations must be safe for concurrent use. The Log locks
+// internally. A nil Observer on mpc.Config costs one nil check per event
+// site (benchmarked in internal/mpc).
 package trace
 
 import "time"
@@ -51,7 +53,7 @@ type MachineSpan struct {
 	Fanout int
 	// Remote marks a span replayed from another party's execution record
 	// on a distributed run (its timestamps were rebased onto this party's
-	// clock). Telemetry shipping skips remote spans so each party reports
+	// clock). The Log skips remote spans, so each party logs — and ships —
 	// only the machines it executed itself.
 	Remote bool
 }
@@ -97,7 +99,7 @@ const (
 )
 
 // EventFault and EventRetry are the trace-event names fault and recovery
-// events render under (e.g. in the Chrome exporter's timeline).
+// events render under on a machine's track.
 const (
 	EventFault = "fault"
 	EventRetry = "retry"
@@ -127,34 +129,86 @@ type RetryEvent struct {
 	At      time.Time
 }
 
-// Observer receives the simulator's execution events. RoundStart and
-// RoundEnd are invoked from the driving goroutine; MachineStart,
-// MachineEnd, Message, Fault, and Retry are invoked concurrently from the
-// machine goroutines, so implementations must be safe for concurrent use.
+// Transport event kinds (TransportEvent.Kind).
+const (
+	TransportHandshake = "handshake"     // session established: all workers registered
+	TransportPeerLost  = "peer-lost"     // a peer was permanently evicted (conn error past grace, corrupt burst)
+	TransportSuspect   = "peer-suspect"  // a peer's connection failed; its slot is held for rejoin
+	TransportReconnect = "reconnect"     // a peer redialed and resumed its session slot
+	TransportCorrupt   = "corrupt-frame" // a frame failed the CRC/length integrity check
+	TransportReassign  = "reassign"      // a lost peer's machines were re-executed elsewhere
+	TransportExchange  = "exchange"      // one round barrier completed
+	// TransportPeerStats is the kind of the per-peer counter instants a
+	// session's cluster trace closes its transport lane with.
+	TransportPeerStats = "peer-stats"
+)
+
+// TransportEvent reports one occurrence in the distributed shuffle
+// transport (see internal/transport): session handshakes, round-barrier
+// completions, peer losses, and the reassignments that recover from them.
+// These are host-level events — a run's deterministic model counters are
+// identical whatever they say.
+type TransportEvent struct {
+	Kind  string
+	Party int   // remote party involved (0 = the coordinator), -1 when not applicable
+	Seq   int   // exchange sequence number within the session, 0 when not applicable
+	IDs   int   // machine count involved (reassignments), 0 otherwise
+	Bytes int64 // cumulative bytes on the wire at event time
+	At    time.Time
+}
+
+// Checkpoint event kinds: a completed round persisted to the durable
+// store, or a round fast-forwarded from a snapshot instead of executed.
+const (
+	CheckpointSave   = "save"
+	CheckpointResume = "resume"
+)
+
+// CheckpointEvent reports one durability action at a round boundary (see
+// internal/checkpoint). Like transport events it is host-level and
+// out-of-band: saving or resuming never changes a deterministic counter.
+type CheckpointEvent struct {
+	Round int    // round index within its cluster
+	Name  string // round name
+	Phase Phase
+	Kind  string // CheckpointSave or CheckpointResume
+	Step  int    // job-global checkpoint step index
+	At    time.Time
+}
+
+// Observer receives the simulator's execution events. RoundStart,
+// RoundEnd and Checkpoint are invoked from the driving goroutine;
+// MachineStart, MachineEnd, Fault, and Retry are invoked concurrently from
+// the machine goroutines, and Transport from the transport's goroutines,
+// so implementations must be safe for concurrent use.
 type Observer interface {
 	RoundStart(r RoundInfo)
 	MachineStart(round, machine, inWords int)
 	MachineEnd(s MachineSpan)
-	// Message reports one emitted message (from -> to, words) during a round.
-	Message(round, from, to, words int)
 	// Fault reports one injected fault; Retry reports the recovery action
 	// replaying a machine.
 	Fault(e FaultEvent)
 	Retry(e RetryEvent)
 	RoundEnd(r RoundSummary)
+	// Transport reports one event of a distributed run's shuffle transport.
+	Transport(e TransportEvent)
+	// Checkpoint reports a round saved to the durable store (after its
+	// RoundEnd) or fast-forwarded from it (before its RoundEnd).
+	Checkpoint(e CheckpointEvent)
 }
 
 // Base is a no-op Observer for embedding: an observer interested in a
 // subset of events embeds Base and overrides what it needs.
 type Base struct{}
 
-func (Base) RoundStart(RoundInfo)     {}
-func (Base) MachineStart(_, _, _ int) {}
-func (Base) MachineEnd(MachineSpan)   {}
-func (Base) Message(_, _, _, _ int)   {}
-func (Base) Fault(FaultEvent)         {}
-func (Base) Retry(RetryEvent)         {}
-func (Base) RoundEnd(RoundSummary)    {}
+func (Base) RoundStart(RoundInfo)       {}
+func (Base) MachineStart(_, _, _ int)   {}
+func (Base) MachineEnd(MachineSpan)     {}
+func (Base) Fault(FaultEvent)           {}
+func (Base) Retry(RetryEvent)           {}
+func (Base) RoundEnd(RoundSummary)      {}
+func (Base) Transport(TransportEvent)   {}
+func (Base) Checkpoint(CheckpointEvent) {}
 
 // Multi fans every event out to several observers in order. A nil entry is
 // skipped, so Multi(a, nil) is usable without pre-filtering.
@@ -194,12 +248,6 @@ func (m multi) MachineEnd(s MachineSpan) {
 	}
 }
 
-func (m multi) Message(round, from, to, words int) {
-	for _, o := range m {
-		o.Message(round, from, to, words)
-	}
-}
-
 func (m multi) Fault(e FaultEvent) {
 	for _, o := range m {
 		o.Fault(e)
@@ -218,58 +266,14 @@ func (m multi) RoundEnd(r RoundSummary) {
 	}
 }
 
-// Transport forwards a transport-level event to every member that
-// implements TransportObserver. Having multi implement the optional
-// interface means a Multi(...) result never silently drops transport
-// events just because the first member doesn't consume them.
 func (m multi) Transport(e TransportEvent) {
 	for _, o := range m {
-		if to, ok := o.(TransportObserver); ok {
-			to.Transport(e)
-		}
+		o.Transport(e)
 	}
 }
 
-// Checkpoint event kinds: a completed round persisted to the durable
-// store, or a round fast-forwarded from a snapshot instead of executed.
-const (
-	CheckpointSave   = "save"
-	CheckpointResume = "resume"
-)
-
-// CheckpointEvent reports one durability action at a round boundary (see
-// internal/checkpoint). Like transport events it is host-level and
-// out-of-band: saving or resuming never changes a deterministic counter.
-type CheckpointEvent struct {
-	Round int    // round index within its cluster
-	Name  string // round name
-	Phase Phase
-	Kind  string // CheckpointSave or CheckpointResume
-	Step  int    // job-global checkpoint step index
-	At    time.Time
-}
-
-// CheckpointObserver is the optional interface an Observer implements to
-// receive checkpoint instants. internal/mpc emits them through
-// EmitCheckpoint, so plain observers pay nothing.
-type CheckpointObserver interface {
-	Checkpoint(e CheckpointEvent)
-}
-
-// EmitCheckpoint forwards e to obs when it consumes checkpoint events
-// (directly or, for Multi results, via any member that does).
-func EmitCheckpoint(obs Observer, e CheckpointEvent) {
-	if co, ok := obs.(CheckpointObserver); ok {
-		co.Checkpoint(e)
-	}
-}
-
-// Checkpoint forwards a checkpoint instant to every member that
-// implements CheckpointObserver, mirroring Transport above.
 func (m multi) Checkpoint(e CheckpointEvent) {
 	for _, o := range m {
-		if co, ok := o.(CheckpointObserver); ok {
-			co.Checkpoint(e)
-		}
+		o.Checkpoint(e)
 	}
 }

@@ -65,17 +65,17 @@ func TestSummarizeAllZero(t *testing.T) {
 }
 
 func TestMultiFanOutAndNilHandling(t *testing.T) {
-	a, b := &Collector{}, &Collector{}
+	a, b := NewLog(), NewLog()
 	m := Multi(nil, a, nil, b)
 	m.RoundStart(RoundInfo{Round: 0, Name: "r", Machines: 1})
 	m.MachineStart(0, 3, 5)
 	m.MachineEnd(MachineSpan{Round: 0, Machine: 3})
-	m.Message(0, 3, 4, 7)
+	m.Transport(TransportEvent{Kind: TransportExchange, Seq: 1})
 	m.RoundEnd(RoundSummary{Round: 0, Name: "r"})
-	for _, c := range []*Collector{a, b} {
-		if len(c.Starts) != 1 || len(c.Spans) != 1 || c.Messages != 1 ||
-			c.MsgWords != 7 || len(c.Summaries) != 1 {
-			t.Errorf("collector missed events: %+v", c)
+	m.Checkpoint(CheckpointEvent{Round: 0, Kind: CheckpointSave})
+	for _, l := range []*Log{a, b} {
+		if st := l.Stats(); st.Spans != 1 || st.Rounds != 1 || st.Transport != 1 || st.CheckpointSaves != 1 {
+			t.Errorf("log missed events: %+v", st)
 		}
 	}
 	if Multi() != nil || Multi(nil, nil) != nil {
@@ -83,29 +83,5 @@ func TestMultiFanOutAndNilHandling(t *testing.T) {
 	}
 	if Multi(a) != Observer(a) {
 		t.Error("Multi of one observer should return it unwrapped")
-	}
-}
-
-func TestSkewAnalyzer(t *testing.T) {
-	a := NewSkewAnalyzer()
-	base := time.Unix(0, 0)
-	a.RoundStart(RoundInfo{Round: 0, Name: "r0", Machines: 2})
-	a.MachineEnd(MachineSpan{Round: 0, Machine: 0, Start: base, End: base.Add(time.Millisecond)})
-	a.MachineEnd(MachineSpan{Round: 0, Machine: 1, Start: base, End: base.Add(3 * time.Millisecond)})
-	a.RoundEnd(RoundSummary{Round: 0, Name: "r0", Machines: 2})
-	rounds := a.Rounds()
-	if len(rounds) != 1 {
-		t.Fatalf("rounds = %d", len(rounds))
-	}
-	r := rounds[0]
-	if r.Name != "r0" || r.Machines != 2 {
-		t.Errorf("round meta = %+v", r)
-	}
-	if r.Skew.Max != 3*time.Millisecond || r.Skew.Mean != 2*time.Millisecond || r.Skew.Straggler != 1.5 {
-		t.Errorf("skew = %+v", r.Skew)
-	}
-	// The per-round scratch space is released at RoundEnd.
-	if len(a.open) != 0 {
-		t.Error("analyzer retained per-round times after RoundEnd")
 	}
 }

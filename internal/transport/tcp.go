@@ -47,11 +47,6 @@ type Options struct {
 	// OnEvent, when non-nil, receives transport-level trace events
 	// (handshake, exchange barriers, peer losses, reassignments).
 	OnEvent func(trace.TransportEvent)
-	// Telemetry, on a coordinator, asks workers (via the welcome frame) to
-	// buffer trace events and ship them back as fTelemetry frames at round
-	// barriers and job end. Strictly out-of-band: results and deterministic
-	// counters are bit-identical either way.
-	Telemetry bool
 	// TestDieAtSeq, on a worker, terminates the process abruptly at the
 	// start of the given exchange (1-based), before its records ship — a
 	// deterministic stand-in for a mid-round worker crash, used by the
@@ -182,7 +177,6 @@ type Coordinator struct {
 	state   []peerState
 	gen     []int
 	retired []slotCounters
-	tel     []trace.Telemetry
 	seq     int
 	cur     RoundMeta
 	jobSeq  uint64
@@ -286,12 +280,12 @@ func (c *Coordinator) handshake(p *peer, workers, party int, deadline time.Time)
 		Parties: workers + 1,
 		Self:    party,
 		ClockNs: time.Now().UnixNano(),
-		// Workers ship telemetry when the session asked for it OR when the
-		// coordinator's flight recorder is on (the default): the recorder
-		// needs every party's recent events to make a useful dump, and
+		// Workers ship telemetry whenever the coordinator's event log
+		// records — the flight recorder is on (the default) or a trace was
+		// requested: a dump or a trace needs every party's events, and
 		// shipping is out-of-band by contract — only advisory wire volume
 		// changes, never a deterministic counter.
-		Telemetry: c.opts.Telemetry || trace.FlightEnabled(),
+		Telemetry: trace.Recording(),
 		Token:     c.token,
 		GraceNs:   int64(c.opts.RejoinGrace),
 		Table:     c.codec.Table(),
@@ -320,14 +314,14 @@ func (c *Coordinator) pump(w int, p *peer, gen int) {
 }
 
 func (c *Coordinator) event(e trace.TransportEvent) {
-	if c.opts.OnEvent == nil && !trace.FlightEnabled() {
+	if c.opts.OnEvent == nil && !trace.Recording() {
 		return
 	}
 	e.At = time.Now()
 	e.Bytes = c.Stats().BytesOut
-	// The process-global flight recorder sees every transport event (and
-	// self-triggers a dump on peer loss); the session's own observer chain
-	// is wired separately via OnEvent, so neither records twice.
+	// The process log sees every transport event (and self-triggers a
+	// flight dump on peer loss); the session's own observer is wired
+	// separately via OnEvent, so neither records twice.
 	trace.FlightTransport(e)
 	if c.opts.OnEvent != nil {
 		c.opts.OnEvent(e)
@@ -501,7 +495,7 @@ func (c *Coordinator) rejoin(conn net.Conn) {
 		Parties:   parties,
 		Self:      h.Party,
 		ClockNs:   time.Now().UnixNano(),
-		Telemetry: c.opts.Telemetry || trace.FlightEnabled(),
+		Telemetry: trace.Recording(),
 		Token:     c.token,
 		GraceNs:   int64(c.opts.RejoinGrace),
 		Table:     c.codec.Table(),
@@ -934,43 +928,16 @@ func (c *Coordinator) Alive() int {
 	return n
 }
 
-// addTelemetry decodes and buffers one fTelemetry body. Telemetry is
-// out-of-band, so a malformed frame is dropped rather than failing the
-// round it arrived during.
-//
-// Every batch feeds the process-global flight recorder as it arrives (so
-// a dump taken mid-job already holds the workers' recent events), but it
-// is buffered for DrainTelemetry only when the session asked for full
-// telemetry — on a recorder-only session nobody drains, and buffering
-// would grow without bound on a long-lived server.
+// addTelemetry decodes one fTelemetry body into the process log, as it
+// arrives, so a flight dump taken mid-job already holds the workers'
+// recent events. Telemetry is out-of-band, so a malformed frame is
+// dropped rather than failing the round it arrived during.
 func (c *Coordinator) addTelemetry(body []byte) {
-	v, err := c.codec.Decode(body)
-	if err != nil {
-		return
+	if v, err := c.codec.Decode(body); err == nil {
+		if t, ok := v.(trace.Telemetry); ok {
+			trace.FlightIngest(t)
+		}
 	}
-	t, ok := v.(trace.Telemetry)
-	if !ok {
-		return
-	}
-	trace.FlightIngest(t)
-	if !c.opts.Telemetry {
-		return
-	}
-	c.mu.Lock()
-	c.tel = append(c.tel, t)
-	c.mu.Unlock()
-}
-
-// DrainTelemetry returns the worker telemetry batches received so far, in
-// arrival order, and clears the buffer. Batches from one worker across
-// several barriers are returned separately; merge with
-// trace.MergeTelemetry.
-func (c *Coordinator) DrainTelemetry() []trace.Telemetry {
-	c.mu.Lock()
-	out := c.tel
-	c.tel = nil
-	c.mu.Unlock()
-	return out
 }
 
 // PeerStats reports per-worker wire counters and heartbeat RTT estimates,
@@ -1193,10 +1160,6 @@ func DialWorker(addr string, opts Options) (*Worker, error) {
 // shipping in its welcome.
 func (w *Worker) TelemetryEnabled() bool { return w.telemetry }
 
-// ClockOffsetNs is the handshake-time estimate of (coordinator clock -
-// local clock) in nanoseconds.
-func (w *Worker) ClockOffsetNs() int64 { return w.offsetNs }
-
 // SetTelemetrySource installs the callback that produces telemetry
 // batches; it is invoked at each round barrier and at job end, and should
 // drain (not re-report) its buffer. The transport stamps Party and
@@ -1211,7 +1174,7 @@ func (w *Worker) peer() *peer {
 }
 
 func (w *Worker) event(e trace.TransportEvent) {
-	if w.opts.OnEvent == nil && !trace.FlightEnabled() {
+	if w.opts.OnEvent == nil && !trace.Recording() {
 		return
 	}
 	e.At = time.Now()
