@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"mpcdist/internal/approx"
-	"mpcdist/internal/baseline"
 	"mpcdist/internal/buildinfo"
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/core"
@@ -86,11 +85,24 @@ func main() {
 	}
 	chaos := chaosPlan()
 
-	distAlgos := map[string]string{"mpc": dist.AlgoEditMPC, "hss": dist.AlgoEditHSS, "ulam-mpc": dist.AlgoUlamMPC}
-	if *soak > 0 {
-		if _, ok := distAlgos[*algo]; !ok {
-			die("-soak requires an MPC algorithm (mpc, hss, ulam-mpc), not %q", *algo)
+	// The CLI's MPC algorithms and the dist.Job each one runs as; every
+	// flag that needs a cluster run checks this one map.
+	jobAlgo, isMPC := map[string]string{
+		"mpc": dist.AlgoEditMPC, "hss": dist.AlgoEditHSS, "ulam-mpc": dist.AlgoUlamMPC,
+	}[*algo]
+	requireMPC := func(flagName string) {
+		if !isMPC {
+			die("%s requires an MPC algorithm (mpc, hss, ulam-mpc), not %q", flagName, *algo)
 		}
+	}
+	if *soak < 0 {
+		die("-soak must be >= 0, got %d", *soak)
+	}
+	if *checkpointEvery < 1 {
+		die("-checkpoint-every must be >= 1, got %d", *checkpointEvery)
+	}
+	if *soak > 0 {
+		requireMPC("-soak")
 		// Soak spawns its own tcp sessions regardless of -transport.
 		*transportName = "tcp"
 	}
@@ -100,9 +112,7 @@ func main() {
 			die("-netchaos-* flags require -transport tcp (there is no wire to perturb in-process)")
 		}
 	case "tcp":
-		if _, ok := distAlgos[*algo]; !ok {
-			die("-transport tcp requires an MPC algorithm (mpc, hss, ulam-mpc), not %q", *algo)
-		}
+		requireMPC("-transport tcp")
 		if *workers < 1 {
 			die("-transport tcp needs -workers >= 1, got %d", *workers)
 		}
@@ -113,9 +123,7 @@ func main() {
 		die("-status requires -transport tcp")
 	}
 	if *checkpointDir != "" {
-		if _, ok := distAlgos[*algo]; !ok {
-			die("-checkpoint-dir requires an MPC algorithm (mpc, hss, ulam-mpc), not %q", *algo)
-		}
+		requireMPC("-checkpoint-dir")
 		if *soak > 0 {
 			die("-checkpoint-dir is incompatible with -soak (soak sessions would share one job's store)")
 		}
@@ -126,8 +134,6 @@ func main() {
 	if chaos != nil {
 		fmt.Fprintf(os.Stderr, "mpcdist: link chaos active: %s\n", chaos)
 	}
-	soakN, sessTransport, sessChaos = *soak, topts, chaos
-	ckptDir, ckptEvery, ckptResume = *checkpointDir, *checkpointEvery, *resume
 
 	a := input(*aStr, *aFile)
 	b := input(*bStr, *bFile)
@@ -135,25 +141,17 @@ func main() {
 	p := core.Params{X: *x, Eps: *eps, Seed: *seed}
 	p.Faults, p.MaxRetries = faultFlags()
 	if p.Faults != nil {
-		switch *algo {
-		case "mpc", "hss", "ulam-mpc":
-			fmt.Fprintf(os.Stderr, "mpcdist: fault injection active: %s\n", p.Faults)
-		default:
-			die("-fault-* flags require an MPC algorithm (mpc, hss, ulam-mpc), not %q", *algo)
-		}
+		requireMPC("-fault-*")
+		fmt.Fprintf(os.Stderr, "mpcdist: fault injection active: %s\n", p.Faults)
 	}
 	if *traceOut != "" {
-		switch *algo {
-		case "mpc", "hss", "ulam-mpc":
-			if *transportName != "tcp" {
-				// The process log keeps every event from here on; die and
-				// the normal exit write its trace. Distributed runs write
-				// the session's cluster trace instead (see runMPC).
-				tracePath = *traceOut
-				trace.Flight().Keep()
-			}
-		default:
-			die("-trace requires an MPC algorithm (mpc, hss, ulam-mpc), not %q", *algo)
+		requireMPC("-trace")
+		if *transportName != "tcp" {
+			// The process log keeps every event from here on; die and the
+			// normal exit write its trace. Distributed runs write the
+			// session's cluster trace instead (see runMPC).
+			tracePath = *traceOut
+			trace.Flight().Keep()
 		}
 	}
 	defer flushTrace()
@@ -199,32 +197,38 @@ func main() {
 			fmt.Printf("%s a[%d] b[%d]\n", op.Kind, op.APos, op.BPos)
 		}
 		fmt.Print(editdist.FormatAlignment(a, b, script, 72))
-	case "mpc":
-		res, err := runMPC(dist.AlgoEditMPC, p, a, b, nil, nil, *transportName, *workers, *traceOut, *statusAddr,
-			func(p core.Params) (core.Result, error) { return core.EditMPC(a, b, p) })
-		report(res, err, *verbose)
-		if *verify {
-			verifyEdit(a, b, res.Value)
+	case "mpc", "hss", "ulam-mpc":
+		job := dist.FromParams(jobAlgo, p)
+		if jobAlgo == dist.AlgoUlamMPC {
+			job.P, job.Q = distinctInts(a), distinctInts(b)
+		} else {
+			job.S, job.T = a, b
 		}
-	case "hss":
-		res, err := runMPC(dist.AlgoEditHSS, p, a, b, nil, nil, *transportName, *workers, *traceOut, *statusAddr,
-			func(p core.Params) (core.Result, error) { return baseline.HSSEditMPC(a, b, p) })
+		var saver *checkpoint.Saver
+		if *checkpointDir != "" {
+			store, err := checkpoint.Open(*checkpointDir)
+			if err == nil {
+				saver, err = job.OpenSaver(store, checkpoint.SaverOptions{Every: *checkpointEvery, Resume: *resume})
+			}
+			if err != nil {
+				die("%v", err)
+			}
+		}
+		var tcp *dist.SessionOptions
+		if *transportName == "tcp" {
+			tcp = &dist.SessionOptions{Workers: *workers, Telemetry: *traceOut != "", Transport: topts, NetChaos: chaos}
+		}
+		res, err := runMPC(job, saver, tcp, *soak, *statusAddr, *traceOut)
+		if saver != nil {
+			ckptSummary(saver.Status())
+		}
 		report(res, err, *verbose)
 		if *verify {
-			verifyEdit(a, b, res.Value)
+			verifyMPC(job, res.Value)
 		}
 	case "ulam":
 		ia, ib := distinctInts(a), distinctInts(b)
 		fmt.Println(ulam.Exact(ia, ib, &ops))
-	case "ulam-mpc":
-		ia, ib := distinctInts(a), distinctInts(b)
-		res, err := runMPC(dist.AlgoUlamMPC, p, nil, nil, ia, ib, *transportName, *workers, *traceOut, *statusAddr,
-			func(p core.Params) (core.Result, error) { return core.UlamMPC(ia, ib, p) })
-		report(res, err, *verbose)
-		if *verify {
-			exact := ulam.Exact(ia, ib, nil)
-			fmt.Fprintf(os.Stderr, "exact=%d factor=%.4f\n", exact, factorOf(res.Value, exact))
-		}
 	case "lulam":
 		d, win := ulam.Local(distinctInts(a), distinctInts(b), &ops)
 		fmt.Printf("%d window=[%d,%d]\n", d, win.Gamma, win.Kappa)
@@ -234,88 +238,40 @@ func main() {
 	}
 }
 
-// runMPC dispatches an MPC run to the selected shuffle transport: local
-// calls the in-process driver, tcp spawns a distributed session of worker
+// runMPC runs the job with the selected shuffle transport: tcp == nil runs
+// it in-process; otherwise it spawns a distributed session of worker
 // processes and runs the same job across them (printing the bytes that
 // actually crossed the wire). The two paths produce bit-identical results
-// and model counters for the same seed.
+// and model counters for the same seed, and checkpoint into saver (nil =
+// no durability) alike.
 //
 // On tcp, traceOut enables the telemetry plane — every worker ships its
 // buffered events at round barriers and the merged multi-process trace is
 // written after the run — and statusAddr serves a live JSON snapshot of
 // the session over HTTP while the job runs.
-func runMPC(algo string, p core.Params, s, t []byte, pa, qa []int, transportName string, workers int,
-	traceOut, statusAddr string, local func(core.Params) (core.Result, error)) (core.Result, error) {
-	if transportName != "tcp" {
-		if ckptDir == "" {
-			return local(p)
-		}
-		// In-process run with durability: same store and resume semantics as
-		// tcp, no transport — the job spec digest keys the manifest either way.
-		store, err := checkpoint.Open(ckptDir)
-		if err != nil {
-			return core.Result{}, err
-		}
-		job := dist.FromParams(algo, p)
-		job.S, job.T, job.P, job.Q = s, t, pa, qa
-		digest, err := job.SpecDigest()
-		if err != nil {
-			return core.Result{}, err
-		}
-		saver, err := checkpoint.NewSaver(store, digest, algo, checkpoint.SaverOptions{
-			Every:    ckptEvery,
-			Resume:   ckptResume,
-			Revision: buildinfo.Revision(),
-		})
-		if err != nil {
-			return core.Result{}, err
-		}
-		p.Checkpointer = saver
-		res, err := local(p)
-		if err == nil {
-			if ferr := saver.Flush(); ferr != nil {
-				return res, ferr
-			}
-		}
-		ckptSummary(saver.Status())
-		return res, err
+func runMPC(job dist.Job, saver *checkpoint.Saver, tcp *dist.SessionOptions, soak int,
+	statusAddr, traceOut string) (core.Result, error) {
+	if tcp == nil {
+		return job.Run(core.Params{}, saver)
 	}
-	job := dist.FromParams(algo, p)
-	job.S, job.T, job.P, job.Q = s, t, pa, qa
-	if soakN > 0 {
+	if soak > 0 {
 		// Soak mode: N fresh sessions under rotating chaos seeds, each
 		// checked bit-for-bit against the fault-free local digest. The
 		// normal report afterwards comes from one more local run.
 		err := dist.Soak(job, dist.SoakOptions{
-			Workers:    workers,
-			Iterations: soakN,
-			Plan:       sessChaos,
-			Transport:  sessTransport,
+			Workers:    tcp.Workers,
+			Iterations: soak,
+			Plan:       tcp.NetChaos,
+			Transport:  tcp.Transport,
 			Log:        os.Stderr,
 		})
 		if err != nil {
 			return core.Result{}, err
 		}
-		fmt.Fprintf(os.Stderr, "mpcdist: soak ok: %d iterations, every session bit-identical to the local run\n", soakN)
-		return local(p)
+		fmt.Fprintf(os.Stderr, "mpcdist: soak ok: %d iterations, every session bit-identical to the local run\n", soak)
+		return job.Run(core.Params{}, nil)
 	}
-	var store *checkpoint.Store
-	if ckptDir != "" {
-		var err error
-		if store, err = checkpoint.Open(ckptDir); err != nil {
-			return core.Result{}, err
-		}
-	}
-	sess, err := dist.NewSession(dist.SessionOptions{
-		Workers:          workers,
-		Observer:         p.Observer,
-		Telemetry:        traceOut != "",
-		Transport:        sessTransport,
-		NetChaos:         sessChaos,
-		Checkpoint:       store,
-		CheckpointEvery:  ckptEvery,
-		CheckpointResume: ckptResume,
-	})
+	sess, err := dist.NewSession(*tcp)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -330,13 +286,10 @@ func runMPC(algo string, p core.Params, s, t []byte, pa, qa []int, transportName
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "mpcdist: status endpoint at http://%s/status\n", srv.Addr)
 	}
-	res, err := sess.Run(job)
+	res, err := sess.RunSaved(job, saver)
 	st := sess.Stats()
 	fmt.Fprintf(os.Stderr, "mpcdist: transport=tcp workers=%d/%d wire: out=%dB in=%dB frames=%d exchanges=%d peersLost=%d reassigns=%d reconnects=%d corruptFrames=%d\n",
 		sess.Alive(), sess.Workers(), st.BytesOut, st.BytesIn, st.Frames, st.Exchanges, st.PeersLost, st.Reassigns, st.Reconnects, st.CorruptFrames)
-	if cs := sess.CheckpointStatus(); cs != nil {
-		ckptSummary(*cs)
-	}
 	if traceOut != "" {
 		// Write the trace even after a failed run — the lanes up to the
 		// failure are exactly what one wants to look at.
@@ -361,18 +314,6 @@ var tracePath string
 // flightDump is ArmFlight's finalizer; die runs it so os.Exit cannot
 // skip the exit dump a caller asked for via MPCDIST_FLIGHT_OUT.
 var flightDump = func() {}
-
-// Session knobs bound from flags in main, consumed by runMPC: the soak
-// iteration count, the transport liveness options, the link-chaos plan,
-// and the checkpoint store configuration.
-var (
-	soakN         int
-	sessTransport transport.Options
-	sessChaos     *netchaos.Plan
-	ckptDir       string
-	ckptEvery     int
-	ckptResume    bool
-)
 
 // ckptSummary prints the run's checkpoint progress. The "mpcdist:" prefix
 // keeps the line out of deterministic output comparisons (CI filters it).
@@ -443,8 +384,14 @@ func parseInts(b []byte) []int {
 	return out
 }
 
-func verifyEdit(a, b []byte, value int) {
-	exact := editdist.Myers(a, b, nil)
+// verifyMPC prints the exact distance and the factor of the job's answer.
+func verifyMPC(job dist.Job, value int) {
+	var exact int
+	if job.Algo == dist.AlgoUlamMPC {
+		exact = ulam.Exact(job.P, job.Q, nil)
+	} else {
+		exact = editdist.Myers(job.S, job.T, nil)
+	}
 	fmt.Fprintf(os.Stderr, "exact=%d factor=%.4f\n", exact, factorOf(value, exact))
 }
 

@@ -36,8 +36,8 @@
 //	                 internal/fault into MPC queries (testing/chaos)
 //
 // Distributed mode: -transport tcp -workers N re-execs this binary N
-// times as cluster workers and routes eligible MPC queries (ulam-mpc,
-// edit-mpc, edit-hss; non-trace) across them. Answers gain
+// times as cluster workers and routes every MPC query (ulam-mpc,
+// edit-mpc, edit-hss, lcs-mpc; non-trace) across them. Answers gain
 // "distributed": true plus per-worker report rows, and /metrics gains
 // mpcserve_transport_* (live wire/liveness gauges) and mpcserve_worker_*
 // (per-party attribution counters) series. Distances and deterministic
@@ -57,7 +57,6 @@ import (
 	"syscall"
 	"time"
 
-	"mpcdist"
 	"mpcdist/internal/buildinfo"
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/dist"
@@ -66,19 +65,6 @@ import (
 	"mpcdist/internal/traceio"
 	"mpcdist/internal/transport"
 )
-
-// distSession adapts a dist.Session to the server's DistRunner seam. The
-// session serializes jobs internally, so concurrent pool workers may call
-// Run directly.
-type distSession struct{ sess *dist.Session }
-
-func (d *distSession) Run(algo string, s, t []byte, p, q []int, params mpcdist.MPCParams) (mpcdist.MPCResult, error) {
-	job := dist.FromParams(algo, params)
-	job.S, job.T, job.P, job.Q = s, t, p, q
-	return d.sess.Run(job)
-}
-
-func (d *distSession) Status() transport.Status { return d.sess.Status() }
 
 func main() {
 	// Worker re-exec: when spawned by a tcp-session parent this process is
@@ -135,12 +121,13 @@ func main() {
 	if terr != nil {
 		log.Fatalf("mpcserve: %v", terr)
 	}
+	if *checkpointEvery < 1 {
+		log.Fatalf("mpcserve: -checkpoint-every must be >= 1, got %d", *checkpointEvery)
+	}
 
-	// The checkpoint store is shared between the two execution paths: batch
-	// queries on the local transport checkpoint through server.Config, and
-	// tcp sessions checkpoint at the coordinator through SessionOptions.
-	// Either way a restarted mpcserve resumes completed rounds instead of
-	// recomputing them.
+	// Batch MPC queries checkpoint into the store on either transport: the
+	// server opens each job's saver, and a restarted mpcserve resumes
+	// completed rounds instead of recomputing them.
 	var ckptStore *checkpoint.Store
 	if *checkpointDir != "" {
 		var err error
@@ -150,29 +137,17 @@ func main() {
 		}
 		log.Printf("mpcserve: checkpointing batch MPC queries to %s (every %d rounds)", *checkpointDir, *checkpointEvery)
 	}
-	var srv *server.Server // assigned below; captured by the flush hook
 
 	var distRunner server.DistRunner
 	switch *transportName {
 	case "local":
 	case "tcp":
-		sess, err := dist.NewSession(dist.SessionOptions{
-			Workers:          *workers,
-			Transport:        topts,
-			Checkpoint:       ckptStore,
-			CheckpointEvery:  *checkpointEvery,
-			CheckpointResume: true,
-			OnCheckpointFlush: func(steps int, bytes int64) {
-				if srv != nil {
-					srv.Metrics().ObserveCheckpointFlush(steps, bytes)
-				}
-			},
-		})
+		sess, err := dist.NewSession(dist.SessionOptions{Workers: *workers, Transport: topts})
 		if err != nil {
 			log.Fatalf("mpcserve: starting worker cluster: %v", err)
 		}
 		defer sess.Close()
-		distRunner = &distSession{sess: sess}
+		distRunner = sess
 		log.Printf("mpcserve: distributed mode: %d worker processes (MPC queries run on the cluster)", *workers)
 	default:
 		log.Fatalf("mpcserve: -transport must be local or tcp (got %q)", *transportName)
@@ -194,7 +169,7 @@ func main() {
 	}
 
 	faults, maxRetries := faultFlags()
-	srv = server.New(server.Config{
+	srv := server.New(server.Config{
 		PoolSize:        *pool,
 		CacheSize:       *cache,
 		RequestTimeout:  *timeout,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpcdist/internal/checkpoint"
+	"mpcdist/internal/core"
 )
 
 // tearManifest overwrites the job's manifest with truncated JSON — the
@@ -27,7 +28,8 @@ func tearManifest(t *testing.T, store *checkpoint.Store, digest string) {
 // simulates a coordinator killed between flushes — with bit-identical
 // results. The coordinator ships the resume prefix inside the job spec,
 // so the workers' transport sequence numbers stay aligned; any skew here
-// fails loudly, not subtly.
+// fails loudly, not subtly. Finally the store format is checked to be one
+// across transports: each side fast-forwards what the other wrote.
 func TestTCPCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -112,6 +114,38 @@ func TestTCPCheckpointResume(t *testing.T) {
 	}
 	if warnings, err := store.Verify(""); err != nil || len(warnings) != 0 {
 		t.Errorf("store verify: %v, %v", warnings, err)
+	}
+
+	// One checkpoint format across transports. The session-written store
+	// fast-forwards every step in-process...
+	saver, err := job.OpenSaver(store, checkpoint.SaverOptions{Resume: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc, ierr := job.Run(core.Params{}, saver)
+	checkParity(t, "ulam-mpc/session-store-in-process", local, lerr, inproc, ierr)
+	if st := saver.Status(); st.Resumed != steps || st.Saves != 0 {
+		t.Fatalf("in-process resume of a session store: %+v, want %d resumed / 0 saves", st, steps)
+	}
+	// ...and a store the in-process entry wrote fast-forwards every step on
+	// a session, through a saver the caller opened.
+	store2, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	saver, err = job.OpenSaver(store2, checkpoint.SaverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inproc, ierr = job.Run(core.Params{}, saver)
+	checkParity(t, "ulam-mpc/in-process-checkpointed", local, lerr, inproc, ierr)
+	if saver, err = job.OpenSaver(store2, checkpoint.SaverOptions{Resume: true}); err != nil {
+		t.Fatal(err)
+	}
+	distr4, derr4 := sess3.RunSaved(job, saver)
+	checkParity(t, "ulam-mpc/in-process-store-on-session", local, lerr, distr4, derr4)
+	if cs4 := sess3.CheckpointStatus(); cs4 == nil || cs4.Job != digest || cs4.Resumed != steps || cs4.Saves != 0 {
+		t.Fatalf("session resume of an in-process store: %+v, want %d resumed / 0 saves", cs4, steps)
 	}
 }
 

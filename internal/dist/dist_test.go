@@ -94,7 +94,7 @@ func normalize(res core.Result) core.Result {
 }
 
 func runLocal(j Job) (core.Result, error) {
-	return runJob(j, core.Params{})
+	return j.Run(core.Params{}, nil)
 }
 
 func checkParity(t *testing.T, name string, local core.Result, lerr error, distr core.Result, derr error) {

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"mpcdist/internal/baseline"
+	"mpcdist/internal/buildinfo"
+	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/core"
 	"mpcdist/internal/fault"
 	"mpcdist/internal/transport"
@@ -157,9 +159,26 @@ func (j Job) params(host core.Params) core.Params {
 	return host
 }
 
-// runJob executes the job's driver over the given transport. Every party
-// of a session calls this with the same Job; only the host fields differ.
-func runJob(j Job, host core.Params) (core.Result, error) {
+// Run executes the job's driver in this process: the in-process entry
+// every surface shares. host carries the party-local fields
+// (cancellation, observer, transport; on a worker, the replayed resume
+// prefix). saver, when non-nil, checkpoints every completed round, and
+// its tail shorter than the flush cadence is persisted on success, so a
+// completed job's store covers every round.
+func (j Job) Run(host core.Params, saver *checkpoint.Saver) (core.Result, error) {
+	if saver != nil {
+		host.Checkpointer = saver
+	}
+	res, err := j.drive(host)
+	if err == nil && saver != nil {
+		err = saver.Flush()
+	}
+	return res, err
+}
+
+// drive dispatches the job to its algorithm's driver: the one switch
+// behind Run, the coordinator and every worker of a session.
+func (j Job) drive(host core.Params) (core.Result, error) {
 	p := j.params(host)
 	switch j.Algo {
 	case AlgoUlamMPC:
@@ -172,6 +191,19 @@ func runJob(j Job, host core.Params) (core.Result, error) {
 		return baseline.LCSMPC(j.S, j.T, p)
 	}
 	return core.Result{}, fmt.Errorf("dist: unknown algorithm %q", j.Algo)
+}
+
+// OpenSaver opens the job's checkpoint saver in store: the one opener
+// every surface shares, keyed by SpecDigest and stamped with the build's
+// revision. With opts.Resume it loads the job's durable prefix, and
+// unusable prior state surfaces as its typed checkpoint error.
+func (j Job) OpenSaver(store *checkpoint.Store, opts checkpoint.SaverOptions) (*checkpoint.Saver, error) {
+	digest, err := j.SpecDigest()
+	if err != nil {
+		return nil, err
+	}
+	opts.Revision = buildinfo.Revision()
+	return checkpoint.NewSaver(store, digest, j.Algo, opts)
 }
 
 // digestOf compresses a driver outcome into the cross-check record.

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"mpcdist/internal/buildinfo"
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/core"
 	"mpcdist/internal/netchaos"
@@ -54,9 +53,10 @@ type SessionOptions struct {
 	// with or without it.
 	Telemetry bool
 	// Checkpoint, when non-nil, snapshots every completed round of each job
-	// into the store, keyed by the job's SpecDigest. Workers receive the
-	// coordinator's resume state inside the job spec, so all parties
-	// fast-forward the same prefix.
+	// Run executes into the store, keyed by the job's SpecDigest (RunSaved
+	// takes a saver the caller opened instead; only Run reads these four
+	// fields). Workers receive the coordinator's resume state inside the
+	// job spec, so all parties fast-forward the same prefix.
 	Checkpoint *checkpoint.Store
 	// CheckpointEvery is the flush cadence in rounds (<= 0 means 1).
 	CheckpointEvery int
@@ -84,7 +84,7 @@ type Session struct {
 	traceFrom uint64
 
 	// ckMu guards saver separately from mu: Status endpoints read it while
-	// Run holds mu for the whole job.
+	// RunSaved holds mu for the whole job.
 	ckMu  sync.Mutex
 	saver *checkpoint.Saver
 }
@@ -149,38 +149,53 @@ func NewSession(opts SessionOptions) (*Session, error) {
 	return s, nil
 }
 
-// Run executes one job across the session: broadcast the spec, run the
-// driver here as party 0 over the coordinator transport, then cross-check
-// every surviving worker's result digest against our own. Deterministic
-// driver errors (including injected-fault crashes) are part of the digest
-// — workers must land on the identical error.
+// Run executes one job across the session, checkpointing it into
+// SessionOptions.Checkpoint when one is set. Unusable prior state (a torn
+// manifest, a corrupt blob) surfaces as its typed checkpoint error; the
+// caller decides whether to restart fresh.
 func (s *Session) Run(job Job) (core.Result, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The saver must exist before the job is encoded: its resume state
-	// ships inside the spec so workers fast-forward the same prefix.
 	var saver *checkpoint.Saver
 	if s.opts.Checkpoint != nil {
-		digest, err := job.SpecDigest()
-		if err != nil {
-			return core.Result{}, err
-		}
-		saver, err = checkpoint.NewSaver(s.opts.Checkpoint, digest, job.Algo, checkpoint.SaverOptions{
-			Every:    s.opts.CheckpointEvery,
-			Resume:   s.opts.CheckpointResume,
-			Revision: buildinfo.Revision(),
-			OnFlush:  s.opts.OnCheckpointFlush,
+		var err error
+		saver, err = job.OpenSaver(s.opts.Checkpoint, checkpoint.SaverOptions{
+			Every:   s.opts.CheckpointEvery,
+			Resume:  s.opts.CheckpointResume,
+			OnFlush: s.opts.OnCheckpointFlush,
 		})
 		if err != nil {
 			return core.Result{}, err
 		}
+	}
+	return s.RunSaved(job, saver)
+}
+
+// RunSaved executes one job across the session with a saver the caller
+// opened (nil = no durability): broadcast the spec, run the driver here as
+// party 0 over the coordinator transport, cross-check every surviving
+// worker's result digest against our own, then persist the saver's tail.
+// Deterministic driver errors (including injected-fault crashes) are part
+// of the digest — workers must land on the identical error.
+func (s *Session) RunSaved(job Job, saver *checkpoint.Saver) (core.Result, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	host := core.Params{
+		Parallelism: s.opts.Parallelism,
+		Ctx:         s.opts.Ctx,
+		Observer:    s.opts.Observer,
+		Transport:   s.co,
+	}
+	if saver != nil {
+		// The resume state ships inside the spec, so workers fast-forward
+		// the same prefix.
+		var err error
 		if job.Resume, err = saver.ResumeState(); err != nil {
 			return core.Result{}, err
 		}
-		s.ckMu.Lock()
-		s.saver = saver
-		s.ckMu.Unlock()
+		host.Checkpointer = saver
 	}
+	s.ckMu.Lock()
+	s.saver = saver
+	s.ckMu.Unlock()
 	jb, err := encodeValue(s.co.Codec(), job)
 	if err != nil {
 		return core.Result{}, err
@@ -191,23 +206,7 @@ func (s *Session) Run(job Job) (core.Result, error) {
 	// Per-peer wire counters at job start, so the job's traffic can be
 	// attributed to the report's per-worker rows as a delta.
 	base := s.co.PeerStats()
-	host := core.Params{
-		Parallelism: s.opts.Parallelism,
-		Ctx:         s.opts.Ctx,
-		Observer:    s.opts.Observer,
-		Transport:   s.co,
-	}
-	if saver != nil {
-		host.Checkpointer = saver
-	}
-	res, rerr := runJob(job, host)
-	if saver != nil && rerr == nil {
-		// Persist the tail shorter than the flush cadence, so a completed
-		// job's store covers every round.
-		if err := saver.Flush(); err != nil {
-			return res, err
-		}
-	}
+	res, rerr := job.drive(host)
 	if isTransportErr(rerr) {
 		// The session itself broke (divergence, total peer loss): workers
 		// may be stuck at a barrier and will only unwind at Close's
@@ -231,6 +230,11 @@ func (s *Session) Run(job Job) (core.Result, error) {
 		if got != want {
 			return res, fmt.Errorf("dist: worker %d diverged: %+v, coordinator %+v", w+1, got, want)
 		}
+	}
+	if rerr == nil && saver != nil {
+		// Only the coordinator persists, so a failed flush is not part of
+		// the digest: it is reported after the cross-check.
+		rerr = saver.Flush()
 	}
 	return res, rerr
 }
@@ -284,9 +288,9 @@ func (s *Session) PeerStats() []transport.PeerStats { return s.co.PeerStats() }
 // -status endpoint. Safe to call from any goroutine.
 func (s *Session) Status() transport.Status { return s.co.Status() }
 
-// CheckpointStatus snapshots the current job's checkpoint progress; nil
-// when the session runs without a store (or before the first job). Safe to
-// call from any goroutine, including mid-job.
+// CheckpointStatus snapshots the checkpoint progress of the current (or
+// last) job, whichever of Run and RunSaved started it; nil when that job
+// runs without a saver. Safe to call from any goroutine, including mid-job.
 func (s *Session) CheckpointStatus() *checkpoint.Status {
 	s.ckMu.Lock()
 	saver := s.saver

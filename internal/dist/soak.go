@@ -54,10 +54,10 @@ func Soak(job Job, opts SoakOptions) error {
 
 	// The reference digest comes from a fault-free in-process run: the
 	// distributed sessions must land on exactly this, chaos or not.
-	ref, rerr := runJob(job, core.Params{
+	ref, rerr := job.Run(core.Params{
 		Parallelism: runtime.GOMAXPROCS(0),
 		Ctx:         context.Background(),
-	})
+	}, nil)
 	want := digestOf(ref, rerr)
 
 	for i := 0; i < opts.Iterations; i++ {

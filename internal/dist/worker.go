@@ -174,7 +174,7 @@ func Serve(w *transport.Worker) error {
 			}
 			host.Checkpointer = rp
 		}
-		res, rerr := runJob(job, host)
+		res, rerr := job.drive(host)
 		if isTransportErr(rerr) {
 			if errors.Is(rerr, transport.ErrShutdown) {
 				return nil

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"mpcdist/internal/baseline"
-	"mpcdist/internal/buildinfo"
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/core"
 	"mpcdist/internal/dist"
@@ -180,13 +178,15 @@ type benchInput struct {
 }
 
 // benchCase is one algorithm × workload generator of the suite. gen is
-// separated from the driver dispatch (runCase) so the identical inputs —
-// same rng construction, same call sequence — feed whichever shuffle
-// transport the run selects.
+// separated from the job it feeds, so the identical inputs — same rng
+// construction, same call sequence — run on whichever shuffle transport
+// the run selects.
 type benchCase struct {
-	algo, workload string
-	x              float64
-	gen            func(n int) benchInput
+	// algo prefixes the case name (BENCH_baseline.json is keyed on it);
+	// job is the dist.Job algorithm the case runs ("hss" runs edit-hss).
+	algo, job, workload string
+	x                   float64
+	gen                 func(n int) benchInput
 }
 
 // benchCases returns the suite: the paper's two algorithms and the two
@@ -209,7 +209,7 @@ func benchCases(seed int64) []benchCase {
 	}
 	return []benchCase{
 		{
-			algo: "ulam-mpc", workload: "planted-perm", x: 0.3,
+			algo: "ulam-mpc", job: dist.AlgoUlamMPC, workload: "planted-perm", x: 0.3,
 			gen: func(n int) benchInput {
 				rng := rand.New(rand.NewSource(seed*7919 + int64(n)))
 				s, sbar, _ := workload.PlantedUlam(rng, n, planted(n, 0.6))
@@ -217,7 +217,7 @@ func benchCases(seed int64) []benchCase {
 			},
 		},
 		{
-			algo: "ulam-mpc", workload: "block-move", x: 0.3,
+			algo: "ulam-mpc", job: dist.AlgoUlamMPC, workload: "block-move", x: 0.3,
 			gen: func(n int) benchInput {
 				rng := rand.New(rand.NewSource(seed*7919 + int64(n) + 1))
 				s := workload.Permutation(rng, n)
@@ -226,11 +226,11 @@ func benchCases(seed int64) []benchCase {
 			},
 		},
 		{
-			algo: "edit-mpc", workload: "planted-random", x: 0.25,
+			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "planted-random", x: 0.25,
 			gen: plantedRandom,
 		},
 		{
-			algo: "edit-mpc", workload: "planted-dna", x: 0.25,
+			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "planted-dna", x: 0.25,
 			gen: func(n int) benchInput {
 				return editPair(n, 1000, func(rng *rand.Rand, n int) ([]byte, []byte) {
 					s := workload.DNA(rng, n)
@@ -239,7 +239,7 @@ func benchCases(seed int64) []benchCase {
 			},
 		},
 		{
-			algo: "edit-mpc", workload: "periodic-shift", x: 0.25,
+			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "periodic-shift", x: 0.25,
 			gen: func(n int) benchInput {
 				// Shift by a non-multiple of the effective period (sigma
 				// caps it at 4), so the rotation is a real, small edit.
@@ -248,7 +248,7 @@ func benchCases(seed int64) []benchCase {
 			},
 		},
 		{
-			algo: "edit-mpc", workload: "zipf-blockmove", x: 0.25,
+			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "zipf-blockmove", x: 0.25,
 			gen: func(n int) benchInput {
 				return editPair(n, 2000, func(rng *rand.Rand, n int) ([]byte, []byte) {
 					s := workload.Zipf(rng, n, 16)
@@ -257,45 +257,14 @@ func benchCases(seed int64) []benchCase {
 			},
 		},
 		{
-			algo: "hss", workload: "planted-random", x: 0.25,
+			algo: "hss", job: dist.AlgoEditHSS, workload: "planted-random", x: 0.25,
 			gen: plantedRandom,
 		},
 		{
-			algo: "lcs-mpc", workload: "planted-random", x: 0.25,
+			algo: "lcs-mpc", job: dist.AlgoLCSMPC, workload: "planted-random", x: 0.25,
 			gen: plantedRandom,
 		},
 	}
-}
-
-// distAlgo maps a bench-case algorithm name to its dist.Job name.
-func distAlgo(algo string) string {
-	switch algo {
-	case "hss":
-		return dist.AlgoEditHSS
-	default:
-		return algo // ulam-mpc, edit-mpc, lcs-mpc use the dist names
-	}
-}
-
-// runCase dispatches one case: through the distributed session when one
-// is given, else to the in-process driver.
-func runCase(bc benchCase, in benchInput, p core.Params, sess *dist.Session) (core.Result, error) {
-	if sess != nil {
-		job := dist.FromParams(distAlgo(bc.algo), p)
-		job.S, job.T, job.P, job.Q = in.s, in.sbar, in.p, in.q
-		return sess.Run(job)
-	}
-	switch bc.algo {
-	case "ulam-mpc":
-		return core.UlamMPC(in.p, in.q, p)
-	case "edit-mpc":
-		return core.EditMPC(in.s, in.sbar, p)
-	case "hss":
-		return baseline.HSSEditMPC(in.s, in.sbar, p)
-	case "lcs-mpc":
-		return baseline.LCSMPC(in.s, in.sbar, p)
-	}
-	return core.Result{}, fmt.Errorf("harness: unknown bench algo %q", bc.algo)
 }
 
 // benchPhases flattens a report's phase profile for the JSON record.
@@ -342,7 +311,7 @@ func RunBench(cfg BenchConfig) (BenchFile, error) {
 	case "tcp":
 		var err error
 		sess, err = dist.NewSession(dist.SessionOptions{Workers: cfg.Workers, Telemetry: cfg.Telemetry,
-			Transport: cfg.TransportOpts, NetChaos: cfg.NetChaos, Checkpoint: store})
+			Transport: cfg.TransportOpts, NetChaos: cfg.NetChaos})
 		if err != nil {
 			return BenchFile{}, err
 		}
@@ -363,48 +332,33 @@ func RunBench(cfg BenchConfig) (BenchFile, error) {
 	}
 	for _, bc := range benchCases(cfg.Seed) {
 		for _, n := range cfg.Sizes {
-			p := core.Params{X: bc.x, Eps: cfg.Eps, Seed: cfg.Seed,
-				Faults: cfg.Faults, MaxRetries: cfg.MaxRetries}
-			if local != nil {
-				// Guarded: a nil *Local in the interface field would read
-				// as non-nil to the driver.
-				p.Transport = local
-			}
 			in := bc.gen(n)
+			job := dist.FromParams(bc.job, core.Params{X: bc.x, Eps: cfg.Eps, Seed: cfg.Seed,
+				Faults: cfg.Faults, MaxRetries: cfg.MaxRetries})
+			job.S, job.T, job.P, job.Q = in.s, in.sbar, in.p, in.q
 			var saver *checkpoint.Saver
-			if store != nil && sess == nil {
-				// In-process durability: one saver per case, keyed by the
-				// same job-spec digest a distributed run would use. The tcp
-				// path builds its saver inside Session.Run.
-				job := dist.FromParams(distAlgo(bc.algo), p)
-				job.S, job.T, job.P, job.Q = in.s, in.sbar, in.p, in.q
-				digest, err := job.SpecDigest()
-				if err != nil {
+			var err error
+			if store != nil {
+				// One saver per case, keyed by the job-spec digest on either
+				// transport.
+				if saver, err = job.OpenSaver(store, checkpoint.SaverOptions{}); err != nil {
 					return BenchFile{}, err
 				}
-				saver, err = checkpoint.NewSaver(store, digest, distAlgo(bc.algo),
-					checkpoint.SaverOptions{Revision: buildinfo.Revision()})
-				if err != nil {
-					return BenchFile{}, err
-				}
-				p.Checkpointer = saver
 			}
 			start := time.Now()
 			wireStart := stats()
-			res, err := runCase(bc, in, p, sess)
+			var res core.Result
+			if sess != nil {
+				res, err = sess.RunSaved(job, saver)
+			} else {
+				res, err = job.Run(core.Params{Transport: local}, saver)
+			}
 			if err != nil {
 				return BenchFile{}, fmt.Errorf("harness: bench %s/%s n=%d: %w", bc.algo, bc.workload, n, err)
 			}
 			ckptSaves, ckptBytes := 0, int64(0)
 			if saver != nil {
-				if err := saver.Flush(); err != nil {
-					return BenchFile{}, err
-				}
 				ckptSaves, _, ckptBytes = saver.Counters()
-			} else if sess != nil && store != nil {
-				if cs := sess.CheckpointStatus(); cs != nil {
-					ckptSaves, ckptBytes = cs.Saves, cs.BytesWritten
-				}
 			}
 			times := make([]time.Duration, 0, len(res.Report.Rounds))
 			for _, rs := range res.Report.Rounds {

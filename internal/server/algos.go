@@ -1,11 +1,11 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"mpcdist"
+	"mpcdist/internal/dist"
 )
 
 // badRequestError marks client-side failures (unknown algorithm, invalid
@@ -30,12 +30,10 @@ type algoSpec struct {
 	// (MPC algorithms only); Theorem 9 allows X = 5/17 itself, the slack
 	// mirrors core's validation.
 	MaxX float64
-	// distAlgo, when non-empty, is the distributed job name: with a
-	// Config.Dist session attached, non-trace queries for this algorithm
-	// run across the worker cluster instead of in-process. The results are
-	// bit-identical either way (the TCP parity suite enforces it).
-	distAlgo string
-	run      func(ctx context.Context, q Query, p mpcdist.MPCParams) (Answer, error)
+	// run is a sequential kernel. MPC algorithms have none: their query
+	// name is their dist.Job algorithm, and every one runs as a job (see
+	// Server.compute).
+	run func(q Query, p mpcdist.MPCParams) (Answer, error)
 	// degrade, when set, is the sequential fallback the degradation ladder
 	// runs if the exact kernel exhausts its (reserve-reduced) deadline: a
 	// cheap kernel answering the same question approximately (or exactly
@@ -87,38 +85,38 @@ func degradeLCS(q Query, _ mpcdist.MPCParams) (Answer, error) {
 
 // algos is the kernel registry: every supported value of Query.Algo.
 var algos = map[string]algoSpec{
-	"edit": {run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"edit": {run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		return seqAnswer("edit", "", mpcdist.EditDistanceBytes([]byte(q.A), []byte(q.B), nil)), nil
 	}},
-	"edit-myers": {run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"edit-myers": {run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		return seqAnswer("edit-myers", "", mpcdist.EditDistanceFast([]byte(q.A), []byte(q.B), nil)), nil
 	}},
-	"edit-diagonal": {run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"edit-diagonal": {run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		return seqAnswer("edit-diagonal", "", mpcdist.EditDistanceDiagonal([]byte(q.A), []byte(q.B), nil)), nil
 	}},
-	"edit-bounded": {run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"edit-bounded": {run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		if q.Bound < 0 {
 			return Answer{}, badRequestf("bound must be >= 0, got %d", q.Bound)
 		}
 		return seqAnswer("edit-bounded", "", mpcdist.EditDistanceBounded([]byte(q.A), []byte(q.B), q.Bound, nil)), nil
 	}},
-	"edit-approx": {run: func(_ context.Context, q Query, p mpcdist.MPCParams) (Answer, error) {
+	"edit-approx": {run: func(q Query, p mpcdist.MPCParams) (Answer, error) {
 		return seqAnswer("edit-approx", "", mpcdist.ApproxEditDistance([]byte(q.A), []byte(q.B), p.Eps, p.Seed, nil)), nil
 	}},
-	"lcs": {run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"lcs": {run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		return seqAnswer("lcs", "", mpcdist.LCSLength([]byte(q.A), []byte(q.B), nil)), nil
 	}},
-	"indel": {run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"indel": {run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		return seqAnswer("indel", "", mpcdist.IndelDistance([]byte(q.A), []byte(q.B), nil)), nil
 	}},
-	"ulam": {Ints: true, run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"ulam": {Ints: true, run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		d, err := mpcdist.UlamDistanceE(q.ASeq, q.BSeq)
 		if err != nil {
 			return Answer{}, badRequestError{msg: err.Error()}
 		}
 		return seqAnswer("ulam", "", d), nil
 	}},
-	"ulam-indel": {Ints: true, run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"ulam-indel": {Ints: true, run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		// CheckDistinct first: the panicking form is not for untrusted input.
 		for _, s := range [][]int{q.ASeq, q.BSeq} {
 			if err := mpcdist.CheckDistinct(s); err != nil {
@@ -127,7 +125,7 @@ var algos = map[string]algoSpec{
 		}
 		return seqAnswer("ulam-indel", "", mpcdist.UlamIndelDistance(q.ASeq, q.BSeq)), nil
 	}},
-	"lulam": {Ints: true, run: func(_ context.Context, q Query, _ mpcdist.MPCParams) (Answer, error) {
+	"lulam": {Ints: true, run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		d, win, err := mpcdist.LocalUlamE(q.ASeq, q.BSeq)
 		if err != nil {
 			return Answer{}, badRequestError{msg: err.Error()}
@@ -136,36 +134,10 @@ var algos = map[string]algoSpec{
 		a.Window = &WindowJSON{Gamma: win.Gamma, Kappa: win.Kappa}
 		return a, nil
 	}},
-	"ulam-mpc": {Ints: true, MPC: true, MaxX: maxXHalf, distAlgo: "ulam-mpc", degrade: degradeUlam, run: func(ctx context.Context, q Query, p mpcdist.MPCParams) (Answer, error) {
-		res, err := mpcdist.UlamDistanceMPCCtx(ctx, q.ASeq, q.BSeq, p)
-		if err != nil {
-			return Answer{}, err
-		}
-		return mpcAnswer("ulam-mpc", res), nil
-	}},
-	"edit-mpc": {MPC: true, MaxX: maxXEdit, distAlgo: "edit-mpc", degrade: degradeEdit("edit-mpc"), run: func(ctx context.Context, q Query, p mpcdist.MPCParams) (Answer, error) {
-		res, err := mpcdist.EditDistanceMPCCtx(ctx, []byte(q.A), []byte(q.B), p)
-		if err != nil {
-			return Answer{}, err
-		}
-		return mpcAnswer("edit-mpc", res), nil
-	}},
-	"edit-hss": {MPC: true, MaxX: maxXHalf, distAlgo: "edit-hss", degrade: degradeEdit("edit-hss"), run: func(ctx context.Context, q Query, p mpcdist.MPCParams) (Answer, error) {
-		p.Ctx = ctx
-		res, err := mpcdist.EditDistanceHSS([]byte(q.A), []byte(q.B), p)
-		if err != nil {
-			return Answer{}, err
-		}
-		return mpcAnswer("edit-hss", res), nil
-	}},
-	"lcs-mpc": {MPC: true, MaxX: maxXHalf, degrade: degradeLCS, run: func(ctx context.Context, q Query, p mpcdist.MPCParams) (Answer, error) {
-		p.Ctx = ctx
-		res, err := mpcdist.LCSMPC([]byte(q.A), []byte(q.B), p)
-		if err != nil {
-			return Answer{}, err
-		}
-		return mpcAnswer("lcs-mpc", res), nil
-	}},
+	dist.AlgoUlamMPC: {Ints: true, MPC: true, MaxX: maxXHalf, degrade: degradeUlam},
+	dist.AlgoEditMPC: {MPC: true, MaxX: maxXEdit, degrade: degradeEdit(dist.AlgoEditMPC)},
+	dist.AlgoEditHSS: {MPC: true, MaxX: maxXHalf, degrade: degradeEdit(dist.AlgoEditHSS)},
+	dist.AlgoLCSMPC:  {MPC: true, MaxX: maxXHalf, degrade: degradeLCS},
 }
 
 // Algorithms lists the supported algorithm names, sorted.

@@ -10,37 +10,70 @@ import (
 	"testing"
 
 	"mpcdist/internal/checkpoint"
+	"mpcdist/internal/dist"
 )
 
-// batchOne posts a single-query batch and returns its answer.
-func batchOne(t *testing.T, base string, q Query) Answer {
+// batch posts the queries as one batch and returns the answers in query
+// order.
+func batch(t *testing.T, base string, qs ...Query) []Answer {
 	t.Helper()
-	resp := post(t, base+"/v1/batch", BatchRequest{Queries: []Query{q}})
+	resp := post(t, base+"/v1/batch", BatchRequest{Queries: qs})
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status %d", resp.StatusCode)
 	}
+	answers := make([]Answer, len(qs))
 	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("empty batch response: %v", sc.Err())
+	for range qs {
+		if !sc.Scan() {
+			t.Fatalf("short batch response: %v", sc.Err())
+		}
+		var item BatchItem
+		if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
+			t.Fatal(err)
+		}
+		if item.Error != "" {
+			t.Fatalf("batch query %d failed: %s", item.Index, item.Error)
+		}
+		answers[item.Index] = *item.Answer
 	}
-	var item BatchItem
-	if err := json.Unmarshal(sc.Bytes(), &item); err != nil {
-		t.Fatal(err)
-	}
-	if item.Error != "" {
-		t.Fatalf("batch query failed: %s", item.Error)
-	}
-	return *item.Answer
+	return answers
 }
 
-// TestBatchCheckpointResume is the mpcserve-restart story in miniature:
-// a batch MPC query on a checkpoint-configured server persists its rounds;
-// a second server over the same store (a restarted process — fresh cache,
-// fresh metrics) answers the same query by fast-forwarding instead of
-// recomputing, bit-identically; and a torn store self-heals into a fresh
+// TestMain lets the test binary serve as its own worker processes: the
+// session case of TestBatchCheckpointResume re-execs this binary, and
+// MaybeWorkerMain hijacks those copies before any test runs.
+func TestMain(m *testing.M) {
+	dist.MaybeWorkerMain()
+	os.Exit(m.Run())
+}
+
+// TestBatchCheckpointResume is the mpcserve-restart story in miniature,
+// run in-process and over a 1-worker session, which share one durability
+// policy: an interactive /v1/distance query never touches the store; a
+// batch MPC query persists its rounds; a second server over the same store
+// (a restarted process — fresh cache, fresh metrics) answers the same
+// query by fast-forwarding every round, bit-identically, and reports it in
+// resumedRounds and the metrics; and a torn store self-heals into a fresh
 // run instead of failing the request.
 func TestBatchCheckpointResume(t *testing.T) {
+	t.Run("local", func(t *testing.T) { checkBatchResume(t, nil) })
+	t.Run("session", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("spawns worker processes")
+		}
+		sess, err := dist.NewSession(dist.SessionOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sess.Close()
+		checkBatchResume(t, sess)
+	})
+}
+
+// checkBatchResume drives the restart story against servers that run MPC
+// jobs on cluster (nil = in-process).
+func checkBatchResume(t *testing.T, cluster DistRunner) {
 	rng := rand.New(rand.NewSource(9))
 	n := 300
 	s := rng.Perm(n)
@@ -53,11 +86,31 @@ func TestBatchCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Checkpoint: store, CheckpointEvery: 1, CacheSize: -1}
+	cfg := Config{Checkpoint: store, CheckpointEvery: 1, CacheSize: -1, Dist: cluster}
+	same := func(name string, a, want Answer) {
+		t.Helper()
+		if a.Distributed != (cluster != nil) {
+			t.Errorf("%s answer: distributed = %v on cluster %v", name, a.Distributed, cluster)
+		}
+		if a.Distance != want.Distance || a.Report == nil || want.Report == nil ||
+			a.Report.Rounds != want.Report.Rounds || a.Report.TotalOps != want.Report.TotalOps ||
+			a.Report.CommWords != want.Report.CommWords {
+			t.Fatalf("%s answer differs: %d %+v, want %d %+v", name, a.Distance, a.Report, want.Distance, want.Report)
+		}
+	}
 
-	// First server: computes live, persists every round.
+	// /v1/distance must not touch the store: short interactive queries
+	// recompute; only long batch jobs earn durability.
 	ts1 := newTestServer(t, cfg)
-	a1 := batchOne(t, ts1.URL, q)
+	a0 := decodeAnswer(t, post(t, ts1.URL+"/v1/distance", q))
+	if jobs, err := store.Jobs(); err != nil || len(jobs) != 0 {
+		t.Fatalf("interactive query wrote to the store: jobs %v, %v", jobs, err)
+	}
+	rounds := a0.Report.Rounds
+
+	// First batch: computes live, persists every round.
+	a1 := batch(t, ts1.URL, q)[0]
+	same("first batch", a1, a0)
 	if a1.ResumedRounds != 0 {
 		t.Fatalf("first run resumed %d rounds, want 0", a1.ResumedRounds)
 	}
@@ -66,31 +119,20 @@ func TestBatchCheckpointResume(t *testing.T) {
 		t.Fatalf("store jobs after first batch: %v, %v", jobs, err)
 	}
 	snap1 := metricsSnapshot(t, ts1.URL)
-	if snap1.Checkpoint == nil || snap1.Checkpoint.Saves == 0 {
-		t.Fatalf("metrics after first batch: %+v", snap1.Checkpoint)
+	if snap1.Checkpoint == nil || snap1.Checkpoint.Saves != uint64(rounds) {
+		t.Fatalf("metrics after first batch: %+v, want %d saves", snap1.Checkpoint, rounds)
 	}
 
 	// "Restarted" server over the same store: the job fast-forwards.
 	ts2 := newTestServer(t, cfg)
-	a2 := batchOne(t, ts2.URL, q)
-	if a2.ResumedRounds == 0 {
-		t.Fatal("restarted server recomputed instead of resuming")
-	}
-	if a2.Distance != a1.Distance || a2.Report == nil || a1.Report == nil ||
-		a2.Report.TotalOps != a1.Report.TotalOps || a2.Report.CommWords != a1.Report.CommWords {
-		t.Fatalf("resumed answer differs: first %+v, resumed %+v", a1.Report, a2.Report)
+	a2 := batch(t, ts2.URL, q)[0]
+	same("resumed", a2, a0)
+	if a2.ResumedRounds != rounds {
+		t.Fatalf("restarted server resumed %d rounds, want %d", a2.ResumedRounds, rounds)
 	}
 	snap2 := metricsSnapshot(t, ts2.URL)
-	if snap2.Checkpoint == nil || snap2.Checkpoint.ResumedSteps == 0 {
-		t.Fatalf("metrics after resume: %+v", snap2.Checkpoint)
-	}
-
-	// /v1/distance (non-batch) must not touch the store: short interactive
-	// queries recompute; only long batch jobs earn durability.
-	before := store.Stats()
-	_ = decodeAnswer(t, post(t, ts2.URL+"/v1/distance", q))
-	if after := store.Stats(); after != before {
-		t.Errorf("interactive query wrote to the store: %+v -> %+v", before, after)
+	if snap2.Checkpoint == nil || snap2.Checkpoint.ResumedSteps != uint64(rounds) || snap2.Checkpoint.Saves != 0 {
+		t.Fatalf("metrics after resume: %+v, want %d resumed / 0 saves", snap2.Checkpoint, rounds)
 	}
 
 	// Torn manifest: the next batch self-heals (fresh run, logged), the
@@ -100,14 +142,26 @@ func TestBatchCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts3 := newTestServer(t, cfg)
-	a3 := batchOne(t, ts3.URL, q)
-	if a3.Distance != a1.Distance {
-		t.Fatalf("self-healed answer = %d, want %d", a3.Distance, a1.Distance)
-	}
+	a3 := batch(t, ts3.URL, q)[0]
+	same("self-healed", a3, a0)
 	if a3.ResumedRounds != 0 {
 		t.Errorf("self-healed run claims %d resumed rounds", a3.ResumedRounds)
 	}
-	if _, err := store.Manifest(jobs[0]); err != nil {
-		t.Errorf("store not healed: %v", err)
+	if man, err := store.Manifest(jobs[0]); err != nil || len(man.Steps) != rounds {
+		t.Errorf("store not healed: manifest %+v, %v", man, err)
+	}
+
+	// Two jobs in one batch run concurrently (on a cluster they serialize on
+	// the session): each answer reports its own saver's resumed rounds, on
+	// the first pass (one job stored, one new) and on the second (both).
+	q2 := q
+	q2.Seed = 8
+	for pass, want2 := range []int{0, rounds} {
+		got := batch(t, ts3.URL, q, q2)
+		same("concurrent", got[0], a0)
+		if got[0].ResumedRounds != rounds || got[1].ResumedRounds != want2 {
+			t.Fatalf("concurrent batch pass %d resumed %d and %d rounds, want %d and %d",
+				pass, got[0].ResumedRounds, got[1].ResumedRounds, rounds, want2)
+		}
 	}
 }

@@ -2,19 +2,20 @@ package server
 
 import (
 	"mpcdist"
+	"mpcdist/internal/checkpoint"
+	"mpcdist/internal/dist"
 	"mpcdist/internal/transport"
 )
 
-// DistRunner is the seam through which the server routes MPC queries to a
-// distributed cluster instead of the in-process simulator. cmd/mpcserve
-// adapts internal/dist.Session to it when started with -transport tcp;
-// tests substitute fakes. Implementations serialize jobs internally (a
-// session runs one at a time), so concurrent pool workers may call Run.
+// DistRunner is the seam through which the server runs MPC jobs on a
+// distributed cluster instead of in-process. *dist.Session satisfies it
+// (cmd/mpcserve attaches one when started with -transport tcp); tests
+// substitute fakes. Implementations serialize jobs internally (a session
+// runs one at a time), so concurrent pool workers may call RunSaved.
 type DistRunner interface {
-	// Run executes one MPC job across the cluster. algo is the distributed
-	// job name ("edit-mpc", "edit-hss", "ulam-mpc"); s/t are the string
-	// inputs and p/q the integer sequences, exactly one pair non-nil.
-	Run(algo string, s, t []byte, p, q []int, params mpcdist.MPCParams) (mpcdist.MPCResult, error)
+	// RunSaved executes one job across the cluster, checkpointing it into
+	// saver when non-nil (the server opens it; see Server.compute).
+	RunSaved(job dist.Job, saver *checkpoint.Saver) (mpcdist.MPCResult, error)
 	// Status snapshots the live transport view of the session — worker
 	// liveness, wire counters, per-peer heartbeat RTT — for the metrics
 	// endpoint. Must be safe to call from any goroutine.

@@ -4,26 +4,40 @@ import (
 	"io"
 	"net/http"
 	"strings"
-	"sync/atomic"
+	"sync"
 	"testing"
 	"time"
 
 	"mpcdist"
+	"mpcdist/internal/checkpoint"
+	"mpcdist/internal/dist"
 	"mpcdist/internal/mpc"
 	"mpcdist/internal/transport"
 )
 
 // fakeDist is a canned DistRunner: it returns a fixed result with
-// per-worker rows and counts how often the server routed to it.
+// per-worker rows and records the jobs the server routed to it.
 type fakeDist struct {
-	calls atomic.Int64
-	res   mpcdist.MPCResult
+	mu   sync.Mutex
+	jobs []dist.Job
+	res  mpcdist.MPCResult
 }
 
-func (f *fakeDist) Run(algo string, s, t []byte, p, q []int, params mpcdist.MPCParams) (mpcdist.MPCResult, error) {
-	f.calls.Add(1)
+func (f *fakeDist) RunSaved(job dist.Job, _ *checkpoint.Saver) (mpcdist.MPCResult, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.jobs = append(f.jobs, job)
 	return f.res, nil
 }
+
+// routed returns the jobs routed so far.
+func (f *fakeDist) routed() []dist.Job {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]dist.Job(nil), f.jobs...)
+}
+
+func (f *fakeDist) calls() int { return len(f.routed()) }
 
 func (f *fakeDist) Status() transport.Status {
 	return transport.Status{
@@ -73,8 +87,8 @@ func TestDistributedRouting(t *testing.T) {
 	if a.Distance != 4 {
 		t.Fatalf("distance = %d, want the cluster's 4", a.Distance)
 	}
-	if got := fake.calls.Load(); got != 1 {
-		t.Fatalf("DistRunner.Run called %d times, want 1", got)
+	if got := fake.calls(); got != 1 {
+		t.Fatalf("DistRunner.RunSaved called %d times, want 1", got)
 	}
 	if a.Report == nil || len(a.Report.Workers) != 4 {
 		t.Fatalf("answer report workers = %+v, want 4 rows", a.Report)
@@ -84,21 +98,32 @@ func TestDistributedRouting(t *testing.T) {
 		t.Fatalf("worker row 2 = %+v, want party 2 wireBytes 1950 retries 1", w2)
 	}
 
+	// Every MPC algorithm routes alike: the query name is the job name.
+	l := decodeAnswer(t, post(t, ts.URL+"/v1/distance",
+		Query{Algo: "lcs-mpc", A: "kitten", B: "sitting"}))
+	if !l.Distributed || fake.calls() != 2 {
+		t.Fatalf("lcs-mpc query not routed to the cluster (distributed=%v calls=%d)",
+			l.Distributed, fake.calls())
+	}
+	if job := fake.routed()[1]; job.Algo != dist.AlgoLCSMPC || string(job.S) != "kitten" || string(job.T) != "sitting" {
+		t.Fatalf("lcs-mpc job = %+v", job)
+	}
+
 	// Sequential algorithms never touch the cluster.
 	b := decodeAnswer(t, post(t, ts.URL+"/v1/distance",
 		Query{Algo: "edit", A: "kitten", B: "sitting"}))
-	if b.Distributed || fake.calls.Load() != 1 {
+	if b.Distributed || fake.calls() != 2 {
 		t.Fatalf("sequential query routed to the cluster (distributed=%v calls=%d)",
-			b.Distributed, fake.calls.Load())
+			b.Distributed, fake.calls())
 	}
 
 	// Trace queries need the in-process observer, so they bypass the
 	// cluster too and still return a trace.
 	c := decodeAnswer(t, post(t, ts.URL+"/v1/distance?trace=1",
 		Query{Algo: "ulam-mpc", ASeq: []int{3, 1, 2}, BSeq: []int{1, 2, 3}}))
-	if c.Distributed || fake.calls.Load() != 1 {
+	if c.Distributed || fake.calls() != 2 {
 		t.Fatalf("trace query routed to the cluster (distributed=%v calls=%d)",
-			c.Distributed, fake.calls.Load())
+			c.Distributed, fake.calls())
 	}
 	if len(c.Trace) == 0 {
 		t.Fatal("trace query returned no trace")

@@ -46,7 +46,6 @@ import (
 	"time"
 
 	"mpcdist"
-	"mpcdist/internal/buildinfo"
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/dist"
 	"mpcdist/internal/fault"
@@ -103,11 +102,11 @@ type Config struct {
 	// MaxRetries is the per-machine-round replay budget for MPC queries
 	// (0 = mpc.DefaultMaxRetries).
 	MaxRetries int
-	// Dist, when non-nil, routes MPC queries (edit-mpc, edit-hss,
-	// ulam-mpc; not ?trace=1) to a distributed worker cluster instead of
-	// the in-process simulator. Answers are bit-identical either way and
-	// marked distributed:true; /metrics grows mpcserve_transport_* and
-	// mpcserve_worker_* series. The degradation ladder does not apply to
+	// Dist, when non-nil, routes MPC queries (ulam-mpc, edit-mpc,
+	// edit-hss, lcs-mpc; not ?trace=1) to a distributed worker cluster
+	// instead of the in-process simulator. Answers are bit-identical either
+	// way and marked distributed:true; /metrics grows mpcserve_transport_*
+	// and mpcserve_worker_* series. The degradation ladder does not apply to
 	// cluster runs — their resilience story is the transport's own
 	// mid-round reassignment.
 	Dist DistRunner
@@ -117,9 +116,9 @@ type Config struct {
 	// fast-forwards completed rounds instead of recomputing them. Only
 	// batch queries checkpoint — they are the long-running, retried-on-
 	// restart workload; interactive /v1/distance queries are cheaper to
-	// recompute than to persist. The mpcserve_checkpoint_* metrics series
-	// record the seam's activity. (A distributed server's sessions carry
-	// their own store; cmd/mpcserve wires the same one into both.)
+	// recompute than to persist. The policy is the same in-process and on
+	// Dist. The mpcserve_checkpoint_* metrics series record the seam's
+	// activity.
 	Checkpoint *checkpoint.Store
 	// CheckpointEvery is the durable flush cadence in rounds (0 = 1).
 	CheckpointEvery int
@@ -361,55 +360,30 @@ func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool)
 	return a, nil
 }
 
-// compute runs the kernel inside a pool slot, applying the degradation
-// ladder: with a DegradeReserve configured and a fallback available, the
-// exact kernel gets the request deadline minus the reserve; if it runs out
-// while the request itself is still alive, the sequential fallback answers
-// within the reserved slice, marked degraded.
+// compute runs the kernel inside a pool slot. Sequential kernels run
+// directly; every MPC query runs as a dist.Job, on the cluster when one is
+// attached and the query is untraced (the trace wants this process's event
+// log), else in-process. Batch queries checkpoint on either path through
+// one saver (batchSaver), and the answer's ResumedRounds comes from that
+// saver. The degradation ladder applies only to in-process runs without a
+// saver: with a DegradeReserve configured, the job gets the request
+// deadline minus the reserve, and if it runs out while the request itself
+// is still alive, the sequential fallback answers within the reserved
+// slice, marked degraded. A cluster run recovers from worker loss by
+// reassignment instead.
 func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpcdist.MPCParams, wantTrace, resumable bool) (Answer, error) {
-	// Cluster routing: with a distributed session attached, eligible MPC
-	// queries run across the real worker processes. Traced queries stay
-	// in-process (the trace observer wants this process's event stream),
-	// and the degradation ladder is bypassed — a cluster run recovers from
-	// worker loss by reassignment, not by a sequential fallback.
-	if s.cfg.Dist != nil && spec.distAlgo != "" && !wantTrace {
-		if err := ctx.Err(); err != nil {
-			return Answer{}, err
-		}
-		res, err := s.cfg.Dist.Run(spec.distAlgo, []byte(q.A), []byte(q.B), q.ASeq, q.BSeq, params)
-		if err != nil {
-			return Answer{}, err
-		}
-		a := mpcAnswer(q.Algo, res)
-		a.Distributed = true
-		return a, nil
+	if !spec.MPC {
+		return spec.run(q, params)
 	}
-	// Checkpoint seam for in-process batch MPC queries: persist rounds and
-	// auto-resume, so re-submitting a batch after a server restart
-	// fast-forwards what already ran instead of recomputing it.
-	if resumable && spec.MPC && s.cfg.Checkpoint != nil && !wantTrace {
-		saver, err := s.openSaver(q, params)
-		if err != nil {
-			// A broken store must not take the serving path down: log, run
-			// without durability, and let the operator ckpt-verify the store.
-			s.log.Error("checkpoint store unusable, computing without durability",
-				"algo", q.Algo, "error", err.Error())
-		} else {
-			params.Checkpointer = saver
-			a, err := spec.run(ctx, q, params)
-			if err == nil {
-				if ferr := saver.Flush(); ferr != nil {
-					return Answer{}, ferr
-				}
-				_, resumed, _ := saver.Counters()
-				s.metrics.ObserveCheckpointResume(resumed)
-				a.ResumedRounds = resumed
-			}
-			return a, err
-		}
+	job := dist.FromParams(q.Algo, params)
+	job.S, job.T, job.P, job.Q = []byte(q.A), []byte(q.B), q.ASeq, q.BSeq
+	var saver *checkpoint.Saver
+	if resumable && s.cfg.Checkpoint != nil {
+		saver = s.batchSaver(job)
 	}
+	distributed := s.cfg.Dist != nil && !wantTrace
 	runCtx := ctx
-	canDegrade := spec.degrade != nil && s.cfg.DegradeReserve > 0 && !wantTrace
+	canDegrade := !distributed && saver == nil && spec.degrade != nil && s.cfg.DegradeReserve > 0 && !wantTrace
 	if canDegrade {
 		dl, ok := ctx.Deadline()
 		if !ok {
@@ -419,58 +393,73 @@ func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpc
 			runCtx, cancel = context.WithDeadline(ctx, reduced)
 			defer cancel()
 		}
-		// When the reserve swallows the whole remaining deadline, the
-		// exact kernel keeps runCtx == ctx (already nearly expired) and
-		// the fallback still fires below.
+		// When the reserve swallows the whole remaining deadline, the job
+		// keeps runCtx == ctx (already nearly expired) and the fallback
+		// still fires below.
 	}
-	a, err := spec.run(runCtx, q, params)
+	var res mpcdist.MPCResult
+	var err error
+	if distributed {
+		// The cluster does not see the request's context: a request that
+		// expired while queued must not start.
+		if err = ctx.Err(); err == nil {
+			res, err = s.cfg.Dist.RunSaved(job, saver)
+		}
+	} else {
+		res, err = job.Run(mpcdist.MPCParams{Ctx: runCtx, Observer: params.Observer}, saver)
+	}
 	if err != nil && canDegrade && ctx.Err() == nil &&
 		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
-		// The exact kernel ran out of its reduced deadline but the request
-		// is still alive: answer from the fallback within the reserve.
-		a, err = spec.degrade(q, params)
+		// The job ran out of its reduced deadline but the request is still
+		// alive: answer from the fallback within the reserve.
+		a, err := spec.degrade(q, params)
 		if err == nil {
 			a.Degraded = true
 			s.metrics.ObserveDegraded()
-			// A degraded answer means the exact kernel missed its deadline —
-			// exactly the situation the flight recorder's retained window
+			// A degraded answer means the job missed its deadline — exactly
+			// the situation the flight recorder's retained window
 			// (straggling rounds, queue waits, faults) exists to explain.
 			trace.FlightTrigger("server: degraded fallback (" + q.Algo + ")")
 		}
+		return a, err
 	}
-	return a, err
+	if err != nil {
+		return Answer{}, err
+	}
+	a := mpcAnswer(q.Algo, res)
+	a.Distributed = distributed
+	if saver != nil {
+		_, resumed, _ := saver.Counters()
+		s.metrics.ObserveCheckpointResume(resumed)
+		a.ResumedRounds = resumed
+	}
+	return a, nil
 }
 
-// openSaver builds a batch query's job-keyed saver, auto-resuming any
-// durable prefix. Unusable prior state (torn manifest, corrupt blob,
-// diverged algorithm) falls back to restarting the job's checkpoint from
-// scratch — the store heals on the next flush — so only a store that
-// cannot be opened fresh surfaces as an error.
-func (s *Server) openSaver(q Query, params mpcdist.MPCParams) (*checkpoint.Saver, error) {
-	name := q.Algo
-	if spec := algos[q.Algo]; spec.distAlgo != "" {
-		name = spec.distAlgo
-	}
-	job := dist.FromParams(name, params)
-	job.S, job.T, job.P, job.Q = []byte(q.A), []byte(q.B), q.ASeq, q.BSeq
-	digest, err := job.SpecDigest()
-	if err != nil {
-		return nil, err
-	}
+// batchSaver opens a batch query's saver, auto-resuming any durable
+// prefix. Unusable prior state (torn manifest, corrupt blob, diverged
+// algorithm) is logged and the job's checkpoint restarts from scratch —
+// the store heals on the next flush — so a broken store never fails a
+// request; nil means the query runs without durability.
+func (s *Server) batchSaver(job dist.Job) *checkpoint.Saver {
 	opts := checkpoint.SaverOptions{
-		Every:    s.cfg.CheckpointEvery,
-		Resume:   true,
-		Revision: buildinfo.Revision(),
-		OnFlush:  s.metrics.ObserveCheckpointFlush,
+		Every:   s.cfg.CheckpointEvery,
+		Resume:  true,
+		OnFlush: s.metrics.ObserveCheckpointFlush,
 	}
-	saver, err := checkpoint.NewSaver(s.cfg.Checkpoint, digest, name, opts)
+	saver, err := job.OpenSaver(s.cfg.Checkpoint, opts)
 	if err != nil {
 		s.log.Warn("checkpoint resume unusable, restarting job state",
-			"algo", q.Algo, "error", err.Error())
+			"algo", job.Algo, "error", err.Error())
 		opts.Resume = false
-		saver, err = checkpoint.NewSaver(s.cfg.Checkpoint, digest, name, opts)
+		saver, err = job.OpenSaver(s.cfg.Checkpoint, opts)
 	}
-	return saver, err
+	if err != nil {
+		s.log.Error("checkpoint store unusable, computing without durability",
+			"algo", job.Algo, "error", err.Error())
+		return nil
+	}
+	return saver
 }
 
 // logQuery emits one structured line per resolved query, carrying the
