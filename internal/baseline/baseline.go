@@ -75,7 +75,7 @@ func HSSEditMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 	}
 	best := n + m
 	var reports []mpc.Report
-	for _, g := range guessLadder(p.Eps, n+m) {
+	for _, g := range core.Ladder(p.Eps, n+m) {
 		v, rep, err := hssGuess(s, sbar, g, p)
 		if err != nil {
 			return core.Result{}, err
@@ -205,24 +205,6 @@ func SequentialExact(s, sbar []byte, ops *stats.Ops) int {
 // SequentialMyers is the bit-parallel exact algorithm.
 func SequentialMyers(s, sbar []byte, ops *stats.Ops) int {
 	return editdist.Myers(s, sbar, ops)
-}
-
-func guessLadder(eps float64, max int) []int {
-	if max < 1 {
-		return []int{1}
-	}
-	var out []int
-	v := 1.0
-	for {
-		iv := int(math.Ceil(v))
-		if len(out) == 0 || iv > out[len(out)-1] {
-			out = append(out, iv)
-		}
-		if iv >= max {
-			return out
-		}
-		v *= 1 + eps
-	}
 }
 
 func maxInt(a, b int) int {

@@ -46,7 +46,7 @@ func EditMPC(s, sbar []byte, p Params) (Result, error) {
 
 	best := n + m
 	var reports []mpc.Report
-	for _, g := range ladder(p.Eps, n+m) {
+	for _, g := range Ladder(p.Eps, n+m) {
 		var (
 			v      int
 			rep    mpc.Report

@@ -208,7 +208,7 @@ func editLarge(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 	// Low-degree presampling coins (Algorithm 6 line 9): one coin per
 	// (block, tau); a block gets run machines iff any coin is true.
 	tauMax := bsz + maxWin + 2
-	taus := ladder(epsP, tauMax)
+	taus := Ladder(epsP, tauMax)
 	oneMinusDelta := fN / float64(g)
 	denom := math.Pow(fN, y-yp) / oneMinusDelta
 	if denom < 1 {

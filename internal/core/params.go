@@ -183,9 +183,10 @@ type Result struct {
 	Chain []chain.Tuple
 }
 
-// ladder enumerates 1, then ceil((1+eps)^j) without repeats, up to max
-// (inclusive); it always ends with a value >= max.
-func ladder(eps float64, max int) []int {
+// Ladder enumerates 1, then ceil((1+eps)^j) without repeats, up to max
+// (inclusive); it always ends with a value >= max. Every geometric ladder
+// of guesses in the repo is built by it, the HSS baseline's included.
+func Ladder(eps float64, max int) []int {
 	if max < 1 {
 		return []int{1}
 	}

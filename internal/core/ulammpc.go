@@ -213,7 +213,7 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64, coll
 	// than B/eps' can be truncated, pushing pure insertions into the
 	// chain gaps at a 1+O(eps') loss.
 	uMax := int(float64(blen)/epsP) + 1
-	for _, u := range ladder(epsP, uMax) {
+	for _, u := range Ladder(epsP, uMax) {
 		uh := int(float64(u)*(1+epsP)) + 1 // the paper's u-hat
 		gap := maxInt(int(epsP*float64(u)), 1)
 		round := func(v int) int { return v - mod(v, gap) }

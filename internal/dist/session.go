@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -205,7 +206,7 @@ func (s *Session) RunSaved(job Job, saver *checkpoint.Saver) (core.Result, error
 	}
 	// Per-peer wire counters at job start, so the job's traffic can be
 	// attributed to the report's per-worker rows as a delta.
-	base := s.co.PeerStats()
+	base := s.co.Status().Peers
 	res, rerr := job.drive(host)
 	if isTransportErr(rerr) {
 		// The session itself broke (divergence, total peer loss): workers
@@ -250,11 +251,11 @@ func isTransportErr(err error) bool {
 // fillWireBytes stamps the report's per-worker rows with each party's
 // connection traffic during the job (coordinator's view; the coordinator
 // row gets the sum over all links). Advisory, like everything wall-clock.
-func (s *Session) fillWireBytes(res *core.Result, base []transport.PeerStats) {
+func (s *Session) fillWireBytes(res *core.Result, base []transport.PeerStatus) {
 	if len(res.Report.Workers) == 0 {
 		return
 	}
-	cur := s.co.PeerStats()
+	cur := s.co.Status().Peers
 	var total int64
 	for i := range cur {
 		d := cur[i].BytesIn + cur[i].BytesOut
@@ -279,10 +280,6 @@ func (s *Session) Alive() int { return s.co.Alive() }
 // Stats reports the coordinator's transport counters (bytes on the wire,
 // frames, exchanges, losses, reassignments).
 func (s *Session) Stats() transport.Stats { return s.co.Stats() }
-
-// PeerStats reports per-worker wire counters and heartbeat RTT estimates
-// (entry i is party i+1).
-func (s *Session) PeerStats() []transport.PeerStats { return s.co.PeerStats() }
 
 // Status snapshots the coordinator's live view of the session for the
 // -status endpoint. Safe to call from any goroutine.
@@ -318,10 +315,10 @@ func (s *Session) ClusterTrace() (*trace.ClusterTrace, error) {
 	// lane with final wire counters and heartbeat RTT p99.
 	now := time.Now().UnixNano()
 	var ps trace.Telemetry
-	for _, p := range s.co.PeerStats() {
+	for _, p := range s.co.Status().Peers {
 		ps.Events = append(ps.Events, trace.Event{Kind: trace.KindTransport,
 			Detail: trace.TransportPeerStats, Peer: int32(p.Party),
-			Words: p.BytesIn + p.BytesOut, QueueNs: int64(p.RTTP99), StartNs: now})
+			Words: p.BytesIn + p.BytesOut, QueueNs: int64(math.Round(p.RTTP99Ms * float64(time.Millisecond))), StartNs: now})
 	}
 	return trace.BuildClusterTrace(append(trace.Flight().Since(s.traceFrom), ps)), nil
 }

@@ -51,23 +51,15 @@ func MaybeWorkerMain() {
 	if addr == "" {
 		return
 	}
-	os.Exit(WorkerMain(addr))
+	os.Exit(WorkerMainOptions(addr, "", transport.Options{}))
 }
 
-// WorkerMain dials the coordinator at addr and serves jobs until the
-// session shuts down. It returns a process exit code.
-func WorkerMain(addr string) int { return WorkerMainStatus(addr, "") }
-
-// WorkerMainStatus is WorkerMain with an optional live status endpoint:
-// when statusAddr is non-empty the worker serves its transport.Status as
-// JSON at http://statusAddr/status for the session's lifetime.
-func WorkerMainStatus(addr, statusAddr string) int {
-	return WorkerMainOptions(addr, statusAddr, transport.Options{})
-}
-
-// WorkerMainOptions is WorkerMainStatus with explicit transport options
-// (mpcworker binds its -heartbeat/-peer-deadline/-netchaos-* flags into
-// them). The MPCDIST_WORKER_* environment knobs are layered on top.
+// WorkerMainOptions dials the coordinator at addr and serves jobs until
+// the session shuts down, returning a process exit code. When statusAddr
+// is non-empty the worker serves its transport.Status as JSON at
+// http://statusAddr/status for the session's lifetime. mpcworker binds its
+// -heartbeat/-peer-deadline/-netchaos-* flags into opts; the
+// MPCDIST_WORKER_* environment knobs are layered on top.
 func WorkerMainOptions(addr, statusAddr string, opts transport.Options) int {
 	intEnv := func(key string, dst *int) bool {
 		v := os.Getenv(key)

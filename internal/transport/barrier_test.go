@@ -284,7 +284,7 @@ func TestExchangeAwait(t *testing.T) {
 	c, conns := offlineCoordinator(peerUp, peerUp)
 	x := c.openExchange(testMeta, [][]int{{0}, {1}, {2}}, recsFor([]int{0}, 1), noReplay(t))
 	post(c, 0, fTelemetry, []byte{0xff})
-	post(c, 0, fResult, encodeResult(1, []byte("earlier job")))
+	post(c, 0, fResult, encodeJobBody(1, []byte("earlier job")))
 	post(c, 0, fRecords, recordsBody(t, c, 1, testMeta, recsFor([]int{1}, 1)))
 	// What a failed connection does: the slot is dead, then the loop wakes.
 	c.state[1] = peerDead
@@ -328,11 +328,11 @@ func TestResultsAwait(t *testing.T) {
 	c.jobSeq, c.jobAct = 2, true
 	post(c, 0, fRecords, nil)
 	post(c, 0, fTelemetry, []byte{0xff})
-	post(c, 0, fResult, encodeResult(1, []byte("earlier job")))
-	post(c, 0, fResult, encodeResult(2, []byte("digest 1")))
-	post(c, 0, fResult, encodeResult(2, []byte("duplicate")))
+	post(c, 0, fResult, encodeJobBody(1, []byte("earlier job")))
+	post(c, 0, fResult, encodeJobBody(2, []byte("digest 1")))
+	post(c, 0, fResult, encodeJobBody(2, []byte("duplicate")))
 	c.events <- peerEvent{w: 1, kind: evRejoin}
-	post(c, 1, fResult, encodeResult(2, []byte("digest 2")))
+	post(c, 1, fResult, encodeJobBody(2, []byte("digest 2")))
 
 	out, err := c.Results()
 	if err != nil {
@@ -391,7 +391,183 @@ func TestStartJobSendAll(t *testing.T) {
 	if c.state[2] != peerDead {
 		t.Errorf("worker 2's failed write left it %v, want dead", c.state[2])
 	}
-	if jseq, job, err := decodeJobStart(c.lastJob); err != nil || jseq != 1 || string(job) != "job" {
+	if jseq, job, err := decodeJobBody(c.lastJob); err != nil || jseq != 1 || string(job) != "job" {
 		t.Errorf("stored job = (%d, %q, %v), want (1, \"job\", nil)", jseq, job, err)
+	}
+}
+
+// offlineWorker is party 1 of 3 with no dial, no reader goroutines and no
+// rejoin grace: its writes go to a sinkConn, and the test feeds its inbox,
+// so a closed inbox is the coordinator lost for good.
+func offlineWorker() (*Worker, *sinkConn) {
+	conn := &sinkConn{}
+	p := newPeer(conn, 0, 0)
+	p.inbox = make(chan frame, 16)
+	return &Worker{codec: NewCodec(), parties: 3, self: 1, p: p}, conn
+}
+
+// feed queues frames on the worker's inbox.
+func feed(w *Worker, fs ...frame) {
+	for _, f := range fs {
+		w.p.inbox <- f
+	}
+}
+
+func mergedFrame(t *testing.T, w *Worker, seq int, meta RoundMeta, recs []Record) frame {
+	t.Helper()
+	body, err := encodeRecords(w.codec, seq, meta, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame{typ: fMerged, body: body}
+}
+
+// TestWorkerNextJob checks the wait between jobs: a merged round and an
+// assign are stale resyncs of a finished exchange, and a job start the
+// worker already took is a duplicate, so all three are skipped.
+func TestWorkerNextJob(t *testing.T) {
+	w, _ := offlineWorker()
+	w.lastJobSeq = 1
+	feed(w, mergedFrame(t, w, 3, testMeta, recsFor([]int{0}, 3)),
+		frame{typ: fAssign, body: encodeAssign(3, []int{1})},
+		frame{typ: fJobStart, body: encodeJobBody(1, []byte("job 1"))},
+		frame{typ: fJobStart, body: encodeJobBody(2, []byte("job 2"))})
+	job, err := w.NextJob()
+	if err != nil || string(job) != "job 2" {
+		t.Fatalf("NextJob() = %q, %v; want \"job 2\"", job, err)
+	}
+	if w.lastJobSeq != 2 || len(w.p.inbox) != 0 {
+		t.Errorf("lastJobSeq %d with %d frames unread, want 2 and none", w.lastJobSeq, len(w.p.inbox))
+	}
+}
+
+// TestWorkerExchange checks the wait in a round: the records go out first,
+// a job start and an older merged round are stale resyncs, and the
+// merged round hands the party's own machines back as local records.
+func TestWorkerExchange(t *testing.T) {
+	w, conn := offlineWorker()
+	w.seq = 1
+	feed(w, frame{typ: fJobStart, body: encodeJobBody(1, []byte("job"))},
+		mergedFrame(t, w, 1, testMeta, recsFor([]int{0, 1, 2, 3}, 1)),
+		mergedFrame(t, w, 2, testMeta, recsFor([]int{0, 1, 2, 3}, 2)))
+	out, err := w.Exchange(testMeta, nil, recsFor([]int{2, 3}, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := wantMerged(2, func(id int) bool { return id >= 2 }); !reflect.DeepEqual(normMsgs(out), want) {
+		t.Errorf("merged round = %+v, want %+v", out, want)
+	}
+	fs := conn.frames(t)
+	if len(fs) != 1 || fs[0].typ != fRecords {
+		t.Fatalf("worker wrote %v, want its records frame alone", fs)
+	}
+	if st := w.Stats(); st.Exchanges != 1 || w.lastAcked != 2 {
+		t.Errorf("exchanges %d, last acked %d; want 1 and 2", st.Exchanges, w.lastAcked)
+	}
+}
+
+// TestWorkerExchangeAssign checks a mid-round reassignment: a stale assign
+// is skipped, the current one executes its ids and ships their records,
+// and those machines come back from the merged round as local.
+func TestWorkerExchangeAssign(t *testing.T) {
+	w, conn := offlineWorker()
+	w.seq = 1
+	var ran [][]int
+	exec := func(ids []int) ([]Record, error) {
+		ran = append(ran, ids)
+		return recsFor(ids, 2), nil
+	}
+	feed(w, frame{typ: fAssign, body: encodeAssign(1, []int{0})},
+		frame{typ: fAssign, body: encodeAssign(2, []int{1})},
+		mergedFrame(t, w, 2, testMeta, recsFor([]int{0, 1, 2, 3}, 2)))
+	out, err := w.Exchange(testMeta, nil, recsFor([]int{2, 3}, 2), exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, [][]int{{1}}) {
+		t.Errorf("executed %v, want [[1]]", ran)
+	}
+	if want := wantMerged(2, func(id int) bool { return id >= 1 }); !reflect.DeepEqual(normMsgs(out), want) {
+		t.Errorf("merged round = %+v, want %+v", out, want)
+	}
+	var shipped [][]int
+	for _, f := range conn.frames(t) {
+		_, _, recs, err := decodeRecords(w.codec, f.body)
+		if f.typ != fRecords || err != nil {
+			t.Fatalf("worker wrote a %s frame (%v), want records", f.typ, err)
+		}
+		var ids []int
+		for _, r := range recs {
+			ids = append(ids, r.Machine)
+		}
+		shipped = append(shipped, ids)
+	}
+	if !reflect.DeepEqual(shipped, [][]int{{2, 3}, {1}}) {
+		t.Errorf("worker shipped records of %v, want [[2 3] [1]]", shipped)
+	}
+	if st := w.Stats(); st.Reassigns != 1 {
+		t.Errorf("Reassigns = %d, want 1", st.Reassigns)
+	}
+}
+
+// TestWorkerExchangeDiverged checks that a merged round of another round
+// fails the exchange with a *DivergenceError, reported back to the
+// coordinator in an fError frame.
+func TestWorkerExchangeDiverged(t *testing.T) {
+	w, conn := offlineWorker()
+	other := RoundMeta{Round: 0, Name: "other", Phase: "candidates"}
+	feed(w, mergedFrame(t, w, 1, other, nil))
+	var de *DivergenceError
+	if _, err := w.Exchange(testMeta, nil, nil, nil); !errors.As(err, &de) {
+		t.Fatalf("Exchange() error = %v, want *DivergenceError", err)
+	}
+	fs := conn.frames(t)
+	if last := fs[len(fs)-1]; last.typ != fError || !strings.Contains(string(last.body), "round metadata diverged") {
+		t.Errorf("worker's last frame is %s %q, want the divergence as an error frame", last.typ, last.body)
+	}
+}
+
+// TestWorkerWaitEnds checks how both waits end other than with their
+// frame: shutdown, the coordinator's error, a frame neither wait expects,
+// and a connection that closes with no rejoin grace to ride it out.
+func TestWorkerWaitEnds(t *testing.T) {
+	waits := map[string]func(w *Worker) error{
+		"NextJob": func(w *Worker) error {
+			_, err := w.NextJob()
+			return err
+		},
+		"Exchange": func(w *Worker) error {
+			_, err := w.Exchange(testMeta, nil, nil, nil)
+			return err
+		},
+	}
+	for _, tc := range []struct {
+		name  string
+		end   func(w *Worker)
+		check func(err error) bool
+	}{
+		{"shutdown", func(w *Worker) { feed(w, frame{typ: fShutdown}) },
+			func(err error) bool { return errors.Is(err, ErrShutdown) }},
+		{"error frame", func(w *Worker) { feed(w, frame{typ: fError, body: []byte("boom")}) },
+			func(err error) bool { return err != nil && err.Error() == "transport: coordinator: boom" }},
+		{"unexpected frame", func(w *Worker) { feed(w, frame{typ: fHello}) },
+			func(err error) bool { return err != nil && strings.Contains(err.Error(), "unexpected hello frame") }},
+		{"closed inbox", func(w *Worker) {
+			w.p.readErr = io.EOF
+			close(w.p.inbox)
+		}, func(err error) bool {
+			var pl *PeerLossError
+			return errors.As(err, &pl) && errors.Is(err, io.EOF)
+		}},
+	} {
+		for name, wait := range waits {
+			t.Run(tc.name+"/"+name, func(t *testing.T) {
+				w, _ := offlineWorker()
+				tc.end(w)
+				if err := wait(w); !tc.check(err) {
+					t.Errorf("%s() error = %v", name, err)
+				}
+			})
+		}
 	}
 }

@@ -193,6 +193,7 @@ type peer struct {
 	inbox    chan frame
 	readErr  error // valid after inbox closes
 	stopPing chan struct{}
+	stopOnce sync.Once // close may race: a failed pump against Close
 	pingDone sync.WaitGroup
 	timeout  time.Duration
 }
@@ -241,9 +242,13 @@ func newPeer(conn net.Conn, remoteParty int, timeout time.Duration) *peer {
 	return p
 }
 
-// start launches the reader and heartbeat goroutines; call after the
-// handshake so handshake frames can be read synchronously.
+// start arms a chaos wrapper (see Options.WrapConn) and launches the
+// reader and heartbeat goroutines; call after the handshake, so handshake
+// frames are read synchronously and never perturbed.
 func (p *peer) start(interval time.Duration) {
+	if a, ok := p.conn.(countConn).Conn.(interface{ Arm() }); ok {
+		a.Arm()
+	}
 	go p.readLoop()
 	p.pingDone.Add(1)
 	go p.pingLoop(interval)
@@ -349,11 +354,7 @@ func (p *peer) write(t frameType, body []byte) error {
 
 // close tears the connection down and stops the heartbeat.
 func (p *peer) close() {
-	select {
-	case <-p.stopPing:
-	default:
-		close(p.stopPing)
-	}
+	p.stopOnce.Do(func() { close(p.stopPing) })
 	p.conn.Close()
 	p.pingDone.Wait()
 }
@@ -535,6 +536,16 @@ func decodeRecords(c *Codec, body []byte) (int, RoundMeta, []Record, error) {
 	}
 	return seq, meta, recs, nil
 }
+
+// encodeJobBody prefixes an fJobStart spec or an fResult digest with the
+// job sequence number it belongs to, so a re-sent frame from a recovered
+// connection is detectable: a worker never runs a job twice, and the
+// coordinator never takes an earlier job's result for the current one.
+func encodeJobBody(jobSeq uint64, data []byte) []byte {
+	return append(binary.AppendUvarint(nil, jobSeq), data...)
+}
+
+func decodeJobBody(body []byte) (uint64, []byte, error) { return readUvarint(body) }
 
 func encodeAssign(seq int, ids []int) []byte {
 	buf := binary.AppendUvarint(nil, uint64(seq))

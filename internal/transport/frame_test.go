@@ -6,6 +6,8 @@ import (
 	"errors"
 	"flag"
 	"io"
+	"net"
+	"sync"
 	"testing"
 	"time"
 )
@@ -155,6 +157,31 @@ func TestRTTRingEdgeCases(t *testing.T) {
 	p.recordRTT(time.Second)
 	if got := p.rttP99(); got != time.Second {
 		t.Fatalf("p99 after outlier = %s, want 1s", got)
+	}
+}
+
+// TestPeerCloseConcurrent closes one started peer from several goroutines
+// at once, as Coordinator.Close can race a failed pump's connFailed when a
+// worker hangs up during Shutdown: every close must return, and none may
+// close the heartbeat's stop channel a second time.
+func TestPeerCloseConcurrent(t *testing.T) {
+	for i := 0; i < 2000; i++ {
+		a, b := net.Pipe()
+		p := newPeer(a, 1, 0)
+		p.start(time.Hour)
+		var wg sync.WaitGroup
+		gate := make(chan struct{}) // released at once, to line the closes up
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-gate
+				p.close()
+			}()
+		}
+		close(gate)
+		wg.Wait()
+		b.Close()
 	}
 }
 

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -24,9 +23,6 @@ type Options struct {
 	// PeerTimeout is the rolling read deadline: a peer silent for this
 	// long (no frames, no heartbeats) is declared lost.
 	PeerTimeout time.Duration // default 3s
-	// HandshakeTimeout bounds worker registration (process spawn + dial +
-	// hello/welcome).
-	HandshakeTimeout time.Duration // default 30s
 	// RejoinGrace, on a coordinator, holds a lost worker's slot open for
 	// this long: instead of immediate eviction the worker is held suspect,
 	// and if it redials with the session token inside the window it resumes
@@ -73,14 +69,33 @@ func (o Options) withDefaults() Options {
 	if o.PeerTimeout <= 0 {
 		o.PeerTimeout = 3 * time.Second
 	}
-	if o.HandshakeTimeout <= 0 {
-		o.HandshakeTimeout = 30 * time.Second
-	}
 	if o.CorruptTolerance <= 0 {
 		o.CorruptTolerance = DefaultCorruptTolerance
 	}
 	return o
 }
+
+// handshakeTimeout bounds worker registration (process spawn + dial +
+// hello/welcome) and each rejoin handshake.
+const handshakeTimeout = 30 * time.Second
+
+// event stamps a transport event of t and hands it to the process log
+// (which self-triggers a flight dump on peer loss) and to the session's
+// own observer, wired separately via OnEvent, so neither records twice.
+func (o *Options) event(t Transport, e trace.TransportEvent) {
+	if o.OnEvent == nil && !trace.Recording() {
+		return
+	}
+	e.At = time.Now()
+	e.Bytes = t.Stats().BytesOut
+	trace.FlightTransport(e)
+	if o.OnEvent != nil {
+		o.OnEvent(e)
+	}
+}
+
+// ms expresses d in milliseconds, the status endpoint's unit.
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // TestDieExitCode is the exit status of a worker killed by TestDieAtSeq,
 // distinguishable from crashes in test assertions.
@@ -94,14 +109,6 @@ func init() { Register("trace.Telemetry", trace.Telemetry{}) }
 // ErrShutdown reports an orderly session end: the coordinator told the
 // worker there are no more jobs.
 var ErrShutdown = errors.New("transport: session shut down")
-
-// armConn arms a chaos wrapper (see Options.WrapConn) once the handshake
-// is done; plain connections are left alone.
-func armConn(c net.Conn) {
-	if a, ok := c.(interface{ Arm() }); ok {
-		a.Arm()
-	}
-}
 
 // newToken mints the session-resume credential carried by the welcome
 // frame and required back in every resume hello.
@@ -148,11 +155,36 @@ type slotCounters struct {
 	bytesIn, bytesOut, frames, corrupt, reconnects int64
 }
 
-func (s *slotCounters) retire(p *peer) {
+// with returns the slot's session totals: its retired connections'
+// counters plus those of p, the live one.
+func (s slotCounters) with(p *peer) slotCounters {
 	s.bytesIn += p.bytesIn.Load()
 	s.bytesOut += p.bytesOut.Load()
 	s.frames += p.frames.Load()
 	s.corrupt += p.corrupt.Load()
+	return s
+}
+
+func (s *slotCounters) retire(p *peer) { *s = s.with(p) }
+
+// row is the slot's status row: its session totals with live connection
+// p, and p's heartbeat view at now.
+func (s slotCounters) row(party int, alive bool, p *peer, now time.Time) PeerStatus {
+	t := s.with(p)
+	ps := PeerStatus{Party: party, Alive: alive, BytesIn: t.bytesIn, BytesOut: t.bytesOut, Frames: t.frames,
+		RTTP99Ms: ms(p.rttP99()), LastHeardMs: -1, Reconnects: t.reconnects, CorruptFrames: t.corrupt}
+	if ns := p.lastHeardNs.Load(); ns > 0 {
+		ps.LastHeardMs = ms(now.Sub(time.Unix(0, ns)))
+	}
+	return ps
+}
+
+// addWire adds slot totals t to st's wire counters.
+func (st *Stats) addWire(t slotCounters) {
+	st.BytesIn += t.bytesIn
+	st.BytesOut += t.bytesOut
+	st.Frames += t.frames
+	st.CorruptFrames += t.corrupt
 }
 
 // Coordinator is party 0 of a TCP session: it owns the worker
@@ -212,8 +244,7 @@ func NewCoordinator(ln net.Listener, workers int, opts Options) (*Coordinator, e
 		gen:     make([]int, workers),
 		retired: make([]slotCounters, workers),
 	}
-	deadline := time.Now().Add(opts.HandshakeTimeout)
-	conns := make([]net.Conn, 0, workers)
+	deadline := time.Now().Add(handshakeTimeout)
 	for i := 0; i < workers; i++ {
 		if tl, ok := ln.(*net.TCPListener); ok {
 			tl.SetDeadline(deadline)
@@ -223,17 +254,17 @@ func NewCoordinator(ln net.Listener, workers int, opts Options) (*Coordinator, e
 			c.Close()
 			return nil, fmt.Errorf("transport: waiting for worker %d/%d: %w", i+1, workers, err)
 		}
-		if opts.WrapConn != nil {
-			conn = opts.WrapConn(conn)
+		p, _, err := c.admit(conn, i+1, false, deadline)
+		if err == nil {
+			err = p.write(fWelcome, c.welcomeFor(i+1))
 		}
-		p := newPeer(conn, i+1, opts.PeerTimeout)
-		if err := c.handshake(p, workers, i+1, deadline); err != nil {
+		if err != nil {
 			p.close()
 			c.Close()
-			return nil, err
+			return nil, fmt.Errorf("transport: worker %d: %w", i+1, err)
 		}
+		p.conn.SetDeadline(time.Time{})
 		c.peers = append(c.peers, p)
-		conns = append(conns, conn)
 	}
 	if opts.RejoinGrace > 0 {
 		if tl, ok := ln.(*net.TCPListener); ok {
@@ -243,41 +274,57 @@ func NewCoordinator(ln net.Listener, workers int, opts Options) (*Coordinator, e
 		go c.acceptLoop(ln)
 	}
 	for i, p := range c.peers {
-		armConn(conns[i])
 		p.start(opts.HeartbeatInterval)
 		go c.pump(i, p, 0)
 	}
-	c.event(trace.TransportEvent{Kind: trace.TransportHandshake, Party: -1, IDs: workers})
+	c.opts.event(c, trace.TransportEvent{Kind: trace.TransportHandshake, Party: -1, IDs: workers})
 	return c, nil
 }
 
-func (c *Coordinator) handshake(p *peer, workers, party int, deadline time.Time) error {
+// admit wraps a freshly accepted worker connection and reads its hello
+// under the handshake deadline, which stays set for the welcome. It is the
+// one hello reader, for registration and resume alike: the hello must
+// carry this binary's protocol version and the resume flag the caller
+// expects, and a mismatch is answered with fError.
+func (c *Coordinator) admit(conn net.Conn, party int, resume bool, deadline time.Time) (*peer, hello, error) {
+	if c.opts.WrapConn != nil {
+		conn = c.opts.WrapConn(conn)
+	}
+	p := newPeer(conn, party, c.opts.PeerTimeout)
 	p.conn.SetDeadline(deadline)
-	defer p.conn.SetDeadline(time.Time{})
 	f, err := p.read()
 	if err != nil {
-		return fmt.Errorf("transport: worker %d hello: %w", party, err)
+		return p, hello{}, fmt.Errorf("hello: %w", err)
 	}
 	if f.typ != fHello {
-		return fmt.Errorf("transport: worker %d sent %s, want hello", party, f.typ)
+		return p, hello{}, fmt.Errorf("sent %s, want hello", f.typ)
 	}
 	h, err := decodeHello(f.body)
-	if err != nil {
-		return fmt.Errorf("transport: worker %d: %w", party, err)
+	switch {
+	case err != nil:
+		return p, h, err
+	case h.Version != ProtocolVersion:
+		return p, h, refuse(p, fmt.Sprintf("protocol version mismatch: coordinator %d, worker %d", ProtocolVersion, h.Version))
+	case h.Resume && !resume:
+		return p, h, refuse(p, "session-resume hello during registration")
+	case !h.Resume && resume:
+		return p, h, refuse(p, "expected session-resume hello")
 	}
-	if h.Version != ProtocolVersion {
-		msg := fmt.Sprintf("protocol version mismatch: coordinator %d, worker %d", ProtocolVersion, h.Version)
-		p.write(fError, []byte(msg))
-		return errors.New("transport: " + msg)
-	}
-	if h.Resume {
-		msg := "session-resume hello during registration"
-		p.write(fError, []byte(msg))
-		return errors.New("transport: " + msg)
-	}
-	return p.write(fWelcome, encodeWelcome(welcome{
+	return p, h, nil
+}
+
+// refuse answers a worker's hello with fError and returns the refusal.
+func refuse(p *peer, msg string) error {
+	p.write(fError, []byte(msg))
+	return errors.New(msg)
+}
+
+// welcomeFor builds the one fWelcome body, for registration and resume
+// alike, addressed to the worker at party.
+func (c *Coordinator) welcomeFor(party int) []byte {
+	return encodeWelcome(welcome{
 		Version: ProtocolVersion,
-		Parties: workers + 1,
+		Parties: len(c.state) + 1, // one slot per worker, fixed at construction
 		Self:    party,
 		ClockNs: time.Now().UnixNano(),
 		// Workers ship telemetry whenever the coordinator's event log
@@ -289,12 +336,12 @@ func (c *Coordinator) handshake(p *peer, workers, party int, deadline time.Time)
 		Token:     c.token,
 		GraceNs:   int64(c.opts.RejoinGrace),
 		Table:     c.codec.Table(),
-	}))
+	})
 }
 
 // pump forwards one connection's inbox into the shared event channel,
-// reporting the connection's death when the inbox closes. It is the only
-// reader of p.inbox.
+// reporting the connection's death when the inbox closes. It is the
+// coordinator's only reader of p.inbox.
 func (c *Coordinator) pump(w int, p *peer, gen int) {
 	for f := range p.inbox {
 		select {
@@ -310,21 +357,6 @@ func (c *Coordinator) pump(w int, p *peer, gen int) {
 	select {
 	case c.events <- peerEvent{w: w, gen: gen, kind: evDeath}:
 	case <-c.done:
-	}
-}
-
-func (c *Coordinator) event(e trace.TransportEvent) {
-	if c.opts.OnEvent == nil && !trace.Recording() {
-		return
-	}
-	e.At = time.Now()
-	e.Bytes = c.Stats().BytesOut
-	// The process log sees every transport event (and self-triggers a
-	// flight dump on peer loss); the session's own observer is wired
-	// separately via OnEvent, so neither records twice.
-	trace.FlightTransport(e)
-	if c.opts.OnEvent != nil {
-		c.opts.OnEvent(e)
 	}
 }
 
@@ -380,9 +412,9 @@ func (c *Coordinator) connFailed(w int, p *peer, cause error) {
 		c.mu.Unlock()
 		p.close()
 		if isCorrupt {
-			c.event(trace.TransportEvent{Kind: trace.TransportCorrupt, Party: w + 1, Seq: c.curSeq()})
+			c.opts.event(c, trace.TransportEvent{Kind: trace.TransportCorrupt, Party: w + 1, Seq: c.curSeq()})
 		}
-		c.event(trace.TransportEvent{Kind: trace.TransportSuspect, Party: w + 1, Seq: c.curSeq()})
+		c.opts.event(c, trace.TransportEvent{Kind: trace.TransportSuspect, Party: w + 1, Seq: c.curSeq()})
 		return
 	}
 	c.state[w] = peerDead
@@ -390,12 +422,12 @@ func (c *Coordinator) connFailed(w int, p *peer, cause error) {
 	c.mu.Unlock()
 	p.close()
 	if isCorrupt {
-		c.event(trace.TransportEvent{Kind: trace.TransportCorrupt, Party: w + 1, Seq: c.curSeq()})
+		c.opts.event(c, trace.TransportEvent{Kind: trace.TransportCorrupt, Party: w + 1, Seq: c.curSeq()})
 	}
 	if overTol {
 		trace.FlightTrigger("transport: corrupt-frame burst")
 	}
-	c.event(trace.TransportEvent{Kind: trace.TransportPeerLost, Party: w + 1, Seq: c.curSeq()})
+	c.opts.event(c, trace.TransportEvent{Kind: trace.TransportPeerLost, Party: w + 1, Seq: c.curSeq()})
 }
 
 // markDeadFromSuspect finalizes an expired grace window, unless the slot
@@ -409,7 +441,7 @@ func (c *Coordinator) markDeadFromSuspect(w, gen int) {
 	c.state[w] = peerDead
 	c.st.PeersLost++
 	c.mu.Unlock()
-	c.event(trace.TransportEvent{Kind: trace.TransportPeerLost, Party: w + 1, Seq: c.curSeq()})
+	c.opts.event(c, trace.TransportEvent{Kind: trace.TransportPeerLost, Party: w + 1, Seq: c.curSeq()})
 	select {
 	case c.events <- peerEvent{w: w, gen: gen, kind: evDeath}:
 	case <-c.done:
@@ -435,37 +467,23 @@ func (c *Coordinator) acceptLoop(ln net.Listener) {
 // deduplicated on the worker, so resync can only fill gaps, never double
 // anything.
 func (c *Coordinator) rejoin(conn net.Conn) {
-	if c.opts.WrapConn != nil {
-		conn = c.opts.WrapConn(conn)
-	}
-	p := newPeer(conn, 0, c.opts.PeerTimeout)
-	p.conn.SetDeadline(time.Now().Add(c.opts.HandshakeTimeout))
-	f, err := p.read()
-	if err != nil || f.typ != fHello {
-		p.close()
-		return
-	}
-	h, err := decodeHello(f.body)
+	p, h, err := c.admit(conn, 0, true, time.Now().Add(handshakeTimeout))
 	if err != nil {
-		p.close()
-		return
-	}
-	if h.Version != ProtocolVersion || !h.Resume {
-		p.write(fError, []byte("transport: expected session-resume hello"))
 		p.close()
 		return
 	}
 	w := h.Party - 1
 	c.mu.Lock()
-	if c.closing || c.token == "" || h.Token != c.token || w < 0 || w >= len(c.peers) {
-		c.mu.Unlock()
-		p.write(fError, []byte("transport: bad resume token or party"))
-		p.close()
-		return
+	var refusal string
+	switch {
+	case c.closing || c.token == "" || h.Token != c.token || w < 0 || w >= len(c.peers):
+		refusal = "bad resume token or party"
+	case c.state[w] == peerDead:
+		refusal = "party evicted (rejoin grace expired)"
 	}
-	if c.state[w] == peerDead {
+	if refusal != "" {
 		c.mu.Unlock()
-		p.write(fError, []byte("transport: party evicted (rejoin grace expired)"))
+		refuse(p, refusal)
 		p.close()
 		return
 	}
@@ -485,21 +503,11 @@ func (c *Coordinator) rejoin(conn net.Conn) {
 	c.retired[w].reconnects++
 	mergedSeq, mergedBody := c.lastMergedSeq, c.lastMergedBody
 	jobAct, lastJob := c.jobAct, c.lastJob
-	parties := len(c.peers) + 1
 	c.mu.Unlock()
 	if old != p {
 		old.close()
 	}
-	err = p.write(fWelcome, encodeWelcome(welcome{
-		Version:   ProtocolVersion,
-		Parties:   parties,
-		Self:      h.Party,
-		ClockNs:   time.Now().UnixNano(),
-		Telemetry: trace.Recording(),
-		Token:     c.token,
-		GraceNs:   int64(c.opts.RejoinGrace),
-		Table:     c.codec.Table(),
-	}))
+	err = p.write(fWelcome, c.welcomeFor(h.Party))
 	if err == nil && h.NeedJob && jobAct {
 		err = p.write(fJobStart, lastJob)
 	}
@@ -511,10 +519,9 @@ func (c *Coordinator) rejoin(conn net.Conn) {
 		return
 	}
 	p.conn.SetDeadline(time.Time{})
-	armConn(conn)
 	p.start(c.opts.HeartbeatInterval)
 	go c.pump(w, p, gen)
-	c.event(trace.TransportEvent{Kind: trace.TransportReconnect, Party: h.Party, Seq: c.curSeq()})
+	c.opts.event(c, trace.TransportEvent{Kind: trace.TransportReconnect, Party: h.Party, Seq: c.curSeq()})
 	select {
 	case c.events <- peerEvent{w: w, gen: gen, kind: evRejoin}:
 	case <-c.done:
@@ -528,7 +535,7 @@ func (c *Coordinator) rejoin(conn net.Conn) {
 func (c *Coordinator) StartJob(job []byte) error {
 	c.mu.Lock()
 	c.jobSeq++
-	body := encodeJobStart(c.jobSeq, job)
+	body := encodeJobBody(c.jobSeq, job)
 	c.lastJob = body
 	c.jobAct = true
 	c.mu.Unlock()
@@ -725,7 +732,7 @@ func (x *exchange) reassign(ids []int) error {
 		x.c.st.Reassigns++
 		x.c.mu.Unlock()
 		// w+1 is the receiving party: 0, the coordinator, for a replay.
-		x.c.event(trace.TransportEvent{Kind: trace.TransportReassign, Party: w + 1, Seq: x.seq, IDs: len(ids)})
+		x.c.opts.event(x.c, trace.TransportEvent{Kind: trace.TransportReassign, Party: w + 1, Seq: x.seq, IDs: len(ids)})
 		return nil
 	}
 }
@@ -766,7 +773,7 @@ func (c *Coordinator) broadcast(seq int, meta RoundMeta, out []Record) error {
 	c.st.Exchanges++
 	c.mu.Unlock()
 	c.sendAll(fMerged, body)
-	c.event(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1, Seq: seq, IDs: len(out)})
+	c.opts.event(c, trace.TransportEvent{Kind: trace.TransportExchange, Party: -1, Seq: seq, IDs: len(out)})
 	return nil
 }
 
@@ -814,7 +821,7 @@ func (r *results) want() frameType { return fResult }
 // deliver keeps worker w's first result of this job; one of an earlier
 // job is a stale re-send.
 func (r *results) deliver(w int, body []byte) error {
-	jobSeq, res, err := decodeResult(body)
+	jobSeq, res, err := decodeJobBody(body)
 	if err != nil {
 		return fmt.Errorf("transport: worker %d result: %w", w+1, err)
 	}
@@ -940,61 +947,38 @@ func (c *Coordinator) addTelemetry(body []byte) {
 	}
 }
 
-// PeerStats reports per-worker wire counters and heartbeat RTT estimates,
-// ordered by party index (entry i is party i+1). Counters include every
-// retired connection the slot has burned through.
-func (c *Coordinator) PeerStats() []PeerStats {
-	c.mu.Lock()
-	peers := append([]*peer(nil), c.peers...)
-	states := append([]peerState(nil), c.state...)
-	ret := append([]slotCounters(nil), c.retired...)
-	c.mu.Unlock()
-	out := make([]PeerStats, len(peers))
-	for i, p := range peers {
-		out[i] = PeerStats{
-			Party:         i + 1,
-			Alive:         states[i] == peerUp,
-			BytesIn:       ret[i].bytesIn + p.bytesIn.Load(),
-			BytesOut:      ret[i].bytesOut + p.bytesOut.Load(),
-			Frames:        ret[i].frames + p.frames.Load(),
-			RTTP99:        p.rttP99(),
-			Reconnects:    ret[i].reconnects,
-			CorruptFrames: ret[i].corrupt + p.corrupt.Load(),
-		}
-		if ns := p.lastHeardNs.Load(); ns > 0 {
-			out[i].LastHeard = time.Unix(0, ns)
-		}
-	}
-	return out
-}
-
 // Status snapshots the coordinator's live view of the session for the
-// -status endpoint. Safe to call from any goroutine.
+// -status endpoint: one peer row per worker, ordered by party index, whose
+// counters include every retired connection the slot has burned through.
+// Safe to call from any goroutine.
 func (c *Coordinator) Status() Status {
 	now := time.Now()
 	c.mu.Lock()
 	seq, cur := c.seq, c.cur
-	parties := len(c.peers) + 1
+	peers := append([]*peer(nil), c.peers...)
+	states := append([]peerState(nil), c.state...)
+	ret := append([]slotCounters(nil), c.retired...)
 	c.mu.Unlock()
 	st := Status{
 		Role:           "coordinator",
-		Parties:        parties,
+		Parties:        len(peers) + 1,
 		Self:           0,
 		Seq:            seq,
 		Round:          cur.Round,
 		Name:           cur.Name,
 		Phase:          cur.Phase,
 		Alive:          1,
-		HeartbeatMs:    float64(c.opts.HeartbeatInterval) / float64(time.Millisecond),
-		PeerDeadlineMs: float64(c.opts.PeerTimeout) / float64(time.Millisecond),
-		RejoinGraceMs:  float64(c.opts.RejoinGrace) / float64(time.Millisecond),
+		HeartbeatMs:    ms(c.opts.HeartbeatInterval),
+		PeerDeadlineMs: ms(c.opts.PeerTimeout),
+		RejoinGraceMs:  ms(c.opts.RejoinGrace),
 		Wire:           c.Stats(),
 	}
-	for _, ps := range c.PeerStats() {
-		if ps.Alive {
+	for i, p := range peers {
+		row := ret[i].row(i+1, states[i] == peerUp, p, now)
+		if row.Alive {
 			st.Alive++
 		}
-		st.Peers = append(st.Peers, peerStatus(ps, now))
+		st.Peers = append(st.Peers, row)
 	}
 	return st
 }
@@ -1019,10 +1003,7 @@ func (c *Coordinator) Stats() Stats {
 	ret := append([]slotCounters(nil), c.retired...)
 	c.mu.Unlock()
 	for i, p := range peers {
-		st.BytesIn += ret[i].bytesIn + p.bytesIn.Load()
-		st.BytesOut += ret[i].bytesOut + p.bytesOut.Load()
-		st.Frames += ret[i].frames + p.frames.Load()
-		st.CorruptFrames += ret[i].corrupt + p.corrupt.Load()
+		st.addWire(ret[i].with(p))
 	}
 	return st
 }
@@ -1098,42 +1079,9 @@ type Worker struct {
 // session-resume token.
 func DialWorker(addr string, opts Options) (*Worker, error) {
 	opts = opts.withDefaults()
-	conn, err := net.DialTimeout("tcp", addr, opts.HandshakeTimeout)
+	p, wel, offset, err := dial(addr, &opts, hello{Version: ProtocolVersion})
 	if err != nil {
-		return nil, fmt.Errorf("transport: dialing coordinator: %w", err)
-	}
-	if opts.WrapConn != nil {
-		conn = opts.WrapConn(conn)
-	}
-	p := newPeer(conn, 0, opts.PeerTimeout)
-	p.conn.SetDeadline(time.Now().Add(opts.HandshakeTimeout))
-	sentNs := time.Now().UnixNano()
-	if err := p.write(fHello, encodeHello(hello{Version: ProtocolVersion})); err != nil {
-		p.close()
-		return nil, fmt.Errorf("transport: hello: %w", err)
-	}
-	f, err := p.read()
-	recvNs := time.Now().UnixNano()
-	if err != nil {
-		p.close()
-		return nil, fmt.Errorf("transport: awaiting welcome: %w", err)
-	}
-	if f.typ == fError {
-		p.close()
-		return nil, fmt.Errorf("transport: coordinator rejected registration: %s", f.body)
-	}
-	if f.typ != fWelcome {
-		p.close()
-		return nil, fmt.Errorf("transport: coordinator sent %s, want welcome", f.typ)
-	}
-	wel, err := decodeWelcome(f.body)
-	if err != nil {
-		p.close()
 		return nil, err
-	}
-	if wel.Version != ProtocolVersion {
-		p.close()
-		return nil, fmt.Errorf("transport: protocol version mismatch: worker %d, coordinator %d", ProtocolVersion, wel.Version)
 	}
 	codec, err := NewCodecFor(wel.Table)
 	if err != nil {
@@ -1141,19 +1089,61 @@ func DialWorker(addr string, opts Options) (*Worker, error) {
 		p.close()
 		return nil, err
 	}
-	p.conn.SetDeadline(time.Time{})
-	armConn(conn)
-	p.start(opts.HeartbeatInterval)
-	// NTP-style midpoint: the coordinator stamped its clock somewhere
-	// inside our hello->welcome round trip, so the best local estimate of
-	// "when" is the midpoint. The residual error is bounded by half the
-	// RTT asymmetry — sub-millisecond on one host.
-	offset := wel.ClockNs - (sentNs+recvNs)/2
 	return &Worker{
 		opts: opts, p: p, codec: codec, parties: wel.Parties, self: wel.Self,
 		addr: addr, token: wel.Token, graceNs: wel.GraceNs,
 		telemetry: wel.Telemetry, offsetNs: offset,
 	}, nil
+}
+
+// dial is the worker's one handshake, for registration and resume alike:
+// connect, wrap, trade hello h for a welcome of this protocol version
+// under the handshake deadline, and start the connection. A coordinator's
+// fError answer comes back as a *RefusedError. offsetNs estimates the
+// coordinator's clock minus this process's.
+func dial(addr string, opts *Options, h hello) (p *peer, wel welcome, offsetNs int64, err error) {
+	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
+	if err != nil {
+		return nil, wel, 0, fmt.Errorf("transport: dialing coordinator: %w", err)
+	}
+	if opts.WrapConn != nil {
+		conn = opts.WrapConn(conn)
+	}
+	p = newPeer(conn, 0, opts.PeerTimeout)
+	defer func() {
+		if err != nil {
+			p.close()
+			p = nil
+		}
+	}()
+	p.conn.SetDeadline(time.Now().Add(handshakeTimeout))
+	sentNs := time.Now().UnixNano()
+	if err := p.write(fHello, encodeHello(h)); err != nil {
+		return p, wel, 0, fmt.Errorf("transport: hello: %w", err)
+	}
+	f, err := p.read()
+	recvNs := time.Now().UnixNano()
+	switch {
+	case err != nil:
+		return p, wel, 0, fmt.Errorf("transport: awaiting welcome: %w", err)
+	case f.typ == fError:
+		return p, wel, 0, &RefusedError{Resume: h.Resume, Reason: string(f.body)}
+	case f.typ != fWelcome:
+		return p, wel, 0, fmt.Errorf("transport: coordinator sent %s, want welcome", f.typ)
+	}
+	if wel, err = decodeWelcome(f.body); err != nil {
+		return p, wel, 0, err
+	}
+	if wel.Version != ProtocolVersion {
+		return p, wel, 0, fmt.Errorf("transport: protocol version mismatch: worker %d, coordinator %d", ProtocolVersion, wel.Version)
+	}
+	p.conn.SetDeadline(time.Time{})
+	p.start(opts.HeartbeatInterval)
+	// NTP-style midpoint: the coordinator stamped its clock somewhere
+	// inside our hello->welcome round trip, so the best local estimate of
+	// "when" is the midpoint. The residual error is bounded by half the
+	// RTT asymmetry — sub-millisecond on one host.
+	return p, wel, wel.ClockNs - (sentNs+recvNs)/2, nil
 }
 
 // TelemetryEnabled reports whether the coordinator asked for telemetry
@@ -1171,18 +1161,6 @@ func (w *Worker) peer() *peer {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.p
-}
-
-func (w *Worker) event(e trace.TransportEvent) {
-	if w.opts.OnEvent == nil && !trace.Recording() {
-		return
-	}
-	e.At = time.Now()
-	e.Bytes = w.Stats().BytesOut
-	trace.FlightTransport(e)
-	if w.opts.OnEvent != nil {
-		w.opts.OnEvent(e)
-	}
 }
 
 // flushTelemetry ships one buffered batch if telemetry is on and there is
@@ -1217,44 +1195,45 @@ func (w *Worker) Codec() *Codec { return w.codec }
 // token, backing off between attempts until the window closes. needJob
 // tells the coordinator the worker was between jobs (so the current job
 // spec must be re-delivered). Returns the original cause when rejoin is
-// not on offer or the window is exhausted; a coordinator-side refusal
+// not on offer or the window is exhausted; a coordinator's refusal
 // (evicted, bad token) aborts the loop immediately.
 func (w *Worker) reconnect(cause error, needJob bool) error {
 	w.mu.Lock()
 	old := w.p
 	w.retired.retire(old)
-	token, graceNs := w.token, w.graceNs
-	lastAcked := w.lastAcked
+	h := hello{Version: ProtocolVersion, Resume: true, Token: w.token, Party: w.self, LastAcked: w.lastAcked, NeedJob: needJob}
+	graceNs := w.graceNs
 	lastResult, lastResultJob, lastJobSeq := w.lastResult, w.lastResultJob, w.lastJobSeq
 	w.mu.Unlock()
 	old.close()
 	var cfe *CorruptFrameError
 	if errors.As(cause, &cfe) {
-		w.event(trace.TransportEvent{Kind: trace.TransportCorrupt, Party: 0, Seq: w.curSeq()})
+		w.opts.event(w, trace.TransportEvent{Kind: trace.TransportCorrupt, Party: 0, Seq: w.curSeq()})
 	}
-	if graceNs <= 0 || token == "" {
+	if graceNs <= 0 || h.Token == "" {
 		return cause
 	}
 	deadline := time.Now().Add(time.Duration(graceNs))
 	backoff := 25 * time.Millisecond
 	for {
-		p, permanent, err := w.dialResume(needJob, lastAcked)
+		p, _, _, err := dial(w.addr, &w.opts, h)
 		if err == nil {
 			w.mu.Lock()
 			w.p = p
 			w.st.Reconnects++
 			w.retired.reconnects++
 			w.mu.Unlock()
-			w.event(trace.TransportEvent{Kind: trace.TransportReconnect, Party: 0, Seq: w.curSeq()})
+			w.opts.event(w, trace.TransportEvent{Kind: trace.TransportReconnect, Party: 0, Seq: w.curSeq()})
 			if needJob && lastResult != nil && lastResultJob == lastJobSeq {
 				// The result may have died with the old connection while
 				// the coordinator still waits on it; the jobSeq prefix
 				// makes a duplicate harmless.
-				_ = p.write(fResult, encodeResult(lastResultJob, lastResult))
+				_ = p.write(fResult, encodeJobBody(lastResultJob, lastResult))
 			}
 			return nil
 		}
-		if permanent {
+		var refused *RefusedError
+		if errors.As(err, &refused) {
 			return err
 		}
 		if !time.Now().Add(backoff).Before(deadline) {
@@ -1265,50 +1244,6 @@ func (w *Worker) reconnect(cause error, needJob bool) error {
 			backoff = 400 * time.Millisecond
 		}
 	}
-}
-
-// dialResume performs one session-resume attempt. The returned bool marks
-// permanent refusals (the coordinator evicted this party) that make
-// further attempts pointless.
-func (w *Worker) dialResume(needJob bool, lastAcked int) (*peer, bool, error) {
-	conn, err := net.DialTimeout("tcp", w.addr, w.opts.HandshakeTimeout)
-	if err != nil {
-		return nil, false, err
-	}
-	if w.opts.WrapConn != nil {
-		conn = w.opts.WrapConn(conn)
-	}
-	p := newPeer(conn, 0, w.opts.PeerTimeout)
-	p.conn.SetDeadline(time.Now().Add(w.opts.HandshakeTimeout))
-	h := hello{
-		Version: ProtocolVersion, Resume: true,
-		Token: w.token, Party: w.self, LastAcked: lastAcked, NeedJob: needJob,
-	}
-	if err := p.write(fHello, encodeHello(h)); err != nil {
-		p.close()
-		return nil, false, err
-	}
-	f, err := p.read()
-	if err != nil {
-		p.close()
-		return nil, false, err
-	}
-	if f.typ == fError {
-		p.close()
-		return nil, true, fmt.Errorf("transport: coordinator refused resume: %s", f.body)
-	}
-	if f.typ != fWelcome {
-		p.close()
-		return nil, false, fmt.Errorf("transport: coordinator sent %s, want welcome", f.typ)
-	}
-	if _, err := decodeWelcome(f.body); err != nil {
-		p.close()
-		return nil, false, err
-	}
-	p.conn.SetDeadline(time.Time{})
-	armConn(conn)
-	p.start(w.opts.HeartbeatInterval)
-	return p, false, nil
 }
 
 // sendFrame writes one frame, riding out a single connection failure via
@@ -1335,45 +1270,75 @@ func (w *Worker) curSeq() int {
 	return w.seq
 }
 
+// receive is the worker's one receive loop, for its two waits on the
+// coordinator: a job start between jobs (needJob), and an exchange's
+// assigns and merged round. It hands handle each frame of the wait's own
+// types until handle reports the wait over. A resync frame that belongs
+// to the other wait is stale and skipped: a job start during a round, a
+// merged round or an assign between jobs. A dead connection is recycled
+// through reconnect (which asks for the job spec when needJob), and then
+// resend, the round's records (nil between jobs), goes out again.
+// fShutdown ends the wait with ErrShutdown and fError with the
+// coordinator's error; any other frame is unexpected.
+func (w *Worker) receive(needJob bool, resend []byte, handle func(frame) (bool, error)) error {
+	for {
+		p := w.peer()
+		f, ok := <-p.inbox
+		if !ok {
+			if rerr := w.reconnect(p.readErr, needJob); rerr != nil {
+				return &PeerLossError{Party: 0, Cause: rerr}
+			}
+			// The coordinator may never have seen this round's records;
+			// re-send them (its merge dedups if it did).
+			if resend != nil {
+				if err := w.sendFrame(fRecords, resend); err != nil {
+					return err
+				}
+			}
+			continue
+		}
+		switch f.typ {
+		case fJobStart, fAssign, fMerged:
+			if needJob != (f.typ == fJobStart) {
+				continue // a stale resync for the other wait
+			}
+			if done, err := handle(f); done || err != nil {
+				return err
+			}
+		case fShutdown:
+			return ErrShutdown
+		case fError:
+			return fmt.Errorf("transport: coordinator: %s", f.body)
+		default:
+			wait := "merged round"
+			if needJob {
+				wait = "job"
+			}
+			return fmt.Errorf("transport: unexpected %s frame awaiting %s", f.typ, wait)
+		}
+	}
+}
+
 // NextJob blocks for the next job spec. It returns ErrShutdown on an
 // orderly session end and *PeerLossError if the coordinator vanishes for
 // good. Duplicate job deliveries (a rejoin resync racing the broadcast)
 // are skipped by job sequence number, so a job never runs twice.
 func (w *Worker) NextJob() ([]byte, error) {
-	for {
-		p := w.peer()
-		f, ok := <-p.inbox
-		if !ok {
-			if rerr := w.reconnect(p.readErr, true); rerr != nil {
-				return nil, &PeerLossError{Party: 0, Cause: rerr}
-			}
-			continue
+	var job []byte
+	err := w.receive(true, nil, func(f frame) (bool, error) {
+		jseq, spec, err := decodeJobBody(f.body)
+		if err != nil {
+			return false, err
 		}
-		switch f.typ {
-		case fJobStart:
-			jseq, job, err := decodeJobStart(f.body)
-			if err != nil {
-				return nil, err
-			}
-			w.mu.Lock()
-			if jseq <= w.lastJobSeq {
-				w.mu.Unlock()
-				continue // duplicate resync of a job already running or done
-			}
-			w.lastJobSeq = jseq
-			w.lastResult = nil
-			w.mu.Unlock()
-			return job, nil
-		case fMerged, fAssign:
-			continue // stale resync for an exchange already completed
-		case fShutdown:
-			return nil, ErrShutdown
-		case fError:
-			return nil, fmt.Errorf("transport: coordinator: %s", f.body)
-		default:
-			return nil, fmt.Errorf("transport: unexpected %s frame awaiting job", f.typ)
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if jseq <= w.lastJobSeq {
+			return false, nil // duplicate resync of a job already running or done
 		}
-	}
+		w.lastJobSeq, w.lastResult, job = jseq, nil, spec
+		return true, nil
+	})
+	return job, err
 }
 
 // Exchange implements Transport: ship this party's records, serve any
@@ -1381,7 +1346,7 @@ func (w *Worker) NextJob() ([]byte, error) {
 // exact replay), and block at the barrier until the coordinator's merged
 // round arrives. The merged frame's sequence number and round metadata
 // must match this party's own — the SPMD divergence check. A connection
-// failure anywhere in the round is recycled through reconnect: the
+// failure anywhere in the round is recycled by the receive loop: the
 // records are re-sent (the coordinator's merge dedups) and stale resync
 // frames are skipped by sequence number.
 func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec ExecFunc) ([]Record, error) {
@@ -1408,6 +1373,8 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 	// dies mid-round therefore loses at most the events since its last
 	// barrier.
 	w.flushTelemetry()
+	// mine marks the machines run here: the merged round comes back
+	// decoded, every record Remote, and the caller needs its own as local.
 	mine := make(map[int]bool, len(local))
 	for _, r := range local {
 		mine[r.Machine] = true
@@ -1419,84 +1386,70 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 	if err := w.sendFrame(fRecords, body); err != nil {
 		return nil, err
 	}
-	for {
-		p := w.peer()
-		f, ok := <-p.inbox
-		if !ok {
-			if rerr := w.reconnect(p.readErr, false); rerr != nil {
-				return nil, &PeerLossError{Party: 0, Cause: rerr}
-			}
-			// The coordinator may never have seen this round's records;
-			// re-send them (its merge dedups if it did).
-			if err := w.sendFrame(fRecords, body); err != nil {
-				return nil, err
-			}
-			continue
+	var out []Record
+	err = w.receive(false, body, func(f frame) (bool, error) {
+		if f.typ == fAssign {
+			return false, w.reassigned(seq, meta, f.body, exec, mine)
 		}
-		switch f.typ {
-		case fAssign:
-			aseq, ids, err := decodeAssign(f.body)
-			if err != nil {
-				return nil, err
-			}
-			if aseq < seq {
-				continue // duplicate re-delivery for an already-merged round
-			}
-			if aseq > seq {
-				trace.FlightTrigger("transport: exchange divergence")
-				return nil, &DivergenceError{Seq: aseq, WantSeq: seq, Want: meta, Got: meta}
-			}
-			recs, err := exec(ids)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range recs {
-				mine[r.Machine] = true
-			}
-			rbody, err := encodeRecords(w.codec, seq, meta, recs)
-			if err != nil {
-				return nil, err
-			}
-			if err := w.sendFrame(fRecords, rbody); err != nil {
-				return nil, err
-			}
-			w.mu.Lock()
-			w.st.Reassigns++
-			w.mu.Unlock()
-		case fMerged:
-			mseq, mmeta, recs, err := decodeRecords(w.codec, f.body)
-			if err != nil {
-				return nil, err
-			}
-			if mseq < seq {
-				continue // duplicate barrier from a rejoin resync race
-			}
-			if mseq != seq || mmeta != meta {
-				derr := &DivergenceError{Seq: mseq, WantSeq: seq, Want: meta, Got: mmeta}
-				trace.FlightTrigger("transport: exchange divergence")
-				w.peer().write(fError, []byte(derr.Error()))
-				return nil, derr
-			}
-			for i := range recs {
-				if mine[recs[i].Machine] {
-					recs[i].Remote = false
-				}
-			}
-			w.mu.Lock()
-			w.st.Exchanges++
-			w.lastAcked = seq
-			w.mu.Unlock()
-			return recs, nil
-		case fJobStart:
-			continue // duplicate job resync; this job is already running
-		case fShutdown:
-			return nil, ErrShutdown
-		case fError:
-			return nil, fmt.Errorf("transport: coordinator: %s", f.body)
-		default:
-			return nil, fmt.Errorf("transport: unexpected %s frame during exchange", f.typ)
+		mseq, mmeta, recs, err := decodeRecords(w.codec, f.body)
+		switch {
+		case err != nil:
+			return false, err
+		case mseq < seq:
+			return false, nil // duplicate barrier from a rejoin resync race
+		case mseq != seq || mmeta != meta:
+			derr := &DivergenceError{Seq: mseq, WantSeq: seq, Want: meta, Got: mmeta}
+			trace.FlightTrigger("transport: exchange divergence")
+			w.peer().write(fError, []byte(derr.Error()))
+			return false, derr
 		}
+		for i := range recs {
+			if mine[recs[i].Machine] {
+				recs[i].Remote = false
+			}
+		}
+		w.mu.Lock()
+		w.st.Exchanges++
+		w.lastAcked = seq
+		w.mu.Unlock()
+		out = recs
+		return true, nil
+	})
+	return out, err
+}
+
+// reassigned serves one fAssign of exchange seq: re-execute the machines
+// a lost peer owed, mark them run here, and ship their records. An assign
+// of an earlier, merged exchange is a stale re-delivery.
+func (w *Worker) reassigned(seq int, meta RoundMeta, body []byte, exec ExecFunc, mine map[int]bool) error {
+	aseq, ids, err := decodeAssign(body)
+	switch {
+	case err != nil:
+		return err
+	case aseq < seq:
+		return nil // duplicate re-delivery for an already-merged round
+	case aseq > seq:
+		trace.FlightTrigger("transport: exchange divergence")
+		return &DivergenceError{Seq: aseq, WantSeq: seq, Want: meta, Got: meta}
 	}
+	recs, err := exec(ids)
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		mine[r.Machine] = true
+	}
+	rbody, err := encodeRecords(w.codec, seq, meta, recs)
+	if err != nil {
+		return err
+	}
+	if err := w.sendFrame(fRecords, rbody); err != nil {
+		return err
+	}
+	w.mu.Lock()
+	w.st.Reassigns++
+	w.mu.Unlock()
+	return nil
 }
 
 // FinishJob ships the worker's end-of-job result digest for the
@@ -1511,7 +1464,7 @@ func (w *Worker) FinishJob(result []byte) error {
 	w.lastResult = append([]byte(nil), result...)
 	w.lastResultJob = jseq
 	w.mu.Unlock()
-	return w.sendFrame(fResult, encodeResult(jseq, result))
+	return w.sendFrame(fResult, encodeJobBody(jseq, result))
 }
 
 // Status snapshots the worker's live view of the session for the -status
@@ -1519,24 +1472,8 @@ func (w *Worker) FinishJob(result []byte) error {
 func (w *Worker) Status() Status {
 	now := time.Now()
 	w.mu.Lock()
-	seq, cur := w.seq, w.cur
-	p := w.p
-	ret := w.retired
-	graceNs := w.graceNs
+	seq, cur, p, ret, graceNs := w.seq, w.cur, w.p, w.retired, w.graceNs
 	w.mu.Unlock()
-	ps := PeerStats{
-		Party:         0,
-		Alive:         true,
-		BytesIn:       ret.bytesIn + p.bytesIn.Load(),
-		BytesOut:      ret.bytesOut + p.bytesOut.Load(),
-		Frames:        ret.frames + p.frames.Load(),
-		RTTP99:        p.rttP99(),
-		Reconnects:    ret.reconnects,
-		CorruptFrames: ret.corrupt + p.corrupt.Load(),
-	}
-	if ns := p.lastHeardNs.Load(); ns > 0 {
-		ps.LastHeard = time.Unix(0, ns)
-	}
 	return Status{
 		Role:           "worker",
 		Parties:        w.parties,
@@ -1546,25 +1483,20 @@ func (w *Worker) Status() Status {
 		Name:           cur.Name,
 		Phase:          cur.Phase,
 		Alive:          2,
-		HeartbeatMs:    float64(w.opts.HeartbeatInterval) / float64(time.Millisecond),
-		PeerDeadlineMs: float64(w.opts.PeerTimeout) / float64(time.Millisecond),
-		RejoinGraceMs:  float64(graceNs) / float64(time.Millisecond),
+		HeartbeatMs:    ms(w.opts.HeartbeatInterval),
+		PeerDeadlineMs: ms(w.opts.PeerTimeout),
+		RejoinGraceMs:  ms(time.Duration(graceNs)),
 		Wire:           w.Stats(),
-		Peers:          []PeerStatus{peerStatus(ps, now)},
+		Peers:          []PeerStatus{ret.row(0, true, p, now)},
 	}
 }
 
 // Stats implements Transport.
 func (w *Worker) Stats() Stats {
 	w.mu.Lock()
-	st := w.st
-	ret := w.retired
-	p := w.p
+	st, ret, p := w.st, w.retired, w.p
 	w.mu.Unlock()
-	st.BytesIn = ret.bytesIn + p.bytesIn.Load()
-	st.BytesOut = ret.bytesOut + p.bytesOut.Load()
-	st.Frames = ret.frames + p.frames.Load()
-	st.CorruptFrames = ret.corrupt + p.corrupt.Load()
+	st.addWire(ret.with(p))
 	return st
 }
 
@@ -1572,36 +1504,4 @@ func (w *Worker) Stats() Stats {
 func (w *Worker) Close() error {
 	w.peer().close()
 	return nil
-}
-
-// encodeJobStart prefixes the opaque job spec with the coordinator's job
-// sequence number so duplicate deliveries (rejoin resync racing the
-// broadcast) are detectable.
-func encodeJobStart(jobSeq uint64, job []byte) []byte {
-	buf := binary.AppendUvarint(nil, jobSeq)
-	return append(buf, job...)
-}
-
-func decodeJobStart(body []byte) (uint64, []byte, error) {
-	jseq, data, err := readUvarint(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return jseq, data, nil
-}
-
-// encodeResult prefixes the result digest with the job sequence number it
-// answers, so a re-sent result from a recovered connection can never be
-// mistaken for a later job's.
-func encodeResult(jobSeq uint64, result []byte) []byte {
-	buf := binary.AppendUvarint(nil, jobSeq)
-	return append(buf, result...)
-}
-
-func decodeResult(body []byte) (uint64, []byte, error) {
-	jseq, data, err := readUvarint(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	return jseq, data, nil
 }

@@ -2,8 +2,10 @@ package transport
 
 import (
 	"errors"
+	"io"
 	"net"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -64,7 +66,8 @@ func runWorker(addr string, opts Options, rounds int) <-chan workerReport {
 			return
 		}
 		assign := [][]int{{0, 1}, {2, 3}}
-		exec := func(ids []int) ([]Record, error) { return recsFor(ids, w.curSeqForTest()), nil }
+		// Reassignment replay must use the current round's inputs.
+		exec := func(ids []int) ([]Record, error) { return recsFor(ids, w.curSeq()), nil }
 		for seq := 1; seq <= rounds; seq++ {
 			meta := RoundMeta{Round: seq - 1, Name: "round", Phase: "candidates"}
 			m, err := w.Exchange(meta, assign, recsFor([]int{2, 3}, seq), exec)
@@ -83,14 +86,6 @@ func runWorker(addr string, opts Options, rounds int) <-chan workerReport {
 		}
 	}()
 	return ch
-}
-
-// curSeqForTest exposes the worker's exchange counter to the test exec
-// closure (reassignment replay must use the current round's inputs).
-func (w *Worker) curSeqForTest() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.seq
 }
 
 // TestRejoinAfterConnDrop is the tentpole's core unit test, without any
@@ -305,5 +300,99 @@ func TestCorruptToleranceEvicts(t *testing.T) {
 	// refused — never a clean shutdown.
 	if rep := <-ch; rep.err == nil {
 		t.Error("worker finished cleanly despite eviction")
+	}
+}
+
+// TestHandshakeRefusals covers each hello the coordinator turns away, at
+// registration and on the rejoin listener. Every refusal is an fError
+// answer that the worker's dial returns as a *RefusedError; a refused
+// resume ends the worker's reconnect loop at once, not after the grace,
+// and a refused registration fails NewCoordinator with the same reason.
+func TestHandshakeRefusals(t *testing.T) {
+	const grace = 5 * time.Second
+	dialHello := func(addr string, h hello) error {
+		p, _, _, err := dial(addr, &Options{}, h)
+		if err == nil {
+			p.close()
+		}
+		return err
+	}
+	for _, tc := range []struct {
+		name     string
+		register bool // refused at registration, not on the rejoin listener
+		try      func(addr string, c *Coordinator, w *Worker) error
+		want     string
+	}{
+		{"version at registration", true, func(addr string, _ *Coordinator, _ *Worker) error {
+			return dialHello(addr, hello{Version: ProtocolVersion + 1})
+		}, "protocol version mismatch"},
+		{"resume at registration", true, func(addr string, _ *Coordinator, _ *Worker) error {
+			return dialHello(addr, hello{Version: ProtocolVersion, Resume: true, Token: "token", Party: 1})
+		}, "session-resume hello during registration"},
+		{"plain hello on rejoin", false, func(addr string, _ *Coordinator, _ *Worker) error {
+			return dialHello(addr, hello{Version: ProtocolVersion})
+		}, "expected session-resume hello"},
+		{"bad token", false, func(_ string, _ *Coordinator, w *Worker) error {
+			w.token = "not the session token"
+			return w.reconnect(io.EOF, false)
+		}, "bad resume token or party"},
+		{"evicted slot", false, func(_ string, c *Coordinator, w *Worker) error {
+			c.mu.Lock()
+			c.state[0] = peerDead
+			c.mu.Unlock()
+			return w.reconnect(io.EOF, false)
+		}, "party evicted"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			addr := ln.Addr().String()
+			opts := Options{RejoinGrace: grace}
+			if tc.register {
+				regErr := make(chan error, 1)
+				go func() {
+					_, err := NewCoordinator(ln, 1, opts)
+					regErr <- err
+				}()
+				err = tc.try(addr, nil, nil)
+				if rerr := <-regErr; rerr == nil || !strings.Contains(rerr.Error(), tc.want) {
+					t.Errorf("NewCoordinator() error = %v, want %q", rerr, tc.want)
+				}
+			} else {
+				wch := make(chan *Worker, 1)
+				go func() {
+					w, err := DialWorker(addr, Options{})
+					if err != nil {
+						t.Error(err)
+					}
+					wch <- w
+				}()
+				c, cerr := NewCoordinator(ln, 1, opts)
+				if cerr != nil {
+					t.Fatal(cerr)
+				}
+				defer c.Close()
+				w := <-wch
+				if w == nil {
+					t.FailNow()
+				}
+				defer w.Close()
+				start := time.Now()
+				err = tc.try(addr, c, w)
+				if d := time.Since(start); d > grace/2 {
+					t.Errorf("refusal took %v, want at once (grace %v)", d, grace)
+				}
+				if st := c.Stats(); st.Reconnects != 0 {
+					t.Errorf("Reconnects = %d after a refusal", st.Reconnects)
+				}
+			}
+			var re *RefusedError
+			if !errors.As(err, &re) || !strings.Contains(re.Reason, tc.want) {
+				t.Errorf("worker error = %v, want a *RefusedError for %q", err, tc.want)
+			}
+		})
 	}
 }

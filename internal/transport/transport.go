@@ -102,29 +102,16 @@ type Stats struct {
 	CorruptFrames int64 `json:"corruptFrames"` // frames rejected by the CRC/length check
 }
 
-// PeerStats breaks a session's wire counters down per peer connection,
-// with the heartbeat round-trip estimate on top. Advisory, like Stats.
-type PeerStats struct {
-	Party         int           `json:"party"` // the remote party's index
-	Alive         bool          `json:"alive"`
-	BytesIn       int64         `json:"bytesIn"`
-	BytesOut      int64         `json:"bytesOut"`
-	Frames        int64         `json:"frames"`
-	RTTP99        time.Duration `json:"rttP99Ns"`  // heartbeat RTT p99 (0 until sampled)
-	LastHeard     time.Time     `json:"lastHeard"` // when the last frame arrived (zero before any)
-	Reconnects    int64         `json:"reconnects"`
-	CorruptFrames int64         `json:"corruptFrames"`
-}
-
-// PeerStatus is PeerStats flattened for the live status endpoint (JSON
-// with millisecond floats instead of Duration/Time).
+// PeerStatus breaks a session's wire counters down per peer connection,
+// with the heartbeat round-trip estimate on top, in the live status
+// endpoint's JSON shape (millisecond floats). Advisory, like Stats.
 type PeerStatus struct {
-	Party         int     `json:"party"`
+	Party         int     `json:"party"` // the remote party's index
 	Alive         bool    `json:"alive"`
 	BytesIn       int64   `json:"bytesIn"`
 	BytesOut      int64   `json:"bytesOut"`
 	Frames        int64   `json:"frames"`
-	RTTP99Ms      float64 `json:"rttP99Ms"`
+	RTTP99Ms      float64 `json:"rttP99Ms"`    // heartbeat RTT p99 (0 until sampled)
 	LastHeardMs   float64 `json:"lastHeardMs"` // ms since the last frame arrived, -1 before any
 	Reconnects    int64   `json:"reconnects"`
 	CorruptFrames int64   `json:"corruptFrames"`
@@ -148,22 +135,6 @@ type Status struct {
 	RejoinGraceMs  float64      `json:"rejoinGraceMs,omitempty"`
 	Wire           Stats        `json:"wire"`
 	Peers          []PeerStatus `json:"peers"`
-}
-
-// peerStatus converts stats to endpoint shape relative to now.
-func peerStatus(ps PeerStats, now time.Time) PeerStatus {
-	out := PeerStatus{
-		Party: ps.Party, Alive: ps.Alive,
-		BytesIn: ps.BytesIn, BytesOut: ps.BytesOut, Frames: ps.Frames,
-		RTTP99Ms:      float64(ps.RTTP99) / float64(time.Millisecond),
-		LastHeardMs:   -1,
-		Reconnects:    ps.Reconnects,
-		CorruptFrames: ps.CorruptFrames,
-	}
-	if !ps.LastHeard.IsZero() {
-		out.LastHeardMs = float64(now.Sub(ps.LastHeard)) / float64(time.Millisecond)
-	}
-	return out
 }
 
 // Local is the in-process transport: a single party executes everything
@@ -250,6 +221,22 @@ func (e *DivergenceError) Error() string {
 	}
 	return fmt.Sprintf("transport: round metadata diverged at exchange %d: local (round %d %q phase %q), peer (round %d %q phase %q)",
 		e.Seq, e.Want.Round, e.Want.Name, e.Want.Phase, e.Got.Round, e.Got.Name, e.Got.Phase)
+}
+
+// RefusedError reports a coordinator's fError answer to a worker's hello:
+// a protocol version mismatch, a resume hello at registration or a plain
+// one on the rejoin listener, a bad session token, or an evicted slot. The
+// same hello would be refused again, so a worker never retries it.
+type RefusedError struct {
+	Resume bool   // the refused hello asked to resume a slot
+	Reason string // the coordinator's message
+}
+
+func (e *RefusedError) Error() string {
+	if e.Resume {
+		return "transport: coordinator refused resume: " + e.Reason
+	}
+	return "transport: coordinator rejected registration: " + e.Reason
 }
 
 // CorruptFrameError reports a frame rejected by the integrity check —
