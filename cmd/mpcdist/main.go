@@ -160,13 +160,13 @@ func main() {
 	// panic: the MPC exponent range depends on the algorithm (Theorem 4
 	// vs Theorem 9), and the Ulam kernels require distinct characters.
 	switch *algo {
-	case "mpc", "hss":
-		if *x <= 0 || (*algo == "mpc" && *x > 5.0/17+1e-9) || (*algo == "hss" && *x >= 0.5) {
-			die("x = %v outside the valid range for -algo %s (mpc: (0, 5/17], hss: (0, 1/2))", *x, *algo)
+	case "mpc", "hss", "ulam-mpc":
+		maxX := core.MaxXHalf
+		if *algo == "mpc" {
+			maxX = core.MaxXEdit
 		}
-	case "ulam-mpc":
-		if *x <= 0 || *x >= 0.5 {
-			die("x = %v outside (0, 1/2) for -algo ulam-mpc", *x)
+		if err := core.CheckX(*x, maxX); err != nil {
+			die("%v for -algo %s", err, *algo)
 		}
 	case "bounded":
 		if *bound < 0 {

@@ -3,21 +3,19 @@
 // Seddighin, and Sun [20] — which assigns every (block, candidate
 // substring) pair to its own machine and therefore uses Õ(n^{2x}) machines
 // where the paper's algorithm needs Õ(n^{2x-(1-delta)}) in the small
-// regime — plus the sequential oracles used to certify approximation
-// factors.
+// regime — and the LCS extension of the same block/candidate scheme. Both
+// run the pipeline shape of internal/core: core's block grid, chain
+// tuples sent to core's collector, and core's chain round.
 package baseline
 
 import (
 	"bytes"
-	"fmt"
-	"math"
 
 	"mpcdist/internal/cand"
 	"mpcdist/internal/chain"
 	"mpcdist/internal/core"
 	"mpcdist/internal/editdist"
 	"mpcdist/internal/mpc"
-	"mpcdist/internal/stats"
 	"mpcdist/internal/trace"
 )
 
@@ -39,16 +37,6 @@ func (j *pairJob) Words() int {
 	return 7 + (len(j.Block)+7)/8 + (len(j.Seg)+7)/8
 }
 
-type tupleMsg chain.Tuple
-
-// Words implements mpc.Payload.
-func (tupleMsg) Words() int { return 5 }
-
-type valueMsg int
-
-// Words implements mpc.Payload.
-func (valueMsg) Words() int { return 1 }
-
 // HSSEditMPC approximates ed(s, sbar) within 1+eps in two rounds per
 // distance guess, using one machine per (block, candidate starting point)
 // as in [20]. Exact pair distances use the same hybrid kernel as the
@@ -60,15 +48,11 @@ func HSSEditMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 		p.Algo = "edit-hss"
 	}
 	n, m := len(s), len(sbar)
-	N := n
-	if m > N {
-		N = m
-	}
-	if N == 0 {
+	if max(n, m) == 0 {
 		return core.Result{Value: 0, Regime: "equal"}, nil
 	}
-	if p.X <= 0 || p.X >= 0.5 {
-		return core.Result{}, fmt.Errorf("baseline: X = %v outside (0, 1/2)", p.X)
+	if err := core.CheckX(p.X, core.MaxXHalf); err != nil {
+		return core.Result{}, err
 	}
 	if n == m && bytes.Equal(s, sbar) {
 		return core.Result{Value: 0, Regime: "equal"}, nil
@@ -99,48 +83,15 @@ func HSSEditMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 
 func hssGuess(s, sbar []byte, g int, p core.Params) (int, mpc.Report, error) {
 	n, m := len(s), len(sbar)
-	N := n
-	if m > N {
-		N = m
-	}
-	cl := p.Cluster(N)
-	epsP := p.Eps / 4
-	bsz := int(math.Round(math.Pow(float64(N), 1-p.X)))
-	if bsz < 1 {
-		bsz = 1
-	}
-	nBlocks := (n + bsz - 1) / bsz
-	grid := int(epsP * float64(g) / float64(maxInt(nBlocks, 1)))
-	if grid < 1 {
-		grid = 1
-	}
-	maxWin := int(float64(bsz)/epsP) + 1
-
-	inputs := make(map[int][]mpc.Payload)
-	id := 0
-	for l := 0; l < n; l += bsz {
-		r := l + bsz - 1
-		if r > n-1 {
-			r = n - 1
-		}
-		for _, start := range cand.Starts(l, g, grid, m) {
-			segHi := start + maxWin
-			if segHi > m {
-				segHi = m
-			}
-			inputs[id] = []mpc.Payload{&pairJob{
-				L: l, R: r,
-				Block:  s[l : r+1],
-				SegOff: start,
-				Seg:    sbar[start:segHi],
-				Start:  start,
-				Guess:  g,
-				MaxWin: maxWin,
-			}}
-			id++
-		}
-	}
-	collector := 0
+	cl := p.Cluster(max(n, m))
+	gr := p.Grid(n, m, g)
+	gr.Eta = 1 // [20]: one machine per (block, starting point)
+	inputs := gr.Jobs(p.Algo, "hss/partition", s, sbar,
+		func(l int) []int { return cand.Starts(l, g, gr.Pitch, m) },
+		func(r core.Run) mpc.Payload {
+			return &pairJob{L: r.L, R: r.R, Block: r.Block, SegOff: r.SegOff, Seg: r.Seg,
+				Start: r.Starts[0], Guess: g, MaxWin: gr.MaxWin}
+		})
 	if len(inputs) == 0 {
 		return n + m, cl.Report(), nil
 	}
@@ -152,7 +103,7 @@ func hssGuess(s, sbar []byte, g int, p core.Params) (int, mpc.Report, error) {
 			blen := len(job.Block)
 			gamma := job.Start
 			var kappas, prefixes []int
-			for _, kappa := range cand.Ends(gamma, blen, m, epsP, job.MaxWin, job.Guess) {
+			for _, kappa := range cand.Ends(gamma, blen, m, gr.EpsP, job.MaxWin, job.Guess) {
 				if kappa-job.SegOff >= len(job.Seg) {
 					continue
 				}
@@ -169,54 +120,16 @@ func hssGuess(s, sbar []byte, g int, p core.Params) (int, mpc.Report, error) {
 				if ds[i] > dFilter || ds[i] > blen+prefixes[i] {
 					continue
 				}
-				x.Send(collector, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: ds[i]}))
+				core.SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: ds[i]})
 			}
 		}
 	})
 	if err != nil {
 		return 0, mpc.Report{}, err
 	}
-	if _, ok := out[collector]; !ok {
-		out[collector] = []mpc.Payload{}
-	}
-	fin, err := cl.Run("hss/chain", trace.PhaseChain, out, func(x *mpc.Ctx, in []mpc.Payload) {
-		tuples := make([]chain.Tuple, 0, len(in))
-		for _, pl := range in {
-			tuples = append(tuples, chain.Tuple(pl.(tupleMsg)))
-		}
-		x.Send(collector, valueMsg(chain.EditCost(tuples, n, m, false, x.Counter())))
-	})
+	v, _, err := core.ChainRound(cl, "hss/chain", out, core.EditChain(n, m, false))
 	if err != nil {
 		return 0, mpc.Report{}, err
 	}
-	vals := fin[collector]
-	if len(vals) != 1 {
-		return 0, mpc.Report{}, fmt.Errorf("baseline: chain produced %d values", len(vals))
-	}
-	return int(vals[0].(valueMsg)), cl.Report(), nil
-}
-
-// SequentialExact is the classic quadratic DP, the oracle all MPC values
-// are certified against.
-func SequentialExact(s, sbar []byte, ops *stats.Ops) int {
-	return editdist.Distance(s, sbar, ops)
-}
-
-// SequentialMyers is the bit-parallel exact algorithm.
-func SequentialMyers(s, sbar []byte, ops *stats.Ops) int {
-	return editdist.Myers(s, sbar, ops)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return v, cl.Report(), nil
 }

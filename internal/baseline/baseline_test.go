@@ -90,15 +90,6 @@ func TestHSSFarStrings(t *testing.T) {
 	}
 }
 
-func TestSequentialOracles(t *testing.T) {
-	rng := rand.New(rand.NewSource(94))
-	a := workload.RandomString(rng, 120, 4)
-	b := workload.RandomString(rng, 110, 4)
-	if SequentialExact(a, b, nil) != SequentialMyers(a, b, nil) {
-		t.Error("sequential oracles disagree")
-	}
-}
-
 func TestLCSMPCLowerBoundAndAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	for trial := 0; trial < 3; trial++ {

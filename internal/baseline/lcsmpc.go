@@ -2,13 +2,12 @@ package baseline
 
 import (
 	"bytes"
-	"fmt"
-	"math"
 
 	"mpcdist/internal/chain"
 	"mpcdist/internal/core"
 	"mpcdist/internal/lcs"
 	"mpcdist/internal/mpc"
+	"mpcdist/internal/stats"
 	"mpcdist/internal/trace"
 )
 
@@ -36,19 +35,19 @@ func LCSMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 		p.Algo = "lcs-mpc"
 	}
 	n, m := len(s), len(sbar)
-	N := maxInt(n, m)
+	N := max(n, m)
 	if N == 0 {
 		return core.Result{Value: 0, Regime: "equal"}, nil
 	}
-	if p.X <= 0 || p.X >= 0.5 {
-		return core.Result{}, fmt.Errorf("baseline: X = %v outside (0, 1/2)", p.X)
+	if err := core.CheckX(p.X, core.MaxXHalf); err != nil {
+		return core.Result{}, err
 	}
 	if n == m && bytes.Equal(s, sbar) {
 		return core.Result{Value: n, Regime: "equal"}, nil
 	}
 	best := 0
 	var reports []mpc.Report
-	ell := minInt(n, m)
+	ell := min(n, m)
 	for ell >= 1 {
 		v, rep, err := lcsGuess(s, sbar, ell, p)
 		if err != nil {
@@ -97,45 +96,19 @@ func (j *lcsJob) Words() int {
 
 func lcsGuess(s, sbar []byte, ell int, p core.Params) (int, mpc.Report, error) {
 	n, m := len(s), len(sbar)
-	N := maxInt(n, m)
-	cl := p.Cluster(N)
-	epsP := p.Eps / 4
-	bsz := int(math.Round(math.Pow(float64(N), 1-p.X)))
-	if bsz < 1 {
-		bsz = 1
-	}
-	nBlocks := (n + bsz - 1) / bsz
-	grid := maxInt(1, int(epsP*float64(ell)/float64(maxInt(nBlocks, 1))))
-	maxWin := int(float64(bsz)/epsP) + 1
-
-	// Global grid starts; runs of eta starts per machine.
+	cl := p.Cluster(max(n, m))
+	gr := p.Grid(n, m, ell)
+	// Every block gets the same global grid of window starts.
 	var starts []int
-	for g := 0; g < m; g += grid {
+	for g := 0; g < m; g += gr.Pitch {
 		starts = append(starts, g)
 	}
-	eta := maxInt(1, bsz/grid)
-	inputs := make(map[int][]mpc.Payload)
-	id := 0
-	for l := 0; l < n; l += bsz {
-		r := minInt(l+bsz-1, n-1)
-		for lo := 0; lo < len(starts); lo += eta {
-			hi := minInt(lo+eta, len(starts))
-			run := starts[lo:hi]
-			segLo := run[0]
-			segHi := minInt(run[len(run)-1]+maxWin, m)
-			inputs[id] = []mpc.Payload{&lcsJob{
-				L: l, R: r,
-				Block:  s[l : r+1],
-				SegOff: segLo,
-				Seg:    sbar[segLo:segHi],
-				Starts: append([]int(nil), run...),
-				Grid:   grid,
-				MaxWin: maxWin,
-			}}
-			id++
-		}
-	}
-	collector := 0
+	inputs := gr.Jobs(p.Algo, "lcs/partition", s, sbar,
+		func(int) []int { return starts },
+		func(r core.Run) mpc.Payload {
+			return &lcsJob{L: r.L, R: r.R, Block: r.Block, SegOff: r.SegOff, Seg: r.Seg,
+				Starts: r.Starts, Grid: gr.Pitch, MaxWin: gr.MaxWin}
+		})
 	if len(inputs) == 0 {
 		return 0, cl.Report(), nil
 	}
@@ -159,7 +132,7 @@ func lcsGuess(s, sbar []byte, ell int, p core.Params) (int, mpc.Report, error) {
 					if score == 0 {
 						continue
 					}
-					x.Send(collector, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: score}))
+					core.SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: score})
 				}
 			}
 		}
@@ -167,22 +140,11 @@ func lcsGuess(s, sbar []byte, ell int, p core.Params) (int, mpc.Report, error) {
 	if err != nil {
 		return 0, mpc.Report{}, err
 	}
-	if _, ok := out[collector]; !ok {
-		out[collector] = []mpc.Payload{}
-	}
-	fin, err := cl.Run("lcs/chain", trace.PhaseChain, out, func(x *mpc.Ctx, in []mpc.Payload) {
-		tuples := make([]chain.Tuple, 0, len(in))
-		for _, pl := range in {
-			tuples = append(tuples, chain.Tuple(pl.(tupleMsg)))
-		}
-		x.Send(collector, valueMsg(chain.LCSScore(tuples, x.Counter())))
+	v, _, err := core.ChainRound(cl, "lcs/chain", out, func(tuples []chain.Tuple, ops *stats.Ops) (int, []chain.Tuple) {
+		return chain.LCSScore(tuples, ops), nil
 	})
 	if err != nil {
 		return 0, mpc.Report{}, err
 	}
-	vals := fin[collector]
-	if len(vals) != 1 {
-		return 0, mpc.Report{}, fmt.Errorf("baseline: lcs chain produced %d values", len(vals))
-	}
-	return int(vals[0].(valueMsg)), cl.Report(), nil
+	return v, cl.Report(), nil
 }

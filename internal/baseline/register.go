@@ -2,11 +2,10 @@ package baseline
 
 import "mpcdist/internal/mpc"
 
-// Payload-codec registrations for the baseline algorithms' wire types (see
-// internal/core/register.go for the convention).
+// Payload-codec registrations for the baseline algorithms' job types (see
+// internal/core/register.go for the convention). Their chain tuples and
+// answers travel as core's payloads.
 func init() {
 	mpc.RegisterPayload("baseline.pairJob", (*pairJob)(nil))
-	mpc.RegisterPayload("baseline.tupleMsg", tupleMsg{})
-	mpc.RegisterPayload("baseline.valueMsg", valueMsg(0))
 	mpc.RegisterPayload("baseline.lcsJob", (*lcsJob)(nil))
 }

@@ -18,16 +18,13 @@ import (
 // reporting per-guess statistics and a parallel-style aggregate (rounds =
 // max, machines and work = sum).
 func EditMPC(s, sbar []byte, p Params) (Result, error) {
-	p = p.withDefaults()
-	if p.Algo == "" {
-		p.Algo = "edit-mpc"
-	}
+	p = editParams(p)
 	n, m := len(s), len(sbar)
-	N := maxInt(n, m)
+	N := max(n, m)
 	if N == 0 {
 		return Result{Value: 0, Regime: "equal"}, nil
 	}
-	if err := p.validate(N, 5.0/17+1e-9); err != nil {
+	if err := p.validate(N, MaxXEdit); err != nil {
 		return Result{}, err
 	}
 	// ed = 0 is detected separately, as in the paper.
@@ -72,21 +69,32 @@ func EditMPC(s, sbar []byte, p Params) (Result, error) {
 				Value:        best,
 				Guess:        g,
 				Regime:       regime,
-				Report:       aggregateReports(reports),
+				Report:       AggregateReports(reports),
 				GuessReports: reports,
 			}, nil
 		}
 	}
 	// Unreachable: the last ladder guess always accepts.
-	return Result{Value: best, Report: aggregateReports(reports), GuessReports: reports}, nil
+	return Result{Value: best, Report: AggregateReports(reports), GuessReports: reports}, nil
+}
+
+// editParams fills in the defaults and names the pipeline "edit-mpc" for
+// the profiler labels and the flight recorder, the same for the whole
+// ladder and for either regime run on its own.
+func editParams(p Params) Params {
+	p = p.WithDefaults()
+	if p.Algo == "" {
+		p.Algo = "edit-mpc"
+	}
+	return p
 }
 
 // EditSmallMPC exposes the small-distance regime (Lemma 6) for a fixed
 // guess, for tests and benchmarks.
 func EditSmallMPC(s, sbar []byte, guess int, p Params) (Result, error) {
-	p = p.withDefaults()
-	N := maxInt(len(s), len(sbar))
-	if err := p.validate(N, 5.0/17+1e-9); err != nil {
+	p = editParams(p)
+	N := max(len(s), len(sbar))
+	if err := p.validate(N, MaxXEdit); err != nil {
 		return Result{}, err
 	}
 	v, rep, err := editSmall(s, sbar, guess, p)
@@ -101,9 +109,9 @@ func EditSmallMPC(s, sbar []byte, guess int, p Params) (Result, error) {
 // the regime's validity boundary (Section 5.2): below it the candidate
 // grid becomes so fine that the machinery exceeds the model's memory.
 func EditLargeMPC(s, sbar []byte, guess int, p Params) (Result, error) {
-	p = p.withDefaults()
-	N := maxInt(len(s), len(sbar))
-	if err := p.validate(N, 5.0/17+1e-9); err != nil {
+	p = editParams(p)
+	N := max(len(s), len(sbar))
+	if err := p.validate(N, MaxXEdit); err != nil {
 		return Result{}, err
 	}
 	if float64(guess) < math.Pow(float64(N), 1-p.X/5) {
@@ -117,10 +125,10 @@ func EditLargeMPC(s, sbar []byte, guess int, p Params) (Result, error) {
 	return Result{Value: v, Guess: guess, Regime: "large", Report: rep}, nil
 }
 
-// aggregateReports combines per-guess reports the way the paper's parallel
+// AggregateReports combines per-guess reports the way the paper's parallel
 // guessing would: rounds is the maximum, machines and total work add up,
 // and the critical path is the maximum.
-func aggregateReports(reps []mpc.Report) mpc.Report {
+func AggregateReports(reps []mpc.Report) mpc.Report {
 	var out mpc.Report
 	for _, r := range reps {
 		if r.NumRounds > out.NumRounds {
@@ -159,7 +167,3 @@ func aggregateReports(reps []mpc.Report) mpc.Report {
 	}
 	return out
 }
-
-// AggregateReports exposes the parallel-guess aggregation for other
-// packages (the baseline uses the same guess structure).
-func AggregateReports(reps []mpc.Report) mpc.Report { return aggregateReports(reps) }

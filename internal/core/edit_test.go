@@ -120,7 +120,7 @@ func TestEditLargeMPCDirect(t *testing.T) {
 	s := workload.RandomString(rng, n, 10)
 	sbar := workload.RandomString(rng, n, 10)
 	exact := editdist.Distance(s, sbar, nil)
-	res, err := EditLargeMPC(s, sbar, maxInt(exact, 1), Params{X: 0.25, Eps: 1, Seed: 5})
+	res, err := EditLargeMPC(s, sbar, max(exact, 1), Params{X: 0.25, Eps: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestEditSmallMPCDirect(t *testing.T) {
 	s := workload.RandomString(rng, 500, 4)
 	sbar := workload.PlantedEdits(rng, s, 25, 4)
 	exact := editdist.Distance(s, sbar, nil)
-	res, err := EditSmallMPC(s, sbar, maxInt(2*exact, 4), Params{X: 0.25, Eps: 0.5, Seed: 6})
+	res, err := EditSmallMPC(s, sbar, max(2*exact, 4), Params{X: 0.25, Eps: 0.5, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +186,8 @@ func TestEditMPCDNA(t *testing.T) {
 // rounds per guess, memory cap respected, on a mix of workloads.
 func TestTheorem9EndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(120))
-	p := Params{X: 0.25, Eps: 0.5, Seed: 9}.withDefaults()
-	budget := p.memoryBudget(900)
+	p := Params{X: 0.25, Eps: 0.5, Seed: 9}.WithDefaults()
+	budget := p.MemoryBudget(900)
 	for trial, mk := range []func() ([]byte, []byte){
 		func() ([]byte, []byte) {
 			s := workload.RandomString(rng, 900, 4)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"mpcdist/internal/approx"
 	"mpcdist/internal/cand"
 	"mpcdist/internal/chain"
@@ -49,7 +47,7 @@ func pairDistances(job *editJob, gamma int, kappas, prefixes []int, dFilter int,
 			win := full[:plen]
 			ds[i] = approx.Ed(job.Block, win, approx.Params{
 				Eps:  p.Eps / 4,
-				Cap:  minInt(dFilter, len(job.Block)+plen),
+				Cap:  min(dFilter, len(job.Block)+plen),
 				Seed: p.Seed ^ int64(x.Machine)<<20 ^ int64(gamma),
 			}, x.Counter())
 		}
@@ -71,42 +69,14 @@ func pairDistances(job *editJob, gamma int, kappas, prefixes []int, dFilter int,
 // solver, or 1+eps with ExactPairs.
 func editSmall(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 	n, m := len(s), len(sbar)
-	N := maxInt(n, m)
-	cl := p.cluster(N)
-	epsP := p.Eps / 4 // the paper uses eps/22; /4 keeps simulator-scale candidate sets sane
-	bsz := intPow(N, 1-p.X)
-	nBlocks := (n + bsz - 1) / bsz
-	grid := maxInt(1, int(epsP*float64(g)/float64(maxInt(nBlocks, 1))))
-	maxWin := int(float64(bsz)/epsP) + 1
-
-	// Distribute: for each block, runs of eta = B/G consecutive starts.
-	// Driver-side block partition, labeled phase=partition for profiles.
-	eta := maxInt(1, bsz/grid)
-	inputs := make(map[int][]mpc.Payload)
-	trace.LabelPhase(p.Algo, trace.PhasePartition, "edit/small/partition", func() {
-		id := 0
-		for l := 0; l < n; l += bsz {
-			r := minInt(l+bsz-1, n-1)
-			starts := cand.Starts(l, g, grid, m)
-			for lo := 0; lo < len(starts); lo += eta {
-				hi := minInt(lo+eta, len(starts))
-				run := starts[lo:hi]
-				segLo := run[0]
-				segHi := minInt(run[len(run)-1]+maxWin, m)
-				inputs[id] = []mpc.Payload{&editJob{
-					L: l, R: r,
-					Block:  s[l : r+1],
-					SegOff: segLo,
-					Seg:    sbar[segLo:segHi],
-					Starts: append([]int(nil), run...),
-					Guess:  g,
-					MaxWin: maxWin,
-				}}
-				id++
-			}
-		}
-	})
-	collector := 0
+	cl := p.Cluster(max(n, m))
+	gr := p.Grid(n, m, g)
+	inputs := gr.Jobs(p.Algo, "edit/small/partition", s, sbar,
+		func(l int) []int { return cand.Starts(l, g, gr.Pitch, m) },
+		func(r Run) mpc.Payload {
+			return &editJob{L: r.L, R: r.R, Block: r.Block, SegOff: r.SegOff, Seg: r.Seg,
+				Starts: r.Starts, Guess: g, MaxWin: gr.MaxWin}
+		})
 	if len(inputs) == 0 {
 		// No blocks (empty s) or no starts (empty sbar): trivial answer.
 		return n + m, cl.Report(), nil
@@ -120,7 +90,7 @@ func editSmall(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 			blen := len(job.Block)
 			for _, gamma := range job.Starts {
 				var kappas, prefixes []int
-				for _, kappa := range cand.Ends(gamma, blen, m, epsP, job.MaxWin, job.Guess) {
+				for _, kappa := range cand.Ends(gamma, blen, m, gr.EpsP, job.MaxWin, job.Guess) {
 					if kappa-job.SegOff >= len(job.Seg) {
 						continue // outside this machine's segment
 					}
@@ -139,7 +109,7 @@ func editSmall(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 					if d > dFilter || d > blen+prefixes[i] {
 						continue
 					}
-					x.Send(collector, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: d}))
+					SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: d})
 				}
 			}
 		}
@@ -147,25 +117,11 @@ func editSmall(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 	if err != nil {
 		return 0, mpc.Report{}, err
 	}
-	if _, ok := out[collector]; !ok {
-		out[collector] = []mpc.Payload{}
-	}
 
 	// Round 2: Algorithm 4 on one machine.
-	fin, err := cl.Run("edit-small/chain", trace.PhaseChain, out, func(x *mpc.Ctx, in []mpc.Payload) {
-		tuples := make([]chain.Tuple, 0, len(in))
-		for _, pl := range in {
-			tuples = append(tuples, chain.Tuple(pl.(tupleMsg)))
-		}
-		v := chain.EditCost(tuples, n, m, false, x.Counter())
-		x.Send(collector, valueMsg(v))
-	})
+	v, _, err := ChainRound(cl, "edit-small/chain", out, EditChain(n, m, false))
 	if err != nil {
 		return 0, mpc.Report{}, err
 	}
-	vals := fin[collector]
-	if len(vals) != 1 {
-		return 0, mpc.Report{}, fmt.Errorf("core: edit-small chain produced %d values", len(vals))
-	}
-	return int(vals[0].(valueMsg)), cl.Report(), nil
+	return v, cl.Report(), nil
 }

@@ -95,20 +95,20 @@ func TestLemma5CandidateCover(t *testing.T) {
 		blockLen := 40
 		l := rng.Intn(m - blockLen) // block offset in s
 		g := 10 + rng.Intn(150)     // distance guess
-		grid := maxInt(1, int(eps*float64(g)/8))
+		grid := max(1, int(eps*float64(g)/8))
 		maxWin := int(float64(blockLen)/eps) + 1
 		// A planted "opt" window within the lemma's bounds. Its length may
 		// deviate from the block length by at most the guess (a block's
 		// share of the distance cannot exceed the total), and stays under
 		// the (1/eps)·B cap.
 		alpha := l - g + rng.Intn(2*g)
-		alpha = maxInt(0, minInt(alpha, m-1))
+		alpha = max(0, min(alpha, m-1))
 		if alpha+grid > m-1 {
 			continue // interior windows only: Lemma 5 presumes alpha+G <= n
 		}
-		dev := rng.Intn(minInt(g, blockLen-1)+1) * (1 - 2*rng.Intn(2))
-		wlen := minInt(maxInt(1, blockLen+dev), maxWin)
-		beta := minInt(alpha+wlen-1, m-1)
+		dev := rng.Intn(min(g, blockLen-1)+1) * (1 - 2*rng.Intn(2))
+		wlen := min(max(1, blockLen+dev), maxWin)
+		beta := min(alpha+wlen-1, m-1)
 		ed := abs(wlen-blockLen) + rng.Intn(10) // plausible distance
 
 		found := false
@@ -224,8 +224,8 @@ func TestLowDegreeExtension(t *testing.T) {
 		bj := s[l0+bsz : l0+2*bsz]
 		// Best window for v by scanning starts near the diagonal.
 		bestD, bestG := bsz+1, l0
-		for gamma := maxInt(0, l0-20); gamma <= minInt(m-bsz, l0+20); gamma++ {
-			if d := editdist.Distance(bv, sbar[gamma:minInt(gamma+bsz, m)], nil); d < bestD {
+		for gamma := max(0, l0-20); gamma <= min(m-bsz, l0+20); gamma++ {
+			if d := editdist.Distance(bv, sbar[gamma:min(gamma+bsz, m)], nil); d < bestD {
 				bestD, bestG = d, gamma
 			}
 		}

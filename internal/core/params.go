@@ -98,7 +98,9 @@ const (
 	PairMyers
 )
 
-func (p Params) withDefaults() Params {
+// WithDefaults returns a copy of p with zero-valued fields replaced by
+// their defaults.
+func (p Params) WithDefaults() Params {
 	if p.Eps <= 0 {
 		p.Eps = 0.5
 	}
@@ -111,15 +113,30 @@ func (p Params) withDefaults() Params {
 	return p
 }
 
-// Validate checks the exponent range for the given problem size.
+// The exclusive upper bounds of the memory exponent X. Theorem 4 (Ulam)
+// and the two baselines, which cut s into n^x blocks the same way, need
+// X < 1/2. Theorem 9 (edit distance) allows X = 5/17 itself; the slack
+// keeps that value inside the open range CheckX tests.
+const (
+	MaxXHalf = 0.5
+	MaxXEdit = 5.0/17 + 1e-9
+)
+
+// CheckX reports an error unless 0 < x < maxX. Every surface that takes
+// an exponent (the drivers, the server, mpcdist) checks it here.
+func CheckX(x, maxX float64) error {
+	if x <= 0 || x >= maxX {
+		return fmt.Errorf("core: X = %v outside (0, %v)", x, maxX)
+	}
+	return nil
+}
+
+// validate checks the problem size and the exponent range.
 func (p Params) validate(n int, maxX float64) error {
 	if n <= 0 {
 		return fmt.Errorf("core: empty input")
 	}
-	if p.X <= 0 || p.X >= maxX {
-		return fmt.Errorf("core: X = %v outside (0, %v)", p.X, maxX)
-	}
-	return nil
+	return CheckX(p.X, maxX)
 }
 
 // intPow returns round(n^e) clamped to at least 1.
@@ -131,11 +148,11 @@ func intPow(n int, e float64) int {
 	return v
 }
 
-// memoryBudget is the enforced per-machine cap: MemFactor·n^{1-x}·
+// MemoryBudget is the enforced per-machine cap: MemFactor·n^{1-x}·
 // (1+ln n)²/eps² words — the explicit polylog·poly(1/eps) constant behind
 // the paper's Õ_eps(n^{1-x}) (candidate sets are Õ(1/eps'^5) per block
 // with a log² n factor, Section 4.1).
-func (p Params) memoryBudget(n int) int {
+func (p Params) MemoryBudget(n int) int {
 	lg := 1 + math.Log(float64(n)+1)
 	b := p.MemFactor * math.Pow(float64(n), 1-p.X) * lg * lg / (p.Eps * p.Eps)
 	if b < 64 {
@@ -147,9 +164,11 @@ func (p Params) memoryBudget(n int) int {
 	return int(b)
 }
 
-func (p Params) cluster(n int) *mpc.Cluster {
+// Cluster constructs the memory-enforced simulated cluster for problem
+// size n.
+func (p Params) Cluster(n int) *mpc.Cluster {
 	return mpc.NewCluster(mpc.Config{
-		MachineWords: p.memoryBudget(n),
+		MachineWords: p.MemoryBudget(n),
 		Parallelism:  p.Parallelism,
 		Seed:         p.Seed,
 		Ctx:          p.Ctx,
@@ -203,28 +222,3 @@ func Ladder(eps float64, max int) []int {
 		v *= 1 + eps
 	}
 }
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// WithDefaults returns a copy of p with zero-valued fields replaced by
-// their defaults. Exported for the baseline and harness packages.
-func (p Params) WithDefaults() Params { return p.withDefaults() }
-
-// Cluster constructs the memory-enforced simulated cluster for problem
-// size n. Exported for the baseline and harness packages.
-func (p Params) Cluster(n int) *mpc.Cluster { return p.cluster(n) }
-
-// MemoryBudget reports the per-machine word cap for problem size n.
-func (p Params) MemoryBudget(n int) int { return p.memoryBudget(n) }

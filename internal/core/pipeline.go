@@ -1,0 +1,153 @@
+package core
+
+import (
+	"fmt"
+
+	"mpcdist/internal/chain"
+	"mpcdist/internal/mpc"
+	"mpcdist/internal/stats"
+	"mpcdist/internal/trace"
+)
+
+// Every Table 1 pipeline has one shape: a driver-side partition (Grid.Jobs,
+// partitionLarge, UlamMPC's match pairs), rounds whose machines send chain
+// tuples to one collector (SendTuple), and ChainRound, which runs the chain
+// DP on the collector. The payloads below are the pipelines' one wire
+// vocabulary for tuples and answers.
+
+// collector is the machine the chain round runs on.
+const collector = 0
+
+// tupleMsg carries one chain tuple to the collector.
+type tupleMsg chain.Tuple
+
+// Words implements mpc.Payload.
+func (tupleMsg) Words() int { return 5 }
+
+// valueMsg carries the chain round's answer.
+type valueMsg int
+
+// Words implements mpc.Payload.
+func (valueMsg) Words() int { return 1 }
+
+// chainMsg carries one selected tuple of the final chain back to the
+// driver.
+type chainMsg chain.Tuple
+
+// Words implements mpc.Payload.
+func (chainMsg) Words() int { return 5 }
+
+// SendTuple sends one chain tuple to the collector.
+func SendTuple(x *mpc.Ctx, t chain.Tuple) { x.Send(collector, tupleMsg(t)) }
+
+// ChainDP is a chain round's program: Algorithm 2 for Ulam, Algorithm 4
+// for Lemma 6 and [20], its overlap variant for Lemma 8 (Section 5.2.3),
+// or the LCS extension's maximizing DP. It returns the value and, if the
+// caller wants it, the chain realizing it.
+type ChainDP func(tuples []chain.Tuple, ops *stats.Ops) (int, []chain.Tuple)
+
+// EditChain is Algorithm 4 for s of length n and sbar of length m, with
+// overlapping windows allowed when overlap is set.
+func EditChain(n, m int, overlap bool) ChainDP {
+	return func(tuples []chain.Tuple, ops *stats.Ops) (int, []chain.Tuple) {
+		return chain.EditCost(tuples, n, m, overlap, ops), nil
+	}
+}
+
+// ChainRound runs a pipeline's last round under the given name: the
+// collector runs dp over the tuples in its input, on an empty input if no
+// tuple reached it, and sends back the value and the chain.
+func ChainRound(cl *mpc.Cluster, round string, in map[int][]mpc.Payload, dp ChainDP) (int, []chain.Tuple, error) {
+	if _, ok := in[collector]; !ok {
+		in[collector] = []mpc.Payload{}
+	}
+	out, err := cl.Run(round, trace.PhaseChain, in, func(x *mpc.Ctx, msgs []mpc.Payload) {
+		tuples := make([]chain.Tuple, 0, len(msgs))
+		for _, pl := range msgs {
+			if t, ok := pl.(tupleMsg); ok {
+				tuples = append(tuples, chain.Tuple(t))
+			}
+		}
+		v, picked := dp(tuples, x.Counter())
+		x.Send(collector, valueMsg(v))
+		for _, t := range picked {
+			x.Send(collector, chainMsg(t))
+		}
+	})
+	if err != nil {
+		return 0, nil, err
+	}
+	value, values := 0, 0
+	var picked []chain.Tuple
+	for _, pl := range out[collector] {
+		switch msg := pl.(type) {
+		case valueMsg:
+			value, values = int(msg), values+1
+		case chainMsg:
+			picked = append(picked, chain.Tuple(msg))
+		}
+	}
+	if values != 1 {
+		return 0, nil, fmt.Errorf("core: %s produced %d values", round, values)
+	}
+	return value, picked, nil
+}
+
+// Grid is the block/candidate decomposition of Lemma 6, [20] and the LCS
+// extension (Section 5.1): blocks of B = n^{1-x} characters of s,
+// candidate windows of sbar starting on a grid of pitch
+// eps'·guess/(blocks) and at most B/eps' long, and Eta = B/pitch starts
+// per machine ("we give several candidate substrings of each block to a
+// machine", Section 5.1.1).
+type Grid struct {
+	EpsP   float64 // eps'; the paper's eps/22 would make simulator-scale candidate sets huge
+	Block  int     // block length B
+	Pitch  int     // candidate start pitch
+	MaxWin int     // window length cap B/eps' + 1
+	Eta    int     // starts per machine
+}
+
+// Grid returns the decomposition of s (length n) against sbar (length m)
+// for the distance guess g.
+func (p Params) Grid(n, m, g int) Grid {
+	gr := Grid{EpsP: p.Eps / 4, Block: intPow(max(n, m), 1-p.X)}
+	nBlocks := (n + gr.Block - 1) / gr.Block
+	gr.Pitch = max(1, int(gr.EpsP*float64(g)/float64(max(nBlocks, 1))))
+	gr.MaxWin = int(float64(gr.Block)/gr.EpsP) + 1
+	gr.Eta = max(1, gr.Block/gr.Pitch)
+	return gr
+}
+
+// Run is one machine's share of a Grid: the block s[L..R], a run of
+// candidate starts, and the segment of sbar at SegOff holding every
+// window those starts open.
+type Run struct {
+	L, R   int
+	Block  []byte
+	SegOff int
+	Seg    []byte
+	Starts []int
+}
+
+// Jobs is the grid drivers' partition step. It cuts each block's
+// candidate starts (starts(l) for the block at offset l, ascending) into
+// runs of Eta and returns the first round's inputs: one machine per run,
+// in block order, holding the payload job builds from the run. It runs
+// labeled phase=partition under the given name for profiles.
+func (gr Grid) Jobs(algo, name string, s, sbar []byte, starts func(l int) []int, job func(Run) mpc.Payload) map[int][]mpc.Payload {
+	n, m := len(s), len(sbar)
+	inputs := make(map[int][]mpc.Payload)
+	trace.LabelPhase(algo, trace.PhasePartition, name, func() {
+		for l := 0; l < n; l += gr.Block {
+			r := min(l+gr.Block-1, n-1)
+			st := starts(l)
+			for lo := 0; lo < len(st); lo += gr.Eta {
+				run := st[lo:min(lo+gr.Eta, len(st))]
+				seg := sbar[run[0]:min(run[len(run)-1]+gr.MaxWin, m)]
+				inputs[len(inputs)] = []mpc.Payload{job(Run{L: l, R: r, Block: s[l : r+1],
+					SegOff: run[0], Seg: seg, Starts: append([]int(nil), run...)})}
+			}
+		}
+	})
+	return inputs
+}

@@ -1,11 +1,11 @@
 package core
 
 import (
-	"fmt"
 	"math"
 
 	"mpcdist/internal/chain"
 	"mpcdist/internal/mpc"
+	"mpcdist/internal/stats"
 	"mpcdist/internal/trace"
 	"mpcdist/internal/ulam"
 )
@@ -23,35 +23,16 @@ type ulamJob struct {
 // Words implements mpc.Payload.
 func (j *ulamJob) Words() int { return 4 + 2*len(j.Pairs) }
 
-// tupleMsg carries one chain tuple to the phase-2 machine.
-type tupleMsg chain.Tuple
-
-// Words implements mpc.Payload.
-func (tupleMsg) Words() int { return 5 }
-
-// valueMsg carries the final answer.
-type valueMsg int
-
-// Words implements mpc.Payload.
-func (valueMsg) Words() int { return 1 }
-
-// chainMsg carries one selected tuple of the final chain back to the
-// driver.
-type chainMsg chain.Tuple
-
-// Words implements mpc.Payload.
-func (chainMsg) Words() int { return 5 }
-
 // UlamMPC approximates ulam(s, sbar) within 1+eps with high probability in
 // two MPC rounds (Theorem 4). Both inputs must have distinct characters.
 // It requires 0 < X < 1/2.
 func UlamMPC(s, sbar []int, p Params) (Result, error) {
-	p = p.withDefaults()
+	p = p.WithDefaults()
 	if p.Algo == "" {
 		p.Algo = "ulam-mpc"
 	}
-	n := maxInt(len(s), len(sbar))
-	if err := p.validate(n, 0.5); err != nil {
+	n := max(len(s), len(sbar))
+	if err := p.validate(n, MaxXHalf); err != nil {
 		return Result{}, err
 	}
 	if err := ulam.CheckDistinct(s); err != nil {
@@ -63,7 +44,7 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 
 	epsP := p.Eps / 2 // the paper's eps' = eps/2 (Section 4)
 	bsz := intPow(n, 1-p.X)
-	cl := p.cluster(n)
+	cl := p.Cluster(n)
 
 	// Distribute: one machine per block, carrying the block's match pairs.
 	// This is driver-side block partition (the simulator's drivers
@@ -76,7 +57,7 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 		}
 		blockID := 0
 		for l := 0; l < len(s); l += bsz {
-			r := minInt(l+bsz-1, len(s)-1)
+			r := min(l+bsz-1, len(s)-1)
 			job := &ulamJob{L: l, R: r, SbarLen: len(sbar)}
 			for pRel := 0; pRel <= r-l; pRel++ {
 				if q, ok := pos[s[l+pRel]]; ok {
@@ -93,59 +74,31 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 	}
 
 	// Round 1: Algorithm 1 on every block machine.
-	collector := 0
 	out, err := cl.Run("ulam/candidates", trace.PhaseCandidates, inputs, func(x *mpc.Ctx, in []mpc.Payload) {
 		for _, pl := range in {
-			job := pl.(*ulamJob)
-			runUlamRound1(x, job, n, epsP, p.HitConst, collector)
+			runUlamRound1(x, pl.(*ulamJob), n, epsP, p.HitConst)
 		}
 	})
 	if err != nil {
 		return Result{}, err
-	}
-	if _, ok := out[collector]; !ok {
-		// No candidates anywhere (e.g. disjoint alphabets): the chain
-		// machine still runs and reports the trivial transformation.
-		out[collector] = []mpc.Payload{}
 	}
 
-	// Round 2: Algorithm 2 on a single machine. Alongside the value, the
-	// machine ships back the selected chain — the approximate decomposition
-	// of s into matched windows of sbar.
-	fin, err := cl.Run("ulam/chain", trace.PhaseChain, out, func(x *mpc.Ctx, in []mpc.Payload) {
-		tuples := make([]chain.Tuple, 0, len(in))
-		for _, pl := range in {
-			tuples = append(tuples, chain.Tuple(pl.(tupleMsg)))
-		}
-		v, picked := chain.UlamCostChain(tuples, len(s), len(sbar), x.Counter())
-		x.Send(collector, valueMsg(v))
-		for _, t := range picked {
-			x.Send(collector, chainMsg(t))
-		}
+	// Round 2: Algorithm 2 on a single machine, which also ships back the
+	// selected chain: the approximate decomposition of s into matched
+	// windows of sbar. With no candidates anywhere (e.g. disjoint
+	// alphabets) it reports the trivial transformation.
+	v, picked, err := ChainRound(cl, "ulam/chain", out, func(tuples []chain.Tuple, ops *stats.Ops) (int, []chain.Tuple) {
+		return chain.UlamCostChain(tuples, len(s), len(sbar), ops)
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Report: cl.Report()}
-	found := false
-	for _, pl := range fin[collector] {
-		switch v := pl.(type) {
-		case valueMsg:
-			res.Value = int(v)
-			found = true
-		case chainMsg:
-			res.Chain = append(res.Chain, chain.Tuple(v))
-		}
-	}
-	if !found {
-		return Result{}, fmt.Errorf("core: ulam chain produced no value")
-	}
-	return res, nil
+	return Result{Value: v, Report: cl.Report(), Chain: picked}, nil
 }
 
 // runUlamRound1 is Algorithm 1: build candidate substrings for the block
 // and emit a tuple with the Ulam distance for each.
-func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64, collector int) {
+func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 	blen := job.R - job.L + 1
 	m := job.SbarLen
 	d0, win := ulam.LocalPairs(blen, job.Pairs, m, x.Counter())
@@ -215,7 +168,7 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64, coll
 	uMax := int(float64(blen)/epsP) + 1
 	for _, u := range Ladder(epsP, uMax) {
 		uh := int(float64(u)*(1+epsP)) + 1 // the paper's u-hat
-		gap := maxInt(int(epsP*float64(u)), 1)
+		gap := max(int(epsP*float64(u)), 1)
 		round := func(v int) int { return v - mod(v, gap) }
 		if u < (blen+1)/2 {
 			// Small-distance branch (Lemma 1): grid around the local
@@ -269,7 +222,7 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64, coll
 	x.Ops(int64(len(dists)) + pruneOps/8)
 	for _, c := range kept {
 		if c.d >= 0 {
-			x.Send(collector, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d}))
+			SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d})
 		}
 	}
 }

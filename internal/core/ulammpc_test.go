@@ -131,13 +131,13 @@ func TestUlamMPCDisjointAlphabets(t *testing.T) {
 func TestUlamMPCMemoryRespected(t *testing.T) {
 	rng := rand.New(rand.NewSource(76))
 	s, sbar, _ := workload.PlantedUlam(rng, 512, 60)
-	p := Params{X: 0.4, Eps: 1, Seed: 3}.withDefaults()
+	p := Params{X: 0.4, Eps: 1, Seed: 3}.WithDefaults()
 	res, err := UlamMPC(s, sbar, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Report.MaxWords > p.memoryBudget(512) {
-		t.Errorf("memory %d exceeds budget %d", res.Report.MaxWords, p.memoryBudget(512))
+	if res.Report.MaxWords > p.MemoryBudget(512) {
+		t.Errorf("memory %d exceeds budget %d", res.Report.MaxWords, p.MemoryBudget(512))
 	}
 }
 
@@ -172,8 +172,8 @@ func TestUlamMPCEmptySbar(t *testing.T) {
 // 1+eps whp, exactly two rounds, memory cap respected, across workloads.
 func TestTheorem4EndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(121))
-	p := Params{X: 0.3, Eps: 1, Seed: 11}.withDefaults()
-	budget := p.memoryBudget(600)
+	p := Params{X: 0.3, Eps: 1, Seed: 11}.WithDefaults()
+	budget := p.MemoryBudget(600)
 	for trial, mk := range []func() ([]int, []int){
 		func() ([]int, []int) {
 			s, sbar, _ := workload.PlantedUlam(rng, 600, 80)
@@ -228,7 +228,7 @@ func TestUlamMPCChainConsistent(t *testing.T) {
 		if tp.L <= prevR || tp.G <= prevK {
 			t.Fatalf("chain tuple %d overlaps predecessor: %+v", i, tp)
 		}
-		gap := maxInt(tp.L-prevR-1, tp.G-prevK-1)
+		gap := max(tp.L-prevR-1, tp.G-prevK-1)
 		total += gap + tp.D
 		// The tuple's claimed distance must match the true window distance.
 		if d := ulam.Exact(s[tp.L:tp.R+1], sbar[tp.G:tp.K+1], nil); d != tp.D {
@@ -236,7 +236,7 @@ func TestUlamMPCChainConsistent(t *testing.T) {
 		}
 		prevR, prevK = tp.R, tp.K
 	}
-	total += maxInt(len(s)-1-prevR, len(sbar)-1-prevK)
+	total += max(len(s)-1-prevR, len(sbar)-1-prevK)
 	if total != res.Value {
 		t.Fatalf("chain cost %d != value %d", total, res.Value)
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"mpcdist"
+	"mpcdist/internal/core"
 	"mpcdist/internal/dist"
 )
 
@@ -26,9 +27,8 @@ type algoSpec struct {
 	// MPC means the algorithm runs on the simulated cluster; its X
 	// parameter is validated against MaxX and the answer carries a Report.
 	MPC bool
-	// MaxX is the exclusive upper bound of the valid exponent range
-	// (MPC algorithms only); Theorem 9 allows X = 5/17 itself, the slack
-	// mirrors core's validation.
+	// MaxX is the exclusive upper bound of the valid exponent range (MPC
+	// algorithms only): core.MaxXHalf or core.MaxXEdit.
 	MaxX float64
 	// run is a sequential kernel. MPC algorithms have none: their query
 	// name is their dist.Job algorithm, and every one runs as a job (see
@@ -40,11 +40,6 @@ type algoSpec struct {
 	// but sequentially). The caller marks the result Degraded.
 	degrade func(q Query, p mpcdist.MPCParams) (Answer, error)
 }
-
-const (
-	maxXHalf = 0.5
-	maxXEdit = 5.0/17 + 1e-9
-)
 
 func seqAnswer(algo, regime string, d int) Answer {
 	return Answer{Algo: algo, Distance: d, Regime: regime}
@@ -134,10 +129,10 @@ var algos = map[string]algoSpec{
 		a.Window = &WindowJSON{Gamma: win.Gamma, Kappa: win.Kappa}
 		return a, nil
 	}},
-	dist.AlgoUlamMPC: {Ints: true, MPC: true, MaxX: maxXHalf, degrade: degradeUlam},
-	dist.AlgoEditMPC: {MPC: true, MaxX: maxXEdit, degrade: degradeEdit(dist.AlgoEditMPC)},
-	dist.AlgoEditHSS: {MPC: true, MaxX: maxXHalf, degrade: degradeEdit(dist.AlgoEditHSS)},
-	dist.AlgoLCSMPC:  {MPC: true, MaxX: maxXHalf, degrade: degradeLCS},
+	dist.AlgoUlamMPC: {Ints: true, MPC: true, MaxX: core.MaxXHalf, degrade: degradeUlam},
+	dist.AlgoEditMPC: {MPC: true, MaxX: core.MaxXEdit, degrade: degradeEdit(dist.AlgoEditMPC)},
+	dist.AlgoEditHSS: {MPC: true, MaxX: core.MaxXHalf, degrade: degradeEdit(dist.AlgoEditHSS)},
+	dist.AlgoLCSMPC:  {MPC: true, MaxX: core.MaxXHalf, degrade: degradeLCS},
 }
 
 // Algorithms lists the supported algorithm names, sorted.

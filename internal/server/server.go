@@ -47,6 +47,7 @@ import (
 
 	"mpcdist"
 	"mpcdist/internal/checkpoint"
+	"mpcdist/internal/core"
 	"mpcdist/internal/dist"
 	"mpcdist/internal/fault"
 	"mpcdist/internal/trace"
@@ -260,8 +261,8 @@ func (s *Server) validate(q Query) (algoSpec, mpcdist.MPCParams, error) {
 		if p.X == 0 {
 			p.X = 0.25
 		}
-		if p.X <= 0 || p.X >= spec.MaxX {
-			return spec, p, badRequestf("x = %v outside (0, %v) for algorithm %q", p.X, spec.MaxX, q.Algo)
+		if err := core.CheckX(p.X, spec.MaxX); err != nil {
+			return spec, p, badRequestf("%v for algorithm %q", err, q.Algo)
 		}
 		if (spec.Ints && len(q.ASeq) == 0 && len(q.BSeq) == 0) ||
 			(!spec.Ints && len(q.A) == 0 && len(q.B) == 0) {
