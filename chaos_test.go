@@ -73,9 +73,9 @@ func chaosInputs() []chaosAlgo {
 }
 
 // chaosPlan derives a randomized fault schedule from one schedule seed.
-// Rates are kept low enough that a budget of MaxRetries=12 makes
-// exhaustion (rate^13 per coordinate) negligible while still injecting
-// plenty of events across the pipelines' rounds.
+// Rates are kept low enough that its retry budget of 12 makes exhaustion
+// (rate^13 per coordinate) negligible while still injecting plenty of
+// events across the pipelines' rounds.
 func chaosPlan(rng *rand.Rand) *fault.Plan {
 	return &fault.Plan{
 		Seed:       rng.Int63(),
@@ -83,6 +83,7 @@ func chaosPlan(rng *rand.Rand) *fault.Plan {
 		CrashAfter: 0.015 + 0.065*rng.Float64(),
 		Straggle:   0.01 * rng.Float64(),
 		Delay:      100_000, // 100µs: visible in traces, cheap in tests
+		MaxRetries: 12,
 	}
 }
 
@@ -148,7 +149,7 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 			for i := 0; i < chaosSchedulesPerAlgo; i++ {
 				rng := rand.New(rand.NewSource(base + int64(i)))
 				plan := chaosPlan(rng)
-				got, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan, MaxRetries: 12})
+				got, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan})
 				if err != nil {
 					t.Fatalf("schedule %d (%s): %v", i, plan, err)
 				}
@@ -185,7 +186,7 @@ func TestChaosTraceArtifact(t *testing.T) {
 	log := trace.NewLog()
 	log.Keep()
 	alg := chaosInputs()[0]
-	res, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan, MaxRetries: 12, Observer: log})
+	res, err := alg.run(MPCParams{Eps: 0.5, Seed: 7, Faults: plan, Observer: log})
 	if err != nil {
 		t.Fatalf("traced chaos run (%s): %v", plan, err)
 	}

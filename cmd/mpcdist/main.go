@@ -63,7 +63,7 @@ func main() {
 	checkpointEvery := flag.Int("checkpoint-every", 1, "persist checkpoints every N rounds (with -checkpoint-dir)")
 	resume := flag.Bool("resume", false, "fast-forward rounds already checkpointed for this job spec in -checkpoint-dir")
 	version := flag.Bool("version", false, "print version information and exit")
-	faultFlags := fault.BindFlags(flag.CommandLine)
+	faults := fault.BindFlags(flag.CommandLine)
 	transportOpts := transport.BindFlags(flag.CommandLine)
 	chaosPlan := netchaos.BindFlags(flag.CommandLine)
 	flag.Parse()
@@ -138,11 +138,10 @@ func main() {
 	a := input(*aStr, *aFile)
 	b := input(*bStr, *bFile)
 	var ops stats.Ops
-	p := core.Params{X: *x, Eps: *eps, Seed: *seed}
-	p.Faults, p.MaxRetries = faultFlags()
-	if p.Faults != nil {
+	p := core.Params{X: *x, Eps: *eps, Seed: *seed, Faults: faults}
+	if faults.Active() {
 		requireMPC("-fault-*")
-		fmt.Fprintf(os.Stderr, "mpcdist: fault injection active: %s\n", p.Faults)
+		fmt.Fprintf(os.Stderr, "mpcdist: fault injection active: %s\n", faults)
 	}
 	if *traceOut != "" {
 		requireMPC("-trace")

@@ -16,8 +16,10 @@
 //	GET  /healthz        liveness
 //	GET  /readyz         readiness (503 while draining or overloaded)
 //
-// With -ops a second listener serves /debug/pprof/ and /metrics for
-// operators only. Requests are logged as structured lines (text by
+// With -ops a second listener serves /debug/pprof/, /metrics, /version,
+// the flight recorder (/flight, /debug/flight) and, with -transport tcp,
+// the cluster's live transport.Status at /status — what cmd/mpctop polls
+// — for operators only. Requests are logged as structured lines (text by
 // default, -log json for JSON) tagged with X-Request-Id.
 //
 // The process drains in-flight requests and exits cleanly on SIGINT or
@@ -78,7 +80,7 @@ func main() {
 	maxInput := flag.Int("max-input", 1<<20, "max bytes per string / elements per sequence")
 	maxBatch := flag.Int("max-batch", 1024, "max queries per batch request")
 	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain window")
-	ops := flag.String("ops", "", "operator listen address for pprof + metrics (empty = off)")
+	ops := flag.String("ops", "", "operator listen address for pprof, metrics, flight recorder and cluster status (empty = off)")
 	logFormat := flag.String("log", "text", "request-log format: text, json, or off")
 	degrade := flag.Duration("degrade", time.Second, "deadline slice reserved for the sequential fallback (0 = no degradation)")
 	shedQueue := flag.Int("shed-queue", 256, "shed with 429 once this many requests queue for the pool (0 = off)")
@@ -86,11 +88,10 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After value on 429 responses")
 	transportName := flag.String("transport", "local", "MPC execution transport: local (in-process) or tcp (worker cluster)")
 	workers := flag.Int("workers", 3, "worker processes for -transport tcp")
-	statusAddr := flag.String("status", "", "serve live transport.Status JSON at this address (host:port; -transport tcp only)")
 	checkpointDir := flag.String("checkpoint-dir", "", "durable checkpoint store for batch MPC queries (empty = off)")
 	checkpointEvery := flag.Int("checkpoint-every", 1, "persist checkpoints every N completed rounds")
 	version := flag.Bool("version", false, "print version and exit")
-	faultFlags := fault.BindFlags(flag.CommandLine)
+	faults := fault.BindFlags(flag.CommandLine)
 	transportOpts := transport.BindFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -153,22 +154,6 @@ func main() {
 		log.Fatalf("mpcserve: -transport must be local or tcp (got %q)", *transportName)
 	}
 
-	if *statusAddr != "" {
-		if distRunner == nil {
-			log.Fatalf("mpcserve: -status requires -transport tcp")
-		}
-		// Same live-status server the dist commands use: /status is the
-		// coordinator's transport.Status, /flight and /debug/flight expose
-		// the flight recorder — the trio cmd/mpctop polls.
-		statusSrv, err := dist.StartStatus(*statusAddr, func() any { return distRunner.Status() })
-		if err != nil {
-			log.Fatalf("mpcserve: %v", err)
-		}
-		defer statusSrv.Close()
-		log.Printf("mpcserve: status endpoint at http://%s/status", statusSrv.Addr)
-	}
-
-	faults, maxRetries := faultFlags()
 	srv := server.New(server.Config{
 		PoolSize:        *pool,
 		CacheSize:       *cache,
@@ -181,12 +166,11 @@ func main() {
 		ShedWait:        *shedWait,
 		RetryAfter:      *retryAfter,
 		Faults:          faults,
-		MaxRetries:      maxRetries,
 		Dist:            distRunner,
 		Checkpoint:      ckptStore,
 		CheckpointEvery: *checkpointEvery,
 	})
-	if faults != nil {
+	if faults.Active() {
 		log.Printf("mpcserve: fault injection active: %s", faults)
 	}
 
@@ -215,7 +199,7 @@ func main() {
 				log.Printf("mpcserve: ops listener: %v", err)
 			}
 		}()
-		log.Printf("mpcserve: ops (pprof + metrics) on %s", *ops)
+		log.Printf("mpcserve: ops (pprof, metrics, flight recorder, status) on %s", *ops)
 	}
 
 	select {

@@ -37,13 +37,12 @@ func main() {
 	table := flag.String("table", "", "table to regenerate: ulam | edit")
 	sweep := flag.String("sweep", "", "sweep to run: machines | ulam | x")
 	budget := flag.Bool("budget", false, "run the Table 1 budget-conformance sweep (exit 1 on any FAIL)")
-	slack := flag.Float64("slack", 0, "budget exponent slack absorbing Õ polylog factors (0 = default 0.5)")
 	eps := flag.Float64("eps", 0.5, "approximation slack epsilon")
 	seed := flag.Int64("seed", 1, "random seed")
 	small := flag.Bool("small", false, "use smaller sizes (faster)")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of all MPC rounds to this file")
 	version := flag.Bool("version", false, "print version and exit")
-	faultFlags := fault.BindFlags(flag.CommandLine)
+	faults := fault.BindFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *version {
@@ -57,10 +56,9 @@ func main() {
 	flightDump = traceio.ArmFlight("mpctable")
 	defer flightDump()
 
-	base := core.Params{Eps: *eps, Seed: *seed}
-	base.Faults, base.MaxRetries = faultFlags()
-	if base.Faults != nil {
-		fmt.Fprintf(os.Stderr, "mpctable: fault injection active: %s (model counters are unaffected; recovery is exact)\n", base.Faults)
+	base := core.Params{Eps: *eps, Seed: *seed, Faults: faults}
+	if faults.Active() {
+		fmt.Fprintf(os.Stderr, "mpctable: fault injection active: %s (model counters are unaffected; recovery is exact)\n", faults)
 	}
 	if *traceOut != "" {
 		// From here on the process log keeps every event of every cluster;
@@ -80,7 +78,7 @@ func main() {
 	case *sweep == "x":
 		runXSweep(base, *small)
 	case *budget:
-		runBudget(base, *small, *slack)
+		runBudget(base, *small)
 	default:
 		flag.Usage()
 		fmt.Fprintln(os.Stderr, "\nPick one of -table ulam|edit, -sweep machines|ulam|x, or -budget.")
@@ -209,7 +207,7 @@ func runXSweep(base core.Params, small bool) {
 
 func pow(n int, e float64) float64 { return math.Pow(float64(n), e) }
 
-func runBudget(base core.Params, small bool, slack float64) {
+func runBudget(base core.Params, small bool) {
 	sizes := []int{400, 800, 1600, 3200}
 	if small {
 		sizes = []int{400, 800, 1600}
@@ -220,7 +218,7 @@ func runBudget(base core.Params, small bool, slack float64) {
 	fmt.Println(" 'constant' is the fitted leading constant measured/n^paperExp — the Õ made explicit)")
 	fmt.Println()
 	rows, err := harness.BudgetCheck(harness.BudgetConfig{
-		Sizes: sizes, X: x, Eps: base.Eps, Seed: base.Seed, Slack: slack,
+		Sizes: sizes, X: x, Eps: base.Eps, Seed: base.Seed,
 	})
 	if err != nil {
 		fail(err)

@@ -6,17 +6,16 @@
 //
 // Usage:
 //
-//	mpctop -status http://127.0.0.1:8081                # mpcdist/mpcserve -status
+//	mpctop -status http://127.0.0.1:8081                # mpcdist -status, mpcserve -ops
 //	mpctop -status http://c:8081,http://w1:8082         # coordinator + workers
 //	mpctop -metrics http://127.0.0.1:8080               # mpcserve /metrics
 //	mpctop -status http://127.0.0.1:8081 -once          # one frame, no clear
 //
 // Each -status base URL is polled at /status (transport.Status: role,
 // round, seq, liveness, wire counters, per-peer heartbeat RTT p99) and
-// /flight (flight-recorder stats: retained events and rolling round-latency
-// p50/p95/p99). The -metrics base URL is polled at /metrics?format=json
-// for the mpcserve view: request/degrade/shed counters and the per-party
-// ops/comm/queue-wait attribution of distributed runs.
+// /flight (recorder stats: retained events, round-latency p50/p95/p99);
+// the -metrics base URL at /metrics?format=json (request/degrade/shed
+// counters, per-party ops/comm/queue-wait attribution of distributed runs).
 //
 // Everything shown is advisory host-level state; mpctop only issues GETs
 // against endpoints that never influence the run.
@@ -40,7 +39,7 @@ import (
 )
 
 func main() {
-	statusList := flag.String("status", "", "comma-separated base URLs of -status endpoints (mpcdist, mpcserve, mpcworker)")
+	statusList := flag.String("status", "", "comma-separated base URLs of status endpoints (mpcdist/mpcworker -status, mpcserve -ops)")
 	metricsURL := flag.String("metrics", "", "base URL of an mpcserve /metrics endpoint")
 	interval := flag.Duration("interval", time.Second, "poll interval")
 	once := flag.Bool("once", false, "render a single frame and exit (no screen clearing)")

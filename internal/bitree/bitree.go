@@ -2,7 +2,7 @@
 // query substrate for longest-increasing-subsequence computations and the
 // match-point dynamic programs in the ulam package.
 //
-// Two flavors are provided: a prefix-minimum tree and a prefix/suffix-sum
+// Two flavors are provided: a prefix-minimum tree and a prefix-maximum
 // tree. Both are fixed-size and use 1-based internal indexing while
 // exposing a 0-based API.
 package bitree
@@ -64,56 +64,6 @@ func (t *MinTree) Reset() {
 	for i := range t.tree {
 		t.tree[i] = Inf
 	}
-}
-
-// SumTree maintains an array of int64 values supporting point additions and
-// prefix-sum queries. Construct with NewSum.
-type SumTree struct {
-	n    int
-	tree []int64
-}
-
-// NewSum returns a SumTree over n zero-initialized slots.
-func NewSum(n int) *SumTree {
-	return &SumTree{n: n, tree: make([]int64, n+1)}
-}
-
-// Len returns the number of slots.
-func (t *SumTree) Len() int { return t.n }
-
-// Add adds v to the value at index i (0-based).
-func (t *SumTree) Add(i int, v int64) {
-	if i < 0 || i >= t.n {
-		panic("bitree: SumTree.Add index out of range")
-	}
-	for i++; i <= t.n; i += i & (-i) {
-		t.tree[i] += v
-	}
-}
-
-// PrefixSum returns the sum over indices [0, i] (0-based, inclusive).
-// For i < 0 it returns 0.
-func (t *SumTree) PrefixSum(i int) int64 {
-	if i >= t.n {
-		i = t.n - 1
-	}
-	var s int64
-	for i++; i > 0; i -= i & (-i) {
-		s += t.tree[i]
-	}
-	return s
-}
-
-// RangeSum returns the sum over indices [lo, hi] (inclusive). It returns 0
-// when the range is empty.
-func (t *SumTree) RangeSum(lo, hi int) int64 {
-	if lo > hi {
-		return 0
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	return t.PrefixSum(hi) - t.PrefixSum(lo-1)
 }
 
 // MaxTree maintains an array of int64 values supporting point updates that

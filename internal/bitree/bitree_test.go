@@ -3,7 +3,6 @@ package bitree
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestMinTreeBasic(t *testing.T) {
@@ -92,60 +91,6 @@ func TestMaxTreeAgainstNaive(t *testing.T) {
 		if got := mt.PrefixMax(q); got != want {
 			t.Fatalf("step %d: PrefixMax(%d) = %d, want %d", step, q, got, want)
 		}
-	}
-}
-
-func TestSumTreeBasic(t *testing.T) {
-	st := NewSum(6)
-	st.Add(0, 5)
-	st.Add(3, 7)
-	st.Add(5, -2)
-	if got := st.PrefixSum(-1); got != 0 {
-		t.Errorf("PrefixSum(-1) = %d, want 0", got)
-	}
-	if got := st.PrefixSum(2); got != 5 {
-		t.Errorf("PrefixSum(2) = %d, want 5", got)
-	}
-	if got := st.PrefixSum(5); got != 10 {
-		t.Errorf("PrefixSum(5) = %d, want 10", got)
-	}
-	if got := st.RangeSum(1, 4); got != 7 {
-		t.Errorf("RangeSum(1,4) = %d, want 7", got)
-	}
-	if got := st.RangeSum(4, 1); got != 0 {
-		t.Errorf("empty RangeSum = %d, want 0", got)
-	}
-	if got := st.RangeSum(-5, 0); got != 5 {
-		t.Errorf("clamped RangeSum = %d, want 5", got)
-	}
-}
-
-func TestSumTreeQuick(t *testing.T) {
-	f := func(vals []int8, queries []uint8) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		if len(vals) > 128 {
-			vals = vals[:128]
-		}
-		st := NewSum(len(vals))
-		for i, v := range vals {
-			st.Add(i, int64(v))
-		}
-		for _, q := range queries {
-			i := int(q) % len(vals)
-			var want int64
-			for j := 0; j <= i; j++ {
-				want += int64(vals[j])
-			}
-			if st.PrefixSum(i) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

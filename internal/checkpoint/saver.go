@@ -31,14 +31,14 @@ type SaverOptions struct {
 	OnFlush func(steps int, bytes int64)
 }
 
-// Saver is the coordinator-side mpc.Checkpointer: it fast-forwards the
-// durable step prefix loaded at construction, then buffers and persists
-// live rounds. One Saver serves one job (keyed by the job-spec digest);
-// Cluster.Run drives it from the driving goroutine, but it locks anyway so
-// status snapshots can race safely.
+// Saver is the mpc.Checkpointer: it fast-forwards the durable step prefix
+// loaded at construction, then buffers and persists live rounds. One Saver
+// serves one job (keyed by the job-spec digest); Cluster.Run drives it from
+// the driving goroutine, but it locks anyway so status snapshots can race
+// safely. A worker's Saver (NewReplayer) has no store: it only replays.
 type Saver struct {
 	mu      sync.Mutex
-	store   *Store
+	store   *Store // nil on a worker: Save does nothing
 	codec   *transport.Codec
 	opts    SaverOptions
 	man     *Manifest  // durable manifest (persisted steps only, until Flush)
@@ -127,8 +127,11 @@ func (s *Saver) Resume(round int, name string, phase trace.Phase) (*mpc.RoundSna
 }
 
 // Save implements mpc.Checkpointer: buffer the completed round and flush
-// at the configured cadence.
+// at the configured cadence. A store-less Saver saves nothing.
 func (s *Saver) Save(snap *mpc.RoundSnapshot) error {
+	if s.store == nil {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	records, err := encodeRecords(s.codec, snap.Next)
@@ -250,18 +253,11 @@ func (s *Saver) Counters() (saves, resumed int, bytes int64) {
 	return s.saves, s.resumed, s.bytes
 }
 
-// Replayer is the worker-side mpc.Checkpointer: it fast-forwards the
-// resume state the coordinator shipped inside the job spec and persists
+// NewReplayer decodes the resume bytes from Job.Resume into the
+// worker-side mpc.Checkpointer: a store-less Saver that fast-forwards the
+// shipped prefix through the same cursor as the coordinator's and persists
 // nothing (the coordinator owns the store).
-type Replayer struct {
-	mu    sync.Mutex
-	codec *transport.Codec
-	steps []wireStep
-	next  int
-}
-
-// NewReplayer decodes the resume bytes from Job.Resume.
-func NewReplayer(resume []byte) (*Replayer, error) {
+func NewReplayer(resume []byte) (*Saver, error) {
 	codec := transport.NewCodec()
 	v, err := codec.Decode(resume)
 	if err != nil {
@@ -276,27 +272,5 @@ func NewReplayer(resume []byte) (*Replayer, error) {
 			return nil, fmt.Errorf("checkpoint: resume state step %d at index %d", ws.Step, i)
 		}
 	}
-	return &Replayer{codec: codec, steps: st.Steps}, nil
+	return &Saver{codec: codec, man: &Manifest{}, prefix: st.Steps}, nil
 }
-
-// Resume implements mpc.Checkpointer.
-func (r *Replayer) Resume(round int, name string, phase trace.Phase) (*mpc.RoundSnapshot, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.next >= len(r.steps) {
-		return nil, nil
-	}
-	ws := r.steps[r.next]
-	if err := matchStep(ws, round, name, phase); err != nil {
-		return nil, err
-	}
-	snap, err := snapshotOf(r.codec, ws)
-	if err != nil {
-		return nil, err
-	}
-	r.next++
-	return snap, nil
-}
-
-// Save implements mpc.Checkpointer as a no-op: workers replay only.
-func (r *Replayer) Save(*mpc.RoundSnapshot) error { return nil }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"mpcdist/internal/cand"
 	"mpcdist/internal/chain"
@@ -133,7 +134,8 @@ type largeGuess struct {
 
 	taus   []int // the distance ladder of Algorithm 6, up to tauMax
 	tauMax int
-	p2     float64 // the low-degree presampling rate
+	p2     float64  // the low-degree presampling rate
+	coins  [][]bool // coins[block][tau]: the low-degree coins, flipped once
 
 	// Machine ids. R2: joiners [0, nR), selectors [selBase, runBase), run
 	// machines from runBase. R3: joiners [0, nR), the passthrough passID,
@@ -189,11 +191,11 @@ func partitionLarge(cl *mpc.Cluster, s, sbar []byte, g int, p Params) *largeGues
 	lg.label(func() {
 		lg.windows(fN, y)
 		lg.sampleReps(cl, fN)
-		presampled := lg.presample(cl, fN, y, yp)
+		lg.presample(cl, fN, y, yp)
 		nR := len(lg.reps)
 		lg.selBase, lg.runBase = nR, nR+lg.numGroups
 		lg.passID, lg.extBase = nR, nR+1
-		lg.layoutRuns(presampled)
+		lg.layoutRuns()
 	})
 	return lg
 }
@@ -247,8 +249,10 @@ func (lg *largeGuess) sampleReps(cl *mpc.Cluster, fN float64) {
 }
 
 // presample flips the low-degree coins of Algorithm 6 line 9, one per
-// (block, tau); a block gets run machines iff any of its coins is up.
-func (lg *largeGuess) presample(cl *mpc.Cluster, fN, y, yp float64) []bool {
+// (block, tau), from round 0's shared stream: a block gets run machines
+// iff any of its coins is up, and a run machine works at exactly the taus
+// whose coin is up.
+func (lg *largeGuess) presample(cl *mpc.Cluster, fN, y, yp float64) {
 	lg.tauMax = lg.bsz + lg.maxWin + 2
 	lg.taus = Ladder(lg.epsP, lg.tauMax)
 	oneMinusDelta := fN / float64(lg.g)
@@ -262,27 +266,25 @@ func (lg *largeGuess) presample(cl *mpc.Cluster, fN, y, yp float64) []bool {
 		lg.p2 = 1
 	}
 	rng := cl.SharedRand(0, "lowdeg")
-	presampled := make([]bool, len(lg.blocks))
-	for bi := range presampled {
-		for range lg.taus {
-			if rng.Float64() < lg.p2 {
-				presampled[bi] = true
-			}
+	lg.coins = make([][]bool, len(lg.blocks))
+	for bi := range lg.coins {
+		lg.coins[bi] = make([]bool, len(lg.taus))
+		for ti := range lg.taus {
+			lg.coins[bi][ti] = rng.Float64() < lg.p2
 		}
 	}
-	return presampled
 }
 
 // layoutRuns gives each presampled block run machines: its windows in
 // runs sized to the memory budget, with the segment of sbar covering them.
-func (lg *largeGuess) layoutRuns(presampled []bool) {
+func (lg *largeGuess) layoutRuns() {
 	lg.runIDs = make(map[int32][]int32)
 	lg.runInputs = make(map[int][]mpc.Payload)
 	next := int32(lg.runBase)
 	perRun := max(1, (lg.budget/2)/max(1, (lg.bsz+lg.maxWin)/8+3))
 	for bi, bl := range lg.blocks {
 		ws := lg.wOfBlock[bi]
-		if !presampled[bi] || len(ws) == 0 {
+		if len(ws) == 0 || !slices.Contains(lg.coins[bi], true) {
 			continue
 		}
 		for lo := 0; lo < len(ws); lo += perRun {
@@ -432,10 +434,10 @@ func (lg *largeGuess) joinMachine(x *mpc.Ctx, in []mpc.Payload) {
 }
 
 // runMachine is a sparse run machine (Algorithm 6, low-degree branch):
-// for each tau at which its block is uncovered and its coin is up, it
-// computes exact distances to its windows, sends the direct tuples to the
-// passthrough, and requests the shifted pairs of its group's other blocks
-// as extensions (Fig. 7).
+// for each tau at which its block is uncovered and its driver coin is up,
+// it computes exact distances to its windows, sends the direct tuples to
+// the passthrough, and requests the shifted pairs of its group's other
+// blocks as extensions (Fig. 7).
 func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 	var job *runJob
 	cover := int32(1 << 30)
@@ -452,17 +454,7 @@ func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 	if job == nil {
 		return
 	}
-	// Derive the block's coins from the join round's shared stream.
-	rng := x.SharedRand("lowdeg")
-	myCoins := make([]bool, len(lg.taus))
-	for bi := 0; bi < len(lg.blocks); bi++ {
-		for ti := range lg.taus {
-			c := rng.Float64() < lg.p2
-			if int32(bi) == job.V {
-				myCoins[ti] = c
-			}
-		}
-	}
+	coins := lg.coins[job.V]
 	dmemo := make(map[[2]int]int, len(job.Wins))
 	distTo := func(w [2]int) int {
 		if d, ok := dmemo[w]; ok {
@@ -477,7 +469,7 @@ func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 	m := len(lg.sbar)
 	sentExt := make(map[[4]int]bool)
 	for ti, tau := range lg.taus {
-		if int(cover) <= tau || !myCoins[ti] {
+		if int(cover) <= tau || !coins[ti] {
 			continue
 		}
 		for _, w := range job.Wins {

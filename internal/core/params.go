@@ -52,11 +52,9 @@ type Params struct {
 	Solver PairSolver
 	// Faults, when non-nil and active, injects the plan's deterministic
 	// fault schedule into every cluster round (crashes recovered by exact
-	// replay, straggler delays); see internal/fault. Nil means fault-free.
+	// replay within the plan's MaxRetries, straggler delays); see
+	// internal/fault. Nil means fault-free.
 	Faults *fault.Plan
-	// MaxRetries is the per-machine-round replay budget
-	// (0 = mpc.DefaultMaxRetries).
-	MaxRetries int
 	// Algo names the pipeline for profiler labels and the flight recorder
 	// ("ulam-mpc", "edit-mpc", ...). The drivers fill it in on entry when
 	// empty, so callers never need to set it; it is advisory observability
@@ -174,7 +172,6 @@ func (p Params) Cluster(n int) *mpc.Cluster {
 		Ctx:          p.Ctx,
 		Observer:     p.Observer,
 		Faults:       p.Faults,
-		MaxRetries:   p.MaxRetries,
 		Algo:         p.Algo,
 		Transport:    p.Transport,
 		Checkpointer: p.Checkpointer,

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mpcdist/internal/core"
+	"mpcdist/internal/fault"
 	"mpcdist/internal/netchaos"
 	"mpcdist/internal/trace"
 	"mpcdist/internal/transport"
@@ -57,11 +58,7 @@ func parityJobs() []Job {
 // including the Failures/Retries bookkeeping, which counts injected
 // faults only (transport-level recovery never touches it).
 func withFaults(j Job) Job {
-	j.FaultSeed = 99
-	j.FaultCrash = 0.02
-	j.FaultCrashAfter = 0.05
-	j.FaultStraggle = 0.01
-	j.FaultDelayNs = 100_000
+	j.Faults = &fault.Plan{Seed: 99, Crash: 0.02, CrashAfter: 0.05, Straggle: 0.01, Delay: 100 * time.Microsecond}
 	return j
 }
 
@@ -156,8 +153,7 @@ func TestTCPParityDeterministicFailure(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	job := parityJobs()[0]
-	job.FaultCrash = 1
-	job.MaxRetries = 2
+	job.Faults = &fault.Plan{Crash: 1, MaxRetries: 2}
 	local, lerr := runLocal(job)
 	if lerr == nil {
 		t.Fatal("certain-crash job succeeded locally; want deterministic failure")
@@ -318,15 +314,15 @@ func (w testWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestJobRoundTrip pushes a fully-populated job through the session codec
-// path used at job start.
+// TestJobRoundTrip pushes a fully-populated job, its fault plan's retry
+// budget included, through the session codec path used at job start.
 func TestJobRoundTrip(t *testing.T) {
 	job := withFaults(parityJobs()[1])
 	job.Eps = 0.25
 	job.MemFactor = 8
 	job.HitConst = 2
 	job.Solver = int(core.PairMyers)
-	job.MaxRetries = 5
+	job.Faults.MaxRetries = 5
 	c := transport.NewCodec()
 	buf, err := encodeValue(c, job)
 	if err != nil {
@@ -338,5 +334,44 @@ func TestJobRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, job) {
 		t.Fatalf("job round-trip mismatch:\nin:  %+v\nout: %+v", job, got)
+	}
+}
+
+// TestSpecDigestFaults checks the job's identity depends on the fault plan
+// only when the plan injects something: a nil plan, an inactive plan and
+// a fault-free job with a retry budget are one job, while two active plans
+// that differ only in their retry budget are two.
+func TestSpecDigestFaults(t *testing.T) {
+	digest := func(j Job) string {
+		t.Helper()
+		d, err := j.SpecDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	job := parityJobs()[0]
+	base := digest(job)
+	inactive := job
+	inactive.Faults = &fault.Plan{Seed: 3}
+	budgetOnly := FromParams(job.Algo, core.Params{X: job.X, Seed: job.Seed, Faults: &fault.Plan{MaxRetries: 5}})
+	budgetOnly.P, budgetOnly.Q = job.P, job.Q
+	if budgetOnly.Faults != nil {
+		t.Errorf("FromParams kept an inactive plan: %+v", budgetOnly.Faults)
+	}
+	for name, j := range map[string]Job{"inactive plan": inactive, "fault-free job with MaxRetries 5": budgetOnly} {
+		if d := digest(j); d != base {
+			t.Errorf("%s: digest %s, want the nil plan's %s", name, d, base)
+		}
+	}
+
+	a, b := job, job
+	a.Faults = &fault.Plan{Seed: 1, Crash: 0.05, MaxRetries: 5}
+	b.Faults = &fault.Plan{Seed: 1, Crash: 0.05, MaxRetries: 6}
+	if digest(a) == digest(b) {
+		t.Error("active plans differing only in MaxRetries share a digest")
+	}
+	if digest(a) == base {
+		t.Error("an active plan does not change the digest")
 	}
 }

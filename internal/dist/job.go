@@ -12,7 +12,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"time"
 
 	"mpcdist/internal/baseline"
 	"mpcdist/internal/buildinfo"
@@ -40,21 +39,17 @@ type Job struct {
 	Seed int64
 
 	// core.Params knobs (zero values take the library defaults).
-	X          float64
-	Eps        float64
-	MemFactor  float64
-	HitConst   float64
-	Solver     int
-	MaxRetries int
+	X         float64
+	Eps       float64
+	MemFactor float64
+	HitConst  float64
+	Solver    int
 
-	// Fault plan (all rates zero = fault-free). Mirrors fault.Plan field
-	// for field; the plan's decisions are pure functions of these numbers,
-	// so every party re-derives the identical schedule.
-	FaultSeed       int64
-	FaultCrash      float64
-	FaultCrashAfter float64
-	FaultStraggle   float64
-	FaultDelayNs    int64
+	// Faults is the injected fault schedule, retry budget included; nil
+	// when fault-free (FromParams and SpecDigest drop an inactive plan).
+	// The plan's decisions are pure functions of its fields, so every
+	// party re-derives the identical schedule.
+	Faults *fault.Plan
 
 	// Inputs: S/T for the byte-string algorithms (edit-mpc, edit-hss,
 	// lcs-mpc), P/Q for Ulam permutations.
@@ -69,11 +64,15 @@ type Job struct {
 }
 
 // SpecDigest is the job's durable identity: the sha256 of the codec
-// encoding of the spec with the Resume bytes cleared. It keys the
-// checkpoint store — a restarted coordinator recomputes the same digest
-// from the same inputs and finds its manifest.
+// encoding of the spec with the Resume bytes cleared and an inactive fault
+// plan dropped (it injects nothing, so its retry budget changes nothing).
+// It keys the checkpoint store — a restarted coordinator recomputes the
+// same digest from the same inputs and finds its manifest.
 func (j Job) SpecDigest() (string, error) {
 	j.Resume = nil
+	if !j.Faults.Active() {
+		j.Faults = nil
+	}
 	buf, err := transport.NewCodec().Encode(nil, j)
 	if err != nil {
 		return "", fmt.Errorf("dist: encoding job spec: %w", err)
@@ -106,41 +105,21 @@ func init() {
 	transport.Register("dist.resultDigest", resultDigest{})
 }
 
-// plan reconstructs the job's fault plan; nil when every rate is zero.
-func (j Job) plan() *fault.Plan {
-	p := &fault.Plan{
-		Seed:       j.FaultSeed,
-		Crash:      j.FaultCrash,
-		CrashAfter: j.FaultCrashAfter,
-		Straggle:   j.FaultStraggle,
-		Delay:      time.Duration(j.FaultDelayNs),
-	}
-	if !p.Active() {
-		return nil
-	}
-	return p
-}
-
 // FromParams copies the deterministic fields of p into a job spec.
 // Host-local fields (Ctx, Observer, Parallelism, Transport) stay behind:
 // each party supplies its own.
 func FromParams(algo string, p core.Params) Job {
 	j := Job{
-		Algo:       algo,
-		Seed:       p.Seed,
-		X:          p.X,
-		Eps:        p.Eps,
-		MemFactor:  p.MemFactor,
-		HitConst:   p.HitConst,
-		Solver:     int(p.Solver),
-		MaxRetries: p.MaxRetries,
+		Algo:      algo,
+		Seed:      p.Seed,
+		X:         p.X,
+		Eps:       p.Eps,
+		MemFactor: p.MemFactor,
+		HitConst:  p.HitConst,
+		Solver:    int(p.Solver),
 	}
-	if f := p.Faults; f != nil {
-		j.FaultSeed = f.Seed
-		j.FaultCrash = f.Crash
-		j.FaultCrashAfter = f.CrashAfter
-		j.FaultStraggle = f.Straggle
-		j.FaultDelayNs = int64(f.Delay)
+	if p.Faults.Active() {
+		j.Faults = p.Faults
 	}
 	return j
 }
@@ -154,8 +133,7 @@ func (j Job) params(host core.Params) core.Params {
 	host.MemFactor = j.MemFactor
 	host.HitConst = j.HitConst
 	host.Solver = core.PairSolver(j.Solver)
-	host.MaxRetries = j.MaxRetries
-	host.Faults = j.plan()
+	host.Faults = j.Faults
 	return host
 }
 

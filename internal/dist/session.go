@@ -1,7 +1,6 @@
 package dist
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -26,10 +25,6 @@ type SessionOptions struct {
 	// Observer receives the coordinator's driver and transport events.
 	// May be nil.
 	Observer trace.Observer
-	// Ctx cancels the coordinator's driver between rounds. May be nil.
-	Ctx context.Context
-	// Parallelism bounds concurrently simulated machines per process.
-	Parallelism int
 	// Stderr is where spawned workers' stderr goes (default os.Stderr).
 	Stderr io.Writer
 	// WorkerEnv appends extra environment variables to spawned workers
@@ -179,12 +174,7 @@ func (s *Session) Run(job Job) (core.Result, error) {
 func (s *Session) RunSaved(job Job, saver *checkpoint.Saver) (core.Result, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	host := core.Params{
-		Parallelism: s.opts.Parallelism,
-		Ctx:         s.opts.Ctx,
-		Observer:    s.opts.Observer,
-		Transport:   s.co,
-	}
+	host := core.Params{Observer: s.opts.Observer, Transport: s.co}
 	if saver != nil {
 		// The resume state ships inside the spec, so workers fast-forward
 		// the same prefix.

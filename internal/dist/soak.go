@@ -1,10 +1,8 @@
 package dist
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"mpcdist/internal/core"
@@ -54,10 +52,7 @@ func Soak(job Job, opts SoakOptions) error {
 
 	// The reference digest comes from a fault-free in-process run: the
 	// distributed sessions must land on exactly this, chaos or not.
-	ref, rerr := job.Run(core.Params{
-		Parallelism: runtime.GOMAXPROCS(0),
-		Ctx:         context.Background(),
-	}, nil)
+	ref, rerr := job.Run(core.Params{}, nil)
 	want := digestOf(ref, rerr)
 
 	for i := 0; i < opts.Iterations; i++ {

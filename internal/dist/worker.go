@@ -1,11 +1,9 @@
 package dist
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -151,11 +149,7 @@ func Serve(w *transport.Worker) error {
 		if err != nil {
 			return fmt.Errorf("dist: decoding job: %w", err)
 		}
-		host := core.Params{
-			Parallelism: runtime.GOMAXPROCS(0),
-			Ctx:         context.Background(),
-			Transport:   w,
-		}
+		host := core.Params{Transport: w}
 		if len(job.Resume) > 0 {
 			// The coordinator resumed from a checkpoint: replay the shipped
 			// prefix so this party fast-forwards the identical rounds and

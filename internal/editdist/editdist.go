@@ -148,14 +148,6 @@ func Banded[T comparable](a, b []T, k int, ops *stats.Ops) (int, bool) {
 	return d, true
 }
 
-// WithinThreshold reports whether ed(a, b) <= tau, using the banded
-// algorithm. It is the decision procedure used when building the graph
-// G_tau in the paper's large-distance regime.
-func WithinThreshold[T comparable](a, b []T, tau int, ops *stats.Ops) bool {
-	_, ok := Banded(a, b, tau, ops)
-	return ok
-}
-
 // BoundedDistance returns min(ed(a, b), bound+1), spending only
 // O(bound·min(|a|,|b|)) time via exponential threshold doubling. It is the
 // preferred exact kernel when a cap is known (e.g. distances above 2·tau

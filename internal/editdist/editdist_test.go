@@ -156,16 +156,6 @@ func TestBandedNegativeThreshold(t *testing.T) {
 	}
 }
 
-func TestWithinThreshold(t *testing.T) {
-	a, b := []byte("kitten"), []byte("sitting")
-	if !WithinThreshold(a, b, 3, nil) {
-		t.Error("WithinThreshold(3) = false, want true")
-	}
-	if WithinThreshold(a, b, 2, nil) {
-		t.Error("WithinThreshold(2) = true, want false")
-	}
-}
-
 func TestBoundedDistance(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 150; trial++ {

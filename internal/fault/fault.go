@@ -42,6 +42,11 @@ type Plan struct {
 	Straggle float64
 	// Delay is the injected straggler delay (0 = 2ms).
 	Delay time.Duration
+	// MaxRetries bounds recovery per machine-round: after the initial
+	// attempt, up to MaxRetries replays are made before the round fails
+	// with *CrashError (0 = mpc.DefaultMaxRetries). Only injected crashes
+	// read it.
+	MaxRetries int
 }
 
 // Decision-kind salts keep the independent decision streams disjoint even
@@ -137,8 +142,8 @@ func (p *Plan) String() string {
 	if p == nil {
 		return "fault.Plan(nil)"
 	}
-	return fmt.Sprintf("fault.Plan{seed=%d crash=%g crashAfter=%g straggle=%g delay=%s}",
-		p.Seed, p.Crash, p.CrashAfter, p.Straggle, p.Delay)
+	return fmt.Sprintf("fault.Plan{seed=%d crash=%g crashAfter=%g straggle=%g delay=%s maxRetries=%d}",
+		p.Seed, p.Crash, p.CrashAfter, p.Straggle, p.Delay, p.MaxRetries)
 }
 
 // CrashError reports a machine whose round could not complete within the
@@ -157,21 +162,15 @@ func (e *CrashError) Error() string {
 
 // BindFlags registers the standard fault-injection flags and -max-retries
 // on fs (the shared vocabulary of mpcdist, mpctable, mpcbench, and
-// mpcserve) and returns a closure that assembles the Plan and the retry
-// budget after fs.Parse. The plan is nil when every rate is zero, so
-// nothing is injected; a budget of 0 selects the simulator's default.
-func BindFlags(fs *flag.FlagSet) func() (*Plan, int) {
-	seed := fs.Int64("fault-seed", 1, "fault-schedule seed (schedules are deterministic and replayable)")
-	crash := fs.Float64("fault-crash", 0, "probability a machine crashes before executing a round attempt")
-	crashAfter := fs.Float64("fault-crash-after", 0, "probability a machine crashes after executing, losing its output")
-	straggle := fs.Float64("fault-straggle", 0, "probability a machine execution is delayed")
-	delay := fs.Duration("fault-delay", 2*time.Millisecond, "injected straggler delay")
-	retries := fs.Int("max-retries", 0, "fault-recovery budget: replays per machine-round before the round fails (0 = default)")
-	return func() (*Plan, int) {
-		p := &Plan{Seed: *seed, Crash: *crash, CrashAfter: *crashAfter, Straggle: *straggle, Delay: *delay}
-		if !p.Active() {
-			return nil, *retries
-		}
-		return p, *retries
-	}
+// mpcserve) and returns the Plan they fill in at fs.Parse. The plan
+// injects nothing unless a rate is set (see Active).
+func BindFlags(fs *flag.FlagSet) *Plan {
+	p := &Plan{}
+	fs.Int64Var(&p.Seed, "fault-seed", 1, "fault-schedule seed (schedules are deterministic and replayable)")
+	fs.Float64Var(&p.Crash, "fault-crash", 0, "probability a machine crashes before executing a round attempt")
+	fs.Float64Var(&p.CrashAfter, "fault-crash-after", 0, "probability a machine crashes after executing, losing its output")
+	fs.Float64Var(&p.Straggle, "fault-straggle", 0, "probability a machine execution is delayed")
+	fs.DurationVar(&p.Delay, "fault-delay", 2*time.Millisecond, "injected straggler delay")
+	fs.IntVar(&p.MaxRetries, "max-retries", 0, "fault-recovery budget: replays per machine-round before the round fails (0 = default)")
+	return p
 }

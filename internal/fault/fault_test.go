@@ -129,29 +129,28 @@ func TestFaultErrorsNameCoordinates(t *testing.T) {
 	}
 }
 
-// TestFaultBindFlags checks the shared flag vocabulary parses into a Plan
-// and a retry budget, and that all-zero rates yield nil (the fault-free
-// fast path).
+// TestFaultBindFlags checks the shared flag vocabulary parses into one
+// Plan, retry budget included, and that all-zero rates leave it inactive
+// (the fault-free fast path).
 func TestFaultBindFlags(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	flags := BindFlags(fs)
+	p := BindFlags(fs)
 	if err := fs.Parse([]string{"-fault-seed", "11", "-fault-crash", "0.1", "-fault-delay", "5ms", "-max-retries", "7"}); err != nil {
 		t.Fatal(err)
 	}
-	p, retries := flags()
-	if p == nil || p.Seed != 11 || p.Crash != 0.1 || p.Delay != 5*time.Millisecond {
+	if !p.Active() || p.Seed != 11 || p.Crash != 0.1 || p.Delay != 5*time.Millisecond {
 		t.Fatalf("parsed plan = %+v", p)
 	}
-	if retries != 7 {
-		t.Fatalf("parsed retry budget = %d, want 7", retries)
+	if p.MaxRetries != 7 {
+		t.Fatalf("parsed retry budget = %d, want 7", p.MaxRetries)
 	}
 
 	fs2 := flag.NewFlagSet("t2", flag.ContinueOnError)
-	flags2 := BindFlags(fs2)
+	p2 := BindFlags(fs2)
 	if err := fs2.Parse([]string{"-fault-seed", "11"}); err != nil {
 		t.Fatal(err)
 	}
-	if p2, retries2 := flags2(); p2 != nil || retries2 != 0 {
-		t.Fatalf("all-zero rates should yield nil plan and default budget, got %+v, %d", p2, retries2)
+	if p2.Active() || p2.MaxRetries != 0 {
+		t.Fatalf("all-zero rates should yield an inactive plan and the default budget, got %+v", p2)
 	}
 }

@@ -32,14 +32,12 @@ type BenchConfig struct {
 	Sizes []int // problem sizes; zero means {192, 384}
 	Seed  int64
 	Eps   float64 // zero means 0.5
-	// Faults injects a deterministic fault schedule into every case's
-	// cluster (nil = fault-free). With faults active the deterministic
-	// counters must still match a fault-free baseline — recovery is
-	// invisible to the model counters — while failures/retries record the
-	// recovery overhead.
+	// Faults injects a deterministic fault schedule, retry budget
+	// included, into every case's cluster (nil = fault-free). With faults
+	// active the deterministic counters must still match a fault-free
+	// baseline — recovery is invisible to the model counters — while
+	// failures/retries record the recovery overhead.
 	Faults *fault.Plan
-	// MaxRetries is the recovery budget (0 = mpc.DefaultMaxRetries).
-	MaxRetries int
 	// Transport selects the shuffle transport: "local" (default,
 	// in-process) or "tcp" (a distributed session of real worker
 	// processes, shared across all cases). The deterministic counters are
@@ -117,10 +115,10 @@ type BenchResult struct {
 	Failures  int          `json:"failures"`
 	Retries   int          `json:"retries"`
 	Phases    []BenchPhase `json:"phases"`
-	ElapsedMs float64      `json:"elapsedMs"` // wall time; compared with tolerance only
+	ElapsedMs float64      `json:"elapsedMs"` // wall time; advisory, never compared
 	// RoundP50Ms/P95Ms/P99Ms are round-latency quantiles (nearest rank)
 	// over the case's per-round machine-execution wall times. Advisory
-	// like ElapsedMs: reported, warned about under -tol, never gated.
+	// like ElapsedMs: reported, never compared.
 	RoundP50Ms float64 `json:"roundP50Ms,omitempty"`
 	RoundP95Ms float64 `json:"roundP95Ms,omitempty"`
 	RoundP99Ms float64 `json:"roundP99Ms,omitempty"`
@@ -333,8 +331,7 @@ func RunBench(cfg BenchConfig) (BenchFile, error) {
 	for _, bc := range benchCases(cfg.Seed) {
 		for _, n := range cfg.Sizes {
 			in := bc.gen(n)
-			job := dist.FromParams(bc.job, core.Params{X: bc.x, Eps: cfg.Eps, Seed: cfg.Seed,
-				Faults: cfg.Faults, MaxRetries: cfg.MaxRetries})
+			job := dist.FromParams(bc.job, core.Params{X: bc.x, Eps: cfg.Eps, Seed: cfg.Seed, Faults: cfg.Faults})
 			job.S, job.T, job.P, job.Q = in.s, in.sbar, in.p, in.q
 			var saver *checkpoint.Saver
 			var err error
@@ -397,15 +394,13 @@ func RunBench(cfg BenchConfig) (BenchFile, error) {
 	return file, nil
 }
 
-// CompareBench checks cur against old. diffs are deterministic-counter
-// changes (a regression gate: any entry means the model behavior changed);
-// warnings are advisory wall-time movements beyond a factor of wallTol
-// (ignored when wallTol <= 1).
-func CompareBench(old, cur BenchFile, wallTol float64) (diffs, warnings []string) {
+// CompareBench checks cur against old and returns the deterministic-counter
+// changes: a regression gate, where any entry means the model behavior
+// changed. Wall time is not compared (cmd/mpcperf measures it).
+func CompareBench(old, cur BenchFile) (diffs []string) {
 	if old.Seed != cur.Seed || old.Eps != cur.Eps {
-		diffs = append(diffs, fmt.Sprintf("config mismatch: old seed=%d eps=%g, new seed=%d eps=%g (comparison requires identical config)",
-			old.Seed, old.Eps, cur.Seed, cur.Eps))
-		return diffs, nil
+		return []string{fmt.Sprintf("config mismatch: old seed=%d eps=%g, new seed=%d eps=%g (comparison requires identical config)",
+			old.Seed, old.Eps, cur.Seed, cur.Eps)}
 	}
 	oldByName := map[string]BenchResult{}
 	for _, r := range old.Results {
@@ -451,31 +446,11 @@ func CompareBench(old, cur BenchFile, wallTol float64) (diffs, warnings []string
 				pf("commWords", op.CommWords, np.CommWords)
 			}
 		}
-		if wallTol > 1 {
-			// Wall time and round-latency quantiles are host quantities:
-			// warned about beyond the tolerance factor, never gated. The
-			// o > 0 guard also skips baselines recorded before the
-			// quantile fields existed.
-			warn := func(field string, o, n float64) {
-				if o <= 0 || n <= 0 {
-					return
-				}
-				ratio := n / o
-				if ratio > wallTol || ratio < 1/wallTol {
-					warnings = append(warnings, fmt.Sprintf("%s: %s %.2fms -> %.2fms (%.2fx)",
-						nr.Name, field, o, n, ratio))
-				}
-			}
-			warn("wall time", or.ElapsedMs, nr.ElapsedMs)
-			warn("round p50", or.RoundP50Ms, nr.RoundP50Ms)
-			warn("round p95", or.RoundP95Ms, nr.RoundP95Ms)
-			warn("round p99", or.RoundP99Ms, nr.RoundP99Ms)
-		}
 	}
 	for _, r := range old.Results {
 		if !seen[r.Name] {
 			diffs = append(diffs, fmt.Sprintf("%s: baseline case missing from new run", r.Name))
 		}
 	}
-	return diffs, warnings
+	return diffs
 }

@@ -33,7 +33,7 @@ func TestBenchTransportParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs, _ := CompareBench(local, tcp, 0)
+	diffs := CompareBench(local, tcp)
 	for _, d := range diffs {
 		t.Errorf("local vs tcp+telemetry drift: %s", d)
 	}

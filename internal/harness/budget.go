@@ -22,18 +22,16 @@ type BudgetConfig struct {
 	X     float64
 	Eps   float64
 	Seed  int64
-	// Slack widens each exponent envelope: a measured quantity passes when
-	// its fitted log-log exponent is at most the paper exponent plus Slack.
-	// The slack absorbs the Õ's polylog and poly(1/eps) factors, which at
-	// simulator sizes contribute a visible slope (the enforced memory cap
-	// alone carries a (1+ln n)² factor). Zero means 0.5.
-	Slack float64
 }
 
+// budgetSlack widens each exponent envelope: a measured quantity passes
+// when its fitted log-log exponent is at most the paper exponent plus
+// budgetSlack. The slack absorbs the Õ's polylog and poly(1/eps) factors,
+// which at simulator sizes contribute a visible slope (the enforced memory
+// cap alone carries a (1+ln n)² factor).
+const budgetSlack = 0.5
+
 func (c BudgetConfig) withDefaults() BudgetConfig {
-	if c.Slack <= 0 {
-		c.Slack = 0.5
-	}
 	if c.Eps <= 0 {
 		c.Eps = 0.5
 	}
@@ -153,7 +151,7 @@ func geoMeanConstant(ns, ys []float64, exp float64) float64 {
 // BudgetCheck runs each Table 1 algorithm across cfg.Sizes and evaluates
 // the measured quantities against the paper's envelopes: per-guess round
 // counts exactly, and memory/machines/total-work as fitted log-log
-// exponents that must stay within paper exponent + Slack. Per-phase rows
+// exponents that must stay within paper exponent + budgetSlack. Per-phase rows
 // check the same envelopes restricted to each phase's rounds (a phase can
 // never use more memory than the whole run, and its per-guess round count
 // is fixed by the algorithm's structure).
@@ -227,7 +225,7 @@ func BudgetCheck(cfg BudgetConfig) ([]BudgetRow, error) {
 
 		expRow := func(quantity string, ys []float64, paperExp float64) BudgetRow {
 			fit := stats.LogLogSlope(ns, ys)
-			limit := paperExp + cfg.Slack
+			limit := paperExp + budgetSlack
 			return BudgetRow{
 				Algo: spec.algo, Quantity: quantity,
 				Paper:  fmt.Sprintf("n^%.2f", paperExp),

@@ -24,55 +24,6 @@ func Length(a []int) int {
 	return len(tails)
 }
 
-// NonDecreasingLength returns the length of the longest non-decreasing
-// subsequence of a.
-func NonDecreasingLength(a []int) int {
-	tails := make([]int, 0, 16)
-	for _, v := range a {
-		// Insertion point after the run of equal values keeps ties.
-		i := sort.SearchInts(tails, v+1)
-		if i == len(tails) {
-			tails = append(tails, v)
-		} else {
-			tails[i] = v
-		}
-	}
-	return len(tails)
-}
-
-// Indices returns the indices (in increasing order) of one longest strictly
-// increasing subsequence of a.
-func Indices(a []int) []int {
-	if len(a) == 0 {
-		return nil
-	}
-	tails := make([]int, 0, 16)   // tails[k] = value ending a length-k+1 pile
-	tailIdx := make([]int, 0, 16) // index in a of tails[k]
-	prev := make([]int, len(a))   // predecessor pointers
-	for i, v := range a {
-		j := sort.SearchInts(tails, v)
-		if j > 0 {
-			prev[i] = tailIdx[j-1]
-		} else {
-			prev[i] = -1
-		}
-		if j == len(tails) {
-			tails = append(tails, v)
-			tailIdx = append(tailIdx, i)
-		} else {
-			tails[j] = v
-			tailIdx[j] = i
-		}
-	}
-	out := make([]int, len(tails))
-	at := tailIdx[len(tailIdx)-1]
-	for k := len(out) - 1; k >= 0; k-- {
-		out[k] = at
-		at = prev[at]
-	}
-	return out
-}
-
 // LCSDistinct returns the length of the longest common subsequence of a and
 // b under the promise that the characters within each of a and b are
 // distinct. It runs in O((|a|+|b|) log) time: relabel each element of b by
@@ -89,22 +40,6 @@ func LCSDistinct(a, b []int) int {
 		}
 	}
 	return Length(seq)
-}
-
-// CommonMatches returns, for sequences with distinct characters, the list of
-// match points (i, j) with a[i] == b[j], ordered by increasing j.
-func CommonMatches(a, b []int) (ai, bj []int) {
-	pos := make(map[int]int, len(a))
-	for i, v := range a {
-		pos[v] = i
-	}
-	for j, v := range b {
-		if i, ok := pos[v]; ok {
-			ai = append(ai, i)
-			bj = append(bj, j)
-		}
-	}
-	return ai, bj
 }
 
 // IndelUlam returns the insert/delete-only Ulam distance between sequences

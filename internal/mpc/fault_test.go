@@ -54,9 +54,8 @@ func TestFaultCrashRecoveryBitIdentical(t *testing.T) {
 	want := routeRounds(t, ref)
 
 	c := NewCluster(Config{
-		Seed:       9,
-		Faults:     &fault.Plan{Seed: 3, Crash: 0.4, CrashAfter: 0.3},
-		MaxRetries: 30,
+		Seed:   9,
+		Faults: &fault.Plan{Seed: 3, Crash: 0.4, CrashAfter: 0.3, MaxRetries: 30},
 	})
 	got := routeRounds(t, c)
 
@@ -73,14 +72,13 @@ func TestFaultCrashRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFaultCrashExhaustionTypedError checks MaxRetries exhaustion surfaces
+// TestFaultCrashExhaustionTypedError checks retry-budget exhaustion surfaces
 // a typed *fault.CrashError naming the round and machine, deterministically
 // picking the lowest crashed machine id.
 func TestFaultCrashExhaustionTypedError(t *testing.T) {
 	c := NewCluster(Config{
-		Seed:       9,
-		Faults:     &fault.Plan{Seed: 1, Crash: 1}, // every attempt crashes
-		MaxRetries: 2,
+		Seed:   9,
+		Faults: &fault.Plan{Seed: 1, Crash: 1, MaxRetries: 2}, // every attempt crashes
 	})
 	in := map[int][]Payload{3: {Int(1)}, 5: {Int(2)}}
 	_, err := c.Run("doomed", trace.PhaseCandidates, in, func(x *Ctx, in []Payload) {})
@@ -110,8 +108,8 @@ func TestFaultCancellationMidReplayNoLeaks(t *testing.T) {
 		Faults: &fault.Plan{
 			Seed: 2, CrashAfter: 1, // every attempt's output is lost -> replay
 			Straggle: 1, Delay: 20 * time.Millisecond, // each replay sleeps
+			MaxRetries: 1 << 20, // budget far exceeds what cancellation allows
 		},
-		MaxRetries: 1 << 20, // budget far exceeds what cancellation allows
 	})
 	in := map[int][]Payload{0: {Int(1)}, 1: {Int(2)}}
 	go func() {
@@ -147,10 +145,9 @@ func TestFaultCancellationMidReplayNoLeaks(t *testing.T) {
 func TestFaultEventsReachObservers(t *testing.T) {
 	col := &recorder{}
 	c := NewCluster(Config{
-		Seed:       9,
-		Observer:   col,
-		Faults:     &fault.Plan{Seed: 3, Crash: 0.4, CrashAfter: 0.6},
-		MaxRetries: 30,
+		Seed:     9,
+		Observer: col,
+		Faults:   &fault.Plan{Seed: 3, Crash: 0.4, CrashAfter: 0.6, MaxRetries: 30},
 	})
 	routeRounds(t, c)
 	rep := c.Report()

@@ -75,12 +75,9 @@ type Config struct {
 	// function of (seed, round, machine, inputs)) and straggler delays.
 	// Message loss belongs to a real wire: internal/netchaos injects it on
 	// tcp runs and the transport recovers it. A nil or inactive plan
-	// injects nothing, with zero behavioral drift.
+	// injects nothing, with zero behavioral drift. The plan's MaxRetries
+	// bounds crash recovery (0 = DefaultMaxRetries).
 	Faults *fault.Plan
-	// MaxRetries bounds recovery per machine-round: after the initial
-	// attempt, up to MaxRetries replays are made before Run fails with
-	// *fault.CrashError. Zero means DefaultMaxRetries.
-	MaxRetries int
 	// Algo names the pipeline this cluster executes ("ulam-mpc",
 	// "edit-mpc", ...). It is advisory observability metadata: it becomes
 	// the "algo" goroutine profiler label on every simulated machine (see
@@ -105,8 +102,8 @@ type Config struct {
 	Checkpointer Checkpointer
 }
 
-// DefaultMaxRetries is the recovery budget used when Config.MaxRetries is
-// zero.
+// DefaultMaxRetries is the recovery budget used when the fault plan's
+// MaxRetries is zero.
 const DefaultMaxRetries = 3
 
 // RoundStats records the measured model quantities of one round.
@@ -455,7 +452,7 @@ func outboxSummary(msgs []transport.Msg) (words, fanout int) {
 // machine-count cap, returning a *MemoryError on violation.
 //
 // With an active Config.Faults plan, injected crashes are recovered by
-// replaying the machine (up to Config.MaxRetries extra attempts; replay is
+// replaying the machine (up to the plan's MaxRetries extra attempts; replay is
 // exact because execution is a pure function of (seed, round, machine,
 // inputs)), and exhausting the budget returns *fault.CrashError. Recovery
 // never perturbs the deterministic counters: the returned inputs and the
@@ -500,25 +497,23 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 	return next, nil
 }
 
-// roundExec is one round of a cluster. Its fields up to labeled are fixed
+// roundExec is one round of a cluster. Its fields up to labels are fixed
 // when the round opens; the steps of Run fill in the rest in order. Its run
 // method executes any subset of the round's machines: Run uses it for this
 // party's share, and the transport reuses it to re-execute a lost peer's
 // machines mid-round (exact replay: execution is a pure function of (seed,
 // round, machine, inputs)).
 type roundExec struct {
-	c          *Cluster
-	ctx        context.Context
-	obs        trace.Observer
-	round      int
-	name       string
-	phase      trace.Phase
-	inputs     map[int][]Payload
-	fn         MachineFunc
-	plan       *fault.Plan
-	maxRetries int
-	labels     pprof.LabelSet // {algo, phase, round} profiler labels
-	labeled    bool
+	c      *Cluster
+	ctx    context.Context
+	obs    trace.Observer
+	round  int
+	name   string
+	phase  trace.Phase
+	inputs map[int][]Payload
+	fn     MachineFunc
+	plan   *fault.Plan
+	labels pprof.LabelSet // {algo, phase, round} profiler labels
 
 	st         RoundStats
 	inWords    map[int]int // admit: resident input words per machine
@@ -533,20 +528,15 @@ type roundExec struct {
 func (c *Cluster) newRound(name string, phase trace.Phase, inputs map[int][]Payload, fn MachineFunc) *roundExec {
 	re := &roundExec{
 		c: c, ctx: c.cfg.Ctx, obs: c.obs, round: len(c.rounds), name: name, phase: phase,
-		inputs: inputs, fn: fn, plan: c.cfg.Faults, maxRetries: c.cfg.MaxRetries,
-		st: RoundStats{Name: name, Phase: phase, Machines: len(inputs)},
-	}
-	if re.ctx == nil {
-		re.ctx = context.Background()
-	}
-	if re.maxRetries <= 0 {
-		re.maxRetries = DefaultMaxRetries
-	}
-	if trace.PhaseLabelsEnabled() {
+		inputs: inputs, fn: fn, plan: c.cfg.Faults,
 		// One label set per round; every machine goroutine of the round
 		// (including transport-driven re-executions) runs under it, so CPU
 		// profiles attribute samples to {algo, phase, round}.
-		re.labels, re.labeled = trace.PhaseLabels(c.cfg.Algo, phase, name), true
+		labels: trace.PhaseLabels(c.cfg.Algo, phase, name),
+		st:     RoundStats{Name: name, Phase: phase, Machines: len(inputs)},
+	}
+	if re.ctx == nil {
+		re.ctx = context.Background()
 	}
 	if re.obs != nil {
 		re.obs.RoundStart(trace.RoundInfo{Round: re.round, Name: name, Phase: phase, Machines: len(inputs)})
@@ -782,12 +772,10 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 		wg.Add(1)
 		go func(k, id int) {
 			defer wg.Done()
-			if re.labeled {
-				// The labels live for the goroutine's lifetime; no unset
-				// needed. Applied before the semaphore so profiles also
-				// attribute scheduler/queueing samples to the round.
-				pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), re.labels))
-			}
+			// The labels live for the goroutine's lifetime; no unset
+			// needed. Applied before the semaphore so profiles also
+			// attribute scheduler/queueing samples to the round.
+			pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(), re.labels))
 			spawned := time.Now()
 			sem <- struct{}{}
 			defer func() { <-sem }()
@@ -887,12 +875,16 @@ func (re *roundExec) exec(x *Ctx, r *transport.Record, attempt int) bool {
 }
 
 // crash counts an injected crash of the machine's attempt and reports
-// whether to replay it. With the retry budget spent it marks the record
-// crashed instead.
+// whether to replay it. With the plan's retry budget spent it marks the
+// record crashed instead.
 func (re *roundExec) crash(r *transport.Record, kind trace.FaultKind, attempt int) bool {
 	r.Failures++
 	re.fault(kind, r.Machine, attempt)
-	if attempt >= re.maxRetries {
+	budget := re.plan.MaxRetries
+	if budget <= 0 {
+		budget = DefaultMaxRetries
+	}
+	if attempt >= budget {
 		r.Crashed, r.CrashAttempts = true, attempt+1
 		return false
 	}

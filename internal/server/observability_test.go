@@ -7,11 +7,14 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+
+	"mpcdist/internal/transport"
 )
 
 // promBody runs a warm-up query and returns the default /metrics body.
@@ -297,6 +300,8 @@ func TestOpsHandler(t *testing.T) {
 		"/debug/pprof/":          "text/html",
 		"/debug/pprof/goroutine": "", // any
 		"/metrics":               "text/plain; version=0.0.4",
+		"/flight":                "application/json",
+		"/version":               "application/json",
 	} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
@@ -312,9 +317,35 @@ func TestOpsHandler(t *testing.T) {
 		}
 	}
 
+	// /status is the cluster's: 404 without one, its transport.Status with.
+	resp, err := http.Get(ts.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /status without a cluster: status %d, want 404", resp.StatusCode)
+	}
+	fake := newFakeDist()
+	dts := httptest.NewServer(New(Config{Dist: fake}).OpsHandler())
+	t.Cleanup(dts.Close)
+	resp, err = http.Get(dts.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st transport.Status
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /status with a cluster: status %d, decode %v", resp.StatusCode, err)
+	}
+	if want := fake.Status(); !reflect.DeepEqual(st, want) {
+		t.Errorf("GET /status = %+v, want the cluster's %+v", st, want)
+	}
+
 	// pprof must NOT be reachable through the public handler.
 	pub := newTestServer(t, Config{})
-	resp, err := http.Get(pub.URL + "/debug/pprof/")
+	resp, err = http.Get(pub.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}

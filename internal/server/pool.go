@@ -43,15 +43,11 @@ func NewPool(size int) *Pool {
 	return &Pool{sem: make(chan struct{}, size)}
 }
 
-// Do runs f once a slot is free, in the calling goroutine. It returns
-// ctx.Err() without running f if ctx is done first (or already done).
-func (p *Pool) Do(ctx context.Context, f func()) error {
-	return p.DoWithin(ctx, 0, f)
-}
-
-// DoWithin is Do with a queue-wait budget: if no slot frees up within
-// budget, the acquisition is abandoned and ErrOverloaded is returned
-// without running f. A zero budget waits as long as ctx allows.
+// DoWithin runs f once a slot is free, in the calling goroutine. It
+// returns ctx.Err() without running f if ctx is done first (or already
+// done). If no slot frees up within budget, the acquisition is abandoned
+// and ErrOverloaded is returned without running f; a zero budget waits as
+// long as ctx allows.
 func (p *Pool) DoWithin(ctx context.Context, budget time.Duration, f func()) error {
 	// The select below picks randomly when several channels are ready; an
 	// already-expired context must lose deterministically.

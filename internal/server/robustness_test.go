@@ -33,7 +33,7 @@ func occupyPool(t *testing.T, srv *Server, slots int) (release func()) {
 	running := make(chan struct{}, slots)
 	for i := 0; i < slots; i++ {
 		go func() {
-			_ = srv.pool.Do(context.Background(), func() {
+			_ = srv.pool.DoWithin(context.Background(), 0, func() {
 				running <- struct{}{}
 				<-block
 			})
@@ -80,7 +80,7 @@ func TestShedQueueLength(t *testing.T) {
 	defer qcancel()
 	go func() {
 		close(queued)
-		_ = srv.pool.Do(qctx, func() {})
+		_ = srv.pool.DoWithin(qctx, 0, func() {})
 	}()
 	<-queued
 	deadline := time.Now().Add(5 * time.Second)
@@ -242,8 +242,7 @@ func TestServerFaultInjection(t *testing.T) {
 	}
 
 	_, faulty := robustServer(t, Config{
-		Faults:     &fault.Plan{Seed: 11, Crash: 0.05, CrashAfter: 0.1},
-		MaxRetries: 20,
+		Faults: &fault.Plan{Seed: 11, Crash: 0.05, CrashAfter: 0.1, MaxRetries: 20},
 	})
 	a := decodeAnswer(t, post(t, faulty.URL+"/v1/distance", q))
 	if a.Distance != ref.Distance {

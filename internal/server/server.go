@@ -68,8 +68,6 @@ type Config struct {
 	MaxInputLen int
 	// MaxBatch caps the number of queries in one batch (0 = 1024).
 	MaxBatch int
-	// MaxBodyBytes caps a request body (0 = 64 MiB).
-	MaxBodyBytes int64
 	// Logger receives structured request and query logs (nil = discard).
 	Logger *slog.Logger
 
@@ -96,13 +94,10 @@ type Config struct {
 	// (0 = 1s).
 	RetryAfter time.Duration
 	// Faults, when non-nil and active, injects the deterministic fault
-	// schedule into every MPC query's cluster (see internal/fault); the
-	// recovered retries surface in Answer.Retries and the
-	// mpcserve_mpc_retries counters.
+	// schedule, retry budget included, into every MPC query's cluster (see
+	// internal/fault); the recovered retries surface in Answer.Retries and
+	// the mpcserve_mpc_retries counters.
 	Faults *fault.Plan
-	// MaxRetries is the per-machine-round replay budget for MPC queries
-	// (0 = mpc.DefaultMaxRetries).
-	MaxRetries int
 	// Dist, when non-nil, routes MPC queries (ulam-mpc, edit-mpc,
 	// edit-hss, lcs-mpc; not ?trace=1) to a distributed worker cluster
 	// instead of the in-process simulator. Answers are bit-identical either
@@ -140,9 +135,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
@@ -296,7 +288,6 @@ func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool)
 	}
 	if spec.MPC {
 		params.Faults = s.cfg.Faults
-		params.MaxRetries = s.cfg.MaxRetries
 	}
 
 	key := q.CacheKey()
@@ -609,10 +600,13 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 // in-flight ones finish. Liveness (/healthz) is unaffected.
 func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
+// maxBodyBytes caps a request body.
+const maxBodyBytes = 64 << 20
+
 // decode reads a JSON body with the size cap applied; on failure it writes
 // the error response and returns false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	if err := dec.Decode(dst); err != nil {
 		s.metrics.ObserveBadInput()

@@ -352,7 +352,7 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		go func() {
 			defer func() { done <- struct{}{} }()
-			_ = p.Do(context.Background(), func() {
+			_ = p.DoWithin(context.Background(), 0, func() {
 				cur := running.Add(1)
 				for {
 					old := peak.Load()
@@ -379,8 +379,8 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ran := false
-	if err := p.Do(ctx, func() { ran = true }); err == nil || ran {
-		t.Fatalf("Do on cancelled ctx: err=%v ran=%v", err, ran)
+	if err := p.DoWithin(ctx, 0, func() { ran = true }); err == nil || ran {
+		t.Fatalf("DoWithin on cancelled ctx: err=%v ran=%v", err, ran)
 	}
 }
 

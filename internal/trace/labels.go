@@ -2,9 +2,7 @@ package trace
 
 import (
 	"context"
-	"os"
 	"runtime/pprof"
-	"sync/atomic"
 )
 
 // Profiler-label support: every simulated machine executes under
@@ -15,24 +13,8 @@ import (
 // partitioning with phase=partition via LabelPhase, since block
 // partition happens outside simulated rounds (see Phase).
 //
-// Labels are pure profiler metadata — they cannot affect a deterministic
-// counter — but they cost a small allocation per labeled region, so a
-// kill switch exists: MPCDIST_PPROF_LABELS=off (or SetPhaseLabels).
-
-// labelsOff is the process-global kill switch, default off (labels on).
-var labelsOff atomic.Bool
-
-func init() {
-	if flightEnvOff(os.Getenv("MPCDIST_PPROF_LABELS")) {
-		labelsOff.Store(true)
-	}
-}
-
-// PhaseLabelsEnabled reports whether phase labeling is on.
-func PhaseLabelsEnabled() bool { return !labelsOff.Load() }
-
-// SetPhaseLabels flips profiler phase labeling for the process.
-func SetPhaseLabels(on bool) { labelsOff.Store(!on) }
+// Labels are pure profiler metadata: they cannot affect a deterministic
+// counter.
 
 // PhaseLabels builds the goroutine label set for one round. algo is the
 // pipeline name ("ulam-mpc", "edit-mpc", ...); callers that don't know it
@@ -44,14 +26,10 @@ func PhaseLabels(algo string, phase Phase, round string) pprof.LabelSet {
 	return pprof.Labels("algo", algo, "phase", string(phase), "round", round)
 }
 
-// LabelPhase runs f under {algo, phase, round} goroutine labels (or
-// directly, when labeling is off). Drivers wrap their out-of-round work —
-// input partitioning, merges — so profiles cover all four phases even
-// though PhasePartition never executes inside the simulator.
+// LabelPhase runs f under {algo, phase, round} goroutine labels. Drivers
+// wrap their out-of-round work — input partitioning, merges — so profiles
+// cover all four phases even though PhasePartition never executes inside
+// the simulator.
 func LabelPhase(algo string, phase Phase, round string, f func()) {
-	if !PhaseLabelsEnabled() {
-		f()
-		return
-	}
 	pprof.Do(context.Background(), PhaseLabels(algo, phase, round), func(context.Context) { f() })
 }

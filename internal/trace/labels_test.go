@@ -29,18 +29,13 @@ func TestPhaseLabels(t *testing.T) {
 }
 
 // TestLabelPhaseRunsBody pins the control flow: the body runs exactly
-// once whether labeling is on or off. (That the labels actually land on
-// profile samples is covered end to end by CI's mpcbench -cpuprofile
-// check — goroutine labels are only observable through a profile.)
+// once. (That the labels actually land on profile samples is covered end
+// to end by CI's mpcbench -cpuprofile check — goroutine labels are only
+// observable through a profile.)
 func TestLabelPhaseRunsBody(t *testing.T) {
-	prev := PhaseLabelsEnabled()
-	defer SetPhaseLabels(prev)
-	for _, on := range []bool{true, false} {
-		SetPhaseLabels(on)
-		runs := 0
-		LabelPhase("edit-mpc", PhasePartition, "edit/partition", func() { runs++ })
-		if runs != 1 {
-			t.Errorf("LabelPhase(enabled=%v) ran the body %d times, want 1", on, runs)
-		}
+	runs := 0
+	LabelPhase("edit-mpc", PhasePartition, "edit/partition", func() { runs++ })
+	if runs != 1 {
+		t.Errorf("LabelPhase ran the body %d times, want 1", runs)
 	}
 }

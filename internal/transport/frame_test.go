@@ -203,15 +203,15 @@ func TestTransportBindFlags(t *testing.T) {
 		t.Fatal(err)
 	}
 	if o.HeartbeatInterval != 250*time.Millisecond || o.PeerTimeout != 3*time.Second ||
-		o.RejoinGrace != 0 || o.CorruptTolerance != DefaultCorruptTolerance {
+		o.RejoinGrace != 0 || o.CorruptTolerance != 0 {
 		t.Fatalf("defaults = %+v", o)
 	}
-	o, err = parse("-heartbeat", "100ms", "-peer-deadline", "1s", "-rejoin-grace", "30s", "-corrupt-tolerance", "3")
+	o, err = parse("-heartbeat", "100ms", "-peer-deadline", "1s", "-rejoin-grace", "30s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o.HeartbeatInterval != 100*time.Millisecond || o.PeerTimeout != time.Second ||
-		o.RejoinGrace != 30*time.Second || o.CorruptTolerance != 3 {
+		o.RejoinGrace != 30*time.Second {
 		t.Fatalf("custom flags = %+v", o)
 	}
 	for _, bad := range [][]string{
@@ -220,7 +220,7 @@ func TestTransportBindFlags(t *testing.T) {
 		{"-heartbeat", "3s", "-peer-deadline", "1s"},
 		{"-heartbeat", "1s", "-peer-deadline", "1s"},
 		{"-rejoin-grace", "-1s"},
-		{"-corrupt-tolerance", "-1"},
+		{"-corrupt-tolerance", "3"}, // the tolerance is DefaultCorruptTolerance
 	} {
 		if _, err := parse(bad...); err == nil {
 			t.Errorf("flags %v: validation passed, want error", bad)

@@ -33,7 +33,8 @@ type Options struct {
 	RejoinGrace time.Duration
 	// CorruptTolerance caps cumulative corrupt frames per peer slot before
 	// the coordinator stops offering rejoin and evicts the peer for good.
-	// Zero or negative means DefaultCorruptTolerance.
+	// Zero or negative means DefaultCorruptTolerance; no flag sets it, only
+	// tests that need a hair trigger or none.
 	CorruptTolerance int
 	// WrapConn, when non-nil, wraps every transport connection — initial
 	// handshakes and rejoin redials on both sides. This is the injection

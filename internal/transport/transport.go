@@ -258,7 +258,8 @@ func (e *CorruptFrameError) Error() string {
 
 // DefaultCorruptTolerance bounds cumulative corrupt frames per peer slot
 // before the coordinator stops offering rejoin and evicts for good: a
-// link this dirty is not worth resuming.
+// link this dirty is not worth resuming. Every binary runs with it; only
+// tests set Options.CorruptTolerance.
 const DefaultCorruptTolerance = 8
 
 // BindFlags registers the shared transport-liveness flags (mpcdist,
@@ -270,7 +271,6 @@ func BindFlags(fs *flag.FlagSet) func() (Options, error) {
 	hb := fs.Duration("heartbeat", 250*time.Millisecond, "transport heartbeat interval (idle peers are pinged this often)")
 	dl := fs.Duration("peer-deadline", 3*time.Second, "rolling read deadline: a peer silent this long is declared lost (must exceed -heartbeat)")
 	grace := fs.Duration("rejoin-grace", 0, "hold a lost worker's slot this long for reconnect + session rejoin (0 = evict immediately)")
-	tol := fs.Int("corrupt-tolerance", DefaultCorruptTolerance, "corrupt frames tolerated per peer before rejoin is refused and the peer evicted")
 	return func() (Options, error) {
 		if *hb <= 0 {
 			return Options{}, fmt.Errorf("transport: -heartbeat must be positive, got %s", *hb)
@@ -284,9 +284,6 @@ func BindFlags(fs *flag.FlagSet) func() (Options, error) {
 		if *grace < 0 {
 			return Options{}, fmt.Errorf("transport: -rejoin-grace must not be negative, got %s", *grace)
 		}
-		if *tol < 0 {
-			return Options{}, fmt.Errorf("transport: -corrupt-tolerance must not be negative, got %d", *tol)
-		}
-		return Options{HeartbeatInterval: *hb, PeerTimeout: *dl, RejoinGrace: *grace, CorruptTolerance: *tol}, nil
+		return Options{HeartbeatInterval: *hb, PeerTimeout: *dl, RejoinGrace: *grace}, nil
 	}
 }
