@@ -8,10 +8,13 @@
 //	mpcworker -addr 127.0.0.1:4732 -status 127.0.0.1:8082
 //
 // The worker registers with the coordinator, executes its share of every
-// round's machines, and exits when the session shuts down. With -status it
-// also serves a live JSON snapshot of its view of the session (exchange
-// progress, coordinator-link wire counters, heartbeat RTT) at
-// http://ADDR/status for the session's lifetime.
+// round's machines, and exits when the session shuts down. It takes no
+// transport flags: the heartbeat interval, peer deadline and rejoin grace
+// are set on the coordinator, and the worker adopts them from the
+// handshake's welcome frame. With -status it also serves a live JSON
+// snapshot of its view of the session (exchange progress,
+// coordinator-link wire counters, heartbeat RTT) at http://ADDR/status
+// for the session's lifetime.
 package main
 
 import (
@@ -30,7 +33,6 @@ func main() {
 	dist.MaybeWorkerMain()
 	addr := flag.String("addr", "", "coordinator address (host:port) to join")
 	statusAddr := flag.String("status", "", "serve a live JSON worker snapshot at this address (host:port)")
-	transportOpts := transport.BindFlags(flag.CommandLine)
 	chaosPlan := netchaos.BindFlags(flag.CommandLine)
 	version := flag.Bool("version", false, "print version and exit")
 	flag.Parse()
@@ -43,11 +45,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	opts, err := transportOpts()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "mpcworker:", err)
-		os.Exit(2)
-	}
+	var opts transport.Options
 	// A hand-run worker can degrade its own link deterministically — the
 	// coordinator side stays clean, but read-path corruption still
 	// perturbs both directions of this worker's traffic.

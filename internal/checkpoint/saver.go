@@ -134,9 +134,9 @@ func (s *Saver) Save(snap *mpc.RoundSnapshot) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	records, err := encodeRecords(s.codec, snap.Next)
+	records, err := s.codec.AppendValue(nil, snap.Next)
 	if err != nil {
-		return err
+		return fmt.Errorf("checkpoint: encoding records: %w", err)
 	}
 	snap.Step = s.next
 	s.pending = append(s.pending, wireStep{

@@ -1,9 +1,7 @@
 package checkpoint
 
 import (
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"mpcdist/internal/mpc"
 	"mpcdist/internal/trace"
@@ -23,7 +21,7 @@ type wireStep struct {
 	Name    string
 	Phase   string
 	Stats   mpc.RoundStats
-	Records []byte // framed post-shuffle record set (encodeRecords)
+	Records []byte // the codec's encoding of the post-shuffle record set
 }
 
 // wireState is the resume payload a coordinator ships to workers inside
@@ -38,77 +36,18 @@ func init() {
 	transport.Register("ckpt.State", wireState{})
 }
 
-// encodeRecords frames a round's merged post-shuffle record set: a uvarint
-// machine count, then per machine (in sorted id order, so the encoding is
-// canonical) a varint id, a uvarint payload count, and the codec encoding
-// of each payload in delivery order.
-func encodeRecords(c *transport.Codec, next map[int][]mpc.Payload) ([]byte, error) {
-	ids := make([]int, 0, len(next))
-	for id := range next {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	buf := binary.AppendUvarint(nil, uint64(len(ids)))
-	for _, id := range ids {
-		buf = binary.AppendVarint(buf, int64(id))
-		msgs := next[id]
-		buf = binary.AppendUvarint(buf, uint64(len(msgs)))
-		for _, p := range msgs {
-			var err error
-			if buf, err = c.Encode(buf, p); err != nil {
-				return nil, fmt.Errorf("checkpoint: encoding records: %w", err)
-			}
-		}
-	}
-	return buf, nil
-}
-
-// decodeRecords inverts encodeRecords, asserting every payload back to
-// mpc.Payload and rejecting trailing bytes.
-func decodeRecords(c *transport.Codec, data []byte) (map[int][]mpc.Payload, error) {
-	nm, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, fmt.Errorf("checkpoint: truncated record set")
-	}
-	data = data[n:]
-	out := make(map[int][]mpc.Payload, nm)
-	for i := uint64(0); i < nm; i++ {
-		id, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("checkpoint: truncated record set")
-		}
-		data = data[n:]
-		cnt, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, fmt.Errorf("checkpoint: truncated record set")
-		}
-		data = data[n:]
-		list := make([]mpc.Payload, 0, cnt)
-		for j := uint64(0); j < cnt; j++ {
-			v, rest, err := c.DecodePrefix(data)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint: decoding records: %w", err)
-			}
-			p, ok := v.(mpc.Payload)
-			if !ok {
-				return nil, fmt.Errorf("checkpoint: record payload %T does not implement mpc.Payload", v)
-			}
-			list = append(list, p)
-			data = rest
-		}
-		out[int(id)] = list
-	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("checkpoint: %d trailing bytes after record set", len(data))
-	}
-	return out, nil
-}
-
 // snapshotOf converts a decoded step back into the cluster's resume shape.
+// The record set is the codec's encoding of the map itself (machine ids
+// in sorted order, each with its payload list in delivery order). Next is
+// never nil, even for an empty set: a driver may write into the previous
+// round's outputs (largeGuess.joinInputs does).
 func snapshotOf(c *transport.Codec, ws wireStep) (*mpc.RoundSnapshot, error) {
-	records, err := decodeRecords(c, ws.Records)
-	if err != nil {
-		return nil, err
+	var records map[int][]mpc.Payload
+	if err := c.ReadValue(ws.Records, &records); err != nil {
+		return nil, fmt.Errorf("checkpoint: decoding records: %w", err)
+	}
+	if records == nil {
+		records = map[int][]mpc.Payload{}
 	}
 	return &mpc.RoundSnapshot{
 		Step:  ws.Step,

@@ -30,10 +30,9 @@ type SessionOptions struct {
 	// WorkerEnv appends extra environment variables to spawned workers
 	// (the tests use it to arm the deterministic die-at-exchange knob).
 	WorkerEnv []string
-	// Transport tunes the TCP liveness machinery (zero = defaults). The
-	// heartbeat interval and peer deadline are forwarded to spawned
-	// workers via the environment so both sides run the same liveness
-	// config; the rejoin grace reaches workers through the welcome frame.
+	// Transport tunes the TCP liveness machinery (zero = defaults). Workers
+	// adopt its heartbeat interval, peer deadline and rejoin grace from
+	// the welcome frame, so both sides run the same liveness config.
 	Transport transport.Options
 	// NetChaos, when non-nil and active, wraps every coordinator-side
 	// connection (initial and rejoin) with the deterministic link-fault
@@ -108,12 +107,6 @@ func NewSession(opts SessionOptions) (*Session, error) {
 	for i := 0; i < opts.Workers; i++ {
 		cmd := exec.Command(exe)
 		cmd.Env = append(os.Environ(), EnvWorkerAddr+"="+ln.Addr().String())
-		if opts.Transport.HeartbeatInterval > 0 {
-			cmd.Env = append(cmd.Env, EnvWorkerHeartbeat+"="+opts.Transport.HeartbeatInterval.String())
-		}
-		if opts.Transport.PeerTimeout > 0 {
-			cmd.Env = append(cmd.Env, EnvWorkerDeadline+"="+opts.Transport.PeerTimeout.String())
-		}
 		cmd.Env = append(cmd.Env, opts.WorkerEnv...)
 		cmd.Stderr = stderr
 		if err := cmd.Start(); err != nil {

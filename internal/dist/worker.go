@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"strconv"
-	"time"
 
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/core"
@@ -30,13 +29,6 @@ const (
 	// EnvWorkerDropConnParty (tests only) arms
 	// transport.Options.TestDropConnAtParty.
 	EnvWorkerDropConnParty = "MPCDIST_WORKER_DROPCONN_PARTY"
-	// EnvWorkerHeartbeat carries the session's heartbeat interval (a
-	// time.Duration string) so spawned workers ping on the same schedule
-	// the coordinator expects.
-	EnvWorkerHeartbeat = "MPCDIST_WORKER_HEARTBEAT"
-	// EnvWorkerDeadline carries the session's peer deadline (a
-	// time.Duration string).
-	EnvWorkerDeadline = "MPCDIST_WORKER_DEADLINE"
 )
 
 // MaybeWorkerMain hijacks the process if it was spawned as a session
@@ -55,9 +47,10 @@ func MaybeWorkerMain() {
 // WorkerMainOptions dials the coordinator at addr and serves jobs until
 // the session shuts down, returning a process exit code. When statusAddr
 // is non-empty the worker serves its transport.Status as JSON at
-// http://statusAddr/status for the session's lifetime. mpcworker binds its
-// -heartbeat/-peer-deadline/-netchaos-* flags into opts; the
-// MPCDIST_WORKER_* environment knobs are layered on top.
+// http://statusAddr/status for the session's lifetime. The liveness
+// settings come from the coordinator's welcome; mpcworker binds its
+// -netchaos-* flags into opts, and the MPCDIST_WORKER_* test knobs are
+// layered on top.
 func WorkerMainOptions(addr, statusAddr string, opts transport.Options) int {
 	intEnv := func(key string, dst *int) bool {
 		v := os.Getenv(key)
@@ -72,25 +65,10 @@ func WorkerMainOptions(addr, statusAddr string, opts transport.Options) int {
 		*dst = n
 		return true
 	}
-	durEnv := func(key string, dst *time.Duration) bool {
-		v := os.Getenv(key)
-		if v == "" {
-			return true
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpcdist worker: bad %s=%q\n", key, v)
-			return false
-		}
-		*dst = d
-		return true
-	}
 	ok := intEnv(EnvWorkerDieSeq, &opts.TestDieAtSeq) &&
 		intEnv(EnvWorkerDieParty, &opts.TestDieAtParty) &&
 		intEnv(EnvWorkerDropConnSeq, &opts.TestDropConnAtSeq) &&
-		intEnv(EnvWorkerDropConnParty, &opts.TestDropConnAtParty) &&
-		durEnv(EnvWorkerHeartbeat, &opts.HeartbeatInterval) &&
-		durEnv(EnvWorkerDeadline, &opts.PeerTimeout)
+		intEnv(EnvWorkerDropConnParty, &opts.TestDropConnAtParty)
 	if !ok {
 		return 1
 	}

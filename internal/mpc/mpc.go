@@ -42,9 +42,7 @@ import (
 // Payload is any unit of data shipped between machines. Words reports its
 // memory footprint in machine words; the simulator uses it to enforce the
 // per-machine cap.
-type Payload interface {
-	Words() int
-}
+type Payload = transport.Payload
 
 // Config parameterizes a Cluster.
 type Config struct {
@@ -415,7 +413,7 @@ func (x *Ctx) span(name string) trace.MachineSpan {
 func outboxWords(msgs []transport.Msg) int {
 	w := 0
 	for _, m := range msgs {
-		w += m.Data.(Payload).Words()
+		w += m.Data.Words()
 	}
 	return w
 }
@@ -692,7 +690,7 @@ func (re *roundExec) shuffle(merged []transport.Record) (map[int][]Payload, erro
 			err = &MemoryError{Round: re.name, Machine: r.Machine, Words: w, Limit: limit, Kind: "output"}
 		}
 		for _, m := range r.Msgs {
-			next[m.To] = append(next[m.To], m.Data.(Payload))
+			next[m.To] = append(next[m.To], m.Data)
 		}
 	}
 	return next, err

@@ -59,11 +59,11 @@ func (s *sinkConn) assigns(t *testing.T) [][]int {
 		if f.typ != fAssign {
 			continue
 		}
-		_, ids, err := decodeAssign(f.body)
-		if err != nil {
+		var ab assignBody
+		if err := noTable.ReadValue(f.body, &ab); err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, ids)
+		out = append(out, ab.IDs)
 	}
 	return out
 }
@@ -93,9 +93,10 @@ func post(c *Coordinator, w int, typ frameType, body []byte) {
 	c.events <- peerEvent{w: w, kind: evFrame, f: frame{typ: typ, body: body}}
 }
 
-func recordsBody(t *testing.T, c *Coordinator, seq int, meta RoundMeta, recs []Record) []byte {
+// appendRecords encodes a records body with codec c.
+func appendRecords(t *testing.T, c *Codec, seq int, meta RoundMeta, recs []Record) []byte {
 	t.Helper()
-	body, err := encodeRecords(c.codec, seq, meta, recs)
+	body, err := c.AppendValue(nil, recordsBody{Seq: seq, Meta: meta, Records: recs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +144,13 @@ func TestExchangeDeliver(t *testing.T) {
 	c, _ := offlineCoordinator(peerUp)
 	local := Record{Machine: 0, Ops: 7, Started: true}
 	x := c.openExchange(testMeta, [][]int{{0}, {1, 2}}, []Record{local}, nil)
-	if err := x.deliver(0, recordsBody(t, c, 0, testMeta, recsFor([]int{1, 2}, 0))); err != nil {
+	if err := x.deliver(0, appendRecords(t, c.codec, 0, testMeta, recsFor([]int{1, 2}, 0))); err != nil {
 		t.Fatal(err)
 	}
 	if !x.needBarrier[0] || len(x.owed[0]) != 2 || len(x.merged) != 1 {
 		t.Fatalf("a re-sent earlier round was merged: owed %v, merged %v", x.owed, x.merged)
 	}
-	if err := x.deliver(0, recordsBody(t, c, 1, testMeta, recsFor([]int{0, 1, 2}, 1))); err != nil {
+	if err := x.deliver(0, appendRecords(t, c.codec, 1, testMeta, recsFor([]int{0, 1, 2}, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if !x.done() {
@@ -158,12 +159,12 @@ func TestExchangeDeliver(t *testing.T) {
 	want := []Record{local,
 		{Machine: 1, Ops: 101, Started: true, Remote: true},
 		{Machine: 2, Ops: 102, Started: true, Remote: true}}
-	if got := normMsgs(x.mergedRound()); !reflect.DeepEqual(got, want) {
+	if got := x.mergedRound(); !reflect.DeepEqual(got, want) {
 		t.Errorf("merged round = %+v, want %+v", got, want)
 	}
 	other := RoundMeta{Round: 0, Name: "other", Phase: "candidates"}
 	var de *DivergenceError
-	if err := x.deliver(0, recordsBody(t, c, 1, other, nil)); !errors.As(err, &de) {
+	if err := x.deliver(0, appendRecords(t, c.codec, 1, other, nil)); !errors.As(err, &de) {
 		t.Errorf("records of another round: err = %v, want *DivergenceError", err)
 	}
 }
@@ -284,12 +285,12 @@ func TestExchangeAwait(t *testing.T) {
 	c, conns := offlineCoordinator(peerUp, peerUp)
 	x := c.openExchange(testMeta, [][]int{{0}, {1}, {2}}, recsFor([]int{0}, 1), noReplay(t))
 	post(c, 0, fTelemetry, []byte{0xff})
-	post(c, 0, fResult, encodeJobBody(1, []byte("earlier job")))
-	post(c, 0, fRecords, recordsBody(t, c, 1, testMeta, recsFor([]int{1}, 1)))
+	post(c, 0, fResult, appendBody(jobBody{Seq: 1, Data: []byte("earlier job")}))
+	post(c, 0, fRecords, appendRecords(t, c.codec, 1, testMeta, recsFor([]int{1}, 1)))
 	// What a failed connection does: the slot is dead, then the loop wakes.
 	c.state[1] = peerDead
 	c.events <- peerEvent{w: 1, kind: evDeath}
-	post(c, 0, fRecords, recordsBody(t, c, 1, testMeta, recsFor([]int{2}, 1)))
+	post(c, 0, fRecords, appendRecords(t, c.codec, 1, testMeta, recsFor([]int{2}, 1)))
 
 	if err := c.await(x); err != nil {
 		t.Fatal(err)
@@ -298,7 +299,7 @@ func TestExchangeAwait(t *testing.T) {
 	if err := c.broadcast(x.seq, testMeta, out); err != nil {
 		t.Fatal(err)
 	}
-	if want := wantMerged(1, func(id int) bool { return id == 0 })[:3]; !reflect.DeepEqual(normMsgs(out), want) {
+	if want := wantMerged(1, func(id int) bool { return id == 0 })[:3]; !reflect.DeepEqual(out, want) {
 		t.Errorf("merged round = %+v, want %+v", out, want)
 	}
 	if got := conns[0].assigns(t); !reflect.DeepEqual(got, [][]int{{2}}) {
@@ -328,11 +329,11 @@ func TestResultsAwait(t *testing.T) {
 	c.jobSeq, c.jobAct = 2, true
 	post(c, 0, fRecords, nil)
 	post(c, 0, fTelemetry, []byte{0xff})
-	post(c, 0, fResult, encodeJobBody(1, []byte("earlier job")))
-	post(c, 0, fResult, encodeJobBody(2, []byte("digest 1")))
-	post(c, 0, fResult, encodeJobBody(2, []byte("duplicate")))
+	post(c, 0, fResult, appendBody(jobBody{Seq: 1, Data: []byte("earlier job")}))
+	post(c, 0, fResult, appendBody(jobBody{Seq: 2, Data: []byte("digest 1")}))
+	post(c, 0, fResult, appendBody(jobBody{Seq: 2, Data: []byte("duplicate")}))
 	c.events <- peerEvent{w: 1, kind: evRejoin}
-	post(c, 1, fResult, encodeJobBody(2, []byte("digest 2")))
+	post(c, 1, fResult, appendBody(jobBody{Seq: 2, Data: []byte("digest 2")}))
 
 	out, err := c.Results()
 	if err != nil {
@@ -391,8 +392,9 @@ func TestStartJobSendAll(t *testing.T) {
 	if c.state[2] != peerDead {
 		t.Errorf("worker 2's failed write left it %v, want dead", c.state[2])
 	}
-	if jseq, job, err := decodeJobBody(c.lastJob); err != nil || jseq != 1 || string(job) != "job" {
-		t.Errorf("stored job = (%d, %q, %v), want (1, \"job\", nil)", jseq, job, err)
+	var jb jobBody
+	if err := noTable.ReadValue(c.lastJob, &jb); err != nil || jb.Seq != 1 || string(jb.Data) != "job" {
+		t.Errorf("stored job = (%d, %q, %v), want (1, \"job\", nil)", jb.Seq, jb.Data, err)
 	}
 }
 
@@ -415,11 +417,7 @@ func feed(w *Worker, fs ...frame) {
 
 func mergedFrame(t *testing.T, w *Worker, seq int, meta RoundMeta, recs []Record) frame {
 	t.Helper()
-	body, err := encodeRecords(w.codec, seq, meta, recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame{typ: fMerged, body: body}
+	return frame{typ: fMerged, body: appendRecords(t, w.codec, seq, meta, recs)}
 }
 
 // TestWorkerNextJob checks the wait between jobs: a merged round and an
@@ -429,9 +427,9 @@ func TestWorkerNextJob(t *testing.T) {
 	w, _ := offlineWorker()
 	w.lastJobSeq = 1
 	feed(w, mergedFrame(t, w, 3, testMeta, recsFor([]int{0}, 3)),
-		frame{typ: fAssign, body: encodeAssign(3, []int{1})},
-		frame{typ: fJobStart, body: encodeJobBody(1, []byte("job 1"))},
-		frame{typ: fJobStart, body: encodeJobBody(2, []byte("job 2"))})
+		frame{typ: fAssign, body: appendBody(assignBody{Seq: 3, IDs: []int{1}})},
+		frame{typ: fJobStart, body: appendBody(jobBody{Seq: 1, Data: []byte("job 1")})},
+		frame{typ: fJobStart, body: appendBody(jobBody{Seq: 2, Data: []byte("job 2")})})
 	job, err := w.NextJob()
 	if err != nil || string(job) != "job 2" {
 		t.Fatalf("NextJob() = %q, %v; want \"job 2\"", job, err)
@@ -447,14 +445,14 @@ func TestWorkerNextJob(t *testing.T) {
 func TestWorkerExchange(t *testing.T) {
 	w, conn := offlineWorker()
 	w.seq = 1
-	feed(w, frame{typ: fJobStart, body: encodeJobBody(1, []byte("job"))},
+	feed(w, frame{typ: fJobStart, body: appendBody(jobBody{Seq: 1, Data: []byte("job")})},
 		mergedFrame(t, w, 1, testMeta, recsFor([]int{0, 1, 2, 3}, 1)),
 		mergedFrame(t, w, 2, testMeta, recsFor([]int{0, 1, 2, 3}, 2)))
 	out, err := w.Exchange(testMeta, nil, recsFor([]int{2, 3}, 2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := wantMerged(2, func(id int) bool { return id >= 2 }); !reflect.DeepEqual(normMsgs(out), want) {
+	if want := wantMerged(2, func(id int) bool { return id >= 2 }); !reflect.DeepEqual(out, want) {
 		t.Errorf("merged round = %+v, want %+v", out, want)
 	}
 	fs := conn.frames(t)
@@ -477,8 +475,8 @@ func TestWorkerExchangeAssign(t *testing.T) {
 		ran = append(ran, ids)
 		return recsFor(ids, 2), nil
 	}
-	feed(w, frame{typ: fAssign, body: encodeAssign(1, []int{0})},
-		frame{typ: fAssign, body: encodeAssign(2, []int{1})},
+	feed(w, frame{typ: fAssign, body: appendBody(assignBody{Seq: 1, IDs: []int{0}})},
+		frame{typ: fAssign, body: appendBody(assignBody{Seq: 2, IDs: []int{1}})},
 		mergedFrame(t, w, 2, testMeta, recsFor([]int{0, 1, 2, 3}, 2)))
 	out, err := w.Exchange(testMeta, nil, recsFor([]int{2, 3}, 2), exec)
 	if err != nil {
@@ -487,17 +485,17 @@ func TestWorkerExchangeAssign(t *testing.T) {
 	if !reflect.DeepEqual(ran, [][]int{{1}}) {
 		t.Errorf("executed %v, want [[1]]", ran)
 	}
-	if want := wantMerged(2, func(id int) bool { return id >= 1 }); !reflect.DeepEqual(normMsgs(out), want) {
+	if want := wantMerged(2, func(id int) bool { return id >= 1 }); !reflect.DeepEqual(out, want) {
 		t.Errorf("merged round = %+v, want %+v", out, want)
 	}
 	var shipped [][]int
 	for _, f := range conn.frames(t) {
-		_, _, recs, err := decodeRecords(w.codec, f.body)
+		rb, err := decodeRecords(w.codec, f.body)
 		if f.typ != fRecords || err != nil {
 			t.Fatalf("worker wrote a %s frame (%v), want records", f.typ, err)
 		}
 		var ids []int
-		for _, r := range recs {
+		for _, r := range rb.Records {
 			ids = append(ids, r.Machine)
 		}
 		shipped = append(shipped, ids)

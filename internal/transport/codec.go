@@ -12,10 +12,10 @@
 // peer-failure detection and deterministic mid-round reassignment.
 //
 // The package deliberately knows nothing about internal/mpc: machine
-// outputs are carried as opaque `any` values encoded by the self-
-// describing codec below, and internal/mpc asserts them back to
-// mpc.Payload. This keeps the dependency arrow pointing one way
-// (mpc -> transport) so the simulator can treat the shuffle as a plug.
+// outputs are carried as Payload values (anything that reports its size
+// in words; mpc.Payload is an alias) encoded by the self-describing codec
+// below. This keeps the dependency arrow pointing one way (mpc ->
+// transport) so the simulator can treat the shuffle as a plug.
 package transport
 
 import (
@@ -87,7 +87,8 @@ func RegisteredNames() []string {
 }
 
 // Codec encodes and decodes payload values against a fixed (id -> name)
-// table. Instances are safe for concurrent use once constructed.
+// table. Instances are safe for concurrent use once constructed. The nil
+// *Codec has an empty table.
 type Codec struct {
 	names []string
 	types []reflect.Type
@@ -131,60 +132,56 @@ func NewCodecFor(names []string) (*Codec, error) {
 func (c *Codec) Table() []string { return append([]string(nil), c.names...) }
 
 // Encode appends the self-describing encoding of v to buf: a uvarint type
-// id followed by the structural body.
+// id followed by the structural body — the encoding of an interface value.
 func (c *Codec) Encode(buf []byte, v any) ([]byte, error) {
-	t := reflect.TypeOf(v)
-	id, ok := c.idOf[t]
-	if !ok {
-		return nil, fmt.Errorf("transport: payload type %v not registered (missing transport.Register?)", t)
-	}
-	buf = binary.AppendUvarint(buf, uint64(id))
-	return encodeValue(buf, reflect.ValueOf(v))
+	return c.encodeValue(buf, reflect.ValueOf(&v).Elem())
 }
 
-// Decode decodes one payload value from data, rejecting trailing bytes —
-// a frame must contain exactly one value.
+// Decode decodes one self-describing value from data, rejecting trailing
+// bytes — a frame must contain exactly one value.
 func (c *Codec) Decode(data []byte) (any, error) {
-	v, rest, err := c.DecodePrefix(data)
+	var v any
+	err := c.ReadValue(data, &v)
+	return v, err
+}
+
+// AppendValue appends the structural encoding of v to buf with no type id:
+// the form of a value whose type both ends know, such as a frame body.
+// Interface values inside v carry their type id, so the nil codec, which
+// has no table, serves only values without any (the handshake bodies).
+func (c *Codec) AppendValue(buf []byte, v any) ([]byte, error) {
+	return c.encodeValue(buf, reflect.ValueOf(v))
+}
+
+// ReadValue decodes data into *ptr, the inverse of AppendValue, rejecting
+// trailing bytes. Struct fields are decoded in place and in order, so on
+// error *ptr still holds every field decoded before the failure.
+func (c *Codec) ReadValue(data []byte, ptr any) error {
+	pv := reflect.ValueOf(ptr)
+	if pv.Kind() != reflect.Pointer || pv.IsNil() {
+		return fmt.Errorf("transport: ReadValue into %T, want a non-nil pointer", ptr)
+	}
+	rest, err := c.decodeValue(data, pv.Elem())
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("transport: %w", err)
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("transport: %d trailing bytes after payload", len(rest))
+		return fmt.Errorf("transport: %d trailing bytes after value", len(rest))
 	}
-	return v, nil
-}
-
-// DecodePrefix decodes one payload value from the front of data and
-// returns the remainder (the record envelope packs several payloads into
-// one frame).
-func (c *Codec) DecodePrefix(data []byte) (any, []byte, error) {
-	id, n := binary.Uvarint(data)
-	if n <= 0 {
-		return nil, nil, fmt.Errorf("transport: bad payload type id")
-	}
-	if id >= uint64(len(c.types)) {
-		return nil, nil, fmt.Errorf("transport: payload type id %d outside table (%d types)", id, len(c.types))
-	}
-	data = data[n:]
-	t := c.types[id]
-	pv := reflect.New(t)
-	rest, err := decodeValue(data, pv.Elem())
-	if err != nil {
-		return nil, nil, fmt.Errorf("transport: decoding %s: %w", c.names[id], err)
-	}
-	return pv.Elem().Interface(), rest, nil
+	return nil
 }
 
 // ---- structural encoding ----
 //
 // Kinds covered: bool, all int/uint widths, float64, string, []byte (fast
 // path), slices, fixed arrays, maps with int-like or string keys (sorted),
-// pointers (nil flag + pointee), and structs (exported fields in
-// declaration order; unexported fields are rejected at encode time so a
-// type that would silently lose state cannot be shipped).
+// pointers (nil flag + pointee), structs (exported fields in declaration
+// order; unexported fields are rejected so a type that would silently lose
+// state cannot be shipped), and interfaces (the dynamic value's uvarint
+// type id in the codec's table, then the value; decoded only if the
+// registered type implements the interface).
 
-func encodeValue(buf []byte, v reflect.Value) ([]byte, error) {
+func (c *Codec) encodeValue(buf []byte, v reflect.Value) ([]byte, error) {
 	switch v.Kind() {
 	case reflect.Bool:
 		if v.Bool() {
@@ -210,7 +207,7 @@ func encodeValue(buf []byte, v reflect.Value) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(v.Len()))
 		for i := 0; i < v.Len(); i++ {
 			var err error
-			if buf, err = encodeValue(buf, v.Index(i)); err != nil {
+			if buf, err = c.encodeValue(buf, v.Index(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -218,7 +215,7 @@ func encodeValue(buf []byte, v reflect.Value) ([]byte, error) {
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
 			var err error
-			if buf, err = encodeValue(buf, v.Index(i)); err != nil {
+			if buf, err = c.encodeValue(buf, v.Index(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -238,10 +235,10 @@ func encodeValue(buf []byte, v reflect.Value) ([]byte, error) {
 		buf = binary.AppendUvarint(buf, uint64(len(keys)))
 		for _, k := range keys {
 			var err error
-			if buf, err = encodeValue(buf, k); err != nil {
+			if buf, err = c.encodeValue(buf, k); err != nil {
 				return nil, err
 			}
-			if buf, err = encodeValue(buf, v.MapIndex(k)); err != nil {
+			if buf, err = c.encodeValue(buf, v.MapIndex(k)); err != nil {
 				return nil, err
 			}
 		}
@@ -250,25 +247,39 @@ func encodeValue(buf []byte, v reflect.Value) ([]byte, error) {
 		if v.IsNil() {
 			return append(buf, 0), nil
 		}
-		return encodeValue(append(buf, 1), v.Elem())
+		return c.encodeValue(append(buf, 1), v.Elem())
 	case reflect.Struct:
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				return nil, fmt.Errorf("transport: %v has unexported field %s; payload types must be fully exported", t, t.Field(i).Name)
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if !f.CanInterface() {
+				return nil, fmt.Errorf("transport: %v has unexported field %s; payload types must be fully exported", v.Type(), v.Type().Field(i).Name)
 			}
 			var err error
-			if buf, err = encodeValue(buf, v.Field(i)); err != nil {
+			if buf, err = c.encodeValue(buf, f); err != nil {
 				return nil, err
 			}
 		}
 		return buf, nil
+	case reflect.Interface:
+		var t reflect.Type
+		if !v.IsNil() {
+			t = v.Elem().Type()
+		}
+		var id int
+		ok := c != nil
+		if ok {
+			id, ok = c.idOf[t]
+		}
+		if !ok {
+			return nil, fmt.Errorf("transport: payload type %v not registered (missing transport.Register?)", t)
+		}
+		return c.encodeValue(binary.AppendUvarint(buf, uint64(id)), v.Elem())
 	default:
 		return nil, fmt.Errorf("transport: unsupported kind %v", v.Kind())
 	}
 }
 
-func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
+func (c *Codec) decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 	switch v.Kind() {
 	case reflect.Bool:
 		if len(data) < 1 {
@@ -284,25 +295,25 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 		}
 		return data[1:], nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		x, n := binary.Varint(data)
-		if n <= 0 {
-			return nil, errTruncated
+		x, rest, err := varint(data)
+		if err != nil {
+			return nil, err
 		}
 		if v.OverflowInt(x) {
 			return nil, fmt.Errorf("int overflow for %v: %d", v.Type(), x)
 		}
 		v.SetInt(x)
-		return data[n:], nil
+		return rest, nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		x, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errTruncated
+		x, rest, err := uvarint(data)
+		if err != nil {
+			return nil, err
 		}
 		if v.OverflowUint(x) {
 			return nil, fmt.Errorf("uint overflow for %v: %d", v.Type(), x)
 		}
 		v.SetUint(x)
-		return data[n:], nil
+		return rest, nil
 	case reflect.Float64, reflect.Float32:
 		if len(data) < 8 {
 			return nil, errTruncated
@@ -310,18 +321,20 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 		v.SetFloat(math.Float64frombits(binary.LittleEndian.Uint64(data)))
 		return data[8:], nil
 	case reflect.String:
-		l, n := binary.Uvarint(data)
-		if n <= 0 || uint64(len(data)-n) < l {
+		l, data, err := uvarint(data)
+		if err != nil {
+			return nil, err
+		}
+		if uint64(len(data)) < l {
 			return nil, errTruncated
 		}
-		v.SetString(string(data[n : n+int(l)]))
-		return data[n+int(l):], nil
+		v.SetString(string(data[:l]))
+		return data[l:], nil
 	case reflect.Slice:
-		l, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errTruncated
+		l, data, err := uvarint(data)
+		if err != nil {
+			return nil, err
 		}
-		data = data[n:]
 		if v.Type().Elem().Kind() == reflect.Uint8 {
 			if uint64(len(data)) < l {
 				return nil, errTruncated
@@ -344,8 +357,7 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 		}
 		s := reflect.MakeSlice(v.Type(), int(l), int(l))
 		for i := 0; i < int(l); i++ {
-			var err error
-			if data, err = decodeValue(data, s.Index(i)); err != nil {
+			if data, err = c.decodeValue(data, s.Index(i)); err != nil {
 				return nil, err
 			}
 		}
@@ -354,17 +366,16 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 	case reflect.Array:
 		for i := 0; i < v.Len(); i++ {
 			var err error
-			if data, err = decodeValue(data, v.Index(i)); err != nil {
+			if data, err = c.decodeValue(data, v.Index(i)); err != nil {
 				return nil, err
 			}
 		}
 		return data, nil
 	case reflect.Map:
-		l, n := binary.Uvarint(data)
-		if n <= 0 {
-			return nil, errTruncated
+		l, data, err := uvarint(data)
+		if err != nil {
+			return nil, err
 		}
-		data = data[n:]
 		if l > uint64(len(data)) {
 			return nil, fmt.Errorf("map length %d exceeds remaining %d bytes", l, len(data))
 		}
@@ -376,11 +387,10 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 		for i := 0; i < int(l); i++ {
 			k := reflect.New(v.Type().Key()).Elem()
 			e := reflect.New(v.Type().Elem()).Elem()
-			var err error
-			if data, err = decodeValue(data, k); err != nil {
+			if data, err = c.decodeValue(data, k); err != nil {
 				return nil, err
 			}
-			if data, err = decodeValue(data, e); err != nil {
+			if data, err = c.decodeValue(data, e); err != nil {
 				return nil, err
 			}
 			m.SetMapIndex(k, e)
@@ -399,7 +409,7 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 			return data, nil
 		case 1:
 			p := reflect.New(v.Type().Elem())
-			rest, err := decodeValue(data, p.Elem())
+			rest, err := c.decodeValue(data, p.Elem())
 			if err != nil {
 				return nil, err
 			}
@@ -409,16 +419,38 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 			return nil, fmt.Errorf("bad pointer flag %d", flag)
 		}
 	case reflect.Struct:
-		t := v.Type()
-		for i := 0; i < t.NumField(); i++ {
-			if !t.Field(i).IsExported() {
-				return nil, fmt.Errorf("%v has unexported field %s", t, t.Field(i).Name)
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			if !f.CanSet() {
+				return nil, fmt.Errorf("%v has unexported field %s", v.Type(), v.Type().Field(i).Name)
 			}
 			var err error
-			if data, err = decodeValue(data, v.Field(i)); err != nil {
+			if data, err = c.decodeValue(data, f); err != nil {
 				return nil, err
 			}
 		}
+		return data, nil
+	case reflect.Interface:
+		id, data, err := uvarint(data)
+		if err != nil {
+			return nil, fmt.Errorf("bad payload type id: %w", err)
+		}
+		var types []reflect.Type
+		if c != nil {
+			types = c.types
+		}
+		if id >= uint64(len(types)) {
+			return nil, fmt.Errorf("payload type id %d outside table (%d types)", id, len(types))
+		}
+		t, name := types[id], c.names[id]
+		if !t.Implements(v.Type()) {
+			return nil, fmt.Errorf("%s does not implement %v", name, v.Type())
+		}
+		e := reflect.New(t).Elem()
+		if data, err = c.decodeValue(data, e); err != nil {
+			return nil, fmt.Errorf("decoding %s: %w", name, err)
+		}
+		v.Set(e)
 		return data, nil
 	default:
 		return nil, fmt.Errorf("unsupported kind %v", v.Kind())
@@ -426,3 +458,30 @@ func decodeValue(data []byte, v reflect.Value) ([]byte, error) {
 }
 
 var errTruncated = fmt.Errorf("truncated value")
+
+// uvarint reads one uvarint from the front of data. The encoder writes
+// the shortest form, so a longer one (a redundant trailing zero group) is
+// refused: every value has exactly one encoding, and a decoded value
+// re-encodes to the bytes it came from.
+func uvarint(data []byte) (uint64, []byte, error) {
+	x, n := binary.Uvarint(data)
+	if n <= 0 {
+		return 0, nil, errTruncated
+	}
+	if n > 1 && data[n-1] == 0 {
+		return 0, nil, errNonCanonical
+	}
+	return x, data[n:], nil
+}
+
+// varint reads one zig-zag signed varint, shortest form only like uvarint.
+func varint(data []byte) (int64, []byte, error) {
+	ux, rest, err := uvarint(data)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, rest, err
+}
+
+var errNonCanonical = fmt.Errorf("varint not in shortest form")

@@ -20,27 +20,28 @@ import (
 //
 // The trailing checksum covers the header and body, so a flipped bit
 // anywhere in the frame — type, length, or payload — surfaces as a typed
-// CorruptFrameError instead of reaching the codec. Bodies are built from
-// the same primitives as the payload codec (varints, length-prefixed
-// strings); records embed codec-encoded payload values.
+// CorruptFrameError instead of reaching the codec. Bodies are structs in
+// the payload codec's structural encoding (the body types below).
 
 // ProtocolVersion is bumped on any incompatible change to the framing or
 // the handshake. The coordinator rejects workers announcing a different
 // version. Version 2 added the welcome's clock-sync timestamp and
 // telemetry flag, plus the fTelemetry and fPong frames. Version 3 added
 // the CRC32-C frame trailer and the session-resume handshake (structured
-// hello, welcome session token + rejoin grace).
-const ProtocolVersion = 3
+// hello, welcome session token + rejoin grace). Version 4 made every body
+// a struct in the codec's structural encoding and added the heartbeat
+// interval and peer deadline to the welcome.
+const ProtocolVersion = 4
 
-// helloMagic opens the fHello body so a coordinator can immediately reject
-// a stray connection that is not an mpcdist worker.
+// helloMagic opens the fHello and fWelcome bodies so either side can
+// immediately reject a stray connection that is not an mpcdist peer.
 const helloMagic = 0x4d504358 // "MPCX"
 
 type frameType byte
 
 const (
 	fHello     frameType = 1  // worker -> coordinator: magic, protocol version
-	fWelcome   frameType = 2  // coordinator -> worker: version, parties, party id, codec table
+	fWelcome   frameType = 2  // coordinator -> worker: version, parties, party id, liveness settings, codec table
 	fJobStart  frameType = 3  // coordinator -> worker: opaque job spec
 	fResult    frameType = 4  // worker -> coordinator: opaque result digest
 	fShutdown  frameType = 5  // coordinator -> worker: session over
@@ -359,390 +360,111 @@ func (p *peer) close() {
 	p.pingDone.Wait()
 }
 
-// ---- body builders/parsers ----
+// ---- frame bodies ----
+//
+// Every body is a struct in the codec's structural encoding. The records
+// bodies hold payloads and go through the session codec; the others hold
+// no interface, so the nil codec (no type table) encodes them, including
+// the handshake, which runs before the table is known.
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func readString(data []byte) (string, []byte, error) {
-	l, n := binary.Uvarint(data)
-	if n <= 0 || uint64(len(data)-n) < l {
-		return "", nil, errTruncated
-	}
-	return string(data[n : n+int(l)]), data[n+int(l):], nil
-}
-
-func readUvarint(data []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(data)
-	if n <= 0 {
-		return 0, nil, errTruncated
-	}
-	return v, data[n:], nil
-}
-
-func readVarint(data []byte) (int64, []byte, error) {
-	v, n := binary.Varint(data)
-	if n <= 0 {
-		return 0, nil, errTruncated
-	}
-	return v, data[n:], nil
-}
-
-func appendMeta(buf []byte, seq int, meta RoundMeta) []byte {
-	buf = binary.AppendUvarint(buf, uint64(seq))
-	buf = binary.AppendVarint(buf, int64(meta.Round))
-	buf = appendString(buf, meta.Name)
-	return appendString(buf, meta.Phase)
-}
-
-func readMeta(data []byte) (int, RoundMeta, []byte, error) {
-	seq, data, err := readUvarint(data)
-	if err != nil {
-		return 0, RoundMeta{}, nil, err
-	}
-	round, data, err := readVarint(data)
-	if err != nil {
-		return 0, RoundMeta{}, nil, err
-	}
-	name, data, err := readString(data)
-	if err != nil {
-		return 0, RoundMeta{}, nil, err
-	}
-	phase, data, err := readString(data)
-	if err != nil {
-		return 0, RoundMeta{}, nil, err
-	}
-	return int(seq), RoundMeta{Round: int(round), Name: name, Phase: phase}, data, nil
-}
-
-// encodeRecords builds an fRecords/fMerged body: seq, meta, then the
-// records with codec-encoded outbox payloads.
-func encodeRecords(c *Codec, seq int, meta RoundMeta, recs []Record) ([]byte, error) {
-	buf := appendMeta(nil, seq, meta)
-	buf = binary.AppendUvarint(buf, uint64(len(recs)))
-	for _, r := range recs {
-		buf = binary.AppendVarint(buf, int64(r.Machine))
-		buf = binary.AppendVarint(buf, r.Ops)
-		if r.Started {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.AppendVarint(buf, r.StartNs)
-		buf = binary.AppendVarint(buf, r.EndNs)
-		buf = binary.AppendVarint(buf, r.QueueNs)
-		buf = binary.AppendVarint(buf, int64(r.Failures))
-		buf = binary.AppendVarint(buf, int64(r.Retries))
-		if r.Crashed {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		buf = binary.AppendVarint(buf, int64(r.CrashAttempts))
-		buf = binary.AppendUvarint(buf, uint64(len(r.Msgs)))
-		for _, m := range r.Msgs {
-			buf = binary.AppendVarint(buf, int64(m.To))
-			var err error
-			if buf, err = c.Encode(buf, m.Data); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return buf, nil
+// recordsBody is an fRecords or fMerged body: one exchange's records.
+type recordsBody struct {
+	Seq     int
+	Meta    RoundMeta
+	Records []Record
 }
 
 // decodeRecords parses an fRecords/fMerged body. Decoded records are
 // flagged Remote; the caller clears the flag on machines it executed
 // itself.
-func decodeRecords(c *Codec, body []byte) (int, RoundMeta, []Record, error) {
-	seq, meta, data, err := readMeta(body)
-	if err != nil {
-		return 0, RoundMeta{}, nil, err
+func decodeRecords(c *Codec, body []byte) (recordsBody, error) {
+	var rb recordsBody
+	if err := c.ReadValue(body, &rb); err != nil {
+		return rb, err
 	}
-	count, data, err := readUvarint(data)
-	if err != nil {
-		return 0, RoundMeta{}, nil, err
+	for i := range rb.Records {
+		rb.Records[i].Remote = true
 	}
-	if count > uint64(len(data))+1 {
-		return 0, RoundMeta{}, nil, fmt.Errorf("transport: record count %d exceeds body", count)
-	}
-	recs := make([]Record, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var r Record
-		var v int64
-		if v, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		r.Machine = int(v)
-		if r.Ops, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		if len(data) < 1 {
-			return 0, RoundMeta{}, nil, errTruncated
-		}
-		r.Started = data[0] == 1
-		data = data[1:]
-		if r.StartNs, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		if r.EndNs, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		if r.QueueNs, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		if v, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		r.Failures = int(v)
-		if v, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		r.Retries = int(v)
-		if len(data) < 1 {
-			return 0, RoundMeta{}, nil, errTruncated
-		}
-		r.Crashed = data[0] == 1
-		data = data[1:]
-		if v, data, err = readVarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		r.CrashAttempts = int(v)
-		var nm uint64
-		if nm, data, err = readUvarint(data); err != nil {
-			return 0, RoundMeta{}, nil, err
-		}
-		if nm > uint64(len(data))+1 {
-			return 0, RoundMeta{}, nil, fmt.Errorf("transport: outbox count %d exceeds body", nm)
-		}
-		r.Msgs = make([]Msg, 0, nm)
-		for j := uint64(0); j < nm; j++ {
-			if v, data, err = readVarint(data); err != nil {
-				return 0, RoundMeta{}, nil, err
-			}
-			var payload any
-			if payload, data, err = c.DecodePrefix(data); err != nil {
-				return 0, RoundMeta{}, nil, err
-			}
-			r.Msgs = append(r.Msgs, Msg{To: int(v), Data: payload})
-		}
-		r.Remote = true
-		recs = append(recs, r)
-	}
-	if len(data) != 0 {
-		return 0, RoundMeta{}, nil, fmt.Errorf("transport: %d trailing bytes after records", len(data))
-	}
-	return seq, meta, recs, nil
+	return rb, nil
 }
 
-// encodeJobBody prefixes an fJobStart spec or an fResult digest with the
-// job sequence number it belongs to, so a re-sent frame from a recovered
-// connection is detectable: a worker never runs a job twice, and the
-// coordinator never takes an earlier job's result for the current one.
-func encodeJobBody(jobSeq uint64, data []byte) []byte {
-	return append(binary.AppendUvarint(nil, jobSeq), data...)
+// assignBody is an fAssign body: machine ids to re-execute in exchange
+// Seq.
+type assignBody struct {
+	Seq int
+	IDs []int
 }
 
-func decodeJobBody(body []byte) (uint64, []byte, error) { return readUvarint(body) }
+// jobBody is an fJobStart spec or an fResult digest with the job sequence
+// number it belongs to, so a re-sent frame from a recovered connection is
+// detectable: a worker never runs a job twice, and the coordinator never
+// takes an earlier job's result for the current one.
+type jobBody struct {
+	Seq  uint64
+	Data []byte
+}
 
-func encodeAssign(seq int, ids []int) []byte {
-	buf := binary.AppendUvarint(nil, uint64(seq))
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
-	for _, id := range ids {
-		buf = binary.AppendVarint(buf, int64(id))
+// noTable is the nil codec: with no type table it serves the bodies that
+// hold no interface value.
+var noTable *Codec
+
+// appendBody encodes a body that holds no interface value, which only a
+// bug in the body's type can make fail.
+func appendBody(v any) []byte {
+	buf, err := noTable.AppendValue(nil, v)
+	if err != nil {
+		panic(err)
 	}
 	return buf
 }
 
-func decodeAssign(body []byte) (int, []int, error) {
-	seq, data, err := readUvarint(body)
-	if err != nil {
-		return 0, nil, err
-	}
-	count, data, err := readUvarint(data)
-	if err != nil {
-		return 0, nil, err
-	}
-	if count > uint64(len(data))+1 {
-		return 0, nil, fmt.Errorf("transport: assign count %d exceeds body", count)
-	}
-	ids := make([]int, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var v int64
-		if v, data, err = readVarint(data); err != nil {
-			return 0, nil, err
-		}
-		ids = append(ids, int(v))
-	}
-	if len(data) != 0 {
-		return 0, nil, fmt.Errorf("transport: %d trailing bytes after assign", len(data))
-	}
-	return int(seq), ids, nil
-}
-
-// welcome is the decoded fWelcome body. ClockNs is the coordinator's
-// wall clock when it built the frame — the worker combines it with its
-// own hello-send and welcome-receive times into an NTP-style midpoint
-// offset estimate. Telemetry tells the worker whether to buffer and ship
-// trace telemetry back at round barriers. Token is the session-resume
-// credential a dropped worker presents when redialing; GraceNs is how
-// long the coordinator will hold the worker's slot for that rejoin
-// (0 = the coordinator evicts immediately, so don't bother).
+// welcome is the fWelcome body. ClockNs is the coordinator's wall clock
+// when it built the frame — the worker combines it with its own hello-send
+// and welcome-receive times into an NTP-style midpoint offset estimate.
+// Telemetry tells the worker whether to buffer and ship trace telemetry
+// back at round barriers. Token is the session-resume credential a
+// dropped worker presents when redialing. HeartbeatNs, PeerTimeoutNs and
+// GraceNs are the session's liveness settings, which the worker adopts:
+// GraceNs is how long the coordinator will hold the worker's slot for a
+// rejoin (0 = the coordinator evicts immediately, so don't bother).
 type welcome struct {
-	Version   int
-	Parties   int
-	Self      int
-	ClockNs   int64
-	Telemetry bool
-	Token     string
-	GraceNs   int64
-	Table     []string
+	Magic         uint32
+	Version       uint32
+	Parties       int
+	Self          int
+	ClockNs       int64
+	Telemetry     bool
+	Token         string
+	HeartbeatNs   int64
+	PeerTimeoutNs int64
+	GraceNs       int64
+	Table         []string
 }
 
-func encodeWelcome(w welcome) []byte {
-	buf := binary.AppendUvarint(nil, uint64(w.Version))
-	buf = binary.AppendUvarint(buf, uint64(w.Parties))
-	buf = binary.AppendUvarint(buf, uint64(w.Self))
-	buf = binary.AppendVarint(buf, w.ClockNs)
-	if w.Telemetry {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendString(buf, w.Token)
-	buf = binary.AppendVarint(buf, w.GraceNs)
-	buf = binary.AppendUvarint(buf, uint64(len(w.Table)))
-	for _, name := range w.Table {
-		buf = appendString(buf, name)
-	}
-	return buf
+// liveness returns o with the welcome's liveness settings in place of its
+// own; a heartbeat or peer deadline that is not positive takes the
+// default.
+func (w welcome) liveness(o Options) Options {
+	o.HeartbeatInterval = time.Duration(w.HeartbeatNs)
+	o.PeerTimeout = time.Duration(w.PeerTimeoutNs)
+	o.RejoinGrace = time.Duration(w.GraceNs)
+	return o.withDefaults()
 }
 
-func decodeWelcome(body []byte) (welcome, error) {
-	var w welcome
-	v, data, err := readUvarint(body)
-	if err != nil {
-		return w, err
-	}
-	w.Version = int(v)
-	p, data, err := readUvarint(data)
-	if err != nil {
-		return w, err
-	}
-	w.Parties = int(p)
-	s, data, err := readUvarint(data)
-	if err != nil {
-		return w, err
-	}
-	w.Self = int(s)
-	if w.ClockNs, data, err = readVarint(data); err != nil {
-		return w, err
-	}
-	if len(data) < 1 {
-		return w, errTruncated
-	}
-	w.Telemetry = data[0] == 1
-	data = data[1:]
-	if w.Token, data, err = readString(data); err != nil {
-		return w, err
-	}
-	if w.GraceNs, data, err = readVarint(data); err != nil {
-		return w, err
-	}
-	count, data, err := readUvarint(data)
-	if err != nil {
-		return w, err
-	}
-	if count > uint64(len(data))+1 {
-		return w, fmt.Errorf("transport: table count %d exceeds body", count)
-	}
-	w.Table = make([]string, 0, count)
-	for i := uint64(0); i < count; i++ {
-		var name string
-		if name, data, err = readString(data); err != nil {
-			return w, err
-		}
-		w.Table = append(w.Table, name)
-	}
-	if len(data) != 0 {
-		return w, fmt.Errorf("transport: %d trailing bytes after welcome", len(data))
-	}
-	return w, nil
-}
-
-// hello is the decoded fHello body. A fresh worker sends only the magic
-// and version; a worker resuming a dropped session additionally presents
-// the session token, its party id, the last merged exchange seq it fully
-// processed (so the coordinator can resend a merged frame lost in
-// flight), and whether it still needs the current job spec (it was
-// between jobs when the connection died).
+// hello is the fHello body. A fresh worker leaves the resume fields zero;
+// a worker resuming a dropped session presents the session token, its
+// party id, the last merged exchange seq it fully processed (so the
+// coordinator can resend a merged frame lost in flight), and whether it
+// still needs the current job spec (it was between jobs when the
+// connection died). Magic and Version come first in both handshake
+// bodies, so a peer of another protocol version is told so even when the
+// rest of its body does not decode.
 type hello struct {
-	Version   int
+	Magic     uint32
+	Version   uint32
 	Resume    bool
+	NeedJob   bool
 	Token     string
 	Party     int
 	LastAcked int
-	NeedJob   bool
-}
-
-func encodeHello(h hello) []byte {
-	buf := binary.AppendUvarint(nil, helloMagic)
-	buf = binary.AppendUvarint(buf, uint64(h.Version))
-	var flags byte
-	if h.Resume {
-		flags |= 1
-	}
-	if h.NeedJob {
-		flags |= 2
-	}
-	buf = append(buf, flags)
-	if !h.Resume {
-		return buf
-	}
-	buf = appendString(buf, h.Token)
-	buf = binary.AppendUvarint(buf, uint64(h.Party))
-	return binary.AppendUvarint(buf, uint64(h.LastAcked))
-}
-
-func decodeHello(body []byte) (hello, error) {
-	var h hello
-	magic, data, err := readUvarint(body)
-	if err != nil {
-		return h, err
-	}
-	if magic != helloMagic {
-		return h, fmt.Errorf("transport: bad hello magic %#x", magic)
-	}
-	v, data, err := readUvarint(data)
-	if err != nil {
-		return h, err
-	}
-	h.Version = int(v)
-	if len(data) < 1 {
-		return h, errTruncated
-	}
-	flags := data[0]
-	data = data[1:]
-	h.Resume = flags&1 != 0
-	h.NeedJob = flags&2 != 0
-	if h.Resume {
-		if h.Token, data, err = readString(data); err != nil {
-			return h, err
-		}
-		var p, acked uint64
-		if p, data, err = readUvarint(data); err != nil {
-			return h, err
-		}
-		h.Party = int(p)
-		if acked, data, err = readUvarint(data); err != nil {
-			return h, err
-		}
-		h.LastAcked = int(acked)
-	}
-	if len(data) != 0 {
-		return h, fmt.Errorf("transport: %d trailing bytes after hello", len(data))
-	}
-	return h, nil
 }

@@ -7,9 +7,13 @@ import (
 	"flag"
 	"io"
 	"net"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"mpcdist/internal/trace"
 )
 
 // TestFrameRoundTrip drives appendFrame through readFrame for every frame
@@ -95,28 +99,190 @@ func FuzzFrameCorruption(f *testing.F) {
 	})
 }
 
-// TestHelloRoundTrip covers both handshake shapes: the two-field fresh
-// hello and the full v3 resume hello with token, party, and ack state.
-func TestHelloRoundTrip(t *testing.T) {
-	for _, h := range []hello{
-		{Version: ProtocolVersion},
-		{Version: ProtocolVersion, NeedJob: true},
-		{Version: ProtocolVersion, Resume: true, Token: "00ff00ff00ff00ff", Party: 2, LastAcked: 17},
-		{Version: ProtocolVersion, Resume: true, Token: "", Party: 1, LastAcked: 0, NeedJob: true},
-	} {
-		got, err := decodeHello(encodeHello(h))
+// testWords is the payload type of the transport's own tests.
+type testWords []int
+
+func (p testWords) Words() int { return len(p) + 1 }
+
+func init() { Register("transporttest.words", testWords(nil)) }
+
+// bodyCase is one frame body, as its sender builds it.
+type bodyCase struct {
+	name string
+	body any
+}
+
+// helloCases are the fHello bodies: a fresh worker's, with and without
+// the job request, and a rejoining worker's, with and without a token.
+func helloCases() []bodyCase {
+	return []bodyCase{
+		{"fresh hello", hello{Magic: helloMagic, Version: ProtocolVersion}},
+		{"fresh hello needing the job", hello{Magic: helloMagic, Version: ProtocolVersion, NeedJob: true}},
+		{"resume hello", hello{Magic: helloMagic, Version: ProtocolVersion, Resume: true,
+			Token: "00ff00ff00ff00ff", Party: 2, LastAcked: 17}},
+		{"resume hello, no token", hello{Magic: helloMagic, Version: ProtocolVersion, Resume: true,
+			Party: 1, NeedJob: true}},
+	}
+}
+
+// welcomeCases are the fWelcome bodies: one with every field set, and one
+// with an empty type table and a negative clock stamp.
+func welcomeCases() []bodyCase {
+	return []bodyCase{
+		{"welcome", welcome{Magic: helloMagic, Version: ProtocolVersion, Parties: 4, Self: 2,
+			ClockNs: 1_700_000_000_123_456_789, Telemetry: true, Token: "00ff00ff00ff00ff",
+			HeartbeatNs: 40e6, PeerTimeoutNs: 900e6, GraceNs: 2e9, Table: []string{"mpc.Int", "mpc.Ints"}}},
+		{"welcome, empty table", welcome{Magic: helloMagic, Version: ProtocolVersion, Parties: 2, Self: 1, ClockNs: -5}},
+	}
+}
+
+// roundCases are the bodies of the rounds: records, assignment and job.
+func roundCases() []bodyCase {
+	recs := []Record{
+		{Machine: -1, Ops: 7, Started: true, StartNs: 5, EndNs: 9, QueueNs: 2,
+			Msgs: []Msg{{To: 3, Data: testWords{1, -2}}, {To: 0, Data: testWords(nil)}}},
+		{Machine: 4, Failures: 2, Retries: 1, Crashed: true, CrashAttempts: 3},
+	}
+	return []bodyCase{
+		{"records", recordsBody{Seq: 3, Meta: testMeta, Records: recs}},
+		{"assign", assignBody{Seq: 3, IDs: []int{1, 5, -2}}},
+		{"job", jobBody{Seq: 2, Data: []byte("spec")}},
+	}
+}
+
+// bodyCases is every frame body case.
+func bodyCases() []bodyCase {
+	return append(append(helloCases(), welcomeCases()...), roundCases()...)
+}
+
+// checkBodyRoundTrips encodes each body and decodes it back into its
+// type: the same value, and a trailing byte is refused.
+func checkBodyRoundTrips(t *testing.T, cases []bodyCase) {
+	t.Helper()
+	c := NewCodec()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			buf, err := c.AppendValue(nil, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ptr := reflect.New(reflect.TypeOf(tc.body))
+			if err := c.ReadValue(buf, ptr.Interface()); err != nil {
+				t.Fatal(err)
+			}
+			if got := ptr.Elem().Interface(); !reflect.DeepEqual(got, tc.body) {
+				t.Errorf("round trip: got %+v, want %+v", got, tc.body)
+			}
+			if err := c.ReadValue(append(buf, 0), ptr.Interface()); err == nil {
+				t.Error("body with a trailing byte decoded")
+			}
+			rb, ok := tc.body.(recordsBody)
+			if !ok {
+				return
+			}
+			got, err := decodeRecords(c, buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rb.Records {
+				rb.Records[i].Remote = true
+			}
+			if !reflect.DeepEqual(got, rb) {
+				t.Errorf("decodeRecords: got %+v, want %+v", got, rb)
+			}
+			if _, err := noTable.AppendValue(nil, tc.body); err == nil {
+				t.Error("the nil codec encoded payloads")
+			}
+		})
+	}
+}
+
+// TestHelloRoundTrip round-trips the fHello bodies. A hello without the
+// magic is refused by the coordinator's admit (TestAdmitBadMagic).
+func TestHelloRoundTrip(t *testing.T) { checkBodyRoundTrips(t, helloCases()) }
+
+// TestWelcomeRoundTrip round-trips the fWelcome bodies: the clock stamp,
+// telemetry flag, token and liveness settings survive alongside the party
+// geometry and the codec table.
+func TestWelcomeRoundTrip(t *testing.T) { checkBodyRoundTrips(t, welcomeCases()) }
+
+// TestFrameBodyRoundTrip round-trips the bodies of the rounds. Records
+// come back from decodeRecords flagged Remote, and the nil codec of the
+// handshake cannot encode them (their payloads need the type table).
+func TestFrameBodyRoundTrip(t *testing.T) { checkBodyRoundTrips(t, roundCases()) }
+
+// FuzzFrameBodies feeds arbitrary bytes to the decoder of each frame body:
+// it must refuse them, or decode a value that re-encodes to exactly those
+// bytes, and never panic.
+func FuzzFrameBodies(f *testing.F) {
+	c := NewCodec()
+	cases := bodyCases()
+	for i, tc := range cases {
+		buf, err := c.AppendValue(nil, tc.body)
 		if err != nil {
-			t.Fatalf("decode(%+v): %v", h, err)
+			f.Fatal(err)
 		}
-		if got != h {
-			t.Errorf("hello round trip: got %+v, want %+v", got, h)
+		f.Add(uint8(i), buf)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		ptr := reflect.New(reflect.TypeOf(cases[int(kind)%len(cases)].body))
+		if err := c.ReadValue(data, ptr.Interface()); err != nil {
+			return
 		}
+		re, err := c.AppendValue(nil, ptr.Elem().Interface())
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", ptr.Elem(), err)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("%+v re-encodes as\n% x\nwas\n% x", ptr.Elem(), re, data)
+		}
+	})
+}
+
+// TestRecordsRejectNonPayload sends a records body whose outbox holds a
+// registered type that is not a Payload, as a peer of a diverged build
+// could: decodeRecords must refuse it rather than hand the driver a
+// message it cannot size. The body is encoded through a mirror of
+// recordsBody whose message field is any; the structural encoding does
+// not depend on type names, so the mirror's bytes are a records body.
+func TestRecordsRejectNonPayload(t *testing.T) {
+	type anyMsg struct {
+		To   int
+		Data any
 	}
-	if _, err := decodeHello([]byte{0x01, 0x02, 0x03}); err == nil {
-		t.Error("hello with bad magic decoded")
+	type anyRecord struct {
+		Machine                 int
+		Ops                     int64
+		Started                 bool
+		StartNs, EndNs, QueueNs int64
+		Failures, Retries       int
+		Crashed                 bool
+		CrashAttempts           int
+		Remote                  bool
+		Msgs                    []anyMsg
 	}
-	if _, err := decodeHello(append(encodeHello(hello{Version: 3}), 0)); err == nil {
-		t.Error("hello with trailing bytes decoded")
+	type anyRecords struct {
+		Seq     int
+		Meta    RoundMeta
+		Records []anyRecord
+	}
+	c := NewCodec()
+	for _, tc := range []struct {
+		data any
+		ok   bool
+	}{{testWords{1}, true}, {trace.Telemetry{}, false}} {
+		body, err := c.AppendValue(nil, anyRecords{Seq: 1, Meta: testMeta,
+			Records: []anyRecord{{Machine: 2, Msgs: []anyMsg{{To: 0, Data: tc.data}}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = decodeRecords(c, body)
+		if tc.ok && err != nil {
+			t.Fatalf("the mirror's records body with a %T payload: %v", tc.data, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "does not implement transport.Payload")) {
+			t.Errorf("records carrying a %T: err = %v, want a decode error", tc.data, err)
+		}
 	}
 }
 

@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-// TestWelcomeRoundTrip covers the v2 handshake body: the coordinator's
-// clock stamp and telemetry flag must survive the encode/decode round trip
-// alongside the party geometry and codec table.
-func TestWelcomeRoundTrip(t *testing.T) {
-	for _, w := range []welcome{
-		{Version: ProtocolVersion, Parties: 4, Self: 2, ClockNs: 1_700_000_000_123_456_789, Telemetry: true,
-			Table: []string{"mpc.Int", "mpc.Ints"}},
-		{Version: ProtocolVersion, Parties: 2, Self: 1, ClockNs: -5, Telemetry: false, Table: []string{}},
-	} {
-		got, err := decodeWelcome(encodeWelcome(w))
-		if err != nil {
-			t.Fatalf("decode(%+v): %v", w, err)
-		}
-		if got.Version != w.Version || got.Parties != w.Parties || got.Self != w.Self ||
-			got.ClockNs != w.ClockNs || got.Telemetry != w.Telemetry ||
-			!reflect.DeepEqual(got.Table, w.Table) {
-			t.Errorf("welcome round trip: got %+v, want %+v", got, w)
-		}
-	}
-}
-
 // TestLocalStatsCountRecords checks the in-process transport's advisory
 // accounting: each Exchange measures the logical frame its records would
 // occupy on a wire, so `-transport local` reports a comparable wireBytes

@@ -18,18 +18,21 @@ import (
 // Options tune the TCP transport's liveness machinery. The zero value
 // means the defaults below.
 type Options struct {
+	// HeartbeatInterval, PeerTimeout and RejoinGrace are the session's
+	// liveness settings. They are set on the coordinator; a worker adopts
+	// the coordinator's from the welcome frame in place of its own.
+	//
 	// HeartbeatInterval is how often each side pings an idle connection.
 	HeartbeatInterval time.Duration // default 250ms
 	// PeerTimeout is the rolling read deadline: a peer silent for this
 	// long (no frames, no heartbeats) is declared lost.
 	PeerTimeout time.Duration // default 3s
-	// RejoinGrace, on a coordinator, holds a lost worker's slot open for
-	// this long: instead of immediate eviction the worker is held suspect,
-	// and if it redials with the session token inside the window it resumes
-	// its slot with no deterministic-state loss. Zero (the default) keeps
-	// the historical behavior — any connection failure evicts the peer.
-	// Workers learn the window from the welcome frame and bound their
-	// reconnect loop by it.
+	// RejoinGrace holds a lost worker's slot open for this long: instead
+	// of immediate eviction the worker is held suspect, and if it redials
+	// with the session token inside the window it resumes its slot with no
+	// deterministic-state loss. Zero (the default) keeps the historical
+	// behavior — any connection failure evicts the peer. Workers bound
+	// their reconnect loop by it.
 	RejoinGrace time.Duration
 	// CorruptTolerance caps cumulative corrupt frames per peer slot before
 	// the coordinator stops offering rejoin and evicts the peer for good.
@@ -229,10 +232,11 @@ type Coordinator struct {
 // NewCoordinator accepts and registers exactly `workers` worker processes
 // on ln, handshaking each: the worker's hello (magic + protocol version)
 // is validated, then the welcome ships the protocol version, the party
-// count and the worker's party index, the session-resume token and rejoin
-// grace, and the payload-codec name table — so the two processes agree on
-// every wire id before any round runs. With a rejoin grace configured the
-// listener stays open for session-resume redials until Close.
+// count and the worker's party index, the session-resume token, the
+// liveness settings, and the payload-codec name table — so the two
+// processes agree on every wire id and deadline before any round runs.
+// With a rejoin grace configured the listener stays open for
+// session-resume redials until Close.
 func NewCoordinator(ln net.Listener, workers int, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
@@ -300,12 +304,15 @@ func (c *Coordinator) admit(conn net.Conn, party int, resume bool, deadline time
 	if f.typ != fHello {
 		return p, hello{}, fmt.Errorf("sent %s, want hello", f.typ)
 	}
-	h, err := decodeHello(f.body)
+	var h hello
+	err = noTable.ReadValue(f.body, &h)
 	switch {
-	case err != nil:
-		return p, h, err
+	case h.Magic != helloMagic:
+		return p, h, fmt.Errorf("transport: bad hello magic %#x", h.Magic)
 	case h.Version != ProtocolVersion:
 		return p, h, refuse(p, fmt.Sprintf("protocol version mismatch: coordinator %d, worker %d", ProtocolVersion, h.Version))
+	case err != nil:
+		return p, h, err
 	case h.Resume && !resume:
 		return p, h, refuse(p, "session-resume hello during registration")
 	case !h.Resume && resume:
@@ -323,7 +330,8 @@ func refuse(p *peer, msg string) error {
 // welcomeFor builds the one fWelcome body, for registration and resume
 // alike, addressed to the worker at party.
 func (c *Coordinator) welcomeFor(party int) []byte {
-	return encodeWelcome(welcome{
+	return appendBody(welcome{
+		Magic:   helloMagic,
 		Version: ProtocolVersion,
 		Parties: len(c.state) + 1, // one slot per worker, fixed at construction
 		Self:    party,
@@ -333,10 +341,12 @@ func (c *Coordinator) welcomeFor(party int) []byte {
 		// requested: a dump or a trace needs every party's events, and
 		// shipping is out-of-band by contract — only advisory wire volume
 		// changes, never a deterministic counter.
-		Telemetry: trace.Recording(),
-		Token:     c.token,
-		GraceNs:   int64(c.opts.RejoinGrace),
-		Table:     c.codec.Table(),
+		Telemetry:     trace.Recording(),
+		Token:         c.token,
+		HeartbeatNs:   int64(c.opts.HeartbeatInterval),
+		PeerTimeoutNs: int64(c.opts.PeerTimeout),
+		GraceNs:       int64(c.opts.RejoinGrace),
+		Table:         c.codec.Table(),
 	})
 }
 
@@ -536,7 +546,7 @@ func (c *Coordinator) rejoin(conn net.Conn) {
 func (c *Coordinator) StartJob(job []byte) error {
 	c.mu.Lock()
 	c.jobSeq++
-	body := encodeJobBody(c.jobSeq, job)
+	body := appendBody(jobBody{Seq: c.jobSeq, Data: job})
 	c.lastJob = body
 	c.jobAct = true
 	c.mu.Unlock()
@@ -638,19 +648,19 @@ func (x *exchange) want() frameType { return fRecords }
 
 // deliver merges worker w's records frame.
 func (x *exchange) deliver(w int, body []byte) error {
-	seq, meta, recs, err := decodeRecords(x.c.codec, body)
+	rb, err := decodeRecords(x.c.codec, body)
 	if err != nil {
 		return fmt.Errorf("transport: worker %d records: %w", w+1, err)
 	}
-	if seq < x.seq {
+	if rb.Seq < x.seq {
 		return nil // a rejoining worker re-sent an already-merged round
 	}
-	if seq != x.seq || meta != x.meta {
+	if rb.Seq != x.seq || rb.Meta != x.meta {
 		trace.FlightTrigger("transport: exchange divergence")
-		return &DivergenceError{Seq: seq, WantSeq: x.seq, Want: x.meta, Got: meta}
+		return &DivergenceError{Seq: rb.Seq, WantSeq: x.seq, Want: x.meta, Got: rb.Meta}
 	}
 	x.needBarrier[w] = false
-	for _, r := range recs {
+	for _, r := range rb.Records {
 		delete(x.owed[w], r.Machine)
 		if _, dup := x.merged[r.Machine]; !dup {
 			x.merged[r.Machine] = r
@@ -687,7 +697,7 @@ func (x *exchange) rejoined(w int) error {
 	}
 	if p, st := x.c.peerAt(w); len(ids) > 0 && st == peerUp {
 		sort.Ints(ids)
-		if err := p.write(fAssign, encodeAssign(x.seq, ids)); err != nil {
+		if err := p.write(fAssign, appendBody(assignBody{Seq: x.seq, IDs: ids})); err != nil {
 			x.c.connFailed(w, p, err)
 		}
 	}
@@ -710,7 +720,7 @@ func (x *exchange) reassign(ids []int) error {
 		switch {
 		case w >= 0:
 			p, _ := x.c.peerAt(w)
-			if err := p.write(fAssign, encodeAssign(x.seq, ids)); err != nil {
+			if err := p.write(fAssign, appendBody(assignBody{Seq: x.seq, IDs: ids})); err != nil {
 				x.c.connFailed(w, p, err)
 				continue
 			}
@@ -765,7 +775,7 @@ func (x *exchange) mergedRound() []Record {
 // worker that rejoins from here on is resynced from it, so the round can
 // be lost on the wire but never lost for good.
 func (c *Coordinator) broadcast(seq int, meta RoundMeta, out []Record) error {
-	body, err := encodeRecords(c.codec, seq, meta, out)
+	body, err := c.codec.AppendValue(nil, recordsBody{Seq: seq, Meta: meta, Records: out})
 	if err != nil {
 		return err
 	}
@@ -822,12 +832,12 @@ func (r *results) want() frameType { return fResult }
 // deliver keeps worker w's first result of this job; one of an earlier
 // job is a stale re-send.
 func (r *results) deliver(w int, body []byte) error {
-	jobSeq, res, err := decodeJobBody(body)
-	if err != nil {
+	var jb jobBody
+	if err := noTable.ReadValue(body, &jb); err != nil {
 		return fmt.Errorf("transport: worker %d result: %w", w+1, err)
 	}
-	if jobSeq == r.jobSeq && r.out[w] == nil {
-		r.out[w], r.settled[w] = res, true
+	if jb.Seq == r.jobSeq && r.out[w] == nil {
+		r.out[w], r.settled[w] = jb.Data, true
 	}
 	return nil
 }
@@ -1048,9 +1058,8 @@ type Worker struct {
 	parties int
 	self    int
 
-	addr    string // coordinator address, for reconnect
-	token   string // session-resume credential from the welcome
-	graceNs int64  // rejoin window from the welcome; 0 = don't bother
+	addr  string // coordinator address, for reconnect
+	token string // session-resume credential from the welcome
 
 	// telemetry reflects the coordinator's welcome flag; offsetNs is this
 	// process's handshake-time estimate of (coordinator clock - local
@@ -1071,16 +1080,16 @@ type Worker struct {
 	retired       slotCounters
 	lastAcked     int    // last merged exchange fully processed
 	lastJobSeq    uint64 // last fJobStart consumed (dedups resyncs)
-	lastResult    []byte // FinishJob payload, re-sent after a reconnect
+	lastResult    []byte // FinishJob's fResult body, re-sent after a reconnect
 	lastResultJob uint64
 }
 
 // DialWorker connects to a coordinator and completes the registration
-// handshake, adopting the coordinator's payload-codec table and the
-// session-resume token.
+// handshake, adopting the coordinator's payload-codec table, the
+// session-resume token and the liveness settings: opts' own heartbeat
+// interval, peer timeout and rejoin grace are not used.
 func DialWorker(addr string, opts Options) (*Worker, error) {
-	opts = opts.withDefaults()
-	p, wel, offset, err := dial(addr, &opts, hello{Version: ProtocolVersion})
+	p, wel, offset, err := dial(addr, &opts, hello{Magic: helloMagic, Version: ProtocolVersion})
 	if err != nil {
 		return nil, err
 	}
@@ -1091,17 +1100,17 @@ func DialWorker(addr string, opts Options) (*Worker, error) {
 		return nil, err
 	}
 	return &Worker{
-		opts: opts, p: p, codec: codec, parties: wel.Parties, self: wel.Self,
-		addr: addr, token: wel.Token, graceNs: wel.GraceNs,
-		telemetry: wel.Telemetry, offsetNs: offset,
+		opts: wel.liveness(opts), p: p, codec: codec, parties: wel.Parties, self: wel.Self,
+		addr: addr, token: wel.Token, telemetry: wel.Telemetry, offsetNs: offset,
 	}, nil
 }
 
 // dial is the worker's one handshake, for registration and resume alike:
-// connect, wrap, trade hello h for a welcome of this protocol version
-// under the handshake deadline, and start the connection. A coordinator's
-// fError answer comes back as a *RefusedError. offsetNs estimates the
-// coordinator's clock minus this process's.
+// connect, wrap (opts.WrapConn), trade hello h for a welcome of this
+// protocol version under the handshake deadline, and start the connection
+// with the welcome's liveness settings. A coordinator's fError answer
+// comes back as a *RefusedError. offsetNs estimates the coordinator's
+// clock minus this process's.
 func dial(addr string, opts *Options, h hello) (p *peer, wel welcome, offsetNs int64, err error) {
 	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
@@ -1110,7 +1119,7 @@ func dial(addr string, opts *Options, h hello) (p *peer, wel welcome, offsetNs i
 	if opts.WrapConn != nil {
 		conn = opts.WrapConn(conn)
 	}
-	p = newPeer(conn, 0, opts.PeerTimeout)
+	p = newPeer(conn, 0, 0)
 	defer func() {
 		if err != nil {
 			p.close()
@@ -1119,7 +1128,7 @@ func dial(addr string, opts *Options, h hello) (p *peer, wel welcome, offsetNs i
 	}()
 	p.conn.SetDeadline(time.Now().Add(handshakeTimeout))
 	sentNs := time.Now().UnixNano()
-	if err := p.write(fHello, encodeHello(h)); err != nil {
+	if err := p.write(fHello, appendBody(h)); err != nil {
 		return p, wel, 0, fmt.Errorf("transport: hello: %w", err)
 	}
 	f, err := p.read()
@@ -1132,14 +1141,19 @@ func dial(addr string, opts *Options, h hello) (p *peer, wel welcome, offsetNs i
 	case f.typ != fWelcome:
 		return p, wel, 0, fmt.Errorf("transport: coordinator sent %s, want welcome", f.typ)
 	}
-	if wel, err = decodeWelcome(f.body); err != nil {
+	err = noTable.ReadValue(f.body, &wel)
+	switch {
+	case wel.Magic != helloMagic:
+		return p, wel, 0, fmt.Errorf("transport: bad welcome magic %#x", wel.Magic)
+	case wel.Version != ProtocolVersion:
+		return p, wel, 0, fmt.Errorf("transport: protocol version mismatch: worker %d, coordinator %d", ProtocolVersion, wel.Version)
+	case err != nil:
 		return p, wel, 0, err
 	}
-	if wel.Version != ProtocolVersion {
-		return p, wel, 0, fmt.Errorf("transport: protocol version mismatch: worker %d, coordinator %d", ProtocolVersion, wel.Version)
-	}
+	live := wel.liveness(*opts)
 	p.conn.SetDeadline(time.Time{})
-	p.start(opts.HeartbeatInterval)
+	p.timeout = live.PeerTimeout
+	p.start(live.HeartbeatInterval)
 	// NTP-style midpoint: the coordinator stamped its clock somewhere
 	// inside our hello->welcome round trip, so the best local estimate of
 	// "when" is the midpoint. The residual error is bounded by half the
@@ -1202,8 +1216,7 @@ func (w *Worker) reconnect(cause error, needJob bool) error {
 	w.mu.Lock()
 	old := w.p
 	w.retired.retire(old)
-	h := hello{Version: ProtocolVersion, Resume: true, Token: w.token, Party: w.self, LastAcked: w.lastAcked, NeedJob: needJob}
-	graceNs := w.graceNs
+	h := hello{Magic: helloMagic, Version: ProtocolVersion, Resume: true, Token: w.token, Party: w.self, LastAcked: w.lastAcked, NeedJob: needJob}
 	lastResult, lastResultJob, lastJobSeq := w.lastResult, w.lastResultJob, w.lastJobSeq
 	w.mu.Unlock()
 	old.close()
@@ -1211,10 +1224,10 @@ func (w *Worker) reconnect(cause error, needJob bool) error {
 	if errors.As(cause, &cfe) {
 		w.opts.event(w, trace.TransportEvent{Kind: trace.TransportCorrupt, Party: 0, Seq: w.curSeq()})
 	}
-	if graceNs <= 0 || h.Token == "" {
+	if w.opts.RejoinGrace <= 0 || h.Token == "" {
 		return cause
 	}
-	deadline := time.Now().Add(time.Duration(graceNs))
+	deadline := time.Now().Add(w.opts.RejoinGrace)
 	backoff := 25 * time.Millisecond
 	for {
 		p, _, _, err := dial(w.addr, &w.opts, h)
@@ -1229,7 +1242,7 @@ func (w *Worker) reconnect(cause error, needJob bool) error {
 				// The result may have died with the old connection while
 				// the coordinator still waits on it; the jobSeq prefix
 				// makes a duplicate harmless.
-				_ = p.write(fResult, encodeJobBody(lastResultJob, lastResult))
+				_ = p.write(fResult, lastResult)
 			}
 			return nil
 		}
@@ -1327,16 +1340,16 @@ func (w *Worker) receive(needJob bool, resend []byte, handle func(frame) (bool, 
 func (w *Worker) NextJob() ([]byte, error) {
 	var job []byte
 	err := w.receive(true, nil, func(f frame) (bool, error) {
-		jseq, spec, err := decodeJobBody(f.body)
-		if err != nil {
+		var jb jobBody
+		if err := noTable.ReadValue(f.body, &jb); err != nil {
 			return false, err
 		}
 		w.mu.Lock()
 		defer w.mu.Unlock()
-		if jseq <= w.lastJobSeq {
+		if jb.Seq <= w.lastJobSeq {
 			return false, nil // duplicate resync of a job already running or done
 		}
-		w.lastJobSeq, w.lastResult, job = jseq, nil, spec
+		w.lastJobSeq, w.lastResult, job = jb.Seq, nil, jb.Data
 		return true, nil
 	})
 	return job, err
@@ -1380,7 +1393,7 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 	for _, r := range local {
 		mine[r.Machine] = true
 	}
-	body, err := encodeRecords(w.codec, seq, meta, local)
+	body, err := w.codec.AppendValue(nil, recordsBody{Seq: seq, Meta: meta, Records: local})
 	if err != nil {
 		return nil, err
 	}
@@ -1392,28 +1405,28 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 		if f.typ == fAssign {
 			return false, w.reassigned(seq, meta, f.body, exec, mine)
 		}
-		mseq, mmeta, recs, err := decodeRecords(w.codec, f.body)
+		rb, err := decodeRecords(w.codec, f.body)
 		switch {
 		case err != nil:
 			return false, err
-		case mseq < seq:
+		case rb.Seq < seq:
 			return false, nil // duplicate barrier from a rejoin resync race
-		case mseq != seq || mmeta != meta:
-			derr := &DivergenceError{Seq: mseq, WantSeq: seq, Want: meta, Got: mmeta}
+		case rb.Seq != seq || rb.Meta != meta:
+			derr := &DivergenceError{Seq: rb.Seq, WantSeq: seq, Want: meta, Got: rb.Meta}
 			trace.FlightTrigger("transport: exchange divergence")
 			w.peer().write(fError, []byte(derr.Error()))
 			return false, derr
 		}
-		for i := range recs {
-			if mine[recs[i].Machine] {
-				recs[i].Remote = false
+		out = rb.Records
+		for i := range out {
+			if mine[out[i].Machine] {
+				out[i].Remote = false
 			}
 		}
 		w.mu.Lock()
 		w.st.Exchanges++
 		w.lastAcked = seq
 		w.mu.Unlock()
-		out = recs
 		return true, nil
 	})
 	return out, err
@@ -1423,24 +1436,25 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 // a lost peer owed, mark them run here, and ship their records. An assign
 // of an earlier, merged exchange is a stale re-delivery.
 func (w *Worker) reassigned(seq int, meta RoundMeta, body []byte, exec ExecFunc, mine map[int]bool) error {
-	aseq, ids, err := decodeAssign(body)
+	var ab assignBody
+	err := noTable.ReadValue(body, &ab)
 	switch {
 	case err != nil:
 		return err
-	case aseq < seq:
+	case ab.Seq < seq:
 		return nil // duplicate re-delivery for an already-merged round
-	case aseq > seq:
+	case ab.Seq > seq:
 		trace.FlightTrigger("transport: exchange divergence")
-		return &DivergenceError{Seq: aseq, WantSeq: seq, Want: meta, Got: meta}
+		return &DivergenceError{Seq: ab.Seq, WantSeq: seq, Want: meta, Got: meta}
 	}
-	recs, err := exec(ids)
+	recs, err := exec(ab.IDs)
 	if err != nil {
 		return err
 	}
 	for _, r := range recs {
 		mine[r.Machine] = true
 	}
-	rbody, err := encodeRecords(w.codec, seq, meta, recs)
+	rbody, err := w.codec.AppendValue(nil, recordsBody{Seq: seq, Meta: meta, Records: recs})
 	if err != nil {
 		return err
 	}
@@ -1461,11 +1475,10 @@ func (w *Worker) reassigned(seq int, meta RoundMeta, body []byte, exec ExecFunc,
 func (w *Worker) FinishJob(result []byte) error {
 	w.flushTelemetry()
 	w.mu.Lock()
-	jseq := w.lastJobSeq
-	w.lastResult = append([]byte(nil), result...)
-	w.lastResultJob = jseq
+	body := appendBody(jobBody{Seq: w.lastJobSeq, Data: result})
+	w.lastResult, w.lastResultJob = body, w.lastJobSeq
 	w.mu.Unlock()
-	return w.sendFrame(fResult, encodeJobBody(jseq, result))
+	return w.sendFrame(fResult, body)
 }
 
 // Status snapshots the worker's live view of the session for the -status
@@ -1473,7 +1486,7 @@ func (w *Worker) FinishJob(result []byte) error {
 func (w *Worker) Status() Status {
 	now := time.Now()
 	w.mu.Lock()
-	seq, cur, p, ret, graceNs := w.seq, w.cur, w.p, w.retired, w.graceNs
+	seq, cur, p, ret := w.seq, w.cur, w.p, w.retired
 	w.mu.Unlock()
 	return Status{
 		Role:           "worker",
@@ -1486,7 +1499,7 @@ func (w *Worker) Status() Status {
 		Alive:          2,
 		HeartbeatMs:    ms(w.opts.HeartbeatInterval),
 		PeerDeadlineMs: ms(w.opts.PeerTimeout),
-		RejoinGraceMs:  ms(time.Duration(graceNs)),
+		RejoinGraceMs:  ms(w.opts.RejoinGrace),
 		Wire:           w.Stats(),
 		Peers:          []PeerStatus{ret.row(0, true, p, now)},
 	}

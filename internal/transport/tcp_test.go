@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bufio"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"reflect"
@@ -29,18 +32,6 @@ func wantMerged(seq int, mine func(id int) bool) []Record {
 		out[i].Remote = !mine(out[i].Machine)
 	}
 	return out
-}
-
-// normMsgs nils out empty outboxes: the wire codec decodes an absent
-// outbox as an empty slice, which is semantically identical to the nil a
-// fresh Record carries.
-func normMsgs(recs []Record) []Record {
-	for i := range recs {
-		if len(recs[i].Msgs) == 0 {
-			recs[i].Msgs = nil
-		}
-	}
-	return recs
 }
 
 // runWorker drives the worker half of a 3-exchange job and reports every
@@ -119,7 +110,7 @@ func TestRejoinAfterConnDrop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exchange %d: %v", seq, err)
 		}
-		if want := wantMerged(seq, func(id int) bool { return id < 2 }); !reflect.DeepEqual(normMsgs(m), want) {
+		if want := wantMerged(seq, func(id int) bool { return id < 2 }); !reflect.DeepEqual(m, want) {
 			t.Fatalf("exchange %d merged = %+v, want %+v", seq, m, want)
 		}
 	}
@@ -142,7 +133,7 @@ func TestRejoinAfterConnDrop(t *testing.T) {
 		t.Fatalf("worker: %v", rep.err)
 	}
 	for seq := 1; seq <= rounds; seq++ {
-		if want := wantMerged(seq, func(id int) bool { return id >= 2 }); !reflect.DeepEqual(normMsgs(rep.merged[seq-1]), want) {
+		if want := wantMerged(seq, func(id int) bool { return id >= 2 }); !reflect.DeepEqual(rep.merged[seq-1], want) {
 			t.Fatalf("worker exchange %d merged = %+v, want %+v", seq, rep.merged[seq-1], want)
 		}
 	}
@@ -208,7 +199,7 @@ func TestCorruptFrameRecyclesConn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exchange: %v", err)
 	}
-	if want := wantMerged(1, func(id int) bool { return id < 2 }); !reflect.DeepEqual(normMsgs(m), want) {
+	if want := wantMerged(1, func(id int) bool { return id < 2 }); !reflect.DeepEqual(m, want) {
 		t.Fatalf("merged = %+v, want %+v", m, want)
 	}
 	if _, err := co.Results(); err != nil {
@@ -279,7 +270,7 @@ func TestCorruptToleranceEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exchange: %v", err)
 	}
-	if want := wantMerged(1, func(id int) bool { return true }); !reflect.DeepEqual(normMsgs(m), want) {
+	if want := wantMerged(1, func(id int) bool { return true }); !reflect.DeepEqual(m, want) {
 		t.Fatalf("merged = %+v, want %+v", m, want)
 	}
 	if _, err := co.Results(); err != nil {
@@ -317,6 +308,27 @@ func TestHandshakeRefusals(t *testing.T) {
 		}
 		return err
 	}
+	// rawHello sends body as a hello frame and returns the coordinator's
+	// fError answer the way dial does.
+	rawHello := func(addr string, body []byte) error {
+		conn, err := net.DialTimeout("tcp", addr, grace)
+		if err != nil {
+			return err
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(grace))
+		if _, err := conn.Write(appendFrame(nil, fHello, body)); err != nil {
+			return err
+		}
+		f, err := readFrame(bufio.NewReader(conn))
+		if err != nil {
+			return err
+		}
+		if f.typ != fError {
+			return fmt.Errorf("coordinator sent %s, want error", f.typ)
+		}
+		return &RefusedError{Reason: string(f.body)}
+	}
 	for _, tc := range []struct {
 		name     string
 		register bool // refused at registration, not on the rejoin listener
@@ -324,13 +336,18 @@ func TestHandshakeRefusals(t *testing.T) {
 		want     string
 	}{
 		{"version at registration", true, func(addr string, _ *Coordinator, _ *Worker) error {
-			return dialHello(addr, hello{Version: ProtocolVersion + 1})
+			return dialHello(addr, hello{Magic: helloMagic, Version: ProtocolVersion + 1})
 		}, "protocol version mismatch"},
+		{"protocol 3 hello", true, func(addr string, _ *Coordinator, _ *Worker) error {
+			// A fresh hello as protocol 3 wrote it: magic, version, flags.
+			body := binary.AppendUvarint(binary.AppendUvarint(nil, helloMagic), 3)
+			return rawHello(addr, append(body, 0))
+		}, fmt.Sprintf("protocol version mismatch: coordinator %d, worker 3", ProtocolVersion)},
 		{"resume at registration", true, func(addr string, _ *Coordinator, _ *Worker) error {
-			return dialHello(addr, hello{Version: ProtocolVersion, Resume: true, Token: "token", Party: 1})
+			return dialHello(addr, hello{Magic: helloMagic, Version: ProtocolVersion, Resume: true, Token: "token", Party: 1})
 		}, "session-resume hello during registration"},
 		{"plain hello on rejoin", false, func(addr string, _ *Coordinator, _ *Worker) error {
-			return dialHello(addr, hello{Version: ProtocolVersion})
+			return dialHello(addr, hello{Magic: helloMagic, Version: ProtocolVersion})
 		}, "expected session-resume hello"},
 		{"bad token", false, func(_ string, _ *Coordinator, w *Worker) error {
 			w.token = "not the session token"
@@ -394,5 +411,57 @@ func TestHandshakeRefusals(t *testing.T) {
 				t.Errorf("worker error = %v, want a *RefusedError for %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestAdmitBadMagic checks that a hello without the magic, from a stray
+// connection rather than a worker, fails the handshake unanswered.
+func TestAdmitBadMagic(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	go b.Write(appendFrame(nil, fHello, appendBody(hello{Magic: 1, Version: ProtocolVersion})))
+	p, _, err := (&Coordinator{}).admit(a, 1, false, time.Now().Add(5*time.Second))
+	defer p.close()
+	if err == nil || !strings.Contains(err.Error(), "bad hello magic 0x1") {
+		t.Errorf("admit() error = %v, want a bad hello magic", err)
+	}
+}
+
+// TestWorkerAdoptsLiveness dials a worker with zero Options into a
+// coordinator with its own liveness settings: the worker must run on the
+// coordinator's heartbeat interval, peer deadline and rejoin grace, all
+// three learned from the welcome.
+func TestWorkerAdoptsLiveness(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	wch := make(chan *Worker, 1)
+	go func() {
+		w, err := DialWorker(ln.Addr().String(), Options{})
+		if err != nil {
+			t.Error(err)
+		}
+		wch <- w
+	}()
+	c, err := NewCoordinator(ln, 1, Options{HeartbeatInterval: 40 * time.Millisecond,
+		PeerTimeout: 900 * time.Millisecond, RejoinGrace: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	w := <-wch
+	if w == nil {
+		t.FailNow()
+	}
+	defer w.Close()
+	st := w.Status()
+	if st.HeartbeatMs != 40 || st.PeerDeadlineMs != 900 || st.RejoinGraceMs != 2000 {
+		t.Errorf("worker status heartbeat %vms, deadline %vms, grace %vms; want 40, 900, 2000",
+			st.HeartbeatMs, st.PeerDeadlineMs, st.RejoinGraceMs)
+	}
+	if d := w.peer().timeout; d != 900*time.Millisecond {
+		t.Errorf("worker connection read deadline %v, want 900ms", d)
 	}
 }

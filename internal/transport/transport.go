@@ -7,12 +7,19 @@ import (
 	"time"
 )
 
-// Msg is one addressed message in a machine's outbox. Data is the payload
-// value, opaque to this package (internal/mpc asserts it back to
-// mpc.Payload); on the wire it travels through the self-describing codec.
+// Payload is any unit of data shipped between machines. Words reports its
+// memory footprint in machine words; the simulator uses it to enforce the
+// per-machine cap. On the wire a payload travels through the
+// self-describing codec, which decodes only registered types that
+// implement it.
+type Payload interface {
+	Words() int
+}
+
+// Msg is one addressed message in a machine's outbox.
 type Msg struct {
 	To   int
-	Data any
+	Data Payload
 }
 
 // Record is the execution record of one machine in one round: everything a
@@ -166,7 +173,7 @@ func (l *Local) Exchange(meta RoundMeta, _ [][]int, local []Record, _ ExecFunc) 
 	if l.codec == nil {
 		l.codec = NewCodec()
 	}
-	if body, err := encodeRecords(l.codec, l.st.Exchanges, meta, local); err == nil {
+	if body, err := l.codec.AppendValue(nil, recordsBody{Seq: l.st.Exchanges, Meta: meta, Records: local}); err == nil {
 		l.st.BytesOut += int64(len(body)) + frameOverhead
 		l.st.Frames++
 	}
@@ -262,11 +269,12 @@ func (e *CorruptFrameError) Error() string {
 // tests set Options.CorruptTolerance.
 const DefaultCorruptTolerance = 8
 
-// BindFlags registers the shared transport-liveness flags (mpcdist,
-// mpcworker, mpcserve) and returns a closure that assembles the Options
-// after fs.Parse, validating that the heartbeat interval is shorter than
-// the peer deadline (a deadline at or under the heartbeat period would
-// declare healthy idle peers dead between pings).
+// BindFlags registers the shared transport-liveness flags of the binaries
+// that coordinate (mpcdist, mpcserve; workers adopt the coordinator's
+// values from the welcome) and returns a closure that assembles the
+// Options after fs.Parse, validating that the heartbeat interval is
+// shorter than the peer deadline (a deadline at or under the heartbeat
+// period would declare healthy idle peers dead between pings).
 func BindFlags(fs *flag.FlagSet) func() (Options, error) {
 	hb := fs.Duration("heartbeat", 250*time.Millisecond, "transport heartbeat interval (idle peers are pinged this often)")
 	dl := fs.Duration("peer-deadline", 3*time.Second, "rolling read deadline: a peer silent this long is declared lost (must exceed -heartbeat)")
