@@ -14,6 +14,9 @@
 //	                                  # counters against the baseline;
 //	                                  # exit 1 on any drift
 //	mpcbench -sizes 256,512 -seed 2   # sweep shape
+//	mpcbench -transport tcp -workers 3 -compare BENCH_baseline.json
+//	                                  # the same gate on 3 worker processes,
+//	                                  # shipping telemetry unless MPCDIST_FLIGHT=off
 //	mpcbench -fault-crash 0.05 -out chaos.json
 //	                                  # chaos mode: recovery is exact, so
 //	                                  # every model counter still matches a
@@ -58,7 +61,6 @@ func main() {
 	eps := flag.Float64("eps", 0.5, "approximation slack epsilon")
 	transport := flag.String("transport", "local", "shuffle transport: local (in-process) or tcp (real worker processes)")
 	workers := flag.Int("workers", 2, "worker processes for -transport tcp")
-	telemetry := flag.Bool("telemetry", false, "ship worker trace events during -transport tcp runs (counters must be unaffected)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the suite to this file; samples carry {algo, phase, round} labels for the Table 1 phase taxonomy, and one fixed large-distance edit case runs after the suite so every phase (partition, candidates, graph, chain) appears")
 	profilerate := flag.Int("profilerate", 0, "CPU profile sampling rate in Hz (0 = runtime default of 100); driver-side phases like partition run for microseconds and need a high rate (e.g. 10000) to accrue samples")
 	checkpointDir := flag.String("checkpoint-dir", "", "snapshot every case's rounds into this checkpoint store; the deterministic counters must still match a plain baseline, and the advisory checkpointSaves/checkpointBytes fields record the durability cost")
@@ -81,26 +83,22 @@ func main() {
 	if terr != nil {
 		die(terr)
 	}
-	cfg := harness.BenchConfig{Seed: *seed, Eps: *eps, Faults: faults,
-		Transport: *transport, Workers: *workers, Telemetry: *telemetry,
-		TransportOpts: topts, NetChaos: chaosPlan(), CheckpointDir: *checkpointDir}
-	if *telemetry && *transport != "tcp" {
-		fmt.Fprintln(os.Stderr, "mpcbench: -telemetry requires -transport tcp")
-		os.Exit(2)
-	}
-	if cfg.NetChaos != nil && *transport != "tcp" {
-		fmt.Fprintln(os.Stderr, "mpcbench: -netchaos-* flags require -transport tcp")
-		os.Exit(2)
-	}
-	if cfg.NetChaos != nil {
-		fmt.Fprintf(os.Stderr, "mpcbench: link chaos active: %s (counters must still match the clean baseline)\n", cfg.NetChaos)
-	}
-	if *transport == "tcp" {
-		mode := ""
-		if *telemetry {
-			mode = ", telemetry on"
+	cfg := harness.BenchConfig{Seed: *seed, Eps: *eps, Faults: faults, CheckpointDir: *checkpointDir}
+	chaos := chaosPlan()
+	switch *transport {
+	case "local":
+		if chaos != nil {
+			fmt.Fprintln(os.Stderr, "mpcbench: -netchaos-* flags require -transport tcp")
+			os.Exit(2)
 		}
-		fmt.Fprintf(os.Stderr, "mpcbench: running over tcp with %d workers%s (deterministic counters must still match a local baseline)\n", *workers, mode)
+	case "tcp":
+		cfg.Cluster = &dist.SessionOptions{Workers: *workers, Transport: topts, NetChaos: chaos}
+		if chaos != nil {
+			fmt.Fprintf(os.Stderr, "mpcbench: link chaos active: %s (counters must still match the clean baseline)\n", chaos)
+		}
+		fmt.Fprintf(os.Stderr, "mpcbench: running over tcp with %d workers (deterministic counters must still match a local baseline)\n", *workers)
+	default:
+		die(fmt.Errorf("unknown -transport %q (want local or tcp)", *transport))
 	}
 	if faults.Active() {
 		fmt.Fprintf(os.Stderr, "mpcbench: fault injection active: %s (failures/retries will be nonzero; compare against a faulted baseline)\n", faults)

@@ -9,10 +9,17 @@
 //	mpcdist -algo ulam-mpc -a "3 1 4 5 2" -b "1 4 3 5 2" -x 0.3
 //	mpcdist -algo mpc -afile a.txt -bfile b.txt -transport tcp -workers 3
 //	                      # same run across 3 real worker processes over TCP
+//	mpcdist -algo mpc -afile a.txt -bfile b.txt -transport tcp -workers 3 \
+//	        -trace cluster.json -status 127.0.0.1:8090
+//	                      # every party's events in one trace, written at
+//	                      # exit; a live JSON snapshot of the session (and
+//	                      # pprof, /flight, /version) while it runs
 //	mpcdist -algo ulam-mpc -a "3 1 4 5 2" -b "1 4 3 5 2" -soak 25 \
 //	        -netchaos-corrupt 0.01 -netchaos-drop 0.005 -rejoin-grace 2s
 //	                      # 25 fresh sessions under rotating link-fault
-//	                      # seeds; every one must be bit-identical
+//	                      # seeds; every one must be bit-identical (-trace
+//	                      # works here too; -status and -checkpoint-dir do
+//	                      # not, as there is no one session to report on)
 //
 // Algorithms: exact, myers, bounded, approx, script, mpc (Theorem 9),
 // hss ([20] baseline), ulam (exact), ulam-mpc (Theorem 4), lulam.
@@ -54,7 +61,7 @@ func main() {
 	bound := flag.Int("bound", 100, "distance cap for -algo bounded")
 	verbose := flag.Bool("v", false, "print per-round statistics")
 	verify := flag.Bool("verify", false, "also compute the exact distance and report the factor")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the MPC rounds to this file")
+	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the MPC run (every party's lane on -transport tcp and -soak) to this file")
 	transportName := flag.String("transport", "local", "shuffle transport: local (in-process) or tcp (real worker processes)")
 	workers := flag.Int("workers", 2, "worker processes for -transport tcp")
 	statusAddr := flag.String("status", "", "serve a live JSON session snapshot at this address (host:port; -transport tcp only)")
@@ -103,6 +110,9 @@ func main() {
 	}
 	if *soak > 0 {
 		requireMPC("-soak")
+		if *statusAddr != "" {
+			die("-status is incompatible with -soak (each soak iteration opens and closes its own session)")
+		}
 		// Soak spawns its own tcp sessions regardless of -transport.
 		*transportName = "tcp"
 	}
@@ -145,13 +155,11 @@ func main() {
 	}
 	if *traceOut != "" {
 		requireMPC("-trace")
-		if *transportName != "tcp" {
-			// The process log keeps every event from here on; die and the
-			// normal exit write its trace. Distributed runs write the
-			// session's cluster trace instead (see runMPC).
-			tracePath = *traceOut
-			trace.Flight().Keep()
-		}
+		// The process log keeps every event from here on, and a session
+		// opened later has its workers ship theirs into it; die and the
+		// normal exit write its trace.
+		tracePath = *traceOut
+		trace.Flight().Keep()
 	}
 	defer flushTrace()
 
@@ -213,11 +221,11 @@ func main() {
 				die("%v", err)
 			}
 		}
-		var tcp *dist.SessionOptions
+		var cluster *dist.SessionOptions
 		if *transportName == "tcp" {
-			tcp = &dist.SessionOptions{Workers: *workers, Telemetry: *traceOut != "", Transport: topts, NetChaos: chaos}
+			cluster = &dist.SessionOptions{Workers: *workers, Transport: topts, NetChaos: chaos}
 		}
-		res, err := runMPC(job, saver, tcp, *soak, *statusAddr, *traceOut)
+		res, err := runMPC(job, saver, cluster, *soak, *statusAddr)
 		if saver != nil {
 			ckptSummary(saver.Status())
 		}
@@ -237,40 +245,30 @@ func main() {
 	}
 }
 
-// runMPC runs the job with the selected shuffle transport: tcp == nil runs
-// it in-process; otherwise it spawns a distributed session of worker
+// runMPC runs the job with the selected shuffle transport: cluster == nil
+// runs it in-process; otherwise it spawns a distributed session of worker
 // processes and runs the same job across them (printing the bytes that
-// actually crossed the wire). The two paths produce bit-identical results
-// and model counters for the same seed, and checkpoint into saver (nil =
-// no durability) alike.
-//
-// On tcp, traceOut enables the telemetry plane — every worker ships its
-// buffered events at round barriers and the merged multi-process trace is
-// written after the run — and statusAddr serves a live JSON snapshot of
-// the session over HTTP while the job runs.
-func runMPC(job dist.Job, saver *checkpoint.Saver, tcp *dist.SessionOptions, soak int,
-	statusAddr, traceOut string) (core.Result, error) {
-	if tcp == nil {
+// actually crossed the wire), and statusAddr serves a live JSON snapshot
+// of the session over HTTP while the job runs. The two paths produce
+// bit-identical results and model counters for the same seed, and
+// checkpoint into saver (nil = no durability) alike.
+func runMPC(job dist.Job, saver *checkpoint.Saver, cluster *dist.SessionOptions, soak int,
+	statusAddr string) (core.Result, error) {
+	if cluster == nil {
 		return job.Run(core.Params{}, saver)
 	}
 	if soak > 0 {
 		// Soak mode: N fresh sessions under rotating chaos seeds, each
 		// checked bit-for-bit against the fault-free local digest. The
 		// normal report afterwards comes from one more local run.
-		err := dist.Soak(job, dist.SoakOptions{
-			Workers:    tcp.Workers,
-			Iterations: soak,
-			Plan:       tcp.NetChaos,
-			Transport:  tcp.Transport,
-			Log:        os.Stderr,
-		})
+		err := dist.Soak(job, dist.SoakOptions{Session: *cluster, Iterations: soak, Log: os.Stderr})
 		if err != nil {
 			return core.Result{}, err
 		}
 		fmt.Fprintf(os.Stderr, "mpcdist: soak ok: %d iterations, every session bit-identical to the local run\n", soak)
 		return job.Run(core.Params{}, nil)
 	}
-	sess, err := dist.NewSession(*tcp)
+	sess, err := dist.NewSession(*cluster)
 	if err != nil {
 		return core.Result{}, err
 	}
@@ -289,25 +287,11 @@ func runMPC(job dist.Job, saver *checkpoint.Saver, tcp *dist.SessionOptions, soa
 	st := sess.Stats()
 	fmt.Fprintf(os.Stderr, "mpcdist: transport=tcp workers=%d/%d wire: out=%dB in=%dB frames=%d exchanges=%d peersLost=%d reassigns=%d reconnects=%d corruptFrames=%d\n",
 		sess.Alive(), sess.Workers(), st.BytesOut, st.BytesIn, st.Frames, st.Exchanges, st.PeersLost, st.Reassigns, st.Reconnects, st.CorruptFrames)
-	if traceOut != "" {
-		// Write the trace even after a failed run — the lanes up to the
-		// failure are exactly what one wants to look at.
-		ct, terr := sess.ClusterTrace()
-		if terr == nil {
-			terr = traceio.WriteFile(traceOut, ct)
-		}
-		if terr != nil && err == nil {
-			return res, terr
-		}
-		if terr == nil {
-			fmt.Fprintf(os.Stderr, "mpcdist: wrote merged cluster trace to %s (open in Perfetto or chrome://tracing)\n", traceOut)
-		}
-	}
 	return res, err
 }
 
-// tracePath is set when -trace targets a local MPC run; die flushes the
-// trace before exiting so a failed round is still viewable.
+// tracePath is set by -trace; die and the normal exit flush the trace, so
+// a failed round is still viewable.
 var tracePath string
 
 // flightDump is ArmFlight's finalizer; die runs it so os.Exit cannot

@@ -11,10 +11,14 @@
 // round's machines, and exits when the session shuts down. It takes no
 // transport flags: the heartbeat interval, peer deadline and rejoin grace
 // are set on the coordinator, and the worker adopts them from the
-// handshake's welcome frame. With -status it also serves a live JSON
-// snapshot of its view of the session (exchange progress,
-// coordinator-link wire counters, heartbeat RTT) at http://ADDR/status
-// for the session's lifetime.
+// handshake's welcome frame. Its -netchaos-* flags perturb its own
+// links. With -status it also serves, for the session's lifetime, the
+// operator endpoints of dist.OpsHandler: a live JSON snapshot of its view
+// of the session (exchange progress, coordinator-link wire counters,
+// heartbeat RTT) at http://ADDR/status, the flight recorder at /flight
+// and /debug/flight, /version, and pprof. It ships its events to the
+// coordinator's process log whenever that log records, so a coordinator's
+// -trace or flight dump holds this worker's lane too.
 package main
 
 import (

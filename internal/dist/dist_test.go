@@ -297,7 +297,7 @@ func TestSoakSmoke(t *testing.T) {
 		t.Skip("spawns worker processes")
 	}
 	err := Soak(parityJobs()[0], SoakOptions{
-		Workers:    2,
+		Session:    SessionOptions{Workers: 2},
 		Iterations: 2,
 		Log:        testWriter{t},
 	})

@@ -41,12 +41,6 @@ type SessionOptions struct {
 	// Strictly a wire-level perturbation: deterministic counters and
 	// results are bit-identical under any plan.
 	NetChaos *netchaos.Plan
-	// Telemetry requests a trace: the process log keeps every event from
-	// the session's start, every party ships its events to the coordinator
-	// at round barriers, and ClusterTrace renders them after runs.
-	// Out-of-band: results and deterministic counters are bit-identical
-	// with or without it.
-	Telemetry bool
 	// Checkpoint, when non-nil, snapshots every completed round of each job
 	// Run executes into the store, keyed by the job's SpecDigest (RunSaved
 	// takes a saver the caller opened instead; only Run reads these four
@@ -67,16 +61,18 @@ type SessionOptions struct {
 // coordinator (party 0) plus Workers spawned worker processes. Jobs run
 // one at a time; the session survives across jobs and is torn down by
 // Close.
+//
+// The session's trace is the process log (trace.Flight): its workers
+// ship their events into it whenever it records, and Close ends its
+// transport lane with one peer-stats instant per worker. A binary that
+// wants the whole session in its trace calls trace.Flight().Keep() before
+// NewSession and writes trace.Flight().Trace() after Close.
 type Session struct {
 	mu   sync.Mutex
 	co   *transport.Coordinator
 	ln   net.Listener
 	cmds []*exec.Cmd
 	opts SessionOptions
-
-	// traceFrom is the process log's position when a Telemetry session
-	// started: ClusterTrace renders the events logged since.
-	traceFrom uint64
 
 	// ckMu guards saver separately from mu: Status endpoints read it while
 	// RunSaved holds mu for the whole job.
@@ -115,11 +111,6 @@ func NewSession(opts SessionOptions) (*Session, error) {
 			return nil, fmt.Errorf("dist: spawning worker %d: %w", i+1, err)
 		}
 		s.cmds = append(s.cmds, cmd)
-	}
-	if opts.Telemetry {
-		// Before the coordinator exists: its welcome asks workers to ship
-		// whenever the process log records.
-		s.traceFrom = trace.Flight().Keep()
 	}
 	topts := opts.Transport
 	if opts.NetChaos.Active() {
@@ -282,20 +273,17 @@ func (s *Session) CheckpointStatus() *checkpoint.Status {
 	return &st
 }
 
-// ClusterTrace renders what the process log holds since the session
-// started (the coordinator's own events, the telemetry workers shipped at
-// round barriers, the transport's events) and a synthetic per-peer counter
-// snapshot as one multi-process Perfetto trace. Requires
-// SessionOptions.Telemetry; call after Run (and before Close, which tears
-// the peers down).
-func (s *Session) ClusterTrace() (*trace.ClusterTrace, error) {
-	if !s.opts.Telemetry {
-		return nil, fmt.Errorf("dist: session started without Telemetry")
-	}
+// Close shuts the session down in order: log each worker's closing
+// peer-stats instant (its wire bytes and heartbeat RTT p99), tell workers
+// there are no more jobs, close the connections, and reap the worker
+// processes (killing any that fail to exit promptly). Closing a closed
+// session does nothing.
+func (s *Session) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// One synthetic peer-stats instant per worker closes the transport
-	// lane with final wire counters and heartbeat RTT p99.
+	if s.cmds == nil {
+		return nil
+	}
 	now := time.Now().UnixNano()
 	var ps trace.Telemetry
 	for _, p := range s.co.Status().Peers {
@@ -303,15 +291,7 @@ func (s *Session) ClusterTrace() (*trace.ClusterTrace, error) {
 			Detail: trace.TransportPeerStats, Peer: int32(p.Party),
 			Words: p.BytesIn + p.BytesOut, QueueNs: int64(math.Round(p.RTTP99Ms * float64(time.Millisecond))), StartNs: now})
 	}
-	return trace.BuildClusterTrace(append(trace.Flight().Since(s.traceFrom), ps)), nil
-}
-
-// Close shuts the session down in order: tell workers there are no more
-// jobs, close the connections, and reap the worker processes (killing any
-// that fail to exit promptly).
-func (s *Session) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	trace.FlightIngest(ps)
 	s.co.Shutdown()
 	s.ln.Close()
 	for _, cmd := range s.cmds {

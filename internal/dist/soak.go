@@ -8,22 +8,19 @@ import (
 	"mpcdist/internal/core"
 	"mpcdist/internal/netchaos"
 	"mpcdist/internal/trace"
-	"mpcdist/internal/transport"
 )
 
 // SoakOptions configure a Soak run.
 type SoakOptions struct {
-	// Workers per iteration's session (default 2).
-	Workers int
+	// Session is what every iteration's session starts from. Zero Workers
+	// means 2, a nil NetChaos a default profile of corruption, drops and
+	// resets, and a zero Transport.RejoinGrace 2s — soaking chaos without
+	// rejoin would just measure eviction. Iteration i runs under a copy of
+	// NetChaos with Seed = NetChaos.Seed + i, so one soak sweeps a family
+	// of schedules.
+	Session SessionOptions
 	// Iterations is how many chaos sessions to run (default 10).
 	Iterations int
-	// Plan is the base link-fault schedule; iteration i runs under a copy
-	// with Seed = Plan.Seed + i, so one soak sweeps a family of schedules.
-	// Nil means a default profile of corruption, drops, and resets.
-	Plan *netchaos.Plan
-	// Transport tunes liveness. A zero RejoinGrace is raised to 2s —
-	// soaking chaos without rejoin would just measure eviction.
-	Transport transport.Options
 	// Log, when non-nil, receives one line per iteration with the
 	// session's advisory wire counters.
 	Log io.Writer
@@ -37,17 +34,18 @@ type SoakOptions struct {
 // counter. The first divergence triggers a flight dump and fails the
 // soak.
 func Soak(job Job, opts SoakOptions) error {
-	if opts.Workers <= 0 {
-		opts.Workers = 2
+	base := opts.Session
+	if base.Workers <= 0 {
+		base.Workers = 2
 	}
 	if opts.Iterations <= 0 {
 		opts.Iterations = 10
 	}
-	if opts.Plan == nil {
-		opts.Plan = &netchaos.Plan{Seed: 1, Corrupt: 0.01, Drop: 0.005, Reset: 0.002}
+	if base.NetChaos == nil {
+		base.NetChaos = &netchaos.Plan{Seed: 1, Corrupt: 0.01, Drop: 0.005, Reset: 0.002}
 	}
-	if opts.Transport.RejoinGrace <= 0 {
-		opts.Transport.RejoinGrace = 2 * time.Second
+	if base.Transport.RejoinGrace <= 0 {
+		base.Transport.RejoinGrace = 2 * time.Second
 	}
 
 	// The reference digest comes from a fault-free in-process run: the
@@ -56,13 +54,11 @@ func Soak(job Job, opts SoakOptions) error {
 	want := digestOf(ref, rerr)
 
 	for i := 0; i < opts.Iterations; i++ {
-		plan := *opts.Plan
-		plan.Seed = opts.Plan.Seed + int64(i)
-		s, err := NewSession(SessionOptions{
-			Workers:   opts.Workers,
-			Transport: opts.Transport,
-			NetChaos:  &plan,
-		})
+		so := base
+		plan := *base.NetChaos
+		plan.Seed += int64(i)
+		so.NetChaos = &plan
+		s, err := NewSession(so)
 		if err != nil {
 			return fmt.Errorf("dist: soak iteration %d (seed %d): session: %w", i, plan.Seed, err)
 		}

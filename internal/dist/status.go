@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
+	"mpcdist/internal/buildinfo"
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/trace"
 	"mpcdist/internal/transport"
@@ -22,56 +24,60 @@ type StatusWithCheckpoint struct {
 	Checkpoint *checkpoint.Status `json:"checkpoint,omitempty"`
 }
 
-// StartStatus serves a live JSON status snapshot over HTTP at addr
-// (":8081" style): GET /status — and / as a convenience — returns
-// snap()'s JSON encoding (JSONHandler), recomputed per request, so
-// `watch curl localhost:8081/status` follows a running session. The
+// StartStatus serves OpsHandler(snap) over HTTP at addr (":8081" style):
+// the -status listener of mpcdist and mpcworker. snap typically returns a
+// transport.Status (coordinator or worker view), recomputed per request,
+// so `watch curl localhost:8081/status` follows a running session. The
 // returned server is already listening; Close it to stop.
-//
-// Two flight-recorder routes ride along: GET /flight returns the
-// process-global recorder's live trace.FlightStats (FlightStatsHandler;
-// what cmd/mpctop polls), and GET /debug/flight writes the recorder's
-// dump (FlightDumpHandler) without interrupting the run. mpcserve's ops
-// listener mounts the same three handlers.
-//
-// snap typically returns a transport.Status (coordinator or worker view).
-// Everything served is advisory host-level state; the endpoint never
-// influences the deterministic run.
 func StartStatus(addr string, snap func() any) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("dist: status listen %s: %w", addr, err)
 	}
-	mux := http.NewServeMux()
-	status := JSONHandler(snap)
-	mux.HandleFunc("/status", status)
-	mux.HandleFunc("/flight", FlightStatsHandler)
-	mux.HandleFunc("/debug/flight", FlightDumpHandler)
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/" {
-			http.NotFound(w, r)
-			return
-		}
-		status(w, r)
-	})
 	// Addr carries the bound address back to the caller (useful with
 	// ":0"-style requests, where the kernel picks the port).
-	srv := &http.Server{Addr: ln.Addr().String(), Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	srv := &http.Server{Addr: ln.Addr().String(), Handler: OpsHandler(snap), ReadHeaderTimeout: 5 * time.Second}
 	go srv.Serve(ln)
 	return srv, nil
 }
 
-// JSONHandler serves snap()'s indented JSON encoding, recomputed per
-// request: the /status route, and mpcserve's /version.
-func JSONHandler(snap func() any) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, snap()) }
-}
-
-// FlightStatsHandler serves the process-global flight recorder's live
-// trace.FlightStats (retained counts and rolling round-latency quantiles)
-// as JSON: the lightweight /flight poll target, next to the full dump.
-func FlightStatsHandler(w http.ResponseWriter, _ *http.Request) {
-	serveJSON(w, trace.Flight().Stats())
+// OpsHandler serves the operator endpoints of every listener in the
+// repository (StartStatus, and mpcserve's -ops listener, which adds
+// /metrics):
+//
+//   - the Go pprof suite under /debug/pprof/, whose CPU profiles carry
+//     the {algo, phase, round} labels of trace.LabelPhase;
+//   - GET /flight, the process log's live trace.FlightStats (what
+//     cmd/mpctop polls), and /debug/flight, its dump as a Chrome trace
+//     (503 with the flight recorder off);
+//   - GET /version, the binary's build identity, which an operator
+//     compares with a checkpoint manifest's revision before a resume;
+//   - when status is non-nil, GET /status and GET /: status()'s JSON.
+//
+// Everything served is advisory host-level state; the endpoints never
+// influence the deterministic run. Profiles and dumps expose memory
+// contents, so the handler belongs on an opt-in listener, never on a
+// query port.
+func OpsHandler(status func() any) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.HandleFunc("GET /flight", func(w http.ResponseWriter, _ *http.Request) {
+		serveJSON(w, trace.Flight().Stats())
+	})
+	mux.HandleFunc("/debug/flight", flightDump)
+	mux.HandleFunc("GET /version", func(w http.ResponseWriter, _ *http.Request) {
+		serveJSON(w, buildinfo.Get())
+	})
+	if status != nil {
+		serve := func(w http.ResponseWriter, _ *http.Request) { serveJSON(w, status()) }
+		mux.HandleFunc("GET /status", serve)
+		mux.HandleFunc("GET /{$}", serve)
+	}
+	return mux
 }
 
 func serveJSON(w http.ResponseWriter, v any) {
@@ -83,11 +89,9 @@ func serveJSON(w http.ResponseWriter, v any) {
 	}
 }
 
-// FlightDumpHandler serves the process-global flight recorder's dump as a
-// Chrome trace-event file (the format cmd/tracecheck validates). It is
-// mounted at /debug/flight on the dist status servers and the mpcserve
-// ops listener.
-func FlightDumpHandler(w http.ResponseWriter, r *http.Request) {
+// flightDump serves the process log's dump as a Chrome trace-event file
+// (the format cmd/tracecheck validates).
+func flightDump(w http.ResponseWriter, _ *http.Request) {
 	if !trace.FlightEnabled() {
 		http.Error(w, "flight recorder disabled (MPCDIST_FLIGHT=off)", http.StatusServiceUnavailable)
 		return

@@ -48,35 +48,52 @@ func processNames(file clusterTraceFile) map[int]string {
 	return names
 }
 
-// TestTelemetryParity is the tentpole's hard invariant: running the same
-// jobs over TCP with telemetry shipping enabled must produce bit-identical
-// deterministic results — versus the local run AND versus a telemetry-off
-// TCP run — while the session accumulates a merged multi-process trace
-// with one lane per party plus the transport lane.
+// TestTelemetryParity is the telemetry plane's hard invariant: the same
+// jobs over TCP with no worker shipping events (nothing records, so the
+// welcome asks for no telemetry) and with every worker shipping them (the
+// process log keeps everything from before the session opens, as under
+// -trace) must produce bit-identical deterministic results, both equal to
+// the local run. After Close the process log renders one lane per party
+// plus the transport lane, which ends in one peer-stats instant per
+// worker and holds no peer loss.
 func TestTelemetryParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	on, err := NewSession(SessionOptions{Workers: 3, Telemetry: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer on.Close()
+	prev := trace.FlightEnabled()
+	defer trace.SetFlightEnabled(prev)
+	defer trace.Flight().Reset()
+	trace.SetFlightEnabled(false)
+	trace.Flight().Reset()
+
 	off, err := NewSession(SessionOptions{Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer off.Close()
-
+	var resOff []core2
 	for _, job := range parityJobs() {
 		local, lerr := runLocal(job)
-		ron, eon := on.Run(job)
-		roff, eoff := off.Run(job)
-		checkParity(t, job.Algo+"/telemetry-on", local, lerr, ron, eon)
-		checkParity(t, job.Algo+"/telemetry-off", local, lerr, roff, eoff)
-		if !reflect.DeepEqual(normalize(ron), normalize(roff)) {
+		r, rerr := off.Run(job)
+		checkParity(t, job.Algo+"/telemetry-off", local, lerr, r, rerr)
+		resOff = append(resOff, core2{normalize(r), errStr(rerr)})
+	}
+	off.Close()
+
+	// Keep alone makes the log record, flight recorder off or not, and so
+	// makes the next session's welcome ask every worker to ship.
+	trace.Flight().Keep()
+	on, err := NewSession(SessionOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer on.Close()
+	for i, job := range parityJobs() {
+		local, lerr := runLocal(job)
+		r, rerr := on.Run(job)
+		checkParity(t, job.Algo+"/telemetry-on", local, lerr, r, rerr)
+		if got := (core2{normalize(r), errStr(rerr)}); !reflect.DeepEqual(got, resOff[i]) {
 			t.Errorf("%s: telemetry changed the deterministic result:\non:  %+v\noff: %+v",
-				job.Algo, normalize(ron), normalize(roff))
+				job.Algo, got, resOff[i])
 		}
 	}
 
@@ -108,11 +125,8 @@ func TestTelemetryParity(t *testing.T) {
 	}
 	rep()
 
-	ct, err := on.ClusterTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := decodeClusterTrace(t, ct)
+	on.Close()
+	file := decodeClusterTrace(t, trace.Flight().Trace())
 	names := processNames(file)
 	want := map[int]string{
 		0: "coordinator (party 0)",
@@ -126,7 +140,8 @@ func TestTelemetryParity(t *testing.T) {
 			t.Errorf("trace lane %d named %q, want %q (lanes: %v)", pid, names[pid], name, names)
 		}
 	}
-	spans := map[int]int{} // pid -> machine spans
+	spans := map[int]int{}     // pid -> machine spans
+	peerStats := map[int]int{} // transport track -> peer-stats instants
 	for _, ev := range file.TraceEvents {
 		if ev.Ts < 0 || ev.Dur < 0 {
 			t.Errorf("negative time in merged trace: %+v", ev)
@@ -134,16 +149,20 @@ func TestTelemetryParity(t *testing.T) {
 		if ev.Ph == "X" && ev.Tid > 0 && ev.Pid <= 3 {
 			spans[ev.Pid]++
 		}
+		if ev.Pid == 4 && ev.Name == trace.TransportPeerStats {
+			peerStats[ev.Tid]++
+		}
+		if ev.Name == trace.TransportPeerLost {
+			t.Errorf("a clean session logged %+v", ev)
+		}
 	}
 	for pid := 0; pid <= 3; pid++ {
 		if spans[pid] == 0 {
 			t.Errorf("party %d shipped no machine spans", pid)
 		}
 	}
-
-	// The telemetry-off session must refuse to build a trace.
-	if _, err := off.ClusterTrace(); err == nil {
-		t.Error("ClusterTrace succeeded on a telemetry-off session")
+	if want := map[int]int{1: 1, 2: 1, 3: 1}; !reflect.DeepEqual(peerStats, want) {
+		t.Errorf("peer-stats instants per worker track = %v, want one each %v", peerStats, want)
 	}
 }
 
@@ -160,9 +179,11 @@ func TestTelemetryWorkerDeath(t *testing.T) {
 	// forces real reassignments (ulam's later exchanges are single-machine).
 	job := parityJobs()[1]
 	local, lerr := runLocal(job)
+	defer trace.Flight().Reset()
+	trace.Flight().Reset()
+	trace.Flight().Keep()
 	sess, err := NewSession(SessionOptions{
 		Workers:   2,
-		Telemetry: true,
 		Stderr:    io.Discard,
 		WorkerEnv: []string{EnvWorkerDieSeq + "=2", EnvWorkerDieParty + "=2"},
 	})
@@ -174,11 +195,8 @@ func TestTelemetryWorkerDeath(t *testing.T) {
 	distr, derr := sess.Run(job)
 	checkParity(t, "edit-mpc/telemetry-worker-kill", local, lerr, distr, derr)
 
-	ct, err := sess.ClusterTrace()
-	if err != nil {
-		t.Fatal(err)
-	}
-	file := decodeClusterTrace(t, ct)
+	sess.Close()
+	file := decodeClusterTrace(t, trace.Flight().Trace())
 	deadSpans, reassigns := 0, 0
 	for _, ev := range file.TraceEvents {
 		if ev.Ph == "X" && ev.Pid == 2 && ev.Tid > 0 {
@@ -240,6 +258,20 @@ func TestStatusEndpoint(t *testing.T) {
 	for _, p := range st.Peers {
 		if !p.Alive || p.BytesIn == 0 {
 			t.Errorf("peer row %+v, want alive with traffic", p)
+		}
+	}
+
+	// The -status listener serves the whole ops handler: build identity
+	// and pprof ride along with the snapshot.
+	for _, path := range []string{"/version", "/debug/pprof/cmdline"} {
+		resp, err := http.Get("http://" + srv.Addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("GET %s: status %d, %d bytes; want 200 with a body", path, resp.StatusCode, len(body))
 		}
 	}
 }

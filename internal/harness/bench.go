@@ -11,7 +11,6 @@ import (
 	"mpcdist/internal/dist"
 	"mpcdist/internal/fault"
 	"mpcdist/internal/mpc"
-	"mpcdist/internal/netchaos"
 	"mpcdist/internal/trace"
 	"mpcdist/internal/transport"
 	"mpcdist/internal/workload"
@@ -38,28 +37,13 @@ type BenchConfig struct {
 	// baseline — recovery is invisible to the model counters — while
 	// failures/retries record the recovery overhead.
 	Faults *fault.Plan
-	// Transport selects the shuffle transport: "local" (default,
-	// in-process) or "tcp" (a distributed session of real worker
-	// processes, shared across all cases). The deterministic counters are
-	// transport-independent — a tcp run must compare exactly against a
-	// local baseline — while ElapsedMs and WireBytes record what the
-	// transport cost.
-	Transport string
-	// Workers is the worker-process count for Transport "tcp" (0 = 2).
-	Workers int
-	// Telemetry turns on the tcp session's trace shipping (ignored on
-	// local). Out-of-band by design: a telemetry-on run must compare
-	// exactly against a telemetry-off baseline — that is how the bench
-	// suite enforces the observability plane's zero-interference invariant.
-	Telemetry bool
-	// TransportOpts tunes the tcp session's liveness machinery (heartbeat,
-	// peer deadline, rejoin grace). Zero means transport defaults.
-	TransportOpts transport.Options
-	// NetChaos, when active, degrades every tcp link with the deterministic
-	// injector. The strongest form of the transport invariant: a chaos run
-	// must still compare exactly against the clean local baseline, with the
-	// recovery cost visible only in the advisory wire fields.
-	NetChaos *netchaos.Plan
+	// Cluster, when non-nil, runs every case on one distributed session of
+	// real worker processes opened with these options (its NetChaos plan
+	// included); nil runs in-process. The deterministic counters are
+	// transport-independent — a tcp run, link chaos or not, must compare
+	// exactly against a local baseline — while ElapsedMs and the wire
+	// fields record what the transport cost.
+	Cluster *dist.SessionOptions
 	// CheckpointDir, when non-empty, snapshots every case's rounds into a
 	// checkpoint store there (flush cadence 1). Checkpointing must be
 	// invisible to the deterministic counters — a checkpointed run compares
@@ -74,12 +58,6 @@ func (c BenchConfig) withDefaults() BenchConfig {
 	}
 	if c.Eps <= 0 {
 		c.Eps = 0.5
-	}
-	if c.Transport == "" {
-		c.Transport = "local"
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
 	}
 	return c
 }
@@ -153,10 +131,6 @@ type BenchFile struct {
 	// exactly how that invariant is checked.
 	Transport string `json:"transport,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
-	// Telemetry records whether the tcp session shipped trace events.
-	// Excluded from the config gate for the same reason as Transport:
-	// diffing telemetry-on against a telemetry-off baseline is the check.
-	Telemetry bool `json:"telemetry,omitempty"`
 	// NetChaos records the link-fault schedule the suite ran under, if
 	// any. Excluded from the config gate: diffing a chaos run against the
 	// clean baseline is exactly the robustness invariant.
@@ -288,7 +262,7 @@ func RunBench(cfg BenchConfig) (BenchFile, error) {
 	file := BenchFile{
 		Stamp: time.Now().UTC().Format(time.RFC3339),
 		Seed:  cfg.Seed, Eps: cfg.Eps, Sizes: cfg.Sizes,
-		Transport: cfg.Transport,
+		Transport: "local",
 	}
 	var store *checkpoint.Store
 	if cfg.CheckpointDir != "" {
@@ -298,35 +272,23 @@ func RunBench(cfg BenchConfig) (BenchFile, error) {
 		}
 		file.Checkpoint = cfg.CheckpointDir
 	}
+	// The counting in-process transport makes local WireBytes a
+	// logical-encoding measure comparable against tcp runs (which add
+	// framing and handshake traffic on top of the same payload codec).
+	local := transport.NewLocal()
+	stats := local.Stats
 	var sess *dist.Session
-	var local *transport.Local
-	switch cfg.Transport {
-	case "local":
-		// The counting in-process transport makes local WireBytes a
-		// logical-encoding measure comparable against tcp runs (which add
-		// framing and handshake traffic on top of the same payload codec).
-		local = transport.NewLocal()
-	case "tcp":
+	if cfg.Cluster != nil {
 		var err error
-		sess, err = dist.NewSession(dist.SessionOptions{Workers: cfg.Workers, Telemetry: cfg.Telemetry,
-			Transport: cfg.TransportOpts, NetChaos: cfg.NetChaos})
-		if err != nil {
+		if sess, err = dist.NewSession(*cfg.Cluster); err != nil {
 			return BenchFile{}, err
 		}
 		defer sess.Close()
-		file.Workers = cfg.Workers
-		file.Telemetry = cfg.Telemetry
-		if cfg.NetChaos.Active() {
-			file.NetChaos = cfg.NetChaos.String()
+		stats = sess.Stats
+		file.Transport, file.Workers = "tcp", cfg.Cluster.Workers
+		if cfg.Cluster.NetChaos.Active() {
+			file.NetChaos = cfg.Cluster.NetChaos.String()
 		}
-	default:
-		return BenchFile{}, fmt.Errorf("harness: unknown transport %q (want local or tcp)", cfg.Transport)
-	}
-	stats := func() transport.Stats {
-		if sess != nil {
-			return sess.Stats()
-		}
-		return local.Stats()
 	}
 	for _, bc := range benchCases(cfg.Seed) {
 		for _, n := range cfg.Sizes {

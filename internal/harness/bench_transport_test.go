@@ -15,12 +15,13 @@ func TestMain(m *testing.M) {
 }
 
 // TestBenchTransportParity runs a reduced bench suite over both shuffle
-// transports — the tcp side with telemetry shipping on — and requires
-// CompareBench to find zero deterministic-counter drift between them: the
-// bench-level form of the transport parity invariant, plus the telemetry
-// plane's zero-interference invariant in the same comparison. Both sides
-// must report wire traffic (local counts the logical codec encoding, tcp
-// the real wire, so tcp is strictly larger).
+// transports — the tcp side with its workers shipping telemetry, as they
+// do whenever the process log records — and requires CompareBench to find
+// zero deterministic-counter drift between them: the bench-level form of
+// the transport parity invariant, plus the telemetry plane's
+// zero-interference invariant in the same comparison. Both sides must
+// report wire traffic (local counts the logical codec encoding, tcp the
+// real wire, so tcp is strictly larger).
 func TestBenchTransportParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
@@ -29,7 +30,7 @@ func TestBenchTransportParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tcp, err := RunBench(BenchConfig{Sizes: []int{96}, Seed: 3, Transport: "tcp", Workers: 2, Telemetry: true})
+	tcp, err := RunBench(BenchConfig{Sizes: []int{96}, Seed: 3, Cluster: &dist.SessionOptions{Workers: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +38,8 @@ func TestBenchTransportParity(t *testing.T) {
 	for _, d := range diffs {
 		t.Errorf("local vs tcp+telemetry drift: %s", d)
 	}
-	if !tcp.Telemetry {
-		t.Error("tcp bench file does not record telemetry mode")
+	if tcp.Transport != "tcp" || tcp.Workers != 2 {
+		t.Errorf("tcp bench file records transport %q with %d workers, want tcp with 2", tcp.Transport, tcp.Workers)
 	}
 	for i, r := range local.Results {
 		if r.WireBytes == 0 {

@@ -2,12 +2,12 @@
 // deterministic, seeded fault injector wrapped around net.Conn. Where
 // fault.Plan schedules *logical* failures (machine crashes, stragglers)
 // that the simulator recovers from, a netchaos.Plan schedules *wire*
-// failures — latency, jitter, bandwidth caps, silent drops, bit
-// corruption, one-way partitions, and mid-stream resets — that the
-// transport layer must absorb (CRC rejection, connection recycling,
-// worker rejoin) without ever changing a deterministic counter. It is the
-// repository's one way to lose a message: Drop loses shuffle traffic on
-// the wire, and the transport's recovery is what a lossy run exercises.
+// failures — silent drops, bit corruption, one-way partitions, and
+// mid-stream resets — that the transport layer must absorb (CRC
+// rejection, connection recycling, worker rejoin) without ever changing
+// a deterministic counter. It is the repository's one way to lose a
+// message: Drop loses shuffle traffic on the wire, and the transport's
+// recovery is what a lossy run exercises.
 //
 // Every decision is a pure function of (plan seed, failure kind,
 // connection index, operation index) via the same SplitMix64 Bernoulli
@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"net"
 	"sync/atomic"
-	"time"
 
 	"mpcdist/internal/fault"
 )
@@ -35,13 +34,6 @@ type Plan struct {
 	// Seed derives every decision; two plans with equal fields produce
 	// identical schedules.
 	Seed int64
-	// Latency is a fixed extra delay injected before every write.
-	Latency time.Duration
-	// Jitter adds a deterministic extra delay in [0, Jitter) per write.
-	Jitter time.Duration
-	// Bandwidth caps write throughput in bytes/second (0 = unlimited),
-	// modeled as a post-write sleep of len/Bandwidth.
-	Bandwidth int64
 	// Corrupt is the probability one byte of a write — and, independently,
 	// of a read — is bit-flipped in flight (the transport's CRC must catch
 	// it). Read-path flips let a one-sided wrapper perturb both directions.
@@ -76,14 +68,12 @@ const (
 	kindReset     uint64 = 0x7265736574000000 // "reset\0\0\0"
 	kindPartition uint64 = 0x7061727469746e   // "partitn"
 	kindPartDir   uint64 = 0x7061727464697200 // "partdir\0"
-	kindJitter    uint64 = 0x6a69747465720000 // "jitter\0\0"
 )
 
 // Active reports whether the plan can perturb anything. A nil plan is
 // inactive and Injector.Wrap becomes the identity.
 func (p *Plan) Active() bool {
-	return p != nil && (p.Latency > 0 || p.Jitter > 0 || p.Bandwidth > 0 ||
-		p.Corrupt > 0 || p.Drop > 0 || p.Reset > 0 || p.Partition > 0)
+	return p != nil && (p.Corrupt > 0 || p.Drop > 0 || p.Reset > 0 || p.Partition > 0)
 }
 
 // String renders the schedule parameters; two plans with equal strings
@@ -92,8 +82,8 @@ func (p *Plan) String() string {
 	if p == nil {
 		return "netchaos.Plan(nil)"
 	}
-	return fmt.Sprintf("netchaos.Plan{seed=%d latency=%s jitter=%s bandwidth=%d corrupt=%g drop=%g reset=%g partition=%g}",
-		p.Seed, p.Latency, p.Jitter, p.Bandwidth, p.Corrupt, p.Drop, p.Reset, p.Partition)
+	return fmt.Sprintf("netchaos.Plan{seed=%d corrupt=%g drop=%g reset=%g partition=%g}",
+		p.Seed, p.Corrupt, p.Drop, p.Reset, p.Partition)
 }
 
 // Injector wraps connections with the plan's schedule, handing each
@@ -184,9 +174,6 @@ func (c *conn) Write(p []byte) (int, error) {
 	}
 	pl := c.plan
 	op := int(c.wOps.Add(1))
-	if d := pl.Latency + time.Duration(fault.Uniform(pl.Seed, kindJitter, c.id, op, 0)*float64(pl.Jitter)); d > 0 {
-		time.Sleep(d)
-	}
 	if c.partitioned && !c.partIn {
 		return len(p), nil // outbound blackhole
 	}
@@ -211,9 +198,6 @@ func (c *conn) Write(p []byte) (int, error) {
 	if n > len(p) {
 		n = len(p)
 	}
-	if err == nil && pl.Bandwidth > 0 {
-		time.Sleep(time.Duration(float64(n) / float64(pl.Bandwidth) * float64(time.Second)))
-	}
 	if err == nil && fault.Decide(pl.Seed, kindReset, pl.Reset, c.id, op, 0) {
 		c.Conn.Close() // mid-stream reset: the next operation on either side fails
 	}
@@ -225,16 +209,12 @@ func (c *conn) Write(p []byte) (int, error) {
 // the Plan after fs.Parse; it returns nil when the plan is inactive.
 func BindFlags(fs *flag.FlagSet) func() *Plan {
 	seed := fs.Int64("netchaos-seed", 1, "link-fault schedule seed (schedules are deterministic and replayable)")
-	latency := fs.Duration("netchaos-latency", 0, "fixed extra latency injected before every transport write")
-	jitter := fs.Duration("netchaos-jitter", 0, "deterministic extra write delay in [0, jitter)")
-	bandwidth := fs.Int64("netchaos-bandwidth", 0, "write bandwidth cap in bytes/second (0 = unlimited)")
 	corrupt := fs.Float64("netchaos-corrupt", 0, "probability one byte of a write is bit-flipped in flight")
 	drop := fs.Float64("netchaos-drop", 0, "probability a transport write is truncated in flight (stream desync)")
 	reset := fs.Float64("netchaos-reset", 0, "probability the connection resets right after a write")
 	partition := fs.Float64("netchaos-partition", 0, "probability a connection is one-way partitioned from birth")
 	return func() *Plan {
-		p := &Plan{Seed: *seed, Latency: *latency, Jitter: *jitter, Bandwidth: *bandwidth,
-			Corrupt: *corrupt, Drop: *drop, Reset: *reset, Partition: *partition}
+		p := &Plan{Seed: *seed, Corrupt: *corrupt, Drop: *drop, Reset: *reset, Partition: *partition}
 		if !p.Active() {
 			return nil
 		}

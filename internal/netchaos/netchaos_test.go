@@ -3,6 +3,7 @@ package netchaos
 import (
 	"bytes"
 	"flag"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -179,11 +180,18 @@ func TestBindFlags(t *testing.T) {
 	}
 	fs = flag.NewFlagSet("t", flag.ContinueOnError)
 	get = BindFlags(fs)
-	if err := fs.Parse([]string{"-netchaos-seed", "9", "-netchaos-corrupt", "0.25", "-netchaos-latency", "1ms"}); err != nil {
+	if err := fs.Parse([]string{"-netchaos-seed", "9", "-netchaos-corrupt", "0.25", "-netchaos-drop", "0.5"}); err != nil {
 		t.Fatal(err)
 	}
 	p := get()
-	if p == nil || p.Seed != 9 || p.Corrupt != 0.25 || p.Latency != time.Millisecond {
+	if p == nil || p.Seed != 9 || p.Corrupt != 0.25 || p.Drop != 0.5 {
 		t.Fatalf("plan = %s", p)
+	}
+	// The write delays are gone: their flags no longer parse.
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	BindFlags(fs)
+	if err := fs.Parse([]string{"-netchaos-latency", "1ms"}); err == nil {
+		t.Fatal("-netchaos-latency parsed; want an unknown-flag error")
 	}
 }

@@ -16,7 +16,8 @@
 //	GET  /healthz        liveness (the process is up)
 //	GET  /readyz         readiness (503 while draining or overloaded)
 //
-// OpsHandler serves pprof and a metrics copy for a separate operator
+// OpsHandler serves the operator endpoints every status listener shares
+// (dist.OpsHandler) plus a metrics copy, for a separate operator
 // listener. Requests are tagged with X-Request-Id and logged through the
 // configured slog.Logger.
 //

@@ -81,12 +81,11 @@ func (l *Log) SetParty(p int) {
 }
 
 // Keep makes l keep every event from now on, for a trace a caller asked
-// for, and returns l's position: Since of it returns what follows.
-func (l *Log) Keep() uint64 {
+// for.
+func (l *Log) Keep() {
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.keep = true
-	return l.total
+	l.mu.Unlock()
 }
 
 // requested reports whether a trace (Keep) or a telemetry stream (Drain)

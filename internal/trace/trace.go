@@ -138,8 +138,9 @@ const (
 	TransportCorrupt   = "corrupt-frame" // a frame failed the CRC/length integrity check
 	TransportReassign  = "reassign"      // a lost peer's machines were re-executed elsewhere
 	TransportExchange  = "exchange"      // one round barrier completed
-	// TransportPeerStats is the kind of the per-peer counter instants a
-	// session's cluster trace closes its transport lane with.
+	// TransportPeerStats is the kind of the per-peer counter instants
+	// (wire bytes, heartbeat RTT p99) a distributed session logs as it
+	// closes, ending its transport lane.
 	TransportPeerStats = "peer-stats"
 )
 

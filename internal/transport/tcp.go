@@ -995,16 +995,10 @@ func (c *Coordinator) Status() Status {
 }
 
 // Shutdown ends the session in order: every live worker is told there are
-// no more jobs, then the connections close.
-func (c *Coordinator) Shutdown() {
-	peers, states := c.slots()
-	for w, p := range peers {
-		if states[w] == peerUp {
-			p.write(fShutdown, nil)
-		}
-	}
-	c.Close()
-}
+// no more jobs, then the connections close. The coordinator is closing
+// before the first shutdown frame leaves, so a worker that hangs up on
+// that frame ends its slot cleanly instead of counting as a peer loss.
+func (c *Coordinator) Shutdown() { c.close(true) }
 
 // Stats implements Transport.
 func (c *Coordinator) Stats() Stats {
@@ -1021,17 +1015,32 @@ func (c *Coordinator) Stats() Stats {
 
 // Close implements Transport.
 func (c *Coordinator) Close() error {
+	c.close(false)
+	return nil
+}
+
+// close marks the coordinator closing, which stops connFailed and the
+// grace timers from evicting anyone, tells every live worker the session
+// is over when shutdown is set, and tears the connections down. Only the
+// first call does anything.
+func (c *Coordinator) close(shutdown bool) {
 	c.mu.Lock()
 	if c.closing {
 		c.mu.Unlock()
-		return nil
+		return
 	}
 	c.closing = true
 	timers := c.timers
 	c.timers = nil
 	peers := append([]*peer(nil), c.peers...)
+	states := append([]peerState(nil), c.state...)
 	ln := c.ln
 	c.mu.Unlock()
+	for w, p := range peers {
+		if shutdown && states[w] == peerUp {
+			p.write(fShutdown, nil)
+		}
+	}
 	close(c.done)
 	for _, t := range timers {
 		t.Stop()
@@ -1042,7 +1051,6 @@ func (c *Coordinator) Close() error {
 	for _, p := range peers {
 		p.close()
 	}
-	return nil
 }
 
 // Worker is party 1..n-1 of a TCP session: it registers with the

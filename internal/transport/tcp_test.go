@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mpcdist/internal/trace"
 )
 
 // recsFor builds the deterministic records a party would produce for its
@@ -463,5 +465,83 @@ func TestWorkerAdoptsLiveness(t *testing.T) {
 	}
 	if d := w.peer().timeout; d != 900*time.Millisecond {
 		t.Errorf("worker connection read deadline %v, want 900ms", d)
+	}
+}
+
+// stallConn holds the coordinator's shutdown frame to one worker until
+// release returns, so the other worker can hang up on its own shutdown
+// frame first.
+type stallConn struct {
+	net.Conn
+	release func()
+}
+
+func (c *stallConn) Write(p []byte) (int, error) {
+	if len(p) == frameOverhead && frameType(p[0]) == fShutdown {
+		c.release()
+	}
+	return c.Conn.Write(p)
+}
+
+// TestShutdownIsNotPeerLoss ends a two-worker session while the first
+// worker has already closed its connection on the shutdown frame and the
+// second has not yet been told: a clean session end must evict nobody and
+// log no peer-lost event, however the workers' hang-ups interleave with
+// the coordinator's shutdown writes.
+func TestShutdownIsNotPeerLoss(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			w, err := DialWorker(ln.Addr().String(), Options{})
+			if err == nil {
+				_, err = w.NextJob()
+				w.Close()
+			}
+			exited <- err
+		}()
+	}
+	lost := make(chan struct{}, 4)
+	var conns atomic.Int32
+	co, err := NewCoordinator(ln, 2, Options{
+		OnEvent: func(e trace.TransportEvent) {
+			if e.Kind == trace.TransportPeerLost {
+				lost <- struct{}{}
+			}
+		},
+		WrapConn: func(c net.Conn) net.Conn {
+			if conns.Add(1) != 2 {
+				return c
+			}
+			return &stallConn{Conn: c, release: func() {
+				// The first worker exits on its shutdown frame; give the
+				// coordinator time to notice the hang-up before the second
+				// worker is told.
+				if err := <-exited; !errors.Is(err, ErrShutdown) {
+					t.Errorf("first worker: %v, want ErrShutdown", err)
+				}
+				select {
+				case <-lost:
+					lost <- struct{}{}
+				case <-time.After(500 * time.Millisecond):
+				}
+			}}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.Shutdown()
+	if err := <-exited; !errors.Is(err, ErrShutdown) {
+		t.Errorf("second worker: %v, want ErrShutdown", err)
+	}
+	if st := co.Stats(); st.PeersLost != 0 {
+		t.Errorf("PeersLost = %d after a clean shutdown, want 0", st.PeersLost)
+	}
+	if len(lost) != 0 {
+		t.Error("a clean shutdown logged a peer-lost event")
 	}
 }
