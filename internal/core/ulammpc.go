@@ -1,7 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"math/rand"
+	"slices"
 
 	"mpcdist/internal/chain"
 	"mpcdist/internal/mpc"
@@ -98,61 +101,66 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 
 // runUlamRound1 is Algorithm 1: build candidate substrings for the block
 // and emit a tuple with the Ulam distance for each.
+//
+// It walks the candidate grids twice. The first walk collects the distinct
+// windows, and each start's windows are priced together by one DP
+// (ulam.WindowDists). The second walk repeats the calls in the same order
+// and keeps each window the first time its distance passes the scale
+// filter, so the kept set and its order depend only on the grids.
 func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 	blen := job.R - job.L + 1
-	m := job.SbarLen
-	d0, win := ulam.LocalPairs(blen, job.Pairs, m, x.Counter())
-	dists := make(map[[2]int]int)
-	emitted := make(map[[2]int]bool)
-	type cand struct{ sp, ep, d int }
-	var kept []cand
-	emit := func(sp, ep, d int) {
-		key := [2]int{sp, ep}
-		if emitted[key] {
-			return
-		}
-		emitted[key] = true
-		kept = append(kept, cand{sp, ep, d})
-	}
-	// addCand evaluates the candidate and emits it if its distance is
-	// consistent with the current guess u: the approximately-optimal
-	// candidate at the true scale has distance <= (1+2eps')·u-hat
-	// (Lemma 3), so candidates far above the scale are junk for this u
-	// and may be produced again (and kept) at their own scale.
-	addCand := func(sp, ep, uh int) {
-		if sp < 0 {
-			sp = 0
-		}
-		if ep > m-1 {
-			ep = m - 1
-		}
-		if sp > ep || m == 0 {
-			return
-		}
-		key := [2]int{sp, ep}
-		d, ok := dists[key]
-		if !ok {
-			d = ulam.WindowDist(blen, job.Pairs, sp, ep, x.Counter())
-			dists[key] = d
-		}
-		if float64(d) <= (1+3*epsP)*float64(uh) {
-			emit(sp, ep, d)
-		}
-	}
-
-	if win.Len() > 0 {
-		// Line 2-3 (and the u = 0 special case): the local Ulam optimum
-		// itself is always a valid tuple.
-		emit(win.Gamma, win.Kappa, d0)
-	}
-
+	d0, win := ulam.LocalPairs(blen, job.Pairs, job.SbarLen, x.Counter())
 	// The hitting set I (line 12) is sampled once; it does not depend on
 	// the distance guess u.
 	theta := hitConst * math.Log(float64(n)+2) / (epsP * float64(blen))
-	rng := x.Rand()
-	type anchor struct{ gamma, kappa int }
+	g := ulamGrids{blen: blen, m: job.SbarLen, epsP: epsP, win: win,
+		anchors: sampleAnchors(x.Rand(), job.Pairs, blen, theta)}
+
+	wins := windowTable{seen: make(map[uint64]struct{})}
+	g.each(func(sp, ep, _ int) { wins.add(sp, ep) })
+	wins.price(blen, job.Pairs, x.Counter())
+
+	var kept []ulamCand
+	if win.Len() > 0 {
+		// Line 2-3 (and the u = 0 special case): the local Ulam optimum
+		// itself is always a valid tuple.
+		kept = append(kept, ulamCand{win.Gamma, win.Kappa, d0})
+		if w := wins.find(win.Gamma, win.Kappa); w != nil {
+			w.kept = true
+		}
+	}
+	// A candidate is kept if its distance is consistent with the current
+	// guess u: the approximately-optimal candidate at the true scale has
+	// distance <= (1+2eps')·u-hat (Lemma 3), so candidates far above the
+	// scale are junk for this u and may be produced again (and kept) at
+	// their own scale.
+	g.each(func(sp, ep, uh int) {
+		w := wins.find(sp, ep)
+		if !w.kept && float64(w.d) <= (1+3*epsP)*float64(uh) {
+			w.kept = true
+			kept = append(kept, ulamCand{sp, ep, int(w.d)})
+		}
+	})
+	priced := len(wins.wins)
+	wins = windowTable{} // the pruning needs only kept
+	pruneOps := pruneDominated(kept)
+	x.Ops(int64(priced) + pruneOps/8)
+	for _, c := range kept {
+		if c.d >= 0 {
+			SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d})
+		}
+	}
+}
+
+// anchor is a window of sbar anchored at one sampled match pair.
+type anchor struct{ gamma, kappa int }
+
+// sampleAnchors draws the hitting set I: each match pair independently
+// with probability theta, anchoring the window that aligns the block to
+// sbar through that pair.
+func sampleAnchors(rng *rand.Rand, pairs []ulam.Pair, blen int, theta float64) []anchor {
 	var anchors []anchor
-	for _, pr := range job.Pairs {
+	for _, pr := range pairs {
 		if rng.Float64() < theta {
 			anchors = append(anchors, anchor{
 				gamma: pr.Q - pr.P,
@@ -160,46 +168,128 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 			})
 		}
 	}
+	return anchors
+}
 
+// ulamGrids is one block's candidate construction (Lemmas 1 and 2): for
+// every distance guess, a grid of windows around the local Ulam window or
+// around each sampled anchor.
+type ulamGrids struct {
+	blen, m int // block length and |sbar|
+	epsP    float64
+	win     ulam.Window // the local Ulam window
+	anchors []anchor
+}
+
+// each calls visit(sp, ep, uh) for every candidate window, clamped to
+// sbar, with the paper's u-hat of the guess that produced it, always in
+// the same order. A window may be visited many times.
+func (g ulamGrids) each(visit func(sp, ep, uh int)) {
+	if g.m == 0 {
+		return
+	}
 	// Distance guesses u = (1+eps')^j. Guesses above B/eps' are dropped:
 	// by the same argument as the length cap of Fig. 5, windows longer
 	// than B/eps' can be truncated, pushing pure insertions into the
 	// chain gaps at a 1+O(eps') loss.
-	uMax := int(float64(blen)/epsP) + 1
-	for _, u := range Ladder(epsP, uMax) {
-		uh := int(float64(u)*(1+epsP)) + 1 // the paper's u-hat
-		gap := max(int(epsP*float64(u)), 1)
-		round := func(v int) int { return v - mod(v, gap) }
-		if u < (blen+1)/2 {
-			// Small-distance branch (Lemma 1): grid around the local
-			// Ulam window.
-			if win.Len() == 0 {
-				continue
-			}
-			for sp := round(win.Gamma - 2*uh); sp <= win.Gamma+2*uh; sp += gap {
-				for ep := round(win.Kappa - 2*uh); ep <= win.Kappa+2*uh; ep += gap {
-					addCand(sp, ep, uh)
-				}
-			}
-		} else {
-			// Large-distance branch (Lemma 2): grids around sampled
-			// anchors.
-			for _, an := range anchors {
-				for sp := round(an.gamma - uh); sp <= an.gamma+uh; sp += gap {
-					for ep := round(an.kappa - uh); ep <= an.kappa+uh; ep += gap {
-						addCand(sp, ep, uh)
+	uMax := int(float64(g.blen)/g.epsP) + 1
+	for _, u := range Ladder(g.epsP, uMax) {
+		uh := int(float64(u)*(1+g.epsP)) + 1 // the paper's u-hat
+		gap := max(int(g.epsP*float64(u)), 1)
+		grid := func(gamma, kappa, r int) {
+			for sp := gamma - r - mod(gamma-r, gap); sp <= gamma+r; sp += gap {
+				for ep := kappa - r - mod(kappa-r, gap); ep <= kappa+r; ep += gap {
+					if s, e := max(sp, 0), min(ep, g.m-1); s <= e {
+						visit(s, e, uh)
 					}
 				}
 			}
 		}
+		if u < (g.blen+1)/2 {
+			// Small-distance branch (Lemma 1): grid around the local
+			// Ulam window.
+			if g.win.Len() > 0 {
+				grid(g.win.Gamma, g.win.Kappa, 2*uh)
+			}
+		} else {
+			// Large-distance branch (Lemma 2): grids around sampled
+			// anchors.
+			for _, an := range g.anchors {
+				grid(an.gamma, an.kappa, uh)
+			}
+		}
 	}
-	// Shrink-domination pruning before emission: candidate A = (sp, ep, d)
-	// is redundant when some B = (sp', ep', d') with sp' >= sp, ep' <= ep
-	// satisfies d' + (sp'-sp) + (ep-ep') <= d, because B can replace A in
-	// any chain of Algorithm 2 without increasing its cost (the window only
-	// shrinks, so chain validity is preserved, and each max-gap grows by at
-	// most the shrinkage). This trims the Õ_eps(1) per-block constant
-	// without touching the coverage guarantee of Lemma 3.
+}
+
+// window is one distinct candidate window, keyed by windowKey, and its
+// distance; kept marks it emitted.
+type window struct {
+	key  uint64
+	d    int32
+	kept bool
+}
+
+func windowKey(sp, ep int) uint64 { return uint64(sp)<<32 | uint64(ep) }
+
+// windowTable holds a block's distinct candidate windows. add collects
+// them; price sorts them by key, which groups them by start, and prices
+// them; find then looks them up by binary search.
+type windowTable struct {
+	seen map[uint64]struct{} // add's dedup set, dropped by price
+	wins []window
+}
+
+func (t *windowTable) add(sp, ep int) {
+	k := windowKey(sp, ep)
+	if _, ok := t.seen[k]; !ok {
+		t.seen[k] = struct{}{}
+		t.wins = append(t.wins, window{key: k})
+	}
+}
+
+// price fills in every window's distance, with one ulam.WindowDists call
+// per distinct start.
+func (t *windowTable) price(blen int, pairs []ulam.Pair, ops *stats.Ops) {
+	t.seen = nil
+	slices.SortFunc(t.wins, func(a, b window) int { return cmp.Compare(a.key, b.key) })
+	var ends []int
+	for lo := 0; lo < len(t.wins); {
+		sp := t.wins[lo].key >> 32
+		hi := lo
+		ends = ends[:0]
+		for ; hi < len(t.wins) && t.wins[hi].key>>32 == sp; hi++ {
+			ends = append(ends, int(uint32(t.wins[hi].key)))
+		}
+		for k, d := range ulam.WindowDists(blen, pairs, int(sp), ends, ops) {
+			t.wins[lo+k].d = int32(d)
+		}
+		lo = hi
+	}
+}
+
+// find returns the priced table's entry for the window, or nil.
+func (t *windowTable) find(sp, ep int) *window {
+	i, ok := slices.BinarySearchFunc(t.wins, windowKey(sp, ep), func(w window, k uint64) int {
+		return cmp.Compare(w.key, k)
+	})
+	if !ok {
+		return nil
+	}
+	return &t.wins[i]
+}
+
+// ulamCand is a kept candidate; d < 0 marks it dominated.
+type ulamCand struct{ sp, ep, d int }
+
+// pruneDominated marks shrink-dominated candidates and returns the number
+// of candidate pairs it visited. Candidate A = (sp, ep, d) is redundant when some B =
+// (sp', ep', d') with sp' >= sp, ep' <= ep satisfies d' + (sp'-sp) +
+// (ep-ep') <= d, because B can replace A in any chain of Algorithm 2
+// without increasing its cost (the window only shrinks, so chain validity
+// is preserved, and each max-gap grows by at most the shrinkage). This
+// trims the Õ_eps(1) per-block constant without touching the coverage
+// guarantee of Lemma 3.
+func pruneDominated(kept []ulamCand) int64 {
 	var pruneOps int64
 	for a := range kept {
 		for b := range kept {
@@ -219,12 +309,7 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 		}
 		pruneOps += int64(len(kept))
 	}
-	x.Ops(int64(len(dists)) + pruneOps/8)
-	for _, c := range kept {
-		if c.d >= 0 {
-			SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d})
-		}
-	}
+	return pruneOps
 }
 
 func mod(v, m int) int {

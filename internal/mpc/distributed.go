@@ -68,7 +68,7 @@ func (re *roundExec) replayRemote(merged []transport.Record) {
 		if !r.Remote || !r.Started {
 			continue
 		}
-		re.obs.MachineStart(re.round, r.Machine, re.inWords[r.Machine])
+		re.obs.MachineStart(re.round, r.Machine, re.inWordsOf(r.Machine))
 		re.obs.MachineEnd(re.remoteSpan(r))
 	}
 }
@@ -87,7 +87,7 @@ func (re *roundExec) remoteSpan(r transport.Record) trace.MachineSpan {
 		End:       re.base.Add(time.Duration(r.EndNs)),
 		QueueWait: time.Duration(r.QueueNs),
 		Ops:       r.Ops,
-		InWords:   re.inWords[r.Machine],
+		InWords:   re.inWordsOf(r.Machine),
 		OutWords:  outWords,
 		Sends:     len(r.Msgs),
 		Fanout:    fanout,

@@ -29,6 +29,7 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -278,6 +279,7 @@ type Ctx struct {
 	out     []transport.Msg
 	rng     *rand.Rand
 
+	slot       int // the machine's index in its round's sorted ids
 	inWords    int
 	start, end time.Time
 	queueWait  time.Duration
@@ -460,6 +462,12 @@ func outboxSummary(msgs []transport.Msg) (words, fanout int) {
 // persist. Only a round that completes enters the history; a failed one
 // still closes on the Observer with its error.
 //
+// Run never writes to inputs. Past admit the round holds its own
+// references to the input slices and drops each once its last reader is
+// done: a machine's input after the machine's last attempt, and an
+// outbox once shuffle has copied it. A caller that drops inputs when Run
+// is called thus lets the round's garbage go as the round proceeds.
+//
 // phase names the paper phase the round implements; it is validated before
 // anything else happens, so a round can never reach the Observer — or the
 // round history — without a valid phase label.
@@ -467,7 +475,7 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 	if err := trace.CheckPhase(phase); err != nil {
 		return nil, fmt.Errorf("mpc: round %q: %w", name, err)
 	}
-	re := c.newRound(name, phase, inputs, fn)
+	re := c.newRound(name, phase, len(inputs), fn)
 	snap, err := re.resume()
 	if err != nil {
 		return nil, re.fail(err)
@@ -475,7 +483,7 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 	if snap != nil {
 		return snap.Next, nil
 	}
-	if err := re.admit(); err != nil {
+	if err := re.admit(inputs); err != nil {
 		return nil, re.fail(err)
 	}
 	merged, err := re.execute()
@@ -498,9 +506,9 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 // roundExec is one round of a cluster. Its fields up to labels are fixed
 // when the round opens; the steps of Run fill in the rest in order. Its run
 // method executes any subset of the round's machines: Run uses it for this
-// party's share, and the transport reuses it to re-execute a lost peer's
-// machines mid-round (exact replay: execution is a pure function of (seed,
-// round, machine, inputs)).
+// party's share, and the transport reuses it (through replay) to
+// re-execute a lost peer's machines mid-round (exact replay: execution is
+// a pure function of (seed, round, machine, inputs)).
 type roundExec struct {
 	c      *Cluster
 	ctx    context.Context
@@ -508,38 +516,54 @@ type roundExec struct {
 	round  int
 	name   string
 	phase  trace.Phase
-	inputs map[int][]Payload
 	fn     MachineFunc
 	plan   *fault.Plan
 	labels pprof.LabelSet // {algo, phase, round} profiler labels
 
 	st         RoundStats
-	inWords    map[int]int // admit: resident input words per machine
+	ids        []int       // admit: the round's machines, sorted
+	in         [][]Payload // admit: in[k] is machine ids[k]'s input; nil once released
+	inWords    []int       // admit: inWords[k] is machine ids[k]'s resident input words
 	assign     [][]int     // admit: assign[p] lists the machines party p executes
 	mine       []int       // admit: this party's share of assign
 	base       time.Time   // execute: the zero of the round clock
 	start, end time.Time   // account: the execution window, zero if no machine ran
 }
 
-// newRound opens the cluster's next round and announces it to the
-// observer.
-func (c *Cluster) newRound(name string, phase trace.Phase, inputs map[int][]Payload, fn MachineFunc) *roundExec {
+// newRound opens the cluster's next round over the given number of
+// machines and announces it to the observer.
+func (c *Cluster) newRound(name string, phase trace.Phase, machines int, fn MachineFunc) *roundExec {
 	re := &roundExec{
 		c: c, ctx: c.cfg.Ctx, obs: c.obs, round: len(c.rounds), name: name, phase: phase,
-		inputs: inputs, fn: fn, plan: c.cfg.Faults,
+		fn: fn, plan: c.cfg.Faults,
 		// One label set per round; every machine goroutine of the round
 		// (including transport-driven re-executions) runs under it, so CPU
 		// profiles attribute samples to {algo, phase, round}.
 		labels: trace.PhaseLabels(c.cfg.Algo, phase, name),
-		st:     RoundStats{Name: name, Phase: phase, Machines: len(inputs)},
+		st:     RoundStats{Name: name, Phase: phase, Machines: machines},
 	}
 	if re.ctx == nil {
 		re.ctx = context.Background()
 	}
 	if re.obs != nil {
-		re.obs.RoundStart(trace.RoundInfo{Round: re.round, Name: name, Phase: phase, Machines: len(inputs)})
+		re.obs.RoundStart(trace.RoundInfo{Round: re.round, Name: name, Phase: phase, Machines: machines})
 	}
 	return re
+}
+
+// slot returns the index of machine id in the round's sorted ids, and
+// whether the round has that machine.
+func (re *roundExec) slot(id int) (int, bool) {
+	return slices.BinarySearch(re.ids, id)
+}
+
+// inWordsOf returns machine id's resident input words, 0 for a machine
+// outside the round.
+func (re *roundExec) inWordsOf(id int) int {
+	if k, ok := re.slot(id); ok {
+		return re.inWords[k]
+	}
+	return 0
 }
 
 // resume fast-forwards a round that completed in a previous run: it
@@ -573,52 +597,55 @@ func (re *roundExec) resume() (*RoundSnapshot, error) {
 	return snap, nil
 }
 
-// admit enforces the machine-count cap and the per-machine input cap, then
-// partitions the round across the transport's parties by input weight.
-// Every party computes the same partition from the same sorted ids, with no
+// admit copies the round's input slices out of the caller's map, enforces
+// the machine-count cap and the per-machine input cap, then partitions the
+// round across the transport's parties by input weight. Every party
+// computes the same partition from the same sorted ids, with no
 // coordination, and executes only its own share; the exchange restores the
 // full round for everyone.
-func (re *roundExec) admit() error {
+func (re *roundExec) admit(inputs map[int][]Payload) error {
 	cfg := re.c.cfg
-	if cfg.MaxMachines > 0 && len(re.inputs) > cfg.MaxMachines {
-		return &MemoryError{Round: re.name, Words: len(re.inputs), Limit: cfg.MaxMachines, Kind: "machines"}
+	if cfg.MaxMachines > 0 && len(inputs) > cfg.MaxMachines {
+		return &MemoryError{Round: re.name, Words: len(inputs), Limit: cfg.MaxMachines, Kind: "machines"}
 	}
-	ids := make([]int, 0, len(re.inputs))
-	for id := range re.inputs {
-		ids = append(ids, id)
+	re.ids = make([]int, 0, len(inputs))
+	for id := range inputs {
+		re.ids = append(re.ids, id)
 	}
-	sort.Ints(ids)
-	weights := make([]int, len(ids))
-	re.inWords = make(map[int]int, len(ids))
-	for k, id := range ids {
-		w := PayloadWords(re.inputs[id])
-		weights[k], re.inWords[id] = w, w
+	sort.Ints(re.ids)
+	re.in = make([][]Payload, len(re.ids))
+	re.inWords = make([]int, len(re.ids))
+	for k, id := range re.ids {
+		re.in[k] = inputs[id]
+		w := PayloadWords(re.in[k])
+		re.inWords[k] = w
 		re.st.MaxInWords = max(re.st.MaxInWords, w)
 		if cfg.MachineWords > 0 && w > cfg.MachineWords {
 			return &MemoryError{Round: re.name, Machine: id, Words: w, Limit: cfg.MachineWords, Kind: "input"}
 		}
 	}
-	re.assign, re.mine = [][]int{ids}, ids
+	re.assign, re.mine = [][]int{re.ids}, re.ids
 	if cfg.Transport != nil {
 		if parties, self := cfg.Transport.Parties(); parties > 1 {
-			re.assign = AssignMachines(ids, weights, parties)
+			re.assign = AssignMachines(re.ids, re.inWords, parties)
 			re.mine = re.assign[self]
 		}
 	}
 	return nil
 }
 
-// execute runs this party's machines, then all-gathers the round's records
-// through the transport; the result is sorted by machine id.
+// execute runs this party's machines, releasing each one's input after its
+// last attempt, then all-gathers the round's records through the
+// transport; the result is sorted by machine id.
 func (re *roundExec) execute() ([]transport.Record, error) {
 	re.base = time.Now()
-	local, err := re.run(re.mine)
+	local, err := re.run(re.mine, true)
 	tr := re.c.cfg.Transport
 	if err != nil || tr == nil {
 		return local, err
 	}
 	meta := transport.RoundMeta{Round: re.round, Name: re.name, Phase: string(re.phase)}
-	merged, err := tr.Exchange(meta, re.assign, local, re.run)
+	merged, err := tr.Exchange(meta, re.assign, local, re.replay)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: round %q: %w", re.name, err)
 	}
@@ -676,11 +703,23 @@ func (re *roundExec) measure(merged []transport.Record) {
 // output cap, and groups the messages by destination into the next round's
 // inputs. Records arrive sorted by machine id and outboxes in emission
 // order, so every party builds identical inputs in an identical order.
+// Each destination's slice is allocated once, at the size a counting pass
+// found, and each outbox is dropped from merged once copied.
 func (re *roundExec) shuffle(merged []transport.Record) (map[int][]Payload, error) {
 	st, limit := &re.st, re.c.cfg.MachineWords
-	next := make(map[int][]Payload)
-	var err error
+	sizes := make(map[int]int)
 	for _, r := range merged {
+		for _, m := range r.Msgs {
+			sizes[m.To]++
+		}
+	}
+	next := make(map[int][]Payload, len(sizes))
+	for to, n := range sizes {
+		next[to] = make([]Payload, 0, n)
+	}
+	var err error
+	for i := range merged {
+		r := &merged[i]
 		st.TotalOps += r.Ops
 		st.MaxMachineOps = max(st.MaxMachineOps, r.Ops)
 		w := outboxWords(r.Msgs)
@@ -692,6 +731,7 @@ func (re *roundExec) shuffle(merged []transport.Record) (map[int][]Payload, erro
 		for _, m := range r.Msgs {
 			next[m.To] = append(next[m.To], m.Data)
 		}
+		r.Msgs = nil
 	}
 	return next, err
 }
@@ -760,9 +800,24 @@ func (re *roundExec) summary(err error) trace.RoundSummary {
 	return sum
 }
 
+// replay is the transport's ExecFunc: it re-executes a lost peer's
+// machines and keeps their inputs, since a rejoining worker may be asked
+// for the same machines again. The ids come off the wire, so a machine
+// outside the round is an error.
+func (re *roundExec) replay(ids []int) ([]transport.Record, error) {
+	for _, id := range ids {
+		if _, ok := re.slot(id); !ok {
+			return nil, fmt.Errorf("mpc: round %q has no machine %d to replay", re.name, id)
+		}
+	}
+	return re.run(ids, false)
+}
+
 // run executes the given machines concurrently (bounded by the cluster's
-// parallelism) and returns their execution records in id order.
-func (re *roundExec) run(ids []int) ([]transport.Record, error) {
+// parallelism) and returns their execution records in id order. With
+// release set each machine drops its input after its last attempt; only
+// this party's own share, which runs once, may do so.
+func (re *roundExec) run(ids []int, release bool) ([]transport.Record, error) {
 	recs := make([]transport.Record, len(ids))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, re.c.cfg.Parallelism)
@@ -777,21 +832,26 @@ func (re *roundExec) run(ids []int) ([]transport.Record, error) {
 			spawned := time.Now()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			// Each goroutine writes only its own record; wg.Wait is the
-			// happens-before edge for the reads after it.
-			recs[k] = re.machine(id, spawned)
+			// Each goroutine writes only its own record and input slot;
+			// wg.Wait is the happens-before edge for the reads after it.
+			slot, _ := re.slot(id)
+			recs[k] = re.machine(id, slot, spawned)
+			if release {
+				re.in[slot] = nil
+			}
 		}(k, id)
 	}
 	wg.Wait()
 	return recs, nil
 }
 
-// machine runs one machine's attempts until one completes, the retry
-// budget runs out, or the round is cancelled. The returned record carries
-// the fault counters of every attempt and the execution of the last one.
-func (re *roundExec) machine(id int, spawned time.Time) transport.Record {
+// machine runs the attempts of machine id (at slot in the round's ids)
+// until one completes, the retry budget runs out, or the round is
+// cancelled. The returned record carries the fault counters of every
+// attempt and the execution of the last one.
+func (re *roundExec) machine(id, slot int, spawned time.Time) transport.Record {
 	r := transport.Record{Machine: id}
-	x := re.newCtx(id)
+	x := re.newCtx(id, slot)
 	var queueWait time.Duration
 	// Cancellation is re-checked per attempt so a context arriving
 	// mid-replay stops within one retry.
@@ -800,7 +860,7 @@ func (re *roundExec) machine(id int, spawned time.Time) transport.Record {
 			// A fresh Ctx per replay: replay is exact because the machine's
 			// random streams and inputs depend only on (seed, round,
 			// machine), never on the attempt.
-			x = re.newCtx(id)
+			x = re.newCtx(id, slot)
 		}
 		if re.plan.CrashBefore(re.round, id, attempt) {
 			if re.crash(&r, trace.FaultCrashBefore, attempt) {
@@ -840,8 +900,9 @@ func (re *roundExec) machine(id int, spawned time.Time) transport.Record {
 	return r
 }
 
-func (re *roundExec) newCtx(id int) *Ctx {
-	return &Ctx{Machine: id, Round: re.round, cluster: re.c, phase: re.phase, inWords: re.inWords[id]}
+func (re *roundExec) newCtx(id, slot int) *Ctx {
+	return &Ctx{Machine: id, Round: re.round, cluster: re.c, phase: re.phase,
+		slot: slot, inWords: re.inWords[slot]}
 }
 
 // exec runs one attempt inside its trace span. An injected straggle delays
@@ -863,7 +924,7 @@ func (re *roundExec) exec(x *Ctx, r *transport.Record, attempt int) bool {
 		}
 	}
 	if live {
-		re.fn(x, re.inputs[x.Machine])
+		re.fn(x, re.in[x.slot])
 	}
 	x.end = time.Now()
 	if re.obs != nil {

@@ -41,7 +41,7 @@ func TestRoundResume(t *testing.T) {
 	saved := &RoundSnapshot{Stats: RoundStats{Name: "r", Phase: trace.PhaseCandidates, Machines: 1, TotalOps: 42},
 		Next: map[int][]Payload{3: {Int(9)}}}
 	c := NewCluster(Config{Checkpointer: &snapCheckpointer{snap: saved}})
-	snap, err := c.newRound("r", trace.PhaseCandidates, in, nil).resume()
+	snap, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume()
 	if err != nil || snap != saved {
 		t.Fatalf("resume() = %v, %v; want the saved snapshot", snap, err)
 	}
@@ -50,14 +50,14 @@ func TestRoundResume(t *testing.T) {
 	}
 
 	c = NewCluster(Config{Checkpointer: &snapCheckpointer{}})
-	if snap, err := c.newRound("r", trace.PhaseCandidates, in, nil).resume(); snap != nil || err != nil {
+	if snap, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume(); snap != nil || err != nil {
 		t.Errorf("resume() with nothing saved = %v, %v; want a live round", snap, err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c = NewCluster(Config{Ctx: ctx, Checkpointer: &snapCheckpointer{snap: saved}})
-	if _, err := c.newRound("r", trace.PhaseCandidates, in, nil).resume(); !errors.Is(err, context.Canceled) {
+	if _, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume(); !errors.Is(err, context.Canceled) {
 		t.Errorf("resume() of a cancelled round = %v, want context.Canceled", err)
 	}
 }
@@ -77,22 +77,22 @@ func TestRoundAdmit(t *testing.T) {
 		{Config{MachineWords: 3}, "input", 0},
 	} {
 		var me *MemoryError
-		err := NewCluster(tc.cfg).newRound("r", trace.PhaseCandidates, in, nil).admit()
+		err := NewCluster(tc.cfg).newRound("r", trace.PhaseCandidates, len(in), nil).admit(in)
 		if !errors.As(err, &me) || me.Kind != tc.kind || me.Machine != tc.machine {
 			t.Errorf("admit() under %+v = %v, want a %s MemoryError for machine %d", tc.cfg, err, tc.kind, tc.machine)
 		}
 	}
 
-	re := NewCluster(Config{}).newRound("r", trace.PhaseCandidates, in, nil)
-	if err := re.admit(); err != nil {
+	re := NewCluster(Config{}).newRound("r", trace.PhaseCandidates, len(in), nil)
+	if err := re.admit(in); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(re.assign, [][]int{ids}) || !reflect.DeepEqual(re.mine, ids) || re.st.MaxInWords != 4 {
 		t.Errorf("single party: assign %v, mine %v, MaxInWords %d", re.assign, re.mine, re.st.MaxInWords)
 	}
 
-	re = NewCluster(Config{Transport: fakePeer{&eventLog{peer: map[int][]int{}}}}).newRound("r", trace.PhaseCandidates, in, nil)
-	if err := re.admit(); err != nil {
+	re = NewCluster(Config{Transport: fakePeer{&eventLog{peer: map[int][]int{}}}}).newRound("r", trace.PhaseCandidates, len(in), nil)
+	if err := re.admit(in); err != nil {
 		t.Fatal(err)
 	}
 	if want := AssignMachines(ids, weights, 2); !reflect.DeepEqual(re.assign, want) || !reflect.DeepEqual(re.mine, want[0]) {
@@ -134,8 +134,8 @@ func TestRoundExecute(t *testing.T) {
 	}
 	records := func(cfg Config) ([]transport.Record, []int) {
 		t.Helper()
-		re := NewCluster(cfg).newRound("r", trace.PhaseCandidates, in, fn)
-		if err := re.admit(); err != nil {
+		re := NewCluster(cfg).newRound("r", trace.PhaseCandidates, len(in), fn)
+		if err := re.admit(in); err != nil {
 			t.Fatal(err)
 		}
 		merged, err := re.execute()
@@ -161,7 +161,7 @@ func TestRoundExecute(t *testing.T) {
 // fault counters are summed, the execution window and skew cover the
 // machines that ran, and the lowest crashed machine fails the round.
 func TestRoundAccount(t *testing.T) {
-	re := NewCluster(Config{}).newRound("r", trace.PhaseCandidates, nil, nil)
+	re := NewCluster(Config{}).newRound("r", trace.PhaseCandidates, 0, nil)
 	re.base = time.Unix(100, 0)
 	err := re.account([]transport.Record{
 		{Machine: 0, Started: true, StartNs: 10, EndNs: 50, QueueNs: 5, Failures: 1, Retries: 1},
@@ -179,7 +179,7 @@ func TestRoundAccount(t *testing.T) {
 		t.Errorf("window %v..%v, want base+10ns..base+90ns", re.start, re.end)
 	}
 
-	re = NewCluster(Config{}).newRound("r", trace.PhaseCandidates, nil, nil)
+	re = NewCluster(Config{}).newRound("r", trace.PhaseCandidates, 0, nil)
 	err = re.account([]transport.Record{
 		{Machine: 3, Crashed: true, CrashAttempts: 2},
 		{Machine: 4, Crashed: true, CrashAttempts: 2},
@@ -194,7 +194,7 @@ func TestRoundAccount(t *testing.T) {
 // destination in record and emission order, the model counters, and the
 // output cap, which fails the round with every machine still counted.
 func TestRoundShuffle(t *testing.T) {
-	re := NewCluster(Config{MachineWords: 3}).newRound("r", trace.PhaseCandidates, nil, nil)
+	re := NewCluster(Config{MachineWords: 3}).newRound("r", trace.PhaseCandidates, 0, nil)
 	next, err := re.shuffle([]transport.Record{
 		{Machine: 0, Ops: 5, Msgs: []transport.Msg{{To: 1, Data: Int(1)}, {To: 0, Data: Int(2)}}},
 		{Machine: 1, Ops: 9, Msgs: []transport.Msg{{To: 1, Data: Int(3)}}},
@@ -221,7 +221,7 @@ func TestRoundPersist(t *testing.T) {
 	next := map[int][]Payload{1: {Int(4)}}
 	ck := &snapCheckpointer{}
 	c := NewCluster(Config{Checkpointer: ck})
-	re := c.newRound("r", trace.PhaseGraph, nil, nil)
+	re := c.newRound("r", trace.PhaseGraph, 0, nil)
 	re.st.TotalOps = 7
 	if err := re.persist(next); err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestRoundPersist(t *testing.T) {
 	}
 
 	ck.err = errors.New("disk full")
-	if err := c.newRound("s", trace.PhaseGraph, nil, nil).persist(next); err == nil || !strings.Contains(err.Error(), "checkpoint save: disk full") {
+	if err := c.newRound("s", trace.PhaseGraph, 0, nil).persist(next); err == nil || !strings.Contains(err.Error(), "checkpoint save: disk full") {
 		t.Errorf("persist() with a failing save = %v", err)
 	}
 }

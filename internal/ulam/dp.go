@@ -1,7 +1,7 @@
 package ulam
 
 import (
-	"sort"
+	"slices"
 
 	"mpcdist/internal/stats"
 )
@@ -82,18 +82,34 @@ func (b *minBIT) reset() {
 	b.touched = b.touched[:0]
 }
 
-// runDP fills in d and parent for every point. pts must be sorted by
-// increasing i with pts[0] the virtual start (d = 0) and pts[len-1] the
-// virtual end; all other d values must be costInf.
-// QuadCutoff is the point count below which the quadratic DP is used in
-// place of the CDQ machinery: it does more elementary operations but is
-// faster in wall-clock terms below the measured crossover (~1024 points;
-// see BenchmarkDPCrossover). Experiments that measure the *asymptotic
+// QuadCutoff is the point count (768) at or below which runDP uses the
+// quadratic DP in place of the CDQ machinery: it does more elementary
+// operations but is faster in wall-clock terms on small inputs (see
+// BenchmarkDPCrossover). Experiments that measure the *asymptotic
 // algorithm's* operation counts (the paper's Õ(n) total-work claim) set
 // it to 0 to force the O(m log² m) path; see harness.UlamScaling. Not
 // safe to change while computations are in flight.
 var QuadCutoff = 768
 
+// diagRanks compresses the diagonals of pts: rank(v) is the number of
+// distinct diagonals below v, so a point's own diagonal ranks in [0, nd).
+func diagRanks(pts []point) (rank func(v int64) int, nd int) {
+	uniq := make([]int64, len(pts))
+	for k := range pts {
+		uniq[k] = pts[k].diag
+	}
+	slices.Sort(uniq)
+	uniq = slices.Compact(uniq)
+	return func(v int64) int {
+		r, _ := slices.BinarySearch(uniq, v)
+		return r
+	}, len(uniq)
+}
+
+// runDP fills in d and parent for every point. pts must be sorted by
+// increasing i with pts[0] the virtual start (d = 0); all other d values
+// must be costInf. A point's d depends only on the points before it, so
+// the last point (usually the virtual end) is just one more point.
 func runDP(pts []point, ops *stats.Ops) {
 	n := len(pts)
 	if n <= 1 {
@@ -103,22 +119,7 @@ func runDP(pts []point, ops *stats.Ops) {
 		exactQuadratic(pts, ops)
 		return
 	}
-	// Compress diagonals.
-	diags := make([]int64, n)
-	for k := range pts {
-		diags[k] = pts[k].diag
-	}
-	sort.Slice(diags, func(x, y int) bool { return diags[x] < diags[y] })
-	uniq := diags[:0]
-	for _, v := range diags {
-		if len(uniq) == 0 || uniq[len(uniq)-1] != v {
-			uniq = append(uniq, v)
-		}
-	}
-	rank := func(v int64) int {
-		return sort.Search(len(uniq), func(x int) bool { return uniq[x] >= v })
-	}
-	nd := len(uniq)
+	rank, nd := diagRanks(pts)
 	bitA := newMinBIT(nd) // prefix over diag rank: min d - i  (case A)
 	bitB := newMinBIT(nd) // prefix over reversed rank: min d - j (case B)
 

@@ -1,6 +1,11 @@
 package ulam
 
-import "mpcdist/internal/stats"
+import (
+	"cmp"
+	"slices"
+
+	"mpcdist/internal/stats"
+)
 
 // Pair records that block character at block-relative position P occurs at
 // position Q in sbar. Since sbar has no repeated characters, these pairs
@@ -68,6 +73,85 @@ func WindowDist(blockLen int, pairs []Pair, sp, ep int, ops *stats.Ops) int {
 	pts := pointsFromPairs(blockLen, pairs, sp, ep, false)
 	runDP(pts, ops)
 	return int(pts[len(pts)-1].d)
+}
+
+// WindowDists returns ulam(block, sbar[sp..e]) for every e in ends, in the
+// order of ends, from one DP over the widest window. Each end gets exactly
+// WindowDist(blockLen, pairs, sp, e): ends may come in any order and
+// repeat, and an end below sp denotes the empty window (distance
+// blockLen).
+//
+// A match point's DP value depends only on the points before it, never on
+// where the window ends, so one runDP prices every match point of
+// [sp, max(ends)] once. The virtual end of a window [sp, e] then takes its
+// cheapest predecessor among the points at sbar positions up to e:
+// sweeping the points and the ends by sbar position, each end is two
+// Fenwick prefix-minimum queries over diagonal rank, one per case of
+// dp.go. Case A (predecessor diagonal <= the end's) costs
+// d - i + blockLen - 1, case B d - j + winLen - 1.
+func WindowDists(blockLen int, pairs []Pair, sp int, ends []int, ops *stats.Ops) []int {
+	out := make([]int, len(ends))
+	maxEnd := sp - 1
+	for _, e := range ends {
+		maxEnd = max(maxEnd, e)
+	}
+	if maxEnd < sp {
+		for k := range out {
+			out[k] = blockLen
+		}
+		return out
+	}
+	pts := pointsFromPairs(blockLen, pairs, sp, maxEnd, false)
+	pts = pts[:len(pts)-1] // the virtual ends are per window, below
+	runDP(pts, ops)
+
+	rank, nd := diagRanks(pts)
+	bitA := newMinBIT(nd) // min d - i over diagonal rank (case A)
+	bitB := newMinBIT(nd) // min d - j over reversed rank (case B)
+	byJ := make([]int32, len(pts))
+	for k := range byJ {
+		byJ[k] = int32(k)
+	}
+	slices.SortFunc(byJ, func(x, y int32) int { return cmp.Compare(pts[x].j, pts[y].j) })
+	order := make([]int32, len(ends))
+	for k := range order {
+		order[k] = int32(k)
+	}
+	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(ends[x], ends[y]) })
+
+	next := 0
+	var work int64
+	for _, k := range order {
+		if ends[k] < sp {
+			out[k] = blockLen
+			continue
+		}
+		winLen := ends[k] - sp + 1
+		for ; next < len(byJ) && pts[byJ[next]].j < winLen; next++ {
+			l := &pts[byJ[next]]
+			if l.d < costInf {
+				r := rank(l.diag)
+				bitA.update(r, l.d-int64(l.i), byJ[next])
+				bitB.update(nd-1-r, l.d-int64(l.j), byJ[next])
+			}
+			work++
+		}
+		// c diagonals are <= the end's: case A is ranks [0, c), case B
+		// ranks [c, nd), which are reversed ranks [0, nd-c). An empty
+		// range's prefix minimum is costInf.
+		c := rank(int64(blockLen-winLen) + 1)
+		best := costInf
+		if v, _ := bitA.prefixMin(c - 1); v < costInf {
+			best = v + int64(blockLen) - 1
+		}
+		if v, _ := bitB.prefixMin(nd - 1 - c); v < costInf {
+			best = min(best, v+int64(winLen)-1)
+		}
+		out[k] = int(best)
+		work += 2
+	}
+	ops.Add(work)
+	return out
 }
 
 // LocalPairs returns the local Ulam distance of the block against all of
