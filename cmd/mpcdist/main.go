@@ -21,8 +21,9 @@
 //	                      # works here too; -status and -checkpoint-dir do
 //	                      # not, as there is no one session to report on)
 //
-// Algorithms: exact, myers, bounded, approx, script, mpc (Theorem 9),
-// hss ([20] baseline), ulam (exact), ulam-mpc (Theorem 4), lulam.
+// Algorithms: exact, myers, bounded, diagonal, approx, script, mpc
+// (Theorem 9), hss ([20] baseline), ulam (exact), ulam-mpc (Theorem 4),
+// lulam.
 package main
 
 import (
@@ -172,7 +173,7 @@ func main() {
 		if *algo == "mpc" {
 			maxX = core.MaxXEdit
 		}
-		if err := core.CheckX(*x, maxX); err != nil {
+		if err := core.CheckParams(*x, *eps, maxX); err != nil {
 			die("%v for -algo %s", err, *algo)
 		}
 	case "bounded":

@@ -39,7 +39,7 @@ func LCSMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 	if N == 0 {
 		return core.Result{Value: 0, Regime: "equal"}, nil
 	}
-	if err := core.CheckX(p.X, core.MaxXHalf); err != nil {
+	if err := core.CheckParams(p.X, p.Eps, core.MaxXHalf); err != nil {
 		return core.Result{}, err
 	}
 	if n == m && bytes.Equal(s, sbar) {

@@ -26,8 +26,8 @@ type SaverOptions struct {
 	// `ckpt verify` can flag cross-version resumes.
 	Revision string
 	// OnFlush, when non-nil, observes each durable flush (steps persisted,
-	// blob bytes written) — the server's metrics hook. Called with the
-	// saver's lock held; keep it cheap.
+	// blob bytes written) as it happens; Counters gives the totals. Called
+	// with the saver's lock held; keep it cheap.
 	OnFlush func(steps int, bytes int64)
 }
 
@@ -246,7 +246,8 @@ func (s *Saver) Status() Status {
 	return st
 }
 
-// Counters returns the saver's save/resume/bytes counters (metrics hook).
+// Counters returns the saver's save/resume/bytes counters; the server and
+// the bench harness read them once a job ends.
 func (s *Saver) Counters() (saves, resumed int, bytes int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -114,27 +114,33 @@ func (p Params) WithDefaults() Params {
 // The exclusive upper bounds of the memory exponent X. Theorem 4 (Ulam)
 // and the two baselines, which cut s into n^x blocks the same way, need
 // X < 1/2. Theorem 9 (edit distance) allows X = 5/17 itself; the slack
-// keeps that value inside the open range CheckX tests.
+// keeps that value inside the open range CheckParams tests.
 const (
 	MaxXHalf = 0.5
 	MaxXEdit = 5.0/17 + 1e-9
 )
 
-// CheckX reports an error unless 0 < x < maxX. Every surface that takes
-// an exponent (the drivers, the server, mpcdist) checks it here.
-func CheckX(x, maxX float64) error {
-	if x <= 0 || x >= maxX {
+// CheckParams reports an error unless 0 < x < maxX and eps is finite.
+// Every surface that takes an exponent or a slack (the drivers, the
+// server, mpcdist) checks them here. Every comparison with NaN is false,
+// so the range test names what it accepts; a NaN or infinite eps would
+// leave the guess ladders no finite step.
+func CheckParams(x, eps, maxX float64) error {
+	if !(x > 0 && x < maxX) {
 		return fmt.Errorf("core: X = %v outside (0, %v)", x, maxX)
+	}
+	if math.IsNaN(eps) || math.IsInf(eps, 0) {
+		return fmt.Errorf("core: eps = %v is not finite", eps)
 	}
 	return nil
 }
 
-// validate checks the problem size and the exponent range.
+// validate checks the problem size and the parameters.
 func (p Params) validate(n int, maxX float64) error {
 	if n <= 0 {
 		return fmt.Errorf("core: empty input")
 	}
-	return CheckX(p.X, maxX)
+	return CheckParams(p.X, p.Eps, maxX)
 }
 
 // intPow returns round(n^e) clamped to at least 1.
@@ -202,6 +208,7 @@ type Result struct {
 // Ladder enumerates 1, then ceil((1+eps)^j) without repeats, up to max
 // (inclusive); it always ends with a value >= max. Every geometric ladder
 // of guesses in the repo is built by it, the HSS baseline's included.
+// A step that leaves the int range (a huge eps) ends the ladder at max.
 func Ladder(eps float64, max int) []int {
 	if max < 1 {
 		return []int{1}
@@ -209,6 +216,9 @@ func Ladder(eps float64, max int) []int {
 	var out []int
 	v := 1.0
 	for {
+		if !(v < math.MaxInt64) {
+			return append(out, max)
+		}
 		iv := int(math.Ceil(v))
 		if len(out) == 0 || iv > out[len(out)-1] {
 			out = append(out, iv)

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"net/http"
+	"slices"
 	"sync"
 	"time"
 )
@@ -90,171 +92,150 @@ type WorkerAgg struct {
 	WireBytes     int64   `json:"wireBytes,omitempty"`
 }
 
-// Metrics is the server-wide observability registry behind /metrics.
+// Metrics is the server-wide observability registry behind /metrics: one
+// Snapshot under a lock. Queries reach it through outcome.count; the
+// cache, pool, transport and store sections are filled at scrape time by
+// the server, which owns those components.
 type Metrics struct {
-	mu        sync.Mutex
-	started   time.Time
-	requests  uint64
-	errors    uint64
-	panics    uint64
-	badInput  uint64
-	timeouts  uint64
-	batches   uint64
-	degraded  uint64
-	shed      uint64
-	perAlgo   map[string]*AlgoStats
-	perWorker map[int]*WorkerAgg
-	// Checkpoint seam counters (servers started with a checkpoint store).
-	ckptSaves   uint64
-	ckptResumed uint64
-	ckptBytes   int64
+	mu      sync.Mutex
+	started time.Time
+	snap    Snapshot
 }
 
 // NewMetrics returns an empty registry.
 func NewMetrics() *Metrics {
-	return &Metrics{started: time.Now(), perAlgo: make(map[string]*AlgoStats)}
+	return &Metrics{started: time.Now(), snap: Snapshot{
+		LatencyBuckets: latencyBuckets,
+		Algorithms:     make(map[string]*AlgoStats),
+	}}
 }
 
-func (m *Metrics) algo(name string) *AlgoStats {
-	st, ok := m.perAlgo[name]
-	if !ok {
-		st = &AlgoStats{Latency: newHistogram()}
-		m.perAlgo[name] = st
-	}
-	return st
-}
-
-// Observe records one finished query.
-func (m *Metrics) Observe(algo string, elapsed time.Duration, cached bool, failed bool, rep *ReportJSON) {
+// update applies f to the registry's snapshot under its lock.
+func (m *Metrics) update(f func(*Snapshot)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.requests++
-	st := m.algo(algo)
+	f(&m.snap)
+}
+
+// outcome is one query's record: Server.record counts it (count) and logs
+// it. Every /v1/distance query, batch sub-query and rejected body or
+// batch has exactly one.
+type outcome struct {
+	// algo is the query's algorithm once it passed validation, else "":
+	// untrusted names reach neither a label nor a log line.
+	algo    string
+	elapsed time.Duration // queue + compute
+	answer  *Answer       // nil when err is set
+	err     error
+	// ckpt holds the query's checkpoint saver counters, read once when
+	// the query ended; nil without a saver.
+	ckpt *CheckpointSnap
+}
+
+// count applies the counting rules. Every query counts once in Requests,
+// then under exactly one class, which the status of its answer decides:
+// bad input (400, 413), shed (429), timed out (503, 504), failed (500),
+// cached or computed. A degraded answer also counts in Degraded.
+// Per-algorithm stats are kept for every class but bad input, so only
+// validated algorithms become label values.
+func (o outcome) count(s *Snapshot) {
+	s.Requests++
+	if c := o.ckpt; c != nil {
+		if s.Checkpoint == nil {
+			s.Checkpoint = &CheckpointSnap{}
+		}
+		s.Checkpoint.Saves += c.Saves
+		s.Checkpoint.ResumedSteps += c.ResumedSteps
+		s.Checkpoint.BytesWritten += c.BytesWritten
+	}
+	status := http.StatusOK
+	if o.err != nil {
+		status = statusFor(o.err)
+	}
+	switch status {
+	case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+		s.BadInput++
+		return
+	case http.StatusTooManyRequests:
+		s.Shed++
+	case http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		s.Timeouts++
+	case http.StatusInternalServerError:
+		s.Errors++
+	}
+	st := s.Algorithms[o.algo]
+	if st == nil {
+		st = &AlgoStats{Latency: newHistogram()}
+		s.Algorithms[o.algo] = st
+	}
 	st.Requests++
-	st.Latency.observe(float64(elapsed.Nanoseconds()) / 1e6)
-	if cached {
-		st.CacheHits++
-	}
-	if failed {
-		m.errors++
+	st.Latency.observe(float64(o.elapsed.Nanoseconds()) / 1e6)
+	switch a := o.answer; {
+	case status == http.StatusInternalServerError:
 		st.Errors++
-	}
-	if rep != nil {
-		st.MPCRuns++
-		if rep.Rounds > st.MaxRounds {
-			st.MaxRounds = rep.Rounds
+	case a == nil: // shed or timed out
+	case a.Cached:
+		st.CacheHits++
+	default:
+		if a.Degraded {
+			s.Degraded++
 		}
-		if rep.MaxMachines > st.MaxMachines {
-			st.MaxMachines = rep.MaxMachines
-		}
-		if rep.MaxWords > st.MaxWords {
-			st.MaxWords = rep.MaxWords
-		}
-		st.TotalOps += rep.TotalOps
-		st.TotalComm += rep.CommWords
-		st.TotalCritical += rep.CriticalOps
-		st.TotalFailures += int64(rep.Failures)
-		st.TotalRetries += int64(rep.Retries)
-		for _, ph := range rep.Phases {
-			if st.Phases == nil {
-				st.Phases = make(map[string]*PhaseAgg)
-			}
-			pa, ok := st.Phases[ph.Phase]
-			if !ok {
-				pa = &PhaseAgg{}
-				st.Phases[ph.Phase] = pa
-			}
-			pa.Rounds += int64(ph.Rounds)
-			if ph.MaxMachines > pa.MaxMachines {
-				pa.MaxMachines = ph.MaxMachines
-			}
-			if ph.MaxWords > pa.MaxWords {
-				pa.MaxWords = ph.MaxWords
-			}
-			pa.TotalOps += ph.TotalOps
-			pa.TotalComm += ph.CommWords
-			pa.TotalCritical += ph.CriticalOps
-		}
-		for _, w := range rep.Workers {
-			if m.perWorker == nil {
-				m.perWorker = make(map[int]*WorkerAgg)
-			}
-			wa, ok := m.perWorker[w.Party]
-			if !ok {
-				wa = &WorkerAgg{}
-				m.perWorker[w.Party] = wa
-			}
-			wa.MachineRounds += int64(w.MachineRounds)
-			wa.Ops += w.Ops
-			wa.CommWords += w.CommWords
-			wa.QueueWaitMs += w.QueueWaitMs
-			wa.Failures += int64(w.Failures)
-			wa.Retries += int64(w.Retries)
-			wa.WireBytes += w.WireBytes
+		if a.Report != nil {
+			st.addRun(a.Report)
+			s.addWorkers(a.Report.Workers)
 		}
 	}
 }
 
-// ObserveBadInput counts a request rejected before dispatch (4xx).
-func (m *Metrics) ObserveBadInput() {
-	m.mu.Lock()
-	m.badInput++
-	m.requests++
-	m.mu.Unlock()
+// addRun folds one computed MPC run's report into the algorithm's
+// aggregates: totals accumulate, maxima track the largest single run.
+func (st *AlgoStats) addRun(rep *ReportJSON) {
+	st.MPCRuns++
+	st.MaxRounds = max(st.MaxRounds, rep.Rounds)
+	st.MaxMachines = max(st.MaxMachines, rep.MaxMachines)
+	st.MaxWords = max(st.MaxWords, rep.MaxWords)
+	st.TotalOps += rep.TotalOps
+	st.TotalComm += rep.CommWords
+	st.TotalCritical += rep.CriticalOps
+	st.TotalFailures += int64(rep.Failures)
+	st.TotalRetries += int64(rep.Retries)
+	for _, ph := range rep.Phases {
+		if st.Phases == nil {
+			st.Phases = make(map[string]*PhaseAgg)
+		}
+		pa := st.Phases[ph.Phase]
+		if pa == nil {
+			pa = &PhaseAgg{}
+			st.Phases[ph.Phase] = pa
+		}
+		pa.Rounds += int64(ph.Rounds)
+		pa.MaxMachines = max(pa.MaxMachines, ph.MaxMachines)
+		pa.MaxWords = max(pa.MaxWords, ph.MaxWords)
+		pa.TotalOps += ph.TotalOps
+		pa.TotalComm += ph.CommWords
+		pa.TotalCritical += ph.CriticalOps
+	}
 }
 
-// ObserveTimeout counts a request aborted by deadline or disconnect.
-func (m *Metrics) ObserveTimeout() {
-	m.mu.Lock()
-	m.timeouts++
-	m.mu.Unlock()
-}
-
-// ObserveDegraded counts a query answered by the sequential fallback
-// after the exact kernel exhausted its reserve-reduced deadline.
-func (m *Metrics) ObserveDegraded() {
-	m.mu.Lock()
-	m.degraded++
-	m.mu.Unlock()
-}
-
-// ObserveShed counts a request rejected with 429 by the load shedder
-// (queue-length threshold or queue-wait budget).
-func (m *Metrics) ObserveShed() {
-	m.mu.Lock()
-	m.shed++
-	m.mu.Unlock()
-}
-
-// ObserveBatch counts one batch request of the given size.
-func (m *Metrics) ObserveBatch() {
-	m.mu.Lock()
-	m.batches++
-	m.mu.Unlock()
-}
-
-// ObserveCheckpointFlush counts one durable checkpoint flush: steps
-// persisted and blob bytes written. Wired as the savers' OnFlush hook.
-func (m *Metrics) ObserveCheckpointFlush(steps int, bytes int64) {
-	m.mu.Lock()
-	m.ckptSaves += uint64(steps)
-	m.ckptBytes += bytes
-	m.mu.Unlock()
-}
-
-// ObserveCheckpointResume counts rounds fast-forwarded from a checkpoint
-// instead of recomputed.
-func (m *Metrics) ObserveCheckpointResume(steps int) {
-	m.mu.Lock()
-	m.ckptResumed += uint64(steps)
-	m.mu.Unlock()
-}
-
-// ObservePanic counts a recovered handler panic.
-func (m *Metrics) ObservePanic() {
-	m.mu.Lock()
-	m.panics++
-	m.mu.Unlock()
+// addWorkers folds a distributed run's per-party rows into Workers.
+func (s *Snapshot) addWorkers(rows []WorkerJSON) {
+	for _, w := range rows {
+		if s.Workers == nil {
+			s.Workers = make(map[int]*WorkerAgg)
+		}
+		wa := s.Workers[w.Party]
+		if wa == nil {
+			wa = &WorkerAgg{}
+			s.Workers[w.Party] = wa
+		}
+		wa.MachineRounds += int64(w.MachineRounds)
+		wa.Ops += w.Ops
+		wa.CommWords += w.CommWords
+		wa.QueueWaitMs += w.QueueWaitMs
+		wa.Failures += int64(w.Failures)
+		wa.Retries += int64(w.Retries)
+		wa.WireBytes += w.WireBytes
+	}
 }
 
 // Snapshot is the JSON shape served by /metrics.
@@ -292,52 +273,40 @@ type CheckpointSnap struct {
 	StoreBytes   int64  `json:"storeBytes"`   // gauge: store size now
 }
 
-// Snapshot copies the counters; cache and pool stats are filled by the
-// server, which owns those components.
+// Snapshot deep-copies the registry and stamps the uptime.
 func (m *Metrics) Snapshot() Snapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	algs := make(map[string]*AlgoStats, len(m.perAlgo))
-	for name, st := range m.perAlgo {
-		c := *st
-		c.Latency = st.Latency.clone()
-		if st.Phases != nil {
-			c.Phases = make(map[string]*PhaseAgg, len(st.Phases))
-			for ph, pa := range st.Phases {
-				cp := *pa
-				c.Phases[ph] = &cp
-			}
-		}
-		algs[name] = &c
+	s := m.snap
+	s.UptimeSeconds = time.Since(m.started).Seconds()
+	s.LatencyBuckets = slices.Clone(s.LatencyBuckets)
+	s.Algorithms = cloneMap(s.Algorithms)
+	for _, st := range s.Algorithms {
+		st.Latency = st.Latency.clone()
+		st.Phases = cloneMap(st.Phases)
 	}
-	var workers map[int]*WorkerAgg
-	if m.perWorker != nil {
-		workers = make(map[int]*WorkerAgg, len(m.perWorker))
-		for party, wa := range m.perWorker {
-			c := *wa
-			workers[party] = &c
-		}
+	s.Workers = cloneMap(s.Workers)
+	s.Checkpoint = clonePtr(s.Checkpoint)
+	return s
+}
+
+// clonePtr copies *v; nil stays nil.
+func clonePtr[V any](v *V) *V {
+	if v == nil {
+		return nil
 	}
-	snap := Snapshot{
-		UptimeSeconds:  time.Since(m.started).Seconds(),
-		Requests:       m.requests,
-		Errors:         m.errors,
-		Panics:         m.panics,
-		BadInput:       m.badInput,
-		Timeouts:       m.timeouts,
-		Batches:        m.batches,
-		Degraded:       m.degraded,
-		Shed:           m.shed,
-		LatencyBuckets: append([]float64(nil), latencyBuckets...),
-		Algorithms:     algs,
-		Workers:        workers,
+	c := *v
+	return &c
+}
+
+// cloneMap copies a map of pointers one level deep; nil stays nil.
+func cloneMap[K comparable, V any](m map[K]*V) map[K]*V {
+	if m == nil {
+		return nil
 	}
-	if m.ckptSaves > 0 || m.ckptResumed > 0 || m.ckptBytes > 0 {
-		snap.Checkpoint = &CheckpointSnap{
-			Saves:        m.ckptSaves,
-			ResumedSteps: m.ckptResumed,
-			BytesWritten: m.ckptBytes,
-		}
+	c := make(map[K]*V, len(m))
+	for k, v := range m {
+		c[k] = clonePtr(v)
 	}
-	return snap
+	return c
 }

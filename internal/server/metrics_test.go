@@ -64,8 +64,8 @@ func TestHistogramCloneIsDeep(t *testing.T) {
 	}
 }
 
-// TestMetricsConcurrentObserveSnapshot drives Observe and Snapshot from
-// racing goroutines; under -race this is the registry's thread-safety
+// TestMetricsConcurrentObserveSnapshot drives query records and Snapshot
+// from racing goroutines; under -race this is the registry's thread-safety
 // check, and the final snapshot must account for every observation.
 func TestMetricsConcurrentObserveSnapshot(t *testing.T) {
 	m := NewMetrics()
@@ -78,7 +78,8 @@ func TestMetricsConcurrentObserveSnapshot(t *testing.T) {
 			for i := 0; i < each; i++ {
 				// Mix boundary and overflow values across racing writers.
 				ms := latencyBuckets[i%len(latencyBuckets)]
-				m.Observe("edit-mpc", time.Duration(ms*float64(time.Millisecond)), i%3 == 0, false, nil)
+				o := outcome{algo: "edit-mpc", elapsed: time.Duration(ms * float64(time.Millisecond)), answer: &Answer{Cached: i%3 == 0}}
+				m.update(o.count)
 				if i%17 == 0 {
 					snap := m.Snapshot()
 					// Read through the clone to catch shared storage.

@@ -19,7 +19,7 @@ func (s *Server) recoverMiddleware(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if rec := recover(); rec != nil {
-				s.metrics.ObservePanic()
+				s.metrics.update(func(sn *Snapshot) { sn.Panics++ })
 				s.log.Error("panic recovered",
 					"requestId", RequestID(r.Context()),
 					"path", r.URL.Path,

@@ -39,6 +39,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -254,7 +255,7 @@ func (s *Server) validate(q Query) (algoSpec, mpcdist.MPCParams, error) {
 		if p.X == 0 {
 			p.X = 0.25
 		}
-		if err := core.CheckX(p.X, spec.MaxX); err != nil {
+		if err := core.CheckParams(p.X, p.Eps, spec.MaxX); err != nil {
 			return spec, p, badRequestf("%v for algorithm %q", err, q.Algo)
 		}
 		if (spec.Ints && len(q.ASeq) == 0 && len(q.BSeq) == 0) ||
@@ -265,21 +266,33 @@ func (s *Server) validate(q Query) (algoSpec, mpcdist.MPCParams, error) {
 	return spec, p, nil
 }
 
-// answer resolves one query: validation, cache lookup, pooled compute.
-// With wantTrace the MPC run gets an event log of its own (concurrent
-// requests share the process log), the answer embeds its trace, and the
-// cache is bypassed both ways (a traced answer is never representative
-// of, or reusable as, the plain one). resumable marks batch-originated
-// queries, the ones the checkpoint seam persists and auto-resumes.
+// answer resolves one query and records its outcome.
 func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool) (Answer, error) {
+	start := time.Now()
+	o := s.resolve(ctx, q, start, wantTrace, resumable)
+	o.elapsed = time.Since(start)
+	s.record(ctx, o)
+	if o.err != nil {
+		return Answer{}, o.err
+	}
+	return *o.answer, nil
+}
+
+// resolve runs one query: validation, cache lookup, pooled compute. With
+// wantTrace the MPC run gets an event log of its own (concurrent requests
+// share the process log), the answer embeds its trace, and the cache is
+// bypassed both ways (a traced answer is never representative of, or
+// reusable as, the plain one). resumable marks batch-originated queries,
+// the ones the checkpoint seam persists and auto-resumes.
+func (s *Server) resolve(ctx context.Context, q Query, start time.Time, wantTrace, resumable bool) outcome {
 	spec, params, err := s.validate(q)
 	if err != nil {
-		s.metrics.ObserveBadInput()
-		return Answer{}, err
+		return outcome{err: err}
 	}
+	o := outcome{algo: q.Algo}
 	if wantTrace && !spec.MPC {
-		s.metrics.ObserveBadInput()
-		return Answer{}, badRequestf("trace=1 requires an MPC algorithm, %q runs sequentially", q.Algo)
+		o.err = badRequestf("trace=1 requires an MPC algorithm, %q runs sequentially", q.Algo)
+		return o
 	}
 	var tl *trace.Log
 	if wantTrace {
@@ -292,81 +305,63 @@ func (s *Server) answer(ctx context.Context, q Query, wantTrace, resumable bool)
 	}
 
 	key := q.CacheKey()
-	start := time.Now()
 	if !wantTrace {
 		if a, ok := s.cache.Get(key); ok {
 			a.Cached = true
-			s.metrics.Observe(q.Algo, time.Since(start), true, false, nil)
-			s.logQuery(ctx, q, &a, time.Since(start), nil)
-			return a, nil
+			o.answer = &a
+			return o
 		}
 	}
 
 	// Queue-length shed: past the threshold, more queueing only adds
 	// latency for everyone, so reject immediately with a Retry-After.
 	if s.cfg.ShedQueue > 0 && s.pool.Waiting() >= int64(s.cfg.ShedQueue) {
-		s.metrics.ObserveShed()
-		s.logQuery(ctx, q, nil, time.Since(start), ErrOverloaded)
-		return Answer{}, ErrOverloaded
+		o.err = ErrOverloaded
+		return o
 	}
 
 	var a Answer
-	var runErr error
-	poolErr := s.pool.DoWithin(ctx, s.cfg.ShedWait, func() {
-		a, runErr = s.compute(ctx, spec, q, params, wantTrace, resumable)
-	})
-	elapsed := time.Since(start)
-	if poolErr != nil {
+	if poolErr := s.pool.DoWithin(ctx, s.cfg.ShedWait, func() {
+		a, o.ckpt, o.err = s.compute(ctx, spec, q, params, wantTrace, resumable)
+	}); poolErr != nil {
 		// Deadline, disconnect, or shed while queued: the kernel never ran.
-		if errors.Is(poolErr, ErrOverloaded) {
-			s.metrics.ObserveShed()
-		} else {
-			s.metrics.ObserveTimeout()
-		}
-		s.logQuery(ctx, q, nil, elapsed, poolErr)
-		return Answer{}, poolErr
+		o.err = poolErr
+		return o
 	}
-	if runErr != nil {
-		if errors.Is(runErr, context.DeadlineExceeded) || errors.Is(runErr, context.Canceled) {
-			s.metrics.ObserveTimeout()
-		}
-		s.metrics.Observe(q.Algo, elapsed, false, true, nil)
-		s.logQuery(ctx, q, nil, elapsed, runErr)
-		return Answer{}, runErr
+	if o.err != nil {
+		return o
 	}
-	a.ElapsedMs = float64(elapsed.Nanoseconds()) / 1e6
+	a.ElapsedMs = float64(time.Since(start).Nanoseconds()) / 1e6
 	if tl != nil {
-		raw, jerr := tl.Trace().JSON()
-		if jerr != nil {
-			s.logQuery(ctx, q, nil, elapsed, jerr)
-			return Answer{}, jerr
+		if a.Trace, o.err = tl.Trace().JSON(); o.err != nil {
+			return o
 		}
-		a.Trace = raw
 	} else if !a.Degraded {
 		// A degraded answer is a deadline artifact, not the algorithm's
 		// real output; caching it would serve the approximation to
 		// unpressed future requests.
 		s.cache.Put(key, a)
 	}
-	s.metrics.Observe(q.Algo, elapsed, false, false, a.Report)
-	s.logQuery(ctx, q, &a, elapsed, nil)
-	return a, nil
+	o.answer = &a
+	return o
 }
 
 // compute runs the kernel inside a pool slot. Sequential kernels run
 // directly; every MPC query runs as a dist.Job, on the cluster when one is
 // attached and the query is untraced (the trace wants this process's event
 // log), else in-process. Batch queries checkpoint on either path through
-// one saver (batchSaver), and the answer's ResumedRounds comes from that
-// saver. The degradation ladder applies only to in-process runs without a
-// saver: with a DegradeReserve configured, the job gets the request
-// deadline minus the reserve, and if it runs out while the request itself
-// is still alive, the sequential fallback answers within the reserved
-// slice, marked degraded. A cluster run recovers from worker loss by
+// one saver (batchSaver); compute returns its counters, read once when the
+// job ends, and the answer's ResumedRounds comes from them. The
+// degradation ladder applies only to in-process runs without a saver:
+// with a DegradeReserve configured, the job gets the request deadline
+// minus the reserve, and if it runs out while the request itself is still
+// alive, the sequential fallback answers within the reserved slice,
+// marked degraded. A cluster run recovers from worker loss by
 // reassignment instead.
-func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpcdist.MPCParams, wantTrace, resumable bool) (Answer, error) {
+func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpcdist.MPCParams, wantTrace, resumable bool) (Answer, *CheckpointSnap, error) {
 	if !spec.MPC {
-		return spec.run(q, params)
+		a, err := spec.run(q, params)
+		return a, nil, err
 	}
 	job := dist.FromParams(q.Algo, params)
 	job.S, job.T, job.P, job.Q = []byte(q.A), []byte(q.B), q.ASeq, q.BSeq
@@ -408,25 +403,27 @@ func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpc
 		a, err := spec.degrade(q, params)
 		if err == nil {
 			a.Degraded = true
-			s.metrics.ObserveDegraded()
 			// A degraded answer means the job missed its deadline — exactly
 			// the situation the flight recorder's retained window
 			// (straggling rounds, queue waits, faults) exists to explain.
 			trace.FlightTrigger("server: degraded fallback (" + q.Algo + ")")
 		}
-		return a, err
+		return a, nil, err
+	}
+	var ckpt *CheckpointSnap
+	if saver != nil {
+		saves, resumed, bytes := saver.Counters()
+		ckpt = &CheckpointSnap{Saves: uint64(saves), ResumedSteps: uint64(resumed), BytesWritten: bytes}
 	}
 	if err != nil {
-		return Answer{}, err
+		return Answer{}, ckpt, err
 	}
 	a := mpcAnswer(q.Algo, res)
 	a.Distributed = distributed
-	if saver != nil {
-		_, resumed, _ := saver.Counters()
-		s.metrics.ObserveCheckpointResume(resumed)
-		a.ResumedRounds = resumed
+	if ckpt != nil {
+		a.ResumedRounds = int(ckpt.ResumedSteps)
 	}
-	return a, nil
+	return a, ckpt, nil
 }
 
 // batchSaver opens a batch query's saver, auto-resuming any durable
@@ -435,11 +432,7 @@ func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpc
 // the store heals on the next flush — so a broken store never fails a
 // request; nil means the query runs without durability.
 func (s *Server) batchSaver(job dist.Job) *checkpoint.Saver {
-	opts := checkpoint.SaverOptions{
-		Every:   s.cfg.CheckpointEvery,
-		Resume:  true,
-		OnFlush: s.metrics.ObserveCheckpointFlush,
-	}
+	opts := checkpoint.SaverOptions{Every: s.cfg.CheckpointEvery, Resume: true}
 	saver, err := job.OpenSaver(s.cfg.Checkpoint, opts)
 	if err != nil {
 		s.log.Warn("checkpoint resume unusable, restarting job state",
@@ -455,24 +448,33 @@ func (s *Server) batchSaver(job dist.Job) *checkpoint.Saver {
 	return saver
 }
 
-// logQuery emits one structured line per resolved query, carrying the
-// middleware's request ID so batch sub-queries correlate with their
-// request's access-log line.
-func (s *Server) logQuery(ctx context.Context, q Query, a *Answer, elapsed time.Duration, err error) {
+// record counts one query's outcome in the registry and writes its one
+// log line, which carries the middleware's request ID so batch
+// sub-queries correlate with their request's access-log line.
+func (s *Server) record(ctx context.Context, o outcome) {
+	s.metrics.update(o.count)
 	attrs := []any{
 		"requestId", RequestID(ctx),
-		"algo", q.Algo,
-		"durationMs", float64(elapsed.Nanoseconds()) / 1e6,
+		"algo", o.algo,
+		"durationMs", float64(o.elapsed.Nanoseconds()) / 1e6,
 	}
-	if err != nil {
-		s.log.Error("query failed", append(attrs, "error", err.Error())...)
+	if o.err != nil {
+		s.log.Error("query failed", append(attrs, "error", o.err.Error())...)
 		return
 	}
+	a := o.answer
 	attrs = append(attrs, "distance", a.Distance, "cached", a.Cached)
 	if a.Report != nil {
 		attrs = append(attrs, "rounds", a.Report.Rounds, "machines", a.Report.MaxMachines)
 	}
 	s.log.Info("query", attrs...)
+}
+
+// reject records a body or batch the server refuses as one bad-input
+// query and answers it.
+func (s *Server) reject(w http.ResponseWriter, r *http.Request, err error) {
+	s.record(r.Context(), outcome{err: err})
+	s.writeError(w, err)
 }
 
 func (s *Server) handleDistance(w http.ResponseWriter, r *http.Request) {
@@ -496,15 +498,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Queries) == 0 {
-		writeJSON(w, http.StatusBadRequest, ErrorBody{Error: "empty batch"})
+		s.reject(w, r, badRequestf("empty batch"))
 		return
 	}
 	if len(req.Queries) > s.cfg.MaxBatch {
-		writeJSON(w, http.StatusRequestEntityTooLarge, ErrorBody{Error: fmt.Sprintf(
+		s.reject(w, r, tooLargeError{msg: fmt.Sprintf(
 			"batch of %d exceeds the %d-query limit", len(req.Queries), s.cfg.MaxBatch)})
 		return
 	}
-	s.metrics.ObserveBatch()
+	s.metrics.update(func(sn *Snapshot) { sn.Batches++ })
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
@@ -604,22 +606,26 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // maxBodyBytes caps a request body.
 const maxBodyBytes = 64 << 20
 
-// decode reads a JSON body with the size cap applied; on failure it writes
-// the error response and returns false.
+// decode reads a body holding exactly one JSON value, with the size cap
+// applied; on failure it rejects the request and returns false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, dst any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(dst); err != nil {
-		s.metrics.ObserveBadInput()
-		status := http.StatusBadRequest
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			status = http.StatusRequestEntityTooLarge
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, tokErr := dec.Token(); tokErr == io.EOF {
+			return true
 		}
-		writeJSON(w, status, ErrorBody{Error: "bad request body: " + err.Error()})
-		return false
+		err = errors.New("trailing data after the JSON value")
 	}
-	return true
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		err = tooLargeError{msg: "bad request body: " + err.Error()}
+	} else {
+		err = badRequestError{msg: "bad request body: " + err.Error()}
+	}
+	s.reject(w, r, err)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
