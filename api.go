@@ -55,8 +55,6 @@ const (
 	// PairApprox12: the Chakraborty-et-al.-style approximate pair solver,
 	// 3+eps as in the paper.
 	PairApprox12 = core.PairApprox12
-	// PairMyers: always the bit-parallel exact kernel.
-	PairMyers = core.PairMyers
 )
 
 // Ops counts elementary operations performed by a kernel; pass nil when

@@ -127,42 +127,38 @@ func BenchmarkMachinesSweepEdit(b *testing.B) {
 	sizes := []int{1000, 2000, 4000, 8000}
 	x := 0.25
 	b.Run(fmt.Sprintf("x=%.2f", x), func(b *testing.B) {
-		var pts []harness.SweepPoint
+		var rows [][]harness.Row
 		var err error
 		for i := 0; i < b.N; i++ {
-			pts, err = harness.Sweep(sizes, 0.5, core.Params{X: x, Eps: 0.5, Seed: 1})
+			rows, err = harness.Sweep([]*harness.Spec{harness.Edit, harness.HSS}, sizes, []float64{x},
+				harness.Edit.Planted, core.Params{Eps: 0.5, Seed: 1}, false)
 			if err != nil {
 				b.Fatal(err)
 			}
 		}
-		om, hm, oo, ho := harness.Slopes(pts)
-		b.ReportMetric(om, "oursMachExp")
-		b.ReportMetric(hm, "hssMachExp")
-		b.ReportMetric(oo, "oursOpsExp")
-		b.ReportMetric(ho, "hssOpsExp")
-		last := pts[len(pts)-1]
-		b.ReportMetric(stats.Ratio(int64(last.HSSMachines), int64(last.OursMachines)), "machRatioAtMaxN")
+		ours, hss := rows[0], rows[1]
+		b.ReportMetric(harness.Fit(ours, harness.Machines), "oursMachExp")
+		b.ReportMetric(harness.Fit(hss, harness.Machines), "hssMachExp")
+		b.ReportMetric(harness.Fit(ours, harness.TotalOps), "oursOpsExp")
+		b.ReportMetric(harness.Fit(hss, harness.TotalOps), "hssOpsExp")
+		last := len(ours) - 1
+		b.ReportMetric(stats.Ratio(int64(hss[last].Machines), int64(ours[last].Machines)), "machRatioAtMaxN")
 	})
 }
 
 func BenchmarkMachinesSweepUlam(b *testing.B) {
 	sizes := []int{1024, 2048, 4096, 8192}
-	var pts []harness.UlamPoint
+	var rows [][]harness.Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		pts, err = harness.UlamScaling(sizes, 0.6, core.Params{X: 0.3, Eps: 1, Seed: 1})
+		rows, err = harness.Sweep([]*harness.Spec{harness.Ulam}, sizes, []float64{0.3},
+			harness.Ulam.Planted, core.Params{Eps: 1, Seed: 1}, false)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	var ns, ops, mach []float64
-	for _, p := range pts {
-		ns = append(ns, float64(p.N))
-		ops = append(ops, float64(p.TotalOps))
-		mach = append(mach, float64(p.Machines))
-	}
-	b.ReportMetric(stats.LogLogSlope(ns, ops), "totalOpsExp")
-	b.ReportMetric(stats.LogLogSlope(ns, mach), "machExp")
+	b.ReportMetric(harness.Fit(rows[0], harness.TotalOps), "totalOpsExp")
+	b.ReportMetric(harness.Fit(rows[0], harness.Machines), "machExp")
 }
 
 // --- Fig. 2 / Lemma 1: local Ulam distance kernel ---

@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -66,23 +67,27 @@ func main() {
 		trace.Flight().Keep()
 	}
 
+	var err error
 	switch {
 	case *table == "ulam":
-		runUlamTable(base, *small)
+		err = runUlamTable(os.Stdout, base, *small)
 	case *table == "edit":
-		runEditTable(base, *small)
+		err = runEditTable(os.Stdout, base, *small)
 	case *sweep == "machines":
-		runMachineSweep(base, *small)
+		err = runMachineSweep(os.Stdout, base, *small)
 	case *sweep == "ulam":
-		runUlamSweep(base, *small)
+		err = runUlamSweep(os.Stdout, base, *small)
 	case *sweep == "x":
-		runXSweep(base, *small)
+		err = runXSweep(os.Stdout, base, *small)
 	case *budget:
-		runBudget(base, *small)
+		err = runBudget(os.Stdout, base, *small)
 	default:
 		flag.Usage()
 		fmt.Fprintln(os.Stderr, "\nPick one of -table ulam|edit, -sweep machines|ulam|x, or -budget.")
 		os.Exit(2)
+	}
+	if err != nil {
+		fail(err)
 	}
 
 	if *traceOut != "" {
@@ -106,124 +111,123 @@ func fail(err error) {
 	os.Exit(1)
 }
 
-func runUlamTable(base core.Params, small bool) {
-	fmt.Println("Table 1, row 'Ulam Distance (Theorem 4)': 1+eps, 2 rounds, Õ(n^x) machines, Õ(n^{1-x}) words each")
-	fmt.Println()
+func runUlamTable(w io.Writer, base core.Params, small bool) error {
+	fmt.Fprintln(w, "Table 1, row 'Ulam Distance (Theorem 4)': 1+eps, 2 rounds, Õ(n^x) machines, Õ(n^{1-x}) words each")
+	fmt.Fprintln(w)
 	sizes := []int{512, 1024, 2048}
 	if small {
 		sizes = []int{256, 512}
 	}
-	tb := stats.NewTable(harness.Columns()...)
-	for _, n := range sizes {
-		for _, x := range []float64{0.2, 0.3, 0.4} {
-			p := base
-			p.X = x
-			row, err := harness.UlamRow(n, n/10, p, true)
-			if err != nil {
-				fail(err)
-			}
-			tb.Add(row.Cells()...)
-		}
+	rows, err := harness.Sweep([]*harness.Spec{harness.Ulam}, sizes, []float64{0.2, 0.3, 0.4},
+		func(n int) int { return n / 10 }, base, true)
+	if err != nil {
+		return err
 	}
-	fmt.Print(tb)
-	fmt.Println("\nExpected shape: rounds = 2 always, factor <= 1+eps, machines ~ n^x.")
+	tb := stats.NewTable(harness.Columns()...)
+	for _, r := range rows[0] {
+		tb.Add(r.Cells()...)
+	}
+	fmt.Fprint(w, tb)
+	fmt.Fprintln(w, "\nExpected shape: rounds = 2 always, factor <= 1+eps, machines ~ n^x.")
+	return nil
 }
 
-func runEditTable(base core.Params, small bool) {
-	fmt.Println("Table 1, rows 'Edit Distance': Theorem 9 (ours) vs Hajiaghayi et al. [20]")
-	fmt.Println("(The [11] row — 1+eps, O(log n) rounds, Õ(n^{8/9}) machines/memory — is dominated")
-	fmt.Println(" by [20] on every axis measured here and is reported analytically only; DESIGN.md #5.)")
-	fmt.Println()
+func runEditTable(w io.Writer, base core.Params, small bool) error {
+	fmt.Fprintln(w, "Table 1, rows 'Edit Distance': Theorem 9 (ours) vs Hajiaghayi et al. [20]")
+	fmt.Fprintln(w, "(The [11] row — 1+eps, O(log n) rounds, Õ(n^{8/9}) machines/memory — is dominated")
+	fmt.Fprintln(w, " by [20] on every axis measured here and is reported analytically only; DESIGN.md #5.)")
+	fmt.Fprintln(w)
 	sizes := []int{600, 1200, 2400}
 	if small {
 		sizes = []int{400, 800}
 	}
-	tb := stats.NewTable(harness.Columns()...)
-	for _, n := range sizes {
-		for _, x := range []float64{0.2, 0.25} {
-			p := base
-			p.X = x
-			ours, hss, err := harness.EditRows(n, n/40+1, p, true)
-			if err != nil {
-				fail(err)
-			}
-			tb.Add(ours.Cells()...)
-			tb.Add(hss.Cells()...)
-		}
+	rows, err := harness.Sweep([]*harness.Spec{harness.Edit, harness.HSS}, sizes, []float64{0.2, 0.25},
+		func(n int) int { return n/40 + 1 }, base, true)
+	if err != nil {
+		return err
 	}
-	fmt.Print(tb)
-	fmt.Println("\nExpected shape: ours uses fewer machines at the same per-machine memory;")
-	fmt.Println("rounds <= 4 per guess (2 in the small regime) vs 2 for [20]; factors within bounds.")
-	fmt.Println("\nAnalytic Table 1 at the largest size, for comparison:")
-	fmt.Print(harness.Analytic(sizes[len(sizes)-1], 0.25))
+	tb := stats.NewTable(harness.Columns()...)
+	for i, ours := range rows[0] {
+		tb.Add(ours.Cells()...)
+		tb.Add(rows[1][i].Cells()...)
+	}
+	fmt.Fprint(w, tb)
+	fmt.Fprintln(w, "\nExpected shape: ours uses fewer machines at the same per-machine memory;")
+	fmt.Fprintln(w, "rounds <= 4 per guess (2 in the small regime) vs 2 for [20]; factors within bounds.")
+	fmt.Fprintln(w, "\nAnalytic Table 1 at the largest size, for comparison:")
+	fmt.Fprint(w, harness.Analytic(sizes[len(sizes)-1], 0.25))
+	return nil
 }
 
-func runMachineSweep(base core.Params, small bool) {
+func runMachineSweep(w io.Writer, base core.Params, small bool) error {
 	sizes := []int{400, 800, 1600, 3200, 6400}
 	if small {
 		sizes = []int{400, 800, 1600}
 	}
 	x := 0.25
-	fmt.Printf("Machine-count sweep at x = %.2f, planted distance ~ n^0.5:\n\n", x)
-	p := base
-	p.X = x
-	pts, err := harness.Sweep(sizes, 0.5, p)
+	fmt.Fprintf(w, "Machine-count sweep at x = %.2f, planted distance ~ n^0.5:\n\n", x)
+	rows, err := harness.Sweep([]*harness.Spec{harness.Edit, harness.HSS}, sizes, []float64{x},
+		harness.Edit.Planted, base, false)
 	if err != nil {
-		fail(err)
+		return err
 	}
+	ours, hss := rows[0], rows[1]
 	tb := stats.NewTable("n", "machines(ours)", "machines(hss)", "ratio", "ops(ours)", "ops(hss)")
-	for _, p := range pts {
-		tb.Add(p.N, p.OursMachines, p.HSSMachines,
-			stats.Ratio(int64(p.HSSMachines), int64(p.OursMachines)),
-			p.OursOps, p.HSSOps)
+	for i, o := range ours {
+		h := hss[i]
+		tb.Add(o.N, o.Machines, h.Machines, stats.Ratio(int64(h.Machines), int64(o.Machines)),
+			o.TotalOps, h.TotalOps)
 	}
-	fmt.Print(tb)
-	om, hm, oo, ho := harness.Slopes(pts)
-	fmt.Printf("\nFitted exponents (machines): ours n^%.2f vs hss n^%.2f  (paper: n^{(9/5)x}=n^%.2f vs n^{2x}=n^%.2f)\n",
-		om, hm, 9.0/5*x, 2*x)
-	fmt.Printf("Fitted exponents (total ops): ours n^%.2f vs hss n^%.2f\n", oo, ho)
+	fmt.Fprint(w, tb)
+	fmt.Fprintf(w, "\nFitted exponents (machines): ours n^%.2f vs hss n^%.2f  (paper: n^{(9/5)x}=n^%.2f vs n^{2x}=n^%.2f)\n",
+		harness.Fit(ours, harness.Machines), harness.Fit(hss, harness.Machines),
+		harness.Edit.MachExp(x), harness.HSS.MachExp(x))
+	fmt.Fprintf(w, "Fitted exponents (total ops): ours n^%.2f vs hss n^%.2f\n",
+		harness.Fit(ours, harness.TotalOps), harness.Fit(hss, harness.TotalOps))
+	return nil
 }
 
-func runXSweep(base core.Params, small bool) {
+func runXSweep(w io.Writer, base core.Params, small bool) error {
 	n := 3000
 	if small {
 		n = 1000
 	}
-	fmt.Printf("Machines vs memory exponent x at n = %d (planted distance n/40):\n\n", n)
-	xs := []float64{0.12, 0.16, 0.2, 0.25, 0.29}
-	pts, err := harness.XSweep(n, n/40, xs, base)
+	fmt.Fprintf(w, "Machines vs memory exponent x at n = %d (planted distance n/40):\n\n", n)
+	rows, err := harness.Sweep([]*harness.Spec{harness.Edit, harness.HSS}, []int{n},
+		[]float64{0.12, 0.16, 0.2, 0.25, 0.29}, func(n int) int { return n / 40 }, base, false)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	tb := stats.NewTable("x", "machines(ours)", "machines(hss)", "ratio", "paper ours n^{1.8x}", "paper hss n^{2x}")
-	for _, p := range pts {
-		tb.Add(p.X, p.OursMachines, p.HSSMachines,
-			stats.Ratio(int64(p.HSSMachines), int64(p.OursMachines)),
-			fmt.Sprintf("%.0f", pow(n, 1.8*p.X)), fmt.Sprintf("%.0f", pow(n, 2*p.X)))
+	for i, o := range rows[0] {
+		h := rows[1][i]
+		tb.Add(o.X, o.Machines, h.Machines, stats.Ratio(int64(h.Machines), int64(o.Machines)),
+			fmt.Sprintf("%.0f", pow(n, harness.Edit.MachExp(o.X))), fmt.Sprintf("%.0f", pow(n, harness.HSS.MachExp(o.X))))
 	}
-	fmt.Print(tb)
-	fmt.Println("\nExpected shape: both grow with x; ours stays below hss at every x.")
+	fmt.Fprint(w, tb)
+	fmt.Fprintln(w, "\nExpected shape: both grow with x; ours stays below hss at every x.")
+	return nil
 }
 
 func pow(n int, e float64) float64 { return math.Pow(float64(n), e) }
 
-func runBudget(base core.Params, small bool) {
+func runBudget(w io.Writer, base core.Params, small bool) error {
 	sizes := []int{400, 800, 1600, 3200}
 	if small {
 		sizes = []int{400, 800, 1600}
 	}
 	x := 0.25
-	fmt.Printf("Table 1 budget conformance at x = %.2f, eps = %.2f, sizes %v:\n", x, base.Eps, sizes)
-	fmt.Println("(measured per-phase and whole-run quantities vs the paper's envelopes;")
-	fmt.Println(" 'constant' is the fitted leading constant measured/n^paperExp — the Õ made explicit)")
-	fmt.Println()
+	fmt.Fprintf(w, "Table 1 budget conformance at x = %.2f, eps = %.2f, sizes %v:\n", x, base.Eps, sizes)
+	fmt.Fprintln(w, "(measured per-phase and whole-run quantities vs the paper's envelopes;")
+	fmt.Fprintln(w, " 'constant' is the fitted leading constant measured/n^paperExp — the Õ made explicit)")
+	fmt.Fprintln(w)
 	rows, err := harness.BudgetCheck(harness.BudgetConfig{
 		Sizes: sizes, X: x, Eps: base.Eps, Seed: base.Seed,
 	})
 	if err != nil {
-		fail(err)
+		return err
 	}
-	fmt.Print(harness.BudgetTable(rows))
+	fmt.Fprint(w, harness.BudgetTable(rows))
 	failed := 0
 	for _, r := range rows {
 		if !r.Pass {
@@ -231,33 +235,29 @@ func runBudget(base core.Params, small bool) {
 		}
 	}
 	if failed > 0 {
-		fail(fmt.Errorf("%d of %d budget rows FAIL", failed, len(rows)))
+		return fmt.Errorf("%d of %d budget rows FAIL", failed, len(rows))
 	}
-	fmt.Printf("\nAll %d budget rows PASS.\n", len(rows))
+	fmt.Fprintf(w, "\nAll %d budget rows PASS.\n", len(rows))
+	return nil
 }
 
-func runUlamSweep(base core.Params, small bool) {
+func runUlamSweep(w io.Writer, base core.Params, small bool) error {
 	sizes := []int{512, 1024, 2048, 4096}
 	if small {
 		sizes = []int{512, 1024, 2048}
 	}
 	x := 0.3
-	fmt.Printf("Ulam scaling sweep at x = %.2f, planted distance ~ n^0.6:\n\n", x)
-	p := base
-	p.X = x
-	pts, err := harness.UlamScaling(sizes, 0.6, p)
+	fmt.Fprintf(w, "Ulam scaling sweep at x = %.2f, planted distance ~ n^0.6:\n\n", x)
+	rows, err := harness.Sweep([]*harness.Spec{harness.Ulam}, sizes, []float64{x}, harness.Ulam.Planted, base, false)
 	if err != nil {
-		fail(err)
+		return err
 	}
 	tb := stats.NewTable("n", "machines", "totalOps", "mem/machine")
-	var ns, ops, mach []float64
-	for _, p := range pts {
-		tb.Add(p.N, p.Machines, p.TotalOps, p.MemWords)
-		ns = append(ns, float64(p.N))
-		ops = append(ops, float64(p.TotalOps))
-		mach = append(mach, float64(p.Machines))
+	for _, r := range rows[0] {
+		tb.Add(r.N, r.Machines, r.TotalOps, r.MemWords)
 	}
-	fmt.Print(tb)
-	fmt.Printf("\nFitted exponents: totalOps n^%.2f (paper: Õ(n) => ~1), machines n^%.2f (paper: n^x = n^%.2f)\n",
-		stats.LogLogSlope(ns, ops), stats.LogLogSlope(ns, mach), x)
+	fmt.Fprint(w, tb)
+	fmt.Fprintf(w, "\nFitted exponents: totalOps n^%.2f (paper: Õ(n) => ~1), machines n^%.2f (paper: n^x = n^%.2f)\n",
+		harness.Fit(rows[0], harness.TotalOps), harness.Fit(rows[0], harness.Machines), harness.Ulam.MachExp(x))
+	return nil
 }

@@ -39,9 +39,9 @@ func (j *pairJob) Words() int {
 
 // HSSEditMPC approximates ed(s, sbar) within 1+eps in two rounds per
 // distance guess, using one machine per (block, candidate starting point)
-// as in [20]. Exact pair distances use the same hybrid kernel as the
-// paper-algorithm implementation so that machine and work counts are
-// directly comparable.
+// as in [20]. Exact pair distances use the same bit-parallel kernel
+// (editdist.MyersMulti) as the paper-algorithm implementation so that
+// machine and work counts are directly comparable.
 func HSSEditMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 	p = p.WithDefaults()
 	if p.Algo == "" {

@@ -72,7 +72,7 @@ func TestEditMPCSmallDistancePlanted(t *testing.T) {
 
 func TestEditMPCExactPairsIsTight(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
-	p := Params{X: 0.25, Eps: 0.5, Seed: 2, Solver: PairMyers}
+	p := Params{X: 0.25, Eps: 0.5, Seed: 2}
 	for trial := 0; trial < 3; trial++ {
 		n := 500 + rng.Intn(300)
 		s := workload.RandomString(rng, n, 4)

@@ -52,12 +52,6 @@ func pairDistances(job *editJob, gamma int, kappas, prefixes []int, dFilter int,
 			}, x.Counter())
 		}
 		return ds
-	case PairMyers:
-		ds := make([]int, len(kappas))
-		for i, plen := range prefixes {
-			ds[i] = editdist.Myers(job.Block, full[:plen], x.Counter())
-		}
-		return ds
 	default: // PairHybridExact
 		return editdist.MyersMulti(job.Block, full, prefixes, x.Counter())
 	}
@@ -65,8 +59,8 @@ func pairDistances(job *editJob, gamma int, kappas, prefixes []int, dFilter int,
 
 // editSmall runs the two-round small-distance algorithm (Lemma 6) for a
 // fixed distance guess g, returning the chain value and the cluster report.
-// The approximation factor is (3+eps) with the default [12]-substitute pair
-// solver, or 1+eps with ExactPairs.
+// The approximation factor is 1+eps with the default exact pair kernel, or
+// 3+eps with the [12]-substitute (PairApprox12).
 func editSmall(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 	n, m := len(s), len(sbar)
 	cl := p.Cluster(max(n, m))

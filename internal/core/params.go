@@ -81,19 +81,17 @@ type Params struct {
 type PairSolver int
 
 const (
-	// PairHybridExact (default) picks, per pair, the cheaper of the banded
-	// exact kernel capped at the guess-derived relevance threshold and the
-	// bit-parallel exact kernel. Exact distances make the small regime a
-	// 1+eps scheme. At every simulator-reachable block size the
-	// bit-parallel constant 1/64 beats the n^{1/6} asymptotic advantage of
-	// [12], so this is also the fastest kernel in practice.
+	// PairHybridExact (default) prices a block against all of a start's
+	// window ends in one bit-parallel exact pass (editdist.MyersMulti).
+	// Exact distances make the small regime a 1+eps scheme. At every
+	// simulator-reachable block size the bit-parallel constant 1/64 beats
+	// the n^{1/6} asymptotic advantage of [12], so this is also the
+	// fastest kernel in practice.
 	PairHybridExact PairSolver = iota
 	// PairApprox12 uses the approx package's [12]-substitute (factor
 	// 3+eps), matching the paper's algorithm as stated. The regime's
 	// approximation guarantee becomes 3+eps.
 	PairApprox12
-	// PairMyers always uses the bit-parallel exact kernel.
-	PairMyers
 )
 
 // WithDefaults returns a copy of p with zero-valued fields replaced by
@@ -120,17 +118,23 @@ const (
 	MaxXEdit = 5.0/17 + 1e-9
 )
 
-// CheckParams reports an error unless 0 < x < maxX and eps is finite.
-// Every surface that takes an exponent or a slack (the drivers, the
-// server, mpcdist) checks them here. Every comparison with NaN is false,
-// so the range test names what it accepts; a NaN or infinite eps would
-// leave the guess ladders no finite step.
+// MinEps is the smallest positive eps CheckParams accepts: a guess ladder
+// takes about ln(max)/eps steps, so Ladder(MinEps, math.MaxInt64) returns
+// in about 10 ms, while at eps = 1e-7 it takes 19 s and at 1e-17 forever.
+const MinEps = 1e-4
+
+// CheckParams reports an error unless 0 < x < maxX and eps is finite and,
+// if positive, at least MinEps (eps <= 0 selects the default). Every
+// surface that takes an exponent or a slack (the drivers, the server,
+// mpcdist) checks them here. Every comparison with NaN is false, so the
+// range test names what it accepts; a NaN or infinite eps would leave the
+// guess ladders no finite step.
 func CheckParams(x, eps, maxX float64) error {
 	if !(x > 0 && x < maxX) {
 		return fmt.Errorf("core: X = %v outside (0, %v)", x, maxX)
 	}
-	if math.IsNaN(eps) || math.IsInf(eps, 0) {
-		return fmt.Errorf("core: eps = %v is not finite", eps)
+	if math.IsNaN(eps) || math.IsInf(eps, 0) || (eps > 0 && eps < MinEps) {
+		return fmt.Errorf("core: eps = %v is not finite or below %v", eps, MinEps)
 	}
 	return nil
 }
@@ -153,12 +157,13 @@ func intPow(n int, e float64) int {
 }
 
 // MemoryBudget is the enforced per-machine cap: MemFactor·n^{1-x}·
-// (1+ln n)²/eps² words — the explicit polylog·poly(1/eps) constant behind
-// the paper's Õ_eps(n^{1-x}) (candidate sets are Õ(1/eps'^5) per block
-// with a log² n factor, Section 4.1).
+// (1+ln n)²/min(eps,1)² words — the explicit polylog·poly(1/eps) constant
+// behind the paper's Õ_eps(n^{1-x}) (candidate sets are Õ(1/eps'^5) per
+// block with a log² n factor, Section 4.1; no run shrinks past eps = 1).
 func (p Params) MemoryBudget(n int) int {
 	lg := 1 + math.Log(float64(n)+1)
-	b := p.MemFactor * math.Pow(float64(n), 1-p.X) * lg * lg / (p.Eps * p.Eps)
+	eps := min(p.Eps, 1)
+	b := p.MemFactor * math.Pow(float64(n), 1-p.X) * lg * lg / (eps * eps)
 	if b < 64 {
 		b = 64
 	}

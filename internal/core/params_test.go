@@ -3,12 +3,14 @@ package core_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
 	"mpcdist/internal/baseline"
 	"mpcdist/internal/core"
+	"mpcdist/internal/workload"
 )
 
 // TestLadderKeepsGuesses checks Ladder against the plain geometric loop it
@@ -52,8 +54,8 @@ func TestLadderKeepsGuesses(t *testing.T) {
 
 // TestDriversRejectNonFiniteParams runs every MPC driver with the
 // parameter values that once hung them: each returns, with an error for a
-// NaN exponent and for a NaN or infinite slack. A huge finite slack may
-// fail (the memory budget it implies can be too small for the run).
+// NaN exponent and for a NaN, infinite or tiny slack (1+1e-17 rounds to
+// 1), and with an answer for a huge finite slack.
 func TestDriversRejectNonFiniteParams(t *testing.T) {
 	s, sbar := []byte("abcabcabcabcabcabcab"), []byte("abcabcXbcabcabcabYab")
 	p, q := []int{5, 1, 2, 3, 4, 6, 7, 8}, []int{1, 2, 5, 3, 4, 8, 6, 7}
@@ -66,11 +68,55 @@ func TestDriversRejectNonFiniteParams(t *testing.T) {
 		"LCSMPC":       func(pp core.Params) error { _, err := baseline.LCSMPC(s, sbar, pp); return err },
 	}
 	for name, run := range drivers {
-		for _, pp := range []core.Params{{X: 0.25, Eps: math.NaN()}, {X: 0.25, Eps: math.Inf(1)}, {X: math.NaN(), Eps: 0.5}, {X: 0.25, Eps: 1e19}} {
+		for _, pp := range []core.Params{{X: 0.25, Eps: math.NaN()}, {X: 0.25, Eps: math.Inf(1)}, {X: 0.25, Eps: 1e-17}, {X: math.NaN(), Eps: 0.5}, {X: 0.25, Eps: 1e19}} {
 			call := fmt.Sprintf("%s(x=%v, eps=%v)", name, pp.X, pp.Eps)
-			// A huge finite slack is valid: the call must only return.
-			if err := within(t, call, func() error { return run(pp) }); err == nil && pp.Eps != 1e19 {
-				t.Errorf("%s returned no error", call)
+			if err := within(t, call, func() error { return run(pp) }); (err == nil) != (pp.Eps == 1e19) {
+				t.Errorf("%s returned %v", call, err)
+			}
+		}
+	}
+}
+
+// TestCheckParamsEpsFloor checks the slack's range: eps <= 0 selects the
+// default, a positive eps below MinEps is an error, and the guess ladder
+// at MinEps itself returns promptly.
+func TestCheckParamsEpsFloor(t *testing.T) {
+	for _, c := range []struct {
+		eps float64
+		ok  bool
+	}{
+		{0, true}, {-1, true}, {core.MinEps, true}, {0.5, true}, {1e19, true},
+		{core.MinEps / 2, false}, {1e-7, false}, {1e-17, false}, {math.SmallestNonzeroFloat64, false},
+	} {
+		if err := core.CheckParams(0.25, c.eps, core.MaxXEdit); (err == nil) != c.ok {
+			t.Errorf("CheckParams(0.25, %v) = %v, want ok %v", c.eps, err, c.ok)
+		}
+	}
+	within(t, "Ladder(MinEps, MaxInt64)", func() []int { return core.Ladder(core.MinEps, math.MaxInt64) })
+}
+
+// TestDriversAcceptLargeEps runs every MPC driver on 300-long inputs at
+// slacks above 1, where the 1/eps² in the memory budget once shrank the
+// machines until valid runs overflowed them.
+func TestDriversAcceptLargeEps(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	s := workload.RandomString(rng, 300, 4)
+	sbar := workload.PlantedEdits(rng, s, 30, 4)
+	far := workload.RandomString(rng, 300, 12)
+	p, q, _ := workload.PlantedUlam(rng, 300, 30)
+	drivers := map[string]func(core.Params) error{
+		"UlamMPC":      func(pp core.Params) error { _, err := core.UlamMPC(p, q, pp); return err },
+		"EditMPC":      func(pp core.Params) error { _, err := core.EditMPC(s, sbar, pp); return err },
+		"EditMPC/far":  func(pp core.Params) error { _, err := core.EditMPC(s, far, pp); return err },
+		"EditSmallMPC": func(pp core.Params) error { _, err := core.EditSmallMPC(s, sbar, 30, pp); return err },
+		"EditLargeMPC": func(pp core.Params) error { _, err := core.EditLargeMPC(s, far, 300, pp); return err },
+		"HSSEditMPC":   func(pp core.Params) error { _, err := baseline.HSSEditMPC(s, sbar, pp); return err },
+		"LCSMPC":       func(pp core.Params) error { _, err := baseline.LCSMPC(s, sbar, pp); return err },
+	}
+	for name, run := range drivers {
+		for _, eps := range []float64{2, 6, 10, 30, 100, 1e3, 1e19} {
+			if err := run(core.Params{X: 0.25, Eps: eps, Seed: 1}); err != nil {
+				t.Errorf("%s(eps=%v): %v", name, eps, err)
 			}
 		}
 	}

@@ -321,7 +321,7 @@ func TestJobRoundTrip(t *testing.T) {
 	job.Eps = 0.25
 	job.MemFactor = 8
 	job.HitConst = 2
-	job.Solver = int(core.PairMyers)
+	job.Solver = int(core.PairApprox12)
 	job.Faults.MaxRetries = 5
 	c := transport.NewCodec()
 	buf, err := encodeValue(c, job)

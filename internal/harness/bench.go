@@ -142,13 +142,6 @@ type BenchFile struct {
 	Results    []BenchResult `json:"results"`
 }
 
-// benchInput is one case's generated problem instance: a byte pair for
-// the edit-distance algorithms, a permutation pair for Ulam.
-type benchInput struct {
-	s, sbar []byte
-	p, q    []int
-}
-
 // benchCase is one algorithm × workload generator of the suite. gen is
 // separated from the job it feeds, so the identical inputs — same rng
 // construction, same call sequence — run on whichever shuffle transport
@@ -158,52 +151,44 @@ type benchCase struct {
 	// job is the dist.Job algorithm the case runs ("hss" runs edit-hss).
 	algo, job, workload string
 	x                   float64
-	gen                 func(n int) benchInput
+	gen                 func(n int) instance
 }
 
 // benchCases returns the suite: the paper's two algorithms and the two
 // baselines, each over workload-generator families with planted sublinear
-// distances (d ~ n^0.5, ulam n^0.6).
+// distances (d ~ n^0.5, ulam n^0.6). The planted-perm and planted-random
+// cases are the Table 1 specs' instances.
 func benchCases(seed int64) []benchCase {
 	// salt de-correlates the rng streams of workloads that share a
-	// generator structure (identical streams would yield identical op
-	// counts and hide a per-workload regression).
-	editPair := func(n int, salt int64, gen func(rng *rand.Rand, n int) ([]byte, []byte)) benchInput {
+	// generator structure with the planted families (identical streams
+	// would yield identical op counts and hide a per-workload regression).
+	editPair := func(n int, salt int64, gen func(rng *rand.Rand, n int) ([]byte, []byte)) instance {
 		rng := rand.New(rand.NewSource(seed*104729 + int64(n) + salt))
 		s, sbar := gen(rng, n)
-		return benchInput{s: s, sbar: sbar}
+		return instance{s: s, sbar: sbar}
 	}
-	plantedRandom := func(n int) benchInput {
-		return editPair(n, 0, func(rng *rand.Rand, n int) ([]byte, []byte) {
-			s := workload.RandomString(rng, n, 4)
-			return s, workload.PlantedEdits(rng, s, planted(n, 0.5), 4)
-		})
-	}
+	random := func(n int) instance { return plantedRandom.gen(seed, n, plantedRandom.Planted(n)) }
 	return []benchCase{
 		{
 			algo: "ulam-mpc", job: dist.AlgoUlamMPC, workload: "planted-perm", x: 0.3,
-			gen: func(n int) benchInput {
-				rng := rand.New(rand.NewSource(seed*7919 + int64(n)))
-				s, sbar, _ := workload.PlantedUlam(rng, n, planted(n, 0.6))
-				return benchInput{p: s, q: sbar}
-			},
+			gen: func(n int) instance { return plantedPerm.gen(seed, n, plantedPerm.Planted(n)) },
 		},
 		{
 			algo: "ulam-mpc", job: dist.AlgoUlamMPC, workload: "block-move", x: 0.3,
-			gen: func(n int) benchInput {
+			gen: func(n int) instance {
 				rng := rand.New(rand.NewSource(seed*7919 + int64(n) + 1))
 				s := workload.Permutation(rng, n)
 				sbar := workload.BlockMoveInts(rng, s, planted(n, 0.5))
-				return benchInput{p: s, q: sbar}
+				return instance{p: s, q: sbar}
 			},
 		},
 		{
 			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "planted-random", x: 0.25,
-			gen: plantedRandom,
+			gen: random,
 		},
 		{
 			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "planted-dna", x: 0.25,
-			gen: func(n int) benchInput {
+			gen: func(n int) instance {
 				return editPair(n, 1000, func(rng *rand.Rand, n int) ([]byte, []byte) {
 					s := workload.DNA(rng, n)
 					return s, workload.PlantedDNA(rng, s, planted(n, 0.5))
@@ -212,16 +197,16 @@ func benchCases(seed int64) []benchCase {
 		},
 		{
 			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "periodic-shift", x: 0.25,
-			gen: func(n int) benchInput {
+			gen: func(n int) instance {
 				// Shift by a non-multiple of the effective period (sigma
 				// caps it at 4), so the rotation is a real, small edit.
 				s := workload.Periodic(n, 16, 4)
-				return benchInput{s: s, sbar: workload.Shift(s, 7)}
+				return instance{s: s, sbar: workload.Shift(s, 7)}
 			},
 		},
 		{
 			algo: "edit-mpc", job: dist.AlgoEditMPC, workload: "zipf-blockmove", x: 0.25,
-			gen: func(n int) benchInput {
+			gen: func(n int) instance {
 				return editPair(n, 2000, func(rng *rand.Rand, n int) ([]byte, []byte) {
 					s := workload.Zipf(rng, n, 16)
 					return s, workload.BlockMove(rng, s, planted(n, 0.5))
@@ -230,11 +215,11 @@ func benchCases(seed int64) []benchCase {
 		},
 		{
 			algo: "hss", job: dist.AlgoEditHSS, workload: "planted-random", x: 0.25,
-			gen: plantedRandom,
+			gen: random,
 		},
 		{
 			algo: "lcs-mpc", job: dist.AlgoLCSMPC, workload: "planted-random", x: 0.25,
-			gen: plantedRandom,
+			gen: random,
 		},
 	}
 }

@@ -3,15 +3,11 @@ package harness
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
-	"mpcdist/internal/baseline"
 	"mpcdist/internal/core"
 	"mpcdist/internal/mpc"
 	"mpcdist/internal/stats"
 	"mpcdist/internal/trace"
-	"mpcdist/internal/ulam"
-	"mpcdist/internal/workload"
 )
 
 // BudgetConfig parameterizes a Table 1 conformance sweep: run each
@@ -66,73 +62,9 @@ type BudgetRow struct {
 	Pass bool
 }
 
-// budgetSpec is one algorithm's Table 1 row: its envelopes and a runner.
-type budgetSpec struct {
-	algo           string
-	roundsPerGuess int     // round budget per distance guess
-	memExp         float64 // per-machine memory exponent
-	machExp        float64 // machine-count exponent
-	workExp        float64 // total-work exponent
-	// phaseRounds is the per-guess round budget of each phase the
-	// algorithm may run; phases absent from the map budget zero rounds.
-	phaseRounds map[trace.Phase]int
-	run         func(n int, p core.Params) (core.Result, error)
-}
-
-// budgetSpecs returns the three Table 1 rows under test at exponent x.
-func budgetSpecs(x float64) []budgetSpec {
-	return []budgetSpec{
-		{
-			algo: "ulam-mpc(T4)", roundsPerGuess: 2,
-			memExp: 1 - x, machExp: x, workExp: 1,
-			phaseRounds: map[trace.Phase]int{trace.PhaseCandidates: 1, trace.PhaseChain: 1},
-			run: func(n int, p core.Params) (core.Result, error) {
-				rng := rand.New(rand.NewSource(p.Seed*7919 + int64(n)))
-				s, sbar, _ := workload.PlantedUlam(rng, n, planted(n, 0.6))
-				return core.UlamMPC(s, sbar, p)
-			},
-		},
-		{
-			algo: "edit-mpc(T9)", roundsPerGuess: 4,
-			memExp: 1 - x, machExp: 9 * x / 5, workExp: 2 - math.Min((1-x)/6, 2*x/5),
-			phaseRounds: map[trace.Phase]int{
-				trace.PhaseCandidates: 1, trace.PhaseGraph: 3, trace.PhaseChain: 1,
-			},
-			run: func(n int, p core.Params) (core.Result, error) {
-				rng := rand.New(rand.NewSource(p.Seed*104729 + int64(n)))
-				s := workload.RandomString(rng, n, 4)
-				sbar := workload.PlantedEdits(rng, s, planted(n, 0.5), 4)
-				return core.EditMPC(s, sbar, p)
-			},
-		},
-		{
-			algo: "hss[20]", roundsPerGuess: 2,
-			memExp: 1 - x, machExp: 2 * x, workExp: 2,
-			phaseRounds: map[trace.Phase]int{trace.PhaseCandidates: 1, trace.PhaseChain: 1},
-			run: func(n int, p core.Params) (core.Result, error) {
-				rng := rand.New(rand.NewSource(p.Seed*104729 + int64(n)))
-				s := workload.RandomString(rng, n, 4)
-				sbar := workload.PlantedEdits(rng, s, planted(n, 0.5), 4)
-				return baseline.HSSEditMPC(s, sbar, p)
-			},
-		},
-	}
-}
-
-// planted returns the planted distance round(n^dexp), at least 1. The
-// budget sweep plants sublinear distances (the regime Table 1's clean
-// shapes are stated in), matching the harness's scaling sweeps; a linear
-// distance would drag d-dependent polylog factors into every fit.
-func planted(n int, dexp float64) int {
-	d := int(math.Round(math.Pow(float64(n), dexp)))
-	if d < 1 {
-		d = 1
-	}
-	return d
-}
-
-// geoMeanConstant returns the geometric mean over the sweep of y / n^exp.
-func geoMeanConstant(ns, ys []float64, exp float64) float64 {
+// geoMeanConstant returns the geometric mean over a series of y / n^exp.
+func geoMeanConstant(rows []Row, y func(Row) float64, exp float64) float64 {
+	ns, ys := series(rows, y)
 	var sum float64
 	var cnt int
 	for i := range ns {
@@ -148,89 +80,55 @@ func geoMeanConstant(ns, ys []float64, exp float64) float64 {
 	return math.Exp(sum / float64(cnt))
 }
 
-// BudgetCheck runs each Table 1 algorithm across cfg.Sizes and evaluates
-// the measured quantities against the paper's envelopes: per-guess round
-// counts exactly, and memory/machines/total-work as fitted log-log
-// exponents that must stay within paper exponent + budgetSlack. Per-phase rows
-// check the same envelopes restricted to each phase's rounds (a phase can
-// never use more memory than the whole run, and its per-guess round count
-// is fixed by the algorithm's structure).
-//
-// The Ulam total-work row concerns the asymptotic algorithm, so the sweep
-// forces the CDQ match-point kernel for its duration (the default build
-// switches to the quadratic DP below its wall-clock crossover, which does
-// more elementary operations while being faster in real time).
+// BudgetCheck runs each Table1 spec across cfg.Sizes at its planted
+// sublinear distance and evaluates the measured quantities against the
+// paper's envelopes: per-guess round counts exactly, and
+// memory/machines/total-work as fitted log-log exponents that must stay
+// within paper exponent + budgetSlack. Per-phase rows check the same
+// envelopes restricted to each phase's rounds (a phase can never use more
+// memory than the whole run, and its per-guess round count is fixed by
+// the algorithm's structure).
 func BudgetCheck(cfg BudgetConfig) ([]BudgetRow, error) {
 	cfg = cfg.withDefaults()
-	oldCutoff := ulam.QuadCutoff
-	ulam.QuadCutoff = 0
-	defer func() { ulam.QuadCutoff = oldCutoff }()
-
-	var rows []BudgetRow
-	for _, spec := range budgetSpecs(cfg.X) {
-		// Per-size measurements, whole-run and per-phase.
-		var ns, mem, mach, work, caps []float64
+	p := core.Params{X: cfg.X, Eps: cfg.Eps, Seed: cfg.Seed}
+	var out []BudgetRow
+	for _, spec := range Table1 {
+		sweep, err := Sweep([]*Spec{spec}, cfg.Sizes, []float64{cfg.X}, spec.Planted, p, false)
+		if err != nil {
+			return nil, err
+		}
+		rows := sweep[0]
+		// Round counts are per guess: the paper runs the guesses in
+		// parallel, so the budget binds each guess's cluster, not the
+		// ladder's sum.
 		maxRounds := 0
-		type phaseSeries struct {
-			mem, mach []float64
-			maxRounds int
-		}
-		phases := map[trace.Phase]*phaseSeries{}
-		for _, n := range cfg.Sizes {
-			p := core.Params{X: cfg.X, Eps: cfg.Eps, Seed: cfg.Seed}
-			res, err := spec.run(n, p)
-			if err != nil {
-				return nil, fmt.Errorf("harness: budget %s n=%d: %w", spec.algo, n, err)
-			}
-			ns = append(ns, float64(n))
-			mem = append(mem, float64(res.Report.MaxWords))
-			mach = append(mach, float64(res.Report.MaxMachines))
-			work = append(work, float64(res.Report.TotalOps))
-			caps = append(caps, float64(p.WithDefaults().MemoryBudget(n)))
-
-			// Round counts are per guess: the paper runs the guesses in
-			// parallel, so the budget binds each guess's cluster, not the
-			// ladder's sum.
-			guesses := res.GuessReports
-			if len(guesses) == 0 {
-				guesses = []mpc.Report{res.Report}
-			}
-			for _, g := range guesses {
-				if g.NumRounds > maxRounds {
-					maxRounds = g.NumRounds
-				}
+		phaseRounds := map[trace.Phase]int{}
+		for _, r := range rows {
+			for _, g := range r.guesses {
+				maxRounds = max(maxRounds, g.NumRounds)
 				for _, ps := range mpc.Profile(g).Phases {
-					s := phases[ps.Phase]
-					if s == nil {
-						s = &phaseSeries{}
-						phases[ps.Phase] = s
-					}
-					if ps.Rounds > s.maxRounds {
-						s.maxRounds = ps.Rounds
-					}
+					phaseRounds[ps.Phase] = max(phaseRounds[ps.Phase], ps.Rounds)
 				}
-			}
-			// Per-phase scaling series come from the aggregate profile
-			// (max memory/machines across all guesses' rounds of the phase).
-			for _, ps := range mpc.Profile(res.Report).Phases {
-				s := phases[ps.Phase]
-				if s == nil {
-					s = &phaseSeries{}
-					phases[ps.Phase] = s
-				}
-				s.mem = append(s.mem, float64(ps.MaxWords))
-				s.mach = append(s.mach, float64(ps.MaxMachines))
 			}
 		}
 
-		expRow := func(quantity string, ys []float64, paperExp float64) BudgetRow {
-			fit := stats.LogLogSlope(ns, ys)
+		roundRow := func(quantity string, got, budget int) BudgetRow {
+			return BudgetRow{
+				Algo: spec.Algo, Quantity: quantity,
+				Paper:  fmt.Sprint(budget),
+				Fitted: float64(got), Limit: float64(budget),
+				Constant: math.NaN(), Util: math.NaN(),
+				Pass: got <= budget && got > 0,
+			}
+		}
+		expRow := func(quantity string, y func(Row) float64, paperExp float64) BudgetRow {
+			fit := Fit(rows, y)
 			limit := paperExp + budgetSlack
 			return BudgetRow{
-				Algo: spec.algo, Quantity: quantity,
+				Algo: spec.Algo, Quantity: quantity,
 				Paper:  fmt.Sprintf("n^%.2f", paperExp),
 				Fitted: fit, Limit: limit,
-				Constant: geoMeanConstant(ns, ys, paperExp),
+				Constant: geoMeanConstant(rows, y, paperExp),
 				Util:     math.NaN(),
 				Pass:     !math.IsNaN(fit) && fit <= limit,
 			}
@@ -238,53 +136,45 @@ func BudgetCheck(cfg BudgetConfig) ([]BudgetRow, error) {
 		// Memory rows pass on utilization of the enforced cap (the cap is
 		// the paper's Õ(n^{1-x}) with the polylog constant spelled out);
 		// the fitted exponent is reported for context.
-		memRow := func(quantity string, ys []float64) BudgetRow {
+		memRow := func(quantity string, y func(Row) float64) BudgetRow {
 			util := 0.0
-			for i := range ys {
-				if u := ys[i] / caps[i]; u > util {
-					util = u
-				}
+			for _, r := range rows {
+				util = max(util, y(r)/float64(p.WithDefaults().MemoryBudget(r.N)))
 			}
 			return BudgetRow{
-				Algo: spec.algo, Quantity: quantity,
-				Paper:  fmt.Sprintf("n^%.2f·lg²", spec.memExp),
-				Fitted: stats.LogLogSlope(ns, ys), Limit: 1,
-				Constant: geoMeanConstant(ns, ys, spec.memExp),
+				Algo: spec.Algo, Quantity: quantity,
+				Paper:  fmt.Sprintf("n^%.2f·lg²", memExp(cfg.X)),
+				Fitted: Fit(rows, y), Limit: 1,
+				Constant: geoMeanConstant(rows, y, memExp(cfg.X)),
 				Util:     util,
 				Pass:     util <= 1 && util > 0,
 			}
 		}
-		rows = append(rows, BudgetRow{
-			Algo: spec.algo, Quantity: "rounds/guess",
-			Paper:  fmt.Sprint(spec.roundsPerGuess),
-			Fitted: float64(maxRounds), Limit: float64(spec.roundsPerGuess),
-			Constant: math.NaN(), Util: math.NaN(),
-			Pass: maxRounds <= spec.roundsPerGuess && maxRounds > 0,
-		})
-		rows = append(rows,
-			memRow("mem/machine", mem),
-			expRow("machines", mach, spec.machExp),
-			expRow("total work", work, spec.workExp))
+		out = append(out,
+			roundRow("rounds/guess", maxRounds, spec.Rounds),
+			memRow("mem/machine", MemWords),
+			expRow("machines", Machines, spec.MachExp(cfg.X)),
+			expRow("total work", TotalOps, spec.WorkExp(cfg.X)))
 
 		for _, ph := range trace.AllPhases() {
-			s := phases[ph]
-			if s == nil {
+			rounds, ran := phaseRounds[ph]
+			if !ran {
 				continue
 			}
-			budget := spec.phaseRounds[ph]
-			rows = append(rows, BudgetRow{
-				Algo: spec.algo, Quantity: fmt.Sprintf("rounds[%s]/guess", ph),
-				Paper:  fmt.Sprint(budget),
-				Fitted: float64(s.maxRounds), Limit: float64(budget),
-				Constant: math.NaN(), Util: math.NaN(),
-				Pass: s.maxRounds <= budget,
-			})
-			rows = append(rows,
-				memRow(fmt.Sprintf("mem[%s]", ph), s.mem),
-				expRow(fmt.Sprintf("machines[%s]", ph), s.mach, spec.machExp))
+			// A phase absent at some size contributes 0, which the fits skip.
+			phase := func(get func(mpc.PhaseStats) int) func(Row) float64 {
+				return func(r Row) float64 {
+					ps, _ := r.Profile.Get(ph)
+					return float64(get(ps))
+				}
+			}
+			out = append(out,
+				roundRow(fmt.Sprintf("rounds[%s]/guess", ph), rounds, spec.PhaseRounds[ph]),
+				memRow(fmt.Sprintf("mem[%s]", ph), phase(func(ps mpc.PhaseStats) int { return ps.MaxWords })),
+				expRow(fmt.Sprintf("machines[%s]", ph), phase(func(ps mpc.PhaseStats) int { return ps.MaxMachines }), spec.MachExp(cfg.X)))
 		}
 	}
-	return rows, nil
+	return out, nil
 }
 
 // BudgetTable renders budget rows in Table 1 shape.

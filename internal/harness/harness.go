@@ -1,7 +1,7 @@
 // Package harness runs the experiments that regenerate the paper's
 // Table 1 as measured quantities, plus the scaling sweeps that validate
-// the machine-count and total-work exponents. It is shared by cmd/mpctable
-// and the root benchmark suite.
+// the machine-count and total-work exponents. It is shared by cmd/mpctable,
+// cmd/mpcbench and the root benchmark suite.
 package harness
 
 import (
@@ -21,7 +21,7 @@ import (
 
 // Row is one measured Table 1 row.
 type Row struct {
-	Algo      string  // "ulam-mpc", "edit-mpc", "hss"
+	Algo      string  // the spec's label, e.g. "edit-mpc(T9)"
 	N         int     // input length
 	X         float64 // memory exponent
 	Eps       float64
@@ -39,6 +39,10 @@ type Row struct {
 	// Profile resolves the run's work to paper phases (candidates / graph /
 	// chain); the per-phase ops columns of Cells come from it.
 	Profile mpc.PhaseProfile
+	// guesses holds one report per distance guess (the whole run's report
+	// when the driver has no guess ladder). The paper runs the guesses in
+	// parallel, so BudgetCheck's round budgets bind each guess.
+	guesses []mpc.Report
 }
 
 // Columns returns the header cells matching Cells.
@@ -87,6 +91,10 @@ func fromResult(algo string, n int, p core.Params, res core.Result, exact int) R
 		ElapsedMs: float64(res.Report.Elapsed.Nanoseconds()) / 1e6,
 		Straggler: res.Report.MaxStraggler,
 		Profile:   mpc.Profile(res.Report),
+		guesses:   res.GuessReports,
+	}
+	if len(row.guesses) == 0 {
+		row.guesses = []mpc.Report{res.Report}
 	}
 	if exact > 0 {
 		row.Factor = float64(res.Value) / float64(exact)
@@ -96,171 +104,204 @@ func fromResult(algo string, n int, p core.Params, res core.Result, exact int) R
 	return row
 }
 
-// UlamRow runs the Theorem 4 algorithm on a planted-distance permutation
-// instance and certifies the factor against the exact oracle (skipped when
-// withExact is false at large n).
-func UlamRow(n int, d int, p core.Params, withExact bool) (Row, error) {
-	rng := rand.New(rand.NewSource(p.Seed*7919 + int64(n)))
-	s, sbar, planted := workload.PlantedUlam(rng, n, d)
-	res, err := core.UlamMPC(s, sbar, p)
-	if err != nil {
-		return Row{}, err
+// Machines, TotalOps and MemWords select a row's fitted quantities.
+func Machines(r Row) float64 { return float64(r.Machines) }
+func TotalOps(r Row) float64 { return float64(r.TotalOps) }
+func MemWords(r Row) float64 { return float64(r.MemWords) }
+
+// instance is one generated problem: a byte pair for the edit-distance
+// algorithms, a permutation pair for Ulam.
+type instance struct {
+	s, sbar []byte
+	p, q    []int
+}
+
+// family is one planted instance family: its generator from (seed, n,
+// planted distance d), its exact oracle, and the exponent of the
+// sublinear distance that the fit sweeps and mpcbench plant.
+type family struct {
+	gen   func(seed int64, n, d int) instance
+	exact func(in instance) int
+	dexp  float64
+}
+
+// Planted returns the family's sublinear planted distance at size n.
+func (f family) Planted(n int) int { return planted(n, f.dexp) }
+
+// planted returns the planted distance round(n^dexp), at least 1. The
+// sweeps plant sublinear distances, the regime Table 1's clean shapes are
+// stated in; a linear distance would drag d-dependent polylog factors into
+// every fit.
+func planted(n int, dexp float64) int {
+	return max(1, int(math.Round(math.Pow(float64(n), dexp))))
+}
+
+var (
+	// plantedPerm is a random permutation and a copy d moves away.
+	plantedPerm = family{
+		gen: func(seed int64, n, d int) instance {
+			rng := rand.New(rand.NewSource(seed*7919 + int64(n)))
+			p, q, _ := workload.PlantedUlam(rng, n, d)
+			return instance{p: p, q: q}
+		},
+		exact: func(in instance) int { return ulam.Exact(in.p, in.q, nil) },
+		dexp:  0.6,
 	}
+	// plantedRandom is a random string over 4 letters and a copy with d
+	// planted edits.
+	plantedRandom = family{
+		gen: func(seed int64, n, d int) instance {
+			rng := rand.New(rand.NewSource(seed*104729 + int64(n)))
+			s := workload.RandomString(rng, n, 4)
+			return instance{s: s, sbar: workload.PlantedEdits(rng, s, d, 4)}
+		},
+		exact: func(in instance) int { return editdist.Myers(in.s, in.sbar, nil) },
+		dexp:  0.5,
+	}
+)
+
+// Spec is one measured row of the paper's Table 1: the row's bounds, with
+// exponents as functions of the memory exponent x, and the planted
+// instance family and driver that measure it. Sweep measures it, and
+// BudgetCheck and Analytic read its bounds.
+type Spec struct {
+	Algo   string // the measured rows' label
+	Name   string // the row's name in Table 1
+	Factor string // the approximation factor
+	Rounds int    // round budget per distance guess
+	// PhaseRounds is the per-guess round budget of each phase the
+	// algorithm may run; phases absent from the map budget zero rounds.
+	PhaseRounds map[trace.Phase]int
+	// MachExp and WorkExp are the machine-count and total-work exponents.
+	MachExp, WorkExp func(x float64) float64
+	family
+	run func(in instance, p core.Params) (core.Result, error)
+}
+
+// memExp is every measured row's per-machine memory exponent: each runs
+// under the enforced cap core.Params.MemoryBudget, Õ(n^{1-x}).
+func memExp(x float64) float64 { return 1 - x }
+
+// The Table 1 rows under measurement. The [11] row is not re-implemented
+// (DESIGN.md substitution #5), so only Analytic prints it.
+var (
+	// Ulam is Theorem 4.
+	Ulam = &Spec{
+		Algo: "ulam-mpc(T4)", Name: "Ulam (Thm 4)", Factor: "1+eps", Rounds: 2,
+		PhaseRounds: map[trace.Phase]int{trace.PhaseCandidates: 1, trace.PhaseChain: 1},
+		MachExp:     func(x float64) float64 { return x },
+		WorkExp:     func(float64) float64 { return 1 },
+		family:      plantedPerm,
+		run: func(in instance, p core.Params) (core.Result, error) {
+			return core.UlamMPC(in.p, in.q, p)
+		},
+	}
+	// Edit is Theorem 9.
+	Edit = &Spec{
+		Algo: "edit-mpc(T9)", Name: "Edit (Thm 9)", Factor: "3+eps", Rounds: 4,
+		PhaseRounds: map[trace.Phase]int{
+			trace.PhaseCandidates: 1, trace.PhaseGraph: 3, trace.PhaseChain: 1,
+		},
+		MachExp: func(x float64) float64 { return 9 * x / 5 },
+		WorkExp: func(x float64) float64 { return 2 - math.Min((1-x)/6, 2*x/5) },
+		family:  plantedRandom,
+		run: func(in instance, p core.Params) (core.Result, error) {
+			return core.EditMPC(in.s, in.sbar, p)
+		},
+	}
+	// HSS is the edit-distance baseline of Hajiaghayi et al. [20].
+	HSS = &Spec{
+		Algo: "hss[20]", Name: "Edit [20]", Factor: "1+eps", Rounds: 2,
+		PhaseRounds: map[trace.Phase]int{trace.PhaseCandidates: 1, trace.PhaseChain: 1},
+		MachExp:     func(x float64) float64 { return 2 * x },
+		WorkExp:     func(float64) float64 { return 2 },
+		family:      plantedRandom,
+		run: func(in instance, p core.Params) (core.Result, error) {
+			return baseline.HSSEditMPC(in.s, in.sbar, p)
+		},
+	}
+	// Table1 lists the measured rows in the paper's order.
+	Table1 = []*Spec{Ulam, Edit, HSS}
+)
+
+// measure runs sp on its instance of size n at planted distance d. With
+// certify it computes the exact oracle, for the factor column. Without,
+// the row feeds an exponent fit, so it skips the oracle and forces the CDQ
+// match-point DP: the paper's Õ(n) total-work claim concerns the
+// asymptotic algorithm, and the default build switches to the quadratic DP
+// below its wall-clock crossover, which does more elementary operations
+// while being faster in real time (see ulam.QuadCutoff).
+func (sp *Spec) measure(n, d int, p core.Params, certify bool) (Row, error) {
+	in := sp.gen(p.Seed, n, d)
 	exact := -1
-	if withExact {
-		exact = ulam.Exact(s, sbar, nil)
+	if certify {
+		exact = sp.exact(in)
+	} else {
+		old := ulam.QuadCutoff
+		ulam.QuadCutoff = 0
+		defer func() { ulam.QuadCutoff = old }()
 	}
-	_ = planted // certified upper bound; the oracle is the real check
-	return fromResult("ulam-mpc(T4)", n, p, res, exact), nil
-}
-
-// EditRows runs the Theorem 9 algorithm and the HSS baseline on the same
-// planted-edit instance, returning one row each.
-func EditRows(n int, d int, p core.Params, withExact bool) (ours, hss Row, err error) {
-	rng := rand.New(rand.NewSource(p.Seed*104729 + int64(n)))
-	s := workload.RandomString(rng, n, 4)
-	sbar := workload.PlantedEdits(rng, s, d, 4)
-	exact := -1
-	if withExact {
-		exact = editdist.Myers(s, sbar, nil)
-	}
-	oursRes, err := core.EditMPC(s, sbar, p)
+	res, err := sp.run(in, p)
 	if err != nil {
-		return Row{}, Row{}, fmt.Errorf("edit-mpc: %w", err)
+		return Row{}, fmt.Errorf("harness: %s n=%d x=%v: %w", sp.Algo, n, p.X, err)
 	}
-	hssRes, err := baseline.HSSEditMPC(s, sbar, p)
-	if err != nil {
-		return Row{}, Row{}, fmt.Errorf("hss: %w", err)
-	}
-	return fromResult("edit-mpc(T9)", n, p, oursRes, exact),
-		fromResult("hss[20]", n, p, hssRes, exact), nil
+	return fromResult(sp.Algo, n, p, res, exact), nil
 }
 
-// MachineSweep measures machine counts for ours vs the baseline across a
-// range of n at fixed x, and returns the fitted log-log exponents. The
-// paper's shapes: ours ~ n^{2x-(1-delta)} in the dominant small regime
-// (Õ(n^{(9/5)x}) overall), HSS ~ n^{2x}.
-type SweepPoint struct {
-	N            int
-	OursMachines int
-	HSSMachines  int
-	OursOps      int64
-	HSSOps       int64
-}
-
-// Sweep runs EditRows over sizes, keeping the planted distance at
-// round(n^dexp).
-func Sweep(sizes []int, dexp float64, p core.Params) ([]SweepPoint, error) {
-	var pts []SweepPoint
+// Sweep measures every spec at every size and memory exponent, with
+// planted distance d(n), and returns one series per spec: rows[i] holds
+// specs[i]'s rows, sizes outermost. The -table views certify factors
+// against the exact oracle; the scaling sweeps and BudgetCheck fit
+// exponents instead (see measure).
+func Sweep(specs []*Spec, sizes []int, xs []float64, d func(n int) int, p core.Params, certify bool) ([][]Row, error) {
+	rows := make([][]Row, len(specs))
 	for _, n := range sizes {
-		d := int(math.Round(math.Pow(float64(n), dexp)))
-		if d < 1 {
-			d = 1
+		for _, x := range xs {
+			p.X = x
+			for i, sp := range specs {
+				row, err := sp.measure(n, d(n), p, certify)
+				if err != nil {
+					return nil, err
+				}
+				rows[i] = append(rows[i], row)
+			}
 		}
-		ours, hss, err := EditRows(n, d, p, false)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, SweepPoint{
-			N:            n,
-			OursMachines: ours.Machines,
-			HSSMachines:  hss.Machines,
-			OursOps:      ours.TotalOps,
-			HSSOps:       hss.TotalOps,
-		})
 	}
-	return pts, nil
+	return rows, nil
 }
 
-// Slopes fits the machine-count exponents of a sweep.
-func Slopes(pts []SweepPoint) (oursMach, hssMach, oursOps, hssOps float64) {
-	var ns, om, hm, oo, ho []float64
-	for _, p := range pts {
-		ns = append(ns, float64(p.N))
-		om = append(om, float64(p.OursMachines))
-		hm = append(hm, float64(p.HSSMachines))
-		oo = append(oo, float64(p.OursOps))
-		ho = append(ho, float64(p.HSSOps))
+// Fit returns the fitted log-log exponent of y over one spec's series.
+func Fit(rows []Row, y func(Row) float64) float64 {
+	ns, ys := series(rows, y)
+	return stats.LogLogSlope(ns, ys)
+}
+
+// series returns the sizes and the quantity y of one spec's rows.
+func series(rows []Row, y func(Row) float64) (ns, ys []float64) {
+	for _, r := range rows {
+		ns = append(ns, float64(r.N))
+		ys = append(ys, y(r))
 	}
-	return stats.LogLogSlope(ns, om), stats.LogLogSlope(ns, hm),
-		stats.LogLogSlope(ns, oo), stats.LogLogSlope(ns, ho)
+	return ns, ys
 }
 
-// UlamSweep measures Theorem 4's model quantities across n.
-type UlamPoint struct {
-	N        int
-	Machines int
-	TotalOps int64
-	MemWords int
-}
-
-// UlamScaling runs UlamRow over sizes with planted distance n^dexp. The
-// paper's Õ(n) total-work claim concerns the asymptotic algorithm, so the
-// sweep forces the CDQ match-point DP (the default build switches to the
-// quadratic DP below its wall-clock crossover, which does more elementary
-// operations while being faster in real time — see ulam.QuadCutoff).
-func UlamScaling(sizes []int, dexp float64, p core.Params) ([]UlamPoint, error) {
-	old := ulam.QuadCutoff
-	ulam.QuadCutoff = 0
-	defer func() { ulam.QuadCutoff = old }()
-	var pts []UlamPoint
-	for _, n := range sizes {
-		d := int(math.Round(math.Pow(float64(n), dexp)))
-		row, err := UlamRow(n, d, p, false)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, UlamPoint{N: n, Machines: row.Machines, TotalOps: row.TotalOps, MemWords: row.MemWords})
-	}
-	return pts, nil
-}
-
-// Analytic returns the paper's Table 1 formulas evaluated at (n, x) —
-// machine counts and total-time exponents with the Õ constants dropped —
-// so the harness can print predicted next to measured. The [11] row is
-// included here (it is not re-implemented; DESIGN.md substitution #5).
+// Analytic returns the paper's Table 1 evaluated at (n, x), with the Õ
+// constants dropped, so the harness can print predicted next to measured:
+// the Table1 rows, then the [11] row.
 func Analytic(n int, x float64) *stats.Table {
-	fn := float64(n)
+	pow := func(e float64) string { return fmt.Sprintf("n^%.2f=%.0f", e, math.Pow(float64(n), e)) }
 	tb := stats.NewTable("algo", "factor", "rounds", "mem/machine", "machines", "total time")
-	tb.Add("Ulam (Thm 4)", "1+eps", 2,
-		fmt.Sprintf("n^%.2f=%.0f", 1-x, math.Pow(fn, 1-x)),
-		fmt.Sprintf("n^%.2f=%.0f", x, math.Pow(fn, x)),
-		"n")
-	tot := 2 - math.Min((1-x)/6, 2*x/5)
-	tb.Add("Edit (Thm 9)", "3+eps", 4,
-		fmt.Sprintf("n^%.2f=%.0f", 1-x, math.Pow(fn, 1-x)),
-		fmt.Sprintf("n^%.2f=%.0f", 9*x/5, math.Pow(fn, 9*x/5)),
-		fmt.Sprintf("n^%.2f", tot))
-	tb.Add("Edit [20]", "1+eps", 2,
-		fmt.Sprintf("n^%.2f=%.0f", 1-x, math.Pow(fn, 1-x)),
-		fmt.Sprintf("n^%.2f=%.0f", 2*x, math.Pow(fn, 2*x)),
-		"n^2")
-	tb.Add("Edit [11]", "1+eps", "O(log n)",
-		fmt.Sprintf("n^0.89=%.0f", math.Pow(fn, 8.0/9)),
-		fmt.Sprintf("n^0.89=%.0f", math.Pow(fn, 8.0/9)),
-		"n^2.6")
-	return tb
-}
-
-// XSweepPoint is one point of a machines-vs-x sweep at fixed n.
-type XSweepPoint struct {
-	X            float64
-	OursMachines int
-	HSSMachines  int
-}
-
-// XSweep measures machine counts across memory exponents at fixed n —
-// the structural view of Table 1's n^{(9/5)x} vs n^{2x} columns.
-func XSweep(n int, d int, xs []float64, p core.Params) ([]XSweepPoint, error) {
-	var pts []XSweepPoint
-	for _, x := range xs {
-		q := p
-		q.X = x
-		ours, hss, err := EditRows(n, d, q, false)
-		if err != nil {
-			return nil, err
+	for _, sp := range Table1 {
+		e := sp.WorkExp(x)
+		work := fmt.Sprintf("n^%.2f", e)
+		switch {
+		case e == 1:
+			work = "n"
+		case e == math.Trunc(e):
+			work = fmt.Sprintf("n^%.0f", e)
 		}
-		pts = append(pts, XSweepPoint{X: x, OursMachines: ours.Machines, HSSMachines: hss.Machines})
+		tb.Add(sp.Name, sp.Factor, sp.Rounds, pow(memExp(x)), pow(sp.MachExp(x)), work)
 	}
-	return pts, nil
+	tb.Add("Edit [11]", "1+eps", "O(log n)", pow(8.0/9), pow(8.0/9), "n^2.6")
+	return tb
 }

@@ -69,7 +69,7 @@ func pipelineCases() []pipelineCase {
 	for _, sv := range []struct {
 		name   string
 		solver core.PairSolver
-	}{{"hybrid", core.PairHybridExact}, {"approx12", core.PairApprox12}, {"myers", core.PairMyers}} {
+	}{{"hybrid", core.PairHybridExact}, {"approx12", core.PairApprox12}} {
 		solver := sv.solver
 		add("edit-mpc/"+sv.name, func() (core.Result, error) {
 			return core.EditMPC(es, ebar, core.Params{X: 0.25, Eps: 0.5, Seed: 1, Solver: solver})

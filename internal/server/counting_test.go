@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"math"
@@ -18,6 +19,7 @@ import (
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/dist"
 	"mpcdist/internal/transport"
+	"mpcdist/internal/workload"
 )
 
 // counts is the part of a Snapshot the counting rules decide.
@@ -186,9 +188,12 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 }
 
 // TestNonFiniteParams checks the server side of the parameter check: a
-// NaN exponent and a NaN or infinite slack are 400s, and a huge finite
-// slack, which once spun the edit guess ladder inside a pool slot past
-// every deadline, is answered within the request timeout.
+// NaN exponent and a NaN, infinite or tiny slack are 400s, answered
+// promptly (a slack whose 1+eps rounds to 1 once spun the edit guess
+// ladder inside a pool slot forever). A huge finite slack, which once spun
+// that ladder past every deadline, and slacks above 1 on 300-long inputs,
+// which once shrank the memory budget until valid runs failed as 500s,
+// are answered within the request timeout.
 func TestNonFiniteParams(t *testing.T) {
 	srv := New(Config{RequestTimeout: 2 * time.Second})
 	for _, q := range []Query{
@@ -201,19 +206,36 @@ func TestNonFiniteParams(t *testing.T) {
 		}
 	}
 
-	body := `{"algo":"edit-mpc","a":"kitten","b":"sitting","eps":1e19}`
-	rec := httptest.NewRecorder()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/distance", bytes.NewReader([]byte(body))))
-	}()
-	select {
-	case <-done:
-	case <-time.After(srv.cfg.RequestTimeout):
-		t.Fatalf("eps=1e19 query not answered within the %v request timeout", srv.cfg.RequestTimeout)
-	}
-	if rec.Code != http.StatusOK {
-		t.Errorf("eps=1e19 query: status %d (%s), want 200", rec.Code, rec.Body)
+	rng := rand.New(rand.NewSource(5))
+	perm, moved, _ := workload.PlantedUlam(rng, 300, 30)
+	a := string(workload.RandomString(rng, 300, 4))
+	b := string(workload.PlantedEdits(rng, []byte(a), 30, 4))
+	for _, c := range []struct {
+		q    Query
+		want int
+	}{
+		{Query{Algo: "edit-mpc", A: "kitten", B: "sitting", Eps: 1e19}, http.StatusOK},
+		{Query{Algo: "edit-mpc", A: "kitten", B: "sitting", Eps: 1e-17}, http.StatusBadRequest},
+		{Query{Algo: "ulam-mpc", ASeq: perm, BSeq: moved, Eps: 10}, http.StatusOK},
+		{Query{Algo: "lcs-mpc", A: a, B: b, Eps: 6}, http.StatusOK},
+	} {
+		body, err := json.Marshal(c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/v1/distance", bytes.NewReader(body)))
+		}()
+		select {
+		case <-done:
+		case <-time.After(srv.cfg.RequestTimeout):
+			t.Fatalf("%s eps=%v query not answered within the %v request timeout", c.q.Algo, c.q.Eps, srv.cfg.RequestTimeout)
+		}
+		if rec.Code != c.want {
+			t.Errorf("%s eps=%v query: status %d (%s), want %d", c.q.Algo, c.q.Eps, rec.Code, rec.Body, c.want)
+		}
 	}
 }

@@ -86,9 +86,9 @@ func (b *minBIT) reset() {
 // quadratic DP in place of the CDQ machinery: it does more elementary
 // operations but is faster in wall-clock terms on small inputs (see
 // BenchmarkDPCrossover). Experiments that measure the *asymptotic
-// algorithm's* operation counts (the paper's Õ(n) total-work claim) set
-// it to 0 to force the O(m log² m) path; see harness.UlamScaling. Not
-// safe to change while computations are in flight.
+// algorithm's* operation counts (the paper's Õ(n) total-work claim) set it
+// to 0 to force the O(m log² m) path, as every fit run of the Table 1 spec
+// list does (harness.Sweep). Not safe to change while computations run.
 var QuadCutoff = 768
 
 // diagRanks compresses the diagonals of pts: rank(v) is the number of
