@@ -7,7 +7,7 @@
 // Usage:
 //
 //	mpctop -status http://127.0.0.1:8081                # mpcdist -status, mpcserve -ops
-//	mpctop -status http://c:8081,http://w1:8082         # coordinator + workers
+//	mpctop -status http://a:8081,http://b:8198          # several endpoints at once
 //	mpctop -metrics http://127.0.0.1:8080               # mpcserve /metrics
 //	mpctop -status http://127.0.0.1:8081 -once          # one frame, no clear
 //
@@ -39,7 +39,7 @@ import (
 )
 
 func main() {
-	statusList := flag.String("status", "", "comma-separated base URLs of status endpoints (mpcdist/mpcworker -status, mpcserve -ops)")
+	statusList := flag.String("status", "", "comma-separated base URLs of status endpoints (mpcdist -status, mpcserve -ops)")
 	metricsURL := flag.String("metrics", "", "base URL of an mpcserve /metrics endpoint")
 	interval := flag.Duration("interval", time.Second, "poll interval")
 	once := flag.Bool("once", false, "render a single frame and exit (no screen clearing)")

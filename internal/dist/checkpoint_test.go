@@ -4,10 +4,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/core"
+	"mpcdist/internal/transport"
 )
 
 // tearManifest overwrites the job's manifest with truncated JSON — the
@@ -204,5 +206,25 @@ func TestTCPCheckpointTornStateFails(t *testing.T) {
 	checkParity(t, "ulam-mpc/restart-over-torn", local, lerr, distr, derr)
 	if _, err := store.Manifest(digest); err != nil {
 		t.Errorf("manifest not healed by restart: %v", err)
+	}
+}
+
+// TestRegisteredNamesPinned pins the payload codec's name table. A
+// checkpoint blob stores each payload's type id, which is the index of its
+// name in this sorted table, so a name added before an existing one shifts
+// that one's id, and a store written earlier would decode its payloads as
+// other types (core.tupleMsg and core.chainMsg even share a shape). A new
+// registration must sort after every name here, or change the checkpoint
+// format's version.
+func TestRegisteredNamesPinned(t *testing.T) {
+	want := []string{
+		"baseline.lcsJob", "baseline.pairJob", "ckpt.State", "ckpt.Step",
+		"core.chainMsg", "core.distMsg", "core.editJob", "core.extJob", "core.joinState",
+		"core.repBatch", "core.runJob", "core.selMsg", "core.tupleMsg", "core.ulamJob",
+		"core.valueMsg", "core.wdistMsg", "dist.Job", "dist.resultDigest",
+		"mpc.Bytes", "mpc.Int", "mpc.Ints",
+	}
+	if got := transport.RegisteredNames(); !reflect.DeepEqual(got, want) {
+		t.Errorf("registered names = %q\nwant %q", got, want)
 	}
 }

@@ -285,13 +285,13 @@ func (s *Session) Close() error {
 		return nil
 	}
 	now := time.Now().UnixNano()
-	var ps trace.Telemetry
+	var ps []trace.Event
 	for _, p := range s.co.Status().Peers {
-		ps.Events = append(ps.Events, trace.Event{Kind: trace.KindTransport,
+		ps = append(ps, trace.Event{Kind: trace.KindTransport,
 			Detail: trace.TransportPeerStats, Peer: int32(p.Party),
 			Words: p.BytesIn + p.BytesOut, QueueNs: int64(math.Round(p.RTTP99Ms * float64(time.Millisecond))), StartNs: now})
 	}
-	trace.FlightIngest(ps)
+	trace.FlightIngest(0, ps)
 	s.co.Shutdown()
 	s.ln.Close()
 	for _, cmd := range s.cmds {

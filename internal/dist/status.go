@@ -25,10 +25,10 @@ type StatusWithCheckpoint struct {
 }
 
 // StartStatus serves OpsHandler(snap) over HTTP at addr (":8081" style):
-// the -status listener of mpcdist and mpcworker. snap typically returns a
-// transport.Status (coordinator or worker view), recomputed per request,
-// so `watch curl localhost:8081/status` follows a running session. The
-// returned server is already listening; Close it to stop.
+// mpcdist's -status listener. snap typically returns the coordinator's
+// transport.Status, recomputed per request, so `watch curl
+// localhost:8081/status` follows a running session. The returned server
+// is already listening; Close it to stop.
 func StartStatus(addr string, snap func() any) (*http.Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

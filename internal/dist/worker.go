@@ -41,17 +41,15 @@ func MaybeWorkerMain() {
 	if addr == "" {
 		return
 	}
-	os.Exit(WorkerMainOptions(addr, "", transport.Options{}))
+	os.Exit(workerMain(addr))
 }
 
-// WorkerMainOptions dials the coordinator at addr and serves jobs until
-// the session shuts down, returning a process exit code. When statusAddr
-// is non-empty the worker serves its transport.Status as JSON at
-// http://statusAddr/status for the session's lifetime. The liveness
-// settings come from the coordinator's welcome; mpcworker binds its
-// -netchaos-* flags into opts, and the MPCDIST_WORKER_* test knobs are
-// layered on top.
-func WorkerMainOptions(addr, statusAddr string, opts transport.Options) int {
+// workerMain dials the coordinator at addr and serves jobs until the
+// session shuts down, returning a process exit code. The liveness
+// settings come from the coordinator's welcome; the MPCDIST_WORKER_* test
+// knobs arm the transport's deterministic crash and link-drop options.
+func workerMain(addr string) int {
+	var opts transport.Options
 	intEnv := func(key string, dst *int) bool {
 		v := os.Getenv(key)
 		if v == "" {
@@ -78,14 +76,6 @@ func WorkerMainOptions(addr, statusAddr string, opts transport.Options) int {
 		return 1
 	}
 	defer w.Close()
-	if statusAddr != "" {
-		srv, err := StartStatus(statusAddr, func() any { return w.Status() })
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "mpcdist worker:", err)
-			return 1
-		}
-		defer srv.Close()
-	}
 	if err := Serve(w); err != nil {
 		fmt.Fprintln(os.Stderr, "mpcdist worker:", err)
 		return 1

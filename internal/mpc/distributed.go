@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"slices"
 	"time"
 
 	"mpcdist/internal/trace"
@@ -57,15 +58,20 @@ func AssignMachines(ids []int, weights []int, parties int) [][]int {
 }
 
 // replayRemote fires the observer events of machines that executed on
-// other parties; in-process machines already fired theirs while running.
-// The replayed timestamps are the remote party's offsets rebased onto this
+// other parties; the machines this party ran, its share and those the
+// transport had it replay, already fired theirs while running. The
+// replayed timestamps are the remote party's offsets rebased onto this
 // party's round clock — advisory, like all wall-clock quantities.
 func (re *roundExec) replayRemote(merged []transport.Record) {
-	if re.obs == nil {
+	if re.obs == nil || len(re.assign) <= 1 {
 		return
 	}
+	ran := make(map[int]bool, len(re.mine)+len(re.replayed))
+	for _, id := range slices.Concat(re.mine, re.replayed) {
+		ran[id] = true
+	}
 	for _, r := range merged {
-		if !r.Remote || !r.Started {
+		if ran[r.Machine] || !r.Started {
 			continue
 		}
 		re.obs.MachineStart(re.round, r.Machine, re.inWordsOf(r.Machine))

@@ -526,6 +526,7 @@ type roundExec struct {
 	inWords    []int       // admit: inWords[k] is machine ids[k]'s resident input words
 	assign     [][]int     // admit: assign[p] lists the machines party p executes
 	mine       []int       // admit: this party's share of assign
+	replayed   []int       // execute: machines the transport had this party replay
 	base       time.Time   // execute: the zero of the round clock
 	start, end time.Time   // account: the execution window, zero if no machine ran
 }
@@ -810,6 +811,7 @@ func (re *roundExec) replay(ids []int) ([]transport.Record, error) {
 			return nil, fmt.Errorf("mpc: round %q has no machine %d to replay", re.name, id)
 		}
 	}
+	re.replayed = append(re.replayed, ids...)
 	return re.run(ids, false)
 }
 

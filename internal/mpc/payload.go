@@ -26,9 +26,8 @@ func (p Int) Words() int { return 1 }
 // the capacity get a bin of their own. It returns, for each bin, the
 // indices of its items.
 //
-// The MPC drivers use it to pack work units (e.g. candidate-substring
-// starting points of one block, Section 5.1.1) onto machines without
-// breaching the memory cap.
+// AssignMachines uses it to split a round's machines across the parties
+// of a distributed run by input weight.
 func BinPack(weights []int, capacity int) [][]int {
 	if len(weights) == 0 {
 		return nil

@@ -57,7 +57,7 @@ func (p fakePeer) Exchange(meta transport.RoundMeta, assign [][]int, local []tra
 	merged := append([]transport.Record(nil), local...)
 	for _, id := range assign[1] {
 		merged = append(merged, transport.Record{Machine: id, Ops: 1, Started: true, EndNs: 1000,
-			Remote: true, Msgs: []transport.Msg{{To: 0, Data: Int(id)}}})
+			Msgs: []transport.Msg{{To: 0, Data: Int(id)}}})
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Machine < merged[j].Machine })
 	return merged, nil
@@ -149,6 +149,78 @@ func checkRoundOrder(t *testing.T, log *eventLog, round, machines int) {
 		prev, next := pos[order[i-1]], pos[order[i]]
 		if prev[len(prev)-1] > next[0] {
 			t.Errorf("round %d: a %s event follows a %s event (log %v)", round, order[i-1], order[i], log.events)
+		}
+	}
+}
+
+// replayingPeer is a 2-party transport whose peer loses the first machine
+// of its share mid-round: Exchange replays that machine here through exec
+// and fabricates the peer's records of the rest.
+type replayingPeer struct{ assign [][]int }
+
+func (p *replayingPeer) Parties() (int, int) { return 2, 0 }
+
+func (p *replayingPeer) Exchange(_ transport.RoundMeta, assign [][]int, local []transport.Record, exec transport.ExecFunc) ([]transport.Record, error) {
+	p.assign = assign
+	merged, err := exec(assign[1][:1])
+	if err != nil {
+		return nil, err
+	}
+	merged = append(merged, local...)
+	for _, id := range assign[1][1:] {
+		merged = append(merged, transport.Record{Machine: id, Started: true, EndNs: 1000})
+	}
+	sort.Slice(merged, func(i, j int) bool { return merged[i].Machine < merged[j].Machine })
+	return merged, nil
+}
+
+func (*replayingPeer) Stats() transport.Stats { return transport.Stats{} }
+func (*replayingPeer) Close() error           { return nil }
+
+// spanLog keeps every machine span.
+type spanLog struct {
+	trace.Base
+	mu    sync.Mutex
+	spans []trace.MachineSpan
+}
+
+func (l *spanLog) MachineEnd(s trace.MachineSpan) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.spans = append(l.spans, s)
+}
+
+// TestReplayRemoteSkipsOwnMachines checks which spans a party replays for
+// the observer: one MachineEnd per machine, local for this party's share
+// and for the lost peer machine the transport had it replay, remote for
+// the machines the peer ran.
+func TestReplayRemoteSkipsOwnMachines(t *testing.T) {
+	obs, tr := &spanLog{}, &replayingPeer{}
+	c := NewCluster(Config{Seed: 1, Observer: obs, Transport: tr})
+	in := map[int][]Payload{}
+	for id := 0; id < 6; id++ {
+		in[id] = []Payload{Int(id)}
+	}
+	if _, err := c.Run("replay", trace.PhaseCandidates, in, func(x *Ctx, in []Payload) { x.Send(0, in[0]) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.assign[0]) == 0 || len(tr.assign[1]) < 2 {
+		t.Fatalf("assignment %v; the test needs both parties busy and a peer share of 2 or more", tr.assign)
+	}
+	ran := map[int]bool{tr.assign[1][0]: true}
+	for _, id := range tr.assign[0] {
+		ran[id] = true
+	}
+	remote := map[int]bool{}
+	for _, s := range obs.spans {
+		if _, dup := remote[s.Machine]; dup {
+			t.Errorf("machine %d ended twice", s.Machine)
+		}
+		remote[s.Machine] = s.Remote
+	}
+	for id := range in {
+		if got, ok := remote[id]; !ok || got == ran[id] {
+			t.Errorf("machine %d: span seen %v, remote %v; want one span, remote %v", id, ok, got, !ran[id])
 		}
 	}
 }

@@ -205,7 +205,7 @@ func (c *conn) Write(p []byte) (int, error) {
 }
 
 // BindFlags registers the standard link-chaos flags on fs (shared by
-// mpcdist, mpcworker, and mpcbench) and returns a closure that assembles
+// mpcdist and mpcbench) and returns a closure that assembles
 // the Plan after fs.Parse; it returns nil when the plan is inactive.
 func BindFlags(fs *flag.FlagSet) func() *Plan {
 	seed := fs.Int64("netchaos-seed", 1, "link-fault schedule seed (schedules are deterministic and replayable)")

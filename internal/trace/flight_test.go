@@ -65,7 +65,7 @@ func TestLogRingRules(t *testing.T) {
 			if got := retained(l); got != tc.wantKept {
 				t.Errorf("retained %d events, want %d", got, tc.wantKept)
 			}
-			if got := l.Since(0)[0].Events[0].Round; int(got) != tc.wantOldest {
+			if got := l.events()[0].Round; int(got) != tc.wantOldest {
 				t.Errorf("oldest retained round %d, want %d", got, tc.wantOldest)
 			}
 		})
@@ -86,8 +86,7 @@ func TestLogDrainedEveryBarrierStaysBounded(t *testing.T) {
 		l.MachineEnd(MachineSpan{Round: r, Machine: 0})
 		l.MachineEnd(MachineSpan{Round: r, Machine: 1, Remote: true})
 		l.RoundEnd(RoundSummary{Round: r})
-		tel, _ := l.Drain()
-		shipped += len(tel.Events)
+		shipped += len(l.Drain())
 		if n := retained(l); n > LogCapacity {
 			t.Fatalf("round %d: log holds %d events, capacity %d", r, n, LogCapacity)
 		}
@@ -116,13 +115,9 @@ func TestFlightRingOverwritesOldest(t *testing.T) {
 	if st.Events != uint64(total) {
 		t.Errorf("events = %d, want %d", st.Events, total)
 	}
-	tel := l.Since(0)
-	if len(tel) != 1 {
-		t.Fatalf("telemetry batches = %d, want 1", len(tel))
-	}
-	rounds := tel[0].Events
+	rounds := l.events()
 	if len(rounds) != LogCapacity {
-		t.Fatalf("telemetry rounds = %d, want %d", len(rounds), LogCapacity)
+		t.Fatalf("retained events = %d, want %d", len(rounds), LogCapacity)
 	}
 	// Oldest-first, and the oldest retained is the (total-cap)-th round.
 	if int(rounds[0].Round) != total-LogCapacity {
@@ -159,19 +154,27 @@ func TestFlightQuantiles(t *testing.T) {
 func TestFlightIngestGroupsByParty(t *testing.T) {
 	l := NewLog()
 	endRound(l, 0, time.Millisecond)
-	l.Ingest(Telemetry{Party: 2, OffsetNs: 7, Events: []Event{
-		{Kind: KindRound, Round: 0, Name: "r0", Phase: PhaseCandidates, StartNs: 5, EndNs: 9},
+	// The batch names party 5, but it arrived from party 2: the ingest
+	// stamps the party, and keeps the times as shipped (already rebased).
+	l.Ingest(2, []Event{
+		{Kind: KindRound, Party: 5, Round: 0, Name: "r0", Phase: PhaseCandidates, StartNs: 5, EndNs: 9},
 		{Kind: KindSpan, Round: 0, Machine: 1, Name: "r0", Phase: PhaseCandidates, StartNs: 5, EndNs: 8},
-	}})
-	tel := l.Since(0)
-	if len(tel) != 2 {
-		t.Fatalf("telemetry batches = %d, want 2 (local + party 2)", len(tel))
+	})
+	evs := l.events()
+	if len(evs) != 3 || evs[0].Party != 0 || evs[1].Party != 2 || evs[2].Party != 2 {
+		t.Fatalf("logged %+v, want the local round, then party 2's round and span", evs)
 	}
-	if tel[0].Party != 0 || tel[1].Party != 2 {
-		t.Errorf("batch parties = %d, %d, want 0, 2", tel[0].Party, tel[1].Party)
+	if e := evs[1]; e.StartNs != 5 || e.EndNs != 9 {
+		t.Errorf("party 2 round at [%d, %d], want [5, 9] as shipped", e.StartNs, e.EndNs)
 	}
-	if e := tel[1].Events[0]; e.StartNs != 12 || e.EndNs != 16 {
-		t.Errorf("party 2 round at [%d, %d], want [12, 16] (rebased by its offset at ingest)", e.StartNs, e.EndNs)
+	lanes := map[int]int{}
+	for _, ev := range decodeDump(t, l.Trace()).TraceEvents {
+		if ev.Ph != "M" {
+			lanes[ev.Pid]++
+		}
+	}
+	if lanes[0] != 1 || lanes[2] != 2 || len(lanes) != 2 {
+		t.Errorf("trace events per lane = %v, want 1 on lane 0 and 2 on lane 2", lanes)
 	}
 	if st := l.Stats(); st.Parties != 2 {
 		t.Errorf("stats parties = %d, want 2", st.Parties)
@@ -215,7 +218,7 @@ func TestFlightDumpValidChromeTrace(t *testing.T) {
 	}
 	l.Transport(TransportEvent{Kind: TransportExchange, Party: 1, Seq: 3, Bytes: 100, At: time.Unix(2, 0)})
 	l.Checkpoint(CheckpointEvent{Round: 4, Name: "r4", Kind: CheckpointSave, Step: 4, At: time.Unix(2, 0)})
-	l.Ingest(Telemetry{Party: 1, Events: []Event{{Kind: KindRound, Round: 4, Name: "r4", Phase: PhaseCandidates, StartNs: 5, EndNs: 9}}})
+	l.Ingest(1, []Event{{Kind: KindRound, Round: 4, Name: "r4", Phase: PhaseCandidates, StartNs: 5, EndNs: 9}})
 	// A round started but not ended: the dump must render it as an
 	// instant, never as a negative-duration span.
 	l.RoundStart(RoundInfo{Round: 5, Name: "open", Phase: PhaseGraph, Machines: 1})
@@ -294,7 +297,7 @@ func TestFlightTriggerDebounce(t *testing.T) {
 func TestFlightReset(t *testing.T) {
 	l := NewLog()
 	endRound(l, 0, time.Millisecond)
-	l.Ingest(Telemetry{Party: 1, Events: []Event{{Kind: KindSpan, StartNs: 1, EndNs: 2}}})
+	l.Ingest(1, []Event{{Kind: KindSpan, StartNs: 1, EndNs: 2}})
 	l.Keep()
 	l.Reset()
 	st := l.Stats()
@@ -346,7 +349,7 @@ func TestWithFlight(t *testing.T) {
 	// The gated helpers are no-ops while disabled.
 	before := Flight().Stats().Events
 	FlightTransport(TransportEvent{Kind: TransportExchange, At: time.Unix(1, 0)})
-	FlightIngest(Telemetry{Party: 9, Events: []Event{{Kind: KindSpan}}})
+	FlightIngest(9, []Event{{Kind: KindSpan}})
 	if after := Flight().Stats().Events; after != before {
 		t.Errorf("disabled helpers logged %d events", after-before)
 	}
@@ -390,7 +393,7 @@ func TestFlightConcurrency(t *testing.T) {
 				case 2:
 					l.Fault(FaultEvent{Round: i, Machine: g, At: time.Unix(1, 0)})
 				case 3:
-					l.Ingest(Telemetry{Party: g + 1, Events: []Event{{Kind: KindSpan, Round: int32(i), StartNs: 1, EndNs: 2}}})
+					l.Ingest(g+1, []Event{{Kind: KindSpan, Round: int32(i), StartNs: 1, EndNs: 2}})
 				case 4:
 					l.Transport(TransportEvent{Kind: TransportExchange, Seq: i, At: time.Unix(1, 0)})
 				case 5:

@@ -53,7 +53,7 @@ type Log struct {
 	buf       []Event // ring storage, grown on demand
 	start     int     // position of the oldest retained event in buf
 	n         int     // events retained
-	total     uint64  // events ever logged: the retained ones are [total-n, total)
+	total     uint64  // events ever logged, retained or not
 	undrained int     // newest retained events no Drain has returned
 	keep      bool    // keep every event (Keep)
 	drained   bool    // keep undrained events (Drain)
@@ -214,72 +214,55 @@ func (l *Log) Checkpoint(e CheckpointEvent) {
 	l.mu.Unlock()
 }
 
-// Ingest logs a remote party's telemetry batch, rebased onto this
-// process's clock, so the coordinator's log holds every party's events.
-func (l *Log) Ingest(t Telemetry) {
-	rebase := func(ns int64) int64 {
-		if ns == 0 {
-			return 0
-		}
-		return ns + t.OffsetNs
-	}
+// Ingest logs a remote party's events under that party. The events are
+// already on this process's clock (a worker rebases them by its handshake
+// offset as it ships them), so the coordinator's log holds every party's
+// events on one timeline.
+func (l *Log) Ingest(party int, events []Event) {
 	l.mu.Lock()
-	for _, e := range t.Events {
-		e.Party = int32(t.Party)
-		e.StartNs, e.EndNs = rebase(e.StartNs), rebase(e.EndNs)
+	for _, e := range events {
+		e.Party = int32(party)
 		l.add(e)
 	}
 	l.mu.Unlock()
 }
 
-// Drain returns the events logged since the previous Drain as one batch
-// (Party and OffsetNs are left for the shipper to stamp), false when there
-// are none. The first call makes l a drained log: from then on it never
-// overwrites an event a Drain has not returned, and it records even with
-// the flight recorder switched off.
-func (l *Log) Drain() (Telemetry, bool) {
+// Drain returns the events logged since the previous Drain, nil when
+// there are none. The first call makes l a drained log: from then on it
+// never overwrites an event a Drain has not returned, and it records even
+// with the flight recorder switched off.
+func (l *Log) Drain() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.drained = true
-	var t Telemetry
+	var out []Event
 	for i := l.n - l.undrained; i < l.n; i++ {
-		t.Events = append(t.Events, l.at(i))
+		out = append(out, l.at(i))
 	}
 	l.undrained = 0
 	if !l.keep && len(l.buf) > LogCapacity {
 		l.resize(LogCapacity)
 	}
-	return t, len(t.Events) > 0
+	return out
 }
 
-// Since returns the retained events logged at or after position from,
-// one batch per party in party order. The local round still executing, if
-// any, ends its party's batch with EndNs 0, so it renders as an instant.
-func (l *Log) Since(from uint64) []Telemetry {
+// events returns the retained events, oldest first. The local round still
+// executing, if any, comes last with EndNs 0, so it renders as an instant.
+func (l *Log) events() []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var batches []Telemetry
-	add := func(e Event) {
-		if k := len(batches) - 1; k >= 0 && batches[k].Party == int(e.Party) {
-			batches[k].Events = append(batches[k].Events, e)
-			return
-		}
-		batches = append(batches, Telemetry{Party: int(e.Party), Events: []Event{e}})
-	}
-	first := l.total - uint64(l.n)
+	out := make([]Event, 0, l.n+1)
 	for i := 0; i < l.n; i++ {
-		if first+uint64(i) >= from {
-			add(l.at(i))
-		}
+		out = append(out, l.at(i))
 	}
 	if l.open.Kind != 0 {
-		add(l.open)
+		out = append(out, l.open)
 	}
-	return MergeTelemetry(batches)
+	return out
 }
 
 // Trace renders every retained event as a Chrome trace-event file.
-func (l *Log) Trace() *ClusterTrace { return BuildClusterTrace(l.Since(0)) }
+func (l *Log) Trace() *ClusterTrace { return BuildClusterTrace(l.events()) }
 
 // Reset drops everything retained and every request (tests; long-lived
 // processes never need it — the ring bounds memory by construction).
@@ -492,12 +475,12 @@ func WithFlight(obs Observer) Observer {
 	return Multi(obs, processLog)
 }
 
-// FlightIngest logs a remote party's telemetry batch in the process log
-// (no-op when it is not recording). The transport's coordinator calls it
-// for every batch a worker ships.
-func FlightIngest(t Telemetry) {
+// FlightIngest logs a party's events in the process log (no-op when it is
+// not recording). The transport's coordinator calls it for every batch a
+// worker ships.
+func FlightIngest(party int, events []Event) {
 	if Recording() {
-		processLog.Ingest(t)
+		processLog.Ingest(party, events)
 	}
 }
 

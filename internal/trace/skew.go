@@ -33,16 +33,8 @@ func Summarize(times []time.Duration) SkewStats {
 	st := SkewStats{
 		Max:  sorted[len(sorted)-1],
 		Mean: sum / time.Duration(len(sorted)),
+		P99:  nearestRank(sorted, 99),
 	}
-	// Nearest-rank percentile: ceil(0.99 * n) as a 1-based rank.
-	rank := (99*len(sorted) + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	st.P99 = sorted[rank-1]
 	if st.Mean > 0 {
 		st.Straggler = float64(st.Max) / float64(st.Mean)
 	} else if st.Max == 0 {
@@ -53,8 +45,9 @@ func Summarize(times []time.Duration) SkewStats {
 }
 
 // DurationQuantiles holds nearest-rank p50/p95/p99 over a duration set —
-// the summary shape the flight recorder's rolling round-latency window
-// and the bench suite's advisory per-case quantiles share.
+// the summary shape the flight recorder's rolling round-latency window,
+// the bench suite's advisory per-case quantiles and the transport's
+// heartbeat RTT p99 share.
 type DurationQuantiles struct {
 	P50 time.Duration
 	P95 time.Duration
@@ -69,15 +62,12 @@ func Quantiles(times []time.Duration) DurationQuantiles {
 	}
 	sorted := append([]time.Duration(nil), times...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := func(q int) time.Duration {
-		r := (q*len(sorted) + 99) / 100
-		if r < 1 {
-			r = 1
-		}
-		if r > len(sorted) {
-			r = len(sorted)
-		}
-		return sorted[r-1]
-	}
-	return DurationQuantiles{P50: rank(50), P95: rank(95), P99: rank(99)}
+	return DurationQuantiles{P50: nearestRank(sorted, 50), P95: nearestRank(sorted, 95),
+		P99: nearestRank(sorted, 99)}
+}
+
+// nearestRank is the nearest-rank q-th percentile of sorted, ascending and
+// non-empty, for q in [1, 100]: the element of 1-based rank ceil(q·n/100).
+func nearestRank(sorted []time.Duration, q int) time.Duration {
+	return sorted[(q*len(sorted)+99)/100-1]
 }

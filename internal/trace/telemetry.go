@@ -101,53 +101,9 @@ func checkpointEvent(e CheckpointEvent) Event {
 		Detail: e.Kind, Seq: int32(e.Step), StartNs: nsOf(e.At)}
 }
 
-// Telemetry is a batch of one party's events: what a worker ships to the
-// coordinator at round barriers and on job completion, and what a Log
-// hands the renderer, one batch per party.
-//
-// Timestamps are in the producing party's clock. OffsetNs is the party's
-// estimate of (coordinator clock - local clock), computed at handshake
-// time from the hello/welcome round trip (NTP-style midpoint); adding it
-// to any timestamp rebases the event onto the coordinator's timeline.
-// A Log rebases batches as it ingests them, so the batches it returns
-// have OffsetNs == 0.
-//
-// Telemetry is strictly out-of-band: nothing in it feeds a deterministic
-// model counter, and a run's results are bit-identical whether or not it
-// is collected or shipped.
-type Telemetry struct {
-	Party    int
-	OffsetNs int64
-	Events   []Event
-}
-
-// MergeTelemetry coalesces batches by party: a worker that flushed at
-// several round barriers produced several batches, which merge into one
-// per party in arrival order (the first batch's OffsetNs wins — the
-// offset is a per-handshake constant). The result is sorted by party.
-func MergeTelemetry(batches []Telemetry) []Telemetry {
-	byParty := map[int]*Telemetry{}
-	var order []int
-	for _, b := range batches {
-		m, ok := byParty[b.Party]
-		if !ok {
-			m = &Telemetry{Party: b.Party, OffsetNs: b.OffsetNs}
-			byParty[b.Party] = m
-			order = append(order, b.Party)
-		}
-		m.Events = append(m.Events, b.Events...)
-	}
-	sort.Ints(order)
-	out := make([]Telemetry, 0, len(order))
-	for _, p := range order {
-		out = append(out, *byParty[p])
-	}
-	return out
-}
-
 // ClusterTrace is a Chrome trace-event file (the format Perfetto and
-// chrome://tracing load) rendered from per-party telemetry by
-// BuildClusterTrace. Every trace the repo writes has this one format.
+// chrome://tracing load) rendered from an event log by BuildClusterTrace.
+// Every trace the repo writes has this one format.
 type ClusterTrace struct {
 	file chromeFile
 }
@@ -175,35 +131,36 @@ type chromeFile struct {
 // tid m+1 so machine ids (which start at 0) never collide with it.
 const roundsTrack = 0
 
-// BuildClusterTrace renders per-party telemetry as one Chrome trace-event
-// file: one process lane per party (pid = party index; party 0 is the
+// BuildClusterTrace renders an event log as one Chrome trace-event file:
+// one process lane per party (pid = the event's Party; party 0 is the
 // coordinator, and a local run is a cluster of that one party). Within a
 // lane, tid 0 is the rounds track (round spans and checkpoint instants)
 // and machine m is tid m+1 (machine spans, fault and retry instants). One
 // extra "transport" lane holds the wire-level events on one track per
 // peer link, plus a session track for events not tied to a peer.
 //
-// Every timestamp is rebased onto the coordinator's clock via the party's
-// OffsetNs before the common epoch (the earliest rebased event) is
-// subtracted, so lanes from different processes line up on one timeline.
-// The hello/welcome midpoint estimate is typically accurate to well under
-// a millisecond on one host; see docs/OBSERVABILITY.md for caveats.
-func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
-	parties = MergeTelemetry(parties)
-
-	// Epoch: the earliest rebased timestamp across every party.
+// Every timestamp is on the coordinator's clock — a worker rebases its
+// events by its handshake offset before it ships them — so subtracting the
+// common epoch (the earliest timestamp) lines up lanes from different
+// processes on one timeline. The hello/welcome midpoint estimate is
+// typically accurate to well under a millisecond on one host; see
+// docs/OBSERVABILITY.md for caveats.
+func BuildClusterTrace(log []Event) *ClusterTrace {
 	var epoch int64
-	seenAny := false
 	maxParty := 0
-	for _, p := range parties {
-		maxParty = max(maxParty, p.Party)
-		for _, e := range p.Events {
-			if v := e.StartNs + p.OffsetNs; e.StartNs != 0 && (!seenAny || v < epoch) {
-				epoch, seenAny = v, true
-			}
+	for _, e := range log {
+		maxParty = max(maxParty, int(e.Party))
+		if e.StartNs != 0 && (epoch == 0 || e.StartNs < epoch) {
+			epoch = e.StartNs
 		}
 	}
 	transportPid := maxParty + 1
+	us := func(ns int64) float64 {
+		if ns == 0 {
+			return 0
+		}
+		return float64(ns-epoch) / 1e3
+	}
 
 	type track struct{ pid, tid int }
 	seen := map[track]bool{}
@@ -229,62 +186,54 @@ func BuildClusterTrace(parties []Telemetry) *ClusterTrace {
 			Args: map[string]any{"name": name}})
 	}
 
-	for _, p := range parties {
-		pid, off := p.Party, p.OffsetNs
-		us := func(ns int64) float64 {
-			if ns == 0 {
-				return 0
-			}
-			return float64(ns+off-epoch) / 1e3
-		}
+	for _, e := range log {
+		pid := int(e.Party)
 		if pid == 0 {
 			proc(pid, "coordinator (party 0)")
 		} else {
 			proc(pid, "worker (party "+strconv.Itoa(pid)+")")
 		}
-		for _, e := range p.Events {
-			ev := chromeEvent{Name: e.Name, Cat: string(e.Phase), Ph: "i", Pid: pid,
-				Tid: int(e.Machine) + 1, Ts: us(e.StartNs)}
-			switch e.Kind {
-			case KindRound:
-				ev.Tid, ev.Args = roundsTrack, roundArgs(e, pid)
-				if e.StartNs != 0 && e.EndNs >= e.StartNs {
-					ev.Ph, ev.Dur = "X", float64(e.EndNs-e.StartNs)/1e3
-				}
-				// Otherwise no machine ran (pre-flight failure), or the
-				// round is still open (a flight dump taken mid-round): an
-				// instant keeps it visible without a negative duration.
-			case KindSpan:
+		ev := chromeEvent{Name: e.Name, Cat: string(e.Phase), Ph: "i", Pid: pid,
+			Tid: int(e.Machine) + 1, Ts: us(e.StartNs)}
+		switch e.Kind {
+		case KindRound:
+			ev.Tid, ev.Args = roundsTrack, roundArgs(e, pid)
+			if e.StartNs != 0 && e.EndNs >= e.StartNs {
 				ev.Ph, ev.Dur = "X", float64(e.EndNs-e.StartNs)/1e3
-				ev.Args = map[string]any{
-					"round":       e.Round,
-					"phase":       string(e.Phase),
-					"ops":         e.Ops,
-					"inWords":     e.InWords,
-					"outWords":    e.OutWords,
-					"sends":       e.Sends,
-					"fanout":      e.Fanout,
-					"queueWaitUs": e.QueueNs / 1e3,
-					"party":       pid,
-				}
-			case KindFault, KindRetry:
-				ev.Name, ev.Cat = EventFault, "fault"
-				if e.Kind == KindRetry {
-					ev.Name = EventRetry
-				}
-				ev.Args = map[string]any{"round": e.Round, "kind": e.Detail, "attempt": e.Seq}
-			case KindCheckpoint:
-				ev.Tid, ev.Name, ev.Cat = roundsTrack, "checkpoint", "checkpoint"
-				ev.Args = map[string]any{"round": e.Round, "kind": e.Detail, "step": e.Seq}
-			case KindTransport:
-				ev = transportChromeEvent(e, pid, transportPid, us(e.StartNs))
-				proc(transportPid, "transport")
-			default:
-				continue
 			}
-			meta(ev.Pid, ev.Tid, trackName(ev, transportPid))
-			events = append(events, ev)
+			// Otherwise no machine ran (pre-flight failure), or the
+			// round is still open (a flight dump taken mid-round): an
+			// instant keeps it visible without a negative duration.
+		case KindSpan:
+			ev.Ph, ev.Dur = "X", float64(e.EndNs-e.StartNs)/1e3
+			ev.Args = map[string]any{
+				"round":       e.Round,
+				"phase":       string(e.Phase),
+				"ops":         e.Ops,
+				"inWords":     e.InWords,
+				"outWords":    e.OutWords,
+				"sends":       e.Sends,
+				"fanout":      e.Fanout,
+				"queueWaitUs": e.QueueNs / 1e3,
+				"party":       pid,
+			}
+		case KindFault, KindRetry:
+			ev.Name, ev.Cat = EventFault, "fault"
+			if e.Kind == KindRetry {
+				ev.Name = EventRetry
+			}
+			ev.Args = map[string]any{"round": e.Round, "kind": e.Detail, "attempt": e.Seq}
+		case KindCheckpoint:
+			ev.Tid, ev.Name, ev.Cat = roundsTrack, "checkpoint", "checkpoint"
+			ev.Args = map[string]any{"round": e.Round, "kind": e.Detail, "step": e.Seq}
+		case KindTransport:
+			ev = transportChromeEvent(e, pid, transportPid, us(e.StartNs))
+			proc(transportPid, "transport")
+		default:
+			continue
 		}
+		meta(ev.Pid, ev.Tid, trackName(ev, transportPid))
+		events = append(events, ev)
 	}
 
 	sort.SliceStable(events, func(i, j int) bool {

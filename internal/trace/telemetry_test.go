@@ -6,18 +6,20 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
 	"mpcdist/internal/trace"
 )
 
-// syntheticCluster builds the telemetry of a 4-party run (coordinator +
+// syntheticCluster builds the event log of a 4-party run (coordinator +
 // 3 workers) with hand-picked clock offsets: worker clocks are skewed by
-// whole milliseconds relative to the coordinator, and OffsetNs carries the
-// correction, exactly as the handshake midpoint estimate would. Every
-// timestamp is a fixed literal, so the merged trace is byte-stable.
-func syntheticCluster() []trace.Telemetry {
+// whole milliseconds relative to the coordinator, and each worker's
+// events arrive rebased by its offset and stamped with its party, as a
+// worker's flush and the coordinator's ingest leave them. Every timestamp
+// is a fixed literal, so the trace is byte-stable.
+func syntheticCluster() []trace.Event {
 	const base = int64(1_700_000_000_000_000_000) // coordinator clock
 	span := func(round, machine int, start, dur int64, ops int64) trace.Event {
 		return trace.Event{
@@ -30,49 +32,47 @@ func syntheticCluster() []trace.Telemetry {
 		return trace.Event{Kind: trace.KindTransport, Detail: kind, Peer: int32(peer), Seq: int32(seq),
 			Machines: int32(machines), Words: bytes, StartNs: at}
 	}
+	// rebased stamps a party's events as the coordinator logs them: its
+	// party, and every nonzero time moved onto the coordinator's clock.
+	rebased := func(party int32, offsetNs int64, events ...trace.Event) []trace.Event {
+		for i := range events {
+			events[i].Party = party
+			if events[i].StartNs != 0 {
+				events[i].StartNs += offsetNs
+			}
+			if events[i].EndNs != 0 {
+				events[i].EndNs += offsetNs
+			}
+		}
+		return events
+	}
 
-	coord := trace.Telemetry{
-		Party: 0, OffsetNs: 0,
-		Events: []trace.Event{
-			span(0, 0, base+1_000_000, 400_000, 10),
-			{Kind: trace.KindRound, Round: 0, Name: "candidates", Phase: trace.PhaseCandidates,
-				Machines: 4, StartNs: base + 900_000, EndNs: base + 3_500_000, Ops: 100, Words: 32},
-			transport(trace.TransportHandshake, -1, 0, 0, 0, base),
-			transport(trace.TransportExchange, -1, 1, 0, 4096, base+3_600_000),
-			transport(trace.TransportPeerLost, 3, 1, 0, 0, base+2_000_000),
-			transport(trace.TransportReassign, 3, 1, 1, 2048, base+2_100_000),
-		},
+	coord := []trace.Event{
+		span(0, 0, base+1_000_000, 400_000, 10),
+		{Kind: trace.KindRound, Round: 0, Name: "candidates", Phase: trace.PhaseCandidates,
+			Machines: 4, StartNs: base + 900_000, EndNs: base + 3_500_000, Ops: 100, Words: 32},
+		transport(trace.TransportHandshake, -1, 0, 0, 0, base),
+		transport(trace.TransportExchange, -1, 1, 0, 4096, base+3_600_000),
+		transport(trace.TransportPeerLost, 3, 1, 0, 0, base+2_000_000),
+		transport(trace.TransportReassign, 3, 1, 1, 2048, base+2_100_000),
 	}
 	// The session's closing peer-stats instant carries the RTT p99.
 	stats := transport(trace.TransportPeerStats, 1, 0, 0, 9000, base+4_000_000)
 	stats.QueueNs = 300_000
-	coord.Events = append(coord.Events, stats)
+	coord = append(coord, stats)
 	// Worker 1's clock runs 5ms behind the coordinator: its raw stamps are
-	// small, and OffsetNs = +5ms rebases them.
-	w1 := trace.Telemetry{
-		Party: 1, OffsetNs: 5_000_000,
-		Events: []trace.Event{
-			span(0, 1, base-5_000_000+1_100_000, 500_000, 20),
-			{Kind: trace.KindFault, Round: 0, Machine: 1, Name: "candidates", Phase: trace.PhaseCandidates,
-				Detail: "crash-after", Seq: 1, StartNs: base - 5_000_000 + 1_300_000},
-		},
-	}
-	// Worker 2 runs 7ms ahead; OffsetNs is negative. Its two batches (two
-	// round barriers) must merge into one lane.
-	w2a := trace.Telemetry{
-		Party: 2, OffsetNs: -7_000_000,
-		Events: []trace.Event{span(0, 2, base+7_000_000+1_050_000, 450_000, 30)},
-	}
-	w2b := trace.Telemetry{
-		Party: 2, OffsetNs: -7_000_000,
-		Events: []trace.Event{span(1, 2, base+7_000_000+5_000_000, 300_000, 15)},
-	}
+	// small, and its offset of +5ms rebases them.
+	w1 := rebased(1, 5_000_000,
+		span(0, 1, base-5_000_000+1_100_000, 500_000, 20),
+		trace.Event{Kind: trace.KindFault, Round: 0, Machine: 1, Name: "candidates", Phase: trace.PhaseCandidates,
+			Detail: "crash-after", Seq: 1, StartNs: base - 5_000_000 + 1_300_000})
+	// Worker 2 runs 7ms ahead, so its offset is negative. Its two batches
+	// (two round barriers) must render on one lane.
+	w2a := rebased(2, -7_000_000, span(0, 2, base+7_000_000+1_050_000, 450_000, 30))
+	w2b := rebased(2, -7_000_000, span(1, 2, base+7_000_000+5_000_000, 300_000, 15))
 	// Worker 3 died mid-round: only its pre-death span arrived.
-	w3 := trace.Telemetry{
-		Party: 3, OffsetNs: 2_000_000,
-		Events: []trace.Event{span(0, 3, base-2_000_000+1_200_000, 300_000, 5)},
-	}
-	return []trace.Telemetry{coord, w1, w2a, w2b, w3}
+	w3 := rebased(3, 2_000_000, span(0, 3, base-2_000_000+1_200_000, 300_000, 5))
+	return slices.Concat(coord, w1, w2a, w2b, w3)
 }
 
 func TestClusterTraceGolden(t *testing.T) {
@@ -104,8 +104,8 @@ func TestClusterTraceGolden(t *testing.T) {
 
 // TestClusterTraceStructure checks the invariants tracecheck relies on:
 // every party gets a named process lane, the transport lane exists, every
-// rebased timestamp is non-negative, and clock skew has been corrected —
-// worker spans land where the coordinator's timeline says they should.
+// timestamp is non-negative, and the rebased worker spans land where the
+// coordinator's timeline says they should.
 func TestClusterTraceStructure(t *testing.T) {
 	ct := trace.BuildClusterTrace(syntheticCluster())
 	raw, err := ct.JSON()
@@ -163,7 +163,7 @@ func TestClusterTraceStructure(t *testing.T) {
 	wantTs := map[int]float64{0: 1000, 1: 1100, 2: 1050, 3: 1200}
 	for pid, ts := range wantTs {
 		if got := spanTs[pid]; got != ts {
-			t.Errorf("party %d first span at %vus on merged timeline, want %vus (offset not applied?)", pid, got, ts)
+			t.Errorf("party %d first span at %vus on the trace's timeline, want %vus", pid, got, ts)
 		}
 	}
 	// The dead worker's reassignment instant must be on the transport lane,
@@ -192,52 +192,35 @@ func TestDrainTelemetry(t *testing.T) {
 	l.Retry(trace.RetryEvent{Round: 0, Machine: 1, Kind: "crash", Attempt: 2, At: now})
 	l.Transport(trace.TransportEvent{Kind: trace.TransportExchange, Party: -1, Seq: 1, Bytes: 64, At: now})
 
-	tel, ok := l.Drain()
-	if !ok {
-		t.Fatal("drain reported empty")
+	events := l.Drain()
+	if len(events) == 0 {
+		t.Fatal("drain returned nothing")
 	}
 	var kinds []trace.EventKind
-	for _, e := range tel.Events {
+	for _, e := range events {
 		kinds = append(kinds, e.Kind)
 	}
 	want := []trace.EventKind{trace.KindSpan, trace.KindRound, trace.KindFault, trace.KindRetry, trace.KindTransport}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("drained kinds %v, want %v (remote span skipped)", kinds, want)
 	}
-	if e := tel.Events[0]; e.Machine != 1 || e.Ops != 5 {
+	if e := events[0]; e.Machine != 1 || e.Ops != 5 {
 		t.Errorf("span = %+v, want the local machine-1 span", e)
 	}
-	if e := tel.Events[1]; e.Ops != 12 {
+	if e := events[1]; e.Ops != 12 {
 		t.Errorf("round = %+v", e)
 	}
-	if e := tel.Events[3]; e.Seq != 2 || e.Detail != "crash" {
+	if e := events[3]; e.Seq != 2 || e.Detail != "crash" {
 		t.Errorf("retry = %+v, want attempt 2 of kind crash", e)
 	}
-	if e := tel.Events[4]; e.Detail != trace.TransportExchange || e.Words != 64 {
+	if e := events[4]; e.Detail != trace.TransportExchange || e.Words != 64 {
 		t.Errorf("transport = %+v", e)
 	}
-	if _, ok := l.Drain(); ok {
-		t.Error("second drain not empty")
+	if events := l.Drain(); len(events) != 0 {
+		t.Errorf("second drain = %+v, want nothing", events)
 	}
 	l.RoundEnd(trace.RoundSummary{Round: 1})
-	if tel, _ := l.Drain(); len(tel.Events) != 1 || tel.Events[0].Round != 1 {
-		t.Errorf("third drain = %+v, want only round 1", tel.Events)
-	}
-}
-
-func TestMergeTelemetry(t *testing.T) {
-	got := trace.MergeTelemetry([]trace.Telemetry{
-		{Party: 2, OffsetNs: 9, Events: []trace.Event{{Kind: trace.KindSpan, Round: 0}}},
-		{Party: 1, OffsetNs: 4, Events: []trace.Event{{Kind: trace.KindRound, Round: 0}}},
-		{Party: 2, OffsetNs: 9, Events: []trace.Event{{Kind: trace.KindSpan, Round: 1}}},
-	})
-	if len(got) != 2 || got[0].Party != 1 || got[1].Party != 2 {
-		t.Fatalf("merged = %+v, want parties [1 2]", got)
-	}
-	if len(got[1].Events) != 2 || got[1].Events[0].Round != 0 || got[1].Events[1].Round != 1 {
-		t.Errorf("party 2 batches not merged in order: %+v", got[1].Events)
-	}
-	if got[1].OffsetNs != 9 {
-		t.Errorf("OffsetNs = %d, want 9", got[1].OffsetNs)
+	if events := l.Drain(); len(events) != 1 || events[0].Round != 1 {
+		t.Errorf("third drain = %+v, want only round 1", events)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"mpcdist/internal/trace"
 )
 
 // sinkConn stands in for a worker's connection: it keeps every byte the
@@ -157,8 +159,8 @@ func TestExchangeDeliver(t *testing.T) {
 		t.Fatalf("not done after the worker delivered: owed %v", x.owed)
 	}
 	want := []Record{local,
-		{Machine: 1, Ops: 101, Started: true, Remote: true},
-		{Machine: 2, Ops: 102, Started: true, Remote: true}}
+		{Machine: 1, Ops: 101, Started: true},
+		{Machine: 2, Ops: 102, Started: true}}
 	if got := x.mergedRound(); !reflect.DeepEqual(got, want) {
 		t.Errorf("merged round = %+v, want %+v", got, want)
 	}
@@ -299,7 +301,7 @@ func TestExchangeAwait(t *testing.T) {
 	if err := c.broadcast(x.seq, testMeta, out); err != nil {
 		t.Fatal(err)
 	}
-	if want := wantMerged(1, func(id int) bool { return id == 0 })[:3]; !reflect.DeepEqual(out, want) {
+	if want := wantMerged(1)[:3]; !reflect.DeepEqual(out, want) {
 		t.Errorf("merged round = %+v, want %+v", out, want)
 	}
 	if got := conns[0].assigns(t); !reflect.DeepEqual(got, [][]int{{2}}) {
@@ -452,7 +454,7 @@ func TestWorkerExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := wantMerged(2, func(id int) bool { return id >= 2 }); !reflect.DeepEqual(out, want) {
+	if want := wantMerged(2); !reflect.DeepEqual(out, want) {
 		t.Errorf("merged round = %+v, want %+v", out, want)
 	}
 	fs := conn.frames(t)
@@ -485,13 +487,13 @@ func TestWorkerExchangeAssign(t *testing.T) {
 	if !reflect.DeepEqual(ran, [][]int{{1}}) {
 		t.Errorf("executed %v, want [[1]]", ran)
 	}
-	if want := wantMerged(2, func(id int) bool { return id >= 1 }); !reflect.DeepEqual(out, want) {
+	if want := wantMerged(2); !reflect.DeepEqual(out, want) {
 		t.Errorf("merged round = %+v, want %+v", out, want)
 	}
 	var shipped [][]int
 	for _, f := range conn.frames(t) {
-		rb, err := decodeRecords(w.codec, f.body)
-		if f.typ != fRecords || err != nil {
+		var rb recordsBody
+		if err := w.codec.ReadValue(f.body, &rb); f.typ != fRecords || err != nil {
 			t.Fatalf("worker wrote a %s frame (%v), want records", f.typ, err)
 		}
 		var ids []int
@@ -567,5 +569,60 @@ func TestWorkerWaitEnds(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTelemetryFlush follows one telemetry batch from worker to
+// coordinator: the flushing worker adds its clock offset to every nonzero
+// time and leaves zero times zero, and the coordinator logs the events
+// under the party of the slot whose connection carried them, whatever
+// party the events name.
+func TestTelemetryFlush(t *testing.T) {
+	w, conn := offlineWorker()
+	w.telemetry, w.offsetNs = true, 5_000
+	w.SetTelemetrySource(func() []trace.Event {
+		return []trace.Event{
+			{Kind: trace.KindSpan, Party: 7, Name: "r", StartNs: 100, EndNs: 250, QueueNs: 40},
+			{Kind: trace.KindRound, Party: 7, Name: "r"}, // no machine ran: no times
+			{Kind: trace.KindTransport, Party: 7, Detail: trace.TransportReconnect, StartNs: -300},
+		}
+	})
+	w.flushTelemetry()
+	fs := conn.frames(t)
+	if len(fs) != 1 || fs[0].typ != fTelemetry {
+		t.Fatalf("worker wrote %d frames, want one telemetry frame", len(fs))
+	}
+	var tb telemetryBody
+	if err := noTable.ReadValue(fs[0].body, &tb); err != nil {
+		t.Fatal(err)
+	}
+	want := []trace.Event{
+		{Kind: trace.KindSpan, Party: 7, Name: "r", StartNs: 5_100, EndNs: 5_250, QueueNs: 40},
+		{Kind: trace.KindRound, Party: 7, Name: "r"},
+		{Kind: trace.KindTransport, Party: 7, Detail: trace.TransportReconnect, StartNs: 4_700},
+	}
+	if !reflect.DeepEqual(tb.Events, want) {
+		t.Fatalf("shipped %+v\nwant %+v", tb.Events, want)
+	}
+
+	log := trace.Flight()
+	defer log.Reset()
+	log.Reset()
+	log.Keep()
+	c, _ := offlineCoordinator(peerUp, peerUp)
+	if err := c.route(&results{}, 1, fs[0]); err != nil {
+		t.Fatal(err)
+	}
+	var got []trace.Event
+	for _, e := range log.Drain() {
+		if e.Party != 0 { // the coordinator's own events are party 0
+			got = append(got, e)
+		}
+	}
+	for i := range want {
+		want[i].Party = 2
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("coordinator logged %+v\nwant %+v", got, want)
 	}
 }

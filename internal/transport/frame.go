@@ -8,10 +8,11 @@ import (
 	"hash/crc32"
 	"io"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mpcdist/internal/trace"
 )
 
 // Wire protocol (see docs/DISTRIBUTED.md): every frame is
@@ -30,8 +31,10 @@ import (
 // the CRC32-C frame trailer and the session-resume handshake (structured
 // hello, welcome session token + rejoin grace). Version 4 made every body
 // a struct in the codec's structural encoding and added the heartbeat
-// interval and peer deadline to the welcome.
-const ProtocolVersion = 4
+// interval and peer deadline to the welcome. Version 5 made the fTelemetry
+// body a list of events already on the coordinator's clock and dropped
+// the records' Remote flag.
+const ProtocolVersion = 5
 
 // helloMagic opens the fHello and fWelcome bodies so either side can
 // immediately reject a stray connection that is not an mpcdist peer.
@@ -50,7 +53,7 @@ const (
 	fMerged    frameType = 8  // coordinator -> worker: seq, meta, full merged round
 	fPing      frameType = 9  // either direction: heartbeat, empty body
 	fError     frameType = 10 // either direction: fatal condition, message string
-	fTelemetry frameType = 11 // worker -> coordinator: codec-encoded trace.Telemetry (out-of-band)
+	fTelemetry frameType = 11 // worker -> coordinator: the worker's logged events (out-of-band)
 	fPong      frameType = 12 // either direction: heartbeat reply, empty body
 )
 
@@ -107,16 +110,21 @@ type frame struct {
 	body []byte
 }
 
+// frameEnds returns the header and the CRC32-C trailer of a frame of type
+// t carrying body: the frame layout, which appendFrame and peer.write
+// both write.
+func frameEnds(t frameType, body []byte) (hdr [frameHeaderLen]byte, crc [frameCRCLen]byte) {
+	hdr[0] = byte(t)
+	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
+	binary.BigEndian.PutUint32(crc[:], crc32.Update(crc32.Update(0, crcTable, hdr[:]), crcTable, body))
+	return hdr, crc
+}
+
 // appendFrame encodes one complete wire frame — header, body, CRC32-C
-// trailer — onto buf. It is the single source of truth for the frame
-// layout; peer.write produces identical bytes and the corruption fuzz
-// target mutates its output.
+// trailer — onto buf; the corruption fuzz target mutates its output.
 func appendFrame(buf []byte, t frameType, body []byte) []byte {
-	buf = append(buf, byte(t))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(body)))
-	buf = append(buf, body...)
-	sum := crc32.Update(0, crcTable, buf[len(buf)-len(body)-frameHeaderLen:])
-	return binary.BigEndian.AppendUint32(buf, sum)
+	hdr, crc := frameEnds(t, body)
+	return append(append(append(buf, hdr[:]...), body...), crc[:]...)
 }
 
 // readFrame reads and verifies one frame from br. Integrity violations —
@@ -220,17 +228,8 @@ func (p *peer) recordRTT(d time.Duration) {
 // samples (the max for fewer than 100 samples), 0 with no samples yet.
 func (p *peer) rttP99() time.Duration {
 	p.rttMu.Lock()
-	sorted := append([]time.Duration(nil), p.rtts...)
-	p.rttMu.Unlock()
-	if len(sorted) == 0 {
-		return 0
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := (99*len(sorted) + 99) / 100
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
+	defer p.rttMu.Unlock()
+	return trace.Quantiles(p.rtts).P99
 }
 
 func newPeer(conn net.Conn, remoteParty int, timeout time.Duration) *peer {
@@ -325,29 +324,19 @@ func (p *peer) read() (frame, error) {
 	return f, nil
 }
 
-// write sends one frame; safe for concurrent use. The CRC is computed
-// incrementally over header and body so large bodies are never copied.
+// write sends one frame; safe for concurrent use. Header, body and
+// trailer are written in turn, so large bodies are never copied.
 func (p *peer) write(t frameType, body []byte) error {
 	if len(body) > maxFrame {
 		return fmt.Errorf("transport: %s frame of %d bytes exceeds limit %d", t, len(body), maxFrame)
 	}
+	hdr, crc := frameEnds(t, body)
 	p.wmu.Lock()
 	defer p.wmu.Unlock()
-	var hdr [frameHeaderLen]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(body)))
-	if _, err := p.bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := p.bw.Write(body); err != nil {
-		return err
-	}
-	sum := crc32.Update(0, crcTable, hdr[:])
-	sum = crc32.Update(sum, crcTable, body)
-	var trailer [frameCRCLen]byte
-	binary.BigEndian.PutUint32(trailer[:], sum)
-	if _, err := p.bw.Write(trailer[:]); err != nil {
-		return err
+	for _, b := range [][]byte{hdr[:], body, crc[:]} {
+		if _, err := p.bw.Write(b); err != nil {
+			return err
+		}
 	}
 	p.frames.Add(1)
 	return p.bw.Flush()
@@ -374,18 +363,12 @@ type recordsBody struct {
 	Records []Record
 }
 
-// decodeRecords parses an fRecords/fMerged body. Decoded records are
-// flagged Remote; the caller clears the flag on machines it executed
-// itself.
-func decodeRecords(c *Codec, body []byte) (recordsBody, error) {
-	var rb recordsBody
-	if err := c.ReadValue(body, &rb); err != nil {
-		return rb, err
-	}
-	for i := range rb.Records {
-		rb.Records[i].Remote = true
-	}
-	return rb, nil
+// telemetryBody is an fTelemetry body: the events a worker's log recorded
+// since its previous flush, rebased onto the coordinator's clock. The
+// coordinator logs them under the party of the connection they arrived
+// on.
+type telemetryBody struct {
+	Events []trace.Event
 }
 
 // assignBody is an fAssign body: machine ids to re-execute in exchange

@@ -104,7 +104,13 @@ type testWords []int
 
 func (p testWords) Words() int { return len(p) + 1 }
 
-func init() { Register("transporttest.words", testWords(nil)) }
+// notPayload is a registered type that is not a Payload.
+type notPayload struct{ N int }
+
+func init() {
+	Register("transporttest.words", testWords(nil))
+	Register("transporttest.notPayload", notPayload{})
+}
 
 // bodyCase is one frame body, as its sender builds it.
 type bodyCase struct {
@@ -136,7 +142,8 @@ func welcomeCases() []bodyCase {
 	}
 }
 
-// roundCases are the bodies of the rounds: records, assignment and job.
+// roundCases are the bodies of the rounds: records, assignment, job and
+// telemetry.
 func roundCases() []bodyCase {
 	recs := []Record{
 		{Machine: -1, Ops: 7, Started: true, StartNs: 5, EndNs: 9, QueueNs: 2,
@@ -147,6 +154,10 @@ func roundCases() []bodyCase {
 		{"records", recordsBody{Seq: 3, Meta: testMeta, Records: recs}},
 		{"assign", assignBody{Seq: 3, IDs: []int{1, 5, -2}}},
 		{"job", jobBody{Seq: 2, Data: []byte("spec")}},
+		{"telemetry", telemetryBody{Events: []trace.Event{
+			{Kind: trace.KindSpan, Name: "r", Phase: trace.PhaseGraph, Party: 2, Round: 1, Machine: 3,
+				StartNs: 1_700_000_000_000_000_000, EndNs: 1_700_000_000_000_400_000, Ops: 9},
+			{Kind: trace.KindRound, Detail: "crash", Straggler: 1.5, Failures: 1}}}},
 	}
 }
 
@@ -176,19 +187,8 @@ func checkBodyRoundTrips(t *testing.T, cases []bodyCase) {
 			if err := c.ReadValue(append(buf, 0), ptr.Interface()); err == nil {
 				t.Error("body with a trailing byte decoded")
 			}
-			rb, ok := tc.body.(recordsBody)
-			if !ok {
+			if _, ok := tc.body.(recordsBody); !ok {
 				return
-			}
-			got, err := decodeRecords(c, buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range rb.Records {
-				rb.Records[i].Remote = true
-			}
-			if !reflect.DeepEqual(got, rb) {
-				t.Errorf("decodeRecords: got %+v, want %+v", got, rb)
 			}
 			if _, err := noTable.AppendValue(nil, tc.body); err == nil {
 				t.Error("the nil codec encoded payloads")
@@ -206,9 +206,9 @@ func TestHelloRoundTrip(t *testing.T) { checkBodyRoundTrips(t, helloCases()) }
 // geometry and the codec table.
 func TestWelcomeRoundTrip(t *testing.T) { checkBodyRoundTrips(t, welcomeCases()) }
 
-// TestFrameBodyRoundTrip round-trips the bodies of the rounds. Records
-// come back from decodeRecords flagged Remote, and the nil codec of the
-// handshake cannot encode them (their payloads need the type table).
+// TestFrameBodyRoundTrip round-trips the bodies of the rounds. The nil
+// codec of the handshake cannot encode records (their payloads need the
+// type table).
 func TestFrameBodyRoundTrip(t *testing.T) { checkBodyRoundTrips(t, roundCases()) }
 
 // FuzzFrameBodies feeds arbitrary bytes to the decoder of each frame body:
@@ -241,7 +241,7 @@ func FuzzFrameBodies(f *testing.F) {
 
 // TestRecordsRejectNonPayload sends a records body whose outbox holds a
 // registered type that is not a Payload, as a peer of a diverged build
-// could: decodeRecords must refuse it rather than hand the driver a
+// could: the records decoder must refuse it rather than hand the driver a
 // message it cannot size. The body is encoded through a mirror of
 // recordsBody whose message field is any; the structural encoding does
 // not depend on type names, so the mirror's bytes are a records body.
@@ -258,7 +258,6 @@ func TestRecordsRejectNonPayload(t *testing.T) {
 		Failures, Retries       int
 		Crashed                 bool
 		CrashAttempts           int
-		Remote                  bool
 		Msgs                    []anyMsg
 	}
 	type anyRecords struct {
@@ -270,13 +269,14 @@ func TestRecordsRejectNonPayload(t *testing.T) {
 	for _, tc := range []struct {
 		data any
 		ok   bool
-	}{{testWords{1}, true}, {trace.Telemetry{}, false}} {
+	}{{testWords{1}, true}, {notPayload{}, false}} {
 		body, err := c.AppendValue(nil, anyRecords{Seq: 1, Meta: testMeta,
 			Records: []anyRecord{{Machine: 2, Msgs: []anyMsg{{To: 0, Data: tc.data}}}}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = decodeRecords(c, body)
+		var rb recordsBody
+		err = c.ReadValue(body, &rb)
 		if tc.ok && err != nil {
 			t.Fatalf("the mirror's records body with a %T payload: %v", tc.data, err)
 		}

@@ -39,8 +39,8 @@ type Options struct {
 	// Zero or negative means DefaultCorruptTolerance; no flag sets it, only
 	// tests that need a hair trigger or none.
 	CorruptTolerance int
-	// WrapConn, when non-nil, wraps every transport connection — initial
-	// handshakes and rejoin redials on both sides. This is the injection
+	// WrapConn, when non-nil, wraps every connection the coordinator
+	// accepts, registrations and rejoins alike. This is the injection
 	// point for internal/netchaos; wrappers exposing an Arm() method start
 	// disarmed and are armed only after the handshake completes.
 	WrapConn func(net.Conn) net.Conn
@@ -104,11 +104,6 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // TestDieExitCode is the exit status of a worker killed by TestDieAtSeq,
 // distinguishable from crashes in test assertions.
 const TestDieExitCode = 3
-
-// The telemetry payload travels through the same self-describing codec as
-// round traffic, so a worker built from the same sources ships it with no
-// extra wire machinery.
-func init() { Register("trace.Telemetry", trace.Telemetry{}) }
 
 // ErrShutdown reports an orderly session end: the coordinator told the
 // worker there are no more jobs.
@@ -605,8 +600,7 @@ type exchange struct {
 	seq  int
 	meta RoundMeta
 	exec ExecFunc
-	// merged keeps the first record of each machine. Records made here
-	// have Remote false and decoded ones Remote true, as the driver needs.
+	// merged keeps the first record of each machine.
 	merged map[int]Record
 	// owed[w] maps each machine worker w was asked to execute and has not
 	// delivered to whether the ask was an fAssign frame, which is re-sent
@@ -648,8 +642,8 @@ func (x *exchange) want() frameType { return fRecords }
 
 // deliver merges worker w's records frame.
 func (x *exchange) deliver(w int, body []byte) error {
-	rb, err := decodeRecords(x.c.codec, body)
-	if err != nil {
+	var rb recordsBody
+	if err := x.c.codec.ReadValue(body, &rb); err != nil {
 		return fmt.Errorf("transport: worker %d records: %w", w+1, err)
 	}
 	if rb.Seq < x.seq {
@@ -924,7 +918,7 @@ func (c *Coordinator) route(b barrier, w int, f frame) error {
 	case fRecords, fResult:
 		return nil // a stale re-send
 	case fTelemetry:
-		c.addTelemetry(f.body)
+		c.addTelemetry(w+1, f.body)
 		return nil
 	case fError:
 		return fmt.Errorf("transport: worker %d: %s", w+1, f.body)
@@ -946,15 +940,14 @@ func (c *Coordinator) Alive() int {
 	return n
 }
 
-// addTelemetry decodes one fTelemetry body into the process log, as it
-// arrives, so a flight dump taken mid-job already holds the workers'
-// recent events. Telemetry is out-of-band, so a malformed frame is
-// dropped rather than failing the round it arrived during.
-func (c *Coordinator) addTelemetry(body []byte) {
-	if v, err := c.codec.Decode(body); err == nil {
-		if t, ok := v.(trace.Telemetry); ok {
-			trace.FlightIngest(t)
-		}
+// addTelemetry logs one fTelemetry body from party's connection in the
+// process log, as it arrives, so a flight dump taken mid-job already holds
+// the workers' recent events. Telemetry is out-of-band, so a malformed
+// frame is dropped rather than failing the round it arrived during.
+func (c *Coordinator) addTelemetry(party int, body []byte) {
+	var tb telemetryBody
+	if noTable.ReadValue(body, &tb) == nil {
+		trace.FlightIngest(party, tb.Events)
 	}
 }
 
@@ -1071,19 +1064,17 @@ type Worker struct {
 
 	// telemetry reflects the coordinator's welcome flag; offsetNs is this
 	// process's handshake-time estimate of (coordinator clock - local
-	// clock); source produces the next batch to ship (set by the host via
+	// clock); source produces the next events to ship (set by the host via
 	// SetTelemetrySource).
 	telemetry bool
 	offsetNs  int64
-	source    func() (trace.Telemetry, bool)
+	source    func() []trace.Event
 
 	// mu guards the connection (swapped on reconnect), counters, and the
-	// recovery bookkeeping; the Status endpoint reads them from another
-	// goroutine.
+	// recovery bookkeeping; Stats may read them from another goroutine.
 	mu            sync.Mutex
 	p             *peer
 	st            Stats
-	cur           RoundMeta
 	seq           int
 	retired       slotCounters
 	lastAcked     int    // last merged exchange fully processed
@@ -1114,18 +1105,15 @@ func DialWorker(addr string, opts Options) (*Worker, error) {
 }
 
 // dial is the worker's one handshake, for registration and resume alike:
-// connect, wrap (opts.WrapConn), trade hello h for a welcome of this
-// protocol version under the handshake deadline, and start the connection
-// with the welcome's liveness settings. A coordinator's fError answer
-// comes back as a *RefusedError. offsetNs estimates the coordinator's
-// clock minus this process's.
+// connect, trade hello h for a welcome of this protocol version under the
+// handshake deadline, and start the connection with the welcome's
+// liveness settings. A coordinator's fError answer comes back as a
+// *RefusedError. offsetNs estimates the coordinator's clock minus this
+// process's.
 func dial(addr string, opts *Options, h hello) (p *peer, wel welcome, offsetNs int64, err error) {
 	conn, err := net.DialTimeout("tcp", addr, handshakeTimeout)
 	if err != nil {
 		return nil, wel, 0, fmt.Errorf("transport: dialing coordinator: %w", err)
-	}
-	if opts.WrapConn != nil {
-		conn = opts.WrapConn(conn)
 	}
 	p = newPeer(conn, 0, 0)
 	defer func() {
@@ -1173,11 +1161,12 @@ func dial(addr string, opts *Options, h hello) (p *peer, wel welcome, offsetNs i
 // shipping in its welcome.
 func (w *Worker) TelemetryEnabled() bool { return w.telemetry }
 
-// SetTelemetrySource installs the callback that produces telemetry
-// batches; it is invoked at each round barrier and at job end, and should
-// drain (not re-report) its buffer. The transport stamps Party and
-// OffsetNs on every batch. Call before the first Exchange.
-func (w *Worker) SetTelemetrySource(fn func() (trace.Telemetry, bool)) { w.source = fn }
+// SetTelemetrySource installs the callback that produces the events to
+// ship; it is invoked at each round barrier and at job end, and should
+// drain (not re-report) its buffer. The transport rebases every event onto
+// the coordinator's clock before shipping it. Call before the first
+// Exchange.
+func (w *Worker) SetTelemetrySource(fn func() []trace.Event) { w.source = fn }
 
 // peer returns the current connection (swapped under mu on reconnect).
 func (w *Worker) peer() *peer {
@@ -1186,24 +1175,29 @@ func (w *Worker) peer() *peer {
 	return w.p
 }
 
-// flushTelemetry ships one buffered batch if telemetry is on and there is
-// anything to ship. Send errors are dropped: the next mandatory frame on
-// the same conn surfaces the broken wire with better context.
+// flushTelemetry ships the source's events, if telemetry is on and there
+// are any, with every time rebased onto the coordinator's clock (a zero
+// time means "none" and stays zero). Send errors are dropped: the next
+// mandatory frame on the same conn surfaces the broken wire with better
+// context.
 func (w *Worker) flushTelemetry() {
 	if !w.telemetry || w.source == nil {
 		return
 	}
-	t, ok := w.source()
-	if !ok {
+	events := w.source()
+	if len(events) == 0 {
 		return
 	}
-	t.Party = w.self
-	t.OffsetNs = w.offsetNs
-	body, err := w.codec.Encode(nil, t)
-	if err != nil {
-		return
+	for i := range events {
+		e := &events[i]
+		if e.StartNs != 0 {
+			e.StartNs += w.offsetNs
+		}
+		if e.EndNs != 0 {
+			e.EndNs += w.offsetNs
+		}
 	}
-	_ = w.peer().write(fTelemetry, body)
+	_ = w.peer().write(fTelemetry, appendBody(telemetryBody{Events: events}))
 }
 
 // Parties implements Transport.
@@ -1375,7 +1369,6 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 	w.mu.Lock()
 	w.seq++
 	seq := w.seq
-	w.cur = meta
 	w.mu.Unlock()
 	if w.opts.TestDieAtSeq > 0 && seq == w.opts.TestDieAtSeq &&
 		(w.opts.TestDieAtParty == 0 || w.opts.TestDieAtParty == w.self) {
@@ -1395,12 +1388,6 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 	// dies mid-round therefore loses at most the events since its last
 	// barrier.
 	w.flushTelemetry()
-	// mine marks the machines run here: the merged round comes back
-	// decoded, every record Remote, and the caller needs its own as local.
-	mine := make(map[int]bool, len(local))
-	for _, r := range local {
-		mine[r.Machine] = true
-	}
 	body, err := w.codec.AppendValue(nil, recordsBody{Seq: seq, Meta: meta, Records: local})
 	if err != nil {
 		return nil, err
@@ -1411,9 +1398,10 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 	var out []Record
 	err = w.receive(false, body, func(f frame) (bool, error) {
 		if f.typ == fAssign {
-			return false, w.reassigned(seq, meta, f.body, exec, mine)
+			return false, w.reassigned(seq, meta, f.body, exec)
 		}
-		rb, err := decodeRecords(w.codec, f.body)
+		var rb recordsBody
+		err := w.codec.ReadValue(f.body, &rb)
 		switch {
 		case err != nil:
 			return false, err
@@ -1426,11 +1414,6 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 			return false, derr
 		}
 		out = rb.Records
-		for i := range out {
-			if mine[out[i].Machine] {
-				out[i].Remote = false
-			}
-		}
 		w.mu.Lock()
 		w.st.Exchanges++
 		w.lastAcked = seq
@@ -1441,9 +1424,9 @@ func (w *Worker) Exchange(meta RoundMeta, assign [][]int, local []Record, exec E
 }
 
 // reassigned serves one fAssign of exchange seq: re-execute the machines
-// a lost peer owed, mark them run here, and ship their records. An assign
-// of an earlier, merged exchange is a stale re-delivery.
-func (w *Worker) reassigned(seq int, meta RoundMeta, body []byte, exec ExecFunc, mine map[int]bool) error {
+// a lost peer owed and ship their records. An assign of an earlier,
+// merged exchange is a stale re-delivery.
+func (w *Worker) reassigned(seq int, meta RoundMeta, body []byte, exec ExecFunc) error {
 	var ab assignBody
 	err := noTable.ReadValue(body, &ab)
 	switch {
@@ -1458,9 +1441,6 @@ func (w *Worker) reassigned(seq int, meta RoundMeta, body []byte, exec ExecFunc,
 	recs, err := exec(ab.IDs)
 	if err != nil {
 		return err
-	}
-	for _, r := range recs {
-		mine[r.Machine] = true
 	}
 	rbody, err := w.codec.AppendValue(nil, recordsBody{Seq: seq, Meta: meta, Records: recs})
 	if err != nil {
@@ -1487,30 +1467,6 @@ func (w *Worker) FinishJob(result []byte) error {
 	w.lastResult, w.lastResultJob = body, w.lastJobSeq
 	w.mu.Unlock()
 	return w.sendFrame(fResult, body)
-}
-
-// Status snapshots the worker's live view of the session for the -status
-// endpoint. Its single peer row is the coordinator link.
-func (w *Worker) Status() Status {
-	now := time.Now()
-	w.mu.Lock()
-	seq, cur, p, ret := w.seq, w.cur, w.p, w.retired
-	w.mu.Unlock()
-	return Status{
-		Role:           "worker",
-		Parties:        w.parties,
-		Self:           w.self,
-		Seq:            seq,
-		Round:          cur.Round,
-		Name:           cur.Name,
-		Phase:          cur.Phase,
-		Alive:          2,
-		HeartbeatMs:    ms(w.opts.HeartbeatInterval),
-		PeerDeadlineMs: ms(w.opts.PeerTimeout),
-		RejoinGraceMs:  ms(w.opts.RejoinGrace),
-		Wire:           w.Stats(),
-		Peers:          []PeerStatus{ret.row(0, true, p, now)},
-	}
 }
 
 // Stats implements Transport.

@@ -27,14 +27,8 @@ func recsFor(ids []int, seq int) []Record {
 }
 
 // wantMerged is the full merged round every party must land on: machines
-// 0..3 in id order, with Remote set from the observer's point of view.
-func wantMerged(seq int, mine func(id int) bool) []Record {
-	out := recsFor([]int{0, 1, 2, 3}, seq)
-	for i := range out {
-		out[i].Remote = !mine(out[i].Machine)
-	}
-	return out
-}
+// 0..3 in id order.
+func wantMerged(seq int) []Record { return recsFor([]int{0, 1, 2, 3}, seq) }
 
 // runWorker drives the worker half of a 3-exchange job and reports every
 // merged round (or the first error) back on the channel.
@@ -112,7 +106,7 @@ func TestRejoinAfterConnDrop(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exchange %d: %v", seq, err)
 		}
-		if want := wantMerged(seq, func(id int) bool { return id < 2 }); !reflect.DeepEqual(m, want) {
+		if want := wantMerged(seq); !reflect.DeepEqual(m, want) {
 			t.Fatalf("exchange %d merged = %+v, want %+v", seq, m, want)
 		}
 	}
@@ -135,7 +129,7 @@ func TestRejoinAfterConnDrop(t *testing.T) {
 		t.Fatalf("worker: %v", rep.err)
 	}
 	for seq := 1; seq <= rounds; seq++ {
-		if want := wantMerged(seq, func(id int) bool { return id >= 2 }); !reflect.DeepEqual(rep.merged[seq-1], want) {
+		if want := wantMerged(seq); !reflect.DeepEqual(rep.merged[seq-1], want) {
 			t.Fatalf("worker exchange %d merged = %+v, want %+v", seq, rep.merged[seq-1], want)
 		}
 	}
@@ -201,7 +195,7 @@ func TestCorruptFrameRecyclesConn(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exchange: %v", err)
 	}
-	if want := wantMerged(1, func(id int) bool { return id < 2 }); !reflect.DeepEqual(m, want) {
+	if want := wantMerged(1); !reflect.DeepEqual(m, want) {
 		t.Fatalf("merged = %+v, want %+v", m, want)
 	}
 	if _, err := co.Results(); err != nil {
@@ -272,7 +266,7 @@ func TestCorruptToleranceEvicts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("exchange: %v", err)
 	}
-	if want := wantMerged(1, func(id int) bool { return true }); !reflect.DeepEqual(m, want) {
+	if want := wantMerged(1); !reflect.DeepEqual(m, want) {
 		t.Fatalf("merged = %+v, want %+v", m, want)
 	}
 	if _, err := co.Results(); err != nil {
@@ -458,10 +452,10 @@ func TestWorkerAdoptsLiveness(t *testing.T) {
 		t.FailNow()
 	}
 	defer w.Close()
-	st := w.Status()
-	if st.HeartbeatMs != 40 || st.PeerDeadlineMs != 900 || st.RejoinGraceMs != 2000 {
-		t.Errorf("worker status heartbeat %vms, deadline %vms, grace %vms; want 40, 900, 2000",
-			st.HeartbeatMs, st.PeerDeadlineMs, st.RejoinGraceMs)
+	if o := w.opts; o.HeartbeatInterval != 40*time.Millisecond || o.PeerTimeout != 900*time.Millisecond ||
+		o.RejoinGrace != 2*time.Second {
+		t.Errorf("worker heartbeat %v, deadline %v, grace %v; want 40ms, 900ms, 2s",
+			o.HeartbeatInterval, o.PeerTimeout, o.RejoinGrace)
 	}
 	if d := w.peer().timeout; d != 900*time.Millisecond {
 		t.Errorf("worker connection read deadline %v, want 900ms", d)

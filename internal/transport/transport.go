@@ -47,9 +47,6 @@ type Record struct {
 	// party sees the same flag post-merge and fails the round identically.
 	Crashed       bool
 	CrashAttempts int
-	// Remote marks a record received over the wire rather than produced
-	// in-process (the receiver replays observer events for these).
-	Remote bool
 	// Msgs is the machine's outbox in emission order.
 	Msgs []Msg
 }
@@ -129,7 +126,7 @@ type PeerStatus struct {
 // (exchange seq + round metadata), who is alive, what the wire looks
 // like, and the liveness configuration in force. All advisory.
 type Status struct {
-	Role           string       `json:"role"` // "coordinator" or "worker"
+	Role           string       `json:"role"` // "coordinator"
 	Parties        int          `json:"parties"`
 	Self           int          `json:"self"`
 	Seq            int          `json:"seq"` // exchange barriers completed or in flight
