@@ -98,7 +98,7 @@ func Ed(a, b []byte, p Params, ops *stats.Ops) int {
 	// Guess ladder.
 	cut := int(math.Pow(float64(la), 5.0/6))
 	accept := 3 * (1 + p.Eps)
-	bestFar := maxInt(la, lb) // trivial upper bound via substitution
+	bestFar := max(la, lb) // trivial upper bound via substitution
 	g := 1
 	for {
 		if g > maxd {
@@ -319,7 +319,7 @@ func edFar(a, b []byte, g int, p Params, ops *stats.Ops) int {
 				}
 				// Extend to every block of the same group.
 				g0 := (bi / groupBlocks) * groupBlocks
-				g1 := minInt(g0+groupBlocks, nb)
+				g1 := min(g0+groupBlocks, nb)
 				for bj := g0; bj < g1; bj++ {
 					blj := blocks[bj]
 					gamma := wins[wi][0] + (blj.l - bl.l)
@@ -358,18 +358,4 @@ func nextTau(tau int, eps float64) int {
 
 func intPow(n int, e float64) int {
 	return int(math.Pow(float64(n), e))
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -28,6 +28,7 @@
 package chain
 
 import (
+	"slices"
 	"sort"
 
 	"mpcdist/internal/bitree"
@@ -42,7 +43,29 @@ type Tuple struct {
 	D    int // distance (or distance upper bound) for this pair
 }
 
-const inf = int(^uint(0) >> 2)
+// byLG returns a copy of tuples sorted by (L, G), the order every DP here
+// visits them in: a tuple's predecessors all start at a lower L.
+func byLG(tuples []Tuple) []Tuple {
+	ts := append([]Tuple(nil), tuples...)
+	sort.Slice(ts, func(a, b int) bool {
+		if ts[a].L != ts[b].L {
+			return ts[a].L < ts[b].L
+		}
+		return ts[a].G < ts[b].G
+	})
+	return ts
+}
+
+// walk returns the chain that ends at ts[end] in block order, following
+// parent links back to a tuple with none; end = -1 gives the empty chain.
+func walk(ts []Tuple, parent []int, end int) []Tuple {
+	var out []Tuple
+	for at := end; at >= 0; at = parent[at] {
+		out = append(out, ts[at])
+	}
+	slices.Reverse(out)
+	return out
+}
 
 // UlamCost runs Algorithm 2: the minimum cost of transforming s (length n)
 // into sbar (length m) choosing a non-overlapping increasing chain of
@@ -57,26 +80,18 @@ func UlamCost(tuples []Tuple, n, m int, ops *stats.Ops) int {
 // tuples in increasing block order. An empty chain means the whole
 // transformation is a bulk substitution/indel.
 func UlamCostChain(tuples []Tuple, n, m int, ops *stats.Ops) (int, []Tuple) {
-	ts := append([]Tuple(nil), tuples...)
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].L != ts[b].L {
-			return ts[a].L < ts[b].L
-		}
-		return ts[a].G < ts[b].G
-	})
-	best := maxInt(n, m) // use no tuples at all
+	ts := byLG(tuples)
+	best := max(n, m) // use no tuples at all
 	bestEnd := -1
 	d := make([]int, len(ts))
 	parent := make([]int, len(ts))
 	var work int64
-	for a := range ts {
-		t := ts[a]
-		d[a] = maxInt(t.L, t.G) + t.D
+	for a, t := range ts {
+		d[a] = max(t.L, t.G) + t.D
 		parent[a] = -1
-		for b := 0; b < a; b++ {
-			p := ts[b]
-			if p.R < t.L && p.K < t.G && d[b] < inf {
-				gap := maxInt(t.L-p.R-1, t.G-p.K-1)
+		for b, p := range ts[:a] {
+			if p.R < t.L && p.K < t.G && int64(d[b]) < bitree.Inf {
+				gap := max(t.L-p.R-1, t.G-p.K-1)
 				if c := d[b] + gap + t.D; c < d[a] {
 					d[a] = c
 					parent[a] = b
@@ -84,20 +99,13 @@ func UlamCostChain(tuples []Tuple, n, m int, ops *stats.Ops) (int, []Tuple) {
 			}
 		}
 		work += int64(a + 1)
-		if c := d[a] + maxInt(n-1-t.R, m-1-t.K); c < best {
+		if c := d[a] + max(n-1-t.R, m-1-t.K); c < best {
 			best = c
 			bestEnd = a
 		}
 	}
 	ops.Add(work)
-	var out []Tuple
-	for at := bestEnd; at >= 0; at = parent[at] {
-		out = append(out, ts[at])
-	}
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
-	}
-	return best, out
+	return best, walk(ts, parent, bestEnd)
 }
 
 // EditCostQuadratic runs Algorithm 4 exactly as printed (additive gap
@@ -111,25 +119,17 @@ func EditCostQuadratic(tuples []Tuple, n, m int, allowOverlap bool, ops *stats.O
 
 // EditCostChain is EditCostQuadratic plus the chain realizing the value.
 func EditCostChain(tuples []Tuple, n, m int, allowOverlap bool, ops *stats.Ops) (int, []Tuple) {
-	ts := append([]Tuple(nil), tuples...)
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].L != ts[b].L {
-			return ts[a].L < ts[b].L
-		}
-		return ts[a].G < ts[b].G
-	})
+	ts := byLG(tuples)
 	best := n + m
 	bestEnd := -1
 	d := make([]int, len(ts))
 	parent := make([]int, len(ts))
 	var work int64
-	for a := range ts {
-		t := ts[a]
+	for a, t := range ts {
 		d[a] = t.L + t.G + t.D
 		parent[a] = -1
-		for b := 0; b < a; b++ {
-			p := ts[b]
-			if p.R >= t.L || d[b] >= inf {
+		for b, p := range ts[:a] {
+			if p.R >= t.L || int64(d[b]) >= bitree.Inf {
 				continue
 			}
 			sgap := t.L - p.R - 1
@@ -154,14 +154,52 @@ func EditCostChain(tuples []Tuple, n, m int, allowOverlap bool, ops *stats.Ops) 
 		}
 	}
 	ops.Add(work)
-	var out []Tuple
-	for at := bestEnd; at >= 0; at = parent[at] {
-		out = append(out, ts[at])
+	return best, walk(ts, parent, bestEnd)
+}
+
+// sweep is the pass EditCost and LCSScore share. It holds the tuples in
+// (L, G) order, their DP values d, and the distinct K values ascending:
+// the rank of a K value is its index in keys.
+type sweep struct {
+	ts   []Tuple
+	d    []int
+	keys []int
+}
+
+func newSweep(tuples []Tuple) sweep {
+	ts := byLG(tuples)
+	keys := make([]int, len(ts))
+	for i, t := range ts {
+		keys[i] = t.K
 	}
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
+	slices.Sort(keys)
+	return sweep{ts: ts, d: make([]int, len(ts)), keys: slices.Compact(keys)}
+}
+
+// run visits the tuples in (L, G) order. Before tuple a it admits, in R
+// order and once each, every tuple b with R_b < L_a, whose value d[b] is
+// final by then (L_b <= R_b < L_a): admit gets b and the rank of K_b.
+// value gets a and the number of ranks below G_a, the prefix that holds
+// a's predecessors with K_b < G_a, and returns d[a]. One op is charged
+// per admission and two per visit.
+func (s *sweep) run(admit func(b, r int), value func(a, below int) int, ops *stats.Ops) {
+	byR := make([]int, len(s.ts))
+	for i := range byR {
+		byR[i] = i
 	}
-	return best, out
+	sort.Slice(byR, func(x, y int) bool { return s.ts[byR[x]].R < s.ts[byR[y]].R })
+	ins := 0
+	var work int64
+	for a, t := range s.ts {
+		for ; ins < len(byR) && s.ts[byR[ins]].R < t.L; ins++ {
+			b := byR[ins]
+			admit(b, sort.SearchInts(s.keys, s.ts[b].K))
+			work++
+		}
+		s.d[a] = value(a, sort.SearchInts(s.keys, t.G))
+		work += 2
+	}
+	ops.Add(work)
 }
 
 // EditCost computes the same value as EditCostQuadratic in O(T log T) using
@@ -175,163 +213,70 @@ func EditCostChain(tuples []Tuple, n, m int, allowOverlap bool, ops *stats.Ops) 
 // inserted once their R is below the current query's L (their D values are
 // final by then, since L_b <= R_b < L_a).
 func EditCost(tuples []Tuple, n, m int, allowOverlap bool, ops *stats.Ops) int {
-	ts := append([]Tuple(nil), tuples...)
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].L != ts[b].L {
-			return ts[a].L < ts[b].L
-		}
-		return ts[a].G < ts[b].G
-	})
-	// byR: insertion order.
-	byR := make([]int, len(ts))
-	for i := range byR {
-		byR[i] = i
-	}
-	sort.Slice(byR, func(x, y int) bool { return ts[byR[x]].R < ts[byR[y]].R })
-
-	// Compress K values.
-	keys := make([]int, len(ts))
-	for i, t := range ts {
-		keys[i] = t.K
-	}
-	sort.Ints(keys)
-	keys = dedupInts(keys)
-	rank := func(v int) int { return sort.SearchInts(keys, v) }
-	nk := len(keys)
-
+	s := newSweep(tuples)
+	nk := len(s.keys)
 	pre := bitree.NewMin(nk + 1) // min over K <= q of D[b]-R_b-K_b
 	suf := bitree.NewMin(nk + 1) // min over K >= q of D[b]-R_b+K_b (reversed)
-
-	d := make([]int, len(ts))
 	best := n + m
-	ins := 0
-	var work int64
-	for a := range ts {
-		t := ts[a]
-		for ins < len(byR) && ts[byR[ins]].R < t.L {
-			b := byR[ins]
-			p := ts[b]
-			r := rank(p.K)
-			pre.Update(r, int64(d[b]-p.R-p.K))
-			suf.Update(nk-1-r, int64(d[b]-p.R+p.K))
-			ins++
-			work++
-		}
-		d[a] = t.L + t.G + t.D
-		// kappa' <= gamma_a - 1: prefix over ranks of values <= G-1.
-		hi := sort.SearchInts(keys, t.G) - 1 // last index with key <= G-1
-		if v := pre.PrefixMin(hi); v < bitree.Inf {
-			if c := int(v) + t.L + t.G - 2 + t.D; c < d[a] {
-				d[a] = c
-			}
+	s.run(func(b, r int) {
+		p := s.ts[b]
+		pre.Update(r, int64(s.d[b]-p.R-p.K), int32(b))
+		suf.Update(nk-1-r, int64(s.d[b]-p.R+p.K), int32(b))
+	}, func(a, below int) int {
+		t := s.ts[a]
+		d := t.L + t.G + t.D
+		// kappa' <= gamma_a - 1: prefix over the ranks of values <= G-1.
+		if v, _ := pre.PrefixMin(below - 1); v < bitree.Inf {
+			d = min(d, int(v)+t.L+t.G-2+t.D)
 		}
 		if allowOverlap {
-			// kappa' >= gamma_a: suffix over ranks of values >= G.
-			lo := sort.SearchInts(keys, t.G) // first index with key >= G
-			if v := suf.PrefixMin(nk - 1 - lo); v < bitree.Inf {
-				if c := int(v) + t.L - t.G + t.D; c < d[a] {
-					d[a] = c
-				}
+			// kappa' >= gamma_a: suffix over the ranks of values >= G.
+			if v, _ := suf.PrefixMin(nk - 1 - below); v < bitree.Inf {
+				d = min(d, int(v)+t.L-t.G+t.D)
 			}
 		}
-		work += 2
-		if c := d[a] + (n - 1 - t.R) + (m - 1 - t.K); c < best {
-			best = c
-		}
-	}
-	ops.Add(work)
+		best = min(best, d+(n-1-t.R)+(m-1-t.K))
+		return d
+	}, ops)
 	return best
-}
-
-func dedupInts(s []int) []int {
-	out := s[:0]
-	for _, v := range s {
-		if len(out) == 0 || out[len(out)-1] != v {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // LCSScore returns the maximum total score of an ordered, non-overlapping
 // chain of tuples, where Tuple.D holds the LCS (score) of the pair instead
 // of a distance — the maximization dual of EditCost used by the LCS MPC
 // extension. Gaps contribute nothing. Implemented with a Fenwick
-// prefix-max over candidate endpoints in O(T log T); LCSScoreChain is the
-// quadratic variant that also recovers a chain.
+// prefix-max over candidate endpoints in O(T log T), taken as the prefix
+// minimum of negated scores; LCSScoreChain is the quadratic variant that
+// also recovers a chain.
 func LCSScore(tuples []Tuple, ops *stats.Ops) int {
-	ts := append([]Tuple(nil), tuples...)
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].L != ts[b].L {
-			return ts[a].L < ts[b].L
-		}
-		return ts[a].G < ts[b].G
-	})
-	byR := make([]int, len(ts))
-	for i := range byR {
-		byR[i] = i
-	}
-	sort.Slice(byR, func(x, y int) bool { return ts[byR[x]].R < ts[byR[y]].R })
-	keys := make([]int, len(ts))
-	for i, t := range ts {
-		keys[i] = t.K
-	}
-	sort.Ints(keys)
-	keys = dedupInts(keys)
-	tree := bitree.NewMax(len(keys) + 1)
-	d := make([]int, len(ts))
+	s := newSweep(tuples)
+	tree := bitree.NewMin(len(s.keys) + 1) // min over K <= q of -D[b]
 	best := 0
-	ins := 0
-	var work int64
-	for a := range ts {
-		t := ts[a]
-		for ins < len(byR) && ts[byR[ins]].R < t.L {
-			b := byR[ins]
-			tree.Update(sort.SearchInts(keys, ts[b].K), int64(d[b]))
-			ins++
-			work++
+	s.run(func(b, r int) {
+		tree.Update(r, -int64(s.d[b]), int32(b))
+	}, func(a, below int) int {
+		d := s.ts[a].D
+		// Predecessors need K < G: prefix over the ranks below rank(G).
+		if v, _ := tree.PrefixMin(below - 1); v < 0 {
+			d += int(-v)
 		}
-		d[a] = t.D
-		// Predecessors need K < G: prefix max over key ranks < rank(G).
-		hi := sort.SearchInts(keys, t.G) - 1
-		if v := tree.PrefixMax(hi); v > 0 {
-			d[a] = int(v) + t.D
-		}
-		work += 2
-		if d[a] > best {
-			best = d[a]
-		}
-	}
-	ops.Add(work)
+		best = max(best, d)
+		return d
+	}, ops)
 	return best
 }
 
 // LCSScoreChain is LCSScore plus a chain realizing it.
 func LCSScoreChain(tuples []Tuple, ops *stats.Ops) (int, []Tuple) {
-	ts := append([]Tuple(nil), tuples...)
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].L != ts[b].L {
-			return ts[a].L < ts[b].L
-		}
-		return ts[a].G < ts[b].G
-	})
+	ts := byLG(tuples)
 	best, bestEnd := 0, -1
 	d := make([]int, len(ts))
 	parent := make([]int, len(ts))
 	var work int64
-	for a := range ts {
-		t := ts[a]
+	for a, t := range ts {
 		d[a] = t.D
 		parent[a] = -1
-		for b := 0; b < a; b++ {
-			p := ts[b]
+		for b, p := range ts[:a] {
 			if p.R < t.L && p.K < t.G {
 				if c := d[b] + t.D; c > d[a] {
 					d[a] = c
@@ -345,12 +290,5 @@ func LCSScoreChain(tuples []Tuple, ops *stats.Ops) (int, []Tuple) {
 		}
 	}
 	ops.Add(work)
-	var out []Tuple
-	for at := bestEnd; at >= 0; at = parent[at] {
-		out = append(out, ts[at])
-	}
-	for l, r := 0, len(out)-1; l < r; l, r = l+1, r-1 {
-		out[l], out[r] = out[r], out[l]
-	}
-	return best, out
+	return best, walk(ts, parent, bestEnd)
 }

@@ -1,7 +1,8 @@
 // Package editdist implements exact sequential edit-distance kernels: the
 // classic dynamic program, a banded (Ukkonen) variant with threshold
-// decision, the Myers bit-parallel algorithm, and Hirschberg linear-space
-// alignment recovery.
+// decision, the Myers bit-parallel algorithm and its one-pass prefix
+// ladder (MyersMulti), the Landau-Myers diagonal-transition algorithm, and
+// Hirschberg linear-space alignment recovery.
 //
 // These are the substrates the paper's MPC algorithms compute on individual
 // machines (the "naive DP algorithm" of Algorithms 5 and 7) and the exact
@@ -13,44 +14,16 @@ package editdist
 import "mpcdist/internal/stats"
 
 // Distance returns the exact edit distance between a and b using the
-// classic dynamic program with two rows of memory, O(|a|·|b|) time and
-// O(min(|a|,|b|)) space. ops, which may be nil, is charged one unit per DP
-// cell evaluated.
+// classic dynamic program in one row of memory (forwardRow), O(|a|·|b|)
+// time and O(min(|a|,|b|)) space. ops, which may be nil, is charged one
+// unit per DP cell evaluated.
 func Distance[T comparable](a, b []T, ops *stats.Ops) int {
 	// Keep the inner dimension the smaller one.
 	if len(b) > len(a) {
 		a, b = b, a
 	}
-	m := len(b)
-	if m == 0 {
-		return len(a)
-	}
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	for j := 0; j <= m; j++ {
-		prev[j] = j
-	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		ai := a[i-1]
-		for j := 1; j <= m; j++ {
-			if ai == b[j-1] {
-				cur[j] = prev[j-1]
-			} else {
-				c := prev[j-1] // substitute
-				if prev[j] < c {
-					c = prev[j] // delete from a
-				}
-				if cur[j-1] < c {
-					c = cur[j-1] // insert into a
-				}
-				cur[j] = c + 1
-			}
-		}
-		prev, cur = cur, prev
-	}
-	ops.Add(int64(len(a)) * int64(m))
-	return prev[m]
+	ops.Add(int64(len(a)) * int64(len(b)))
+	return forwardRow(a, b)[len(b)]
 }
 
 // Bytes is shorthand for Distance over byte slices.
@@ -64,8 +37,7 @@ func Strings(a, b string) int { return Distance([]byte(a), []byte(b), nil) }
 // returns (d, true) when the true distance d is at most k, and (k+1, false)
 // when the distance exceeds k. Time O((2k+1)·min(|a|,|b|) + k).
 //
-// A negative k reports (0, true) only for equal inputs, consistent with
-// "distance at most k" being unsatisfiable.
+// A negative k always reports (0, false): no distance is at most k.
 func Banded[T comparable](a, b []T, k int, ops *stats.Ops) (int, bool) {
 	if k < 0 {
 		return 0, false
@@ -87,13 +59,8 @@ func Banded[T comparable](a, b []T, k int, ops *stats.Ops) (int, bool) {
 	for s := range prev {
 		prev[s] = inf
 	}
-	for j := 0; j <= k && j <= m; j++ {
-		prev[j+1] = j // row 0: D[0][j] = j at slot j-(0-k)+1 = j+k+1... see note
-	}
-	// Note: for row 0 the band starts at j = -k; slot(j) = j+k+1. Rewrite:
-	for s := range prev {
-		prev[s] = inf
-	}
+	// Row 0 holds D[0][j] = j; its band starts at j = -k, so j is at slot
+	// j+k+1.
 	for j := 0; j <= m && j <= k; j++ {
 		prev[j+k+1] = j
 	}

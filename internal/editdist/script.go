@@ -58,26 +58,21 @@ func Script(a, b []byte) []Op {
 	return out
 }
 
-// forwardRow returns the last row of the edit-distance DP between a and b.
-func forwardRow(a, b []byte, row []int) []int {
-	row = row[:0]
-	for j := 0; j <= len(b); j++ {
-		row = append(row, j)
+// forwardRow returns the last row of the edit-distance DP between a and
+// prefixes of b, computed in one row of len(b)+1 cells.
+func forwardRow[T comparable](a, b []T) []int {
+	row := make([]int, len(b)+1)
+	for j := range row {
+		row[j] = j
 	}
-	for i := 1; i <= len(a); i++ {
+	for i, ai := range a {
 		diag := row[0]
-		row[0] = i
+		row[0] = i + 1
 		for j := 1; j <= len(b); j++ {
 			up := row[j]
 			c := diag
-			if a[i-1] != b[j-1] {
-				if up < c {
-					c = up
-				}
-				if row[j-1] < c {
-					c = row[j-1]
-				}
-				c++
+			if ai != b[j-1] {
+				c = min(c, up, row[j-1]) + 1
 			}
 			diag = up
 			row[j] = c
@@ -131,8 +126,8 @@ func hirschberg(a, b []byte, aOff, bOff int, out *[]Op) {
 		return
 	}
 	mid := len(a) / 2
-	fwd := forwardRow(a[:mid], b, nil)
-	rev := forwardRow(reverse(a[mid:]), reverse(b), nil)
+	fwd := forwardRow(a[:mid], b)
+	rev := forwardRow(reverse(a[mid:]), reverse(b))
 	split, best := 0, int(^uint(0)>>1)
 	for j := 0; j <= len(b); j++ {
 		if c := fwd[j] + rev[len(b)-j]; c < best {

@@ -22,28 +22,8 @@ func Length(a, b []byte, ops *stats.Ops) int {
 	if len(b) > len(a) {
 		a, b = b, a
 	}
-	m := len(b)
-	if m == 0 {
-		return 0
-	}
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	for i := 1; i <= len(a); i++ {
-		ai := a[i-1]
-		for j := 1; j <= m; j++ {
-			switch {
-			case ai == b[j-1]:
-				cur[j] = prev[j-1] + 1
-			case prev[j] >= cur[j-1]:
-				cur[j] = prev[j]
-			default:
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-	}
-	ops.Add(int64(len(a)) * int64(m))
-	return prev[m]
+	ops.Add(int64(len(a)) * int64(len(b)))
+	return lcsRow(a, b)[len(b)]
 }
 
 // HuntSzymanski returns |LCS(a, b)| in O((r + n + sigma) log n) time where
@@ -90,22 +70,21 @@ func Pairs(a, b []byte) []Pair {
 	return out
 }
 
-// lcsRow returns the last row of LCS lengths between a and prefixes of b.
+// lcsRow returns the last row of LCS lengths between a and prefixes of b,
+// computed in one row of len(b)+1 cells.
 func lcsRow(a, b []byte) []int {
 	row := make([]int, len(b)+1)
-	prev := make([]int, len(b)+1)
-	for i := 1; i <= len(a); i++ {
-		copy(prev, row)
-		ai := a[i-1]
+	for _, ai := range a {
+		diag := 0 // row[j-1] of the previous row
 		for j := 1; j <= len(b); j++ {
+			up := row[j]
 			switch {
 			case ai == b[j-1]:
-				row[j] = prev[j-1] + 1
-			case prev[j] >= row[j-1]:
-				row[j] = prev[j]
-			default:
+				row[j] = diag + 1
+			case up < row[j-1]:
 				row[j] = row[j-1]
 			}
+			diag = up
 		}
 	}
 	return row
@@ -149,33 +128,6 @@ func hirschbergLCS(a, b []byte, aOff, bOff int, out *[]Pair) {
 // |a| + |b| - 2·LCS(a, b), the LCS-dual metric.
 func IndelDistance(a, b []byte, ops *stats.Ops) int {
 	return len(a) + len(b) - 2*HuntSzymanski(a, b, ops)
-}
-
-// LengthOf is Length over any comparable alphabet (e.g. line hashes in a
-// diff tool), using the sparse Hunt-Szymanski reduction with a map-based
-// occurrence index.
-func LengthOf[T comparable](a, b []T, ops *stats.Ops) int {
-	occ := make(map[T][]int32, len(b))
-	for j, c := range b {
-		occ[c] = append(occ[c], int32(j))
-	}
-	tails := make([]int32, 0, 64)
-	var work int64
-	for _, c := range a {
-		ps := occ[c]
-		for k := len(ps) - 1; k >= 0; k-- {
-			v := ps[k]
-			idx := sort.Search(len(tails), func(x int) bool { return tails[x] >= v })
-			if idx == len(tails) {
-				tails = append(tails, v)
-			} else {
-				tails[idx] = v
-			}
-			work++
-		}
-	}
-	ops.Add(work + int64(len(a)) + int64(len(b)))
-	return len(tails)
 }
 
 // PairsOf returns one optimal LCS matching over any comparable alphabet,

@@ -4,7 +4,7 @@
 // In the paper's terminology, Ulam distance and LIS are dual problems: the
 // indel-only Ulam distance between two permutations of the same set equals
 // 2(n - LCS), and LCS of permutations is an LIS after relabeling. These
-// routines are the sequential substrate underneath the ulam package.
+// routines back the public API's LIS and indel-only Ulam distance.
 package lis
 
 import "sort"

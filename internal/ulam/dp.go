@@ -1,8 +1,10 @@
 package ulam
 
 import (
+	"cmp"
 	"slices"
 
+	"mpcdist/internal/bitree"
 	"mpcdist/internal/stats"
 )
 
@@ -26,61 +28,9 @@ import (
 // block side (i), which is exactly lulam's boundary cost.
 //
 // runDP computes d for every point with a CDQ divide and conquer over the
-// i-order plus two Fenwick trees keyed by compressed diagonal, in
-// O(m log^2 m). exactQuadratic is the O(m^2) reference.
-
-const costInf = int64(1) << 60
-
-// minBIT is a Fenwick tree over diagonal ranks storing (value, point index)
-// pairs with prefix-minimum queries and touched-slot reset.
-type minBIT struct {
-	n       int
-	val     []int64
-	idx     []int32
-	touched []int
-}
-
-func newMinBIT(n int) *minBIT {
-	b := &minBIT{n: n, val: make([]int64, n+1), idx: make([]int32, n+1)}
-	for i := range b.val {
-		b.val[i] = costInf
-		b.idx[i] = -1
-	}
-	return b
-}
-
-func (b *minBIT) update(i int, v int64, id int32) {
-	for i++; i <= b.n; i += i & (-i) {
-		if b.val[i] == costInf {
-			b.touched = append(b.touched, i)
-		}
-		if v < b.val[i] {
-			b.val[i] = v
-			b.idx[i] = id
-		}
-	}
-}
-
-func (b *minBIT) prefixMin(i int) (int64, int32) {
-	best, id := costInf, int32(-1)
-	if i >= b.n {
-		i = b.n - 1
-	}
-	for i++; i > 0; i -= i & (-i) {
-		if b.val[i] < best {
-			best, id = b.val[i], b.idx[i]
-		}
-	}
-	return best, id
-}
-
-func (b *minBIT) reset() {
-	for _, i := range b.touched {
-		b.val[i] = costInf
-		b.idx[i] = -1
-	}
-	b.touched = b.touched[:0]
-}
+// i-order plus two Fenwick trees (bitree.MinTree) keyed by compressed
+// diagonal, in O(m log^2 m). exactQuadratic is the O(m^2) reference. A
+// point no path has reached holds d = bitree.Inf.
 
 // QuadCutoff is the point count (768) at or below which runDP uses the
 // quadratic DP in place of the CDQ machinery: it does more elementary
@@ -106,9 +56,19 @@ func diagRanks(pts []point) (rank func(v int64) int, nd int) {
 	}, len(uniq)
 }
 
+// byJ returns the indices lo..hi-1 of pts ordered by increasing j.
+func byJ(pts []point, lo, hi int) []int32 {
+	idx := make([]int32, hi-lo)
+	for k := range idx {
+		idx[k] = int32(lo + k)
+	}
+	slices.SortFunc(idx, func(x, y int32) int { return cmp.Compare(pts[x].j, pts[y].j) })
+	return idx
+}
+
 // runDP fills in d and parent for every point. pts must be sorted by
 // increasing i with pts[0] the virtual start (d = 0); all other d values
-// must be costInf. A point's d depends only on the points before it, so
+// must be bitree.Inf. A point's d depends only on the points before it, so
 // the last point (usually the virtual end) is just one more point.
 func runDP(pts []point, ops *stats.Ops) {
 	n := len(pts)
@@ -120,36 +80,34 @@ func runDP(pts []point, ops *stats.Ops) {
 		return
 	}
 	rank, nd := diagRanks(pts)
-	bitA := newMinBIT(nd) // prefix over diag rank: min d - i  (case A)
-	bitB := newMinBIT(nd) // prefix over reversed rank: min d - j (case B)
+	bitA := bitree.NewMin(nd) // prefix over diag rank: min d - i  (case A)
+	bitB := bitree.NewMin(nd) // prefix over reversed rank: min d - j (case B)
 
-	var merge func(lo, mid, hi int)
-	merge = func(lo, mid, hi int) {
-		left := sortByJ(pts, lo, mid)
-		right := sortByJ(pts, mid, hi)
+	merge := func(lo, mid, hi int) {
+		left := byJ(pts, lo, mid)
+		right := byJ(pts, mid, hi)
 		li := 0
 		var work int64
 		for _, rk := range right {
 			k := &pts[rk]
-			for li < len(left) && pts[left[li]].j < k.j {
+			for ; li < len(left) && pts[left[li]].j < k.j; li++ {
 				l := &pts[left[li]]
-				if l.d < costInf {
+				if l.d < bitree.Inf {
 					r := rank(l.diag)
-					bitA.update(r, l.d-int64(l.i), int32(left[li]))
-					bitB.update(nd-1-r, l.d-int64(l.j), int32(left[li]))
+					bitA.Update(r, l.d-int64(l.i), left[li])
+					bitB.Update(nd-1-r, l.d-int64(l.j), left[li])
 				}
-				li++
 				work++
 			}
 			rκ := rank(k.diag)
-			if v, id := bitA.prefixMin(rκ); v < costInf {
+			if v, id := bitA.PrefixMin(rκ); v < bitree.Inf {
 				if cand := v + int64(k.i) - 1; cand < k.d {
 					k.d = cand
 					k.parent = id
 				}
 			}
 			// case B: diag_l > diag_k  <=>  reversed rank < nd-1-rκ.
-			if v, id := bitB.prefixMin(nd - 2 - rκ); v < costInf {
+			if v, id := bitB.PrefixMin(nd - 2 - rκ); v < bitree.Inf {
 				if cand := v + int64(k.j) - 1; cand < k.d {
 					k.d = cand
 					k.parent = id
@@ -157,8 +115,13 @@ func runDP(pts []point, ops *stats.Ops) {
 			}
 			work += 2
 		}
-		bitA.reset()
-		bitB.reset()
+		// Undo this merge's updates, so the next merge starts from empty
+		// trees (the admitted points are a superset of the updated ones).
+		for _, l := range left[:li] {
+			r := rank(pts[l].diag)
+			bitA.Clear(r)
+			bitB.Clear(nd - 1 - r)
+		}
 		ops.Add(work)
 	}
 
@@ -183,7 +146,7 @@ func exactQuadratic(pts []point, ops *stats.Ops) {
 		pk := &pts[k]
 		for l := 0; l < k; l++ {
 			pl := &pts[l]
-			if pl.d >= costInf || pl.i >= pk.i || pl.j >= pk.j {
+			if pl.d >= bitree.Inf || pl.i >= pk.i || pl.j >= pk.j {
 				continue
 			}
 			var gap int64
@@ -215,24 +178,5 @@ func ExactQuadratic(a, b []int, ops *stats.Ops) int {
 func LocalQuadratic(block, sbar []int, ops *stats.Ops) (int, Window) {
 	pts := buildPoints(block, sbar, true)
 	exactQuadratic(pts, ops)
-	end := pts[len(pts)-1]
-	d := int(end.d)
-	path := make([]int, 0, 8)
-	for at := end.parent; at > 0; at = pts[at].parent {
-		path = append(path, int(at))
-	}
-	if len(path) == 0 {
-		return d, Window{Gamma: 0, Kappa: -1}
-	}
-	first := pts[path[len(path)-1]]
-	last := pts[path[0]]
-	gamma := first.j - first.i
-	if gamma < 0 {
-		gamma = 0
-	}
-	kappa := last.j + (len(block) - 1 - last.i)
-	if kappa > len(sbar)-1 {
-		kappa = len(sbar) - 1
-	}
-	return d, Window{Gamma: gamma, Kappa: kappa}
+	return localWindow(pts, len(block), len(sbar))
 }

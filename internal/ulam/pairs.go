@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 
+	"mpcdist/internal/bitree"
 	"mpcdist/internal/stats"
 )
 
@@ -32,16 +33,17 @@ func PairsOf(block, sbar []int) []Pair {
 	return out
 }
 
-// pointsFromPairs builds DP points for ulam(block, sbar[sp..ep]) from the
-// subset of pairs whose sbar position lies in the window.
+// pointsFromPairs builds the DP points for ulam(block, sbar[sp..ep]): the
+// virtual start (-1, -1), one point per pair whose sbar position lies in
+// the window, in the pairs' order, and the virtual end (blockLen, window
+// length). When local is true the boundary costs are charged only on the
+// block side, which is encoded by giving the virtual points sentinel
+// diagonals (see dp.go). Every point but the start has d = bitree.Inf.
 func pointsFromPairs(blockLen int, pairs []Pair, sp, ep int, local bool) []point {
-	winLen := ep - sp + 1
-	if winLen < 0 {
-		winLen = 0
-	}
+	winLen := max(ep-sp+1, 0)
 	pts := make([]point, 0, len(pairs)+2)
-	start := point{i: -1, j: -1, diag: 0, parent: -1}
-	end := point{i: blockLen, j: winLen, diag: int64(blockLen - winLen), parent: -1}
+	start := point{i: -1, j: -1, parent: -1}
+	end := point{i: blockLen, j: winLen, diag: int64(blockLen - winLen), d: bitree.Inf, parent: -1}
 	if local {
 		start.diag = -diagInf
 		end.diag = diagInf
@@ -50,16 +52,10 @@ func pointsFromPairs(blockLen int, pairs []Pair, sp, ep int, local bool) []point
 	for _, pr := range pairs {
 		if pr.Q >= sp && pr.Q <= ep {
 			j := pr.Q - sp
-			pts = append(pts, point{i: pr.P, j: j, diag: int64(pr.P - j)})
+			pts = append(pts, point{i: pr.P, j: j, diag: int64(pr.P - j), d: bitree.Inf, parent: -1})
 		}
 	}
-	pts = append(pts, end)
-	for k := range pts {
-		pts[k].d = costInf
-		pts[k].parent = -1
-	}
-	pts[0].d = 0
-	return pts
+	return append(pts, end)
 }
 
 // WindowDist returns ulam(block, sbar[sp..ep]) given only the block length
@@ -106,45 +102,41 @@ func WindowDists(blockLen int, pairs []Pair, sp int, ends []int, ops *stats.Ops)
 	runDP(pts, ops)
 
 	rank, nd := diagRanks(pts)
-	bitA := newMinBIT(nd) // min d - i over diagonal rank (case A)
-	bitB := newMinBIT(nd) // min d - j over reversed rank (case B)
-	byJ := make([]int32, len(pts))
-	for k := range byJ {
-		byJ[k] = int32(k)
+	bitA := bitree.NewMin(nd) // min d - i over diagonal rank (case A)
+	bitB := bitree.NewMin(nd) // min d - j over reversed rank (case B)
+	order := byJ(pts, 0, len(pts))
+	byEnd := make([]int32, len(ends))
+	for k := range byEnd {
+		byEnd[k] = int32(k)
 	}
-	slices.SortFunc(byJ, func(x, y int32) int { return cmp.Compare(pts[x].j, pts[y].j) })
-	order := make([]int32, len(ends))
-	for k := range order {
-		order[k] = int32(k)
-	}
-	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(ends[x], ends[y]) })
+	slices.SortFunc(byEnd, func(x, y int32) int { return cmp.Compare(ends[x], ends[y]) })
 
 	next := 0
 	var work int64
-	for _, k := range order {
+	for _, k := range byEnd {
 		if ends[k] < sp {
 			out[k] = blockLen
 			continue
 		}
 		winLen := ends[k] - sp + 1
-		for ; next < len(byJ) && pts[byJ[next]].j < winLen; next++ {
-			l := &pts[byJ[next]]
-			if l.d < costInf {
+		for ; next < len(order) && pts[order[next]].j < winLen; next++ {
+			l := &pts[order[next]]
+			if l.d < bitree.Inf {
 				r := rank(l.diag)
-				bitA.update(r, l.d-int64(l.i), byJ[next])
-				bitB.update(nd-1-r, l.d-int64(l.j), byJ[next])
+				bitA.Update(r, l.d-int64(l.i), order[next])
+				bitB.Update(nd-1-r, l.d-int64(l.j), order[next])
 			}
 			work++
 		}
 		// c diagonals are <= the end's: case A is ranks [0, c), case B
 		// ranks [c, nd), which are reversed ranks [0, nd-c). An empty
-		// range's prefix minimum is costInf.
+		// range's prefix minimum is bitree.Inf.
 		c := rank(int64(blockLen-winLen) + 1)
-		best := costInf
-		if v, _ := bitA.prefixMin(c - 1); v < costInf {
+		best := int64(bitree.Inf)
+		if v, _ := bitA.PrefixMin(c - 1); v < bitree.Inf {
 			best = v + int64(blockLen) - 1
 		}
-		if v, _ := bitB.prefixMin(nd - 1 - c); v < costInf {
+		if v, _ := bitB.PrefixMin(nd - 1 - c); v < bitree.Inf {
 			best = min(best, v+int64(winLen)-1)
 		}
 		out[k] = int(best)
@@ -160,24 +152,5 @@ func WindowDists(blockLen int, pairs []Pair, sp int, ends []int, ops *stats.Ops)
 func LocalPairs(blockLen int, pairs []Pair, sbarLen int, ops *stats.Ops) (int, Window) {
 	pts := pointsFromPairs(blockLen, pairs, 0, sbarLen-1, true)
 	runDP(pts, ops)
-	end := &pts[len(pts)-1]
-	d := int(end.d)
-	path := make([]int, 0, 8)
-	for at := end.parent; at > 0; at = pts[at].parent {
-		path = append(path, int(at))
-	}
-	if len(path) == 0 {
-		return d, Window{Gamma: 0, Kappa: -1}
-	}
-	first := pts[path[len(path)-1]]
-	last := pts[path[0]]
-	gamma := first.j - first.i
-	if gamma < 0 {
-		gamma = 0
-	}
-	kappa := last.j + (blockLen - 1 - last.i)
-	if kappa > sbarLen-1 {
-		kappa = sbarLen - 1
-	}
-	return d, Window{Gamma: gamma, Kappa: kappa}
+	return localWindow(pts, blockLen, sbarLen)
 }

@@ -19,7 +19,6 @@ package ulam
 
 import (
 	"fmt"
-	"sort"
 
 	"mpcdist/internal/stats"
 )
@@ -46,22 +45,6 @@ type point struct {
 }
 
 const diagInf = int64(1) << 40
-
-// matchPoints lists the (i, j) pairs with a[i] == b[j], in increasing i
-// (and, per distinctness, each i and each j appears at most once).
-func matchPoints(a, b []int) []point {
-	pos := make(map[int]int, len(b))
-	for j, v := range b {
-		pos[v] = j
-	}
-	pts := make([]point, 0, 16)
-	for i, v := range a {
-		if j, ok := pos[v]; ok {
-			pts = append(pts, point{i: i, j: j, diag: int64(i - j)})
-		}
-	}
-	return pts
-}
 
 // Exact returns the Ulam distance between a and b, which must each consist
 // of distinct characters (they may share any subset of characters). ops is
@@ -93,62 +76,36 @@ func (w Window) Len() int { return w.Kappa - w.Gamma + 1 }
 // the empty substring at cost |block|. So the same match-point DP applies
 // with boundary costs charged only on the block side.
 func Local(block, sbar []int, ops *stats.Ops) (int, Window) {
-	pts := buildPoints(block, sbar, true)
-	runDP(pts, ops)
-	end := &pts[len(pts)-1]
-	d := int(end.d)
-
-	// Reconstruct the matched span to produce a concrete window.
-	path := make([]int, 0, 8)
-	for at := end.parent; at > 0; at = pts[at].parent {
-		path = append(path, int(at))
-	}
-	if len(path) == 0 {
-		// No real match used: the empty window.
-		return d, Window{Gamma: 0, Kappa: -1}
-	}
-	first := pts[path[len(path)-1]]
-	last := pts[path[0]]
-	// Absorb boundary characters of sbar up to the block-side gap sizes;
-	// this keeps the window's distance equal to d (cost is the max of the
-	// two gap sides and the block side is the larger by construction).
-	gamma := first.j - first.i
-	if gamma < 0 {
-		gamma = 0
-	}
-	kappa := last.j + (len(block) - 1 - last.i)
-	if kappa > len(sbar)-1 {
-		kappa = len(sbar) - 1
-	}
-	return d, Window{Gamma: gamma, Kappa: kappa}
+	return LocalPairs(len(block), PairsOf(block, sbar), len(sbar), ops)
 }
 
-// buildPoints assembles the match points plus virtual start/end points.
-// When local is true the boundary costs are charged only on the first
-// string (the block side), which is encoded by giving the virtual points
-// sentinel diagonals (see package comment in dp.go).
+// localWindow reads lulam's answer off a solved local DP over a block of
+// blockLen characters and a string of sbarLen: the distance at the virtual
+// end, and a window attaining it. The window spans the matched characters
+// of the chain the end's parent links trace, widened on each side by as
+// many characters of sbar as the block has beyond its outermost match, so
+// that its distance stays the chain's (the cost of a gap is the max of its
+// two sides, and the block side is the larger by construction). A chain
+// with no match gives the empty window.
+func localWindow(pts []point, blockLen, sbarLen int) (int, Window) {
+	end := pts[len(pts)-1]
+	if end.parent <= 0 {
+		return int(end.d), Window{Gamma: 0, Kappa: -1}
+	}
+	first, last := pts[end.parent], pts[end.parent]
+	for first.parent > 0 {
+		first = pts[first.parent]
+	}
+	gamma := max(first.j-first.i, 0)
+	kappa := min(last.j+(blockLen-1-last.i), sbarLen-1)
+	return int(end.d), Window{Gamma: gamma, Kappa: kappa}
+}
+
+// buildPoints assembles the match points of a and b plus the virtual
+// start and end points (see pointsFromPairs).
 func buildPoints(a, b []int, local bool) []point {
-	m := matchPoints(a, b)
-	pts := make([]point, 0, len(m)+2)
-	start := point{i: -1, j: -1, diag: 0, parent: -1}
-	end := point{i: len(a), j: len(b), diag: int64(len(a) - len(b)), parent: -1}
-	if local {
-		start.diag = -diagInf
-		end.diag = diagInf
-	}
-	pts = append(pts, start)
-	pts = append(pts, m...)
-	pts = append(pts, end)
-	for k := range pts {
-		pts[k].d = costInf
-		pts[k].parent = -1
-	}
-	pts[0].d = 0
-	return pts
+	return pointsFromPairs(len(a), PairsOf(a, b), 0, len(b)-1, local)
 }
-
-// Dist is a convenience wrapper returning Exact with no op accounting.
-func Dist(a, b []int) int { return Exact(a, b, nil) }
 
 // BruteLocal computes the local Ulam distance by trying every substring of
 // sbar (including the empty one). Exponentially slower than Local; exists
@@ -165,14 +122,4 @@ func BruteLocal(block, sbar []int) (int, Window) {
 		}
 	}
 	return best, win
-}
-
-// sortByJ returns indices of pts[lo:hi] ordered by increasing j.
-func sortByJ(pts []point, lo, hi int) []int {
-	idx := make([]int, hi-lo)
-	for k := range idx {
-		idx[k] = lo + k
-	}
-	sort.Slice(idx, func(x, y int) bool { return pts[idx[x]].j < pts[idx[y]].j })
-	return idx
 }
