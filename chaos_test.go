@@ -9,13 +9,15 @@ import (
 
 	"mpcdist/internal/fault"
 	"mpcdist/internal/trace"
+	"mpcdist/internal/workload"
 )
 
 // The chaos suite runs the full Table 1 pipelines — both paper algorithms
-// (Ulam Theorem 4, edit distance Theorem 9) and the [20] HSS baseline —
-// under randomized fault schedules and asserts the paper's recovery claim:
-// because every machine round is a pure function of (seed, round, machine,
-// inputs), crash replay reconstructs the fault-free execution exactly.
+// (Ulam Theorem 4, edit distance Theorem 9, on a near pair and a far one)
+// and the [20] HSS baseline — under randomized fault schedules and asserts
+// the paper's recovery claim: because every machine round is a pure
+// function of (seed, round, machine, inputs), crash replay reconstructs
+// the fault-free execution exactly.
 // Distances, chains, and every deterministic
 // model counter must be bit-identical to the fault-free run; only the
 // Failures/Retries bookkeeping may differ.
@@ -25,7 +27,7 @@ import (
 //	CHAOS_SEED       base seed for the randomized schedules (default 1)
 //	CHAOS_TRACE_OUT  write a Chrome trace with the injected fault events
 //	                 of one representative faulted run to this file
-const chaosSchedulesPerAlgo = 7 // x3 algorithms >= 20 randomized schedules
+const chaosSchedulesPerAlgo = 7 // x4 pipelines >= 20 randomized schedules
 
 // chaosAlgo is one full pipeline under test, closed over a fixed input.
 type chaosAlgo struct {
@@ -33,7 +35,7 @@ type chaosAlgo struct {
 	run  func(p MPCParams) (MPCResult, error)
 }
 
-// chaosInputs builds deterministic inputs and the three pipelines.
+// chaosInputs builds deterministic inputs and the four pipelines.
 func chaosInputs() []chaosAlgo {
 	rng := rand.New(rand.NewSource(171))
 
@@ -46,7 +48,8 @@ func chaosInputs() []chaosAlgo {
 		sbar[i], sbar[j] = sbar[j], sbar[i]
 	}
 
-	// Edit distance: byte pair with substitutions (both regimes reachable).
+	// Edit distance: byte pair with substitutions, which the small regime
+	// accepts (Lemma 6's two rounds per guess).
 	a := make([]byte, 260)
 	for i := range a {
 		a[i] = byte('a' + rng.Intn(4))
@@ -55,6 +58,11 @@ func chaosInputs() []chaosAlgo {
 	for k := 0; k < 12; k++ {
 		b[rng.Intn(len(b))] = byte('a' + rng.Intn(4))
 	}
+
+	// A far pair, DNA against a disjoint alphabet (ed = n = 64): it fails
+	// the small regime's last guess, 39, and accepts at the large guess 58,
+	// so Lemma 8's four rounds run under the faults too.
+	far, farBar := workload.DNA(rng, 64), workload.RandomString(rng, 64, 26)
 
 	return []chaosAlgo{
 		{"ulam-mpc", func(p MPCParams) (MPCResult, error) {
@@ -68,6 +76,10 @@ func chaosInputs() []chaosAlgo {
 		{"edit-hss", func(p MPCParams) (MPCResult, error) {
 			p.X = 0.3
 			return EditDistanceHSS(a, b, p)
+		}},
+		{"edit-mpc-far", func(p MPCParams) (MPCResult, error) {
+			p.X = 0.25
+			return EditDistanceMPC(far, farBar, p)
 		}},
 	}
 }
@@ -122,7 +134,7 @@ func chaosBaseSeed(t *testing.T) int64 {
 }
 
 // TestChaosRecoveryBitIdentical is the acceptance gate for the fault
-// layer: >= 20 randomized schedules across the three pipelines, every one
+// layer: >= 20 randomized schedules across the four pipelines, every one
 // recovering to the exact fault-free answer, with retries observed overall
 // (a chaos run that injects nothing proves nothing).
 func TestChaosRecoveryBitIdentical(t *testing.T) {
@@ -171,7 +183,7 @@ func TestChaosRecoveryBitIdentical(t *testing.T) {
 			totalFailures, totalRetries)
 	}
 	t.Logf("chaos: %d schedules, %d injected faults, %d recovery actions, all runs bit-identical",
-		3*chaosSchedulesPerAlgo, totalFailures, totalRetries)
+		len(algos)*chaosSchedulesPerAlgo, totalFailures, totalRetries)
 }
 
 // TestChaosTraceArtifact writes a Chrome trace of one representative

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"slices"
+	"sort"
 
 	"mpcdist/internal/cand"
 	"mpcdist/internal/chain"
@@ -15,16 +17,31 @@ import (
 // runs as steps. partitionLarge builds the guess's shared state; then each
 // round has an input builder and a machine program:
 //
-//	R1 "reps":   repsInputs, repsMachine (Algorithm 5)
+//	R1 "reps":   repsInputs, repsMachine (Algorithm 5, on the blocks)
 //	R2 "join":   joinInputs, joinMachine (Algorithm 6)
-//	R3 "extend": extendInputs, extendMachine (Algorithm 7)
+//	R3 "extend": extendInputs, extendMachine (Lemma 7's triangles, Algorithm 7)
 //	R4 "chain":  ChainRound with the overlap-tolerant DP of Section 5.2.3
+//
+// Round 1 prices every representative against every block. Round 2's
+// selectors send each block's closest representative to the driver, and
+// round 3 prices the chosen representatives against the windows their
+// blocks may use: the only representative-to-window distances a tuple
+// reads (DESIGN.md, "Known deviations").
 //
 // Simulator liberty (documented in DESIGN.md): string payloads for
 // machines whose work assignment only becomes known mid-computation
-// (extension and sparse-run machines) are injected by the driver at round
-// boundaries, standing in for distributed-storage reads; they count toward
-// the receiving machine's memory.
+// (window, extension and sparse-run machines) are injected by the driver
+// at round boundaries, standing in for distributed-storage reads; they
+// count toward the receiving machine's memory.
+
+// The extend round's fixed machine ids. The passthrough forwards the run
+// machines' direct tuples to the chain round. The join round sends the
+// selectors' choices and the extension requests to the sink, which the
+// driver empties to lay out the rest of the round.
+const (
+	passID     = 0
+	driverSink = 1
+)
 
 type largeBlock struct{ l, r int }
 
@@ -34,25 +51,20 @@ type distMsg struct{ Z, V, D int32 }
 // Words implements mpc.Payload.
 func (distMsg) Words() int { return 3 }
 
-// wdistMsg is a representative-to-window distance.
-type wdistMsg struct{ Z, U, D int32 }
-
-// Words implements mpc.Payload.
-func (wdistMsg) Words() int { return 3 }
-
-// selMsg tells a joiner that it hosts block V's best representative.
+// selMsg is a selector's choice: block V's closest representative Z, at
+// distance D.
 type selMsg struct{ V, Z, D int32 }
 
 // Words implements mpc.Payload.
 func (selMsg) Words() int { return 3 }
 
-// repBatch is an R1 input: a chunk of representatives and a chunk of nodes
-// with their string content.
+// repBatch is an R1 input: a chunk of representatives and a chunk of
+// blocks with their string content.
 type repBatch struct {
-	RepIDs  []int32
-	RepStr  [][]byte
-	NodeIDs []int32
-	NodeStr [][]byte
+	Reps     []int32 // indices into largeGuess.reps
+	RepStr   [][]byte
+	Blocks   []int32
+	BlockStr [][]byte
 	// RunRouting lists, for each block id, the R2 run-machine ids that
 	// need its representative distances.
 	RunRouting map[int32][]int32
@@ -60,11 +72,11 @@ type repBatch struct {
 
 // Words implements mpc.Payload.
 func (b *repBatch) Words() int {
-	w := 4 + len(b.RepIDs) + len(b.NodeIDs)
+	w := 4 + len(b.Reps) + len(b.Blocks)
 	for _, s := range b.RepStr {
 		w += (len(s)+7)/8 + 1
 	}
-	for _, s := range b.NodeStr {
+	for _, s := range b.BlockStr {
 		w += (len(s)+7)/8 + 1
 	}
 	for _, r := range b.RunRouting {
@@ -90,6 +102,22 @@ func (j *runJob) Words() int {
 	return 8 + 2*len(j.Wins) + (len(j.Block)+7)/8 + (len(j.Seg)+7)/8
 }
 
+// winJob is an R3 input: a selected representative, a run of consecutive
+// window starts, the segment of sbar covering the run's windows, and the
+// choices of the blocks that chose the representative.
+type winJob struct {
+	Rep         []byte
+	First, Last int // the run's start indices, inclusive
+	SegOff      int
+	Seg         []byte
+	Choices     []selMsg
+}
+
+// Words implements mpc.Payload.
+func (j *winJob) Words() int {
+	return 5 + 3*len(j.Choices) + (len(j.Rep)+7)/8 + (len(j.Seg)+7)/8
+}
+
 // extJob is an R3 input: one extension pair with injected string content.
 type extJob struct {
 	L, R, G, K int
@@ -100,16 +128,6 @@ type extJob struct {
 func (j *extJob) Words() int {
 	return 5 + (len(j.Block)+7)/8 + (len(j.Win)+7)/8
 }
-
-// joinState is a joiner's pass-through payload: its rep id and string plus
-// nothing else (its distances arrive as wdistMsg).
-type joinState struct {
-	Z     int32
-	Block bool // whether the rep is a block node
-}
-
-// Words implements mpc.Payload.
-func (joinState) Words() int { return 2 }
 
 // largeGuess is one guess's shared state, read by every round's input
 // builder and machine program. partitionLarge builds it; after that it is
@@ -127,22 +145,20 @@ type largeGuess struct {
 	blocks      []largeBlock
 	groupBlocks int // blocks per selector group
 	numGroups   int
-	wins        [][2]int  // candidate windows on the G' grid (Section 5.2.1)
-	wOfBlock    [][]int32 // window ids usable by each block
-	reps        []int32   // the representatives' node ids
-	repIndex    map[int32]int
+	wins        [][2]int // candidate windows on the G' grid (Section 5.2.1), by start
+	opens       []int    // start si opens the windows [opens[si], opens[si+1])
+	near        [][2]int // the starts [lo, hi) within g+B of each block
+	reps        []int32  // the representatives' node ids
 
 	taus   []int // the distance ladder of Algorithm 6, up to tauMax
 	tauMax int
 	p2     float64  // the low-degree presampling rate
 	coins  [][]bool // coins[block][tau]: the low-degree coins, flipped once
 
-	// Machine ids. R2: joiners [0, nR), selectors [selBase, runBase), run
-	// machines from runBase. R3: joiners [0, nR), the passthrough passID,
-	// extension machines from extBase.
-	selBase, runBase, passID, extBase int
-	runIDs                            map[int32][]int32     // each presampled block's run machines
-	runInputs                         map[int][]mpc.Payload // the run machines' jobs
+	// R2 machine ids: selectors [0, numGroups), run machines from
+	// numGroups.
+	runIDs    map[int32][]int32     // each presampled block's run machines
+	runInputs map[int][]mpc.Payload // the run machines' jobs
 }
 
 // editLarge runs the four-round large-distance algorithm for guess g.
@@ -192,9 +208,6 @@ func partitionLarge(cl *mpc.Cluster, s, sbar []byte, g int, p Params) *largeGues
 		lg.windows(fN, y)
 		lg.sampleReps(cl, fN)
 		lg.presample(cl, fN, y, yp)
-		nR := len(lg.reps)
-		lg.selBase, lg.runBase = nR, nR+lg.numGroups
-		lg.passID, lg.extBase = nR, nR+1
 		lg.layoutRuns()
 	})
 	return lg
@@ -205,28 +218,48 @@ func (lg *largeGuess) label(step func()) {
 	trace.LabelPhase(lg.p.Algo, trace.PhasePartition, "edit/large/partition", step)
 }
 
-// windows lays out the candidate windows on the G' grid (Section 5.2.1)
-// and gives each block those starting within g+B of it.
+// windows lays out the candidate windows on the G' grid (Section 5.2.1),
+// grouped by start, and gives each block the starts within g+B of it.
 func (lg *largeGuess) windows(fN, y float64) {
 	n, m := len(lg.s), len(lg.sbar)
 	grid := max(1, int(lg.epsP*float64(lg.g)/math.Pow(fN, y)))
-	seen := make(map[[2]int]bool)
 	for gamma := 0; gamma < m; gamma += grid {
-		for _, kappa := range cand.Ends(gamma, min(lg.bsz, n), m, lg.epsP, lg.maxWin, lg.g) {
-			if key := [2]int{gamma, kappa}; !seen[key] {
-				seen[key] = true
-				lg.wins = append(lg.wins, key)
-			}
+		ends := cand.Ends(gamma, min(lg.bsz, n), m, lg.epsP, lg.maxWin, lg.g)
+		if len(ends) == 0 {
+			continue
+		}
+		lg.opens = append(lg.opens, len(lg.wins))
+		for _, kappa := range ends {
+			lg.wins = append(lg.wins, [2]int{gamma, kappa})
 		}
 	}
-	lg.wOfBlock = make([][]int32, len(lg.blocks))
-	for wi, w := range lg.wins {
-		for bi, bl := range lg.blocks {
-			if abs(w[0]-bl.l) <= lg.g+lg.bsz {
-				lg.wOfBlock[bi] = append(lg.wOfBlock[bi], int32(wi))
-			}
+	lg.opens = append(lg.opens, len(lg.wins))
+	ns := len(lg.opens) - 1
+	startAt := func(si int) int { return lg.wins[lg.opens[si]][0] }
+	reach := lg.g + lg.bsz
+	lg.near = make([][2]int, len(lg.blocks))
+	for bi, bl := range lg.blocks {
+		lg.near[bi] = [2]int{
+			sort.Search(ns, func(si int) bool { return startAt(si) >= bl.l-reach }),
+			sort.Search(ns, func(si int) bool { return startAt(si) > bl.l+reach }),
 		}
 	}
+}
+
+// winsOf returns the window ids [lo, hi) that block bi may use.
+func (lg *largeGuess) winsOf(bi int) (int, int) {
+	return lg.opens[lg.near[bi][0]], lg.opens[lg.near[bi][1]]
+}
+
+// opened returns the windows that open at start si and the end of the
+// longest one: they are all prefixes of sbar[start..far].
+func (lg *largeGuess) opened(si int) ([][2]int, int) {
+	ws := lg.wins[lg.opens[si]:lg.opens[si+1]]
+	far := ws[0][1]
+	for _, w := range ws[1:] {
+		far = max(far, w[1])
+	}
+	return ws, far
 }
 
 // sampleReps draws the representatives at the rate p1 = 2 ln(T) / h,
@@ -239,10 +272,8 @@ func (lg *largeGuess) sampleReps(cl *mpc.Cluster, fN float64) {
 		p1 = 0.3
 	}
 	rng := cl.SharedRand(0, "reps")
-	lg.repIndex = make(map[int32]int)
 	for id := int32(0); id < int32(nT); id++ {
 		if rng.Float64() < p1 {
-			lg.repIndex[id] = len(lg.reps)
 			lg.reps = append(lg.reps, id)
 		}
 	}
@@ -280,19 +311,17 @@ func (lg *largeGuess) presample(cl *mpc.Cluster, fN, y, yp float64) {
 func (lg *largeGuess) layoutRuns() {
 	lg.runIDs = make(map[int32][]int32)
 	lg.runInputs = make(map[int][]mpc.Payload)
-	next := int32(lg.runBase)
+	next := int32(lg.numGroups)
 	perRun := max(1, (lg.budget/2)/max(1, (lg.bsz+lg.maxWin)/8+3))
 	for bi, bl := range lg.blocks {
-		ws := lg.wOfBlock[bi]
-		if len(ws) == 0 || !slices.Contains(lg.coins[bi], true) {
+		lo, hi := lg.winsOf(bi)
+		if lo == hi || !slices.Contains(lg.coins[bi], true) {
 			continue
 		}
-		for lo := 0; lo < len(ws); lo += perRun {
+		for at := lo; at < hi; at += perRun {
+			ivs := lg.wins[at:min(at+perRun, hi)]
 			segLo, segHi := len(lg.sbar), 0
-			var ivs [][2]int
-			for _, wi := range ws[lo:min(lo+perRun, len(ws))] {
-				w := lg.wins[wi]
-				ivs = append(ivs, w)
+			for _, w := range ivs {
 				segLo = min(segLo, w[0])
 				segHi = max(segHi, w[1])
 			}
@@ -324,28 +353,26 @@ func (lg *largeGuess) node(id int32) []byte {
 // the block and inserting the window never helps a chain.
 func (lg *largeGuess) dFilter(winLen int) int { return lg.bsz + winLen }
 
-// repsInputs builds the reps round's inputs: representatives × nodes in
+// repsInputs builds the reps round's inputs: representatives × blocks in
 // chunks bounded by both string residency (input side) and the
-// distance-message volume (output side, 3 words per pair).
+// distance-message volume (output side, 3 words per pair and receiver).
 func (lg *largeGuess) repsInputs() map[int][]mpc.Payload {
 	inputs := make(map[int][]mpc.Payload)
 	lg.label(func() {
-		nb, nR, nT := len(lg.blocks), len(lg.reps), len(lg.blocks)+len(lg.wins)
+		nb, nR := len(lg.blocks), len(lg.reps)
 		perChunk := max(1, (lg.budget/4)/max(1, lg.bsz/8+3))
 		perChunk = min(perChunk, max(1, int(math.Sqrt(float64(lg.budget)/8))))
 		for rlo := 0; rlo < nR; rlo += perChunk {
-			for nlo := 0; nlo < nT; nlo += perChunk {
+			for blo := 0; blo < nb; blo += perChunk {
 				batch := &repBatch{RunRouting: make(map[int32][]int32)}
-				for _, z := range lg.reps[rlo:min(rlo+perChunk, nR)] {
-					batch.RepIDs = append(batch.RepIDs, z)
-					batch.RepStr = append(batch.RepStr, lg.node(z))
+				for z := rlo; z < min(rlo+perChunk, nR); z++ {
+					batch.Reps = append(batch.Reps, int32(z))
+					batch.RepStr = append(batch.RepStr, lg.node(lg.reps[z]))
 				}
-				for v := nlo; v < min(nlo+perChunk, nT); v++ {
-					batch.NodeIDs = append(batch.NodeIDs, int32(v))
-					batch.NodeStr = append(batch.NodeStr, lg.node(int32(v)))
-					if v < nb {
-						batch.RunRouting[int32(v)] = lg.runIDs[int32(v)]
-					}
+				for v := blo; v < min(blo+perChunk, nb); v++ {
+					batch.Blocks = append(batch.Blocks, int32(v))
+					batch.BlockStr = append(batch.BlockStr, lg.node(int32(v)))
+					batch.RunRouting[int32(v)] = lg.runIDs[int32(v)]
 				}
 				inputs[len(inputs)] = []mpc.Payload{batch}
 			}
@@ -354,25 +381,18 @@ func (lg *largeGuess) repsInputs() map[int][]mpc.Payload {
 	return inputs
 }
 
-// repsMachine is the reps round's program (Algorithm 5): exact distances
-// from representatives to nodes. A block distance goes to the block's
-// selector and run machines, a window distance to the rep's joiner.
+// repsMachine is the reps round's program (Algorithm 5, on the blocks):
+// exact distances from representatives to blocks, each sent to the
+// block's selector and run machines.
 func (lg *largeGuess) repsMachine(x *mpc.Ctx, in []mpc.Payload) {
-	nb := int32(len(lg.blocks))
 	for _, pl := range in {
 		b := pl.(*repBatch)
-		for zi, z := range b.RepIDs {
-			ji := int32(lg.repIndex[z])
-			for vi, v := range b.NodeIDs {
-				d := int32(editdist.Myers(b.RepStr[zi], b.NodeStr[vi], x.Counter()))
-				if v < nb {
-					msg := distMsg{Z: ji, V: v, D: d}
-					x.Send(lg.selBase+int(v)/lg.groupBlocks, msg)
-					for _, rid := range b.RunRouting[v] {
-						x.Send(int(rid), msg)
-					}
-				} else {
-					x.Send(int(ji), wdistMsg{Z: ji, U: v - nb, D: d})
+		for zi, z := range b.Reps {
+			for vi, v := range b.Blocks {
+				msg := distMsg{Z: z, V: v, D: int32(editdist.Myers(b.RepStr[zi], b.BlockStr[vi], x.Counter()))}
+				x.Send(int(v)/lg.groupBlocks, msg)
+				for _, rid := range b.RunRouting[v] {
+					x.Send(int(rid), msg)
 				}
 			}
 		}
@@ -380,56 +400,45 @@ func (lg *largeGuess) repsMachine(x *mpc.Ctx, in []mpc.Payload) {
 }
 
 // joinInputs turns the reps round's output into the join round's inputs:
-// it adds each joiner's state, the run jobs, and an empty input for every
-// selector that no distance reached.
+// it adds the run jobs.
 func (lg *largeGuess) joinInputs(in map[int][]mpc.Payload) map[int][]mpc.Payload {
 	lg.label(func() {
-		for i, z := range lg.reps {
-			in[i] = append(in[i], joinState{Z: int32(i), Block: int(z) < len(lg.blocks)})
-		}
 		for dst, pls := range lg.runInputs {
 			in[dst] = append(in[dst], pls...)
-		}
-		for id := lg.selBase; id < lg.runBase; id++ {
-			if _, ok := in[id]; !ok {
-				in[id] = []mpc.Payload{}
-			}
 		}
 	})
 	return in
 }
 
-// joinMachine is the join round's program (Algorithm 6). Joiners pass
-// their window distances and state on to themselves, selectors pick each
-// block's best representative, and run machines take low-degree blocks.
+// joinMachine is the join round's program (Algorithm 6). Selectors pick
+// each block's closest representative, and run machines take low-degree
+// blocks.
 func (lg *largeGuess) joinMachine(x *mpc.Ctx, in []mpc.Payload) {
-	switch {
-	case x.Machine < len(lg.reps):
-		for _, pl := range in {
-			switch pl.(type) {
-			case wdistMsg, joinState:
-				x.Send(x.Machine, pl)
-			}
-		}
-	case x.Machine < lg.runBase:
-		// Selector: the best representative of each block of its group,
-		// sent to that representative's joiner (the N_tau(z) x N_2tau(z)
-		// join of Lemma 7).
-		best := make(map[int32]distMsg)
-		for _, pl := range in {
-			if msg, ok := pl.(distMsg); ok {
-				cur, seen := best[msg.V]
-				if !seen || msg.D < cur.D {
-					best[msg.V] = msg
-				}
-				x.Ops(1)
-			}
-		}
-		for _, msg := range best {
-			x.Send(int(msg.Z), selMsg{V: msg.V, Z: msg.Z, D: msg.D})
-		}
-	default:
+	if x.Machine >= lg.numGroups {
 		lg.runMachine(x, in)
+		return
+	}
+	// Selector: the closest representative of each block of its group, the
+	// lower index on a tie (the N_tau(z) x N_2tau(z) join of Lemma 7), sent
+	// to the driver in block order.
+	g0 := x.Machine * lg.groupBlocks
+	best := make([]selMsg, min(lg.groupBlocks, len(lg.blocks)-g0))
+	for i := range best {
+		best[i] = selMsg{V: int32(g0 + i), Z: -1}
+	}
+	for _, pl := range in {
+		if msg, ok := pl.(distMsg); ok {
+			b := &best[int(msg.V)-g0]
+			if b.Z < 0 || msg.D < b.D || msg.D == b.D && msg.Z < b.Z {
+				b.Z, b.D = msg.Z, msg.D
+			}
+			x.Ops(1)
+		}
+	}
+	for _, b := range best {
+		if b.Z >= 0 {
+			x.Send(driverSink, b)
+		}
 	}
 }
 
@@ -478,7 +487,7 @@ func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 				continue
 			}
 			if d <= lg.dFilter(w[1]-w[0]+1) {
-				x.Send(lg.passID, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: w[0], K: w[1], D: d}))
+				x.Send(passID, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: w[0], K: w[1], D: d}))
 			}
 			for bj := g0; bj < g1; bj++ {
 				if bj == int(job.V) {
@@ -495,106 +504,167 @@ func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 					continue
 				}
 				sentExt[req] = true
-				x.Send(lg.extBase, mpc.Ints{req[0], req[1], req[2], req[3]})
+				x.Send(driverSink, mpc.Ints{req[0], req[1], req[2], req[3]})
 			}
 		}
 	}
 }
 
-// extendInputs turns the join round's output into the extend round's
-// inputs. The extension requests (sent to the extBase sentinel) are
-// deduplicated and packed onto extension machines with their strings
-// injected (a distributed-storage read).
+// extendInputs lays out the extend round from the join round's output.
+// The passthrough keeps the run machines' direct tuples. The driver
+// empties the sink: the selectors' choices become window machines
+// (layoutWins), and the deduplicated extension requests are packed onto
+// extension machines with their strings injected (a distributed-storage
+// read).
 func (lg *largeGuess) extendInputs(in map[int][]mpc.Payload) map[int][]mpc.Payload {
 	lg.label(func() {
-		reqs := in[lg.extBase]
-		delete(in, lg.extBase)
+		var choices []selMsg
+		var reqs []mpc.Ints
+		for _, pl := range in[driverSink] {
+			switch v := pl.(type) {
+			case selMsg:
+				choices = append(choices, v)
+			case mpc.Ints:
+				reqs = append(reqs, v)
+			}
+		}
+		delete(in, driverSink)
+		// The sink's id is free again once its payloads are read.
+		next := lg.layoutWins(choices, in, driverSink)
 		seen := make(map[[4]int]bool)
 		perExt := max(1, (lg.budget/2)/max(1, (lg.bsz+lg.maxWin)/8+8))
-		extID, cnt := lg.extBase, 0
-		for _, pl := range reqs {
-			r := pl.(mpc.Ints)
+		cnt := 0
+		for _, r := range reqs {
 			rq := [4]int{r[0], r[1], r[2], r[3]}
 			if seen[rq] {
 				continue
 			}
 			seen[rq] = true
-			in[extID] = append(in[extID], &extJob{
+			in[next] = append(in[next], &extJob{
 				L: r[0], R: r[1], G: r[2], K: r[3],
 				Block: lg.s[r[0] : r[1]+1],
 				Win:   lg.sbar[r[2] : r[3]+1],
 			})
 			if cnt++; cnt%perExt == 0 {
-				extID++
+				next++
 			}
-		}
-		if _, ok := in[lg.passID]; !ok {
-			in[lg.passID] = []mpc.Payload{}
 		}
 	})
 	return in
 }
 
-// extendMachine is the extend round's program. Joiners emit the triangle
-// tuples (d(z,v)+d(z,u) <= 3·tau), the passthrough forwards the direct
-// tuples, and extension machines price their pairs exactly (Algorithm 7).
+// layoutWins gives the selectors' choices window machines, from machine
+// id next on, and returns the next free id: the runs of each selected
+// representative in index order (repRuns), one machine each.
+func (lg *largeGuess) layoutWins(choices []selMsg, in map[int][]mpc.Payload, next int) int {
+	slices.SortFunc(choices, func(a, b selMsg) int {
+		return cmp.Or(cmp.Compare(a.Z, b.Z), cmp.Compare(a.V, b.V))
+	})
+	for lo, hi := 0, 0; lo < len(choices); lo = hi {
+		for hi = lo + 1; hi < len(choices) && choices[hi].Z == choices[lo].Z; hi++ {
+		}
+		for _, job := range lg.repRuns(choices[lo:hi]) {
+			in[next] = []mpc.Payload{job}
+			next++
+		}
+	}
+	return next
+}
+
+// repRuns cuts the starts that the blocks choosing one representative may
+// use into runs of consecutive starts, sized to the budget the way
+// layoutRuns sizes run machines: a run ends before a start no choice uses,
+// or before the start that would take the machine's input or its output
+// (at most one 5-word tuple per window and choice) past half the budget.
+// Every run's job carries all the representative's choices.
+func (lg *largeGuess) repRuns(zs []selMsg) []*winJob {
+	ns := len(lg.opens) - 1
+	uses := make([]int, ns+1) // differences of the number of choices using each start
+	for _, c := range zs {
+		uses[lg.near[c.V][0]]++
+		uses[lg.near[c.V][1]]--
+	}
+	rep := lg.node(lg.reps[zs[0].Z])
+	fixed := (&winJob{Rep: rep, Choices: zs}).Words() // all but the segment's words
+	half := lg.budget / 2
+	var jobs []*winJob
+	var cur *winJob
+	k, far, out := 0, 0, 0
+	for si := 0; si < ns; si++ {
+		if k += uses[si]; k == 0 {
+			cur = nil
+			continue
+		}
+		ws, end := lg.opened(si)
+		more := 5 * k * len(ws)
+		if cur != nil && (fixed+(max(far, end)-cur.SegOff+8)/8 > half || out+more > half) {
+			cur = nil
+		}
+		if cur == nil {
+			cur = &winJob{Rep: rep, First: si, SegOff: ws[0][0], Choices: zs}
+			jobs = append(jobs, cur)
+			far, out = 0, 0
+		}
+		cur.Last = si
+		far, out = max(far, end), out+more
+		cur.Seg = lg.sbar[cur.SegOff : far+1]
+	}
+	return jobs
+}
+
+// extendMachine is the extend round's program. The passthrough forwards
+// the direct tuples, window machines emit the triangle tuples, and
+// extension machines price their pairs exactly (Algorithm 7).
 func (lg *largeGuess) extendMachine(x *mpc.Ctx, in []mpc.Payload) {
-	switch {
-	case x.Machine < len(lg.reps):
-		var sels []selMsg
-		wd := make(map[int32]int32)
-		for _, pl := range in {
-			switch msg := pl.(type) {
-			case selMsg:
-				sels = append(sels, msg)
-			case wdistMsg:
-				wd[msg.U] = msg.D
-			}
-		}
-		for _, sel := range sels {
-			bl := lg.blocks[sel.V]
-			dzv := int(sel.D)
-			for _, wi := range lg.wOfBlock[sel.V] {
-				dzu, ok := wd[wi]
-				if !ok {
-					continue
-				}
-				// Lemma 7 ladder test: exists tau in the ladder with
-				// d(z,v) <= tau and d(z,u) <= 2 tau.
-				need := max(dzv, int(dzu+1)/2)
-				if need > lg.tauMax {
-					continue
-				}
-				w := lg.wins[wi]
-				d := dzv + int(dzu)
-				if d > lg.dFilter(w[1]-w[0]+1) {
-					continue
-				}
-				SendTuple(x, chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
-				x.Ops(1)
-			}
-		}
-	case x.Machine == lg.passID:
-		for _, pl := range in {
-			if t, ok := pl.(tupleMsg); ok {
-				x.Send(collector, t)
-			}
-		}
-	default:
-		for _, pl := range in {
-			if job, ok := pl.(*extJob); ok {
-				d := editdist.Myers(job.Block, job.Win, x.Counter())
-				if d <= lg.dFilter(job.K-job.G+1) {
-					SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: job.G, K: job.K, D: d})
-				}
+	for _, pl := range in {
+		switch job := pl.(type) {
+		case tupleMsg:
+			x.Send(collector, job)
+		case *winJob:
+			lg.triangles(x, job)
+		case *extJob:
+			d := editdist.Myers(job.Block, job.Win, x.Counter())
+			if d <= lg.dFilter(job.K-job.G+1) {
+				SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: job.G, K: job.K, D: d})
 			}
 		}
 	}
 }
 
-func abs(v int) int {
-	if v < 0 {
-		return -v
+// triangles is a window machine: it prices its representative z against
+// its run's windows, one MyersMulti pass per start, and emits the
+// triangle tuple d(z,v)+d(z,u) of Lemma 7 for every window u that a
+// choosing block v may use.
+func (lg *largeGuess) triangles(x *mpc.Ctx, job *winJob) {
+	lo, hi := lg.opens[job.First], lg.opens[job.Last+1]
+	dz := make([]int, 0, hi-lo) // d(z, u) for the windows u in [lo, hi)
+	var ends []int
+	for si := job.First; si <= job.Last; si++ {
+		ws, far := lg.opened(si)
+		gamma := ws[0][0]
+		ends = ends[:0]
+		for _, w := range ws {
+			ends = append(ends, w[1]-gamma+1)
+		}
+		dz = append(dz, editdist.MyersMulti(job.Rep, job.Seg[gamma-job.SegOff:far-job.SegOff+1], ends, x.Counter())...)
 	}
-	return v
+	for _, c := range job.Choices {
+		bl, dzv := lg.blocks[c.V], int(c.D)
+		wlo, whi := lg.winsOf(int(c.V))
+		for wi := max(wlo, lo); wi < min(whi, hi); wi++ {
+			// Lemma 7 ladder test: exists tau in the ladder with
+			// d(z,v) <= tau and d(z,u) <= 2 tau.
+			dzu := dz[wi-lo]
+			if max(dzv, (dzu+1)/2) > lg.tauMax {
+				continue
+			}
+			w := lg.wins[wi]
+			d := dzv + dzu
+			if d > lg.dFilter(w[1]-w[0]+1) {
+				continue
+			}
+			SendTuple(x, chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
+			x.Ops(1)
+		}
+	}
 }

@@ -243,3 +243,10 @@ func TestLowDegreeExtension(t *testing.T) {
 		}
 	}
 }
+
+func abs(v int) int {
+	if v < 0 {
+		return -v
+	}
+	return v
+}

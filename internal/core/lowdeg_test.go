@@ -30,7 +30,7 @@ func TestLowDegreeCoinsDriveRunMachines(t *testing.T) {
 	for bi := range lg.blocks {
 		if slices.Contains(lg.coins[bi], true) {
 			up = append(up, bi)
-			if len(lg.wOfBlock[bi]) > 0 && len(lg.runIDs[int32(bi)]) == 0 {
+			if lo, hi := lg.winsOf(bi); hi > lo && len(lg.runIDs[int32(bi)]) == 0 {
 				t.Errorf("block %d has a coin up but no run machine", bi)
 			}
 		} else {
@@ -57,7 +57,7 @@ func TestLowDegreeCoinsDriveRunMachines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return len(out[lg.passID])
+		return len(out[passID])
 	}
 	if got := tuples(); got != 0 {
 		t.Errorf("all coins down: %d tuples, want 0", got)

@@ -31,8 +31,9 @@ func TestExtensionRoundActive(t *testing.T) {
 	if ext.TotalOps == 0 || ext.CommWords == 0 {
 		t.Errorf("extension round idle: ops=%d comm=%d", ext.TotalOps, ext.CommWords)
 	}
-	// Join round must have produced both dense joins and extension
-	// requests (its machines outnumber the rep round's chunks).
+	// The join round must have run the selectors and the sparse run
+	// machines that request extensions (its machines outnumber the reps
+	// round's chunks).
 	if res.Report.Rounds[1].Machines <= res.Report.Rounds[0].Machines {
 		t.Errorf("join round machines %d <= reps round %d",
 			res.Report.Rounds[1].Machines, res.Report.Rounds[0].Machines)

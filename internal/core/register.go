@@ -13,10 +13,9 @@ func init() {
 	mpc.RegisterPayload("core.chainMsg", chainMsg{})
 	mpc.RegisterPayload("core.editJob", (*editJob)(nil))
 	mpc.RegisterPayload("core.distMsg", distMsg{})
-	mpc.RegisterPayload("core.wdistMsg", wdistMsg{})
 	mpc.RegisterPayload("core.selMsg", selMsg{})
 	mpc.RegisterPayload("core.repBatch", (*repBatch)(nil))
 	mpc.RegisterPayload("core.runJob", (*runJob)(nil))
 	mpc.RegisterPayload("core.extJob", (*extJob)(nil))
-	mpc.RegisterPayload("core.joinState", joinState{})
+	mpc.RegisterPayload("core.winJob", (*winJob)(nil))
 }

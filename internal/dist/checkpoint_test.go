@@ -32,11 +32,28 @@ func tearManifest(t *testing.T, store *checkpoint.Store, digest string) {
 // so the workers' transport sequence numbers stay aligned; any skew here
 // fails loudly, not subtly. Finally the store format is checked to be one
 // across transports: each side fast-forwards what the other wrote.
+//
+// It runs on the cheapest pipeline, ulam-mpc, resuming its first round,
+// and on the far edit-mpc job, resuming every step up to the large
+// regime's join round, so that the extend round is laid out from the
+// join round's output as read back from the store.
 func TestTCPCheckpointResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
 	}
-	job := parityJobs()[0] // ulam-mpc: two rounds, cheapest pipeline
+	for _, c := range []struct {
+		name string
+		job  Job
+		keep func(steps int) int // the steps the truncated manifest keeps
+	}{
+		{"ulam-mpc", parityJobs()[0], func(int) int { return 1 }},
+		{"edit-mpc-far", farJob(), func(steps int) int { return steps - 2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) { checkpointResume(t, c.name, c.job, c.keep) })
+	}
+}
+
+func checkpointResume(t *testing.T, name string, job Job, keepOf func(steps int) int) {
 	local, lerr := runLocal(job)
 	if lerr != nil {
 		t.Fatal(lerr)
@@ -58,7 +75,7 @@ func TestTCPCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	distr, derr := sess.Run(job)
-	checkParity(t, "ulam-mpc/checkpointed", local, lerr, distr, derr)
+	checkParity(t, name+"/checkpointed", local, lerr, distr, derr)
 	cs := sess.CheckpointStatus()
 	if cs == nil || cs.Saves == 0 || cs.Job != digest {
 		t.Fatalf("checkpoint status after first run: %+v", cs)
@@ -74,21 +91,22 @@ func TestTCPCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	distr2, derr2 := sess2.Run(job)
-	checkParity(t, "ulam-mpc/full-resume", local, lerr, distr2, derr2)
+	checkParity(t, name+"/full-resume", local, lerr, distr2, derr2)
 	cs2 := sess2.CheckpointStatus()
 	if cs2 == nil || cs2.Resumed != steps || cs2.Saves != 0 {
 		t.Fatalf("full resume status: %+v, want %d resumed / 0 saves", cs2, steps)
 	}
 	sess2.Close()
 
-	// Truncate the manifest to its first step — the durable state a
-	// coordinator killed right after the first flush would leave — and
-	// resume: one round fast-forwards, the rest run live on the cluster.
+	// Truncate the manifest to a prefix of its steps — the durable state a
+	// coordinator killed right after that flush would leave — and resume:
+	// the prefix fast-forwards, the rest runs live on the cluster.
 	man, err := store.Manifest(digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	man.Steps = man.Steps[:1]
+	keep := keepOf(steps)
+	man.Steps = man.Steps[:keep]
 	if err := store.WriteManifest(man); err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +118,10 @@ func TestTCPCheckpointResume(t *testing.T) {
 	}
 	defer sess3.Close()
 	distr3, derr3 := sess3.Run(job)
-	checkParity(t, "ulam-mpc/partial-resume", local, lerr, distr3, derr3)
+	checkParity(t, name+"/partial-resume", local, lerr, distr3, derr3)
 	cs3 := sess3.CheckpointStatus()
-	if cs3 == nil || cs3.Resumed != 1 || cs3.Saves != steps-1 {
-		t.Fatalf("partial resume status: %+v, want 1 resumed / %d saves", cs3, steps-1)
+	if cs3 == nil || cs3.Resumed != keep || cs3.Saves != steps-keep {
+		t.Fatalf("partial resume status: %+v, want %d resumed / %d saves", cs3, keep, steps-keep)
 	}
 	// The re-saved suffix must reconstruct the identical manifest: same
 	// step count, same content-addressed blobs.
@@ -125,7 +143,7 @@ func TestTCPCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	inproc, ierr := job.Run(core.Params{}, saver)
-	checkParity(t, "ulam-mpc/session-store-in-process", local, lerr, inproc, ierr)
+	checkParity(t, name+"/session-store-in-process", local, lerr, inproc, ierr)
 	if st := saver.Status(); st.Resumed != steps || st.Saves != 0 {
 		t.Fatalf("in-process resume of a session store: %+v, want %d resumed / 0 saves", st, steps)
 	}
@@ -140,12 +158,12 @@ func TestTCPCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	inproc, ierr = job.Run(core.Params{}, saver)
-	checkParity(t, "ulam-mpc/in-process-checkpointed", local, lerr, inproc, ierr)
+	checkParity(t, name+"/in-process-checkpointed", local, lerr, inproc, ierr)
 	if saver, err = job.OpenSaver(store2, checkpoint.SaverOptions{Resume: true}); err != nil {
 		t.Fatal(err)
 	}
 	distr4, derr4 := sess3.RunSaved(job, saver)
-	checkParity(t, "ulam-mpc/in-process-store-on-session", local, lerr, distr4, derr4)
+	checkParity(t, name+"/in-process-store-on-session", local, lerr, distr4, derr4)
 	if cs4 := sess3.CheckpointStatus(); cs4 == nil || cs4.Job != digest || cs4.Resumed != steps || cs4.Saves != 0 {
 		t.Fatalf("session resume of an in-process store: %+v, want %d resumed / 0 saves", cs4, steps)
 	}
@@ -211,17 +229,20 @@ func TestTCPCheckpointTornStateFails(t *testing.T) {
 
 // TestRegisteredNamesPinned pins the payload codec's name table. A
 // checkpoint blob stores each payload's type id, which is the index of its
-// name in this sorted table, so a name added before an existing one shifts
-// that one's id, and a store written earlier would decode its payloads as
-// other types (core.tupleMsg and core.chainMsg even share a shape). A new
-// registration must sort after every name here, or change the checkpoint
+// name in this sorted table, so a name added or removed before an existing
+// one shifts that one's id, and a store written earlier would decode its
+// payloads as other types (core.tupleMsg and core.chainMsg even share a
+// shape). A store is keyed by its job's SpecDigest, which encodes the
+// dist.Job type id too: a change that moves dist.Job's id moves every
+// digest, so no earlier store is found, and one that moves other ids but
+// not dist.Job's must sort after every name here or change the checkpoint
 // format's version.
 func TestRegisteredNamesPinned(t *testing.T) {
 	want := []string{
 		"baseline.lcsJob", "baseline.pairJob", "ckpt.State", "ckpt.Step",
-		"core.chainMsg", "core.distMsg", "core.editJob", "core.extJob", "core.joinState",
+		"core.chainMsg", "core.distMsg", "core.editJob", "core.extJob",
 		"core.repBatch", "core.runJob", "core.selMsg", "core.tupleMsg", "core.ulamJob",
-		"core.valueMsg", "core.wdistMsg", "dist.Job", "dist.resultDigest",
+		"core.valueMsg", "core.winJob", "dist.Job", "dist.resultDigest",
 		"mpc.Bytes", "mpc.Int", "mpc.Ints",
 	}
 	if got := transport.RegisteredNames(); !reflect.DeepEqual(got, want) {

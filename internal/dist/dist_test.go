@@ -13,6 +13,7 @@ import (
 	"mpcdist/internal/netchaos"
 	"mpcdist/internal/trace"
 	"mpcdist/internal/transport"
+	"mpcdist/internal/workload"
 )
 
 // TestMain lets the test binary serve as its own worker processes: a
@@ -25,6 +26,10 @@ func TestMain(m *testing.M) {
 
 // parityJobs builds one job per MPC pipeline over deterministic inputs
 // sized so the full suite stays test-budget fast but every phase runs.
+// The planted-substitution edit pair accepts in the small regime; the far
+// pair (DNA against a disjoint alphabet, ed = n = 64) fails the small
+// regime's last guess, 39, and accepts at the large guess 58, so the
+// large regime's four rounds run too.
 func parityJobs() []Job {
 	rng := rand.New(rand.NewSource(171))
 
@@ -45,12 +50,19 @@ func parityJobs() []Job {
 		b[rng.Intn(len(b))] = byte('a' + rng.Intn(4))
 	}
 
+	far, farBar := workload.DNA(rng, 64), workload.RandomString(rng, 64, 26)
+
 	return []Job{
 		{Algo: AlgoUlamMPC, Seed: 7, X: 0.3, P: p, Q: q},
 		{Algo: AlgoEditMPC, Seed: 7, X: 0.25, S: a, T: b},
 		{Algo: AlgoEditHSS, Seed: 7, X: 0.3, S: a, T: b},
+		{Algo: AlgoEditMPC, Seed: 7, X: 0.25, S: far, T: farBar},
 	}
 }
+
+// farJob is parityJobs' far edit-distance job, the one that reaches the
+// large regime.
+func farJob() Job { return parityJobs()[3] }
 
 // withFaults returns the job with a fixed injected-fault schedule. The
 // rates match the root chaos suite's ranges; recovery is exact, so the
@@ -112,7 +124,7 @@ func checkParity(t *testing.T, name string, local core.Result, lerr error, distr
 // MPC pipeline, with and without injected faults, the distance, the
 // chain, and every deterministic model counter must be bit-identical
 // between the in-process transport and a real TCP session — one session,
-// reused across all six jobs.
+// reused across all eight jobs.
 func TestTCPParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")

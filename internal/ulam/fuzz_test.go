@@ -58,40 +58,61 @@ func distinctSeq(data []byte, maxLen int) []int {
 // quadratic DP. The sibling target below only verifies that the reported
 // window attains the reported value; this one verifies minimality.
 func FuzzLocalMinimalOverWindows(f *testing.F) {
+	addLocalSeeds(f)
+	f.Fuzz(checkLocalMinimal)
+}
+
+// FuzzLocalMinimalOverWindowsCDQ is FuzzLocalMinimalOverWindows with
+// QuadCutoff 0, so that Local and Script run the CDQ DP: its blocks of at
+// most 8 characters give at most 10 DP points, which the default cutoff
+// hands to the quadratic DP. It fuzzes the local sentinel diagonals and
+// the parent links set across merges, which localWindow reads.
+func FuzzLocalMinimalOverWindowsCDQ(f *testing.F) {
+	addLocalSeeds(f)
+	f.Fuzz(func(t *testing.T, rawBlock, rawSbar []byte) {
+		old := QuadCutoff
+		QuadCutoff = 0
+		defer func() { QuadCutoff = old }()
+		checkLocalMinimal(t, rawBlock, rawSbar)
+	})
+}
+
+func addLocalSeeds(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, []byte{9, 3, 1, 2, 4})
 	f.Add([]byte("cab"), []byte("abcdefg"))
 	f.Add([]byte{7, 6, 5, 4}, []byte{4, 5, 6, 7})
 	f.Add([]byte{1}, []byte{})
-	f.Fuzz(func(t *testing.T, rawBlock, rawSbar []byte) {
-		block := distinctSeq(rawBlock, 8)
-		sbar := distinctSeq(rawSbar, 20)
-		if len(block) == 0 {
-			return
-		}
-		got, win := Local(block, sbar, nil)
-		want := len(block) // the empty window
-		for g := 0; g < len(sbar); g++ {
-			for k := g; k < len(sbar); k++ {
-				if d := ExactQuadratic(block, sbar[g:k+1], nil); d < want {
-					want = d
-				}
+}
+
+func checkLocalMinimal(t *testing.T, rawBlock, rawSbar []byte) {
+	block := distinctSeq(rawBlock, 8)
+	sbar := distinctSeq(rawSbar, 20)
+	if len(block) == 0 {
+		return
+	}
+	got, win := Local(block, sbar, nil)
+	want := len(block) // the empty window
+	for g := 0; g < len(sbar); g++ {
+		for k := g; k < len(sbar); k++ {
+			if d := ExactQuadratic(block, sbar[g:k+1], nil); d < want {
+				want = d
 			}
 		}
-		if got != want {
-			t.Fatalf("Local = %d, brute-force minimum = %d (block=%v sbar=%v)", got, want, block, sbar)
+	}
+	if got != want {
+		t.Fatalf("Local = %d, brute-force minimum = %d (block=%v sbar=%v)", got, want, block, sbar)
+	}
+	if win.Len() > 0 {
+		if d := ExactQuadratic(block, sbar[win.Gamma:win.Kappa+1], nil); d != got {
+			t.Fatalf("reported window [%d,%d] costs %d, not the reported %d", win.Gamma, win.Kappa, d, got)
 		}
-		if win.Len() > 0 {
-			if d := ExactQuadratic(block, sbar[win.Gamma:win.Kappa+1], nil); d != got {
-				t.Fatalf("reported window [%d,%d] costs %d, not the reported %d", win.Gamma, win.Kappa, d, got)
-			}
-		} else if got != len(block) {
-			t.Fatalf("empty window reported but Local = %d != |block| = %d", got, len(block))
-		}
-		// Script on the same pair must cost exactly the DP distance.
-		if script := Script(block, sbar, nil); editdist.Cost(script) != ExactQuadratic(block, sbar, nil) {
-			t.Fatalf("Script cost %d != DP distance %d", editdist.Cost(script), ExactQuadratic(block, sbar, nil))
-		}
-	})
+	} else if got != len(block) {
+		t.Fatalf("empty window reported but Local = %d != |block| = %d", got, len(block))
+	}
+	// Script on the same pair must cost exactly the DP distance.
+	if script := Script(block, sbar, nil); editdist.Cost(script) != ExactQuadratic(block, sbar, nil) {
+		t.Fatalf("Script cost %d != DP distance %d", editdist.Cost(script), ExactQuadratic(block, sbar, nil))
+	}
 }
 
 func FuzzUlamAgreesWithEditDistance(f *testing.F) {

@@ -18,13 +18,15 @@ type Pair struct {
 }
 
 // PairsOf lists the (block position, sbar position) pairs for characters of
-// block that occur in sbar, ordered by increasing P.
+// block that occur in sbar, ordered by increasing P. Neither sequence
+// repeats a character, so there are at most min(len(block), len(sbar))
+// pairs, and the slice is allocated once at that size.
 func PairsOf(block, sbar []int) []Pair {
 	pos := make(map[int]int, len(sbar))
 	for q, v := range sbar {
 		pos[v] = q
 	}
-	var out []Pair
+	out := make([]Pair, 0, min(len(block), len(sbar)))
 	for p, v := range block {
 		if q, ok := pos[v]; ok {
 			out = append(out, Pair{P: p, Q: q})
