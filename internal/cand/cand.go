@@ -15,7 +15,10 @@
 // trace.Phase (PhaseCandidates, or PhaseGraph in the large regime).
 package cand
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Starts returns the candidate starting points (0-based) for a block whose
 // offset in s is l: every index in [l-delta, l+delta] ∩ [0, m-1] divisible
@@ -63,17 +66,9 @@ func Ends(gamma, blockLen, m int, eps float64, maxLen, deltaCap int) []int {
 		maxLen = 1
 	}
 	kappa := gamma + blockLen - 1
-	seen := make(map[int]bool)
 	var out []int
 	add := func(e int) {
-		if e < gamma || e > m-1 {
-			return
-		}
-		if e-gamma+1 > maxLen {
-			return
-		}
-		if !seen[e] {
-			seen[e] = true
+		if e >= gamma && e <= m-1 && e-gamma+1 <= maxLen {
 			out = append(out, e)
 		}
 	}
@@ -105,7 +100,10 @@ func Ends(gamma, blockLen, m int, eps float64, maxLen, deltaCap int) []int {
 	// Always offer the smallest window (length 1) so very short optima are
 	// reachable; lengths beyond blockLen + deltaCap are unreachable when
 	// the distance guess holds (Fig. 5's "neglect ending points beyond
-	// kappa + n^delta").
-	add(gamma)
+	// kappa + n^delta"). The ladder's offsets strictly increase, so kappa
+	// and kappa ± off never repeat; only gamma can be one of them.
+	if !slices.Contains(out, gamma) {
+		add(gamma)
+	}
 	return out
 }

@@ -26,7 +26,9 @@ import (
 // selectors send each block's closest representative to the driver, and
 // round 3 prices the chosen representatives against the windows their
 // blocks may use: the only representative-to-window distances a tuple
-// reads (DESIGN.md, "Known deviations").
+// reads (DESIGN.md, "Known deviations"). Round 2's run machines and
+// round 3's window machines each take a run of consecutive window starts:
+// cut lays both out, and price prices a string against a run's windows.
 //
 // Simulator liberty (documented in DESIGN.md): string payloads for
 // machines whose work assignment only becomes known mid-computation
@@ -85,37 +87,39 @@ func (b *repBatch) Words() int {
 	return w
 }
 
-// runJob is an R2 input for a presampled (possibly sparse) block: the block
-// string, a run of its candidate windows, and the segment covering them.
+// startRun is one machine's share of the window starts: the starts
+// [First, Last] and the segment of sbar at SegOff covering their windows.
+type startRun struct {
+	First, Last int // start indices, inclusive
+	SegOff      int
+	Seg         []byte
+}
+
+// words is the run's share of a job's words.
+func (r startRun) words() int { return 3 + (len(r.Seg)+7)/8 }
+
+// runJob is an R2 input for a presampled (possibly sparse) block V: the
+// block string and a run of the starts within reach of it.
 type runJob struct {
-	V      int32 // block id
-	L, R   int
-	Block  []byte
-	SegOff int
-	Seg    []byte
-	Wins   [][2]int // absolute window intervals within the segment
-	Group  int      // group index, for extensions
+	V     int32 // block id
+	Block []byte
+	Run   startRun
 }
 
 // Words implements mpc.Payload.
-func (j *runJob) Words() int {
-	return 8 + 2*len(j.Wins) + (len(j.Block)+7)/8 + (len(j.Seg)+7)/8
-}
+func (j *runJob) Words() int { return 2 + (len(j.Block)+7)/8 + j.Run.words() }
 
-// winJob is an R3 input: a selected representative, a run of consecutive
-// window starts, the segment of sbar covering the run's windows, and the
-// choices of the blocks that chose the representative.
+// winJob is an R3 input: a selected representative, a run of the starts
+// its choosing blocks may use, and those blocks' choices.
 type winJob struct {
-	Rep         []byte
-	First, Last int // the run's start indices, inclusive
-	SegOff      int
-	Seg         []byte
-	Choices     []selMsg
+	Rep     []byte
+	Run     startRun
+	Choices []selMsg
 }
 
 // Words implements mpc.Payload.
 func (j *winJob) Words() int {
-	return 5 + 3*len(j.Choices) + (len(j.Rep)+7)/8 + (len(j.Seg)+7)/8
+	return 2 + 3*len(j.Choices) + (len(j.Rep)+7)/8 + j.Run.words()
 }
 
 // extJob is an R3 input: one extension pair with injected string content.
@@ -155,10 +159,10 @@ type largeGuess struct {
 	p2     float64  // the low-degree presampling rate
 	coins  [][]bool // coins[block][tau]: the low-degree coins, flipped once
 
-	// R2 machine ids: selectors [0, numGroups), run machines from
-	// numGroups.
-	runIDs    map[int32][]int32     // each presampled block's run machines
-	runInputs map[int][]mpc.Payload // the run machines' jobs
+	// R2 machine ids: selectors [0, numGroups), then run machine
+	// numGroups+i runs runs[i].
+	runIDs map[int32][]int32 // each presampled block's run machines
+	runs   []*runJob
 }
 
 // editLarge runs the four-round large-distance algorithm for guess g.
@@ -281,8 +285,8 @@ func (lg *largeGuess) sampleReps(cl *mpc.Cluster, fN float64) {
 
 // presample flips the low-degree coins of Algorithm 6 line 9, one per
 // (block, tau), from round 0's shared stream: a block gets run machines
-// iff any of its coins is up, and a run machine works at exactly the taus
-// whose coin is up.
+// iff any of its coins is up, and a run machine works at the taus whose
+// coin is up.
 func (lg *largeGuess) presample(cl *mpc.Cluster, fN, y, yp float64) {
 	lg.tauMax = lg.bsz + lg.maxWin + 2
 	lg.taus = Ladder(lg.epsP, lg.tauMax)
@@ -306,37 +310,75 @@ func (lg *largeGuess) presample(cl *mpc.Cluster, fN, y, yp float64) {
 	}
 }
 
-// layoutRuns gives each presampled block run machines: its windows in
-// runs sized to the memory budget, with the segment of sbar covering them.
+// layoutRuns gives each presampled block run machines: the starts within
+// reach of it, cut into runs. A run machine's fixed input is its block and
+// one 3-word distance from every representative, and it sends at most
+// one message per window and block of its group: the direct tuple and
+// the extension requests.
 func (lg *largeGuess) layoutRuns() {
 	lg.runIDs = make(map[int32][]int32)
-	lg.runInputs = make(map[int][]mpc.Payload)
-	next := int32(lg.numGroups)
-	perRun := max(1, (lg.budget/2)/max(1, (lg.bsz+lg.maxWin)/8+3))
-	for bi, bl := range lg.blocks {
-		lo, hi := lg.winsOf(bi)
-		if lo == hi || !slices.Contains(lg.coins[bi], true) {
+	for bi, near := range lg.near {
+		if near[0] == near[1] || !slices.Contains(lg.coins[bi], true) {
 			continue
 		}
-		for at := lo; at < hi; at += perRun {
-			ivs := lg.wins[at:min(at+perRun, hi)]
-			segLo, segHi := len(lg.sbar), 0
-			for _, w := range ivs {
-				segLo = min(segLo, w[0])
-				segHi = max(segHi, w[1])
-			}
-			lg.runInputs[int(next)] = []mpc.Payload{&runJob{
-				V: int32(bi), L: bl.l, R: bl.r,
-				Block:  lg.s[bl.l : bl.r+1],
-				SegOff: segLo,
-				Seg:    lg.sbar[segLo : segHi+1],
-				Wins:   ivs,
-				Group:  bi / lg.groupBlocks,
-			}}
-			lg.runIDs[int32(bi)] = append(lg.runIDs[int32(bi)], next)
-			next++
+		block := lg.node(int32(bi))
+		fixed := (&runJob{Block: block}).Words() + 3*len(lg.reps)
+		for _, run := range lg.cut(near[0], near[1], fixed, func(int) int { return lg.groupBlocks }) {
+			lg.runIDs[int32(bi)] = append(lg.runIDs[int32(bi)], int32(lg.numGroups+len(lg.runs)))
+			lg.runs = append(lg.runs, &runJob{V: int32(bi), Block: block, Run: run})
 		}
 	}
+}
+
+// cut cuts the starts [lo, hi) into runs of consecutive starts, one
+// machine's each. A run skips a start where per is 0, and ends before the
+// start that would take the machine's input (fixed words and the segment
+// of sbar covering the run's windows) or its output (per(si) 5-word
+// messages for each window opening at start si) past half the budget.
+func (lg *largeGuess) cut(lo, hi, fixed int, per func(si int) int) []startRun {
+	half := lg.budget / 2
+	var runs []startRun
+	open := false
+	far, out := 0, 0
+	for si := lo; si < hi; si++ {
+		k := per(si)
+		if k == 0 {
+			open = false
+			continue
+		}
+		ws, end := lg.opened(si)
+		more := 5 * k * len(ws)
+		if open {
+			r := runs[len(runs)-1]
+			open = fixed+(max(far, end)-r.SegOff+8)/8 <= half && out+more <= half
+		}
+		if !open {
+			runs = append(runs, startRun{First: si, SegOff: ws[0][0]})
+			open, far, out = true, 0, 0
+		}
+		r := &runs[len(runs)-1]
+		far, out = max(far, end), out+more
+		r.Last, r.Seg = si, lg.sbar[r.SegOff:far+1]
+	}
+	return runs
+}
+
+// price returns the distances from str to the windows of run r, the
+// window ids [opens[r.First], opens[r.Last+1]) in order: one MyersMulti
+// pass per start, since a start's windows are prefixes of its longest.
+func (lg *largeGuess) price(x *mpc.Ctx, str []byte, r startRun) []int {
+	d := make([]int, 0, lg.opens[r.Last+1]-lg.opens[r.First])
+	var ends []int
+	for si := r.First; si <= r.Last; si++ {
+		ws, far := lg.opened(si)
+		gamma := ws[0][0]
+		ends = ends[:0]
+		for _, w := range ws {
+			ends = append(ends, w[1]-gamma+1)
+		}
+		d = append(d, editdist.MyersMulti(str, r.Seg[gamma-r.SegOff:far-r.SegOff+1], ends, x.Counter())...)
+	}
+	return d
 }
 
 // node returns the string of a node: a block of s or a window of sbar.
@@ -403,8 +445,8 @@ func (lg *largeGuess) repsMachine(x *mpc.Ctx, in []mpc.Payload) {
 // it adds the run jobs.
 func (lg *largeGuess) joinInputs(in map[int][]mpc.Payload) map[int][]mpc.Payload {
 	lg.label(func() {
-		for dst, pls := range lg.runInputs {
-			in[dst] = append(in[dst], pls...)
+		for i, job := range lg.runs {
+			in[lg.numGroups+i] = append(in[lg.numGroups+i], job)
 		}
 	})
 	return in
@@ -442,69 +484,51 @@ func (lg *largeGuess) joinMachine(x *mpc.Ctx, in []mpc.Payload) {
 	}
 }
 
-// runMachine is a sparse run machine (Algorithm 6, low-degree branch):
-// for each tau at which its block is uncovered and its driver coin is up,
-// it computes exact distances to its windows, sends the direct tuples to
-// the passthrough, and requests the shifted pairs of its group's other
-// blocks as extensions (Fig. 7).
+// runMachine is a sparse run machine (Algorithm 6, low-degree branch).
+// Its block works at each tau below the block's cover whose driver coin
+// is up; the windows within any of those taus are the windows within the
+// largest, so it prices its windows once and, for each window within that
+// tau, sends the direct tuple to the passthrough and the sink requests for
+// the shifted pairs of its group's other blocks (Fig. 7).
 func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 	var job *runJob
-	cover := int32(1 << 30)
+	cover := int32(math.MaxInt32)
 	for _, pl := range in {
 		switch v := pl.(type) {
 		case *runJob:
 			job = v
 		case distMsg:
-			if v.D < cover {
-				cover = v.D
-			}
+			cover = min(cover, v.D)
 		}
 	}
 	if job == nil {
 		return
 	}
-	coins := lg.coins[job.V]
-	dmemo := make(map[[2]int]int, len(job.Wins))
-	distTo := func(w [2]int) int {
-		if d, ok := dmemo[w]; ok {
-			return d
+	tau := -1
+	for ti, t := range lg.taus {
+		if lg.coins[job.V][ti] && t < int(cover) {
+			tau = t
 		}
-		d := editdist.Myers(job.Block, job.Seg[w[0]-job.SegOff:w[1]-job.SegOff+1], x.Counter())
-		dmemo[w] = d
-		return d
 	}
-	g0 := job.Group * lg.groupBlocks
-	g1 := min(g0+lg.groupBlocks, len(lg.blocks))
-	m := len(lg.sbar)
-	sentExt := make(map[[4]int]bool)
-	for ti, tau := range lg.taus {
-		if int(cover) <= tau || !coins[ti] {
+	if tau < 0 {
+		return
+	}
+	v := int(job.V)
+	bl := lg.blocks[v]
+	g0 := v - v%lg.groupBlocks
+	lo := lg.opens[job.Run.First]
+	for i, d := range lg.price(x, job.Block, job.Run) {
+		if d > tau {
 			continue
 		}
-		for _, w := range job.Wins {
-			d := distTo(w)
-			if d > tau {
-				continue
-			}
-			if d <= lg.dFilter(w[1]-w[0]+1) {
-				x.Send(passID, tupleMsg(chain.Tuple{L: job.L, R: job.R, G: w[0], K: w[1], D: d}))
-			}
-			for bj := g0; bj < g1; bj++ {
-				if bj == int(job.V) {
-					continue
-				}
-				blj := lg.blocks[bj]
-				gamma := max(0, w[0]+(blj.l-job.L))
-				kappa := min(m-1, w[1]+(blj.r-job.R))
-				if gamma > kappa {
-					continue
-				}
-				req := [4]int{blj.l, blj.r, gamma, kappa}
-				if sentExt[req] {
-					continue
-				}
-				sentExt[req] = true
-				x.Send(driverSink, mpc.Ints{req[0], req[1], req[2], req[3]})
+		w := lg.wins[lo+i]
+		if d <= lg.dFilter(w[1]-w[0]+1) {
+			x.Send(passID, tupleMsg(chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d}))
+		}
+		for _, blj := range lg.blocks[g0:min(g0+lg.groupBlocks, len(lg.blocks))] {
+			gamma, kappa := max(0, w[0]+blj.l-bl.l), min(len(lg.sbar)-1, w[1]+blj.r-bl.r)
+			if blj != bl && gamma <= kappa {
+				x.Send(driverSink, mpc.Ints{blj.l, blj.r, gamma, kappa})
 			}
 		}
 	}
@@ -513,9 +537,9 @@ func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 // extendInputs lays out the extend round from the join round's output.
 // The passthrough keeps the run machines' direct tuples. The driver
 // empties the sink: the selectors' choices become window machines
-// (layoutWins), and the deduplicated extension requests are packed onto
-// extension machines with their strings injected (a distributed-storage
-// read).
+// (layoutWins), and the extension requests, sorted and deduplicated, are
+// packed onto extension machines with their strings injected (a
+// distributed-storage read).
 func (lg *largeGuess) extendInputs(in map[int][]mpc.Payload) map[int][]mpc.Payload {
 	lg.label(func() {
 		var choices []selMsg
@@ -531,15 +555,11 @@ func (lg *largeGuess) extendInputs(in map[int][]mpc.Payload) map[int][]mpc.Paylo
 		delete(in, driverSink)
 		// The sink's id is free again once its payloads are read.
 		next := lg.layoutWins(choices, in, driverSink)
-		seen := make(map[[4]int]bool)
+		slices.SortFunc(reqs, slices.Compare[mpc.Ints])
+		reqs = slices.CompactFunc(reqs, slices.Equal[mpc.Ints])
 		perExt := max(1, (lg.budget/2)/max(1, (lg.bsz+lg.maxWin)/8+8))
 		cnt := 0
 		for _, r := range reqs {
-			rq := [4]int{r[0], r[1], r[2], r[3]}
-			if seen[rq] {
-				continue
-			}
-			seen[rq] = true
 			in[next] = append(in[next], &extJob{
 				L: r[0], R: r[1], G: r[2], K: r[3],
 				Block: lg.s[r[0] : r[1]+1],
@@ -554,62 +574,35 @@ func (lg *largeGuess) extendInputs(in map[int][]mpc.Payload) map[int][]mpc.Paylo
 }
 
 // layoutWins gives the selectors' choices window machines, from machine
-// id next on, and returns the next free id: the runs of each selected
-// representative in index order (repRuns), one machine each.
+// id next on, and returns the next free id. Each selected representative,
+// in index order, gets the starts its choosing blocks may use, cut into
+// runs: a window machine's fixed input is the representative and its
+// choices, and it sends at most one tuple per window and choice.
 func (lg *largeGuess) layoutWins(choices []selMsg, in map[int][]mpc.Payload, next int) int {
 	slices.SortFunc(choices, func(a, b selMsg) int {
 		return cmp.Or(cmp.Compare(a.Z, b.Z), cmp.Compare(a.V, b.V))
 	})
+	uses := make([]int, len(lg.opens)) // the number of choices using each start
 	for lo, hi := 0, 0; lo < len(choices); lo = hi {
 		for hi = lo + 1; hi < len(choices) && choices[hi].Z == choices[lo].Z; hi++ {
 		}
-		for _, job := range lg.repRuns(choices[lo:hi]) {
-			in[next] = []mpc.Payload{job}
+		zs := choices[lo:hi]
+		clear(uses)
+		for _, c := range zs {
+			uses[lg.near[c.V][0]]++
+			uses[lg.near[c.V][1]]--
+		}
+		for si := 1; si < len(uses); si++ {
+			uses[si] += uses[si-1]
+		}
+		rep := lg.node(lg.reps[zs[0].Z])
+		fixed := (&winJob{Rep: rep, Choices: zs}).Words()
+		for _, run := range lg.cut(0, len(uses)-1, fixed, func(si int) int { return uses[si] }) {
+			in[next] = []mpc.Payload{&winJob{Rep: rep, Run: run, Choices: zs}}
 			next++
 		}
 	}
 	return next
-}
-
-// repRuns cuts the starts that the blocks choosing one representative may
-// use into runs of consecutive starts, sized to the budget the way
-// layoutRuns sizes run machines: a run ends before a start no choice uses,
-// or before the start that would take the machine's input or its output
-// (at most one 5-word tuple per window and choice) past half the budget.
-// Every run's job carries all the representative's choices.
-func (lg *largeGuess) repRuns(zs []selMsg) []*winJob {
-	ns := len(lg.opens) - 1
-	uses := make([]int, ns+1) // differences of the number of choices using each start
-	for _, c := range zs {
-		uses[lg.near[c.V][0]]++
-		uses[lg.near[c.V][1]]--
-	}
-	rep := lg.node(lg.reps[zs[0].Z])
-	fixed := (&winJob{Rep: rep, Choices: zs}).Words() // all but the segment's words
-	half := lg.budget / 2
-	var jobs []*winJob
-	var cur *winJob
-	k, far, out := 0, 0, 0
-	for si := 0; si < ns; si++ {
-		if k += uses[si]; k == 0 {
-			cur = nil
-			continue
-		}
-		ws, end := lg.opened(si)
-		more := 5 * k * len(ws)
-		if cur != nil && (fixed+(max(far, end)-cur.SegOff+8)/8 > half || out+more > half) {
-			cur = nil
-		}
-		if cur == nil {
-			cur = &winJob{Rep: rep, First: si, SegOff: ws[0][0], Choices: zs}
-			jobs = append(jobs, cur)
-			far, out = 0, 0
-		}
-		cur.Last = si
-		far, out = max(far, end), out+more
-		cur.Seg = lg.sbar[cur.SegOff : far+1]
-	}
-	return jobs
 }
 
 // extendMachine is the extend round's program. The passthrough forwards
@@ -632,22 +625,11 @@ func (lg *largeGuess) extendMachine(x *mpc.Ctx, in []mpc.Payload) {
 }
 
 // triangles is a window machine: it prices its representative z against
-// its run's windows, one MyersMulti pass per start, and emits the
-// triangle tuple d(z,v)+d(z,u) of Lemma 7 for every window u that a
-// choosing block v may use.
+// its run's windows and emits the triangle tuple d(z,v)+d(z,u) of Lemma 7
+// for every window u that a choosing block v may use.
 func (lg *largeGuess) triangles(x *mpc.Ctx, job *winJob) {
-	lo, hi := lg.opens[job.First], lg.opens[job.Last+1]
-	dz := make([]int, 0, hi-lo) // d(z, u) for the windows u in [lo, hi)
-	var ends []int
-	for si := job.First; si <= job.Last; si++ {
-		ws, far := lg.opened(si)
-		gamma := ws[0][0]
-		ends = ends[:0]
-		for _, w := range ws {
-			ends = append(ends, w[1]-gamma+1)
-		}
-		dz = append(dz, editdist.MyersMulti(job.Rep, job.Seg[gamma-job.SegOff:far-job.SegOff+1], ends, x.Counter())...)
-	}
+	lo, hi := lg.opens[job.Run.First], lg.opens[job.Run.Last+1]
+	dz := lg.price(x, job.Rep, job.Run) // d(z, u) for the windows u in [lo, hi)
 	for _, c := range job.Choices {
 		bl, dzv := lg.blocks[c.V], int(c.D)
 		wlo, whi := lg.winsOf(int(c.V))

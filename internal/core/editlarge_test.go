@@ -94,56 +94,77 @@ func TestSmallEpsReachesLargeRegime(t *testing.T) {
 	t.Logf("value %d at guess %d after %d guesses in %v", res.Value, res.Guess, len(res.GuessReports), time.Since(start))
 }
 
-// TestWindowMachinesFitBudget forces a budget small enough that a selected
-// representative's windows take several extend-round machines. Every
-// round must stay within the budget, and the value must be the default
-// budget's: the layout draws no randomness, so a machine's share of the
-// windows changes no distance and no tuple.
+// TestWindowMachinesFitBudget forces budgets small enough that the layout
+// cuts a machine's starts into several runs: on the far pair, a selected
+// representative's windows take several extend-round window machines; on
+// a short s against a long sbar (few blocks, so few chain tuples, against
+// many windows), a presampled block's starts take several join-round run
+// machines. Every round must stay within the budget, and the value must
+// be the default budget's: the layout draws no randomness, so a machine's
+// share of the starts changes no distance and no tuple.
 func TestWindowMachinesFitBudget(t *testing.T) {
-	s, sbar := farPair(1, 144)
-	const guess = 130
-	ref, err := EditLargeMPC(s, sbar, guess, Params{X: 0.25, Eps: 0.5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := editParams(Params{X: 0.25, Eps: 0.5, Seed: 1, MemFactor: 8})
-	res, err := EditLargeMPC(s, sbar, guess, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	limit := p.MemoryBudget(len(s))
-	for _, r := range res.Report.Rounds {
-		if r.MaxInWords > limit || r.MaxOutWords > limit {
-			t.Errorf("round %s: in %d, out %d words; budget %d", r.Name, r.MaxInWords, r.MaxOutWords, limit)
+	far, farBar := farPair(1, 144)
+	rng := rand.New(rand.NewSource(7))
+	short, long := workload.RandomString(rng, 60, 12), workload.RandomString(rng, 240, 12)
+	for _, c := range []struct {
+		name       string
+		s, sbar    []byte
+		guess      int
+		memFactor  float64
+		runs, wins int // the machines some block's runs and some representative's windows must take
+	}{
+		{"far144/window-machines", far, farBar, 130, 8, 1, 2},
+		{"short-long/run-machines", short, long, 210, 3, 2, 1},
+	} {
+		ref, err := EditLargeMPC(c.s, c.sbar, c.guess, Params{X: 0.25, Eps: 0.5, Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	if res.Value != ref.Value {
-		t.Errorf("value %d at MemFactor 8, %d at the default budget", res.Value, ref.Value)
-	}
-
-	// Lay the extend round out again and count each representative's
-	// window machines.
-	cl := p.Cluster(len(s))
-	lg := partitionLarge(cl, s, sbar, guess, p)
-	out, err := cl.Run("edit-large/reps", trace.PhaseGraph, lg.repsInputs(), lg.repsMachine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out, err = cl.Run("edit-large/join", trace.PhaseGraph, lg.joinInputs(out), lg.joinMachine); err != nil {
-		t.Fatal(err)
-	}
-	machines := make(map[int32]int)
-	most := 0
-	for _, pls := range lg.extendInputs(out) {
-		for _, pl := range pls {
-			if job, ok := pl.(*winJob); ok {
-				z := job.Choices[0].Z
-				machines[z]++
-				most = max(most, machines[z])
+		p := editParams(Params{X: 0.25, Eps: 0.5, Seed: 1, MemFactor: c.memFactor})
+		res, err := EditLargeMPC(c.s, c.sbar, c.guess, p)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		N := max(len(c.s), len(c.sbar))
+		limit := p.MemoryBudget(N)
+		for _, r := range res.Report.Rounds {
+			if r.MaxInWords > limit || r.MaxOutWords > limit {
+				t.Errorf("%s: round %s: in %d, out %d words; budget %d", c.name, r.Name, r.MaxInWords, r.MaxOutWords, limit)
 			}
 		}
-	}
-	if most < 2 {
-		t.Errorf("window machines per selected representative: %v; want one with at least 2", machines)
+		if res.Value != ref.Value {
+			t.Errorf("%s: value %d at MemFactor %v, %d at the default budget", c.name, res.Value, c.memFactor, ref.Value)
+		}
+
+		// Lay the join and extend rounds out again and count each block's
+		// run machines and each representative's window machines.
+		cl := p.Cluster(N)
+		lg := partitionLarge(cl, c.s, c.sbar, c.guess, p)
+		runs := 0
+		for _, ids := range lg.runIDs {
+			runs = max(runs, len(ids))
+		}
+		out, err := cl.Run("edit-large/reps", trace.PhaseGraph, lg.repsInputs(), lg.repsMachine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out, err = cl.Run("edit-large/join", trace.PhaseGraph, lg.joinInputs(out), lg.joinMachine); err != nil {
+			t.Fatal(err)
+		}
+		wins := make(map[int32]int)
+		most := 0
+		for _, pls := range lg.extendInputs(out) {
+			for _, pl := range pls {
+				if job, ok := pl.(*winJob); ok {
+					z := job.Choices[0].Z
+					wins[z]++
+					most = max(most, wins[z])
+				}
+			}
+		}
+		if runs < c.runs || most < c.wins {
+			t.Errorf("%s: at most %d run machines per block and %d window machines per representative; want at least %d and %d",
+				c.name, runs, most, c.runs, c.wins)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -14,7 +15,8 @@ import (
 // TestLowDegreeCoinsDriveRunMachines pins the one low-degree coin stream
 // (Algorithm 6 line 9): with the presampling rate below 1, a block whose
 // driver coins are all down gets no run machine, and a run machine works
-// at exactly the taus whose driver coin is up.
+// at the taus below its block's cover whose driver coin is up, sending
+// each window within the largest of them once.
 func TestLowDegreeCoinsDriveRunMachines(t *testing.T) {
 	rng := rand.New(rand.NewSource(999))
 	n := 400
@@ -48,39 +50,95 @@ func TestLowDegreeCoinsDriveRunMachines(t *testing.T) {
 	// tau in turn (and all down): its direct tuples must be exactly the
 	// windows within that tau.
 	rid := int(lg.runIDs[int32(up[0])][0])
-	job := lg.runInputs[rid][0].(*runJob)
 	coins := make([]bool, len(lg.taus))
-	lg.coins[job.V] = coins
-	tuples := func() int {
-		out, err := p.Cluster(n).Run("test/join", trace.PhaseGraph,
-			map[int][]mpc.Payload{rid: lg.runInputs[rid]}, lg.runMachine)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(out[passID])
-	}
-	if got := tuples(); got != 0 {
-		t.Errorf("all coins down: %d tuples, want 0", got)
+	if got := rerunRunMachine(t, lg, rid, coins); len(got) != 0 {
+		t.Errorf("all coins down: %d tuples, want 0", len(got))
 	}
 	fired := 0
 	for ti, tau := range lg.taus {
 		clear(coins)
 		coins[ti] = true
-		want := 0
-		for _, w := range job.Wins {
-			d := editdist.Myers(job.Block, sbar[w[0]:w[1]+1], nil)
-			if d <= tau && d <= lg.dFilter(w[1]-w[0]+1) {
-				want++
-			}
+		want := directTuples(lg, rid, tau)
+		if got := rerunRunMachine(t, lg, rid, coins); len(got) != len(want) {
+			t.Errorf("coin up only at tau %d: %d tuples, want %d", tau, len(got), len(want))
 		}
-		if got := tuples(); got != want {
-			t.Errorf("coin up only at tau %d: %d tuples, want %d", tau, got, want)
-		}
-		if want > 0 {
+		if len(want) > 0 {
 			fired++
 		}
 	}
 	if fired == 0 || fired == len(lg.taus) {
 		t.Fatalf("the windows' distances fall within %d of %d taus: the test cannot tell taus apart", fired, len(lg.taus))
 	}
+
+	// At eps 1 the ladder is fine enough for a run machine's windows to
+	// fall within several taus. Coins up at two taus that catch windows,
+	// and at the next, which the block's cover does not exceed: the direct
+	// tuples are the windows within the larger of the two, each sent once.
+	p = Params{X: 0.25, Eps: 1, Seed: 3}.WithDefaults()
+	lg = partitionLarge(p.Cluster(n), s, sbar, 350, p)
+	if len(lg.runs) == 0 {
+		t.Fatal("no run machine at eps 1")
+	}
+	rid = lg.numGroups
+	var caught []int // the taus that catch more windows than the tau before
+	for ti, tau := range lg.taus {
+		if k := len(directTuples(lg, rid, tau)); k > 0 && (ti == 0 || k > len(directTuples(lg, rid, lg.taus[ti-1]))) {
+			caught = append(caught, ti)
+		}
+	}
+	if len(caught) < 2 || caught[1]+1 >= len(lg.taus) {
+		t.Fatalf("taus %v catch new windows of %d: need two below the last", caught, len(lg.taus))
+	}
+	lo, hi := caught[0], caught[1]
+	coins = make([]bool, len(lg.taus))
+	coins[lo], coins[hi], coins[hi+1] = true, true, true
+	job := lg.runs[0]
+	got := rerunRunMachine(t, lg, rid, coins, distMsg{Z: 0, V: job.V, D: int32(lg.taus[hi+1])})
+	want := directTuples(lg, rid, lg.taus[hi])
+	t.Logf("coins up at taus %d, %d and %d: %d direct tuples", lg.taus[lo], lg.taus[hi], lg.taus[hi+1], len(got))
+	if !slices.Equal(got, want) {
+		t.Errorf("coins up at taus %d, %d and %d, cover %d: direct tuples %v, want %v",
+			lg.taus[lo], lg.taus[hi], lg.taus[hi+1], lg.taus[hi+1], got, want)
+	}
+}
+
+// rerunRunMachine runs run machine rid alone, its block's coins set to
+// coins and the representatives' distances in cover, and returns the
+// direct tuples it sends, sorted.
+func rerunRunMachine(t *testing.T, lg *largeGuess, rid int, coins []bool, cover ...mpc.Payload) []tupleMsg {
+	t.Helper()
+	job := lg.runs[rid-lg.numGroups]
+	lg.coins[job.V] = coins
+	out, err := lg.p.Cluster(len(lg.s)).Run("test/join", trace.PhaseGraph,
+		map[int][]mpc.Payload{rid: append([]mpc.Payload{job}, cover...)}, lg.runMachine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []tupleMsg
+	for _, pl := range out[passID] {
+		got = append(got, pl.(tupleMsg))
+	}
+	slices.SortFunc(got, cmpTuple)
+	return got
+}
+
+// directTuples returns the direct tuples of run machine rid's windows
+// within tau, sorted.
+func directTuples(lg *largeGuess, rid, tau int) []tupleMsg {
+	job := lg.runs[rid-lg.numGroups]
+	bl := lg.blocks[job.V]
+	var want []tupleMsg
+	for _, w := range lg.wins[lg.opens[job.Run.First]:lg.opens[job.Run.Last+1]] {
+		d := editdist.Myers(job.Block, lg.sbar[w[0]:w[1]+1], nil)
+		if d <= tau && d <= lg.dFilter(w[1]-w[0]+1) {
+			want = append(want, tupleMsg{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
+		}
+	}
+	slices.SortFunc(want, cmpTuple)
+	return want
+}
+
+// cmpTuple orders tuples by block, then window, then distance.
+func cmpTuple(a, b tupleMsg) int {
+	return cmp.Or(cmp.Compare(a.L, b.L), cmp.Compare(a.G, b.G), cmp.Compare(a.K, b.K), cmp.Compare(a.D, b.D))
 }
