@@ -121,6 +121,36 @@ func BenchmarkTable1EditLargeRegime(b *testing.B) {
 	}
 }
 
+// BenchmarkEditMPCFar runs one job of the wall-time benchmark's edit-far
+// shape per op: EditMPC at x 0.25 on a far pair, DNA of length 144
+// against a string over 26 other letters (so ed = n), cycling over 32
+// pairs with one sampling seed each. B/op and allocs/op are the
+// allocation per job behind edit-far's alloc_mb_per_op.
+func BenchmarkEditMPCFar(b *testing.B) {
+	const n, pairs = 144, 32
+	rng := rand.New(rand.NewSource(1))
+	type job struct {
+		s, sbar []byte
+		seed    int64
+	}
+	jobs := make([]job, pairs)
+	for i := range jobs {
+		jobs[i] = job{workload.DNA(rng, n), workload.RandomString(rng, n, 26), int64(i + 1)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := jobs[i%pairs]
+		res, err := core.EditMPC(j.s, j.sbar, core.Params{X: 0.25, Seed: j.seed})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Value < n || float64(res.Value) > 3.5*n {
+			b.Fatalf("pair %d: value %d outside [%d, 3.5·%d]", i%pairs, res.Value, n, n)
+		}
+	}
+}
+
 // --- Headline claim: machine-count exponents (ours n^{(9/5)x} vs n^{2x}) ---
 
 func BenchmarkMachinesSweepEdit(b *testing.B) {

@@ -10,9 +10,9 @@ package baseline
 
 import (
 	"bytes"
+	"slices"
 
 	"mpcdist/internal/cand"
-	"mpcdist/internal/chain"
 	"mpcdist/internal/core"
 	"mpcdist/internal/editdist"
 	"mpcdist/internal/mpc"
@@ -100,28 +100,20 @@ func hssGuess(s, sbar []byte, g int, p core.Params) (int, mpc.Report, error) {
 	out, err := cl.Run("hss/pairs", trace.PhaseCandidates, inputs, func(x *mpc.Ctx, in []mpc.Payload) {
 		for _, pl := range in {
 			job := pl.(*pairJob)
-			blen := len(job.Block)
 			gamma := job.Start
-			var kappas, prefixes []int
-			for _, kappa := range cand.Ends(gamma, blen, m, gr.EpsP, job.MaxWin, job.Guess) {
-				if kappa-job.SegOff >= len(job.Seg) {
-					continue
-				}
-				kappas = append(kappas, kappa)
-				prefixes = append(prefixes, kappa-gamma+1)
-			}
+			kappas := cand.Ends(gamma, len(job.Block), m, gr.EpsP, job.MaxWin, job.Guess)
+			kappas = slices.DeleteFunc(kappas, func(kappa int) bool { return kappa-job.SegOff >= len(job.Seg) })
 			if len(kappas) == 0 {
 				continue
+			}
+			prefixes := make([]int, len(kappas))
+			for i, kappa := range kappas {
+				prefixes[i] = kappa - gamma + 1
 			}
 			// Same batched exact kernel as the core small regime, so work
 			// counts are directly comparable.
 			ds := editdist.MyersMulti(job.Block, job.Seg[gamma-job.SegOff:], prefixes, x.Counter())
-			for i, kappa := range kappas {
-				if ds[i] > dFilter || ds[i] > blen+prefixes[i] {
-					continue
-				}
-				core.SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: ds[i]})
-			}
+			core.SendWindows(x, job.L, job.R, gamma, kappas, ds, dFilter)
 		}
 	})
 	if err != nil {

@@ -120,6 +120,7 @@ func lcsGuess(s, sbar []byte, ell int, p core.Params) (int, mpc.Report, error) {
 				// Window ends on the grid too (kappa = end of a grid cell),
 				// so shrinking an optimal window to grid-aligned endpoints
 				// loses at most one cell of matches per side.
+				var batch []chain.Tuple
 				for kappa := gamma + job.Grid - 1; kappa-gamma+1 <= job.MaxWin; kappa += job.Grid {
 					if kappa > m-1 {
 						break
@@ -132,8 +133,9 @@ func lcsGuess(s, sbar []byte, ell int, p core.Params) (int, mpc.Report, error) {
 					if score == 0 {
 						continue
 					}
-					core.SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: score})
+					batch = append(batch, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: score})
 				}
+				core.SendTuples(x, batch)
 			}
 		}
 	})

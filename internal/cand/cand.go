@@ -59,14 +59,21 @@ func Starts(l, delta, gap, m int) []int {
 // most maxLen, and ladder offsets at most deltaCap (endpoints beyond
 // kappa + n^delta can be neglected, Fig. 5).
 func Ends(gamma, blockLen, m int, eps float64, maxLen, deltaCap int) []int {
+	return AppendEnds(nil, gamma, blockLen, m, eps, maxLen, deltaCap)
+}
+
+// AppendEnds appends Ends(gamma, blockLen, m, eps, maxLen, deltaCap) to
+// dst and returns the extended slice, so a caller can reuse one buffer
+// across starts.
+func AppendEnds(dst []int, gamma, blockLen, m int, eps float64, maxLen, deltaCap int) []int {
 	if m <= 0 || blockLen <= 0 {
-		return nil
+		return dst
 	}
 	if maxLen < 1 {
 		maxLen = 1
 	}
 	kappa := gamma + blockLen - 1
-	var out []int
+	out := dst
 	add := func(e int) {
 		if e >= gamma && e <= m-1 && e-gamma+1 <= maxLen {
 			out = append(out, e)
@@ -101,8 +108,9 @@ func Ends(gamma, blockLen, m int, eps float64, maxLen, deltaCap int) []int {
 	// reachable; lengths beyond blockLen + deltaCap are unreachable when
 	// the distance guess holds (Fig. 5's "neglect ending points beyond
 	// kappa + n^delta"). The ladder's offsets strictly increase, so kappa
-	// and kappa ± off never repeat; only gamma can be one of them.
-	if !slices.Contains(out, gamma) {
+	// and kappa ± off never repeat; only gamma can be one of them. Only
+	// the ends appended here count: dst may hold gamma already.
+	if !slices.Contains(out[len(dst):], gamma) {
 		add(gamma)
 	}
 	return out

@@ -61,7 +61,10 @@ func endsWithMap(gamma, blockLen, m int, eps float64, maxLen, deltaCap int) []in
 
 // FuzzEnds checks that Ends, which relies on its ladder never repeating an
 // end, returns what the map-deduplicated version returned, in the same
-// order. Under plain `go test` it runs its seed corpus; use
+// order, and that AppendEnds onto a non-empty buffer leaves the buffer as
+// it was and appends exactly Ends: on a buffer of other ends, and on one
+// that already holds gamma, whose length-1 window must still be appended.
+// Under plain `go test` it runs its seed corpus; use
 // `go test -fuzz=FuzzEnds ./internal/cand` to explore. The int16
 // arguments keep the ladder short enough for the engine to run fast.
 func FuzzEnds(f *testing.F) {
@@ -83,6 +86,12 @@ func FuzzEnds(f *testing.F) {
 		got := Ends(args[0], args[1], args[2], eps, args[3], args[4])
 		if !slices.Equal(got, want) {
 			t.Fatalf("Ends(%v, eps %v) = %v, want %v", args, eps, got, want)
+		}
+		for _, dst := range [][]int{{-7, 3, 1 << 20}, {args[0]}, {args[0], args[0] + args[1] - 1}} {
+			appended := AppendEnds(slices.Clone(dst), args[0], args[1], args[2], eps, args[3], args[4])
+			if !slices.Equal(appended, slices.Concat(dst, want)) {
+				t.Fatalf("AppendEnds(%v, %v, eps %v) = %v, want %v then %v", dst, args, eps, appended, dst, want)
+			}
 		}
 	})
 }

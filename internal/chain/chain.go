@@ -28,6 +28,7 @@
 package chain
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -43,16 +44,20 @@ type Tuple struct {
 	D    int // distance (or distance upper bound) for this pair
 }
 
-// byLG returns a copy of tuples sorted by (L, G), the order every DP here
-// visits them in: a tuple's predecessors all start at a lower L.
+// cmpLG orders tuples by (L, G), the order every DP here visits them in:
+// a tuple's predecessors all start at a lower L.
+func cmpLG(a, b Tuple) int { return cmp.Or(cmp.Compare(a.L, b.L), cmp.Compare(a.G, b.G)) }
+
+// byLG returns tuples in (L, G) order: tuples itself when it is in that
+// order already, else a sorted copy. The DPs only read what it returns,
+// so none of them modifies its argument. sort.Slice leaves a slice in
+// order as it is, ties included, so both ways give one sequence.
 func byLG(tuples []Tuple) []Tuple {
-	ts := append([]Tuple(nil), tuples...)
-	sort.Slice(ts, func(a, b int) bool {
-		if ts[a].L != ts[b].L {
-			return ts[a].L < ts[b].L
-		}
-		return ts[a].G < ts[b].G
-	})
+	if slices.IsSortedFunc(tuples, cmpLG) {
+		return tuples
+	}
+	ts := slices.Clone(tuples)
+	sort.Slice(ts, func(a, b int) bool { return cmpLG(ts[a], ts[b]) < 0 })
 	return ts
 }
 

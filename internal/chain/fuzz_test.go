@@ -1,6 +1,11 @@
 package chain
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"sort"
+	"testing"
+)
 
 // chainCase decodes a chain DP instance from fuzz bytes: n in [1, 64] and
 // m in [0, 64], then up to 48 tuples of five bytes each. The decoding
@@ -58,7 +63,11 @@ func checkChain(t *testing.T, name string, chain []Tuple, n, m, value int, overl
 
 // FuzzChainDPs checks the Fenwick chain DPs against the quadratic ones,
 // with and without overlap, and that every chain a quadratic DP returns is
-// in block order and re-prices gap by gap to the value it returned.
+// in block order and re-prices gap by gap to the value it returned. It
+// also checks byLG's copy-free path: no DP modifies its argument, and the
+// same tuples already in (L, G) order, sorted with byLG's comparator by
+// sort.Slice on a copy, give every DP the same value and every quadratic
+// DP the same chain.
 func FuzzChainDPs(f *testing.F) {
 	f.Add([]byte{10, 10, 0, 4, 0, 5, 0, 40, 4, 4, 9, 0})
 	f.Add([]byte{20, 16, 1, 3, 2, 6, 1, 9, 7, 5, 9, 4, 0, 2, 0, 0, 3, 5, 4, 3, 1, 9})
@@ -69,6 +78,21 @@ func FuzzChainDPs(f *testing.F) {
 	f.Add([]byte{4, 5, 10, 0, 3, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ts, n, m := chainCase(data)
+		sorted := slices.Clone(ts)
+		sort.Slice(sorted, func(a, b int) bool { return cmpLG(sorted[a], sorted[b]) < 0 })
+		for _, dp := range chainDPs(n, m) {
+			var v [2]int
+			var c [2][]Tuple
+			for i, arg := range [][]Tuple{ts, sorted} {
+				in := slices.Clone(arg)
+				if v[i], c[i] = dp.run(in); !slices.Equal(in, arg) {
+					t.Fatalf("%s modified its argument: %v, was %v", dp.name, in, arg)
+				}
+			}
+			if v[0] != v[1] || !slices.Equal(c[0], c[1]) {
+				t.Fatalf("%s: (L, G)-ordered input gives %d %v, unordered %d %v (tuples=%v)", dp.name, v[1], c[1], v[0], c[0], ts)
+			}
+		}
 		editGap := func(overlap bool) func(p, q Tuple) int {
 			return func(p, q Tuple) int {
 				if overlap && p.K >= q.G {
@@ -94,4 +118,30 @@ func FuzzChainDPs(f *testing.F) {
 		}
 		checkChain(t, "LCSScoreChain", chain, n, m, v, false, func(p, q Tuple) int { return 0 })
 	})
+}
+
+// chainDP is one of the package's DPs, returning its value and, for the
+// quadratic DPs, its chain.
+type chainDP struct {
+	name string
+	run  func(ts []Tuple) (int, []Tuple)
+}
+
+// chainDPs returns every DP of the package on an instance with s of
+// length n and sbar of length m.
+func chainDPs(n, m int) []chainDP {
+	var dps []chainDP
+	for _, overlap := range []bool{false, true} {
+		dps = append(dps,
+			chainDP{fmt.Sprintf("EditCost(overlap=%v)", overlap), func(ts []Tuple) (int, []Tuple) {
+				return EditCost(ts, n, m, overlap, nil), nil
+			}},
+			chainDP{fmt.Sprintf("EditCostChain(overlap=%v)", overlap), func(ts []Tuple) (int, []Tuple) {
+				return EditCostChain(ts, n, m, overlap, nil)
+			}})
+	}
+	return append(dps,
+		chainDP{"UlamCostChain", func(ts []Tuple) (int, []Tuple) { return UlamCostChain(ts, n, m, nil) }},
+		chainDP{"LCSScore", func(ts []Tuple) (int, []Tuple) { return LCSScore(ts, nil), nil }},
+		chainDP{"LCSScoreChain", func(ts []Tuple) (int, []Tuple) { return LCSScoreChain(ts, nil) }})
 }

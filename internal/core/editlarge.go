@@ -313,8 +313,8 @@ func (lg *largeGuess) presample(cl *mpc.Cluster, fN, y, yp float64) {
 // layoutRuns gives each presampled block run machines: the starts within
 // reach of it, cut into runs. A run machine's fixed input is its block and
 // one 3-word distance from every representative, and it sends at most
-// one message per window and block of its group: the direct tuple and
-// the extension requests.
+// five words per window and block of its group: the direct tuple and the
+// extension requests.
 func (lg *largeGuess) layoutRuns() {
 	lg.runIDs = make(map[int32][]int32)
 	for bi, near := range lg.near {
@@ -334,7 +334,8 @@ func (lg *largeGuess) layoutRuns() {
 // machine's each. A run skips a start where per is 0, and ends before the
 // start that would take the machine's input (fixed words and the segment
 // of sbar covering the run's windows) or its output (per(si) 5-word
-// messages for each window opening at start si) past half the budget.
+// tuples or requests for each window opening at start si) past half the
+// budget.
 func (lg *largeGuess) cut(lo, hi, fixed int, per func(si int) int) []startRun {
 	half := lg.budget / 2
 	var runs []startRun
@@ -488,8 +489,9 @@ func (lg *largeGuess) joinMachine(x *mpc.Ctx, in []mpc.Payload) {
 // Its block works at each tau below the block's cover whose driver coin
 // is up; the windows within any of those taus are the windows within the
 // largest, so it prices its windows once and, for each window within that
-// tau, sends the direct tuple to the passthrough and the sink requests for
-// the shifted pairs of its group's other blocks (Fig. 7).
+// tau, emits the direct tuple (all of them go to the passthrough as one
+// batch) and sends the sink requests for the shifted pairs of its group's
+// other blocks (Fig. 7).
 func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 	var job *runJob
 	cover := int32(math.MaxInt32)
@@ -517,13 +519,14 @@ func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 	bl := lg.blocks[v]
 	g0 := v - v%lg.groupBlocks
 	lo := lg.opens[job.Run.First]
+	var direct tuples
 	for i, d := range lg.price(x, job.Block, job.Run) {
 		if d > tau {
 			continue
 		}
 		w := lg.wins[lo+i]
 		if d <= lg.dFilter(w[1]-w[0]+1) {
-			x.Send(passID, tupleMsg(chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d}))
+			direct = append(direct, chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
 		}
 		for _, blj := range lg.blocks[g0:min(g0+lg.groupBlocks, len(lg.blocks))] {
 			gamma, kappa := max(0, w[0]+blj.l-bl.l), min(len(lg.sbar)-1, w[1]+blj.r-bl.r)
@@ -531,6 +534,9 @@ func (lg *largeGuess) runMachine(x *mpc.Ctx, in []mpc.Payload) {
 				x.Send(driverSink, mpc.Ints{blj.l, blj.r, gamma, kappa})
 			}
 		}
+	}
+	if len(direct) > 0 { // an empty batch would give the extend round an idle passthrough
+		x.Send(passID, direct)
 	}
 }
 
@@ -606,28 +612,31 @@ func (lg *largeGuess) layoutWins(choices []selMsg, in map[int][]mpc.Payload, nex
 }
 
 // extendMachine is the extend round's program. The passthrough forwards
-// the direct tuples, window machines emit the triangle tuples, and
-// extension machines price their pairs exactly (Algorithm 7).
+// the run machines' batches of direct tuples unchanged, a window machine
+// emits its triangle tuples, and an extension machine prices its pairs
+// exactly (Algorithm 7); each of the last two sends one batch.
 func (lg *largeGuess) extendMachine(x *mpc.Ctx, in []mpc.Payload) {
+	var batch []chain.Tuple
 	for _, pl := range in {
 		switch job := pl.(type) {
-		case tupleMsg:
+		case tuples:
 			x.Send(collector, job)
 		case *winJob:
-			lg.triangles(x, job)
+			batch = lg.triangles(x, job, batch)
 		case *extJob:
 			d := editdist.Myers(job.Block, job.Win, x.Counter())
 			if d <= lg.dFilter(job.K-job.G+1) {
-				SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: job.G, K: job.K, D: d})
+				batch = append(batch, chain.Tuple{L: job.L, R: job.R, G: job.G, K: job.K, D: d})
 			}
 		}
 	}
+	SendTuples(x, batch)
 }
 
 // triangles is a window machine: it prices its representative z against
-// its run's windows and emits the triangle tuple d(z,v)+d(z,u) of Lemma 7
-// for every window u that a choosing block v may use.
-func (lg *largeGuess) triangles(x *mpc.Ctx, job *winJob) {
+// its run's windows and appends to batch the triangle tuple d(z,v)+d(z,u)
+// of Lemma 7 for every window u that a choosing block v may use.
+func (lg *largeGuess) triangles(x *mpc.Ctx, job *winJob, batch []chain.Tuple) []chain.Tuple {
 	lo, hi := lg.opens[job.Run.First], lg.opens[job.Run.Last+1]
 	dz := lg.price(x, job.Rep, job.Run) // d(z, u) for the windows u in [lo, hi)
 	for _, c := range job.Choices {
@@ -645,8 +654,9 @@ func (lg *largeGuess) triangles(x *mpc.Ctx, job *winJob) {
 			if d > lg.dFilter(w[1]-w[0]+1) {
 				continue
 			}
-			SendTuple(x, chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
+			batch = append(batch, chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
 			x.Ops(1)
 		}
 	}
+	return batch
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"mpcdist/internal/approx"
 	"mpcdist/internal/cand"
-	"mpcdist/internal/chain"
 	"mpcdist/internal/editdist"
 	"mpcdist/internal/mpc"
 	"mpcdist/internal/trace"
@@ -79,32 +80,24 @@ func editSmall(s, sbar []byte, g int, p Params) (int, mpc.Report, error) {
 	dFilter := int((3 + p.Eps) * float64(g))
 
 	out, err := cl.Run("edit-small/pairs", trace.PhaseCandidates, inputs, func(x *mpc.Ctx, in []mpc.Payload) {
+		// One ends buffer, filtered in place into the kappas, and one
+		// prefixes buffer serve every start of the machine.
+		var kappas, prefixes []int
 		for _, pl := range in {
 			job := pl.(*editJob)
-			blen := len(job.Block)
 			for _, gamma := range job.Starts {
-				var kappas, prefixes []int
-				for _, kappa := range cand.Ends(gamma, blen, m, gr.EpsP, job.MaxWin, job.Guess) {
-					if kappa-job.SegOff >= len(job.Seg) {
-						continue // outside this machine's segment
-					}
-					kappas = append(kappas, kappa)
-					prefixes = append(prefixes, kappa-gamma+1)
-				}
+				kappas = cand.AppendEnds(kappas[:0], gamma, len(job.Block), m, gr.EpsP, job.MaxWin, job.Guess)
+				// Ends outside this machine's segment are not its to price.
+				kappas = slices.DeleteFunc(kappas, func(kappa int) bool { return kappa-job.SegOff >= len(job.Seg) })
 				if len(kappas) == 0 {
 					continue
 				}
-				ds := pairDistances(job, gamma, kappas, prefixes, dFilter, p, x)
-				for i, kappa := range kappas {
-					d := ds[i]
-					// Tuples costlier than the acceptance threshold, or
-					// dominated by deleting the block and inserting the
-					// window, can never appear in an accepted chain.
-					if d > dFilter || d > blen+prefixes[i] {
-						continue
-					}
-					SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: d})
+				prefixes = prefixes[:0]
+				for _, kappa := range kappas {
+					prefixes = append(prefixes, kappa-gamma+1)
 				}
+				ds := pairDistances(job, gamma, kappas, prefixes, dFilter, p, x)
+				SendWindows(x, job.L, job.R, gamma, kappas, ds, dFilter)
 			}
 		}
 	})

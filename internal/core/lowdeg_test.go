@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mpcdist/internal/chain"
 	"mpcdist/internal/editdist"
 	"mpcdist/internal/mpc"
 	"mpcdist/internal/trace"
@@ -105,7 +106,7 @@ func TestLowDegreeCoinsDriveRunMachines(t *testing.T) {
 // rerunRunMachine runs run machine rid alone, its block's coins set to
 // coins and the representatives' distances in cover, and returns the
 // direct tuples it sends, sorted.
-func rerunRunMachine(t *testing.T, lg *largeGuess, rid int, coins []bool, cover ...mpc.Payload) []tupleMsg {
+func rerunRunMachine(t *testing.T, lg *largeGuess, rid int, coins []bool, cover ...mpc.Payload) []chain.Tuple {
 	t.Helper()
 	job := lg.runs[rid-lg.numGroups]
 	lg.coins[job.V] = coins
@@ -114,9 +115,9 @@ func rerunRunMachine(t *testing.T, lg *largeGuess, rid int, coins []bool, cover 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got []tupleMsg
+	var got []chain.Tuple
 	for _, pl := range out[passID] {
-		got = append(got, pl.(tupleMsg))
+		got = append(got, pl.(tuples)...)
 	}
 	slices.SortFunc(got, cmpTuple)
 	return got
@@ -124,14 +125,14 @@ func rerunRunMachine(t *testing.T, lg *largeGuess, rid int, coins []bool, cover 
 
 // directTuples returns the direct tuples of run machine rid's windows
 // within tau, sorted.
-func directTuples(lg *largeGuess, rid, tau int) []tupleMsg {
+func directTuples(lg *largeGuess, rid, tau int) []chain.Tuple {
 	job := lg.runs[rid-lg.numGroups]
 	bl := lg.blocks[job.V]
-	var want []tupleMsg
+	var want []chain.Tuple
 	for _, w := range lg.wins[lg.opens[job.Run.First]:lg.opens[job.Run.Last+1]] {
 		d := editdist.Myers(job.Block, lg.sbar[w[0]:w[1]+1], nil)
 		if d <= tau && d <= lg.dFilter(w[1]-w[0]+1) {
-			want = append(want, tupleMsg{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
+			want = append(want, chain.Tuple{L: bl.l, R: bl.r, G: w[0], K: w[1], D: d})
 		}
 	}
 	slices.SortFunc(want, cmpTuple)
@@ -139,6 +140,6 @@ func directTuples(lg *largeGuess, rid, tau int) []tupleMsg {
 }
 
 // cmpTuple orders tuples by block, then window, then distance.
-func cmpTuple(a, b tupleMsg) int {
+func cmpTuple(a, b chain.Tuple) int {
 	return cmp.Or(cmp.Compare(a.L, b.L), cmp.Compare(a.G, b.G), cmp.Compare(a.K, b.K), cmp.Compare(a.D, b.D))
 }

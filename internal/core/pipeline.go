@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"mpcdist/internal/chain"
 	"mpcdist/internal/mpc"
@@ -11,39 +12,67 @@ import (
 
 // Every Table 1 pipeline has one shape: a driver-side partition (Grid.Jobs,
 // partitionLarge, UlamMPC's match pairs), rounds whose machines send chain
-// tuples to one collector (SendTuple), and ChainRound, which runs the chain
+// tuples to one collector in batches, one payload per start, block or
+// machine (SendTuples, SendWindows), and ChainRound, which runs the chain
 // DP on the collector. The payloads below are the pipelines' one wire
 // vocabulary for tuples and answers.
 
 // collector is the machine the chain round runs on.
 const collector = 0
 
-// tupleMsg carries one chain tuple to the collector.
-type tupleMsg chain.Tuple
+// tuples is a batch of chain tuples on its way to the collector. The
+// model counts words, not messages: a batch of k tuples is the 5k words
+// its tuples would be one by one.
+type tuples []chain.Tuple
 
 // Words implements mpc.Payload.
-func (tupleMsg) Words() int { return 5 }
+func (ts tuples) Words() int { return 5 * len(ts) }
 
-// valueMsg carries the chain round's answer.
-type valueMsg int
-
-// Words implements mpc.Payload.
-func (valueMsg) Words() int { return 1 }
-
-// chainMsg carries one selected tuple of the final chain back to the
-// driver.
-type chainMsg chain.Tuple
+// answer carries the chain round's value and the chain realizing it back
+// to the driver.
+type answer struct {
+	Value int
+	Chain []chain.Tuple
+}
 
 // Words implements mpc.Payload.
-func (chainMsg) Words() int { return 5 }
+func (a answer) Words() int { return 1 + 5*len(a.Chain) }
 
-// SendTuple sends one chain tuple to the collector.
-func SendTuple(x *mpc.Ctx, t chain.Tuple) { x.Send(collector, tupleMsg(t)) }
+// SendTuples sends a batch of chain tuples to the collector, and nothing
+// for an empty batch: a machine that found no tuple adds no payload.
+func SendTuples(x *mpc.Ctx, ts []chain.Tuple) {
+	if len(ts) > 0 {
+		x.Send(collector, tuples(ts))
+	}
+}
+
+// SendWindows sends, as one batch sized exactly, the tuples of the block
+// s[l..r] against the windows sbar[gamma..kappas[i]] at distance ds[i]
+// that can appear in an accepted chain: those within dFilter and not
+// dominated by deleting the block and inserting the window.
+func SendWindows(x *mpc.Ctx, l, r, gamma int, kappas, ds []int, dFilter int) {
+	keep := func(i int) bool {
+		return ds[i] <= dFilter && ds[i] <= (r-l+1)+(kappas[i]-gamma+1)
+	}
+	n := 0
+	for i := range kappas {
+		if keep(i) {
+			n++
+		}
+	}
+	ts := make([]chain.Tuple, 0, n)
+	for i, kappa := range kappas {
+		if keep(i) {
+			ts = append(ts, chain.Tuple{L: l, R: r, G: gamma, K: kappa, D: ds[i]})
+		}
+	}
+	SendTuples(x, ts)
+}
 
 // ChainDP is a chain round's program: Algorithm 2 for Ulam, Algorithm 4
 // for Lemma 6 and [20], its overlap variant for Lemma 8 (Section 5.2.3),
 // or the LCS extension's maximizing DP. It returns the value and, if the
-// caller wants it, the chain realizing it.
+// caller wants it, the chain realizing it. It must not modify tuples.
 type ChainDP func(tuples []chain.Tuple, ops *stats.Ops) (int, []chain.Tuple)
 
 // EditChain is Algorithm 4 for s of length n and sbar of length m, with
@@ -55,42 +84,30 @@ func EditChain(n, m int, overlap bool) ChainDP {
 }
 
 // ChainRound runs a pipeline's last round under the given name: the
-// collector runs dp over the tuples in its input, on an empty input if no
-// tuple reached it, and sends back the value and the chain.
+// collector joins the batches in its input, in arrival order, into one
+// slice (empty if no tuple reached it), runs dp over it, and sends back
+// the value and the chain.
 func ChainRound(cl *mpc.Cluster, round string, in map[int][]mpc.Payload, dp ChainDP) (int, []chain.Tuple, error) {
 	if _, ok := in[collector]; !ok {
 		in[collector] = []mpc.Payload{}
 	}
 	out, err := cl.Run(round, trace.PhaseChain, in, func(x *mpc.Ctx, msgs []mpc.Payload) {
-		tuples := make([]chain.Tuple, 0, len(msgs))
-		for _, pl := range msgs {
-			if t, ok := pl.(tupleMsg); ok {
-				tuples = append(tuples, chain.Tuple(t))
-			}
+		batches := make([][]chain.Tuple, len(msgs))
+		for i, pl := range msgs {
+			batches[i], _ = pl.(tuples)
 		}
-		v, picked := dp(tuples, x.Counter())
-		x.Send(collector, valueMsg(v))
-		for _, t := range picked {
-			x.Send(collector, chainMsg(t))
-		}
+		v, picked := dp(slices.Concat(batches...), x.Counter())
+		x.Send(collector, answer{Value: v, Chain: picked})
 	})
 	if err != nil {
 		return 0, nil, err
 	}
-	value, values := 0, 0
-	var picked []chain.Tuple
-	for _, pl := range out[collector] {
-		switch msg := pl.(type) {
-		case valueMsg:
-			value, values = int(msg), values+1
-		case chainMsg:
-			picked = append(picked, chain.Tuple(msg))
+	if msgs := out[collector]; len(msgs) == 1 {
+		if a, ok := msgs[0].(answer); ok {
+			return a.Value, a.Chain, nil
 		}
 	}
-	if values != 1 {
-		return 0, nil, fmt.Errorf("core: %s produced %d values", round, values)
-	}
-	return value, picked, nil
+	return 0, nil, fmt.Errorf("core: %s produced %d payloads, want one answer", round, len(out[collector]))
 }
 
 // Grid is the block/candidate decomposition of Lemma 6, [20] and the LCS

@@ -8,9 +8,8 @@ import "mpcdist/internal/mpc"
 // a protocol change.
 func init() {
 	mpc.RegisterPayload("core.ulamJob", (*ulamJob)(nil))
-	mpc.RegisterPayload("core.tupleMsg", tupleMsg{})
-	mpc.RegisterPayload("core.valueMsg", valueMsg(0))
-	mpc.RegisterPayload("core.chainMsg", chainMsg{})
+	mpc.RegisterPayload("core.tuples", tuples(nil))
+	mpc.RegisterPayload("core.answer", answer{})
 	mpc.RegisterPayload("core.editJob", (*editJob)(nil))
 	mpc.RegisterPayload("core.distMsg", distMsg{})
 	mpc.RegisterPayload("core.selMsg", selMsg{})

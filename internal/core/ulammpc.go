@@ -100,7 +100,7 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 }
 
 // runUlamRound1 is Algorithm 1: build candidate substrings for the block
-// and emit a tuple with the Ulam distance for each.
+// and emit one batch holding a tuple with the Ulam distance for each.
 //
 // It walks the candidate grids twice. The first walk collects the distinct
 // windows, and each start's windows are priced together by one DP
@@ -145,11 +145,12 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 	wins = windowTable{} // the pruning needs only kept
 	pruneOps := pruneDominated(kept)
 	x.Ops(int64(priced) + pruneOps/8)
-	for _, c := range kept {
-		if c.d >= 0 {
-			SendTuple(x, chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d})
-		}
+	kept = slices.DeleteFunc(kept, func(c ulamCand) bool { return c.d < 0 })
+	batch := make([]chain.Tuple, len(kept))
+	for i, c := range kept {
+		batch[i] = chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d}
 	}
+	SendTuples(x, batch)
 }
 
 // anchor is a window of sbar anchored at one sampled match pair.

@@ -231,18 +231,21 @@ func TestTCPCheckpointTornStateFails(t *testing.T) {
 // checkpoint blob stores each payload's type id, which is the index of its
 // name in this sorted table, so a name added or removed before an existing
 // one shifts that one's id, and a store written earlier would decode its
-// payloads as other types (core.tupleMsg and core.chainMsg even share a
-// shape). A store is keyed by its job's SpecDigest, which encodes the
-// dist.Job type id too: a change that moves dist.Job's id moves every
-// digest, so no earlier store is found, and one that moves other ids but
-// not dist.Job's must sort after every name here or change the checkpoint
-// format's version.
+// payloads as other types. A store is keyed by its job's SpecDigest, which
+// encodes the dist.Job type id too: a change that moves dist.Job's id
+// moves every digest, so no earlier store is found, and one that moves
+// other ids but not dist.Job's must sort after every name here or change
+// the checkpoint format's version. Sending chain tuples in batches
+// (core.tuples) and the chain round's value and chain as one answer
+// (core.answer) replaced three names with two, which moved dist.Job's id
+// from 15 to 14: a store holding single-tuple records is never read as
+// batches.
 func TestRegisteredNamesPinned(t *testing.T) {
 	want := []string{
 		"baseline.lcsJob", "baseline.pairJob", "ckpt.State", "ckpt.Step",
-		"core.chainMsg", "core.distMsg", "core.editJob", "core.extJob",
-		"core.repBatch", "core.runJob", "core.selMsg", "core.tupleMsg", "core.ulamJob",
-		"core.valueMsg", "core.winJob", "dist.Job", "dist.resultDigest",
+		"core.answer", "core.distMsg", "core.editJob", "core.extJob",
+		"core.repBatch", "core.runJob", "core.selMsg", "core.tuples", "core.ulamJob",
+		"core.winJob", "dist.Job", "dist.resultDigest",
 		"mpc.Bytes", "mpc.Int", "mpc.Ints",
 	}
 	if got := transport.RegisteredNames(); !reflect.DeepEqual(got, want) {
