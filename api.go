@@ -104,8 +104,9 @@ func EditDistanceBounded(a, b []byte, bound int, ops *Ops) int {
 }
 
 // EditDistanceDiagonal returns the exact edit distance with the
-// Landau-Myers diagonal-transition algorithm, O(n + d^2 log n) expected —
-// the fastest exact kernel when the strings are huge but similar.
+// Landau-Myers diagonal-transition algorithm, O(n + m + d^2) diagonal steps
+// with direct longest-common-extension scans — the fastest exact kernel
+// when the strings are huge but similar.
 func EditDistanceDiagonal(a, b []byte, ops *Ops) int {
 	return editdist.DiagonalTransition(a, b, ops)
 }

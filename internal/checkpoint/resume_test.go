@@ -105,8 +105,8 @@ type crashingSaver struct {
 	budget int
 }
 
-func (c *crashingSaver) Resume(round int, name string, phase trace.Phase) (*mpc.RoundSnapshot, error) {
-	return c.inner.Resume(round, name, phase)
+func (c *crashingSaver) Resume(round int, name string, phase trace.Phase, inputs map[int][]mpc.Payload) (*mpc.RoundSnapshot, error) {
+	return c.inner.Resume(round, name, phase, inputs)
 }
 
 func (c *crashingSaver) Save(snap *mpc.RoundSnapshot) error {
@@ -255,5 +255,58 @@ func TestResumeDivergentPipelineRefused(t *testing.T) {
 	var de *checkpoint.DivergenceError
 	if !errors.As(err, &de) {
 		t.Fatalf("divergent resume: err = %v, want *DivergenceError", err)
+	}
+}
+
+// TestResumeOtherLayoutRefused writes a store from a round over one input
+// layout and resumes it under another with the same round name and phase,
+// as a build that lays its machines out differently would: more machines,
+// or as many with a larger input. The resume must fail with a
+// DivergenceError rather than hand the live run records addressed to
+// another layout's machine ids; the same layout still fast-forwards.
+func TestResumeOtherLayoutRefused(t *testing.T) {
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(ck mpc.Checkpointer, in map[int][]mpc.Payload) error {
+		cl := mpc.NewCluster(mpc.Config{Checkpointer: ck})
+		_, err := cl.Run("layout", trace.PhaseCandidates, in, func(x *mpc.Ctx, in []mpc.Payload) {
+			x.Send(0, in[0])
+		})
+		return err
+	}
+	written := map[int][]mpc.Payload{0: {mpc.Ints{1, 2}}, 1: {mpc.Ints{3, 4}}}
+	saver, err := checkpoint.NewSaver(store, "job", "layout", checkpoint.SaverOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := run(saver, written); err != nil {
+		t.Fatal(err)
+	}
+	if err := saver.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := func(in map[int][]mpc.Payload) (int, error) {
+		resumer, err := checkpoint.NewSaver(store, "job", "layout", checkpoint.SaverOptions{Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = run(resumer, in)
+		_, resumed, _ := resumer.Counters()
+		return resumed, err
+	}
+	for name, in := range map[string]map[int][]mpc.Payload{
+		"more machines":  {0: {mpc.Ints{1, 2}}, 1: {mpc.Ints{3}}, 2: {mpc.Ints{4}}},
+		"a larger input": {0: {mpc.Ints{1, 2, 3}}, 1: {mpc.Ints{4}}},
+	} {
+		var de *checkpoint.DivergenceError
+		if resumed, err := resume(in); !errors.As(err, &de) || resumed != 0 {
+			t.Errorf("%s: resumed %d steps, err = %v; want none and a *DivergenceError", name, resumed, err)
+		}
+	}
+	if resumed, err := resume(written); err != nil || resumed != 1 {
+		t.Errorf("same layout: resumed %d steps, err = %v; want 1 and no error", resumed, err)
 	}
 }

@@ -107,14 +107,14 @@ func NewSaver(store *Store, job, algo string, opts SaverOptions) (*Saver, error)
 
 // Resume implements mpc.Checkpointer: fast-forward while the durable
 // prefix lasts, verifying each live round against the stored step.
-func (s *Saver) Resume(round int, name string, phase trace.Phase) (*mpc.RoundSnapshot, error) {
+func (s *Saver) Resume(round int, name string, phase trace.Phase, inputs map[int][]mpc.Payload) (*mpc.RoundSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.next >= len(s.prefix) {
 		return nil, nil
 	}
 	ws := s.prefix[s.next]
-	if err := matchStep(ws, round, name, phase); err != nil {
+	if err := matchStep(ws, round, name, phase, inputs); err != nil {
 		return nil, err
 	}
 	snap, err := snapshotOf(s.codec, ws)

@@ -288,7 +288,7 @@ func TestSaverResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, w := range want {
-		snap, err := re.Resume(w.Round, w.Name, w.Phase)
+		snap, err := re.Resume(w.Round, w.Name, w.Phase, nil)
 		if err != nil {
 			t.Fatalf("resume step %d: %v", i, err)
 		}
@@ -304,7 +304,7 @@ func TestSaverResumeRoundTrip(t *testing.T) {
 		}
 	}
 	// Prefix exhausted: live execution takes over.
-	if snap, err := re.Resume(99, "x", "y"); snap != nil || err != nil {
+	if snap, err := re.Resume(99, "x", "y", nil); snap != nil || err != nil {
 		t.Errorf("past prefix: snap=%v err=%v, want nil/nil", snap, err)
 	}
 
@@ -314,7 +314,7 @@ func TestSaverResumeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var de *DivergenceError
-	if _, err := re2.Resume(0, "other-pipeline", "candidates"); !errors.As(err, &de) {
+	if _, err := re2.Resume(0, "other-pipeline", "candidates", nil); !errors.As(err, &de) {
 		t.Fatalf("diverged resume: err = %v, want *DivergenceError", err)
 	}
 
@@ -328,7 +328,7 @@ func TestSaverResumeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap, err := fresh.Resume(0, "ulam", "candidates"); snap != nil || err != nil {
+	if snap, err := fresh.Resume(0, "ulam", "candidates", nil); snap != nil || err != nil {
 		t.Errorf("fresh resume: snap=%v err=%v, want nil/nil", snap, err)
 	}
 }
@@ -364,7 +364,7 @@ func TestReplayerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		snap, err := rp.Resume(i, "ulam", trace.Phase("candidates"))
+		snap, err := rp.Resume(i, "ulam", trace.Phase("candidates"), nil)
 		if err != nil || snap == nil {
 			t.Fatalf("replayer step %d: %v, %v", i, snap, err)
 		}
@@ -372,7 +372,7 @@ func TestReplayerRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if snap, err := rp.Resume(3, "ulam", "candidates"); snap != nil || err != nil {
+	if snap, err := rp.Resume(3, "ulam", "candidates", nil); snap != nil || err != nil {
 		t.Errorf("replayer past prefix: %v, %v", snap, err)
 	}
 

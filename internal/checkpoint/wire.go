@@ -60,14 +60,28 @@ func snapshotOf(c *transport.Codec, ws wireStep) (*mpc.RoundSnapshot, error) {
 }
 
 // matchStep verifies that the live round the cluster is about to run is
-// the one the stored step recorded; anything else means the job spec (or
-// binary) diverged from the run that wrote the checkpoint.
-func matchStep(ws wireStep, round int, name string, phase trace.Phase) error {
+// the one the stored step recorded: its round, name and phase, and the
+// shape of its inputs, which the step's stats hold as Machines and
+// MaxInWords. Anything else means the job spec (or binary) diverged from
+// the run that wrote the checkpoint: a build with another machine layout
+// would read the stored records under the wrong machine ids.
+func matchStep(ws wireStep, round int, name string, phase trace.Phase, inputs map[int][]mpc.Payload) error {
 	if ws.Round != round || ws.Name != name || ws.Phase != string(phase) {
 		return &DivergenceError{
 			Step: ws.Step,
 			Want: fmt.Sprintf("round %d %q phase=%s", ws.Round, ws.Name, ws.Phase),
 			Got:  fmt.Sprintf("round %d %q phase=%s", round, name, phase),
+		}
+	}
+	maxIn := 0
+	for _, in := range inputs {
+		maxIn = max(maxIn, mpc.PayloadWords(in))
+	}
+	if ws.Stats.Machines != len(inputs) || ws.Stats.MaxInWords != maxIn {
+		return &DivergenceError{
+			Step: ws.Step,
+			Want: fmt.Sprintf("round %q on %d machines, largest input %d words", ws.Name, ws.Stats.Machines, ws.Stats.MaxInWords),
+			Got:  fmt.Sprintf("round %q on %d machines, largest input %d words", name, len(inputs), maxIn),
 		}
 	}
 	return nil

@@ -73,7 +73,7 @@ func TestEmptyRecordSetResumesNonNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := re.Resume(empty.Round, empty.Name, empty.Phase)
+	snap, err := re.Resume(empty.Round, empty.Name, empty.Phase, nil)
 	if err != nil || snap == nil {
 		t.Fatalf("resume: %v, %v", snap, err)
 	}

@@ -635,9 +635,16 @@ func (lg *largeGuess) extendMachine(x *mpc.Ctx, in []mpc.Payload) {
 
 // triangles is a window machine: it prices its representative z against
 // its run's windows and appends to batch the triangle tuple d(z,v)+d(z,u)
-// of Lemma 7 for every window u that a choosing block v may use.
+// of Lemma 7 for every window u that a choosing block v may use. It grows
+// batch once, by the windows of the run each choice may use.
 func (lg *largeGuess) triangles(x *mpc.Ctx, job *winJob, batch []chain.Tuple) []chain.Tuple {
 	lo, hi := lg.opens[job.Run.First], lg.opens[job.Run.Last+1]
+	most := 0
+	for _, c := range job.Choices {
+		wlo, whi := lg.winsOf(int(c.V))
+		most += max(0, min(whi, hi)-max(wlo, lo))
+	}
+	batch = slices.Grow(batch, most)
 	dz := lg.price(x, job.Rep, job.Run) // d(z, u) for the windows u in [lo, hi)
 	for _, c := range job.Choices {
 		bl, dzv := lg.blocks[c.V], int(c.D)

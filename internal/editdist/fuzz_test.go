@@ -2,6 +2,7 @@ package editdist
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 )
 
@@ -15,6 +16,13 @@ func FuzzKernelsAgree(f *testing.F) {
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), []byte("aba"))
 	f.Add([]byte("xyxyxyxy"), []byte("yxyxyxyx"))
 	f.Add(bytes.Repeat([]byte("ab"), 40), bytes.Repeat([]byte("ba"), 41))
+	// Long common runs, so that the diagonal kernel's LCE scans cross whole
+	// words before they stop.
+	run := bytes.Repeat([]byte("acgtacg"), 9)
+	f.Add(run, append(bytes.Clone(run[:30]), run[31:]...))
+	f.Add(append(bytes.Clone(run), "xyz"...), append([]byte("x"), run...))
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), []byte("the quick brown fox jumped over the lazy dog"))
+	f.Add(bytes.Repeat([]byte("a"), 33), append(bytes.Repeat([]byte("a"), 17), 'b'))
 	f.Fuzz(func(t *testing.T, a, b []byte) {
 		if len(a) > 300 {
 			a = a[:300]
@@ -45,10 +53,15 @@ func FuzzKernelsAgree(f *testing.F) {
 	})
 }
 
+// FuzzMyersMulti holds MyersMulti to the classic DP per end, with the ends
+// in the order shuffle picks and some repeated, as callers pass cand.Ends'
+// interleaved ladder (kappa, kappa+1, kappa-1, ...).
 func FuzzMyersMulti(f *testing.F) {
-	f.Add([]byte("hello"), []byte("world"), uint8(3))
-	f.Add([]byte(""), []byte("x"), uint8(1))
-	f.Fuzz(func(t *testing.T, a, b []byte, step uint8) {
+	f.Add([]byte("hello"), []byte("world"), uint8(3), uint64(0))
+	f.Add([]byte(""), []byte("x"), uint8(1), uint64(0))
+	f.Add([]byte("hello"), []byte("yellow fellow"), uint8(2), uint64(1))
+	f.Add([]byte("acgtacgt"), []byte("cgtacgatacgt"), uint8(1), uint64(7))
+	f.Fuzz(func(t *testing.T, a, b []byte, step uint8, shuffle uint64) {
 		if len(a) > 200 {
 			a = a[:200]
 		}
@@ -59,6 +72,13 @@ func FuzzMyersMulti(f *testing.F) {
 		var ends []int
 		for e := 0; e <= len(b); e += st {
 			ends = append(ends, e)
+		}
+		if shuffle != 0 {
+			rng := rand.New(rand.NewSource(int64(shuffle)))
+			for k := len(ends) / 2; k > 0; k-- {
+				ends = append(ends, ends[rng.Intn(len(ends))])
+			}
+			rng.Shuffle(len(ends), func(i, j int) { ends[i], ends[j] = ends[j], ends[i] })
 		}
 		got := MyersMulti(a, b, ends, nil)
 		for i, e := range ends {

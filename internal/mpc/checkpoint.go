@@ -48,9 +48,13 @@ type Checkpointer interface {
 	// previous run. A non-nil snapshot fast-forwards the round: the
 	// cluster appends the saved stats and returns the saved outputs
 	// without executing machines or touching the transport. nil means run
-	// live. Implementations must verify that (round, name, phase) match
-	// the stored step and return a typed divergence error otherwise.
-	Resume(round int, name string, phase trace.Phase) (*RoundSnapshot, error)
+	// live. Implementations must verify that (round, name, phase) and the
+	// shape of the round's inputs (their machine count and largest
+	// PayloadWords, which a stored step's Stats hold as Machines and
+	// MaxInWords) match the stored step, and return a typed divergence
+	// error otherwise. Only a stored step needs the shape, so a round with
+	// nothing to fast-forward costs no pass over its inputs.
+	Resume(round int, name string, phase trace.Phase, inputs map[int][]Payload) (*RoundSnapshot, error)
 	// Save persists the completed round (implementations set snap.Step and
 	// may buffer; see internal/checkpoint's flush cadence). A Save failure
 	// fails the round — a job that asked for durability must not silently

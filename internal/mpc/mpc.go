@@ -476,7 +476,7 @@ func (c *Cluster) Run(name string, phase trace.Phase, inputs map[int][]Payload, 
 		return nil, fmt.Errorf("mpc: round %q: %w", name, err)
 	}
 	re := c.newRound(name, phase, len(inputs), fn)
-	snap, err := re.resume()
+	snap, err := re.resume(inputs)
 	if err != nil {
 		return nil, re.fail(err)
 	}
@@ -567,13 +567,13 @@ func (re *roundExec) inWordsOf(id int) int {
 	return 0
 }
 
-// resume fast-forwards a round that completed in a previous run: it
-// restores the round's stats verbatim and returns the saved snapshot,
-// whose Next holds the post-shuffle outputs. Resumed rounds never execute
-// machines or reach the exchange barrier, so every party of a distributed
-// resume skips them in lockstep and the exchange sequence numbers stay
-// aligned. A nil snapshot means the round runs live.
-func (re *roundExec) resume() (*RoundSnapshot, error) {
+// resume fast-forwards a round that completed in a previous run over the
+// same inputs: it restores the round's stats verbatim and returns the
+// saved snapshot, whose Next holds the post-shuffle outputs. Resumed
+// rounds never execute machines or reach the exchange barrier, so every
+// party of a distributed resume skips them in lockstep and the exchange
+// sequence numbers stay aligned. A nil snapshot means the round runs live.
+func (re *roundExec) resume(inputs map[int][]Payload) (*RoundSnapshot, error) {
 	if err := re.ctx.Err(); err != nil {
 		return nil, fmt.Errorf("mpc: round %q cancelled: %w", re.name, err)
 	}
@@ -581,7 +581,7 @@ func (re *roundExec) resume() (*RoundSnapshot, error) {
 	if ck == nil {
 		return nil, nil
 	}
-	snap, err := ck.Resume(re.round, re.name, re.phase)
+	snap, err := ck.Resume(re.round, re.name, re.phase, inputs)
 	if err != nil {
 		return nil, fmt.Errorf("mpc: round %q: %w", re.name, err)
 	}

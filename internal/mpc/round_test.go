@@ -72,7 +72,7 @@ type savingCheckpointer struct {
 	saves int
 }
 
-func (c *savingCheckpointer) Resume(int, string, trace.Phase) (*RoundSnapshot, error) {
+func (c *savingCheckpointer) Resume(int, string, trace.Phase, map[int][]Payload) (*RoundSnapshot, error) {
 	return nil, nil
 }
 

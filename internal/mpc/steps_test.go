@@ -24,7 +24,7 @@ type snapCheckpointer struct {
 	err   error
 }
 
-func (c *snapCheckpointer) Resume(int, string, trace.Phase) (*RoundSnapshot, error) {
+func (c *snapCheckpointer) Resume(int, string, trace.Phase, map[int][]Payload) (*RoundSnapshot, error) {
 	return c.snap, nil
 }
 
@@ -38,10 +38,10 @@ func (c *snapCheckpointer) Save(snap *RoundSnapshot) error {
 // snapshot runs live, and a cancelled round stops first.
 func TestRoundResume(t *testing.T) {
 	in := map[int][]Payload{0: {Int(1)}}
-	saved := &RoundSnapshot{Stats: RoundStats{Name: "r", Phase: trace.PhaseCandidates, Machines: 1, TotalOps: 42},
+	saved := &RoundSnapshot{Stats: RoundStats{Name: "r", Phase: trace.PhaseCandidates, Machines: 1, MaxInWords: 1, TotalOps: 42},
 		Next: map[int][]Payload{3: {Int(9)}}}
 	c := NewCluster(Config{Checkpointer: &snapCheckpointer{snap: saved}})
-	snap, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume()
+	snap, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume(in)
 	if err != nil || snap != saved {
 		t.Fatalf("resume() = %v, %v; want the saved snapshot", snap, err)
 	}
@@ -50,14 +50,14 @@ func TestRoundResume(t *testing.T) {
 	}
 
 	c = NewCluster(Config{Checkpointer: &snapCheckpointer{}})
-	if snap, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume(); snap != nil || err != nil {
+	if snap, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume(in); snap != nil || err != nil {
 		t.Errorf("resume() with nothing saved = %v, %v; want a live round", snap, err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	c = NewCluster(Config{Ctx: ctx, Checkpointer: &snapCheckpointer{snap: saved}})
-	if _, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume(); !errors.Is(err, context.Canceled) {
+	if _, err := c.newRound("r", trace.PhaseCandidates, len(in), nil).resume(in); !errors.Is(err, context.Canceled) {
 		t.Errorf("resume() of a cancelled round = %v, want context.Canceled", err)
 	}
 }
