@@ -151,6 +151,40 @@ func BenchmarkEditMPCFar(b *testing.B) {
 	}
 }
 
+// BenchmarkUlamMPCLarge runs one job of the wall-time benchmark's
+// ulam-large shape per op: UlamMPC at x 0.3 and the default eps on a
+// planted pair of length 2048 at distance round(n^0.6) = 98, cycling over
+// 32 pairs with one sampling seed each. B/op and allocs/op are the
+// allocation per job behind ulam-large's alloc_mb_per_op.
+func BenchmarkUlamMPCLarge(b *testing.B) {
+	const n, pairs = 2048, 32
+	d := int(math.Round(math.Pow(n, 0.6)))
+	rng := rand.New(rand.NewSource(1))
+	type job struct {
+		s, sbar []int
+		exact   int
+		seed    int64
+	}
+	jobs := make([]job, pairs)
+	for i := range jobs {
+		s, sbar, _ := workload.PlantedUlam(rng, n, d)
+		jobs[i] = job{s, sbar, ulam.Exact(s, sbar, nil), int64(i + 1)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := jobs[i%pairs]
+		p := core.Params{X: 0.3, Seed: j.seed}
+		res, err := core.UlamMPC(j.s, j.sbar, p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if eps := p.WithDefaults().Eps; res.Value < j.exact || float64(res.Value) > (1+eps)*float64(j.exact) {
+			b.Fatalf("pair %d: value %d outside [%d, (1+%v)·%d]", i%pairs, res.Value, j.exact, eps, j.exact)
+		}
+	}
+}
+
 // --- Headline claim: machine-count exponents (ours n^{(9/5)x} vs n^{2x}) ---
 
 func BenchmarkMachinesSweepEdit(b *testing.B) {

@@ -1,8 +1,9 @@
 // Package bitree provides the module's Fenwick (binary indexed) tree: a
 // prefix-minimum tree that records which id set each minimum. It is the
 // query substrate of the match-point dynamic programs in the ulam package
-// (the CDQ merge and WindowDists) and of the Fenwick chain DPs in the chain
-// package; a prefix maximum is a prefix minimum over negated values.
+// (the CDQ merge and Pricer.WindowDists) and of the Fenwick chain DPs in
+// the chain package; a prefix maximum is a prefix minimum over negated
+// values.
 //
 // The tree is fixed-size and uses 1-based internal indexing while
 // exposing a 0-based API.

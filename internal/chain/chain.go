@@ -48,16 +48,26 @@ type Tuple struct {
 // a tuple's predecessors all start at a lower L.
 func cmpLG(a, b Tuple) int { return cmp.Or(cmp.Compare(a.L, b.L), cmp.Compare(a.G, b.G)) }
 
+// SortLG puts tuples in (L, G) order in place, the order the DPs visit
+// them in, and leaves a slice already in that order as it is. A caller
+// that owns its tuple set sorts it here, so that no DP has to copy it.
+func SortLG(tuples []Tuple) {
+	if !slices.IsSortedFunc(tuples, cmpLG) {
+		sort.Slice(tuples, func(a, b int) bool { return cmpLG(tuples[a], tuples[b]) < 0 })
+	}
+}
+
 // byLG returns tuples in (L, G) order: tuples itself when it is in that
-// order already, else a sorted copy. The DPs only read what it returns,
-// so none of them modifies its argument. sort.Slice leaves a slice in
-// order as it is, ties included, so both ways give one sequence.
+// order already, else a copy sorted by SortLG. The DPs only read what it
+// returns, so none of them modifies its argument. sort.Slice leaves a
+// slice in order as it is, ties included, so SortLG in place and byLG
+// give one sequence.
 func byLG(tuples []Tuple) []Tuple {
 	if slices.IsSortedFunc(tuples, cmpLG) {
 		return tuples
 	}
 	ts := slices.Clone(tuples)
-	sort.Slice(ts, func(a, b int) bool { return cmpLG(ts[a], ts[b]) < 0 })
+	SortLG(ts)
 	return ts
 }
 

@@ -85,8 +85,9 @@ func EditChain(n, m int, overlap bool) ChainDP {
 
 // ChainRound runs a pipeline's last round under the given name: the
 // collector joins the batches in its input, in arrival order, into one
-// slice (empty if no tuple reached it), runs dp over it, and sends back
-// the value and the chain.
+// slice of its own (empty if no tuple reached it), puts that slice in
+// (L, G) order in place (chain.SortLG: the order the DPs would sort a copy
+// into), runs dp over it, and sends back the value and the chain.
 func ChainRound(cl *mpc.Cluster, round string, in map[int][]mpc.Payload, dp ChainDP) (int, []chain.Tuple, error) {
 	if _, ok := in[collector]; !ok {
 		in[collector] = []mpc.Payload{}
@@ -96,7 +97,9 @@ func ChainRound(cl *mpc.Cluster, round string, in map[int][]mpc.Payload, dp Chai
 		for i, pl := range msgs {
 			batches[i], _ = pl.(tuples)
 		}
-		v, picked := dp(slices.Concat(batches...), x.Counter())
+		ts := slices.Concat(batches...)
+		chain.SortLG(ts)
+		v, picked := dp(ts, x.Counter())
 		x.Send(collector, answer{Value: v, Chain: picked})
 	})
 	if err != nil {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"math"
 	"math/rand"
 	"slices"
@@ -102,11 +101,15 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 // runUlamRound1 is Algorithm 1: build candidate substrings for the block
 // and emit one batch holding a tuple with the Ulam distance for each.
 //
-// It walks the candidate grids twice. The first walk collects the distinct
-// windows, and each start's windows are priced together by one DP
-// (ulam.WindowDists). The second walk repeats the calls in the same order
-// and keeps each window the first time its distance passes the scale
-// filter, so the kept set and its order depend only on the grids.
+// It walks the candidate grids three times. The first walk counts the
+// visits, so that the second can collect every visited window into one
+// slice of that size (grown by append instead, the slice would double the
+// machine's allocation); sorted and compacted, the slice is the table of
+// distinct windows, and each start's windows are priced together by one
+// DP (ulam.Pricer.WindowDists). The third walk repeats the visits in the
+// same order and keeps each window the first time its distance passes the
+// scale filter, so the kept set and its order depend only on the grids.
+// The machine allocates its pricing buffers and its table once.
 func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 	blen := job.R - job.L + 1
 	d0, win := ulam.LocalPairs(blen, job.Pairs, job.SbarLen, x.Counter())
@@ -114,19 +117,23 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 	// the distance guess u.
 	theta := hitConst * math.Log(float64(n)+2) / (epsP * float64(blen))
 	g := ulamGrids{blen: blen, m: job.SbarLen, epsP: epsP, win: win,
-		anchors: sampleAnchors(x.Rand(), job.Pairs, blen, theta)}
+		anchors: sampleAnchors(x.Rand(), job.Pairs, theta)}
 
-	wins := windowTable{seen: make(map[uint64]struct{})}
-	g.each(func(sp, ep, _ int) { wins.add(sp, ep) })
-	wins.price(blen, job.Pairs, x.Counter())
+	visits := 0
+	g.each(func(_, _, _ int) { visits++ })
+	keys := make([]uint64, 0, visits)
+	g.each(func(sp, ep, _ int) { keys = append(keys, windowKey(sp, ep)) })
+	wins := newWindowTable(keys, ulam.NewPricer(blen, job.Pairs), x.Counter())
 
-	var kept []ulamCand
+	// Every kept window gets its position in the kept list, counting from
+	// 1; 0 marks a window not kept.
+	kept := 0
 	if win.Len() > 0 {
 		// Line 2-3 (and the u = 0 special case): the local Ulam optimum
 		// itself is always a valid tuple.
-		kept = append(kept, ulamCand{win.Gamma, win.Kappa, d0})
-		if w := wins.find(win.Gamma, win.Kappa); w != nil {
-			w.kept = true
+		kept++
+		if i, ok := wins.find(win.Gamma, win.Kappa); ok {
+			wins.pos[i] = int32(kept)
 		}
 	}
 	// A candidate is kept if its distance is consistent with the current
@@ -135,41 +142,53 @@ func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
 	// scale are junk for this u and may be produced again (and kept) at
 	// their own scale.
 	g.each(func(sp, ep, uh int) {
-		w := wins.find(sp, ep)
-		if !w.kept && float64(w.d) <= (1+3*epsP)*float64(uh) {
-			w.kept = true
-			kept = append(kept, ulamCand{sp, ep, int(w.d)})
+		i, _ := wins.find(sp, ep)
+		if wins.pos[i] == 0 && float64(wins.d[i]) <= (1+3*epsP)*float64(uh) {
+			kept++
+			wins.pos[i] = int32(kept)
 		}
 	})
-	priced := len(wins.wins)
-	wins = windowTable{} // the pruning needs only kept
-	pruneOps := pruneDominated(kept)
+	cands := make([]ulamCand, kept)
+	for i, at := range wins.pos {
+		if at > 0 {
+			cands[at-1] = ulamCand{int(wins.keys[i] >> 32), int(uint32(wins.keys[i])), int(wins.d[i])}
+		}
+	}
+	if win.Len() > 0 {
+		cands[0] = ulamCand{win.Gamma, win.Kappa, d0} // lulam's distance, not the table's
+	}
+	priced := len(wins.keys)
+	wins = windowTable{} // the pruning needs only cands
+	pruneOps := pruneDominated(cands)
 	x.Ops(int64(priced) + pruneOps/8)
-	kept = slices.DeleteFunc(kept, func(c ulamCand) bool { return c.d < 0 })
-	batch := make([]chain.Tuple, len(kept))
-	for i, c := range kept {
+	cands = slices.DeleteFunc(cands, func(c ulamCand) bool { return c.d < 0 })
+	batch := make([]chain.Tuple, len(cands))
+	for i, c := range cands {
 		batch[i] = chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d}
 	}
 	SendTuples(x, batch)
 }
 
-// anchor is a window of sbar anchored at one sampled match pair.
-type anchor struct{ gamma, kappa int }
-
-// sampleAnchors draws the hitting set I: each match pair independently
-// with probability theta, anchoring the window that aligns the block to
-// sbar through that pair.
-func sampleAnchors(rng *rand.Rand, pairs []ulam.Pair, blen int, theta float64) []anchor {
-	var anchors []anchor
+// sampleAnchors draws the hitting set I: each match pair (P, Q)
+// independently with probability theta, anchoring the window
+// [gamma, gamma+blen-1] with gamma = Q-P that aligns the block to sbar
+// through that pair. It returns the anchors' gammas, each once, in the
+// order of their first draw: pairs on one diagonal anchor one window.
+//
+// Dropping the repeats changes no output. A repeated anchor's grid is the
+// same grid, so the grid walks collect the same windows; and at the same
+// guess it revisits only windows its first walk already kept, or already
+// rejected at the same u-hat.
+func sampleAnchors(rng *rand.Rand, pairs []ulam.Pair, theta float64) []int {
+	var gammas []int
 	for _, pr := range pairs {
 		if rng.Float64() < theta {
-			anchors = append(anchors, anchor{
-				gamma: pr.Q - pr.P,
-				kappa: pr.Q + (blen - 1 - pr.P),
-			})
+			if gamma := pr.Q - pr.P; !slices.Contains(gammas, gamma) {
+				gammas = append(gammas, gamma)
+			}
 		}
 	}
-	return anchors
+	return gammas
 }
 
 // ulamGrids is one block's candidate construction (Lemmas 1 and 2): for
@@ -179,7 +198,7 @@ type ulamGrids struct {
 	blen, m int // block length and |sbar|
 	epsP    float64
 	win     ulam.Window // the local Ulam window
-	anchors []anchor
+	anchors []int       // the anchors' gammas (sampleAnchors)
 }
 
 // each calls visit(sp, ep, uh) for every candidate window, clamped to
@@ -215,68 +234,51 @@ func (g ulamGrids) each(visit func(sp, ep, uh int)) {
 		} else {
 			// Large-distance branch (Lemma 2): grids around sampled
 			// anchors.
-			for _, an := range g.anchors {
-				grid(an.gamma, an.kappa, uh)
+			for _, gamma := range g.anchors {
+				grid(gamma, gamma+g.blen-1, uh)
 			}
 		}
 	}
 }
 
-// window is one distinct candidate window, keyed by windowKey, and its
-// distance; kept marks it emitted.
-type window struct {
-	key  uint64
-	d    int32
-	kept bool
-}
-
 func windowKey(sp, ep int) uint64 { return uint64(sp)<<32 | uint64(ep) }
 
-// windowTable holds a block's distinct candidate windows. add collects
-// them; price sorts them by key, which groups them by start, and prices
-// them; find then looks them up by binary search.
+// windowTable holds a block's distinct candidate windows, keyed by
+// windowKey in ascending order, which groups them by start, with each
+// window's distance and its position in the kept list (0 if not kept).
 type windowTable struct {
-	seen map[uint64]struct{} // add's dedup set, dropped by price
-	wins []window
+	keys []uint64
+	d    []int32
+	pos  []int32
 }
 
-func (t *windowTable) add(sp, ep int) {
-	k := windowKey(sp, ep)
-	if _, ok := t.seen[k]; !ok {
-		t.seen[k] = struct{}{}
-		t.wins = append(t.wins, window{key: k})
-	}
-}
-
-// price fills in every window's distance, with one ulam.WindowDists call
-// per distinct start.
-func (t *windowTable) price(blen int, pairs []ulam.Pair, ops *stats.Ops) {
-	t.seen = nil
-	slices.SortFunc(t.wins, func(a, b window) int { return cmp.Compare(a.key, b.key) })
+// newWindowTable sorts and compacts keys, which it takes over as the
+// table, and prices every window with one WindowDists call per distinct
+// start.
+func newWindowTable(keys []uint64, pr *ulam.Pricer, ops *stats.Ops) windowTable {
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	t := windowTable{keys: keys, d: make([]int32, len(keys)), pos: make([]int32, len(keys))}
 	var ends []int
-	for lo := 0; lo < len(t.wins); {
-		sp := t.wins[lo].key >> 32
+	for lo := 0; lo < len(keys); {
+		sp := keys[lo] >> 32
 		hi := lo
 		ends = ends[:0]
-		for ; hi < len(t.wins) && t.wins[hi].key>>32 == sp; hi++ {
-			ends = append(ends, int(uint32(t.wins[hi].key)))
+		for ; hi < len(keys) && keys[hi]>>32 == sp; hi++ {
+			ends = append(ends, int(uint32(keys[hi])))
 		}
-		for k, d := range ulam.WindowDists(blen, pairs, int(sp), ends, ops) {
-			t.wins[lo+k].d = int32(d)
+		for k, d := range pr.WindowDists(int(sp), ends, ops) {
+			t.d[lo+k] = int32(d)
 		}
 		lo = hi
 	}
+	return t
 }
 
-// find returns the priced table's entry for the window, or nil.
-func (t *windowTable) find(sp, ep int) *window {
-	i, ok := slices.BinarySearchFunc(t.wins, windowKey(sp, ep), func(w window, k uint64) int {
-		return cmp.Compare(w.key, k)
-	})
-	if !ok {
-		return nil
-	}
-	return &t.wins[i]
+// find returns the index of the window in the table and whether it is
+// there.
+func (t *windowTable) find(sp, ep int) (int, bool) {
+	return slices.BinarySearch(t.keys, windowKey(sp, ep))
 }
 
 // ulamCand is a kept candidate; d < 0 marks it dominated.

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"mpcdist/internal/chain"
+	"mpcdist/internal/mpc"
+	"mpcdist/internal/trace"
 	"mpcdist/internal/ulam"
 	"mpcdist/internal/workload"
 )
@@ -240,4 +245,148 @@ func TestUlamMPCChainConsistent(t *testing.T) {
 	if total != res.Value {
 		t.Fatalf("chain cost %d != value %d", total, res.Value)
 	}
+}
+
+// refUlamBatch is Algorithm 1 for one block written out the transparent
+// way: every sampled anchor with its repeats, a map from each distinct
+// window to its distance, one ulam.WindowDist per window, candidates kept
+// by append in visit order, and the dominated ones pruned. It also counts
+// the surviving tuples by the branch that first kept them: [0] is Lemma 1
+// (the local window and the grids around it), [1] Lemma 2 (the grids
+// around the anchors).
+func refUlamBatch(rng *rand.Rand, job *ulamJob, n int, epsP, hitConst float64) ([]chain.Tuple, [2]int) {
+	type window struct{ sp, ep int }
+	type visit struct {
+		w          window
+		uh, branch int
+	}
+	blen := job.R - job.L + 1
+	d0, win := ulam.LocalPairs(blen, job.Pairs, job.SbarLen, nil)
+	theta := hitConst * math.Log(float64(n)+2) / (epsP * float64(blen))
+	var anchors []window
+	for _, pr := range job.Pairs {
+		if rng.Float64() < theta {
+			anchors = append(anchors, window{pr.Q - pr.P, pr.Q + blen - 1 - pr.P})
+		}
+	}
+	var visits []visit
+	uMax := int(float64(blen)/epsP) + 1
+	for _, u := range Ladder(epsP, uMax) {
+		uh := int(float64(u)*(1+epsP)) + 1
+		gap := max(int(epsP*float64(u)), 1)
+		grid := func(c window, r, branch int) {
+			for sp := c.sp - r - mod(c.sp-r, gap); sp <= c.sp+r; sp += gap {
+				for ep := c.ep - r - mod(c.ep-r, gap); ep <= c.ep+r; ep += gap {
+					if s, e := max(sp, 0), min(ep, job.SbarLen-1); s <= e {
+						visits = append(visits, visit{window{s, e}, uh, branch})
+					}
+				}
+			}
+		}
+		if u < (blen+1)/2 {
+			if win.Len() > 0 {
+				grid(window{win.Gamma, win.Kappa}, 2*uh, 0)
+			}
+		} else {
+			for _, an := range anchors {
+				grid(an, uh, 1)
+			}
+		}
+	}
+	dist := make(map[window]int)
+	for _, v := range visits {
+		if _, ok := dist[v.w]; !ok {
+			dist[v.w] = ulam.WindowDist(blen, job.Pairs, v.w.sp, v.w.ep, nil)
+		}
+	}
+	kept := make(map[window]bool)
+	var cands []ulamCand
+	var branch []int
+	if win.Len() > 0 {
+		kept[window{win.Gamma, win.Kappa}] = true
+		cands = append(cands, ulamCand{win.Gamma, win.Kappa, d0})
+		branch = append(branch, 0)
+	}
+	for _, v := range visits {
+		if d := dist[v.w]; !kept[v.w] && float64(d) <= (1+3*epsP)*float64(v.uh) {
+			kept[v.w] = true
+			cands = append(cands, ulamCand{v.w.sp, v.w.ep, d})
+			branch = append(branch, v.branch)
+		}
+	}
+	pruneDominated(cands)
+	var batch []chain.Tuple
+	var byBranch [2]int
+	for i, c := range cands {
+		if c.d >= 0 {
+			batch = append(batch, chain.Tuple{L: job.L, R: job.R, G: c.sp, K: c.ep, D: c.d})
+			byBranch[branch[i]]++
+		}
+	}
+	return batch, byBranch
+}
+
+// machineBatch runs fn as machine id of a fresh cluster's first round and
+// returns the tuples it sent to the collector. Two such runs under one
+// seed draw the same random stream.
+func machineBatch(t *testing.T, seed int64, id int, fn func(x *mpc.Ctx)) []chain.Tuple {
+	t.Helper()
+	cl := mpc.NewCluster(mpc.Config{MachineWords: math.MaxInt32, Seed: seed})
+	out, err := cl.Run("ulam/candidates", trace.PhaseCandidates, map[int][]mpc.Payload{id: {}},
+		func(x *mpc.Ctx, _ []mpc.Payload) { fn(x) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []chain.Tuple
+	for _, pl := range out[collector] {
+		got = append(got, pl.(tuples)...)
+	}
+	return got
+}
+
+// TestUlamRound1MatchesReference pins round 1 of UlamMPC: on every block
+// of near and far inputs, at several seeds and eps, runUlamRound1's batch
+// equals refUlamBatch's tuple for tuple, order included, and both grid
+// branches contribute surviving tuples.
+func TestUlamRound1MatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(151))
+	type input struct {
+		name    string
+		s, sbar []int
+	}
+	var inputs []input
+	s, sbar, _ := workload.PlantedUlam(rng, 400, 15)
+	inputs = append(inputs, input{"near", s, sbar})
+	s, sbar, _ = workload.PlantedUlam(rng, 300, 225)
+	inputs = append(inputs, input{"far", s, sbar})
+	inputs = append(inputs, input{"shift", s, workload.ShiftInts(s, 37)})
+	var byBranch [2]int
+	for _, in := range inputs {
+		for _, c := range []struct {
+			eps  float64
+			seed int64
+		}{{1, 1}, {1, 2}, {0.5, 3}} {
+			p := Params{X: 0.3, Eps: c.eps, Seed: c.seed}.WithDefaults()
+			n := max(len(in.s), len(in.sbar))
+			bsz, epsP := intPow(n, 1-p.X), p.Eps/2
+			for id, l := 0, 0; l < len(in.s); id, l = id+1, l+bsz {
+				r := min(l+bsz-1, len(in.s)-1)
+				job := &ulamJob{L: l, R: r, SbarLen: len(in.sbar), Pairs: ulam.PairsOf(in.s[l:r+1], in.sbar)}
+				got := machineBatch(t, c.seed, id, func(x *mpc.Ctx) { runUlamRound1(x, job, n, epsP, p.HitConst) })
+				var want []chain.Tuple
+				var br [2]int
+				machineBatch(t, c.seed, id, func(x *mpc.Ctx) { want, br = refUlamBatch(x.Rand(), job, n, epsP, p.HitConst) })
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s eps %v seed %d block %d: round 1 sent %d tuples, reference %d\n got  %v\n want %v",
+						in.name, c.eps, c.seed, id, len(got), len(want), got, want)
+				}
+				byBranch[0] += br[0]
+				byBranch[1] += br[1]
+			}
+		}
+	}
+	if byBranch[0] == 0 || byBranch[1] == 0 {
+		t.Errorf("surviving tuples by branch (Lemma 1, Lemma 2) = %v, want both non-zero", byBranch)
+	}
+	t.Logf("surviving tuples by branch (Lemma 1, Lemma 2) = %v", byBranch)
 }

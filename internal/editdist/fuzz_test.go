@@ -3,7 +3,10 @@ package editdist
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"mpcdist/internal/stats"
 )
 
 // Fuzz targets cross-check every exact kernel against the classic DP.
@@ -55,12 +58,16 @@ func FuzzKernelsAgree(f *testing.F) {
 
 // FuzzMyersMulti holds MyersMulti to the classic DP per end, with the ends
 // in the order shuffle picks and some repeated, as callers pass cand.Ends'
-// interleaved ladder (kappa, kappa+1, kappa-1, ...).
+// interleaved ladder (kappa, kappa+1, kappa-1, ...), and to its op charge,
+// one unit per pattern word and character up to the longest end. It then
+// prices a shorter prefix of b with the state the pool hands back, so
+// that an end mark one call leaves behind fails the next.
 func FuzzMyersMulti(f *testing.F) {
 	f.Add([]byte("hello"), []byte("world"), uint8(3), uint64(0))
 	f.Add([]byte(""), []byte("x"), uint8(1), uint64(0))
 	f.Add([]byte("hello"), []byte("yellow fellow"), uint8(2), uint64(1))
 	f.Add([]byte("acgtacgt"), []byte("cgtacgatacgt"), uint8(1), uint64(7))
+	f.Add(bytes.Repeat([]byte("acg"), 30), bytes.Repeat([]byte("gtca"), 40), uint8(5), uint64(3))
 	f.Fuzz(func(t *testing.T, a, b []byte, step uint8, shuffle uint64) {
 		if len(a) > 200 {
 			a = a[:200]
@@ -80,10 +87,28 @@ func FuzzMyersMulti(f *testing.F) {
 			}
 			rng.Shuffle(len(ends), func(i, j int) { ends[i], ends[j] = ends[j], ends[i] })
 		}
-		got := MyersMulti(a, b, ends, nil)
+		prefix := len(b) / 3
+		short := make([]int, len(ends))
 		for i, e := range ends {
-			if want := Distance(a, b[:e], nil); got[i] != want {
-				t.Fatalf("MyersMulti[%d] = %d, want %d", e, got[i], want)
+			short[i] = e % (prefix + 1)
+		}
+		for _, c := range []struct {
+			b    []byte
+			ends []int
+		}{{b, ends}, {b[:prefix], short}} {
+			var ops stats.Ops
+			got := MyersMulti(a, c.b, c.ends, &ops)
+			for i, e := range c.ends {
+				if want := Distance(a, c.b[:e], nil); got[i] != want {
+					t.Fatalf("MyersMulti(b[:%d])[%d] = %d, want %d", len(c.b), e, got[i], want)
+				}
+			}
+			want := int64(0)
+			if len(a) > 0 {
+				want = int64((len(a)+wordBits-1)/wordBits) * int64(slices.Max(c.ends))
+			}
+			if ops.Count() != want {
+				t.Fatalf("MyersMulti(b[:%d]) charged %d ops, want %d", len(c.b), ops.Count(), want)
 			}
 		}
 	})

@@ -1,8 +1,7 @@
 package editdist
 
 import (
-	"cmp"
-	"slices"
+	"math/bits"
 	"sync"
 
 	"mpcdist/internal/stats"
@@ -17,14 +16,18 @@ const wordBits = 64
 //
 // States are pooled: the match table is a 2 KB array per pattern word, and
 // the machines of one job call these kernels hundreds of thousands of
-// times. A state leaves the pool with an all-zero table, and free clears
-// only the entries its pattern set.
+// times. A state leaves the pool with an all-zero table and no end
+// marked, and free clears only the entries its pattern set.
 type bitState struct {
 	peq      [][256]uint64 // peq[blk][c] has bit i set iff pattern[blk*64+i] == c
 	pv, mv   []uint64
 	score    int
-	scoreBit uint64  // the pattern's last row in the last word
-	order    []int32 // MyersMulti's ends, by increasing length
+	scoreBit uint64 // the pattern's last row in the last word
+
+	// MyersMulti's requested ends: bit e of marks is set iff e is one,
+	// and scoreAt[e] is the score at that prefix length once reached.
+	marks   []uint64
+	scoreAt []int
 }
 
 var bitStates = sync.Pool{New: func() any { return new(bitState) }}
@@ -35,6 +38,12 @@ var bitStates = sync.Pool{New: func() any { return new(bitState) }}
 // an exact oracle over whole inputs, leaves its table to the garbage
 // collector instead of pinning it under every later short pattern.
 const maxPooledWords = 8
+
+// maxPooledEnds bounds, in the same way, the text positions MyersMulti's
+// end buffers cover in a pooled state: 8,192 (64 KiB of scores). A
+// pooled pattern's window ladder at the default eps ends by position
+// 4,097 (a 512-character block over eps' = 1/8).
+const maxPooledEnds = 1 << 13
 
 // newBitState returns a pooled state loaded with the non-empty pattern, at
 // column 0. Return it with free(pattern).
@@ -58,13 +67,17 @@ func newBitState(pattern []byte) *bitState {
 }
 
 // free clears the table entries pattern set and returns s to the pool,
-// unless its table is too large to keep.
+// unless its table is too large to keep; end buffers too large to keep
+// are dropped.
 func (s *bitState) free(pattern []byte) {
 	if cap(s.peq) > maxPooledWords {
 		return
 	}
 	for i, c := range pattern {
 		s.peq[i/wordBits][c] = 0
+	}
+	if cap(s.scoreAt) > maxPooledEnds {
+		s.marks, s.scoreAt = nil, nil
 	}
 	bitStates.Put(s)
 }
@@ -145,6 +158,9 @@ func Myers(a, b []byte, ops *stats.Ops) int {
 // longest one, so one pass prices the whole ladder.
 //
 // ends must be in [0, len(b)]; order is arbitrary and duplicates are fine.
+// The pass marks the ends' positions, stops at each marked position in
+// turn to record the score there, clearing the mark, and reads the scores
+// back per end: no sort.
 func MyersMulti(a, b []byte, ends []int, ops *stats.Ops) []int {
 	out := make([]int, len(ends))
 	if len(ends) == 0 {
@@ -154,27 +170,37 @@ func MyersMulti(a, b []byte, ends []int, ops *stats.Ops) []int {
 		copy(out, ends)
 		return out
 	}
+	maxEnd := 0
 	for _, e := range ends {
 		if e < 0 || e > len(b) {
 			panic("editdist: MyersMulti end out of range")
 		}
+		maxEnd = max(maxEnd, e)
 	}
 	s := newBitState(a)
-	order := s.order[:0]
-	for i := range ends {
-		order = append(order, int32(i))
+	if words := maxEnd/wordBits + 1; len(s.marks) < words {
+		s.marks = make([]uint64, words)
 	}
-	slices.SortFunc(order, func(x, y int32) int { return cmp.Compare(ends[x], ends[y]) })
+	if len(s.scoreAt) <= maxEnd {
+		s.scoreAt = make([]int, maxEnd+1)
+	}
+	for _, e := range ends {
+		s.marks[e/wordBits] |= 1 << (uint(e) % wordBits)
+	}
 	at := 0
-	for _, i := range order {
-		if e := ends[i]; e > at {
+	for w := 0; w <= maxEnd/wordBits; w++ {
+		for m := s.marks[w]; m != 0; m &= m - 1 {
+			e := w*wordBits + bits.TrailingZeros64(m)
 			s.advance(b[at:e])
 			at = e
+			s.scoreAt[e] = s.score
 		}
-		out[i] = s.score
+		s.marks[w] = 0
+	}
+	for i, e := range ends {
+		out[i] = s.scoreAt[e]
 	}
 	ops.Add(int64(len(s.peq)) * int64(at))
-	s.order = order
 	s.free(a)
 	return out
 }

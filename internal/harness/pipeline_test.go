@@ -62,6 +62,13 @@ func pipelineCases() []pipelineCase {
 	add("ulam/far", func() (core.Result, error) {
 		return core.UlamMPC(fs, fbar, core.Params{X: 0.3, Eps: 0.5, Seed: 4})
 	})
+	// The wall-time benchmark's ulam-large shape: n = 2048, planted
+	// distance round(n^0.6) = 98, x 0.3 and the default eps, so that ten
+	// block machines sample their anchors and price thousands of windows.
+	ls, lbar, _ := workload.PlantedUlam(rand.New(rand.NewSource(43)), 2048, 98)
+	add("ulam/large", func() (core.Result, error) {
+		return core.UlamMPC(ls, lbar, core.Params{X: 0.3, Seed: 1})
+	})
 
 	rng = rand.New(rand.NewSource(42))
 	es := workload.RandomString(rng, 300, 4)

@@ -41,26 +41,32 @@ import (
 // list does (harness.Sweep). Not safe to change while computations run.
 var QuadCutoff = 768
 
-// diagRanks compresses the diagonals of pts: rank(v) is the number of
-// distinct diagonals below v, so a point's own diagonal ranks in [0, nd).
-func diagRanks(pts []point) (rank func(v int64) int, nd int) {
-	uniq := make([]int64, len(pts))
-	for k := range pts {
-		uniq[k] = pts[k].diag
-	}
-	slices.Sort(uniq)
-	uniq = slices.Compact(uniq)
-	return func(v int64) int {
-		r, _ := slices.BinarySearch(uniq, v)
-		return r
-	}, len(uniq)
+// ranks are the distinct diagonals of a point set, ascending: a point's
+// own diagonal ranks in [0, len(ranks)).
+type ranks []int64
+
+// of returns the number of distinct diagonals below v.
+func (rk ranks) of(v int64) int {
+	r, _ := slices.BinarySearch(rk, v)
+	return r
 }
 
-// byJ returns the indices lo..hi-1 of pts ordered by increasing j.
-func byJ(pts []point, lo, hi int) []int32 {
-	idx := make([]int32, hi-lo)
-	for k := range idx {
-		idx[k] = int32(lo + k)
+// diagRanks compresses the diagonals of pts into buf, which it reuses.
+func diagRanks(buf []int64, pts []point) ranks {
+	buf = slices.Grow(buf[:0], len(pts))
+	for k := range pts {
+		buf = append(buf, pts[k].diag)
+	}
+	slices.Sort(buf)
+	return slices.Compact(buf)
+}
+
+// byJ returns the indices lo..hi-1 of pts ordered by increasing j, in
+// idx, which it reuses.
+func byJ(idx []int32, pts []point, lo, hi int) []int32 {
+	idx = slices.Grow(idx[:0], hi-lo)
+	for k := lo; k < hi; k++ {
+		idx = append(idx, int32(k))
 	}
 	slices.SortFunc(idx, func(x, y int32) int { return cmp.Compare(pts[x].j, pts[y].j) })
 	return idx
@@ -79,13 +85,15 @@ func runDP(pts []point, ops *stats.Ops) {
 		exactQuadratic(pts, ops)
 		return
 	}
-	rank, nd := diagRanks(pts)
+	diags := diagRanks(nil, pts)
+	nd := len(diags)
 	bitA := bitree.NewMin(nd) // prefix over diag rank: min d - i  (case A)
 	bitB := bitree.NewMin(nd) // prefix over reversed rank: min d - j (case B)
 
+	var left, right []int32 // each merge's halves by j
 	merge := func(lo, mid, hi int) {
-		left := byJ(pts, lo, mid)
-		right := byJ(pts, mid, hi)
+		left = byJ(left, pts, lo, mid)
+		right = byJ(right, pts, mid, hi)
 		li := 0
 		var work int64
 		for _, rk := range right {
@@ -93,13 +101,13 @@ func runDP(pts []point, ops *stats.Ops) {
 			for ; li < len(left) && pts[left[li]].j < k.j; li++ {
 				l := &pts[left[li]]
 				if l.d < bitree.Inf {
-					r := rank(l.diag)
+					r := diags.of(l.diag)
 					bitA.Update(r, l.d-int64(l.i), left[li])
 					bitB.Update(nd-1-r, l.d-int64(l.j), left[li])
 				}
 				work++
 			}
-			rκ := rank(k.diag)
+			rκ := diags.of(k.diag)
 			if v, id := bitA.PrefixMin(rκ); v < bitree.Inf {
 				if cand := v + int64(k.i) - 1; cand < k.d {
 					k.d = cand
@@ -118,7 +126,7 @@ func runDP(pts []point, ops *stats.Ops) {
 		// Undo this merge's updates, so the next merge starts from empty
 		// trees (the admitted points are a superset of the updated ones).
 		for _, l := range left[:li] {
-			r := rank(pts[l].diag)
+			r := diags.of(pts[l].diag)
 			bitA.Clear(r)
 			bitB.Clear(nd - 1 - r)
 		}

@@ -35,15 +35,17 @@ func PairsOf(block, sbar []int) []Pair {
 	return out
 }
 
-// pointsFromPairs builds the DP points for ulam(block, sbar[sp..ep]): the
-// virtual start (-1, -1), one point per pair whose sbar position lies in
-// the window, in the pairs' order, and the virtual end (blockLen, window
-// length). When local is true the boundary costs are charged only on the
-// block side, which is encoded by giving the virtual points sentinel
-// diagonals (see dp.go). Every point but the start has d = bitree.Inf.
-func pointsFromPairs(blockLen int, pairs []Pair, sp, ep int, local bool) []point {
+// pointsFromPairs appends to pts the DP points for ulam(block,
+// sbar[sp..ep]): the virtual start (-1, -1), one point per pair whose sbar
+// position lies in the window, in the pairs' order, and the virtual end
+// (blockLen, window length). When local is true the boundary costs are
+// charged only on the block side, which is encoded by giving the virtual
+// points sentinel diagonals (see dp.go). Every point but the start has
+// d = bitree.Inf. pts grows at most once, to room for len(pairs)+2 more
+// points.
+func pointsFromPairs(pts []point, blockLen int, pairs []Pair, sp, ep int, local bool) []point {
+	pts = slices.Grow(pts, len(pairs)+2)
 	winLen := max(ep-sp+1, 0)
-	pts := make([]point, 0, len(pairs)+2)
 	start := point{i: -1, j: -1, parent: -1}
 	end := point{i: blockLen, j: winLen, diag: int64(blockLen - winLen), d: bitree.Inf, parent: -1}
 	if local {
@@ -68,16 +70,42 @@ func WindowDist(blockLen int, pairs []Pair, sp, ep int, ops *stats.Ops) int {
 	if sp > ep {
 		return blockLen
 	}
-	pts := pointsFromPairs(blockLen, pairs, sp, ep, false)
+	pts := pointsFromPairs(nil, blockLen, pairs, sp, ep, false)
 	runDP(pts, ops)
 	return int(pts[len(pts)-1].d)
+}
+
+// Pricer prices windows of sbar against one block, from the block's
+// length and match pairs alone, as WindowDist does one window at a time.
+// It keeps its buffers from call to call and grows one only when a call
+// needs more room than any before, so that a machine pricing many window
+// starts of its block allocates per block, not per start. A Pricer is not
+// safe for concurrent use.
+type Pricer struct {
+	blockLen int
+	pairs    []Pair
+
+	pts        []point
+	diags      ranks
+	order      []int32 // points by increasing j
+	byEnd      []int32 // ends by increasing value
+	out        []int
+	bitA, bitB *bitree.MinTree // all (Inf, -1) between calls
+}
+
+// NewPricer returns a Pricer for a block of blockLen characters with the
+// given match pairs, which it reads but does not copy.
+func NewPricer(blockLen int, pairs []Pair) *Pricer {
+	nd := len(pairs) + 1 // a window's points, the virtual start included
+	return &Pricer{blockLen: blockLen, pairs: pairs, bitA: bitree.NewMin(nd), bitB: bitree.NewMin(nd)}
 }
 
 // WindowDists returns ulam(block, sbar[sp..e]) for every e in ends, in the
 // order of ends, from one DP over the widest window. Each end gets exactly
 // WindowDist(blockLen, pairs, sp, e): ends may come in any order and
 // repeat, and an end below sp denotes the empty window (distance
-// blockLen).
+// blockLen). The returned slice is the Pricer's own and holds the
+// results only until its next call.
 //
 // A match point's DP value depends only on the points before it, never on
 // where the window ends, so one runDP prices every match point of
@@ -86,45 +114,51 @@ func WindowDist(blockLen int, pairs []Pair, sp, ep int, ops *stats.Ops) int {
 // sweeping the points and the ends by sbar position, each end is two
 // Fenwick prefix-minimum queries over diagonal rank, one per case of
 // dp.go. Case A (predecessor diagonal <= the end's) costs
-// d - i + blockLen - 1, case B d - j + winLen - 1.
-func WindowDists(blockLen int, pairs []Pair, sp int, ends []int, ops *stats.Ops) []int {
-	out := make([]int, len(ends))
+// d - i + blockLen - 1, case B d - j + winLen - 1. The trees hold a slot
+// per pair, at least one per distinct diagonal, and are cleared again
+// before the call returns.
+func (w *Pricer) WindowDists(sp int, ends []int, ops *stats.Ops) []int {
+	blockLen := w.blockLen
+	out := w.out[:0]
 	maxEnd := sp - 1
 	for _, e := range ends {
 		maxEnd = max(maxEnd, e)
+		out = append(out, blockLen)
 	}
+	w.out = out
 	if maxEnd < sp {
-		for k := range out {
-			out[k] = blockLen
-		}
 		return out
 	}
-	pts := pointsFromPairs(blockLen, pairs, sp, maxEnd, false)
+	pts := pointsFromPairs(w.pts[:0], blockLen, w.pairs, sp, maxEnd, false)
 	pts = pts[:len(pts)-1] // the virtual ends are per window, below
+	w.pts = pts
 	runDP(pts, ops)
 
-	rank, nd := diagRanks(pts)
-	bitA := bitree.NewMin(nd) // min d - i over diagonal rank (case A)
-	bitB := bitree.NewMin(nd) // min d - j over reversed rank (case B)
-	order := byJ(pts, 0, len(pts))
-	byEnd := make([]int32, len(ends))
-	for k := range byEnd {
-		byEnd[k] = int32(k)
+	rk := diagRanks(w.diags, pts)
+	w.diags = rk
+	nd := len(rk)
+	bitA := w.bitA // min d - i over diagonal rank (case A)
+	bitB := w.bitB // min d - j over reversed rank (case B)
+	order := byJ(w.order, pts, 0, len(pts))
+	w.order = order
+	byEnd := w.byEnd[:0]
+	for k := range ends {
+		byEnd = append(byEnd, int32(k))
 	}
 	slices.SortFunc(byEnd, func(x, y int32) int { return cmp.Compare(ends[x], ends[y]) })
+	w.byEnd = byEnd
 
 	next := 0
 	var work int64
 	for _, k := range byEnd {
 		if ends[k] < sp {
-			out[k] = blockLen
-			continue
+			continue // the empty window, priced above
 		}
 		winLen := ends[k] - sp + 1
 		for ; next < len(order) && pts[order[next]].j < winLen; next++ {
 			l := &pts[order[next]]
 			if l.d < bitree.Inf {
-				r := rank(l.diag)
+				r := rk.of(l.diag)
 				bitA.Update(r, l.d-int64(l.i), order[next])
 				bitB.Update(nd-1-r, l.d-int64(l.j), order[next])
 			}
@@ -133,7 +167,7 @@ func WindowDists(blockLen int, pairs []Pair, sp int, ends []int, ops *stats.Ops)
 		// c diagonals are <= the end's: case A is ranks [0, c), case B
 		// ranks [c, nd), which are reversed ranks [0, nd-c). An empty
 		// range's prefix minimum is bitree.Inf.
-		c := rank(int64(blockLen-winLen) + 1)
+		c := rk.of(int64(blockLen-winLen) + 1)
 		best := int64(bitree.Inf)
 		if v, _ := bitA.PrefixMin(c - 1); v < bitree.Inf {
 			best = v + int64(blockLen) - 1
@@ -144,6 +178,14 @@ func WindowDists(blockLen int, pairs []Pair, sp int, ends []int, ops *stats.Ops)
 		out[k] = int(best)
 		work += 2
 	}
+	// Undo the updates, so the next call starts from empty trees.
+	for _, l := range order[:next] {
+		if pts[l].d < bitree.Inf {
+			r := rk.of(pts[l].diag)
+			bitA.Clear(r)
+			bitB.Clear(nd - 1 - r)
+		}
+	}
 	ops.Add(work)
 	return out
 }
@@ -152,7 +194,7 @@ func WindowDists(blockLen int, pairs []Pair, sp int, ends []int, ops *stats.Ops)
 // sbar (length sbarLen) given only the match pairs, together with a window
 // attaining it. Equivalent to Local(block, sbar) without the strings.
 func LocalPairs(blockLen int, pairs []Pair, sbarLen int, ops *stats.Ops) (int, Window) {
-	pts := pointsFromPairs(blockLen, pairs, 0, sbarLen-1, true)
+	pts := pointsFromPairs(nil, blockLen, pairs, 0, sbarLen-1, true)
 	runDP(pts, ops)
 	return localWindow(pts, blockLen, sbarLen)
 }

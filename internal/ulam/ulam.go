@@ -104,7 +104,7 @@ func localWindow(pts []point, blockLen, sbarLen int) (int, Window) {
 // buildPoints assembles the match points of a and b plus the virtual
 // start and end points (see pointsFromPairs).
 func buildPoints(a, b []int, local bool) []point {
-	return pointsFromPairs(len(a), PairsOf(a, b), 0, len(b)-1, local)
+	return pointsFromPairs(nil, len(a), PairsOf(a, b), 0, len(b)-1, local)
 }
 
 // BruteLocal computes the local Ulam distance by trying every substring of
