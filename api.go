@@ -44,19 +44,6 @@ type PhaseProfile = mpc.PhaseProfile
 // PhaseProfile.Conserves).
 func Profile(r Report) PhaseProfile { return mpc.Profile(r) }
 
-// PairSolver selects the per-pair kernel of the edit-distance small
-// regime; see the constants re-exported below.
-type PairSolver = core.PairSolver
-
-// Pair-solver choices for MPCParams.Solver.
-const (
-	// PairHybridExact (default): exact pair distances, 1+eps small regime.
-	PairHybridExact = core.PairHybridExact
-	// PairApprox12: the Chakraborty-et-al.-style approximate pair solver,
-	// 3+eps as in the paper.
-	PairApprox12 = core.PairApprox12
-)
-
 // Ops counts elementary operations performed by a kernel; pass nil when
 // not needed.
 type Ops = stats.Ops
@@ -138,9 +125,10 @@ func EditScript(a, b []byte) []EditOp {
 }
 
 // ApproxEditDistance returns a constant-factor approximation of ed(a, b)
-// in subquadratic time — the sequential [12]-substitute used per machine
-// by the paper's small-distance regime. eps <= 0 means 0.5; seed drives
-// its internal sampling.
+// in subquadratic time — the sequential stand-in for the [12] solver that
+// the paper's small-distance regime runs per machine (EditDistanceMPC
+// prices those pairs exactly). eps <= 0 means 0.5; seed drives its
+// internal sampling.
 func ApproxEditDistance(a, b []byte, eps float64, seed int64, ops *Ops) int {
 	return approx.Ed(a, b, approx.Params{Eps: eps, Seed: seed}, ops)
 }
@@ -220,10 +208,10 @@ func UlamDistanceMPCCtx(ctx context.Context, s, sbar []int, p MPCParams) (MPCRes
 	return core.UlamMPC(s, sbar, p)
 }
 
-// EditDistanceMPC approximates the edit distance within 3+eps (1+eps with
-// the default exact pair kernel) in at most four MPC rounds per distance
-// guess, on Õ(n^{(9/5)x}) machines of Õ(n^{1-x}) words each (Theorem 9).
-// Requires 0 < X <= 5/17.
+// EditDistanceMPC approximates the edit distance within 3+eps (1+eps when
+// the small-distance regime, whose pair distances are exact, answers) in
+// at most four MPC rounds per distance guess, on Õ(n^{(9/5)x}) machines
+// of Õ(n^{1-x}) words each (Theorem 9). Requires 0 < X <= 5/17.
 func EditDistanceMPC(s, sbar []byte, p MPCParams) (MPCResult, error) {
 	return core.EditMPC(s, sbar, p)
 }

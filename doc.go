@@ -28,8 +28,8 @@
 //	// res.Value within 1+eps of ulam(s, sbar) whp, res.Report.NumRounds == 2
 //
 //	res, err = mpcdist.EditDistanceMPC(a, b, mpcdist.MPCParams{X: 0.25, Eps: 0.5})
-//	// 3+eps approximation (1+eps with the default exact pair kernel),
-//	// at most 4 rounds per distance guess
+//	// 3+eps approximation (1+eps when the small-distance regime, whose
+//	// pair distances are exact, answers), at most 4 rounds per guess
 //
 // The baseline of Table 1's "previous work" row is available as
 // EditDistanceHSS, using one machine per (block, candidate) pair.

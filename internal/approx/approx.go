@@ -22,10 +22,11 @@
 // ed(a, b) whenever ed(a, b) <= |a|^{5/6}, and is at most (3+O(eps))·ed
 // with high probability otherwise.
 //
-// Phase attribution: approx has no Cluster.Run call sites of its own — it
-// is a sequential pair kernel invoked inside the machines of the
-// small-regime "edit-small/pairs" round (PairApprox12), so its operations
-// are charged to that round's trace.PhaseCandidates.
+// No MPC machine calls it: the small regime prices its pairs exactly
+// (DESIGN.md, substitution 2). It serves ApproxEditDistance, the server's
+// "edit-approx" and mpcdist -algo approx, and ablation 1
+// (BenchmarkAblationApproxSolverOpsSlope) measures its operation-count
+// exponents, the subquadratic work Theorem 9 relies on.
 package approx
 
 import (
@@ -44,29 +45,22 @@ type Params struct {
 	// Eps is the slack parameter; the guarantee degrades gracefully as it
 	// grows. Zero means 0.5.
 	Eps float64
-	// X is the inner block exponent in (0, 5/17]; zero means 5/17 (the
-	// paper's Theorem 9 boundary, minimizing total work).
-	X float64
-	// SmallCutoff: inputs with |a| below this always use the exact kernel.
-	// Zero means 96.
-	SmallCutoff int
 	// Seed drives representative and low-degree sampling.
 	Seed int64
-	// Cap, when positive, bounds the useful distance: the guess ladder
-	// stops at Cap and the result for farther pairs is only guaranteed to
-	// be a valid upper bound (callers filter such tuples out anyway).
-	Cap int
 }
+
+const (
+	// innerX is the inner block exponent: 5/17, the paper's Theorem 9
+	// boundary, which minimizes total work.
+	innerX = 5.0 / 17
+	// smallCutoff: inputs with |a| at most this always use the exact
+	// kernel.
+	smallCutoff = 96
+)
 
 func (p Params) withDefaults() Params {
 	if p.Eps <= 0 {
 		p.Eps = 0.5
-	}
-	if p.X <= 0 || p.X > 5.0/17 {
-		p.X = 5.0 / 17
-	}
-	if p.SmallCutoff <= 0 {
-		p.SmallCutoff = 96
 	}
 	return p
 }
@@ -92,9 +86,6 @@ func Ed(a, b []byte, p Params, ops *stats.Ops) int {
 		return 0
 	}
 	maxd := la + lb
-	if p.Cap > 0 && p.Cap < maxd {
-		maxd = p.Cap
-	}
 	// Guess ladder.
 	cut := int(math.Pow(float64(la), 5.0/6))
 	accept := 3 * (1 + p.Eps)
@@ -104,7 +95,7 @@ func Ed(a, b []byte, p Params, ops *stats.Ops) int {
 		if g > maxd {
 			g = maxd
 		}
-		if la <= p.SmallCutoff || g <= cut {
+		if la <= smallCutoff || g <= cut {
 			if d := editdist.BoundedDistance(a, b, g, ops); d <= g {
 				return d
 			}
@@ -139,8 +130,12 @@ type nodeKey struct {
 // assumption ed(a, b) <= g and returns an achievable transformation cost.
 func edFar(a, b []byte, g int, p Params, ops *stats.Ops) int {
 	la, lb := len(a), len(b)
-	y := 6 * p.X / 5
-	yp := 4 * p.X / 5
+	// A variable, not a constant: the exponents below are float64
+	// arithmetic, rounded at each step, where a constant expression would
+	// be exact and round once, to a different last bit.
+	x := float64(innerX)
+	y := 6 * x / 5
+	yp := 4 * x / 5
 	k := intPow(la, y)
 	if k < 2 {
 		k = 2
@@ -227,7 +222,7 @@ func edFar(a, b []byte, g int, p Params, ops *stats.Ops) int {
 	// Representative sampling (phase 1). Degree threshold h = la^{3x/5}
 	// as in Section 5.3 (alpha = (3/5)x); sampling probability
 	// 2·ln(T)/h, clamped below 1 so the machinery stays sublinear.
-	h := intPow(la, 3*p.X/5)
+	h := intPow(la, 3*x/5)
 	if h < 2 {
 		h = 2
 	}

@@ -61,7 +61,7 @@ func TestEdEmpty(t *testing.T) {
 func TestEdUpperBoundAndFactorFarRegime(t *testing.T) {
 	// Far-apart strings: result must be an upper bound within the factor.
 	rng := rand.New(rand.NewSource(54))
-	p := Params{Eps: 0.5, Seed: 3, SmallCutoff: 32}
+	p := Params{Eps: 0.5, Seed: 3}
 	factor := Factor(p)
 	for trial := 0; trial < 8; trial++ {
 		n := 300 + rng.Intn(300)
@@ -74,6 +74,34 @@ func TestEdUpperBoundAndFactorFarRegime(t *testing.T) {
 		}
 		if float64(got) > factor*float64(want)+1 {
 			t.Fatalf("Ed = %d exceeds %.2f x true %d", got, factor, want)
+		}
+	}
+}
+
+// TestEdFarPinned pins the value and the op charge of Ed on far pairs
+// (two random strings, distance well above |a|^{5/6}), where the
+// large-distance machinery answers: a change that moves either is a
+// change of the [12] stand-in, not a refactor.
+func TestEdFarPinned(t *testing.T) {
+	for _, c := range []struct {
+		n, sigma, value int
+		ops             int64
+	}{
+		{300, 3, 153, 614785},
+		{300, 4, 190, 612760},
+		{300, 8, 234, 611649},
+		{800, 3, 493, 4481891},
+		{800, 8, 706, 4472146},
+		{1200, 4, 926, 9990970},
+		{2000, 3, 1420, 28630058},
+		{2000, 8, 2133, 27574827},
+	} {
+		rng := rand.New(rand.NewSource(7))
+		a := workload.RandomString(rng, c.n, c.sigma)
+		b := workload.RandomString(rng, c.n, c.sigma)
+		var ops stats.Ops
+		if v := Ed(a, b, Params{Seed: 7}, &ops); v != c.value || ops.Count() != c.ops {
+			t.Errorf("n %d sigma %d: Ed = %d with %d ops, want %d with %d", c.n, c.sigma, v, ops.Count(), c.value, c.ops)
 		}
 	}
 }
@@ -97,7 +125,7 @@ func TestEdDeterministicGivenSeed(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	a := workload.RandomString(rng, 400, 3)
 	b := workload.RandomString(rng, 400, 3)
-	p := Params{Seed: 9, SmallCutoff: 32}
+	p := Params{Seed: 9}
 	v1 := Ed(a, b, p, nil)
 	v2 := Ed(a, b, p, nil)
 	if v1 != v2 {
@@ -117,17 +145,15 @@ func TestEdOpsCounted(t *testing.T) {
 }
 
 func TestFactorDefaults(t *testing.T) {
-	f := Factor(Params{})
-	if f < 3 || f > 7 {
-		t.Errorf("Factor = %v, want in [3, 7]", f)
+	if f := Factor(Params{}); f != 6.75 {
+		t.Errorf("Factor at the default eps = %v, want 3·1.5² = 6.75", f)
 	}
-	// Defaults applied.
-	p := Params{}.withDefaults()
-	if p.Eps != 0.5 || p.SmallCutoff != 96 {
+	// A zero eps takes the default; the seed and a set eps are kept.
+	if p := (Params{Seed: 9}).withDefaults(); p != (Params{Eps: 0.5, Seed: 9}) {
 		t.Errorf("defaults = %+v", p)
 	}
-	if p.X <= 0 || p.X > 5.0/17+1e-9 {
-		t.Errorf("X default = %v", p.X)
+	if p := (Params{Eps: 0.25, Seed: 3}).withDefaults(); p != (Params{Eps: 0.25, Seed: 3}) {
+		t.Errorf("set values changed: %+v", p)
 	}
 }
 

@@ -10,11 +10,9 @@ package baseline
 
 import (
 	"bytes"
-	"slices"
 
 	"mpcdist/internal/cand"
 	"mpcdist/internal/core"
-	"mpcdist/internal/editdist"
 	"mpcdist/internal/mpc"
 	"mpcdist/internal/trace"
 )
@@ -39,9 +37,9 @@ func (j *pairJob) Words() int {
 
 // HSSEditMPC approximates ed(s, sbar) within 1+eps in two rounds per
 // distance guess, using one machine per (block, candidate starting point)
-// as in [20]. Exact pair distances use the same bit-parallel kernel
-// (editdist.MyersMulti) as the paper-algorithm implementation so that
-// machine and work counts are directly comparable.
+// as in [20]. Its machines price their start with core's StartPricer, as
+// the paper algorithm's small regime does, so that machine and work counts
+// are directly comparable.
 func HSSEditMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 	p = p.WithDefaults()
 	if p.Algo == "" {
@@ -98,22 +96,10 @@ func hssGuess(s, sbar []byte, g int, p core.Params) (int, mpc.Report, error) {
 	dFilter := int((1 + p.Eps) * float64(g))
 
 	out, err := cl.Run("hss/pairs", trace.PhaseCandidates, inputs, func(x *mpc.Ctx, in []mpc.Payload) {
+		pr := gr.Pricer(m, g, dFilter)
 		for _, pl := range in {
 			job := pl.(*pairJob)
-			gamma := job.Start
-			kappas := cand.Ends(gamma, len(job.Block), m, gr.EpsP, job.MaxWin, job.Guess)
-			kappas = slices.DeleteFunc(kappas, func(kappa int) bool { return kappa-job.SegOff >= len(job.Seg) })
-			if len(kappas) == 0 {
-				continue
-			}
-			prefixes := make([]int, len(kappas))
-			for i, kappa := range kappas {
-				prefixes[i] = kappa - gamma + 1
-			}
-			// Same batched exact kernel as the core small regime, so work
-			// counts are directly comparable.
-			ds := editdist.MyersMulti(job.Block, job.Seg[gamma-job.SegOff:], prefixes, x.Counter())
-			core.SendWindows(x, job.L, job.R, gamma, kappas, ds, dFilter)
+			pr.Price(x, job.L, job.Block, job.SegOff, job.Seg, job.Start)
 		}
 	})
 	if err != nil {

@@ -8,9 +8,10 @@ import (
 	"mpcdist/internal/mpc"
 )
 
-// EditMPC approximates ed(s, sbar) within 3+eps (1+eps with ExactPairs) in
-// at most four MPC rounds per distance guess (Theorem 9). Requires
-// 0 < X <= 5/17.
+// EditMPC approximates ed(s, sbar) in at most four MPC rounds per distance
+// guess (Theorem 9): within 1+eps when a small-regime guess accepts, since
+// that regime's pair distances are exact, and within 3+eps when a
+// large-regime guess does. Requires 0 < X <= 5/17.
 //
 // Distance guesses n^delta = (1+eps)^i are, in the paper, all run in
 // parallel, with the smallest valid guess winning; the simulator runs them
@@ -33,13 +34,6 @@ func EditMPC(s, sbar []byte, p Params) (Result, error) {
 	}
 
 	cutover := math.Pow(float64(N), 1-p.X/5)
-	acceptFor := func(regime string) float64 {
-		if regime == "small" && p.Solver != PairApprox12 {
-			// Exact pair distances make the small regime a 1+eps scheme.
-			return 1 + p.Eps
-		}
-		return 3 + p.Eps
-	}
 
 	best := n + m
 	var reports []mpc.Report
@@ -48,13 +42,15 @@ func EditMPC(s, sbar []byte, p Params) (Result, error) {
 			v      int
 			rep    mpc.Report
 			regime string
+			accept float64
 			err    error
 		)
 		if float64(g) <= cutover {
-			regime = "small"
+			// Exact pair distances make the small regime a 1+eps scheme.
+			regime, accept = "small", 1+p.Eps
 			v, rep, err = editSmall(s, sbar, g, p)
 		} else {
-			regime = "large"
+			regime, accept = "large", 3+p.Eps
 			v, rep, err = editLarge(s, sbar, g, p)
 		}
 		if err != nil {
@@ -64,7 +60,7 @@ func EditMPC(s, sbar []byte, p Params) (Result, error) {
 		if v < best {
 			best = v
 		}
-		if float64(v) <= acceptFor(regime)*float64(g) || g >= n+m {
+		if float64(v) <= accept*float64(g) || g >= n+m {
 			return Result{
 				Value:        best,
 				Guess:        g,

@@ -31,11 +31,6 @@ type Params struct {
 	// Õ. Zero means 16. Larger values absorb the polylog·poly(1/eps)
 	// factors at small n; the harness reports the memory actually used.
 	MemFactor float64
-	// HitConst is the constant in the hitting-set rate theta =
-	// HitConst·log(n)/(eps'·B) of Algorithm 1 (the paper uses 8; smaller
-	// values keep simulator-scale candidate sets manageable at a small
-	// failure-probability cost). Zero means 4.
-	HitConst float64
 	// Parallelism bounds concurrently simulated machines (0 = GOMAXPROCS).
 	Parallelism int
 	// Ctx, when non-nil, cancels the simulation between rounds (and before
@@ -47,9 +42,6 @@ type Params struct {
 	// the -trace flags and the server's inline traces. Must be safe for
 	// concurrent use.
 	Observer trace.Observer
-	// Solver selects the block/candidate pair kernel for the edit-distance
-	// small regime (see PairSolver).
-	Solver PairSolver
 	// Faults, when non-nil and active, injects the plan's deterministic
 	// fault schedule into every cluster round (crashes recovered by exact
 	// replay within the plan's MaxRetries, straggler delays); see
@@ -76,24 +68,6 @@ type Params struct {
 	Checkpointer mpc.Checkpointer
 }
 
-// PairSolver selects the per-pair edit-distance kernel used by the
-// small-distance regime's machines.
-type PairSolver int
-
-const (
-	// PairHybridExact (default) prices a block against all of a start's
-	// window ends in one bit-parallel exact pass (editdist.MyersMulti).
-	// Exact distances make the small regime a 1+eps scheme. At every
-	// simulator-reachable block size the bit-parallel constant 1/64 beats
-	// the n^{1/6} asymptotic advantage of [12], so this is also the
-	// fastest kernel in practice.
-	PairHybridExact PairSolver = iota
-	// PairApprox12 uses the approx package's [12]-substitute (factor
-	// 3+eps), matching the paper's algorithm as stated. The regime's
-	// approximation guarantee becomes 3+eps.
-	PairApprox12
-)
-
 // WithDefaults returns a copy of p with zero-valued fields replaced by
 // their defaults.
 func (p Params) WithDefaults() Params {
@@ -102,9 +76,6 @@ func (p Params) WithDefaults() Params {
 	}
 	if p.MemFactor <= 0 {
 		p.MemFactor = 16
-	}
-	if p.HitConst <= 0 {
-		p.HitConst = 4
 	}
 	return p
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"slices"
 
+	"mpcdist/internal/cand"
 	"mpcdist/internal/chain"
+	"mpcdist/internal/editdist"
 	"mpcdist/internal/mpc"
 	"mpcdist/internal/stats"
 	"mpcdist/internal/trace"
@@ -13,9 +15,9 @@ import (
 // Every Table 1 pipeline has one shape: a driver-side partition (Grid.Jobs,
 // partitionLarge, UlamMPC's match pairs), rounds whose machines send chain
 // tuples to one collector in batches, one payload per start, block or
-// machine (SendTuples, SendWindows), and ChainRound, which runs the chain
-// DP on the collector. The payloads below are the pipelines' one wire
-// vocabulary for tuples and answers.
+// machine (SendTuples, which StartPricer calls for the grid pipelines), and
+// ChainRound, which runs the chain DP on the collector. The payloads below
+// are the pipelines' one wire vocabulary for tuples and answers.
 
 // collector is the machine the chain round runs on.
 const collector = 0
@@ -44,29 +46,6 @@ func SendTuples(x *mpc.Ctx, ts []chain.Tuple) {
 	if len(ts) > 0 {
 		x.Send(collector, tuples(ts))
 	}
-}
-
-// SendWindows sends, as one batch sized exactly, the tuples of the block
-// s[l..r] against the windows sbar[gamma..kappas[i]] at distance ds[i]
-// that can appear in an accepted chain: those within dFilter and not
-// dominated by deleting the block and inserting the window.
-func SendWindows(x *mpc.Ctx, l, r, gamma int, kappas, ds []int, dFilter int) {
-	keep := func(i int) bool {
-		return ds[i] <= dFilter && ds[i] <= (r-l+1)+(kappas[i]-gamma+1)
-	}
-	n := 0
-	for i := range kappas {
-		if keep(i) {
-			n++
-		}
-	}
-	ts := make([]chain.Tuple, 0, n)
-	for i, kappa := range kappas {
-		if keep(i) {
-			ts = append(ts, chain.Tuple{L: l, R: r, G: gamma, K: kappa, D: ds[i]})
-		}
-	}
-	SendTuples(x, ts)
 }
 
 // ChainDP is a chain round's program: Algorithm 2 for Ulam, Algorithm 4
@@ -170,4 +149,61 @@ func (gr Grid) Jobs(algo, name string, s, sbar []byte, starts func(l int) []int,
 		}
 	})
 	return inputs
+}
+
+// StartPricer is the step that the first-round machines of Lemma 6 and
+// [20] run on each candidate start gamma of their block s[l..r]:
+//
+//  1. compute the ladder of window ends opening at gamma (cand.AppendEnds);
+//  2. drop the ends outside the machine's segment of sbar, which are not
+//     its to price;
+//  3. build the windows' lengths: each window is a prefix of the longest;
+//  4. price them all against the block in one editdist.MyersMulti pass;
+//  5. send, as one batch sized exactly, the tuples within the filter
+//     distance. An exact distance never exceeds the longer of the block
+//     and the window, so deleting the one and inserting the other never
+//     dominates a tuple, and no other filter is needed.
+//
+// A machine makes one StartPricer, whose ends and lengths buffers serve
+// every start it prices.
+type StartPricer struct {
+	gr         Grid
+	m, g       int // |sbar| and the distance guess
+	dFilter    int
+	ends, lens []int
+}
+
+// Pricer returns a StartPricer for the grid's windows of sbar (length m)
+// on the ladder of the guess g, keeping the tuples within dFilter.
+func (gr Grid) Pricer(m, g, dFilter int) StartPricer {
+	return StartPricer{gr: gr, m: m, g: g, dFilter: dFilter}
+}
+
+// Price prices the windows opening at gamma against block = s[l..r]; seg
+// is the machine's segment of sbar, at offset segOff.
+func (pr *StartPricer) Price(x *mpc.Ctx, l int, block []byte, segOff int, seg []byte, gamma int) {
+	pr.ends = cand.AppendEnds(pr.ends[:0], gamma, len(block), pr.m, pr.gr.EpsP, pr.gr.MaxWin, pr.g)
+	pr.ends = slices.DeleteFunc(pr.ends, func(kappa int) bool { return kappa-segOff >= len(seg) })
+	if len(pr.ends) == 0 {
+		return
+	}
+	pr.lens = pr.lens[:0]
+	for _, kappa := range pr.ends {
+		pr.lens = append(pr.lens, kappa-gamma+1)
+	}
+	ds := editdist.MyersMulti(block, seg[gamma-segOff:], pr.lens, x.Counter())
+	n := 0
+	for _, d := range ds {
+		if d <= pr.dFilter {
+			n++
+		}
+	}
+	ts := make([]chain.Tuple, 0, n)
+	r := l + len(block) - 1
+	for i, kappa := range pr.ends {
+		if ds[i] <= pr.dFilter {
+			ts = append(ts, chain.Tuple{L: l, R: r, G: gamma, K: kappa, D: ds[i]})
+		}
+	}
+	SendTuples(x, ts)
 }

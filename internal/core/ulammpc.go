@@ -78,7 +78,7 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 	// Round 1: Algorithm 1 on every block machine.
 	out, err := cl.Run("ulam/candidates", trace.PhaseCandidates, inputs, func(x *mpc.Ctx, in []mpc.Payload) {
 		for _, pl := range in {
-			runUlamRound1(x, pl.(*ulamJob), n, epsP, p.HitConst)
+			runUlamRound1(x, pl.(*ulamJob), n, epsP)
 		}
 	})
 	if err != nil {
@@ -98,6 +98,12 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 	return Result{Value: v, Report: cl.Report(), Chain: picked}, nil
 }
 
+// hitConst is the constant in the hitting-set rate theta =
+// hitConst·log(n)/(eps'·B) of Algorithm 1 (line 12). The paper uses 8; 4
+// keeps simulator-scale candidate sets manageable at a small
+// failure-probability cost.
+const hitConst = 4
+
 // runUlamRound1 is Algorithm 1: build candidate substrings for the block
 // and emit one batch holding a tuple with the Ulam distance for each.
 //
@@ -110,7 +116,7 @@ func UlamMPC(s, sbar []int, p Params) (Result, error) {
 // same order and keeps each window the first time its distance passes the
 // scale filter, so the kept set and its order depend only on the grids.
 // The machine allocates its pricing buffers and its table once.
-func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP, hitConst float64) {
+func runUlamRound1(x *mpc.Ctx, job *ulamJob, n int, epsP float64) {
 	blen := job.R - job.L + 1
 	d0, win := ulam.LocalPairs(blen, job.Pairs, job.SbarLen, x.Counter())
 	// The hitting set I (line 12) is sampled once; it does not depend on

@@ -372,10 +372,10 @@ func TestUlamRound1MatchesReference(t *testing.T) {
 			for id, l := 0, 0; l < len(in.s); id, l = id+1, l+bsz {
 				r := min(l+bsz-1, len(in.s)-1)
 				job := &ulamJob{L: l, R: r, SbarLen: len(in.sbar), Pairs: ulam.PairsOf(in.s[l:r+1], in.sbar)}
-				got := machineBatch(t, c.seed, id, func(x *mpc.Ctx) { runUlamRound1(x, job, n, epsP, p.HitConst) })
+				got := machineBatch(t, c.seed, id, func(x *mpc.Ctx) { runUlamRound1(x, job, n, epsP) })
 				var want []chain.Tuple
 				var br [2]int
-				machineBatch(t, c.seed, id, func(x *mpc.Ctx) { want, br = refUlamBatch(x.Rand(), job, n, epsP, p.HitConst) })
+				machineBatch(t, c.seed, id, func(x *mpc.Ctx) { want, br = refUlamBatch(x.Rand(), job, n, epsP, hitConst) })
 				if !slices.Equal(got, want) {
 					t.Fatalf("%s eps %v seed %d block %d: round 1 sent %d tuples, reference %d\n got  %v\n want %v",
 						in.name, c.eps, c.seed, id, len(got), len(want), got, want)

@@ -332,8 +332,6 @@ func TestJobRoundTrip(t *testing.T) {
 	job := withFaults(parityJobs()[1])
 	job.Eps = 0.25
 	job.MemFactor = 8
-	job.HitConst = 2
-	job.Solver = int(core.PairApprox12)
 	job.Faults.MaxRetries = 5
 	c := transport.NewCodec()
 	buf, err := encodeValue(c, job)

@@ -42,8 +42,6 @@ type Job struct {
 	X         float64
 	Eps       float64
 	MemFactor float64
-	HitConst  float64
-	Solver    int
 
 	// Faults is the injected fault schedule, retry budget included; nil
 	// when fault-free (FromParams and SpecDigest drop an inactive plan).
@@ -115,8 +113,6 @@ func FromParams(algo string, p core.Params) Job {
 		X:         p.X,
 		Eps:       p.Eps,
 		MemFactor: p.MemFactor,
-		HitConst:  p.HitConst,
-		Solver:    int(p.Solver),
 	}
 	if p.Faults.Active() {
 		j.Faults = p.Faults
@@ -131,8 +127,6 @@ func (j Job) params(host core.Params) core.Params {
 	host.Eps = j.Eps
 	host.Seed = j.Seed
 	host.MemFactor = j.MemFactor
-	host.HitConst = j.HitConst
-	host.Solver = core.PairSolver(j.Solver)
 	host.Faults = j.Faults
 	return host
 }

@@ -73,15 +73,9 @@ func pipelineCases() []pipelineCase {
 	rng = rand.New(rand.NewSource(42))
 	es := workload.RandomString(rng, 300, 4)
 	ebar := workload.PlantedEdits(rng, es, 20, 4)
-	for _, sv := range []struct {
-		name   string
-		solver core.PairSolver
-	}{{"hybrid", core.PairHybridExact}, {"approx12", core.PairApprox12}} {
-		solver := sv.solver
-		add("edit-mpc/"+sv.name, func() (core.Result, error) {
-			return core.EditMPC(es, ebar, core.Params{X: 0.25, Eps: 0.5, Seed: 1, Solver: solver})
-		})
-	}
+	add("edit-mpc/hybrid", func() (core.Result, error) {
+		return core.EditMPC(es, ebar, core.Params{X: 0.25, Eps: 0.5, Seed: 1})
+	})
 	add("edit-small/planted", func() (core.Result, error) {
 		return core.EditSmallMPC(es, ebar, 32, core.Params{X: 0.25, Eps: 0.5, Seed: 2})
 	})

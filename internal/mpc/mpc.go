@@ -50,9 +50,6 @@ type Config struct {
 	// MachineWords is the per-machine memory cap S in words. Zero means
 	// unlimited (useful in unit tests of the algorithms themselves).
 	MachineWords int
-	// MaxMachines optionally caps the number of distinct machines usable in
-	// a round; zero means unlimited.
-	MaxMachines int
 	// Parallelism bounds the number of simulated machines executing
 	// concurrently; zero means GOMAXPROCS.
 	Parallelism int
@@ -286,7 +283,7 @@ type Ctx struct {
 }
 
 // Counter returns the machine's operation counter, suitable for passing to
-// the sequential kernels in editdist/ulam/approx.
+// the sequential kernels in editdist, ulam, lcs and chain.
 func (x *Ctx) Counter() *stats.Ops { return &x.ops }
 
 // Ops charges n elementary operations to the machine.
@@ -364,20 +361,16 @@ func (c *Cluster) SharedRand(round int, tag string) *rand.Rand {
 // its input payloads and sends messages through the context.
 type MachineFunc func(x *Ctx, in []Payload)
 
-// MemoryError reports a violation of the MPC memory or machine-count
-// limits.
+// MemoryError reports a violation of the per-machine memory limit.
 type MemoryError struct {
 	Round   string
 	Machine int
 	Words   int
 	Limit   int
-	Kind    string // "input", "output", or "machines"
+	Kind    string // "input" or "output"
 }
 
 func (e *MemoryError) Error() string {
-	if e.Kind == "machines" {
-		return fmt.Sprintf("mpc: round %q uses %d machines, limit %d", e.Round, e.Words, e.Limit)
-	}
 	return fmt.Sprintf("mpc: round %q machine %d %s holds %d words, limit %d",
 		e.Round, e.Machine, e.Kind, e.Words, e.Limit)
 }
@@ -448,8 +441,8 @@ func outboxSummary(msgs []transport.Msg) (words, fanout int) {
 // Run executes one synchronous round: every machine with input runs fn
 // concurrently, and the emitted messages are grouped by destination into
 // the next round's inputs (returned sorted by machine id for determinism).
-// It enforces the per-machine memory cap on inputs and outputs and the
-// machine-count cap, returning a *MemoryError on violation.
+// It enforces the per-machine memory cap on inputs and outputs, returning
+// a *MemoryError on violation.
 //
 // With an active Config.Faults plan, injected crashes are recovered by
 // replaying the machine (up to the plan's MaxRetries extra attempts; replay is
@@ -599,16 +592,12 @@ func (re *roundExec) resume(inputs map[int][]Payload) (*RoundSnapshot, error) {
 }
 
 // admit copies the round's input slices out of the caller's map, enforces
-// the machine-count cap and the per-machine input cap, then partitions the
-// round across the transport's parties by input weight. Every party
-// computes the same partition from the same sorted ids, with no
-// coordination, and executes only its own share; the exchange restores the
-// full round for everyone.
+// the per-machine input cap, then partitions the round across the
+// transport's parties by input weight. Every party computes the same
+// partition from the same sorted ids, with no coordination, and executes
+// only its own share; the exchange restores the full round for everyone.
 func (re *roundExec) admit(inputs map[int][]Payload) error {
 	cfg := re.c.cfg
-	if cfg.MaxMachines > 0 && len(inputs) > cfg.MaxMachines {
-		return &MemoryError{Round: re.name, Words: len(inputs), Limit: cfg.MaxMachines, Kind: "machines"}
-	}
 	re.ids = make([]int, 0, len(inputs))
 	for id := range inputs {
 		re.ids = append(re.ids, id)

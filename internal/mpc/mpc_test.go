@@ -123,16 +123,6 @@ func TestOutputMemoryViolation(t *testing.T) {
 	}
 }
 
-func TestMachineCountViolation(t *testing.T) {
-	c := NewCluster(Config{MaxMachines: 2})
-	in := map[int][]Payload{0: {Int(0)}, 1: {Int(1)}, 2: {Int(2)}}
-	_, err := c.Run("r", trace.PhaseCandidates, in, func(x *Ctx, in []Payload) {})
-	var me *MemoryError
-	if !errors.As(err, &me) || me.Kind != "machines" {
-		t.Fatalf("want machines MemoryError, got %v", err)
-	}
-}
-
 func TestDeterministicRouting(t *testing.T) {
 	run := func() []int {
 		c := NewCluster(Config{Seed: 42, Parallelism: 4})
@@ -450,17 +440,6 @@ func TestMemoryErrorsSurfaceThroughObserver(t *testing.T) {
 	}
 	if len(colOut.spans) != 1 {
 		t.Fatalf("machine ran, want its span observed: %d", len(colOut.spans))
-	}
-
-	// Machine-count violation for completeness.
-	colM := &recorder{}
-	c = NewCluster(Config{MaxMachines: 1, Observer: colM})
-	_, err = c.Run("m", trace.PhaseCandidates, map[int][]Payload{0: {Int(0)}, 1: {Int(1)}}, func(x *Ctx, in []Payload) {})
-	if !errors.As(err, &me) || me.Kind != "machines" {
-		t.Fatalf("want machines MemoryError, got %v", err)
-	}
-	if len(colM.summaries) != 1 || !strings.Contains(colM.summaries[0].Err, "machines") {
-		t.Fatalf("machines violation not observed: %+v", colM.summaries)
 	}
 }
 

@@ -62,25 +62,15 @@ func TestRoundResume(t *testing.T) {
 	}
 }
 
-// TestRoundAdmit checks the admit step: the machine-count and input caps,
-// and the partition of the round across the transport's parties by input
-// weight.
+// TestRoundAdmit checks the admit step: the input cap, and the partition
+// of the round across the transport's parties by input weight.
 func TestRoundAdmit(t *testing.T) {
 	in := map[int][]Payload{0: {Ints{1, 2, 3}}, 1: {Int(1)}, 2: {Int(2)}, 5: {Ints{1}}}
 	ids, weights := []int{0, 1, 2, 5}, []int{4, 1, 1, 2}
-	for _, tc := range []struct {
-		cfg     Config
-		kind    string
-		machine int
-	}{
-		{Config{MaxMachines: 3}, "machines", 0},
-		{Config{MachineWords: 3}, "input", 0},
-	} {
-		var me *MemoryError
-		err := NewCluster(tc.cfg).newRound("r", trace.PhaseCandidates, len(in), nil).admit(in)
-		if !errors.As(err, &me) || me.Kind != tc.kind || me.Machine != tc.machine {
-			t.Errorf("admit() under %+v = %v, want a %s MemoryError for machine %d", tc.cfg, err, tc.kind, tc.machine)
-		}
+	var me *MemoryError
+	err := NewCluster(Config{MachineWords: 3}).newRound("r", trace.PhaseCandidates, len(in), nil).admit(in)
+	if !errors.As(err, &me) || me.Kind != "input" || me.Machine != 0 {
+		t.Errorf("admit() under a 3-word cap = %v, want an input MemoryError for machine 0", err)
 	}
 
 	re := NewCluster(Config{}).newRound("r", trace.PhaseCandidates, len(in), nil)

@@ -62,9 +62,8 @@ type MachineSpan struct {
 func (s MachineSpan) Duration() time.Duration { return s.End.Sub(s.Start) }
 
 // RoundSummary closes a round with its aggregate measurements. Err is the
-// simulator's error ("input"/"output" memory violations, the machine-count
-// cap, retry-budget exhaustion, or cancellation) when the round failed,
-// empty on success.
+// simulator's error ("input"/"output" memory violations, retry-budget
+// exhaustion, or cancellation) when the round failed, empty on success.
 type RoundSummary struct {
 	Round    int
 	Name     string
