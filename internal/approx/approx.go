@@ -105,7 +105,7 @@ func Ed(a, b []byte, p Params, ops *stats.Ops) int {
 				bestFar = v
 			}
 			if v <= int(accept*float64(g)) {
-				return v
+				return bestFar // never above the trivial bound
 			}
 		}
 		if g == maxd {

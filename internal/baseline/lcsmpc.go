@@ -1,8 +1,6 @@
 package baseline
 
 import (
-	"bytes"
-
 	"mpcdist/internal/chain"
 	"mpcdist/internal/core"
 	"mpcdist/internal/lcs"
@@ -30,24 +28,13 @@ import (
 // LCS whenever the strings are similar (LCS = Omega(|sbar|)) — the regime
 // where near-duplicate detection operates. Rounds per guess: 2.
 func LCSMPC(s, sbar []byte, p core.Params) (core.Result, error) {
-	p = p.WithDefaults()
-	if p.Algo == "" {
-		p.Algo = "lcs-mpc"
-	}
-	n, m := len(s), len(sbar)
-	N := max(n, m)
-	if N == 0 {
-		return core.Result{Value: 0, Regime: "equal"}, nil
-	}
-	if err := core.CheckParams(p.X, p.Eps, core.MaxXHalf); err != nil {
-		return core.Result{}, err
-	}
-	if n == m && bytes.Equal(s, sbar) {
-		return core.Result{Value: n, Regime: "equal"}, nil
+	p, res, done, err := core.Enter(s, sbar, p, "lcs-mpc", core.MaxXHalf, len(s))
+	if done {
+		return res, err
 	}
 	best := 0
 	var reports []mpc.Report
-	ell := min(n, m)
+	ell := min(len(s), len(sbar))
 	for ell >= 1 {
 		v, rep, err := lcsGuess(s, sbar, ell, p)
 		if err != nil {
@@ -78,22 +65,6 @@ func LCSMPC(s, sbar []byte, p core.Params) (core.Result, error) {
 	return core.Result{Value: best, Report: core.AggregateReports(reports), GuessReports: reports}, nil
 }
 
-// lcsJob is one machine's work: a block and a run of window starts.
-type lcsJob struct {
-	L, R   int
-	Block  []byte
-	SegOff int
-	Seg    []byte
-	Starts []int
-	Grid   int
-	MaxWin int
-}
-
-// Words implements mpc.Payload.
-func (j *lcsJob) Words() int {
-	return 7 + len(j.Starts) + (len(j.Block)+7)/8 + (len(j.Seg)+7)/8
-}
-
 func lcsGuess(s, sbar []byte, ell int, p core.Params) (int, mpc.Report, error) {
 	n, m := len(s), len(sbar)
 	cl := p.Cluster(max(n, m))
@@ -103,37 +74,34 @@ func lcsGuess(s, sbar []byte, ell int, p core.Params) (int, mpc.Report, error) {
 	for g := 0; g < m; g += gr.Pitch {
 		starts = append(starts, g)
 	}
-	inputs := gr.Jobs(p.Algo, "lcs/partition", s, sbar,
-		func(int) []int { return starts },
-		func(r core.Run) mpc.Payload {
-			return &lcsJob{L: r.L, R: r.R, Block: r.Block, SegOff: r.SegOff, Seg: r.Seg,
-				Starts: r.Starts, Grid: gr.Pitch, MaxWin: gr.MaxWin}
-		})
+	inputs := gr.Jobs(p.Algo, "lcs/partition", s, sbar, func(int) []int { return starts })
 	if len(inputs) == 0 {
 		return 0, cl.Report(), nil
 	}
 
 	out, err := cl.Run("lcs/pairs", trace.PhaseCandidates, inputs, func(x *mpc.Ctx, in []mpc.Payload) {
 		for _, pl := range in {
-			job := pl.(*lcsJob)
-			for _, gamma := range job.Starts {
+			run := pl.(*core.Run)
+			for _, gamma := range run.Starts {
 				// Window ends on the grid too (kappa = end of a grid cell),
 				// so shrinking an optimal window to grid-aligned endpoints
-				// loses at most one cell of matches per side.
+				// loses at most one cell of matches per side. The pitch and
+				// the window cap come from gr, which every party computes
+				// from the same job spec.
 				var batch []chain.Tuple
-				for kappa := gamma + job.Grid - 1; kappa-gamma+1 <= job.MaxWin; kappa += job.Grid {
+				for kappa := gamma + gr.Pitch - 1; kappa-gamma+1 <= gr.MaxWin; kappa += gr.Pitch {
 					if kappa > m-1 {
 						break
 					}
-					if kappa-job.SegOff >= len(job.Seg) {
+					if kappa-run.SegOff >= len(run.Seg) {
 						break
 					}
-					win := job.Seg[gamma-job.SegOff : kappa-job.SegOff+1]
-					score := lcs.HuntSzymanski(job.Block, win, x.Counter())
+					win := run.Seg[gamma-run.SegOff : kappa-run.SegOff+1]
+					score := lcs.HuntSzymanski(run.Block, win, x.Counter())
 					if score == 0 {
 						continue
 					}
-					batch = append(batch, chain.Tuple{L: job.L, R: job.R, G: gamma, K: kappa, D: score})
+					batch = append(batch, chain.Tuple{L: run.L, R: run.R, G: gamma, K: kappa, D: score})
 				}
 				core.SendTuples(x, batch)
 			}

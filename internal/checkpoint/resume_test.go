@@ -61,6 +61,10 @@ func resumeCases() []resumeCase {
 			pr.X = 0.3
 			return baseline.HSSEditMPC(a, b, pr)
 		}},
+		{"lcs-mpc", func(pr core.Params) (core.Result, error) {
+			pr.X = 0.3
+			return baseline.LCSMPC(a, b, pr)
+		}},
 	}
 }
 

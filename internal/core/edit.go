@@ -14,81 +14,87 @@ import (
 // large-regime guess does. Requires 0 < X <= 5/17.
 //
 // Distance guesses n^delta = (1+eps)^i are, in the paper, all run in
-// parallel, with the smallest valid guess winning; the simulator runs them
-// in ascending order and stops at the first acceptance (the same winner),
-// reporting per-guess statistics and a parallel-style aggregate (rounds =
-// max, machines and work = sum).
+// parallel, with the smallest valid guess winning; Climb runs them in
+// ascending order and stops at the first acceptance, the same winner.
 func EditMPC(s, sbar []byte, p Params) (Result, error) {
-	p = editParams(p)
-	n, m := len(s), len(sbar)
-	N := max(n, m)
-	if N == 0 {
-		return Result{Value: 0, Regime: "equal"}, nil
+	p, res, done, err := Enter(s, sbar, p, editAlgo, MaxXEdit, 0)
+	if done {
+		return res, err
 	}
-	if err := p.validate(N, MaxXEdit); err != nil {
-		return Result{}, err
-	}
-	// ed = 0 is detected separately, as in the paper.
-	if n == m && bytes.Equal(s, sbar) {
-		return Result{Value: 0, Regime: "equal"}, nil
-	}
-
-	cutover := math.Pow(float64(N), 1-p.X/5)
-
-	best := n + m
-	var reports []mpc.Report
-	for _, g := range Ladder(p.Eps, n+m) {
-		var (
-			v      int
-			rep    mpc.Report
-			regime string
-			accept float64
-			err    error
-		)
+	cutover := math.Pow(float64(max(len(s), len(sbar))), 1-p.X/5)
+	return Climb(p.Eps, len(s), len(sbar), func(g int) (int, mpc.Report, string, float64, error) {
 		if float64(g) <= cutover {
 			// Exact pair distances make the small regime a 1+eps scheme.
-			regime, accept = "small", 1+p.Eps
-			v, rep, err = editSmall(s, sbar, g, p)
-		} else {
-			regime, accept = "large", 3+p.Eps
-			v, rep, err = editLarge(s, sbar, g, p)
+			v, rep, err := editSmall(s, sbar, g, p)
+			return v, rep, "small", 1 + p.Eps, err
 		}
+		v, rep, err := editLarge(s, sbar, g, p)
+		return v, rep, "large", 3 + p.Eps, err
+	})
+}
+
+// editAlgo names the edit pipeline, for either regime run on its own too.
+const editAlgo = "edit-mpc"
+
+// Enter is the first step of EditMPC, HSSEditMPC and LCSMPC: it fills
+// in p's defaults, names the pipeline algo unless p names one, and
+// checks X against maxX and eps. Equal inputs need no guess (ed = 0 is
+// detected separately, as in the paper): they come back done with the
+// value same and the regime "equal", the empty pair before the check and
+// any other after it. An error comes back done too.
+func Enter(s, sbar []byte, p Params, algo string, maxX float64, same int) (Params, Result, bool, error) {
+	p = p.named(algo)
+	if len(s) == 0 && len(sbar) == 0 {
+		return p, Result{Value: same, Regime: "equal"}, true, nil
+	}
+	if err := CheckParams(p.X, p.Eps, maxX); err != nil {
+		return p, Result{}, true, err
+	}
+	if bytes.Equal(s, sbar) {
+		return p, Result{Value: same, Regime: "equal"}, true, nil
+	}
+	return p, Result{}, false, nil
+}
+
+// named fills in p's defaults and names the pipeline algo unless p names
+// one.
+func (p Params) named(algo string) Params {
+	p = p.WithDefaults()
+	if p.Algo == "" {
+		p.Algo = algo
+	}
+	return p
+}
+
+// Climb runs step on the guesses g of Ladder(eps, n+m) in ascending
+// order for inputs of lengths n and m; step returns the guess's value,
+// its report, the regime that ran and the factor within which it
+// accepts. Climb keeps the best value so far and one report per guess,
+// and stops at the first guess whose value is at most its acceptance
+// factor times the guess, or at the ladder's last guess, the one that
+// reaches n+m. It aggregates the reports parallel-style (rounds = max,
+// machines and work = sum).
+func Climb(eps float64, n, m int, step func(g int) (int, mpc.Report, string, float64, error)) (Result, error) {
+	res := Result{Value: n + m}
+	for _, g := range Ladder(eps, n+m) {
+		v, rep, regime, accept, err := step(g)
 		if err != nil {
 			return Result{}, err
 		}
-		reports = append(reports, rep)
-		if v < best {
-			best = v
-		}
-		if float64(v) <= accept*float64(g) || g >= n+m {
-			return Result{
-				Value:        best,
-				Guess:        g,
-				Regime:       regime,
-				Report:       AggregateReports(reports),
-				GuessReports: reports,
-			}, nil
+		res.Value, res.Guess, res.Regime = min(res.Value, v), g, regime
+		res.GuessReports = append(res.GuessReports, rep)
+		if float64(v) <= accept*float64(g) {
+			break
 		}
 	}
-	// Unreachable: the last ladder guess always accepts.
-	return Result{Value: best, Report: AggregateReports(reports), GuessReports: reports}, nil
-}
-
-// editParams fills in the defaults and names the pipeline "edit-mpc" for
-// the profiler labels and the flight recorder, the same for the whole
-// ladder and for either regime run on its own.
-func editParams(p Params) Params {
-	p = p.WithDefaults()
-	if p.Algo == "" {
-		p.Algo = "edit-mpc"
-	}
-	return p
+	res.Report = AggregateReports(res.GuessReports)
+	return res, nil
 }
 
 // EditSmallMPC exposes the small-distance regime (Lemma 6) for a fixed
 // guess, for tests and benchmarks.
 func EditSmallMPC(s, sbar []byte, guess int, p Params) (Result, error) {
-	p = editParams(p)
+	p = p.named(editAlgo)
 	N := max(len(s), len(sbar))
 	if err := p.validate(N, MaxXEdit); err != nil {
 		return Result{}, err
@@ -105,7 +111,7 @@ func EditSmallMPC(s, sbar []byte, guess int, p Params) (Result, error) {
 // the regime's validity boundary (Section 5.2): below it the candidate
 // grid becomes so fine that the machinery exceeds the model's memory.
 func EditLargeMPC(s, sbar []byte, guess int, p Params) (Result, error) {
-	p = editParams(p)
+	p = p.named(editAlgo)
 	N := max(len(s), len(sbar))
 	if err := p.validate(N, MaxXEdit); err != nil {
 		return Result{}, err

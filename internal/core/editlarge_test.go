@@ -120,7 +120,7 @@ func TestWindowMachinesFitBudget(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-		p := editParams(Params{X: 0.25, Eps: 0.5, Seed: 1, MemFactor: c.memFactor})
+		p := Params{X: 0.25, Eps: 0.5, Seed: 1, MemFactor: c.memFactor}.named(editAlgo)
 		res, err := EditLargeMPC(c.s, c.sbar, c.guess, p)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

@@ -182,10 +182,10 @@ type Result struct {
 }
 
 // Ladder enumerates 1, then ceil((1+eps)^j) without repeats, up to max
-// (inclusive); it always ends with a value >= max. The guess ladders of
-// this package's drivers and of the HSS baseline are built by it; LCSMPC's
-// descending ladder and approx.Ed's step their own. A step that leaves the
-// int range (a huge eps) ends the ladder at max.
+// (inclusive); it always ends with a value >= max. It is the one ascending
+// guess ladder of EditMPC and HSSEditMPC (see Climb); LCSMPC's descending
+// ladder and approx.Ed's step their own. A step that leaves the int range
+// (a huge eps) ends the ladder at max.
 func Ladder(eps float64, max int) []int {
 	if max < 1 {
 		return []int{1}

@@ -117,9 +117,10 @@ func (p Params) Grid(n, m, g int) Grid {
 	return gr
 }
 
-// Run is one machine's share of a Grid: the block s[L..R], a run of
+// Run is one machine's share of a Grid, the one first-round payload of
+// Lemma 6, [20] and the LCS extension: the block s[L..R], a run of
 // candidate starts, and the segment of sbar at SegOff holding every
-// window those starts open.
+// window those starts open. Each party computes the Grid itself.
 type Run struct {
 	L, R   int
 	Block  []byte
@@ -128,12 +129,17 @@ type Run struct {
 	Starts []int
 }
 
+// Words implements mpc.Payload.
+func (r *Run) Words() int {
+	return 5 + len(r.Starts) + (len(r.Block)+7)/8 + (len(r.Seg)+7)/8
+}
+
 // Jobs is the grid drivers' partition step. It cuts each block's
 // candidate starts (starts(l) for the block at offset l, ascending) into
 // runs of Eta and returns the first round's inputs: one machine per run,
-// in block order, holding the payload job builds from the run. It runs
-// labeled phase=partition under the given name for profiles.
-func (gr Grid) Jobs(algo, name string, s, sbar []byte, starts func(l int) []int, job func(Run) mpc.Payload) map[int][]mpc.Payload {
+// in block order, holding the run. It runs labeled phase=partition under
+// the given name for profiles.
+func (gr Grid) Jobs(algo, name string, s, sbar []byte, starts func(l int) []int) map[int][]mpc.Payload {
 	n, m := len(s), len(sbar)
 	inputs := make(map[int][]mpc.Payload)
 	trace.LabelPhase(algo, trace.PhasePartition, name, func() {
@@ -143,8 +149,8 @@ func (gr Grid) Jobs(algo, name string, s, sbar []byte, starts func(l int) []int,
 			for lo := 0; lo < len(st); lo += gr.Eta {
 				run := st[lo:min(lo+gr.Eta, len(st))]
 				seg := sbar[run[0]:min(run[len(run)-1]+gr.MaxWin, m)]
-				inputs[len(inputs)] = []mpc.Payload{job(Run{L: l, R: r, Block: s[l : r+1],
-					SegOff: run[0], Seg: seg, Starts: append([]int(nil), run...)})}
+				inputs[len(inputs)] = []mpc.Payload{&Run{L: l, R: r, Block: s[l : r+1],
+					SegOff: run[0], Seg: seg, Starts: append([]int(nil), run...)}}
 			}
 		}
 	})
@@ -179,11 +185,11 @@ func (gr Grid) Pricer(m, g, dFilter int) StartPricer {
 	return StartPricer{gr: gr, m: m, g: g, dFilter: dFilter}
 }
 
-// Price prices the windows opening at gamma against block = s[l..r]; seg
-// is the machine's segment of sbar, at offset segOff.
-func (pr *StartPricer) Price(x *mpc.Ctx, l int, block []byte, segOff int, seg []byte, gamma int) {
-	pr.ends = cand.AppendEnds(pr.ends[:0], gamma, len(block), pr.m, pr.gr.EpsP, pr.gr.MaxWin, pr.g)
-	pr.ends = slices.DeleteFunc(pr.ends, func(kappa int) bool { return kappa-segOff >= len(seg) })
+// Price prices the windows opening at gamma, one of run's starts, against
+// run's block.
+func (pr *StartPricer) Price(x *mpc.Ctx, run *Run, gamma int) {
+	pr.ends = cand.AppendEnds(pr.ends[:0], gamma, len(run.Block), pr.m, pr.gr.EpsP, pr.gr.MaxWin, pr.g)
+	pr.ends = slices.DeleteFunc(pr.ends, func(kappa int) bool { return kappa-run.SegOff >= len(run.Seg) })
 	if len(pr.ends) == 0 {
 		return
 	}
@@ -191,7 +197,7 @@ func (pr *StartPricer) Price(x *mpc.Ctx, l int, block []byte, segOff int, seg []
 	for _, kappa := range pr.ends {
 		pr.lens = append(pr.lens, kappa-gamma+1)
 	}
-	ds := editdist.MyersMulti(block, seg[gamma-segOff:], pr.lens, x.Counter())
+	ds := editdist.MyersMulti(run.Block, run.Seg[gamma-run.SegOff:], pr.lens, x.Counter())
 	n := 0
 	for _, d := range ds {
 		if d <= pr.dFilter {
@@ -199,10 +205,9 @@ func (pr *StartPricer) Price(x *mpc.Ctx, l int, block []byte, segOff int, seg []
 		}
 	}
 	ts := make([]chain.Tuple, 0, n)
-	r := l + len(block) - 1
 	for i, kappa := range pr.ends {
 		if ds[i] <= pr.dFilter {
-			ts = append(ts, chain.Tuple{L: l, R: r, G: gamma, K: kappa, D: ds[i]})
+			ts = append(ts, chain.Tuple{L: run.L, R: run.R, G: gamma, K: kappa, D: ds[i]})
 		}
 	}
 	SendTuples(x, ts)

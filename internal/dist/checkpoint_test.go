@@ -239,11 +239,16 @@ func TestTCPCheckpointTornStateFails(t *testing.T) {
 // (core.tuples) and the chain round's value and chain as one answer
 // (core.answer) replaced three names with two, which moved dist.Job's id
 // from 15 to 14: a store holding single-tuple records is never read as
-// batches.
+// batches. Making core.Run the one first-round payload of Lemma 6, [20]
+// and the LCS extension replaced three names (baseline.lcsJob,
+// baseline.pairJob, core.editJob) with one, which moved dist.Job's id
+// from 14 to 12 and every digest with it: an earlier store's rounds,
+// whose first-round inputs were larger, run fresh instead of failing
+// resume's input-shape check.
 func TestRegisteredNamesPinned(t *testing.T) {
 	want := []string{
-		"baseline.lcsJob", "baseline.pairJob", "ckpt.State", "ckpt.Step",
-		"core.answer", "core.distMsg", "core.editJob", "core.extJob",
+		"ckpt.State", "ckpt.Step", "core.Run",
+		"core.answer", "core.distMsg", "core.extJob",
 		"core.repBatch", "core.runJob", "core.selMsg", "core.tuples", "core.ulamJob",
 		"core.winJob", "dist.Job", "dist.resultDigest",
 		"mpc.Bytes", "mpc.Int", "mpc.Ints",

@@ -29,7 +29,9 @@ func TestMain(m *testing.M) {
 // The planted-substitution edit pair accepts in the small regime; the far
 // pair (DNA against a disjoint alphabet, ed = n = 64) fails the small
 // regime's last guess, 39, and accepts at the large guess 58, so the
-// large regime's four rounds run too.
+// large regime's four rounds run too. The LCS extension's job, last,
+// runs the planted pair, whose machines read the pitch and the window cap
+// from the grid every party computes.
 func parityJobs() []Job {
 	rng := rand.New(rand.NewSource(171))
 
@@ -57,6 +59,7 @@ func parityJobs() []Job {
 		{Algo: AlgoEditMPC, Seed: 7, X: 0.25, S: a, T: b},
 		{Algo: AlgoEditHSS, Seed: 7, X: 0.3, S: a, T: b},
 		{Algo: AlgoEditMPC, Seed: 7, X: 0.25, S: far, T: farBar},
+		{Algo: AlgoLCSMPC, Seed: 7, X: 0.3, S: a, T: b},
 	}
 }
 
@@ -124,7 +127,7 @@ func checkParity(t *testing.T, name string, local core.Result, lerr error, distr
 // MPC pipeline, with and without injected faults, the distance, the
 // chain, and every deterministic model counter must be bit-identical
 // between the in-process transport and a real TCP session — one session,
-// reused across all eight jobs.
+// reused across all ten jobs.
 func TestTCPParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker processes")
