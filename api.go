@@ -3,7 +3,6 @@ package mpcdist
 import (
 	"context"
 
-	"mpcdist/internal/approx"
 	"mpcdist/internal/baseline"
 	"mpcdist/internal/chain"
 	"mpcdist/internal/core"
@@ -122,15 +121,6 @@ func UlamScriptE(a, b []int) ([]EditOp, error) {
 // (Hirschberg's linear-space alignment).
 func EditScript(a, b []byte) []EditOp {
 	return editdist.Script(a, b)
-}
-
-// ApproxEditDistance returns a constant-factor approximation of ed(a, b)
-// in subquadratic time — the sequential stand-in for the [12] solver that
-// the paper's small-distance regime runs per machine (EditDistanceMPC
-// prices those pairs exactly). eps <= 0 means 0.5; seed drives its
-// internal sampling.
-func ApproxEditDistance(a, b []byte, eps float64, seed int64, ops *Ops) int {
-	return approx.Ed(a, b, approx.Params{Eps: eps, Seed: seed}, ops)
 }
 
 // UlamDistance returns the exact Ulam distance (substitutions allowed)

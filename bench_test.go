@@ -13,7 +13,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"mpcdist/internal/approx"
 	"mpcdist/internal/baseline"
 	"mpcdist/internal/cand"
 	"mpcdist/internal/chain"
@@ -303,39 +302,6 @@ func BenchmarkFig7Extension(b *testing.B) {
 }
 
 // --- Ablations (DESIGN.md design choices) ---
-
-// Ablation 1: the [12]-substitute pair solver. Two regimes are fitted:
-// moderate planted distance d ~ n^0.7 (the banded-exact path, cost n·d =
-// n^1.7, matching [12]'s n^{2-1/6} exponent territory) and far random
-// strings (d ~ 0.6n, the sampled far machinery) — both against the naive
-// DP's n^2.
-func BenchmarkAblationApproxSolverOpsSlope(b *testing.B) {
-	sizes := []int{1000, 2000, 4000, 8000}
-	var ns, modOps, farOps []float64
-	rng := rand.New(rand.NewSource(7))
-	for _, n := range sizes {
-		a := workload.RandomString(rng, n, 8)
-		d := int(math.Pow(float64(n), 0.7))
-		bb := workload.PlantedEdits(rng, a, d, 8)
-		var ops stats.Ops
-		approx.Ed(a, bb, approx.Params{Eps: 0.5, Seed: 1}, &ops)
-		ns = append(ns, float64(n))
-		modOps = append(modOps, float64(ops.Count()))
-
-		far := workload.RandomString(rng, n, 8)
-		var fops stats.Ops
-		approx.Ed(a, far, approx.Params{Eps: 0.5, Seed: 1}, &fops)
-		farOps = append(farOps, float64(fops.Count()))
-	}
-	for i := 0; i < b.N; i++ {
-		a := workload.RandomString(rng, 4000, 8)
-		bb := workload.PlantedEdits(rng, a, 80, 8)
-		approx.Ed(a, bb, approx.Params{Eps: 0.5, Seed: 1}, nil)
-	}
-	b.ReportMetric(stats.LogLogSlope(ns, modOps), "moderateOpsExp")
-	b.ReportMetric(stats.LogLogSlope(ns, farOps), "farOpsExp")
-	b.ReportMetric(2.0, "naiveOpsExp")
-}
 
 // Ablation 2: Fenwick-accelerated chain DP vs the quadratic DP as printed
 // in Algorithm 4 (the paper's "suitable data structure" remark).

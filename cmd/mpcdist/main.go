@@ -21,7 +21,7 @@
 //	                      # works here too; -status and -checkpoint-dir do
 //	                      # not, as there is no one session to report on)
 //
-// Algorithms: exact, myers, bounded, diagonal, approx, script, mpc
+// Algorithms: exact, myers, bounded, diagonal, script, mpc
 // (Theorem 9), hss ([20] baseline), ulam (exact), ulam-mpc (Theorem 4),
 // lulam.
 package main
@@ -34,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"mpcdist/internal/approx"
 	"mpcdist/internal/buildinfo"
 	"mpcdist/internal/checkpoint"
 	"mpcdist/internal/core"
@@ -51,7 +50,7 @@ import (
 
 func main() {
 	dist.MaybeWorkerMain() // spawned worker processes re-exec this binary
-	algo := flag.String("algo", "exact", "algorithm: exact|myers|bounded|diagonal|approx|script|mpc|hss|ulam|ulam-mpc|lulam")
+	algo := flag.String("algo", "exact", "algorithm: exact|myers|bounded|diagonal|script|mpc|hss|ulam|ulam-mpc|lulam")
 	aStr := flag.String("a", "", "first input (string, or space/comma-separated ints for ulam)")
 	bStr := flag.String("b", "", "second input")
 	aFile := flag.String("afile", "", "read first input from file")
@@ -193,9 +192,6 @@ func main() {
 	case "diagonal":
 		fmt.Println(editdist.DiagonalTransition(a, b, &ops))
 		fmt.Fprintf(os.Stderr, "ops=%d\n", ops.Count())
-	case "approx":
-		fmt.Println(approx.Ed(a, b, approx.Params{Eps: *eps, Seed: *seed}, &ops))
-		fmt.Fprintf(os.Stderr, "ops=%d factor<=%.2f\n", ops.Count(), approx.Factor(approx.Params{Eps: *eps}))
 	case "script":
 		script := editdist.Script(a, b)
 		for _, op := range script {

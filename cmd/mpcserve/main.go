@@ -28,8 +28,8 @@
 //
 // Overload and robustness controls (on by default, 0 disables):
 //
-//	-degrade 1s      fall back to a sequential approximation when an
-//	                 exact query is about to miss its deadline
+//	-degrade 1s      fall back to an exact sequential kernel when an
+//	                 MPC query is about to miss its deadline
 //	                 (answers marked "degraded": true)
 //	-shed-queue 256  reject with 429 + Retry-After once this many
 //	                 requests queue for the worker pool

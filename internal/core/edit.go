@@ -56,16 +56,6 @@ func Enter(s, sbar []byte, p Params, algo string, maxX float64, same int) (Param
 	return p, Result{}, false, nil
 }
 
-// named fills in p's defaults and names the pipeline algo unless p names
-// one.
-func (p Params) named(algo string) Params {
-	p = p.WithDefaults()
-	if p.Algo == "" {
-		p.Algo = algo
-	}
-	return p
-}
-
 // Climb runs step on the guesses g of Ladder(eps, n+m) in ascending
 // order for inputs of lengths n and m; step returns the guess's value,
 // its report, the regime that ran and the factor within which it

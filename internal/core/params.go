@@ -80,6 +80,16 @@ func (p Params) WithDefaults() Params {
 	return p
 }
 
+// named fills in p's defaults and names the pipeline algo unless p names
+// one.
+func (p Params) named(algo string) Params {
+	p = p.WithDefaults()
+	if p.Algo == "" {
+		p.Algo = algo
+	}
+	return p
+}
+
 // The exclusive upper bounds of the memory exponent X. Theorem 4 (Ulam)
 // and the two baselines, which cut s into n^x blocks the same way, need
 // X < 1/2. Theorem 9 (edit distance) allows X = 5/17 itself; the slack
@@ -184,8 +194,8 @@ type Result struct {
 // Ladder enumerates 1, then ceil((1+eps)^j) without repeats, up to max
 // (inclusive); it always ends with a value >= max. It is the one ascending
 // guess ladder of EditMPC and HSSEditMPC (see Climb); LCSMPC's descending
-// ladder and approx.Ed's step their own. A step that leaves the int range
-// (a huge eps) ends the ladder at max.
+// ladder steps its own. A step that leaves the int range (a huge eps) ends
+// the ladder at max.
 func Ladder(eps float64, max int) []int {
 	if max < 1 {
 		return []int{1}

@@ -29,10 +29,7 @@ func (j *ulamJob) Words() int { return 4 + 2*len(j.Pairs) }
 // two MPC rounds (Theorem 4). Both inputs must have distinct characters.
 // It requires 0 < X < 1/2.
 func UlamMPC(s, sbar []int, p Params) (Result, error) {
-	p = p.WithDefaults()
-	if p.Algo == "" {
-		p.Algo = "ulam-mpc"
-	}
+	p = p.named("ulam-mpc")
 	n := max(len(s), len(sbar))
 	if err := p.validate(n, MaxXHalf); err != nil {
 		return Result{}, err

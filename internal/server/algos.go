@@ -35,10 +35,10 @@ type algoSpec struct {
 	// Server.compute).
 	run func(q Query, p mpcdist.MPCParams) (Answer, error)
 	// degrade, when set, is the sequential fallback the degradation ladder
-	// runs if the exact kernel exhausts its (reserve-reduced) deadline: a
-	// cheap kernel answering the same question approximately (or exactly
-	// but sequentially). The caller marks the result Degraded.
-	degrade func(q Query, p mpcdist.MPCParams) (Answer, error)
+	// runs if the MPC job exhausts its (reserve-reduced) deadline: an exact
+	// sequential kernel answering the same question. The caller marks the
+	// answer Degraded.
+	degrade func(q Query) (int, error)
 }
 
 func seqAnswer(algo, regime string, d int) Answer {
@@ -57,25 +57,22 @@ func mpcAnswer(algo string, res mpcdist.MPCResult) Answer {
 }
 
 // Sequential fallbacks for the degradation ladder. Each answers the MPC
-// algorithm's question without the cluster: exact for Ulam/LCS (the
-// sequential kernels are fast), the seeded approximation for edit
-// distance.
-func degradeUlam(q Query, _ mpcdist.MPCParams) (Answer, error) {
+// algorithm's question exactly without the cluster: Ulam distance, Myers'
+// bit-parallel edit distance, and the sparse LCS.
+func degradeUlam(q Query) (int, error) {
 	d, err := mpcdist.UlamDistanceE(q.ASeq, q.BSeq)
 	if err != nil {
-		return Answer{}, badRequestError{msg: err.Error()}
+		return 0, badRequestError{msg: err.Error()}
 	}
-	return seqAnswer("ulam-mpc", "", d), nil
+	return d, nil
 }
 
-func degradeEdit(algo string) func(q Query, p mpcdist.MPCParams) (Answer, error) {
-	return func(q Query, p mpcdist.MPCParams) (Answer, error) {
-		return seqAnswer(algo, "", mpcdist.ApproxEditDistance([]byte(q.A), []byte(q.B), p.Eps, p.Seed, nil)), nil
-	}
+func degradeEdit(q Query) (int, error) {
+	return mpcdist.EditDistanceFast([]byte(q.A), []byte(q.B), nil), nil
 }
 
-func degradeLCS(q Query, _ mpcdist.MPCParams) (Answer, error) {
-	return seqAnswer("lcs-mpc", "", mpcdist.LCSLength([]byte(q.A), []byte(q.B), nil)), nil
+func degradeLCS(q Query) (int, error) {
+	return mpcdist.LCSLength([]byte(q.A), []byte(q.B), nil), nil
 }
 
 // algos is the kernel registry: every supported value of Query.Algo.
@@ -94,9 +91,6 @@ var algos = map[string]algoSpec{
 			return Answer{}, badRequestf("bound must be >= 0, got %d", q.Bound)
 		}
 		return seqAnswer("edit-bounded", "", mpcdist.EditDistanceBounded([]byte(q.A), []byte(q.B), q.Bound, nil)), nil
-	}},
-	"edit-approx": {run: func(q Query, p mpcdist.MPCParams) (Answer, error) {
-		return seqAnswer("edit-approx", "", mpcdist.ApproxEditDistance([]byte(q.A), []byte(q.B), p.Eps, p.Seed, nil)), nil
 	}},
 	"lcs": {run: func(q Query, _ mpcdist.MPCParams) (Answer, error) {
 		return seqAnswer("lcs", "", mpcdist.LCSLength([]byte(q.A), []byte(q.B), nil)), nil
@@ -130,8 +124,8 @@ var algos = map[string]algoSpec{
 		return a, nil
 	}},
 	dist.AlgoUlamMPC: {Ints: true, MPC: true, MaxX: core.MaxXHalf, degrade: degradeUlam},
-	dist.AlgoEditMPC: {MPC: true, MaxX: core.MaxXEdit, degrade: degradeEdit(dist.AlgoEditMPC)},
-	dist.AlgoEditHSS: {MPC: true, MaxX: core.MaxXHalf, degrade: degradeEdit(dist.AlgoEditHSS)},
+	dist.AlgoEditMPC: {MPC: true, MaxX: core.MaxXEdit, degrade: degradeEdit},
+	dist.AlgoEditHSS: {MPC: true, MaxX: core.MaxXHalf, degrade: degradeEdit},
 	dist.AlgoLCSMPC:  {MPC: true, MaxX: core.MaxXHalf, degrade: degradeLCS},
 }
 

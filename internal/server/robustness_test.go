@@ -13,6 +13,7 @@ import (
 
 	"mpcdist"
 	"mpcdist/internal/fault"
+	"mpcdist/internal/workload"
 )
 
 // robustServer builds a Server plus its httptest listener, keeping the
@@ -157,46 +158,57 @@ func TestShedWaitBudget(t *testing.T) {
 }
 
 // TestDegradedFallback checks the degradation ladder: an MPC query whose
-// reserve-reduced deadline expires is answered by the sequential fallback,
-// marked degraded, not cached, and counted in the metrics.
+// reserve-reduced deadline expires is answered by the exact sequential
+// fallback, marked degraded, not cached, and counted in the metrics.
 func TestDegradedFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n := 4000
-	aSeq := rng.Perm(n)
-	bSeq := rng.Perm(n)
-	want, err := mpcdist.UlamDistanceE(aSeq, bSeq)
+	aSeq, bSeq := rng.Perm(4000), rng.Perm(4000)
+	ulamWant, err := mpcdist.UlamDistanceE(aSeq, bSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ulamQ := Query{Algo: "ulam-mpc", ASeq: aSeq, BSeq: bSeq, X: 0.3, Seed: 4}
+	rng = rand.New(rand.NewSource(5))
+	a, b := workload.RandomString(rng, 4000, 8), workload.RandomString(rng, 4000, 8)
+	editQ := Query{Algo: "edit-mpc", A: string(a), B: string(b), X: 0.25, Seed: 4}
 
-	// The exact kernel gets ~100ms, far from enough. Its deadline must stay
-	// ahead of request decoding, or the kernel keeps the whole request
-	// deadline; and machines it already started run to completion (~260ms
-	// each here, seconds under -race on a loaded host) before the fallback
-	// may start.
-	_, ts := robustServer(t, Config{
-		RequestTimeout: 10 * time.Second,
-		DegradeReserve: 9900 * time.Millisecond,
-	})
-	q := Query{Algo: "ulam-mpc", ASeq: aSeq, BSeq: bSeq, X: 0.3, Seed: 4}
-	for i := 0; i < 2; i++ {
-		a := decodeAnswer(t, post(t, ts.URL+"/v1/distance", q))
-		if !a.Degraded {
-			t.Fatalf("request %d: kernel beat a ~1ms deadline on n=%d; answer not degraded: %+v", i, n, a)
-		}
-		if a.Distance != want {
-			t.Errorf("degraded distance = %d, want sequential %d", a.Distance, want)
-		}
-		if a.Cached {
-			t.Error("degraded answer served from cache; degraded answers must not be cached")
-		}
-	}
-	snap := metricsSnapshot(t, ts.URL)
-	if snap.Degraded < 2 {
-		t.Errorf("metrics degraded = %d, want >= 2", snap.Degraded)
-	}
-	if st := snap.Algorithms["ulam-mpc"]; st == nil || st.CacheHits != 0 {
-		t.Errorf("degraded answers produced cache hits: %+v", st)
+	// With a 9.9 s reserve the job gets ~100ms, far from enough; machines
+	// it already started run to completion (~260ms each for Ulam here,
+	// seconds under -race on a loaded host) before the fallback may start.
+	// A reserve covering the whole timeout leaves the job a deadline
+	// already past, so the fallback answers at once.
+	for _, tc := range []struct {
+		name             string
+		q                Query
+		timeout, reserve time.Duration
+		want             int
+	}{
+		{"ulam-mpc", ulamQ, 10 * time.Second, 9900 * time.Millisecond, ulamWant},
+		{"edit-mpc", editQ, 10 * time.Second, 9900 * time.Millisecond, mpcdist.EditDistanceFast(a, b, nil)},
+		{"reserve-covers-timeout", ulamQ, time.Second, time.Second, ulamWant},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := robustServer(t, Config{RequestTimeout: tc.timeout, DegradeReserve: tc.reserve})
+			for i := 0; i < 2; i++ {
+				ans := decodeAnswer(t, post(t, ts.URL+"/v1/distance", tc.q))
+				if !ans.Degraded {
+					t.Fatalf("request %d: job beat a %v deadline; answer not degraded: %+v", i, tc.timeout-tc.reserve, ans)
+				}
+				if ans.Distance != tc.want {
+					t.Errorf("degraded distance = %d, want exact %d", ans.Distance, tc.want)
+				}
+				if ans.Cached {
+					t.Error("degraded answer served from cache; degraded answers must not be cached")
+				}
+			}
+			snap := metricsSnapshot(t, ts.URL)
+			if snap.Degraded < 2 {
+				t.Errorf("metrics degraded = %d, want >= 2", snap.Degraded)
+			}
+			if st := snap.Algorithms[tc.q.Algo]; st == nil || st.CacheHits != 0 {
+				t.Errorf("degraded answers produced cache hits: %+v", st)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package server exposes the repository's distance kernels — sequential,
-// approximate, and MPC-simulated — as a batched, cached HTTP/JSON query
-// service. It is stdlib-only, like the rest of the module.
+// Package server exposes the repository's distance kernels — sequential
+// and MPC-simulated — as a batched, cached HTTP/JSON query service. It is
+// stdlib-only, like the rest of the module.
 //
 // Endpoints:
 //
@@ -27,8 +27,8 @@
 // capped, handler panics are recovered to 500s, and repeated queries are
 // served from an LRU cache keyed on (algorithm, input hash, parameters).
 // Opt-in overload controls (Config.DegradeReserve / ShedQueue / ShedWait)
-// add a degradation ladder — deadline-pressed exact queries fall back to a
-// sequential approximation marked degraded:true, and saturated queues shed
+// add a degradation ladder — deadline-pressed MPC queries fall back to an
+// exact sequential kernel marked degraded:true, and saturated queues shed
 // requests with 429 + Retry-After — and Config.Faults injects the
 // deterministic fault schedule of internal/fault into MPC queries, whose
 // recovered retries surface in Answer.Retries.
@@ -78,9 +78,9 @@ type Config struct {
 	// timeout-to-error behavior unless they ask for graceful degradation.
 
 	// DegradeReserve, when > 0, reserves that slice of the request
-	// deadline for a sequential fallback: the exact/MPC kernel runs
-	// against a deadline shortened by the reserve, and if it runs out
-	// while the request itself is still alive, the algorithm's degrade
+	// deadline for a sequential fallback: an MPC query's job runs against
+	// a deadline shortened by the reserve, and if it runs out while the
+	// request itself is still alive, the algorithm's exact sequential
 	// kernel produces the answer, marked degraded:true (never cached).
 	DegradeReserve time.Duration
 	// ShedQueue, when > 0, sheds a request with 429 before queueing if at
@@ -338,8 +338,8 @@ func (s *Server) resolve(ctx context.Context, q Query, start time.Time, wantTrac
 		}
 	} else if !a.Degraded {
 		// A degraded answer is a deadline artifact, not the algorithm's
-		// real output; caching it would serve the approximation to
-		// unpressed future requests.
+		// real output; caching it would serve an answer without the run's
+		// report to unpressed future requests.
 		s.cache.Put(key, a)
 	}
 	o.answer = &a
@@ -376,14 +376,13 @@ func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpc
 		dl, ok := ctx.Deadline()
 		if !ok {
 			canDegrade = false // no deadline pressure, nothing to reserve
-		} else if reduced := dl.Add(-s.cfg.DegradeReserve); reduced.After(time.Now()) {
+		} else {
+			// A reduced deadline already past yields a done context: the
+			// job stops at its first check and the fallback answers.
 			var cancel context.CancelFunc
-			runCtx, cancel = context.WithDeadline(ctx, reduced)
+			runCtx, cancel = context.WithDeadline(ctx, dl.Add(-s.cfg.DegradeReserve))
 			defer cancel()
 		}
-		// When the reserve swallows the whole remaining deadline, the job
-		// keeps runCtx == ctx (already nearly expired) and the fallback
-		// still fires below.
 	}
 	var res mpcdist.MPCResult
 	var err error
@@ -400,15 +399,17 @@ func (s *Server) compute(ctx context.Context, spec algoSpec, q Query, params mpc
 		(errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 		// The job ran out of its reduced deadline but the request is still
 		// alive: answer from the fallback within the reserve.
-		a, err := spec.degrade(q, params)
-		if err == nil {
-			a.Degraded = true
-			// A degraded answer means the job missed its deadline — exactly
-			// the situation the flight recorder's retained window
-			// (straggling rounds, queue waits, faults) exists to explain.
-			trace.FlightTrigger("server: degraded fallback (" + q.Algo + ")")
+		d, err := spec.degrade(q)
+		if err != nil {
+			return Answer{}, nil, err
 		}
-		return a, nil, err
+		// A degraded answer means the job missed its deadline — exactly
+		// the situation the flight recorder's retained window (straggling
+		// rounds, queue waits, faults) exists to explain.
+		trace.FlightTrigger("server: degraded fallback (" + q.Algo + ")")
+		a := seqAnswer(q.Algo, "", d)
+		a.Degraded = true
+		return a, nil, nil
 	}
 	var ckpt *CheckpointSnap
 	if saver != nil {

@@ -8,6 +8,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -339,10 +342,44 @@ func TestHealthAndAlgorithms(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	names := body["algorithms"]
-	if len(names) != len(algos) {
-		t.Fatalf("algorithms list has %d entries, want %d", len(names), len(algos))
+	served := map[string]bool{}
+	for _, name := range body["algorithms"] {
+		served[name] = true
 	}
+	documented := documentedAlgorithms(t)
+	for name := range served {
+		if !documented[name] {
+			t.Errorf("/v1/algorithms serves %q, which docs/SERVER.md does not list", name)
+		}
+	}
+	for name := range documented {
+		if !served[name] {
+			t.Errorf("docs/SERVER.md lists %q, which /v1/algorithms does not serve", name)
+		}
+	}
+	if len(served) != len(algos) {
+		t.Errorf("/v1/algorithms lists %d names, the registry holds %d", len(served), len(algos))
+	}
+}
+
+// documentedAlgorithms returns the backticked names in the bullets of
+// docs/SERVER.md's "Algorithms" paragraph.
+func documentedAlgorithms(t *testing.T) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "SERVER.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, list, ok := strings.Cut(string(doc), "\nAlgorithms (see `GET /v1/algorithms`):\n\n")
+	if !ok {
+		t.Fatal("docs/SERVER.md has no \"Algorithms\" paragraph")
+	}
+	list, _, _ = strings.Cut(list, "\n\n")
+	names := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(list, -1) {
+		names[m[1]] = true
+	}
+	return names
 }
 
 func TestPoolBoundsConcurrency(t *testing.T) {

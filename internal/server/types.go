@@ -41,10 +41,9 @@ type Answer struct {
 	Guess  int    `json:"guess,omitempty"`
 	// Report holds the measured MPC model quantities (MPC algorithms only).
 	Report *ReportJSON `json:"report,omitempty"`
-	// Degraded reports that the exact/MPC kernel ran out of deadline and
-	// the answer was produced by the sequential fallback (approximation
-	// for the edit algorithms, exact sequential for Ulam). Degraded
-	// answers are never cached.
+	// Degraded reports that the MPC job ran out of deadline and the
+	// answer was produced by the algorithm's exact sequential fallback,
+	// without a Report. Degraded answers are never cached.
 	Degraded bool `json:"degraded,omitempty"`
 	// Distributed reports that the answer was computed by a real worker
 	// cluster (the server was started with -transport tcp). The distance
